@@ -22,19 +22,10 @@ _EXPORTS = {
     "halton_sequence": "draws",
     "inverse_normal_cdf": "draws",
     "build_drawset": "draws",
-    "dump_draws_csv": "draws",
     # regret
     "ModelSpec": "regret",
     "ModelDesign": "regret",
     "ParameterVector": "regret",
-    "RealizedCoefficients": "regret",
-    "realize_coefficients": "regret",
-    "systematic_regret": "regret",
-    "choice_probabilities": "regret",
-    "sequence_probability": "regret",
-    "log_sequence_probability": "regret",
-    "regret_gradient": "regret",
-    "loglik_contribution_gradient": "regret",
     # estimation
     "FitOptions": "estimation",
     "FitResult": "estimation",

@@ -56,15 +56,26 @@ def _add_draw_arguments(parser):
                         help="initial Halton elements to drop")
 
 
+def _positive(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mixrrm",
                      description="Random regret minimization models, classical "
                                  "and mixed, by maximum simulated likelihood.")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive, default=None,
                         help="cap numeric worker threads (default: hardware)")
+    # also accepted after the command; SUPPRESS keeps a value given before it
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=_positive, default=argparse.SUPPRESS,
+                         help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="estimate a classical or mixed regret model")
+    fit = sub.add_parser("fit", parents=[threads],
+                         help="estimate a classical or mixed regret model")
     _add_data_arguments(fit, with_model=True)
     fit.add_argument("--nrep", type=int, default=50,
                      help="Halton draws for the simulation (default: 50)")
@@ -88,19 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--gtol", type=float, default=1e-6,
                      help="gradient sup-norm tolerance (default: 1e-6)")
     fit.add_argument("--out", default=None, help="write the fit as JSON here")
-    fit.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     fit.set_defaults(handler=cmd_fit)
 
-    pred = sub.add_parser("predict",
+    pred = sub.add_parser("predict", parents=[threads],
                           help="append simulated choice probabilities to a CSV")
     _add_data_arguments(pred)
     pred.add_argument("--fit", required=True, help="fit JSON from `mixrrm fit`")
     pred.add_argument("--out", required=True, help="output CSV path")
     _add_draw_arguments(pred)
-    pred.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     pred.set_defaults(handler=cmd_predict)
 
-    betas = sub.add_parser("betas",
+    betas = sub.add_parser("betas", parents=[threads],
                            help="individual-level conditional coefficients")
     _add_data_arguments(betas)
     betas.add_argument("--fit", required=True, help="fit JSON from `mixrrm fit`")
@@ -112,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     betas.add_argument("--attrs", nargs="*", default=None,
                        help="random attributes to keep (default: all)")
     _add_draw_arguments(betas)
-    betas.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     betas.set_defaults(handler=cmd_betas)
 
     logn = sub.add_parser("lognormal",
@@ -145,27 +153,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_thread_cap(argv):
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    if threads is None or not threads.isdigit():
-        return
-    if "numpy" in sys.modules:
+def _apply_thread_cap(threads):
+    """Export the --threads cap; it only takes effect before numpy loads."""
+    if threads is None or "numpy" in sys.modules:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = threads
+        os.environ[var] = str(threads)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_thread_cap(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _apply_thread_cap(args.threads)
     try:
         return args.handler(args)
     except Error as err:
@@ -176,12 +176,9 @@ def main(argv=None) -> int:
         return 1
 
 
-def _load_dataset(args, cluster_col=None, attr_cols=None):
+def _load_dataset(args, attr_cols, cluster_col=None):
     from .dataset import load_long_csv
 
-    if attr_cols is None and getattr(args, "fixed", None) is not None:
-        used = list(dict.fromkeys([*args.fixed, *args.rand]))
-        attr_cols = used or None
     return load_long_csv(
         args.data,
         id_col=args.id_col,
@@ -193,8 +190,8 @@ def _load_dataset(args, cluster_col=None, attr_cols=None):
     )
 
 
-def _fit_attr_cols(fit):
-    return list(dict.fromkeys([*fit.spec.fixed_attrs, *fit.spec.random_attrs]))
+def _attr_cols(spec):
+    return list(dict.fromkeys([*spec.fixed_attrs, *spec.random_attrs]))
 
 
 def _print_fit(fit, stream=None):
@@ -222,12 +219,12 @@ def _print_fit(fit, stream=None):
               f"{'P>|z|':>9}{f'[{low:g}%':>12}{f'{high:g}%]':>12}")
     print(header, file=stream)
     print("-" * len(header), file=stream)
-    for i, name in enumerate(fit.param_names):
-        z = fit.z_stats[i]
-        p = fit.p_values[i]
+    columns = zip(fit.param_names, fit.estimates, fit.std_errors, fit.z_stats,
+                  fit.p_values, fit.ci_lower, fit.ci_upper)
+    for name, coef, se, z, p, low, high in columns:
         print(
-            f"{name:<16}{fit.estimates[i]:>12.4f}{fit.std_errors[i]:>12.4f}"
-            f"{z:>9.3f}{p:>9.4f}{fit.ci_lower[i]:>12.4f}{fit.ci_upper[i]:>12.4f}",
+            f"{name:<16}{coef:>12.4f}{se:>12.4f}"
+            f"{z:>9.3f}{p:>9.4f}{low:>12.4f}{high:>12.4f}",
             file=stream,
         )
 
@@ -242,7 +239,6 @@ def cmd_fit(args) -> int:
         print("error: give at least one attribute via --fixed or --rand",
               file=sys.stderr)
         return 1
-    ds = _load_dataset(args, cluster_col=args.cluster)
     spec = ModelSpec(
         fixed_attrs=tuple(args.fixed),
         random_attrs=tuple(args.rand),
@@ -251,10 +247,8 @@ def cmd_fit(args) -> int:
         base_alternative=args.basealternative,
     )
     covariance = "hessian"
-    cluster_map = None
     if args.cluster:
         covariance = "cluster"
-        cluster_map = cluster_index(ds, args.cluster)
     elif args.robust:
         covariance = "robust"
     start = None
@@ -266,10 +260,12 @@ def cmd_fit(args) -> int:
         start=start,
         level=args.level,
         covariance=covariance,
-        cluster=cluster_map,
         nrep=args.nrep,
         burn=args.burn,
     )
+    ds = _load_dataset(args, _attr_cols(spec), cluster_col=args.cluster)
+    if args.cluster:
+        opts.cluster = cluster_index(ds, args.cluster)
 
     exit_code = 0
     try:
@@ -296,31 +292,19 @@ def cmd_predict(args) -> int:
     from .postestimation import predict_rows
 
     fit = load_fit_json(args.fit)
-    ds = _load_dataset(args, attr_cols=_fit_attr_cols(fit))
-    rows = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
-    lookup = {key: prob for key, prob in rows}
+    ds = _load_dataset(args, _attr_cols(fit.spec))
+    probs = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
 
-    with open(args.data, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        data_rows = list(reader)
-    pos = {name: i for i, name in enumerate(header)}
-    for col in (args.id_col, args.group, args.alternatives):
-        if col not in pos:
-            from .errors import MissingColumn
-
-            raise MissingColumn(col)
-
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
+    # rows are numbered as the loader numbered them; rows it skipped as
+    # blank have no probability and are copied through unchanged
+    with open(args.data, newline="", encoding="utf-8") as source, \
+            open(args.out, "w", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(source)
         writer = csv.writer(handle)
-        writer.writerow(header + ["pred_p"])
-        for row in data_rows:
-            key = (
-                int(float(row[pos[args.id_col]])),
-                int(float(row[pos[args.group]])),
-                int(float(row[pos[args.alternatives]])),
-            )
-            writer.writerow(row + [repr(float(lookup[key]))])
+        writer.writerow(next(reader) + ["pred_p"])
+        for row_no, row in enumerate(reader, start=2):
+            prob = probs.get(row_no)
+            writer.writerow(row if prob is None else row + [repr(prob)])
     print(f"predictions written to {args.out}", file=sys.stderr)
     return 0
 
@@ -330,10 +314,7 @@ def cmd_betas(args) -> int:
     from .postestimation import histogram_svg, individual_betas, write_beta_file
 
     fit = load_fit_json(args.fit)
-    if fit.spec.n_random < 1:
-        print("error: fit has no random coefficients", file=sys.stderr)
-        return 1
-    ds = _load_dataset(args, attr_cols=_fit_attr_cols(fit))
+    ds = _load_dataset(args, _attr_cols(fit.spec))
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)
 
     keep = args.attrs if args.attrs else list(table.attrs)

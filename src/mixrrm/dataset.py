@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -35,11 +36,14 @@ class ChoiceSituation:
 
     ``alternatives`` keeps the file's row order; each entry is
     ``(alternative_id, attributes, chosen)`` with ``attributes`` a float
-    vector aligned with the dataset's ``attribute_names``.
+    vector aligned with the dataset's ``attribute_names``.  ``source_rows``
+    holds each alternative's row number in the file it was loaded from
+    (header = 1); it is empty for a situation built in memory.
     """
 
     situation_id: int
     alternatives: tuple[tuple[int, np.ndarray, bool], ...]
+    source_rows: tuple[int, ...] = ()
 
     @property
     def n_alternatives(self) -> int:
@@ -164,8 +168,10 @@ def load_long_csv(
         if name not in col_pos:
             raise MissingColumn(name)
 
-    # (individual, situation) -> list of (alt_id, attrs, chosen), file order kept
+    # (individual, situation) -> list of (alt_id, attrs, chosen), file order
+    # kept; source_rows holds the row number of each entry
     situations: dict[tuple[int, int], list[tuple[int, np.ndarray, bool]]] = {}
+    source_rows: dict[tuple[int, int], list[int]] = {}
     clusters: dict[int, int] = {}
 
     for row_no, row in enumerate(rows, start=2):  # header is line 1
@@ -210,22 +216,24 @@ def load_long_csv(
         if any(existing_alt == alt for existing_alt, _, _ in entries):
             raise DuplicateAlternative(ind, sit, alt)
         entries.append((alt, attrs, chosen))
+        source_rows.setdefault(key, []).append(row_no)
 
     blocks: list[IndividualBlock] = []
     labels: set[int] = set()
-    for ind in sorted({ind for ind, _ in situations}):
+    for ind, keys in groupby(sorted(situations), key=lambda key: key[0]):
         sits: list[ChoiceSituation] = []
-        for sit in sorted(s for i, s in situations if i == ind):
-            entries = situations[(ind, sit)]
+        for key in keys:
+            entries = situations[key]
             if len(entries) < 2:
-                raise SituationTooSmall(ind, sit)
+                raise SituationTooSmall(*key)
             n_chosen = sum(chosen for _, _, chosen in entries)
             if n_chosen > 1:
-                raise MultipleChosen(ind, sit)
+                raise MultipleChosen(*key)
             if n_chosen == 0:
-                raise NoneChosen(ind, sit)
+                raise NoneChosen(*key)
             labels.update(alt for alt, _, _ in entries)
-            sits.append(ChoiceSituation(sit, tuple(entries)))
+            sits.append(ChoiceSituation(key[1], tuple(entries),
+                                        tuple(source_rows[key])))
         blocks.append(IndividualBlock(ind, tuple(sits)))
 
     return ChoiceDataset(

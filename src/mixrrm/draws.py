@@ -9,7 +9,6 @@ draws.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,18 +189,3 @@ def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> D
     draws.setflags(write=False)
     return DrawSet(nrep=nrep, burn=burn, dims=dims, draws=draws)
 
-
-def dump_draws_csv(drawset: DrawSet, path) -> None:
-    """Debug dump (individual, dim, rep, uniform, normal) for cross-checks."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["individual", "dim", "rep", "uniform", "normal"])
-        n, dims, nrep = drawset.draws.shape
-        for k in range(dims):
-            stream = halton_sequence(nth_prime(k), n * nrep, drawset.burn)
-            for i in range(n):
-                for r in range(nrep):
-                    writer.writerow(
-                        [i, k, r, repr(float(stream[i * nrep + r])),
-                         repr(float(drawset.draws[i, k, r]))]
-                    )

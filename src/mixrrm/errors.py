@@ -116,6 +116,14 @@ class SingularHessian(Error):
     pass
 
 
+class InvalidOption(Error, ValueError):
+    """An estimation option outside its range, caught before any work."""
+
+
+class InvalidFitFile(Error):
+    """A fit JSON field that disagrees with the file's own model block."""
+
+
 class FewerClustersThanParameters(UserWarning):
     """Sandwich meat is rank-deficient: fewer clusters than parameters."""
 

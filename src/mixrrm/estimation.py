@@ -21,6 +21,8 @@ from .dataset import ChoiceDataset
 from .draws import DrawSet, build_drawset, inverse_normal_cdf
 from .errors import (
     FewerClustersThanParameters,
+    InvalidFitFile,
+    InvalidOption,
     NonConvergence,
     SingularHessian,
 )
@@ -29,7 +31,8 @@ from .regret import ModelDesign, ModelSpec, ParameterVector
 
 @dataclass
 class FitOptions:
-    """Optimizer and inference settings shared by both fit entry points."""
+    """Optimizer and inference settings shared by both fit entry points,
+    checked on construction (the cluster mapping when a fit starts)."""
 
     maxiter: int = 200
     gtol: float = 1e-6
@@ -41,40 +44,96 @@ class FitOptions:
     nrep: int = 50
     burn: int = 15
 
+    def __post_init__(self):
+        if not 0.0 < self.level < 100.0:
+            raise InvalidOption(f"level {self.level!r} is outside (0, 100)")
+        if self.maxiter < 0:
+            raise InvalidOption(f"maxiter {self.maxiter!r} is negative")
+        if not self.gtol > 0.0:
+            raise InvalidOption(f"gtol {self.gtol!r} is not positive")
+        if self.covariance not in ("hessian", "robust", "cluster"):
+            raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
+
+    def check_cluster(self, ds: ChoiceDataset) -> None:
+        """A cluster covariance needs a cluster id for every individual."""
+        if self.covariance == "cluster" and (
+            self.cluster is None
+            or any(b.individual_id not in self.cluster for b in ds.individuals)
+        ):
+            raise InvalidOption("the cluster mapping must cover every individual")
+
 
 @dataclass
 class FitResult:
-    """Point estimates, inference, and convergence diagnostics.
+    """Point estimates, covariance, and convergence diagnostics.
 
     ``theta`` is the packed parameter vector as estimated (scale entries may
     be negative: the likelihood only identifies their magnitude).  The
     ``estimates`` column reports |scale|; ``covariance`` always refers to the
-    signed parameterization.
+    signed parameterization.  Names and inference columns are derived.
     """
 
     spec: ModelSpec
-    param_names: tuple[str, ...]
     alternative_labels: tuple[int, ...]
-    theta_hat: ParameterVector
     theta: np.ndarray
-    estimates: np.ndarray
     loglik: float
     n_individuals: int
     n_situations: int
-    n_parameters: int
     covariance: np.ndarray
     covariance_kind: str
-    std_errors: np.ndarray
-    z_stats: np.ndarray
-    p_values: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
     level: float
     converged: bool
     iterations: int
     gradient_norm: float
     nrep: int
     burn: int
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.spec.param_names(self.alternative_labels)
+
+    @property
+    def n_parameters(self) -> int:
+        return len(self.param_names)
+
+    @property
+    def theta_hat(self) -> ParameterVector:
+        n_asc = len(self.spec.asc_labels(self.alternative_labels))
+        return ParameterVector.unpack(
+            self.theta, self.spec.n_fixed, self.spec.n_random, n_asc
+        )
+
+    @property
+    def estimates(self) -> np.ndarray:
+        reported = self.theta_hat
+        reported.rand_scale = np.abs(reported.rand_scale)
+        return reported.pack()
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
+
+    @property
+    def z_stats(self) -> np.ndarray:
+        se = self.std_errors
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(se > 0.0, self.estimates / se, np.nan)
+
+    @property
+    def p_values(self) -> np.ndarray:
+        return np.array([math.erfc(abs(v) / math.sqrt(2.0)) if np.isfinite(v)
+                         else np.nan for v in self.z_stats])
+
+    @property
+    def ci_lower(self) -> np.ndarray:
+        return self.estimates - self._z_crit() * self.std_errors
+
+    @property
+    def ci_upper(self) -> np.ndarray:
+        return self.estimates + self._z_crit() * self.std_errors
+
+    def _z_crit(self) -> float:
+        return inverse_normal_cdf(0.5 + self.level / 200.0)
 
 
 @dataclass
@@ -297,6 +356,7 @@ def fit_classical(
     if spec.n_random:
         raise ValueError("classical fit requires a spec without random attributes")
     opts = opts or FitOptions()
+    opts.check_cluster(ds)
     design = ModelDesign(ds, spec)
     x0 = (
         np.asarray(opts.start, dtype=float)
@@ -320,7 +380,8 @@ def fit_mixed(
         raise ValueError("mixed fit requires at least one random attribute")
     opts = opts or FitOptions()
     if opts.nrep < 1:
-        raise ValueError("nrep must be >= 1")
+        raise InvalidOption(f"nrep {opts.nrep!r} is below 1")
+    opts.check_cluster(ds)
     design = ModelDesign(ds, spec)
     drawset = build_drawset(
         ds.n_individuals, spec.n_random, opts.nrep, opts.burn
@@ -387,51 +448,26 @@ def _run_fit(
             cov = covariance_hessian(hessian)
         elif opts.covariance == "robust":
             cov = covariance_robust(hessian, scores)
-        elif opts.covariance == "cluster":
-            if opts.cluster is None:
-                raise ValueError("covariance='cluster' needs a cluster mapping")
+        else:
             ids = [
                 opts.cluster[block.individual_id]
                 for block in design.ds.individuals
             ]
             cov = covariance_cluster(hessian, scores, ids)
-        else:
-            raise ValueError(f"unknown covariance kind {opts.covariance!r}")
     except SingularHessian:
         if opt.converged:
             raise
         cov = np.full((design.n_params, design.n_params), np.nan)
 
-    theta = design.unpack(opt.x)
-    reported = opt.x.copy()
-    reported[design.scale_slice] = np.abs(reported[design.scale_slice])
-
-    diag = np.clip(np.diag(cov), 0.0, None)
-    se = np.sqrt(diag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0.0, reported / se, np.nan)
-    p = np.array([math.erfc(abs(v) / math.sqrt(2.0)) if np.isfinite(v) else np.nan
-                  for v in z])
-    z_crit = inverse_normal_cdf(0.5 + opts.level / 200.0)
-
     result = FitResult(
         spec=design.spec,
-        param_names=design.param_names,
         alternative_labels=design.ds.alternative_labels,
-        theta_hat=theta,
         theta=opt.x,
-        estimates=reported,
         loglik=opt.loglik,
         n_individuals=design.ds.n_individuals,
         n_situations=design.ds.n_situations,
-        n_parameters=design.n_params,
         covariance=cov,
         covariance_kind=opts.covariance,
-        std_errors=se,
-        z_stats=z,
-        p_values=p,
-        ci_lower=reported - z_crit * se,
-        ci_upper=reported + z_crit * se,
         level=opts.level,
         converged=opt.converged,
         iterations=opt.iterations,
@@ -452,19 +488,22 @@ def _run_fit(
 
 
 def fit_result_to_json(fit: FitResult) -> dict:
-    """JSON-ready dict; includes the model block needed to reload the fit."""
+    """JSON-ready dict; includes the model block needed to reload the fit.
+    NaN is written as null, so the output is strict JSON."""
+    columns = zip(fit.param_names, fit.estimates, fit.std_errors, fit.z_stats,
+                  fit.p_values, fit.ci_lower, fit.ci_upper)
     return {
         "estimates": [
             {
                 "name": name,
-                "coef": float(fit.estimates[i]),
-                "se": float(fit.std_errors[i]),
-                "z": _nan_to_none(fit.z_stats[i]),
-                "p": _nan_to_none(fit.p_values[i]),
-                "ci_low": float(fit.ci_lower[i]),
-                "ci_high": float(fit.ci_upper[i]),
+                "coef": float(coef),
+                "se": _nan_to_none(se),
+                "z": _nan_to_none(z),
+                "p": _nan_to_none(p),
+                "ci_low": _nan_to_none(low),
+                "ci_high": _nan_to_none(high),
             }
-            for i, name in enumerate(fit.param_names)
+            for name, coef, se, z, p, low, high in columns
         ],
         "loglik": fit.loglik,
         "nrep": fit.nrep,
@@ -496,7 +535,11 @@ def _nan_to_none(value):
 
 
 def fit_result_from_json(payload: dict) -> FitResult:
-    """Rebuild a FitResult from :func:`fit_result_to_json` output."""
+    """Rebuild a FitResult from :func:`fit_result_to_json` output.
+
+    Raises :class:`InvalidFitFile` when ``theta`` or ``covariance`` does not
+    have the size the model block implies.
+    """
     model = payload["model"]
     spec = ModelSpec(
         fixed_attrs=tuple(model["fixed_attrs"]),
@@ -505,39 +548,26 @@ def fit_result_from_json(payload: dict) -> FitResult:
         use_asc=model["use_asc"],
         base_alternative=model["base_alternative"],
     )
-    theta = np.array(payload["theta"], dtype=float)
     labels = tuple(model["alternative_labels"])
-    n_asc = (len(labels) - 1) if spec.use_asc else 0
-    theta_hat = ParameterVector.unpack(theta, spec.n_fixed, spec.n_random, n_asc)
-    rows = payload["estimates"]
-    cov = np.array(
-        [[np.nan if v is None else v for v in row] for row in payload["covariance"]],
-        dtype=float,
-    )
-
-    def col(key):
-        return np.array(
-            [np.nan if r[key] is None else float(r[key]) for r in rows]
-        )
-
+    n_params = len(spec.param_names(labels))
+    theta, cov = payload["theta"], payload["covariance"]
+    if len(theta) != n_params:
+        raise InvalidFitFile(f"field 'theta' has {len(theta)} entries; the model "
+                             f"block implies {n_params}")
+    if len(cov) != n_params or any(len(row) != n_params for row in cov):
+        raise InvalidFitFile(f"field 'covariance' is not {n_params} x {n_params} "
+                             "as the model block implies")
     return FitResult(
         spec=spec,
-        param_names=tuple(r["name"] for r in rows),
         alternative_labels=labels,
-        theta_hat=theta_hat,
-        theta=theta,
-        estimates=col("coef"),
+        theta=np.array(theta, dtype=float),
         loglik=float(payload["loglik"]),
         n_individuals=int(payload["n_individuals"]),
         n_situations=int(payload["n_situations"]),
-        n_parameters=int(payload["n_parameters"]),
-        covariance=cov,
+        covariance=np.array(
+            [[np.nan if v is None else v for v in row] for row in cov], dtype=float
+        ),
         covariance_kind=payload["covariance_kind"],
-        std_errors=col("se"),
-        z_stats=col("z"),
-        p_values=col("p"),
-        ci_lower=col("ci_low"),
-        ci_upper=col("ci_high"),
         level=float(payload["level"]),
         converged=bool(payload["converged"]),
         iterations=int(payload["iterations"]),

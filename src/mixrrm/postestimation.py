@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import ChoiceDataset
 from .draws import build_drawset
-from .errors import AttrNotLognormal, EmptyInput, SpecMismatch
+from .errors import AttrNotLognormal, EmptyInput, InvalidOption, SpecMismatch
 from .estimation import FitResult
 from .regret import ModelDesign
 
@@ -52,27 +52,23 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult) -> ModelDesign:
         design = ModelDesign(ds, fit.spec)
     except SpecMismatch as err:
         raise SpecMismatch(f"fit does not match this dataset: {err}") from None
+    # with equal labels (or no constants) the parameter counts agree too
     if fit.spec.use_asc and ds.alternative_labels != fit.alternative_labels:
         raise SpecMismatch(
             "alternative labels differ between the fit and this dataset"
-        )
-    if design.n_params != fit.n_parameters:
-        raise SpecMismatch(
-            f"fit has {fit.n_parameters} parameters but the dataset implies "
-            f"{design.n_params}"
         )
     return design
 
 
 def _drawset_for(design: ModelDesign, fit: FitResult, nrep, burn):
+    """The fit's draw set (or the one ``nrep``/``burn`` ask for); None if classical."""
     nrep = fit.nrep if nrep is None else nrep
     burn = fit.burn if burn is None else burn
     if design.n_random == 0:
-        return None, 0, 0
+        return None
     if nrep < 1:
-        raise ValueError("nrep must be >= 1 for a mixed fit")
-    drawset = build_drawset(design.ds.n_individuals, design.n_random, nrep, burn)
-    return drawset, nrep, burn
+        raise InvalidOption(f"nrep {nrep!r} is below 1 for a mixed fit")
+    return build_drawset(design.ds.n_individuals, design.n_random, nrep, burn)
 
 
 def predict_probabilities(
@@ -87,7 +83,7 @@ def predict_probabilities(
     classical fits use the closed form.
     """
     design = _bind_design(ds, fit)
-    drawset, _, _ = _drawset_for(design, fit, nrep, burn)
+    drawset = _drawset_for(design, fit, nrep, burn)
     theta = fit.theta_hat
 
     out = np.empty(ds.n_rows)
@@ -103,16 +99,43 @@ def predict_probabilities(
     return out
 
 
-def predict_rows(ds, fit, nrep=None, burn=None):
-    """(individual, situation, alternative, probability) per dataset row."""
+def predict_rows(ds, fit, nrep=None, burn=None) -> dict[int, float]:
+    """Simulated probability of every data row, keyed by the row number
+    :func:`~mixrrm.dataset.load_long_csv` recorded for it (header = 1)."""
     probs = predict_probabilities(ds, fit, nrep, burn)
-    keys = [
-        (block.individual_id, situation.situation_id, label)
+    rows = (
+        row
         for block in ds.individuals
         for situation in block.situations
-        for label, _, _ in situation.alternatives
-    ]
-    return list(zip(keys, probs))
+        for row in situation.source_rows
+    )
+    return dict(zip(rows, probs.tolist(), strict=True))
+
+
+def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
+    """Design, draw set and (N, R) posterior draw weights of a mixed fit."""
+    if fit.spec.n_random < 1:
+        raise SpecMismatch("fit has no random coefficients")
+    design = _bind_design(ds, fit)
+    drawset = _drawset_for(design, fit, nrep, burn)
+    theta = fit.theta_hat
+    weights = np.empty((ds.n_individuals, drawset.nrep))
+    for pos in range(ds.n_individuals):
+        ln_seq, _ = design.individual_draw_info(
+            pos, theta, drawset.for_individual(pos)
+        )
+        w = np.exp(ln_seq - ln_seq.max())
+        weights[pos] = w / w.sum()
+    return design, drawset, weights
+
+
+def posterior_weights(
+    ds: ChoiceDataset, fit: FitResult,
+    nrep: int | None = None, burn: int | None = None,
+) -> np.ndarray:
+    """The (N, R) draw weights behind :func:`individual_betas`, one row per
+    individual in dataset order; each row sums to 1."""
+    return _posterior(ds, fit, nrep, burn)[2]
 
 
 def individual_betas(
@@ -122,42 +145,22 @@ def individual_betas(
     """Conditional means of the random coefficients, one row per individual.
 
     Draw r is weighted by the probability of the individual's observed
-    sequence of choices under that draw; weights are computed in log space
-    and normalized.  Log-normal coefficients are averaged on the coefficient
-    scale, not the log scale.
+    sequence of choices under that draw (:func:`posterior_weights`); weights
+    are computed in log space and normalized.  Log-normal coefficients are
+    averaged on the coefficient scale, not the log scale.
     """
-    if fit.spec.n_random < 1:
-        raise SpecMismatch("fit has no random coefficients")
-    design = _bind_design(ds, fit)
-    drawset, _, _ = _drawset_for(design, fit, nrep, burn)
+    design, drawset, weights = _posterior(ds, fit, nrep, burn)
     theta = fit.theta_hat
-
     ids = np.array([block.individual_id for block in ds.individuals])
     values = np.empty((ds.n_individuals, design.n_random))
     for pos in range(ds.n_individuals):
-        z = drawset.for_individual(pos)
-        ln_seq, _ = design.individual_draw_info(pos, theta, z)
-        weights = np.exp(ln_seq - ln_seq.max())
-        weights /= weights.sum()
-        coef_draws = design.random_coefficient_draws(theta, z)  # (R, K)
-        values[pos] = weights @ coef_draws
+        coef_draws = design.random_coefficient_draws(
+            theta, drawset.for_individual(pos)
+        )  # (R, K)
+        values[pos] = weights[pos] @ coef_draws
     return IndividualBetaTable(
         attrs=fit.spec.random_attrs, ids=ids, values=values
     )
-
-
-def posterior_weights(
-    ds: ChoiceDataset, fit: FitResult, position: int,
-    nrep: int | None = None, burn: int | None = None,
-) -> np.ndarray:
-    """The draw weights behind :func:`individual_betas` for one individual."""
-    design = _bind_design(ds, fit)
-    drawset, _, _ = _drawset_for(design, fit, nrep, burn)
-    ln_seq, _ = design.individual_draw_info(
-        position, fit.theta_hat, drawset.for_individual(position)
-    )
-    weights = np.exp(ln_seq - ln_seq.max())
-    return weights / weights.sum()
 
 
 def lognormal_summary(fit: FitResult, attr: str, sign: int = 1) -> LognormalSummary:

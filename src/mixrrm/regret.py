@@ -9,19 +9,17 @@ individual's choice situations, and averages the product over draws.
 
 Everything here is a pure function of its inputs.  The hot path is
 :meth:`ModelDesign.individual_loglik_gradient`, vectorized over draws and
-situations within one individual; per-situation scalar operations are kept
-alongside as the readable reference surface and are cross-checked against
-the vectorized path in the test suite.
+situations within one individual.  The test suite checks it against a
+first-principles reference written with plain loops (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .dataset import ChoiceDataset, ChoiceSituation, IndividualBlock
+from .dataset import ChoiceDataset, IndividualBlock
 from .errors import SpecMismatch
 
 
@@ -29,12 +27,6 @@ def softplus(x):
     """ln(1 + exp(x)) without overflow: max(x, 0) + log1p(exp(-|x|))."""
     x = np.asarray(x, dtype=float)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def logistic(x):
-    x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -68,6 +60,24 @@ class ModelSpec:
 
     def is_lognormal(self, k: int) -> bool:
         return k >= self.n_random - self.ln_count
+
+    def asc_labels(self, alternative_labels) -> tuple[int, ...]:
+        """Labels with a free constant: every sorted label but the base."""
+        if not self.use_asc:
+            return ()
+        base = self.base_alternative
+        if base is None:
+            base = alternative_labels[0]
+        return tuple(l for l in alternative_labels if l != base)
+
+    def param_names(self, alternative_labels) -> tuple[str, ...]:
+        """Parameter names in packing order [fixed | location | scale | asc]."""
+        return (
+            *self.fixed_attrs,
+            *self.random_attrs,
+            *(f"sd.{a}" for a in self.random_attrs),
+            *(f"asc.{l}" for l in self.asc_labels(alternative_labels)),
+        )
 
     def validate(self, ds: ChoiceDataset) -> None:
         overlap = set(self.fixed_attrs) & set(self.random_attrs)
@@ -121,19 +131,6 @@ class ParameterVector:
 
 
 @dataclass(frozen=True)
-class RealizedCoefficients:
-    """One concrete taste vector, in dataset attribute order.
-
-    ``attr_indices`` maps each entry back to its column in the dataset's
-    ``attribute_names`` so situation matrices can be sliced directly.
-    """
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    attr_indices: np.ndarray
-
-
-@dataclass(frozen=True)
 class _BlockData:
     """Precomputed tensors for one individual (S situations padded to J)."""
 
@@ -170,26 +167,12 @@ class ModelDesign:
             [spec.is_lognormal(k) for k in range(spec.n_random)], dtype=bool
         )
 
-        if spec.use_asc:
-            base = spec.base_alternative
-            if base is None:
-                base = ds.alternative_labels[0]
-            self.base_alternative = base
-            self.asc_labels = tuple(l for l in ds.alternative_labels if l != base)
-        else:
-            self.base_alternative = None
-            self.asc_labels = ()
+        self.asc_labels = spec.asc_labels(ds.alternative_labels)
+        self.param_names = spec.param_names(ds.alternative_labels)
         self.n_fixed = spec.n_fixed
         self.n_random = spec.n_random
         self.n_asc = len(self.asc_labels)
-        self.n_params = self.n_fixed + 2 * self.n_random + self.n_asc
-
-        self.param_names = tuple(
-            [*spec.fixed_attrs]
-            + [*spec.random_attrs]
-            + [f"sd.{a}" for a in spec.random_attrs]
-            + [f"asc.{l}" for l in self.asc_labels]
-        )
+        self.n_params = len(self.param_names)
 
         asc_index = {label: a for a, label in enumerate(self.asc_labels)}
         self._blocks = [
@@ -200,11 +183,6 @@ class ModelDesign:
 
     def unpack(self, vec) -> ParameterVector:
         return ParameterVector.unpack(vec, self.n_fixed, self.n_random, self.n_asc)
-
-    @property
-    def scale_slice(self) -> slice:
-        f, k = self.n_fixed, self.n_random
-        return slice(f + k, f + 2 * k)
 
     def zero_draws(self) -> np.ndarray:
         """A single all-zero draw column; collapses the mixture."""
@@ -265,9 +243,6 @@ class ModelDesign:
     def random_coefficient_draws(self, theta, z) -> np.ndarray:
         """(R, K) realized random coefficients, coefficient scale, declared order."""
         return self.realize_batch(theta, z)[:, self._random_pos]
-
-    def asc_by_label(self, theta: ParameterVector) -> dict[int, float]:
-        return {label: float(theta.asc[a]) for a, label in enumerate(self.asc_labels)}
 
     # -- per-individual kernels ------------------------------------------------
 
@@ -361,103 +336,3 @@ class ModelDesign:
 def _log_mean_exp(values: np.ndarray) -> float:
     peak = values.max()
     return float(peak + np.log(np.exp(values - peak).sum()) - np.log(values.size))
-
-
-# -- scalar reference operations ---------------------------------------------
-
-
-def realize_coefficients(
-    design: ModelDesign, theta: ParameterVector, z
-) -> RealizedCoefficients:
-    """Realize one taste vector from the draw ``z`` (length K)."""
-    z = np.asarray(z, dtype=float).reshape(design.n_random, 1)
-    values = design.realize_batch(theta, z)[0]
-    return RealizedCoefficients(
-        names=design.model_attrs,
-        values=values,
-        attr_indices=design.attr_indices,
-    )
-
-
-def _situation_matrix(situation: ChoiceSituation, beta: RealizedCoefficients):
-    return situation.attribute_matrix()[:, beta.attr_indices]
-
-
-def _asc_vector(situation: ChoiceSituation, asc: Mapping[int, float] | None):
-    if asc is None:
-        return np.zeros(situation.n_alternatives)
-    return np.array(
-        [asc.get(label, 0.0) for label, _, _ in situation.alternatives]
-    )
-
-
-def systematic_regret(
-    situation: ChoiceSituation,
-    i: int,
-    beta: RealizedCoefficients,
-    asc: Mapping[int, float] | None = None,
-) -> float:
-    """Regret of picking alternative ``i`` (positional index) in a situation."""
-    x = _situation_matrix(situation, beta)
-    total = _asc_vector(situation, asc)[i]
-    for j in range(situation.n_alternatives):
-        if j != i:
-            total += softplus(beta.values * (x[j] - x[i])).sum()
-    return float(total)
-
-
-def choice_probabilities(
-    situation: ChoiceSituation,
-    beta: RealizedCoefficients,
-    asc: Mapping[int, float] | None = None,
-) -> np.ndarray:
-    """exp(-regret) renormalized over the situation's alternatives."""
-    regrets = np.array(
-        [systematic_regret(situation, i, beta, asc)
-         for i in range(situation.n_alternatives)]
-    )
-    neg = -regrets
-    neg -= neg.max()
-    expn = np.exp(neg)
-    return expn / expn.sum()
-
-
-def log_sequence_probability(
-    block: IndividualBlock,
-    beta: RealizedCoefficients,
-    asc: Mapping[int, float] | None = None,
-) -> float:
-    """Log of the joint probability of an individual's observed choices."""
-    total = 0.0
-    for situation in block.situations:
-        probs = choice_probabilities(situation, beta, asc)
-        total += np.log(probs[situation.chosen_index])
-    return float(total)
-
-
-def sequence_probability(block, beta, asc=None) -> float:
-    return float(np.exp(log_sequence_probability(block, beta, asc)))
-
-
-def regret_gradient(
-    situation: ChoiceSituation, i: int, beta: RealizedCoefficients
-) -> np.ndarray:
-    """d(regret_i)/d(beta_m): sum over rivals of logistic(beta_m dx) * dx."""
-    x = _situation_matrix(situation, beta)
-    grad = np.zeros(len(beta.values))
-    for j in range(situation.n_alternatives):
-        if j != i:
-            dx = x[j] - x[i]
-            grad += logistic(beta.values * dx) * dx
-    return grad
-
-
-def loglik_contribution_gradient(
-    design: ModelDesign, position: int, theta: ParameterVector, draws: np.ndarray
-):
-    """Simulated log-likelihood term and exact gradient for one individual.
-
-    ``draws`` is the individual's (K, R) standard-normal array; ``position``
-    is the individual's index in sorted-ID order.
-    """
-    return design.individual_loglik_gradient(position, theta, draws)

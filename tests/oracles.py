@@ -86,7 +86,7 @@ def naive_choice_probs(x_all, beta, asc=None):
     return [w / denom for w in weights]
 
 
-def brute_force_sll(individuals, theta, draws):
+def brute_force_sll(individuals, theta, draws, asc=None):
     """Simulated log-likelihood by plain enumeration.
 
     ``individuals``: list over n of lists over s of (x_all, chosen_index),
@@ -96,6 +96,8 @@ def brute_force_sll(individuals, theta, draws):
     ``location``, ``scale`` (lists for the trailing random attributes) and
     ``lognormal`` (list of bools per random attribute).
     ``draws``: per individual, a K x R list of standard-normal values.
+    ``asc``: optional, per individual, per situation, the constant added to
+    each alternative's regret (0 for the base alternative).
     """
     fixed = list(theta["fixed"])
     location = list(theta["location"])
@@ -112,8 +114,9 @@ def brute_force_sll(individuals, theta, draws):
                 value = location[k] + scale[k] * z[k][r]
                 beta.append(math.exp(value) if lognormal[k] else value)
             seq_prob = 1.0
-            for x_all, chosen in situations:
-                seq_prob *= naive_choice_probs(x_all, beta)[chosen]
+            for s, (x_all, chosen) in enumerate(situations):
+                constants = None if asc is None else asc[n][s]
+                seq_prob *= naive_choice_probs(x_all, beta, constants)[chosen]
             acc += seq_prob
         total += math.log(acc / n_draws)
     return total

@@ -41,13 +41,7 @@ from mixrrm.postestimation import (
     posterior_weights,
     predict_probabilities,
 )
-from mixrrm.regret import (
-    ModelDesign,
-    ModelSpec,
-    ParameterVector,
-    choice_probabilities,
-    realize_coefficients,
-)
+from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import (
     brute_force_sll,
     fd_gradient,
@@ -160,12 +154,9 @@ def test_binary_choice_equals_binary_logit(tmp_path):
         design = ModelDesign(ds, ModelSpec(fixed_attrs=("p", "q", "r")))
         theta = ParameterVector(fixed=vals, rand_location=np.zeros(0),
                                 rand_scale=np.zeros(0), asc=np.zeros(0))
-        probs = choice_probabilities(
-            ds.individuals[0].situations[0],
-            realize_coefficients(design, theta, np.zeros(0)),
-        )
+        _, probs = design.individual_draw_info(0, theta, design.zero_draws())
         logit = 1.0 / (1.0 + math.exp(-vals @ (x1 - x2)))
-        assert probs[0] == pytest.approx(logit, abs=1e-12)
+        assert probs[0, 0, 0] == pytest.approx(logit, abs=1e-12)
 
     # coefficients on a simulated binary panel
     rows, attrs = simulate_panel(rng, n_individuals=200, n_situations=3,
@@ -393,8 +384,7 @@ def test_probability_laws(tmp_path):
             assert abs(probs[cursor:cursor + j].sum() - 1.0) <= 1e-10
             cursor += j
 
-    for pos in range(ds.n_individuals):
-        weights = posterior_weights(ds, fit, pos)
+    for weights in posterior_weights(ds, fit):
         assert np.all(weights >= 0.0)
         assert abs(weights.sum() - 1.0) <= 1e-12
 

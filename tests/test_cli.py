@@ -83,11 +83,27 @@ def test_fit_missing_column_exit_1(panel_csv, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("argv", [["fit"], ["fit", "x.csv", "--no-such-flag"]])
+@pytest.mark.parametrize("argv", [
+    ["fit"], ["fit", "x.csv", "--no-such-flag"],
+    ["--threads", "0", "fit", "x.csv", "--fixed", "a"],
+    ["fit", "x.csv", "--fixed", "a", "--threads", "0"],
+])
 def test_usage_error_is_exit_1(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--level", "150"], ["--level", "0"], ["--maxiter", "-1"], ["--gtol", "0"],
+])
+def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
+    # the data file does not exist: the option is rejected before any work
+    code, out, err = run(capsys, "fit", tmp_path / "absent.csv",
+                         "--fixed", "a", *flags)
+    assert code == 1
+    assert flags[0].lstrip("-") in err
+    assert out == ""
 
 
 def test_fit_nonconvergence_exit_2(panel_csv, capsys):
@@ -98,6 +114,29 @@ def test_fit_nonconvergence_exit_2(panel_csv, capsys):
     assert code == 2
     assert "warning" in err.lower()
     assert "Classical random regret minimization fit" in out  # still emitted
+
+
+def test_singular_fit_json_is_strict(tmp_path, capsys, rng):
+    """A constant attribute leaves the Hessian singular; the unconverged fit
+    still writes its JSON, with null where the covariance is undefined."""
+    rows, _ = simulate_panel(rng, n_individuals=20, n_situations=3,
+                             n_alternatives=3, fixed={"total_time": -0.5})
+    for row in rows:
+        row["flat"] = "1.0"
+    data = tmp_path / "flat.csv"
+    write_rows_csv(rows, data)
+    out_json = tmp_path / "fit.json"
+    code, _, _ = run(capsys, "fit", data, "--fixed", "total_time", "flat",
+                     "--noconstant", "--maxiter", 1, "--out", out_json)
+    assert code == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    payload = json.loads(out_json.read_text(), parse_constant=reject)
+    for row in payload["estimates"]:
+        assert row["se"] is None and row["ci_low"] is None
+        assert row["ci_high"] is None
 
 
 def fit_json(panel_csv, tmp_path, capsys, mixed=True):
@@ -135,6 +174,29 @@ def test_predict_appends_probability_column(panel_csv, tmp_path, capsys):
     for before, after in zip(original, rows):
         for key, value in before.items():
             assert after[key] == value
+
+
+def test_predict_copies_blank_lines_through(panel_csv, tmp_path, capsys):
+    lines = panel_csv.read_text().splitlines(keepends=True)
+    blank = tmp_path / "blank.csv"
+    blank.write_text("".join(lines[:5] + ["\r\n"] + lines[5:9] + [",,,,,\r\n"]
+                             + lines[9:] + ["\r\n"]))
+    fit = fit_json(blank, tmp_path, capsys, mixed=False)
+    out_csv = tmp_path / "pred.csv"
+    code, _, _ = run(capsys, "predict", blank, "--fit", fit, "--out", out_csv)
+    assert code == 0
+    with open(blank, newline="") as handle:
+        before = list(csv.reader(handle))
+    with open(out_csv, newline="") as handle:
+        after = list(csv.reader(handle))
+    assert after[0] == before[0] + ["pred_p"]
+    assert len(after) == len(before)
+    for old, new in zip(before[1:], after[1:]):
+        if any(cell.strip() for cell in old):
+            assert new[:-1] == old
+            assert 0.0 < float(new[-1]) < 1.0
+        else:
+            assert new == old
 
 
 def test_predict_spec_mismatch_exit_1(panel_csv, tmp_path, capsys, rng):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mixrrm import errors
 from mixrrm.draws import (
     build_drawset,
-    dump_draws_csv,
     halton_sequence,
     inverse_normal_cdf,
     nth_prime,
@@ -150,14 +149,3 @@ def test_build_drawset_validates_arguments():
     with pytest.raises(ValueError):
         build_drawset(1, 1, 1, burn=-1)
 
-
-def test_dump_draws_csv(tmp_path):
-    ds = build_drawset(2, 2, 3, burn=15)
-    out = tmp_path / "draws.csv"
-    dump_draws_csv(ds, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "individual,dim,rep,uniform,normal"
-    assert len(lines) == 1 + 2 * 2 * 3
-    # values round-trip exactly through repr
-    ind, dim, rep, uniform, normal = lines[1].split(",")
-    assert float(normal) == ds.draws[int(ind), int(dim), int(rep)]

@@ -6,7 +6,13 @@ import pytest
 from conftest import make_dataset
 from mixrrm.dataset import load_long_csv
 from mixrrm.draws import DrawSet, build_drawset
-from mixrrm.errors import FewerClustersThanParameters, NonConvergence, SingularHessian
+from mixrrm.errors import (
+    FewerClustersThanParameters,
+    InvalidFitFile,
+    InvalidOption,
+    NonConvergence,
+    SingularHessian,
+)
 from mixrrm.estimation import (
     FitOptions,
     _maximize,
@@ -151,6 +157,25 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
 
 
 # --- classical fit ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"level": 150.0}, {"level": 0.0}, {"maxiter": -1}, {"gtol": 0.0},
+    {"covariance": "sandwich"},
+])
+def test_fit_options_rejects_out_of_range(kwargs):
+    with pytest.raises(InvalidOption):
+        FitOptions(**kwargs)
+
+
+def test_cluster_mapping_must_cover_every_individual(tmp_path, rng):
+    ds = panel_dataset(tmp_path, rng, n_individuals=6, n_situations=2,
+                       n_alternatives=3, fixed={"tt": -0.5})
+    partial = {block.individual_id: 1 for block in ds.individuals[1:]}
+    for cluster in (None, partial):
+        opts = FitOptions(covariance="cluster", cluster=cluster)
+        with pytest.raises(InvalidOption):
+            fit_classical(ds, ModelSpec(fixed_attrs=("tt",)), opts)
 
 
 def test_classical_rejects_random_spec():
@@ -458,3 +483,16 @@ def test_fit_json_bytes_deterministic(tmp_path, rng):
     save_fit_json(fit1, p1)
     save_fit_json(fit2, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["theta", "covariance"])
+def test_fit_json_sizes_checked_against_model_block(tmp_path, rng, field):
+    ds = panel_dataset(tmp_path, rng, n_individuals=30, n_situations=2,
+                       n_alternatives=3, fixed={"tt": -0.4, "tc": -0.3})
+    payload = fit_result_to_json(fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc"))))
+    if field == "theta":
+        payload["theta"] = payload["theta"][:1]
+    else:
+        payload["covariance"] = [row[:1] for row in payload["covariance"]]
+    with pytest.raises(InvalidFitFile, match=field):
+        fit_result_from_json(payload)

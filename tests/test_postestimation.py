@@ -28,29 +28,16 @@ from oracles import fd_jacobian, simulate_panel, write_rows_csv
 
 def fake_fit(ds, spec, theta_packed, covariance=None, nrep=0, burn=0):
     """A FitResult shell around a known parameter point (no estimation)."""
-    design = ModelDesign(ds, spec)
-    theta_packed = np.asarray(theta_packed, dtype=float)
-    n = design.n_params
-    cov = np.eye(n) if covariance is None else np.asarray(covariance, float)
-    se = np.sqrt(np.diag(cov))
+    n = ModelDesign(ds, spec).n_params
     return FitResult(
         spec=spec,
-        param_names=design.param_names,
         alternative_labels=ds.alternative_labels,
-        theta_hat=design.unpack(theta_packed),
-        theta=theta_packed,
-        estimates=theta_packed.copy(),
+        theta=np.asarray(theta_packed, dtype=float),
         loglik=0.0,
         n_individuals=ds.n_individuals,
         n_situations=ds.n_situations,
-        n_parameters=n,
-        covariance=cov,
+        covariance=np.eye(n) if covariance is None else np.asarray(covariance, float),
         covariance_kind="hessian",
-        std_errors=se,
-        z_stats=np.zeros(n),
-        p_values=np.ones(n),
-        ci_lower=theta_packed - se,
-        ci_upper=theta_packed + se,
         level=95.0,
         converged=True,
         iterations=0,
@@ -208,10 +195,18 @@ def test_betas_weights_are_probability_vectors(rng):
         ds, ModelSpec(fixed_attrs=("x0",), random_attrs=("x1",)),
         [0.3, -0.5, 0.8], nrep=32, burn=15,
     )
-    for pos in range(ds.n_individuals):
-        w = posterior_weights(ds, fit, pos)
+    weights = posterior_weights(ds, fit)
+    assert weights.shape == (ds.n_individuals, 32)
+    for w in weights:
         assert np.all(w >= 0.0)
         assert abs(w.sum() - 1.0) <= 1e-12
+    # the conditional means are exactly these weights over the realized draws
+    table = individual_betas(ds, fit)
+    design = ModelDesign(ds, fit.spec)
+    draws = build_drawset(ds.n_individuals, 1, 32, 15)
+    for pos, w in enumerate(weights):
+        coef = design.random_coefficient_draws(fit.theta_hat, draws.for_individual(pos))
+        assert table.values[pos, 0] == (w @ coef)[0]
 
 
 def test_betas_stay_within_draw_hull(rng):

@@ -5,21 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_situation, random_dataset
+from conftest import make_dataset, random_dataset
 from mixrrm.errors import SpecMismatch
-from mixrrm.regret import (
-    ModelDesign,
-    ModelSpec,
-    ParameterVector,
-    choice_probabilities,
-    log_sequence_probability,
-    loglik_contribution_gradient,
-    realize_coefficients,
-    regret_gradient,
-    sequence_probability,
-    systematic_regret,
-)
-from oracles import fd_gradient
+from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
+from oracles import brute_force_sll, fd_gradient, naive_regret
 
 LN2 = math.log(2.0)
 
@@ -32,6 +21,29 @@ def two_alt_dataset():
 
 def design_for(ds, **spec_kwargs):
     return ModelDesign(ds, ModelSpec(**spec_kwargs))
+
+
+def fixed_point(values, asc=()):
+    """A parameter point with fixed coefficients only."""
+    return ParameterVector(
+        fixed=np.asarray(values, dtype=float), rand_location=np.zeros(0),
+        rand_scale=np.zeros(0), asc=np.asarray(asc, dtype=float),
+    )
+
+
+def probs_at(design, theta, pos=0):
+    """(S, J) choice probabilities of one individual, single zero draw."""
+    _, probs = design.individual_draw_info(pos, theta, design.zero_draws())
+    return probs[0]
+
+
+def plain_situations(design, pos):
+    """One individual's situations as the oracles take them: (x_all, chosen),
+    columns in model-attribute order."""
+    return [
+        (sit.attribute_matrix()[:, design.attr_indices].tolist(), sit.chosen_index)
+        for sit in design.ds.individuals[pos].situations
+    ]
 
 
 # --- ParameterVector ---------------------------------------------------------
@@ -80,7 +92,12 @@ def test_spec_rejects_unknown_base_alternative():
                   base_alternative=9).validate(ds)
 
 
-# --- realize_coefficients -------------------------------------------------------
+# --- realize_batch -----------------------------------------------------------------
+
+
+def realize_one(design, theta, z):
+    """Coefficients (model-attribute order) realized from one draw vector."""
+    return design.realize_batch(theta, np.asarray(z, dtype=float).reshape(-1, 1))[0]
 
 
 def test_realize_normal_zero_draw():
@@ -90,8 +107,7 @@ def test_realize_normal_zero_draw():
         fixed=np.zeros(0), rand_location=np.array([-0.5]),
         rand_scale=np.array([0.2]), asc=np.zeros(0),
     )
-    beta = realize_coefficients(design, theta, [0.0])
-    assert beta.values.tolist() == [-0.5]
+    assert realize_one(design, theta, [0.0]).tolist() == [-0.5]
 
 
 def test_realize_lognormal_degenerate():
@@ -102,7 +118,7 @@ def test_realize_lognormal_degenerate():
         rand_scale=np.array([0.0]), asc=np.zeros(0),
     )
     for z in (-3.0, 0.0, 4.2):
-        assert realize_coefficients(design, theta, [z]).values.tolist() == [1.0]
+        assert realize_one(design, theta, [z]).tolist() == [1.0]
 
 
 def test_realize_lognormal_value():
@@ -112,9 +128,9 @@ def test_realize_lognormal_value():
         fixed=np.zeros(0), rand_location=np.array([-2.0]),
         rand_scale=np.array([0.5]), asc=np.zeros(0),
     )
-    beta = realize_coefficients(design, theta, [1.0])
+    beta = realize_one(design, theta, [1.0])
     # exp(-1.5), frozen from a 50-digit evaluation
-    assert beta.values[0] == pytest.approx(0.22313016014842982, rel=1e-12)
+    assert beta[0] == pytest.approx(0.22313016014842982, rel=1e-12)
 
 
 def test_realize_mixes_fixed_and_random_in_dataset_order(rng):
@@ -124,107 +140,97 @@ def test_realize_mixes_fixed_and_random_in_dataset_order(rng):
         fixed=np.array([5.0]), rand_location=np.array([1.0, 2.0]),
         rand_scale=np.array([0.0, 0.0]), asc=np.zeros(0),
     )
-    beta = realize_coefficients(design, theta, [0.0, 0.0])
-    assert beta.names == ("x0", "x1", "x2")
-    assert beta.values.tolist() == [2.0, 5.0, 1.0]
+    assert design.model_attrs == ("x0", "x1", "x2")
+    assert realize_one(design, theta, [0.0, 0.0]).tolist() == [2.0, 5.0, 1.0]
 
 
-# --- systematic_regret ------------------------------------------------------------
-
-
-def fixed_beta(design, values):
-    theta = ParameterVector(
-        fixed=np.asarray(values, dtype=float), rand_location=np.zeros(0),
-        rand_scale=np.zeros(0), asc=np.zeros(0),
-    )
-    return realize_coefficients(design, theta, np.zeros(0))
+# --- regret -----------------------------------------------------------------------
+# Absolute regrets are pinned on the reference formula in the oracles; the
+# kernel only exposes regret differences, as log-odds of its probabilities.
 
 
 def test_regret_two_alternative_example():
-    ds = two_alt_dataset()
-    sit = ds.individuals[0].situations[0]
-    beta = fixed_beta(design_for(ds, fixed_attrs=("a",)), [-1.0])
-    # ln(1 + e^-1), frozen from a 50-digit evaluation
-    assert systematic_regret(sit, 0, beta) == pytest.approx(
-        0.31326168751822284, rel=1e-14
+    # ln(1 + e^-1) and 1 + ln(1 + e^-1), frozen from a 50-digit evaluation
+    r_own, r_rival = 0.31326168751822284, 1.31326168751822284
+    assert naive_regret([[1.0], [2.0]], 0, [-1.0]) == pytest.approx(r_own, rel=1e-14)
+    assert naive_regret([[1.0], [2.0]], 1, [-1.0]) == pytest.approx(
+        r_rival, rel=1e-14
     )
-    assert systematic_regret(sit, 1, beta) == pytest.approx(
-        1.31326168751822284, rel=1e-14
+    ds = two_alt_dataset()
+    probs = probs_at(design_for(ds, fixed_attrs=("a",)), fixed_point([-1.0]))
+    assert math.log(probs[0, 0] / probs[0, 1]) == pytest.approx(
+        r_rival - r_own, rel=1e-14
     )
 
 
 def test_regret_identical_alternatives_gives_ln2_per_pair(rng):
     x = [1.7, -0.3]
-    sit = make_situation(1, [(1, x, True), (2, x, False), (3, x, False)])
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False), (3, x, False)]}},
                       ["p", "q"])
-    beta = fixed_beta(design_for(ds, fixed_attrs=("p", "q")),
-                      rng.normal(size=2))
+    values = rng.normal(size=2)
     for i in range(3):
-        assert systematic_regret(sit, i, beta) == pytest.approx(
+        assert naive_regret([x, x, x], i, values) == pytest.approx(
             2 * 2 * LN2, rel=1e-14
         )
+    probs = probs_at(design_for(ds, fixed_attrs=("p", "q")), fixed_point(values))
+    np.testing.assert_allclose(probs[0], np.full(3, 1 / 3), rtol=0, atol=1e-15)
 
 
 def test_regret_zero_beta_gives_ln2_per_pair(rng):
     ds = random_dataset(rng, n_individuals=1, n_situations=1,
                         n_alternatives=3, n_attrs=2)
-    sit = ds.individuals[0].situations[0]
-    beta = fixed_beta(design_for(ds, fixed_attrs=("x0", "x1")), [0.0, 0.0])
+    design = design_for(ds, fixed_attrs=("x0", "x1"))
+    (x_all, _), = plain_situations(design, 0)
     for i in range(3):
-        assert systematic_regret(sit, i, beta) == pytest.approx(
+        assert naive_regret(x_all, i, [0.0, 0.0]) == pytest.approx(
             2 * 2 * LN2, rel=1e-14
         )
+    probs = probs_at(design, fixed_point([0.0, 0.0]))
+    np.testing.assert_allclose(probs[0], np.full(3, 1 / 3), rtol=0, atol=1e-15)
 
 
 def test_regret_monotone_in_rival_attribute():
     base = [(1, [1.0, 1.0], True), (2, [2.0, 1.0], False)]
     grown = [(1, [1.0, 1.0], True), (2, [2.9, 1.0], False)]
     ds = make_dataset({1: {1: base, 2: grown}}, ["p", "q"])
-    beta = fixed_beta(design_for(ds, fixed_attrs=("p", "q")), [0.8, 0.3])
-    s1, s2 = ds.individuals[0].situations
-    assert systematic_regret(s2, 0, beta) > systematic_regret(s1, 0, beta)
+    probs = probs_at(design_for(ds, fixed_attrs=("p", "q")), fixed_point([0.8, 0.3]))
+    # a better rival raises the own alternative's regret, lowering its share
+    assert probs[1, 0] < probs[0, 0]
 
 
 def test_regret_includes_asc_with_plus_sign():
+    assert naive_regret([[1.0], [2.0]], 0, [0.0], asc=[0.7, 0.0]) == pytest.approx(
+        naive_regret([[1.0], [2.0]], 0, [0.0]) + 0.7, rel=1e-14
+    )
     ds = two_alt_dataset()
-    sit = ds.individuals[0].situations[0]
-    beta = fixed_beta(design_for(ds, fixed_attrs=("a",)), [0.0])
-    plain = systematic_regret(sit, 0, beta)
-    shifted = systematic_regret(sit, 0, beta, asc={1: 0.7})
-    assert shifted == pytest.approx(plain + 0.7, rel=1e-14)
+    design = design_for(ds, fixed_attrs=("a",), use_asc=True, base_alternative=2)
+    probs = probs_at(design, fixed_point([0.0], asc=[0.7]))
+    # alternative 1's constant adds to its regret: log-odds of 2 over 1
+    assert math.log(probs[0, 1] / probs[0, 0]) == pytest.approx(0.7, rel=1e-14)
 
 
-# --- choice_probabilities -----------------------------------------------------------
+# --- choice probabilities -----------------------------------------------------------
 
 
 def test_probabilities_identical_alternatives():
     x = [2.0, 3.0]
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False)]}}, ["p", "q"])
-    beta = fixed_beta(design_for(ds, fixed_attrs=("p", "q")), [0.4, -1.2])
-    np.testing.assert_allclose(
-        choice_probabilities(ds.individuals[0].situations[0], beta),
-        [0.5, 0.5], rtol=0, atol=1e-15,
-    )
+    probs = probs_at(design_for(ds, fixed_attrs=("p", "q")), fixed_point([0.4, -1.2]))
+    np.testing.assert_allclose(probs[0], [0.5, 0.5], rtol=0, atol=1e-15)
 
 
 def test_probabilities_two_alternative_example():
     ds = two_alt_dataset()
-    sit = ds.individuals[0].situations[0]
-    beta = fixed_beta(design_for(ds, fixed_attrs=("a",)), [-1.0])
-    probs = choice_probabilities(sit, beta)
+    probs = probs_at(design_for(ds, fixed_attrs=("a",)), fixed_point([-1.0]))
     # softplus identity makes R_2 - R_1 = 1 exactly; logistic(1) frozen
-    assert probs[0] == pytest.approx(0.7310585786300049, rel=1e-14)
+    assert probs[0, 0] == pytest.approx(0.7310585786300049, rel=1e-14)
 
 
 def test_probabilities_zero_beta_uniform(rng):
     ds = random_dataset(rng, n_individuals=1, n_situations=1,
                         n_alternatives=3, n_attrs=2)
-    beta = fixed_beta(design_for(ds, fixed_attrs=("x0", "x1")), [0.0, 0.0])
-    np.testing.assert_allclose(
-        choice_probabilities(ds.individuals[0].situations[0], beta),
-        np.full(3, 1 / 3), rtol=0, atol=1e-15,
-    )
+    probs = probs_at(design_for(ds, fixed_attrs=("x0", "x1")), fixed_point([0.0, 0.0]))
+    np.testing.assert_allclose(probs[0], np.full(3, 1 / 3), rtol=0, atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -235,9 +241,8 @@ def test_probabilities_sum_to_one_and_positive(data):
     n_alt = data.draw(st.integers(2, 5))
     ds = random_dataset(rng, n_individuals=1, n_situations=1,
                         n_alternatives=n_alt, n_attrs=2, scale=1.0)
-    beta = fixed_beta(design_for(ds, fixed_attrs=("x0", "x1")),
-                      rng.normal(size=2))
-    probs = choice_probabilities(ds.individuals[0].situations[0], beta)
+    probs = probs_at(design_for(ds, fixed_attrs=("x0", "x1")),
+                     fixed_point(rng.normal(size=2)))[0]
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert np.all(probs > 0.0)
     assert np.all(probs < 1.0)
@@ -248,8 +253,7 @@ def test_probabilities_stay_normalized_under_extreme_regrets():
         {1: {1: [(1, [0.0], True), (2, [500.0], False), (3, [900.0], False)]}},
         ["a"],
     )
-    beta = fixed_beta(design_for(ds, fixed_attrs=("a",)), [2.0])
-    probs = choice_probabilities(ds.individuals[0].situations[0], beta)
+    probs = probs_at(design_for(ds, fixed_attrs=("a",)), fixed_point([2.0]))[0]
     assert np.all(np.isfinite(probs))
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     # positive beta: regret falls as own attribute dominates the rivals'
@@ -270,14 +274,7 @@ def test_binary_logit_equivalence(seed):
     )
     design = design_for(ds, fixed_attrs=("p", "q", "r"), use_asc=True,
                         base_alternative=1)
-    theta = ParameterVector(
-        fixed=beta_vals, rand_location=np.zeros(0), rand_scale=np.zeros(0),
-        asc=alpha,
-    )
-    beta = realize_coefficients(design, theta, np.zeros(0))
-    probs = choice_probabilities(
-        ds.individuals[0].situations[0], beta, design.asc_by_label(theta)
-    )
+    probs = probs_at(design, fixed_point(beta_vals, asc=alpha))[0]
     # alpha enters regret with +, so alternative 2's constant helps 1:
     # P_1 = logistic(beta . (x1 - x2) + alpha_2 - alpha_1)
     index = beta_vals @ (x1 - x2) + alpha[0] - 0.0
@@ -300,15 +297,9 @@ def test_translation_invariance(seed, shift):
     ds2 = make_dataset(
         {1: {1: [(j + 1, x2[j].tolist(), j == 0) for j in range(3)]}}, ["p", "q"]
     )
-    vals = rng.normal(size=2)
-    p1 = choice_probabilities(
-        ds1.individuals[0].situations[0],
-        fixed_beta(design_for(ds1, fixed_attrs=("p", "q")), vals),
-    )
-    p2 = choice_probabilities(
-        ds2.individuals[0].situations[0],
-        fixed_beta(design_for(ds2, fixed_attrs=("p", "q")), vals),
-    )
+    theta = fixed_point(rng.normal(size=2))
+    p1 = probs_at(design_for(ds1, fixed_attrs=("p", "q")), theta)
+    p2 = probs_at(design_for(ds2, fixed_attrs=("p", "q")), theta)
     np.testing.assert_allclose(p1, p2, rtol=0, atol=1e-10)
 
 
@@ -318,21 +309,19 @@ def test_translation_invariance(seed, shift):
 def test_sequence_single_situation_equals_choice_probability():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
-    beta = fixed_beta(design, [-1.0])
-    block = ds.individuals[0]
-    assert sequence_probability(block, beta) == pytest.approx(
-        choice_probabilities(block.situations[0], beta)[0], rel=1e-14
+    ln_seq, probs = design.individual_draw_info(
+        0, fixed_point([-1.0]), design.zero_draws()
     )
+    assert math.exp(ln_seq[0]) == pytest.approx(probs[0, 0, 0], rel=1e-14)
 
 
 def test_sequence_product_rule():
     x = [1.0]
     sits = {s: [(1, x, True), (2, x, False)] for s in (1, 2)}
     ds = make_dataset({1: sits}, ["a"])
-    beta = fixed_beta(design_for(ds, fixed_attrs=("a",)), [3.0])
-    assert sequence_probability(ds.individuals[0], beta) == pytest.approx(
-        0.25, rel=1e-14
-    )
+    design = design_for(ds, fixed_attrs=("a",))
+    ln_seq, _ = design.individual_draw_info(0, fixed_point([3.0]), design.zero_draws())
+    assert math.exp(ln_seq[0]) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_sequence_ten_thirds_no_underflow():
@@ -341,53 +330,65 @@ def test_sequence_ten_thirds_no_underflow():
         s: [(1, x, True), (2, x, False), (3, x, False)] for s in range(1, 11)
     }
     ds = make_dataset({1: sits}, ["p", "q"])
-    beta = fixed_beta(design_for(ds, fixed_attrs=("p", "q")), [0.0, 0.0])
-    got = sequence_probability(ds.individuals[0], beta)
-    assert got == pytest.approx(3.0 ** -10, rel=1e-12)
-    assert log_sequence_probability(ds.individuals[0], beta) == pytest.approx(
+    design = design_for(ds, fixed_attrs=("p", "q"))
+    theta, z = fixed_point([0.0, 0.0]), design.zero_draws()
+    ln_seq, _ = design.individual_draw_info(0, theta, z)
+    assert math.exp(ln_seq[0]) == pytest.approx(3.0 ** -10, rel=1e-12)
+    assert design.individual_loglik(0, theta, z) == pytest.approx(
         -10 * math.log(3.0), rel=1e-14
     )
 
 
-# --- regret_gradient ---------------------------------------------------------------
+# --- regret gradient, through the log-likelihood gradient --------------------------
 
 
 def test_regret_gradient_zero_differences():
     x = [1.0, 2.0]
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False)]}}, ["p", "q"])
-    beta = fixed_beta(design_for(ds, fixed_attrs=("p", "q")), [1.3, -0.4])
-    np.testing.assert_array_equal(
-        regret_gradient(ds.individuals[0].situations[0], 0, beta), [0.0, 0.0]
+    design = design_for(ds, fixed_attrs=("p", "q"))
+    _, grad = design.individual_loglik_gradient(
+        0, fixed_point([1.3, -0.4]), design.zero_draws()
     )
+    np.testing.assert_array_equal(grad, [0.0, 0.0])
 
 
 def test_regret_gradient_two_alternative_example():
     ds = two_alt_dataset()
-    beta = fixed_beta(design_for(ds, fixed_attrs=("a",)), [-1.0])
-    grad = regret_gradient(ds.individuals[0].situations[0], 0, beta)
-    # logistic(-1) * 1, frozen from a 50-digit evaluation
-    assert grad[0] == pytest.approx(0.26894142136999512, rel=1e-12)
+    design = design_for(ds, fixed_attrs=("a",))
+    _, grad = design.individual_loglik_gradient(
+        0, fixed_point([-1.0]), design.zero_draws()
+    )
+    # d ln P_1 / d beta = P_2 (dR_2/d beta - dR_1/d beta)
+    #                   = logistic(-1) * (-logistic(1) - logistic(-1))
+    #                   = -logistic(-1), frozen from a 50-digit evaluation
+    assert grad[0] == pytest.approx(-0.26894142136999512, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_regret_gradient_matches_finite_differences(seed):
+    """The analytic gradient against central differences of the
+    first-principles log-likelihood."""
     rng = np.random.default_rng(seed)
     ds = random_dataset(rng, n_individuals=1, n_situations=1,
                         n_alternatives=3, n_attrs=2)
     design = design_for(ds, fixed_attrs=("x0", "x1"))
-    sit = ds.individuals[0].situations[0]
     values = rng.normal(size=2)
-    grad = regret_gradient(sit, 1, fixed_beta(design, values))
-    # step ~ eps^(1/3) balances truncation against roundoff in the oracle
-    oracle = fd_gradient(
-        lambda v: systematic_regret(sit, 1, fixed_beta(design, v)), values,
-        rel_step=5e-6,
+    _, grad = design.individual_loglik_gradient(
+        0, fixed_point(values), design.zero_draws()
     )
+    plain = [plain_situations(design, 0)]
+
+    def oracle_ll(v):
+        theta = {"fixed": list(v), "location": [], "scale": [], "lognormal": []}
+        return brute_force_sll(plain, theta, [[]])
+
+    # step ~ eps^(1/3) balances truncation against roundoff in the oracle
+    oracle = fd_gradient(oracle_ll, values, rel_step=5e-6)
     np.testing.assert_allclose(grad, oracle, rtol=1e-7, atol=1e-9)
 
 
-# --- loglik_contribution_gradient -----------------------------------------------------
+# --- individual_loglik_gradient ------------------------------------------------------
 
 
 def mixed_design(rng, use_asc=False, ln_count=1):
@@ -410,13 +411,10 @@ def test_loglik_gradient_zero_scale_matches_classical(rng):
         fixed=np.array([0.4]), rand_location=np.array([-0.8]),
         rand_scale=np.array([0.0]), asc=np.zeros(0),
     )
-    theta_c = ParameterVector(
-        fixed=np.array([0.4, -0.8]), rand_location=np.zeros(0),
-        rand_scale=np.zeros(0), asc=np.zeros(0),
-    )
-    ll_m, g_m = loglik_contribution_gradient(mixed, 0, theta_m, z)
-    ll_c, g_c = loglik_contribution_gradient(
-        classical, 0, theta_c, classical.zero_draws()
+    theta_c = fixed_point([0.4, -0.8])
+    ll_m, g_m = mixed.individual_loglik_gradient(0, theta_m, z)
+    ll_c, g_c = classical.individual_loglik_gradient(
+        0, theta_c, classical.zero_draws()
     )
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)  # fixed coefficient
@@ -434,13 +432,10 @@ def test_loglik_gradient_single_draw_reduces_to_classical(rng):
         fixed=np.array([0.2]), rand_location=np.array([b]),
         rand_scale=np.array([s]), asc=np.zeros(0),
     )
-    theta_c = ParameterVector(
-        fixed=np.array([0.2, b + s * z[0, 0]]), rand_location=np.zeros(0),
-        rand_scale=np.zeros(0), asc=np.zeros(0),
-    )
-    ll_m, g_m = loglik_contribution_gradient(mixed, 0, theta_m, z)
-    ll_c, g_c = loglik_contribution_gradient(
-        classical, 0, theta_c, classical.zero_draws()
+    theta_c = fixed_point([0.2, b + s * z[0, 0]])
+    ll_m, g_m = mixed.individual_loglik_gradient(0, theta_m, z)
+    ll_c, g_c = classical.individual_loglik_gradient(
+        0, theta_c, classical.zero_draws()
     )
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)
@@ -467,24 +462,22 @@ def test_loglik_gradient_matches_finite_differences(seed, use_asc):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_kernel_matches_scalar_composition(seed):
-    """The vectorized kernel agrees with the per-situation reference."""
+    """The vectorized kernel agrees with the first-principles enumeration."""
     rng = np.random.default_rng(seed)
     ds, design = mixed_design(np.random.default_rng(seed), use_asc=True)
     x = rng.normal(size=design.n_params) * 0.5
     theta = design.unpack(x)
     z = rng.normal(size=(2, 3))
+    oracle_theta = {
+        "fixed": theta.fixed.tolist(), "location": theta.rand_location.tolist(),
+        "scale": theta.rand_scale.tolist(), "lognormal": [False, True],
+    }
+    constant = dict(zip(design.asc_labels, theta.asc.tolist()))
 
     for pos, block in enumerate(ds.individuals):
         ll, _ = design.individual_loglik_gradient(pos, theta, z)
-        ln_seqs = [
-            log_sequence_probability(
-                block, realize_coefficients(design, theta, z[:, r]),
-                design.asc_by_label(theta),
-            )
-            for r in range(z.shape[1])
-        ]
-        peak = max(ln_seqs)
-        ref = peak + math.log(
-            sum(math.exp(v - peak) for v in ln_seqs) / len(ln_seqs)
-        )
+        asc = [[constant.get(label, 0.0) for label, _, _ in sit.alternatives]
+               for sit in block.situations]
+        ref = brute_force_sll([plain_situations(design, pos)], oracle_theta,
+                              [z.tolist()], asc=[asc])
         assert ll == pytest.approx(ref, abs=1e-12)
