@@ -18,7 +18,6 @@ _EXPORTS = {
     "reshape_wide_to_long": "dataset",
     "cluster_index": "dataset",
     # draws
-    "DrawSet": "draws",
     "halton_sequence": "draws",
     "inverse_normal_cdf": "draws",
     "build_drawset": "draws",

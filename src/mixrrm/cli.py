@@ -2,6 +2,8 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 usage or data error, 2 non-convergence (results are still emitted).
+Exit code 1 reports only the package's typed errors and ``OSError``; any
+other exception is a bug and propagates with its traceback.
 Flag names mirror the estimation options this toolkit descends from
 (--id, --group, --alternatives, --rand, --ln, --nrep, --burn, ...), and no
 command uses any source of randomness, so identical invocations produce
@@ -18,7 +20,7 @@ import json
 import os
 import sys
 
-from .errors import Error
+from .errors import Error, InvalidOption, NonConvergence, SpecMismatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_draw_arguments(betas)
     betas.set_defaults(handler=cmd_betas)
 
-    logn = sub.add_parser("lognormal",
+    logn = sub.add_parser("lognormal", parents=[threads],
                           help="coefficient-scale summary of a log-normal "
                                "coefficient")
     logn.add_argument("--fit", required=True, help="fit JSON from `mixrrm fit`")
@@ -134,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit machine-readable JSON instead of a table")
     logn.set_defaults(handler=cmd_lognormal)
 
-    reshape = sub.add_parser("reshape",
+    reshape = sub.add_parser("reshape", parents=[threads],
                              help="wide (one row per situation) to long CSV")
     reshape.add_argument("data", help="wide-format CSV file")
     reshape.add_argument("--out", required=True, help="long-format output path")
@@ -168,10 +170,7 @@ def main(argv=None) -> int:
     _apply_thread_cap(args.threads)
     try:
         return args.handler(args)
-    except Error as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (Error, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -194,51 +193,44 @@ def _attr_cols(spec):
     return list(dict.fromkeys([*spec.fixed_attrs, *spec.random_attrs]))
 
 
-def _print_fit(fit, stream=None):
-    stream = stream or sys.stdout
+def _print_fit(fit):
     kind = "Mixed" if fit.spec.n_random else "Classical"
-    print(f"{kind} random regret minimization fit", file=stream)
+    print(f"{kind} random regret minimization fit")
     print(
         f"  individuals: {fit.n_individuals}   situations: {fit.n_situations}"
-        f"   parameters: {fit.n_parameters}",
-        file=stream,
+        f"   parameters: {fit.n_parameters}"
     )
-    print(f"  log-likelihood: {fit.loglik:.6f}", file=stream)
+    print(f"  log-likelihood: {fit.loglik:.6f}")
     if fit.spec.n_random:
-        print(f"  draws: nrep={fit.nrep} burn={fit.burn} (Halton)", file=stream)
+        print(f"  draws: nrep={fit.nrep} burn={fit.burn} (Halton)")
     print(
         f"  covariance: {fit.covariance_kind}   "
         f"converged: {'yes' if fit.converged else 'NO'} "
-        f"({fit.iterations} iterations)",
-        file=stream,
+        f"({fit.iterations} iterations)"
     )
     low = (100.0 - fit.level) / 2.0
     high = 100.0 - low
-    print("", file=stream)
+    print("")
     header = (f"{'parameter':<16}{'coef':>12}{'std err':>12}{'z':>9}"
               f"{'P>|z|':>9}{f'[{low:g}%':>12}{f'{high:g}%]':>12}")
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
+    print(header)
+    print("-" * len(header))
     columns = zip(fit.param_names, fit.estimates, fit.std_errors, fit.z_stats,
                   fit.p_values, fit.ci_lower, fit.ci_upper)
     for name, coef, se, z, p, low, high in columns:
         print(
             f"{name:<16}{coef:>12.4f}{se:>12.4f}"
-            f"{z:>9.3f}{p:>9.4f}{low:>12.4f}{high:>12.4f}",
-            file=stream,
+            f"{z:>9.3f}{p:>9.4f}{low:>12.4f}{high:>12.4f}"
         )
 
 
 def cmd_fit(args) -> int:
     from .dataset import cluster_index
-    from .errors import NonConvergence
     from .estimation import FitOptions, fit_classical, fit_mixed, save_fit_json
     from .regret import ModelSpec
 
     if not args.fixed and not args.rand:
-        print("error: give at least one attribute via --fixed or --rand",
-              file=sys.stderr)
-        return 1
+        raise InvalidOption("give at least one attribute via --fixed or --rand")
     spec = ModelSpec(
         fixed_attrs=tuple(args.fixed),
         random_attrs=tuple(args.rand),
@@ -253,7 +245,10 @@ def cmd_fit(args) -> int:
         covariance = "robust"
     start = None
     if args.start is not None:
-        start = json.loads(args.start)
+        try:
+            start = json.loads(args.start)
+        except ValueError as err:
+            raise InvalidOption(f"start (--from) is not JSON: {err}") from None
     opts = FitOptions(
         maxiter=args.maxiter,
         gtol=args.gtol,
@@ -289,9 +284,10 @@ def cmd_predict(args) -> int:
     import csv
 
     from .estimation import load_fit_json
-    from .postestimation import predict_rows
+    from .postestimation import draw_settings, predict_rows
 
     fit = load_fit_json(args.fit)
+    draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))
     probs = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
 
@@ -311,23 +307,21 @@ def cmd_predict(args) -> int:
 
 def cmd_betas(args) -> int:
     from .estimation import load_fit_json
-    from .postestimation import histogram_svg, individual_betas, write_beta_file
+    from .postestimation import (
+        draw_settings, histogram_svg, individual_betas, write_beta_file,
+    )
 
     fit = load_fit_json(args.fit)
+    draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)
 
-    keep = args.attrs if args.attrs else list(table.attrs)
+    keep = args.attrs or list(table.attrs)
     for attr in keep:
         if attr not in table.attrs:
-            print(f"error: {attr!r} is not a random attribute of this fit",
-                  file=sys.stderr)
-            return 1
-    if tuple(keep) != table.attrs:
-        cols = [table.attrs.index(a) for a in keep]
-        table = type(table)(
-            attrs=tuple(keep), ids=table.ids, values=table.values[:, cols]
-        )
+            raise SpecMismatch(f"{attr!r} is not a random attribute of this fit")
+    cols = [table.attrs.index(a) for a in keep]
+    table = type(table)(attrs=tuple(keep), ids=table.ids, values=table.values[:, cols])
 
     write_beta_file(table, args.saving, replace=args.replace)
     print(f"individual coefficients written to {args.saving}", file=sys.stderr)
@@ -342,19 +336,15 @@ def cmd_betas(args) -> int:
 
 
 def cmd_lognormal(args) -> int:
+    from dataclasses import asdict
+
     from .estimation import load_fit_json
     from .postestimation import lognormal_summary
 
     fit = load_fit_json(args.fit)
     summary = lognormal_summary(fit, args.attr, sign=-1 if args.negate else 1)
     if args.as_json:
-        print(json.dumps({
-            "attr": summary.attr,
-            "sign": summary.sign,
-            "median": summary.median, "median_se": summary.median_se,
-            "mean": summary.mean, "mean_se": summary.mean_se,
-            "sd": summary.sd, "sd_se": summary.sd_se,
-        }, sort_keys=True))
+        print(json.dumps(asdict(summary), sort_keys=True))
         return 0
     print(f"log-normal coefficient summary: {summary.attr} "
           f"(sign {'+' if summary.sign > 0 else '-'}1)")
@@ -371,9 +361,7 @@ def cmd_reshape(args) -> int:
     stub_specs = []
     for item in args.stubs:
         if "=" not in item:
-            print(f"error: stub {item!r} must look like PREFIX=NAME",
-                  file=sys.stderr)
-            return 1
+            raise InvalidOption(f"stub {item!r} must look like PREFIX=NAME")
         prefix, long_name = item.split("=", 1)
         stub_specs.append((long_name, prefix))
     reshape_wide_to_long(

@@ -11,6 +11,7 @@ the input file was ordered.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -20,6 +21,7 @@ from .errors import (
     ClusterVariesWithinIndividual,
     DuplicateAlternative,
     InconsistentAltCount,
+    MalformedCsv,
     MissingColumn,
     MissingStubColumn,
     MultipleChosen,
@@ -109,10 +111,19 @@ def _parse_int(value: str, row: int, col: str) -> int:
     try:
         as_float = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"row {row}: column {col!r} value {value!r} is not an integer")
+        as_float = float("nan")
     if not as_float.is_integer():
-        raise ValueError(f"row {row}: column {col!r} value {value!r} is not an integer")
+        raise MalformedCsv(f"row {row}: column {col!r} value {value!r} is not an integer")
     return int(as_float)
+
+
+@contextmanager
+def _reading_csv(path):
+    """Report a file that is not UTF-8 or not CSV as :class:`MalformedCsv`."""
+    try:
+        yield
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise MalformedCsv(f"{path}: not a readable UTF-8 CSV file ({err})") from None
 
 
 def load_long_csv(
@@ -143,7 +154,7 @@ def load_long_csv(
     Raises the specific validation error for the first violated rule;
     missing attribute cells are hard errors, not dropped rows.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -178,7 +189,7 @@ def load_long_csv(
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) < len(header):
-            raise ValueError(
+            raise MalformedCsv(
                 f"row {row_no}: expected {len(header)} fields, got {len(row)}"
             )
         ind = _parse_int(row[col_pos[id_col]], row_no, id_col)
@@ -265,7 +276,7 @@ def reshape_wide_to_long(
     ``altern``, ``choice`` if any, then stubs); also writes them as CSV when
     ``out_path`` is given.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         wide_rows = list(reader)
         header = reader.fieldnames or []

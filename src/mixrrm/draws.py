@@ -9,42 +9,25 @@ draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .errors import DomainError, NonPrimeBase
 
-_FIRST_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,
-)
-
 
 def nth_prime(k: int) -> int:
     """k-th prime, 0-based (0 -> 2, 1 -> 3, ...)."""
-    if k < len(_FIRST_PRIMES):
-        return _FIRST_PRIMES[k]
-    candidate = _FIRST_PRIMES[-1]
-    count = len(_FIRST_PRIMES) - 1
-    while count < k:
-        candidate += 2
-        if _is_prime(candidate):
-            count += 1
+    candidate = 1
+    for _ in range(k + 1):
+        candidate += 1
+        while not _is_prime(candidate):
+            candidate += 1
     return candidate
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
@@ -151,31 +134,14 @@ def inverse_normal_cdf(u):
     return out
 
 
-@dataclass(frozen=True)
-class DrawSet:
-    """Per-individual standard-normal draws, shape (n_individuals, K, R)."""
-
-    nrep: int
-    burn: int
-    dims: int
-    draws: np.ndarray
-
-    @property
-    def n_individuals(self) -> int:
-        return self.draws.shape[0]
-
-    def for_individual(self, position: int) -> np.ndarray:
-        """(K, R) draws for the individual at this sorted position."""
-        return self.draws[position]
-
-
-def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> DrawSet:
+def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> np.ndarray:
     """Build the normal draws used to simulate the mixing distribution.
 
-    Dimension k takes one Halton stream in the k-th prime base of length
+    Returns a read-only (n_individuals, dims, nrep) array.  Dimension k
+    takes one Halton stream in the k-th prime base of length
     ``n_individuals * nrep`` (after dropping ``burn`` initial elements);
     individual n, counted in sorted-ID order, gets the contiguous slice
-    ``[n*nrep, (n+1)*nrep)``.
+    ``[n*nrep, (n+1)*nrep)`` as ``draws[n, k]``.
     """
     if n_individuals < 1 or dims < 1 or nrep < 1:
         raise ValueError("n_individuals, dims and nrep must be positive")
@@ -187,5 +153,5 @@ def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> D
         stream = halton_sequence(nth_prime(k), n_individuals * nrep, burn)
         draws[:, k, :] = inverse_normal_cdf(stream).reshape(n_individuals, nrep)
     draws.setflags(write=False)
-    return DrawSet(nrep=nrep, burn=burn, dims=dims, draws=draws)
+    return draws
 

@@ -2,10 +2,14 @@
 
 
 class Error(Exception):
-    """Base class for all mixrrm errors."""
+    """Base class of every error bad input (file, option, fit JSON) can cause."""
 
 
 # --- data ingestion -------------------------------------------------------
+
+class MalformedCsv(Error, ValueError):
+    """Not UTF-8, not CSV, a short row, or a non-integer identifier cell."""
+
 
 class MissingColumn(Error):
     def __init__(self, name):
@@ -20,34 +24,35 @@ class NonBinaryChoice(Error):
         self.value = value
 
 
-class MultipleChosen(Error):
+class _SituationError(Error):
+    """A rule broken by one choice situation; ``problem`` says which."""
+
+    problem = ""
+
     def __init__(self, individual_id, situation_id):
         super().__init__(
-            f"individual {individual_id}, situation {situation_id}: "
-            "more than one alternative marked chosen"
+            f"individual {individual_id}, situation {situation_id}: {self.problem}"
         )
         self.individual_id = individual_id
         self.situation_id = situation_id
 
 
-class NoneChosen(Error):
-    def __init__(self, individual_id, situation_id):
-        super().__init__(
-            f"individual {individual_id}, situation {situation_id}: "
-            "no alternative marked chosen"
-        )
-        self.individual_id = individual_id
-        self.situation_id = situation_id
+class MultipleChosen(_SituationError):
+    problem = "more than one alternative marked chosen"
 
 
-class DuplicateAlternative(Error):
+class NoneChosen(_SituationError):
+    problem = "no alternative marked chosen"
+
+
+class SituationTooSmall(_SituationError):
+    problem = "a choice situation needs at least 2 alternatives"
+
+
+class DuplicateAlternative(_SituationError):
     def __init__(self, individual_id, situation_id, alternative_id):
-        super().__init__(
-            f"individual {individual_id}, situation {situation_id}: "
-            f"alternative {alternative_id} appears more than once"
-        )
-        self.individual_id = individual_id
-        self.situation_id = situation_id
+        self.problem = f"alternative {alternative_id} appears more than once"
+        super().__init__(individual_id, situation_id)
         self.alternative_id = alternative_id
 
 
@@ -56,16 +61,6 @@ class NonFiniteAttribute(Error):
         super().__init__(f"row {row}: attribute {col!r} is missing or not finite")
         self.row = row
         self.col = col
-
-
-class SituationTooSmall(Error):
-    def __init__(self, individual_id, situation_id):
-        super().__init__(
-            f"individual {individual_id}, situation {situation_id}: "
-            "a choice situation needs at least 2 alternatives"
-        )
-        self.individual_id = individual_id
-        self.situation_id = situation_id
 
 
 class MissingStubColumn(Error):
@@ -117,11 +112,12 @@ class SingularHessian(Error):
 
 
 class InvalidOption(Error, ValueError):
-    """An estimation option outside its range, caught before any work."""
+    """An option (or starting point) outside its range or of the wrong form."""
 
 
-class InvalidFitFile(Error):
-    """A fit JSON field that disagrees with the file's own model block."""
+class InvalidFitFile(Error, ValueError):
+    """A fit JSON that is not JSON, lacks a field, has a field of the wrong
+    type or an unknown schema, or disagrees with its own model block."""
 
 
 class FewerClustersThanParameters(UserWarning):

@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .draws import DrawSet, build_drawset, inverse_normal_cdf
+from .draws import inverse_normal_cdf
 from .errors import (
     FewerClustersThanParameters,
     InvalidFitFile,
@@ -31,8 +31,8 @@ from .regret import ModelDesign, ModelSpec, ParameterVector
 
 @dataclass
 class FitOptions:
-    """Optimizer and inference settings shared by both fit entry points,
-    checked on construction (the cluster mapping when a fit starts)."""
+    """Optimizer and inference settings shared by both fit entry points, checked
+    on construction (the cluster mapping and start length when a fit starts)."""
 
     maxiter: int = 200
     gtol: float = 1e-6
@@ -53,6 +53,13 @@ class FitOptions:
             raise InvalidOption(f"gtol {self.gtol!r} is not positive")
         if self.covariance not in ("hessian", "robust", "cluster"):
             raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
+        if self.burn < 0:
+            raise InvalidOption(f"burn {self.burn!r} is negative")
+        if self.start is not None:
+            try:
+                self.start = np.asarray(self.start, dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidOption("start is not a list of numbers") from None
 
     def check_cluster(self, ds: ChoiceDataset) -> None:
         """A cluster covariance needs a cluster id for every individual."""
@@ -141,13 +148,22 @@ class _OptResult:
     x: np.ndarray
     loglik: float
     grad: np.ndarray
+    scores: np.ndarray  # per-individual gradient rows at x
     iterations: int
     converged: bool
     ll_history: list[float]
 
 
+def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in row order from zero (``ndarray.sum`` adds
+    a contiguous axis pairwise, which rounds differently)."""
+    zero = np.zeros((1, *rows.shape[1:]))
+    return np.add.accumulate(np.concatenate([zero, rows]))[-1]
+
+
 def _maximize(
-    value_grad: Callable,
+    loglik: Callable,
+    scores: Callable,
     x0: np.ndarray,
     maxiter: int = 200,
     gtol: float = 1e-6,
@@ -155,17 +171,23 @@ def _maximize(
 ) -> _OptResult:
     """BFGS ascent with Armijo backtracking.
 
-    ``value_grad(x, need_grad)`` returns ``(ll, grad-or-None)``.  Convergence
-    means the sup-norm of the gradient is at or below ``gtol``; the loop also
-    stops when backtracking cannot find an acceptable step longer than
-    ``step_tol``.  Accepted steps never decrease the objective beyond the
-    floating-point rounding noise of the total log-likelihood.
+    ``loglik(x)`` is the objective; ``scores(x)`` returns its per-individual
+    terms and gradient rows, summed here and kept for the final point.
+    Convergence means the sup-norm of the gradient is at or below ``gtol``;
+    the loop also stops when backtracking cannot find an acceptable step
+    longer than ``step_tol``.  Accepted steps never decrease the objective
+    beyond the floating-point rounding noise of the total log-likelihood.
     """
+
+    def value_grad(x):
+        lls, rows = scores(x)
+        return _ordered_sum(lls), _ordered_sum(rows), rows
+
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    ll, grad = value_grad(x, True)
+    ll, grad, rows = value_grad(x)
     if not np.isfinite(ll):
-        raise ValueError("log-likelihood not finite at the starting values")
+        raise InvalidOption("log-likelihood not finite at the starting values")
     h_inv = np.eye(n)
     first_update = True
     history = [ll]
@@ -191,7 +213,7 @@ def _maximize(
         floor = noise_floor * (abs(ll) + 1.0)
         while step * d_norm >= step_tol:
             candidate = x + step * direction
-            ll_new = value_grad(candidate, False)[0]
+            ll_new = loglik(candidate)
             target = 1e-4 * step * slope
             # Once the predicted gain sinks below the rounding noise of ll
             # itself, sufficient decrease cannot be certified; accept any
@@ -207,7 +229,7 @@ def _maximize(
         if not accepted:
             break
 
-        ll_new, grad_new = value_grad(candidate, True)
+        ll_new, grad_new, rows_new = value_grad(candidate)
         s = candidate - x
         y = grad - grad_new  # gradient change of -ll (minimization form)
         sy = s @ y
@@ -219,7 +241,7 @@ def _maximize(
             rho = 1.0 / sy
             v = np.eye(n) - rho * np.outer(s, y)
             h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        x, ll, grad = candidate, ll_new, grad_new
+        x, ll, grad, rows = candidate, ll_new, grad_new, rows_new
         history.append(ll)
         iterations += 1
 
@@ -227,14 +249,16 @@ def _maximize(
         x=x,
         loglik=float(ll),
         grad=grad,
+        scores=rows,
         iterations=iterations,
         converged=bool(np.max(np.abs(grad)) <= gtol),
         ll_history=history,
     )
 
 
-def _fd_hessian(grad_fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Central differences of the analytic gradient, step 1e-5*(1+|x_i|)."""
+def _fd_hessian(scores: Callable, x: np.ndarray) -> np.ndarray:
+    """Central differences of the analytic gradient, step 1e-5*(1+|x_i|);
+    the gradient is the ordered sum of the rows ``scores(x)`` returns."""
     n = x.size
     hess = np.empty((n, n))
     for i in range(n):
@@ -243,7 +267,9 @@ def _fd_hessian(grad_fn: Callable, x: np.ndarray) -> np.ndarray:
         minus = x.copy()
         plus[i] += h
         minus[i] -= h
-        hess[:, i] = (grad_fn(plus) - grad_fn(minus)) / (2.0 * h)
+        hess[:, i] = (
+            _ordered_sum(scores(plus)[1]) - _ordered_sum(scores(minus)[1])
+        ) / (2.0 * h)
     return 0.5 * (hess + hess.T)
 
 
@@ -276,7 +302,7 @@ def covariance_cluster(
     unique, inverse = np.unique(clusters, return_inverse=True)
     n_clusters = unique.size
     if n_clusters < 2:
-        raise ValueError("cluster sandwich needs at least 2 clusters")
+        raise InvalidOption("cluster sandwich needs at least 2 clusters")
     if n_clusters < scores.shape[1]:
         warnings.warn(
             f"only {n_clusters} clusters for {scores.shape[1]} parameters; "
@@ -298,52 +324,36 @@ def covariance_robust(hessian: np.ndarray, scores: np.ndarray) -> np.ndarray:
 # -- objective plumbing -------------------------------------------------------
 
 
-def _draws_for(design: ModelDesign, drawset: DrawSet | None, position: int):
-    if drawset is None:
-        return design.zero_draws()
-    return drawset.for_individual(position)
+def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
+    """The log-likelihood walk: individual terms added in dataset order."""
+    theta = design.unpack(x)
+    total = 0.0
+    for pos in range(design.ds.n_individuals):
+        total += design.individual_loglik(pos, theta, draws[pos])
+    return total
 
 
-def _make_value_grad(design: ModelDesign, drawset: DrawSet | None):
-    n_ind = design.ds.n_individuals
-
-    def value_grad(x, need_grad):
-        theta = design.unpack(x)
-        total_ll = 0.0
-        total_grad = np.zeros(design.n_params) if need_grad else None
-        for pos in range(n_ind):
-            z = _draws_for(design, drawset, pos)
-            if need_grad:
-                ll, grad = design.individual_loglik_gradient(pos, theta, z)
-                total_grad += grad
-            else:
-                ll = design.individual_loglik(pos, theta, z)
-            total_ll += ll
-        return total_ll, total_grad
-
-    return value_grad
-
-
-def individual_scores(design: ModelDesign, drawset: DrawSet | None, x):
-    """Per-individual log-likelihood terms and gradient rows at ``x``."""
+def individual_scores(design: ModelDesign, draws: np.ndarray, x):
+    """Per-individual log-likelihood terms (N,) and gradient rows (N, P) at
+    ``x``; the only walk that evaluates the gradient."""
     theta = design.unpack(x)
     n_ind = design.ds.n_individuals
     lls = np.empty(n_ind)
-    scores = np.empty((n_ind, design.n_params))
+    rows = np.empty((n_ind, design.n_params))
     for pos in range(n_ind):
-        z = _draws_for(design, drawset, pos)
-        lls[pos], scores[pos] = design.individual_loglik_gradient(pos, theta, z)
-    return lls, scores
+        lls[pos], rows[pos] = design.individual_loglik_gradient(
+            pos, theta, draws[pos]
+        )
+    return lls, rows
 
 
 def simulated_loglik(
     ds: ChoiceDataset, spec: ModelSpec, theta: ParameterVector,
-    drawset: DrawSet | None,
+    draws: np.ndarray,
 ) -> float:
-    """Evaluate the (simulated) log-likelihood at a given parameter point."""
-    design = ModelDesign(ds, spec)
-    value_grad = _make_value_grad(design, drawset)
-    return float(value_grad(theta.pack(), False)[0])
+    """Evaluate the (simulated) log-likelihood at a given parameter point,
+    averaging over ``draws`` (N, K, R), e.g. ``ModelDesign.draws(...)``."""
+    return _loglik(ModelDesign(ds, spec), draws, theta.pack())
 
 
 # -- fitting -------------------------------------------------------------------
@@ -355,15 +365,7 @@ def fit_classical(
     """Fit the fixed-coefficient regret model by maximum likelihood."""
     if spec.n_random:
         raise ValueError("classical fit requires a spec without random attributes")
-    opts = opts or FitOptions()
-    opts.check_cluster(ds)
-    design = ModelDesign(ds, spec)
-    x0 = (
-        np.asarray(opts.start, dtype=float)
-        if opts.start is not None
-        else np.zeros(design.n_params)
-    )
-    return _run_fit(design, None, x0, opts, nrep=0, burn=0)
+    return _run_fit(ds, spec, opts or FitOptions())
 
 
 def fit_mixed(
@@ -378,19 +380,7 @@ def fit_mixed(
     """
     if spec.n_random < 1:
         raise ValueError("mixed fit requires at least one random attribute")
-    opts = opts or FitOptions()
-    if opts.nrep < 1:
-        raise InvalidOption(f"nrep {opts.nrep!r} is below 1")
-    opts.check_cluster(ds)
-    design = ModelDesign(ds, spec)
-    drawset = build_drawset(
-        ds.n_individuals, spec.n_random, opts.nrep, opts.burn
-    )
-    if opts.start is not None:
-        x0 = np.asarray(opts.start, dtype=float)
-    else:
-        x0 = _starting_values(ds, spec, design, opts)
-    return _run_fit(design, drawset, x0, opts, nrep=opts.nrep, burn=opts.burn)
+    return _run_fit(ds, spec, opts or FitOptions())
 
 
 def _starting_values(ds, spec, design: ModelDesign, opts: FitOptions) -> np.ndarray:
@@ -429,31 +419,40 @@ def _starting_values(ds, spec, design: ModelDesign, opts: FitOptions) -> np.ndar
     return x0
 
 
-def _run_fit(
-    design: ModelDesign, drawset: DrawSet | None, x0, opts: FitOptions,
-    nrep: int, burn: int,
-) -> FitResult:
-    value_grad = _make_value_grad(design, drawset)
+def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
+    mixed = spec.n_random > 0
+    if mixed and opts.nrep < 1:
+        raise InvalidOption(f"nrep {opts.nrep!r} is below 1")
+    opts.check_cluster(ds)
+    design = ModelDesign(ds, spec)
+    draws = design.draws(opts.nrep, opts.burn)
+    if opts.start is not None:
+        x0 = opts.start
+    elif mixed:
+        x0 = _starting_values(ds, spec, design, opts)
+    else:
+        x0 = np.zeros(design.n_params)
+    if np.shape(x0) != (design.n_params,):
+        raise InvalidOption(f"start has shape {np.shape(x0)}; the model has "
+                            f"{design.n_params} parameters")
+    scores = lambda x: individual_scores(design, draws, x)
     opt = _maximize(
-        value_grad, x0,
+        lambda x: _loglik(design, draws, x), scores, x0,
         maxiter=opts.maxiter, gtol=opts.gtol, step_tol=opts.step_tol,
     )
-
-    grad_fn = lambda x: value_grad(x, True)[1]
-    hessian = _fd_hessian(grad_fn, opt.x)
-    _, scores = individual_scores(design, drawset, opt.x)
+    hessian = _fd_hessian(scores, opt.x)
 
     try:
         if opts.covariance == "hessian":
             cov = covariance_hessian(hessian)
         elif opts.covariance == "robust":
-            cov = covariance_robust(hessian, scores)
+            cov = covariance_robust(hessian, opt.scores)
         else:
             ids = [
                 opts.cluster[block.individual_id]
                 for block in design.ds.individuals
             ]
-            cov = covariance_cluster(hessian, scores, ids)
+            cov = covariance_cluster(hessian, opt.scores, ids)
     except SingularHessian:
         if opt.converged:
             raise
@@ -472,8 +471,8 @@ def _run_fit(
         converged=opt.converged,
         iterations=opt.iterations,
         gradient_norm=float(np.max(np.abs(opt.grad))),
-        nrep=nrep,
-        burn=burn,
+        nrep=opts.nrep if mixed else 0,
+        burn=opts.burn if mixed else 0,
     )
     if not opt.converged:
         raise NonConvergence(
@@ -486,6 +485,8 @@ def _run_fit(
 
 # -- serialization --------------------------------------------------------------
 
+FIT_SCHEMA = 1  # layout version written to, and required of, every fit JSON
+
 
 def fit_result_to_json(fit: FitResult) -> dict:
     """JSON-ready dict; includes the model block needed to reload the fit.
@@ -493,6 +494,7 @@ def fit_result_to_json(fit: FitResult) -> dict:
     columns = zip(fit.param_names, fit.estimates, fit.std_errors, fit.z_stats,
                   fit.p_values, fit.ci_lower, fit.ci_upper)
     return {
+        "schema": FIT_SCHEMA,
         "estimates": [
             {
                 "name": name,
@@ -534,46 +536,70 @@ def _nan_to_none(value):
     return None if math.isnan(value) else value
 
 
+# the JSON type of every field the reader uses, by path ("model.x" is x in
+# the model block); float admits integers, and no number admits a boolean
+_FIELD_TYPES = {
+    "schema": int, "model": dict, "model.fixed_attrs": [str],
+    "model.random_attrs": [str], "model.ln_count": int, "model.use_asc": bool,
+    "model.base_alternative": (int, None), "model.alternative_labels": [int],
+    "theta": [float], "covariance": [[(float, None)]], "covariance_kind": str,
+    "loglik": float, "level": float, "converged": bool, "iterations": int,
+    "gradient_norm": float, "n_individuals": int, "n_situations": int,
+    "nrep": int, "burn": int,
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
+    if isinstance(kind, tuple):
+        return any(_has_type(value, k) for k in kind)
+    if kind is None or isinstance(value, bool):
+        return value is kind or kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def fit_result_from_json(payload: dict) -> FitResult:
     """Rebuild a FitResult from :func:`fit_result_to_json` output.
 
-    Raises :class:`InvalidFitFile` when ``theta`` or ``covariance`` does not
-    have the size the model block implies.
+    Raises :class:`InvalidFitFile`, naming the field, for a missing or
+    unknown ``schema``, a missing field, a value of the wrong type, and a
+    ``theta`` or ``covariance`` whose size disagrees with the model block.
     """
-    model = payload["model"]
-    spec = ModelSpec(
-        fixed_attrs=tuple(model["fixed_attrs"]),
-        random_attrs=tuple(model["random_attrs"]),
-        ln_count=model["ln_count"],
-        use_asc=model["use_asc"],
-        base_alternative=model["base_alternative"],
-    )
-    labels = tuple(model["alternative_labels"])
+    if not isinstance(payload, dict):
+        raise InvalidFitFile("a fit file holds one JSON object")
+    f = {"": payload}
+    for path, kind in _FIELD_TYPES.items():
+        block, _, key = path.rpartition(".")
+        if key not in f[block]:
+            raise InvalidFitFile(f"field {path!r} is missing")
+        f[path] = f[block][key]
+        if not _has_type(f[path], kind):
+            raise InvalidFitFile(f"field {path!r} has the wrong type")
+        if path == "schema" and f[path] != FIT_SCHEMA:
+            raise InvalidFitFile(f"field 'schema' is {f[path]}; this version "
+                                 f"reads schema {FIT_SCHEMA}")
+    spec = ModelSpec(**{key: f[f"model.{key}"] for key in (
+        "fixed_attrs", "random_attrs", "ln_count", "use_asc", "base_alternative")})
+    labels = tuple(f["model.alternative_labels"])
     n_params = len(spec.param_names(labels))
-    theta, cov = payload["theta"], payload["covariance"]
+    theta, cov = f["theta"], f["covariance"]
     if len(theta) != n_params:
         raise InvalidFitFile(f"field 'theta' has {len(theta)} entries; the model "
                              f"block implies {n_params}")
     if len(cov) != n_params or any(len(row) != n_params for row in cov):
         raise InvalidFitFile(f"field 'covariance' is not {n_params} x {n_params} "
                              "as the model block implies")
+    scalars = ("loglik", "n_individuals", "n_situations", "covariance_kind",
+               "level", "converged", "iterations", "gradient_norm", "nrep", "burn")
     return FitResult(
         spec=spec,
         alternative_labels=labels,
         theta=np.array(theta, dtype=float),
-        loglik=float(payload["loglik"]),
-        n_individuals=int(payload["n_individuals"]),
-        n_situations=int(payload["n_situations"]),
         covariance=np.array(
             [[np.nan if v is None else v for v in row] for row in cov], dtype=float
         ),
-        covariance_kind=payload["covariance_kind"],
-        level=float(payload["level"]),
-        converged=bool(payload["converged"]),
-        iterations=int(payload["iterations"]),
-        gradient_norm=float(payload["gradient_norm"]),
-        nrep=int(payload["nrep"]),
-        burn=int(payload["burn"]),
+        **{key: f[key] for key in scalars},
     )
 
 
@@ -584,5 +610,10 @@ def save_fit_json(fit: FitResult, path) -> None:
 
 
 def load_fit_json(path) -> FitResult:
-    with open(path, encoding="utf-8") as handle:
-        return fit_result_from_json(json.load(handle))
+    """Read a fit written by :func:`save_fit_json`; a file that is not UTF-8
+    JSON or not a valid fit raises :class:`InvalidFitFile` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return fit_result_from_json(json.load(handle))
+    except (InvalidFitFile, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise InvalidFitFile(f"{path}: {err}") from None

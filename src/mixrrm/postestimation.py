@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .draws import build_drawset
-from .errors import AttrNotLognormal, EmptyInput, InvalidOption, SpecMismatch
+from .errors import AttrNotLognormal, DomainError, EmptyInput, InvalidOption, SpecMismatch
 from .estimation import FitResult
 from .regret import ModelDesign
 
@@ -60,15 +59,28 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult) -> ModelDesign:
     return design
 
 
-def _drawset_for(design: ModelDesign, fit: FitResult, nrep, burn):
-    """The fit's draw set (or the one ``nrep``/``burn`` ask for); None if classical."""
+def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
+    """``nrep``/``burn`` for post-estimation, the fit's own unless given; a
+    negative ``burn``, or a mixed fit's ``nrep`` below 1, is an InvalidOption."""
     nrep = fit.nrep if nrep is None else nrep
     burn = fit.burn if burn is None else burn
-    if design.n_random == 0:
-        return None
-    if nrep < 1:
+    if burn < 0:
+        raise InvalidOption(f"burn {burn!r} is negative")
+    if fit.spec.n_random and nrep < 1:
         raise InvalidOption(f"nrep {nrep!r} is below 1 for a mixed fit")
-    return build_drawset(design.ds.n_individuals, design.n_random, nrep, burn)
+    return nrep, burn
+
+
+def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
+    """The draw-info walk: the fit's design on ``ds``, its draws, and
+    ``summarize(design, position, ln_seq, probs)`` of every individual."""
+    design = _bind_design(ds, fit)
+    draws = design.draws(*draw_settings(fit, nrep, burn))
+    theta = fit.theta_hat
+    return design, draws, [
+        summarize(design, pos, *design.individual_draw_info(pos, theta, draws[pos]))
+        for pos in range(ds.n_individuals)
+    ]
 
 
 def predict_probabilities(
@@ -80,23 +92,13 @@ def predict_probabilities(
     Rows follow dataset order (individuals ascending, situations ascending,
     alternatives in file order).  Mixed fits average the per-draw
     probabilities over the Halton draws (defaults: the fit's own nrep/burn);
-    classical fits use the closed form.
+    classical fits use their one zero draw, the closed form.
     """
-    design = _bind_design(ds, fit)
-    drawset = _drawset_for(design, fit, nrep, burn)
-    theta = fit.theta_hat
-
-    out = np.empty(ds.n_rows)
-    cursor = 0
-    for pos, block in enumerate(ds.individuals):
-        z = drawset.for_individual(pos) if drawset is not None else design.zero_draws()
-        _, probs = design.individual_draw_info(pos, theta, z)  # (R, S, J)
-        mean_probs = probs.mean(axis=0)
-        for s, situation in enumerate(block.situations):
-            j_here = situation.n_alternatives
-            out[cursor:cursor + j_here] = mean_probs[s, :j_here]
-            cursor += j_here
-    return out
+    *_, rows = _draw_info_walk(
+        ds, fit, nrep, burn,
+        lambda design, pos, _, probs: probs.mean(axis=0)[design.available(pos)],
+    )
+    return np.concatenate(rows)
 
 
 def predict_rows(ds, fit, nrep=None, burn=None) -> dict[int, float]:
@@ -113,20 +115,16 @@ def predict_rows(ds, fit, nrep=None, burn=None) -> dict[int, float]:
 
 
 def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
-    """Design, draw set and (N, R) posterior draw weights of a mixed fit."""
+    """Design, (N, K, R) draws and (N, R) posterior draw weights of a mixed fit."""
     if fit.spec.n_random < 1:
         raise SpecMismatch("fit has no random coefficients")
-    design = _bind_design(ds, fit)
-    drawset = _drawset_for(design, fit, nrep, burn)
-    theta = fit.theta_hat
-    weights = np.empty((ds.n_individuals, drawset.nrep))
-    for pos in range(ds.n_individuals):
-        ln_seq, _ = design.individual_draw_info(
-            pos, theta, drawset.for_individual(pos)
-        )
-        w = np.exp(ln_seq - ln_seq.max())
-        weights[pos] = w / w.sum()
-    return design, drawset, weights
+    design, draws, weights = _draw_info_walk(ds, fit, nrep, burn, _normalized)
+    return design, draws, np.array(weights)
+
+
+def _normalized(design, position, ln_seq, probs) -> np.ndarray:
+    w = np.exp(ln_seq - ln_seq.max())
+    return w / w.sum()
 
 
 def posterior_weights(
@@ -149,15 +147,14 @@ def individual_betas(
     are computed in log space and normalized.  Log-normal coefficients are
     averaged on the coefficient scale, not the log scale.
     """
-    design, drawset, weights = _posterior(ds, fit, nrep, burn)
-    theta = fit.theta_hat
+    design, draws, weights = _posterior(ds, fit, nrep, burn)
+    n_ind, k, r = draws.shape
+    # every individual's draws side by side: column n*R + r is draws[n, :, r]
+    coefs = design.random_coefficient_draws(
+        fit.theta_hat, draws.transpose(1, 0, 2).reshape(k, n_ind * r)
+    ).reshape(n_ind, r, k)
     ids = np.array([block.individual_id for block in ds.individuals])
-    values = np.empty((ds.n_individuals, design.n_random))
-    for pos in range(ds.n_individuals):
-        coef_draws = design.random_coefficient_draws(
-            theta, drawset.for_individual(pos)
-        )  # (R, K)
-        values[pos] = weights[pos] @ coef_draws
+    values = np.matmul(weights[:, None, :], coefs)[:, 0]
     return IndividualBetaTable(
         attrs=fit.spec.random_attrs, ids=ids, values=values
     )
@@ -250,7 +247,7 @@ def histogram_svg(values, title: str, path) -> None:
     if data.size == 0:
         raise EmptyInput("cannot plot an empty vector")
     if not np.all(np.isfinite(data)):
-        raise ValueError("histogram values must be finite")
+        raise DomainError("histogram values must be finite")
 
     n_bins = min(50, max(5, math.ceil(math.sqrt(data.size))))
     lo, hi = float(data.min()), float(data.max())

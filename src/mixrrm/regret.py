@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset, IndividualBlock
+from .draws import build_drawset
 from .errors import SpecMismatch
 
 
@@ -184,9 +185,15 @@ class ModelDesign:
     def unpack(self, vec) -> ParameterVector:
         return ParameterVector.unpack(vec, self.n_fixed, self.n_random, self.n_asc)
 
-    def zero_draws(self) -> np.ndarray:
-        """A single all-zero draw column; collapses the mixture."""
-        return np.zeros((self.n_random, 1))
+    def draws(self, nrep: int = 0, burn: int = 0) -> np.ndarray:
+        """Read-only (N, K, R) standard-normal draws: ``nrep`` Halton draws
+        per individual after ``burn`` for a mixed model; one zero draw,
+        (N, 0, 1), for a classical one, which is the same likelihood."""
+        if self.n_random:
+            return build_drawset(self.ds.n_individuals, self.n_random, nrep, burn)
+        zero = np.zeros((self.ds.n_individuals, 0, 1))
+        zero.setflags(write=False)
+        return zero
 
     # -- construction ---------------------------------------------------------
 
@@ -228,8 +235,8 @@ class ModelDesign:
 
         ``z`` is (K, R); normal entries become b + s*z, log-normal entries
         exp(b + s*z), fixed entries are copied into every draw.  A model
-        with no random coefficients takes the (0, 1) array from
-        :meth:`zero_draws`.
+        with no random coefficients takes its one zero draw, shape (0, 1),
+        from :meth:`draws`.
         """
         n_draws = z.shape[1]
         beta = np.empty((n_draws, len(self.model_attrs)))
@@ -243,6 +250,10 @@ class ModelDesign:
     def random_coefficient_draws(self, theta, z) -> np.ndarray:
         """(R, K) realized random coefficients, coefficient scale, declared order."""
         return self.realize_batch(theta, z)[:, self._random_pos]
+
+    def available(self, position: int) -> np.ndarray:
+        """(S, J) mask of the slots holding data rows (dataset order in C order)."""
+        return self._blocks[position].avail
 
     # -- per-individual kernels ------------------------------------------------
 

@@ -23,7 +23,7 @@ import pytest
 
 from conftest import make_dataset, random_dataset
 from mixrrm.dataset import cluster_index, load_long_csv
-from mixrrm.draws import DrawSet, build_drawset, halton_sequence
+from mixrrm.draws import build_drawset, halton_sequence
 from mixrrm.estimation import (
     FitOptions,
     covariance_cluster,
@@ -131,10 +131,10 @@ def test_zero_scale_equals_classical_loglik():
             fixed=beta, rand_location=np.zeros(0), rand_scale=np.zeros(0),
             asc=np.zeros(0),
         )
-        z0 = DrawSet(nrep=1, burn=0, dims=1,
-                     draws=np.zeros((ds.n_individuals, 1, 1)))
+        z0 = np.zeros((ds.n_individuals, 1, 1))
         sll = simulated_loglik(ds, spec_mixed, theta_mixed, z0)
-        ll = simulated_loglik(ds, spec_classical, theta_classical, None)
+        ll = simulated_loglik(ds, spec_classical, theta_classical,
+                              ModelDesign(ds, spec_classical).draws())
         assert sll == pytest.approx(ll, abs=1e-10)
 
 
@@ -154,7 +154,7 @@ def test_binary_choice_equals_binary_logit(tmp_path):
         design = ModelDesign(ds, ModelSpec(fixed_attrs=("p", "q", "r")))
         theta = ParameterVector(fixed=vals, rand_location=np.zeros(0),
                                 rand_scale=np.zeros(0), asc=np.zeros(0))
-        _, probs = design.individual_draw_info(0, theta, design.zero_draws())
+        _, probs = design.individual_draw_info(0, theta, design.draws()[0])
         logit = 1.0 / (1.0 + math.exp(-vals @ (x1 - x2)))
         assert probs[0, 0, 0] == pytest.approx(logit, abs=1e-12)
 
@@ -208,7 +208,7 @@ def test_simulated_loglik_matches_enumeration():
         plain,
         {"fixed": [-0.4], "location": [-0.7], "scale": [0.5],
          "lognormal": [False]},
-        [drawset.for_individual(i).tolist() for i in range(2)],
+        [drawset[i].tolist() for i in range(2)],
     )
     assert ours == pytest.approx(oracle, abs=1e-12)
 
@@ -244,11 +244,12 @@ def test_variance_estimators(tmp_path):
     fit = fit_classical(ds, spec)
 
     design = ModelDesign(ds, spec)
-    _, scores = individual_scores(design, None, fit.theta)
-    from mixrrm.estimation import _fd_hessian, _make_value_grad
+    _, scores = individual_scores(design, design.draws(), fit.theta)
+    from mixrrm.estimation import _fd_hessian
 
-    grad_fn = lambda x: _make_value_grad(design, None)(x, True)[1]
-    hessian = _fd_hessian(grad_fn, fit.theta)
+    hessian = _fd_hessian(
+        lambda x: individual_scores(design, design.draws(), x), fit.theta
+    )
 
     robust = covariance_robust(hessian, scores)
     singleton = covariance_cluster(hessian, scores, np.arange(len(scores)))

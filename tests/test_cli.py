@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mixrrm import cli
 from mixrrm.cli import main
 from oracles import simulate_panel, write_rows_csv
 
@@ -96,6 +97,7 @@ def test_usage_error_is_exit_1(argv):
 
 @pytest.mark.parametrize("flags", [
     ["--level", "150"], ["--level", "0"], ["--maxiter", "-1"], ["--gtol", "0"],
+    ["--burn", "-1"], ["--from", "[0.1,"], ["--from", "{nope}"],
 ])
 def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
     # the data file does not exist: the option is rejected before any work
@@ -104,6 +106,26 @@ def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
     assert code == 1
     assert flags[0].lstrip("-") in err
     assert out == ""
+
+
+@pytest.mark.parametrize("start", ["[0.1]", '["a", "b"]', '{"a": 1}', "[NaN, 0]"])
+def test_fit_bad_start_exit_1(panel_csv, capsys, start):
+    code, out, err = run(capsys, "fit", panel_csv, "--fixed", "total_time",
+                         "total_cost", "--noconstant", "--from", start)
+    assert code == 1
+    assert "start" in err
+    assert out == ""
+
+
+def test_bug_in_a_handler_propagates(monkeypatch):
+    """Exit code 1 is for typed errors; anything else is a bug and keeps
+    its traceback."""
+    def broken(args):
+        raise KeyError("model")
+
+    monkeypatch.setattr(cli, "cmd_lognormal", broken)
+    with pytest.raises(KeyError):
+        main(["lognormal", "--fit", "f.json", "--attr", "x"])
 
 
 def test_fit_nonconvergence_exit_2(panel_csv, capsys):
@@ -213,6 +235,35 @@ def test_predict_spec_mismatch_exit_1(panel_csv, tmp_path, capsys, rng):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("command", ["predict", "betas"])
+@pytest.mark.parametrize("flags", [["--burn", "-1"], ["--nrep", "0"]])
+def test_draw_option_checked_when_fit_loads(panel_csv, tmp_path, capsys,
+                                            command, flags):
+    # the data file does not exist: the option is rejected before it is read
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    out_flag = "--out" if command == "predict" else "--saving"
+    code, out, err = run(capsys, command, tmp_path / "absent.csv", "--fit", fit,
+                         out_flag, tmp_path / "o.csv", *flags)
+    assert code == 1
+    assert flags[0].lstrip("-") in err and "absent" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda p: p.pop("model"), "model"),
+    (lambda p: p.pop("schema"), "schema"),
+    (lambda p: p["model"].update(ln_count="1"), "model.ln_count"),
+])
+def test_bad_fit_file_names_file_and_field(panel_csv, tmp_path, capsys, edit, field):
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    payload = json.loads(fit.read_text())
+    edit(payload)
+    fit.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "lognormal", "--fit", fit, "--attr", "total_time")
+    assert code == 1
+    assert f"fit.json: field '{field}'" in err
+
+
 def test_betas_writes_table_and_plot(panel_csv, tmp_path, capsys):
     fit = fit_json(panel_csv, tmp_path, capsys)
     saving = tmp_path / "betas.csv"
@@ -269,6 +320,10 @@ def test_lognormal_table_default_sign(panel_csv, tmp_path, capsys):
     assert code == 0
     assert "sign +1" in out
     assert "median" in out and "mean" in out and "sd" in out
+    # --threads is accepted after every command name
+    again = run(capsys, "lognormal", "--fit", fit, "--attr", "total_time",
+                "--threads", 2)
+    assert again[:2] == (0, out)
 
 
 def test_lognormal_json_roundtrip(panel_csv, tmp_path, capsys):
@@ -309,6 +364,11 @@ def test_reshape_roundtrip(tmp_path, capsys):
     assert len(rows) == 6
     assert [r["choice"] for r in rows] == ["0", "1", "0", "1", "0", "0"]
     assert rows[0]["total_time"] == "10"
+    code, _, _ = run(
+        capsys, "reshape", wide, "--out", out, "--stubs", "tt=total_time",
+        "--ids", "id", "cs", "--alt-count", 3, "--threads", 2,
+    )
+    assert code == 0
 
 
 def test_reshape_identity_single_alternative(tmp_path, capsys):

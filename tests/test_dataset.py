@@ -306,3 +306,25 @@ def test_cluster_varies_within_individual(tmp_path):
         load_long_csv(
             path, "id", "cs", "altern", "choice", ["tt", "tc"], cluster_col="grp"
         )
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda rows: rows[0].__setitem__(0, "one"),     # id cell not an integer
+    lambda rows: rows[0].__setitem__(1, "2.5"),     # situation id not integral
+    lambda rows: rows.__setitem__(0, rows[0][:3]),  # short row
+])
+def test_malformed_rows_are_typed(tmp_path, mangle):
+    rows = basic_rows()
+    mangle(rows)
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    with pytest.raises(errors.MalformedCsv, match="row 2"):
+        load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
+
+
+def test_non_utf8_file_is_typed(tmp_path):
+    path = write_csv(tmp_path / "d.csv", HEADER, basic_rows())
+    path.write_bytes(path.read_bytes().replace(b"tc", b"t\xe9"))
+    with pytest.raises(errors.MalformedCsv, match="UTF-8"):
+        load_long_csv(path, "id", "cs", "altern", "choice", ["tt"])
+    with pytest.raises(errors.MalformedCsv, match="UTF-8"):
+        reshape_wide_to_long(path, [("x", "tt")], ["id"], 1)

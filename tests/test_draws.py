@@ -94,16 +94,16 @@ def test_inverse_normal_cdf_array_roundtrip():
 
 
 def test_build_drawset_single_individual():
-    ds = build_drawset(n_individuals=1, dims=1, nrep=2, burn=0)
-    got = ds.for_individual(0)[0]
+    draws = build_drawset(n_individuals=1, dims=1, nrep=2, burn=0)
+    got = draws[0, 0]
     assert got[0] == 0.0
     assert got[1] == pytest.approx(-0.6744897501960817, abs=1e-9)
 
 
 def test_build_drawset_block_assignment():
-    ds = build_drawset(n_individuals=2, dims=1, nrep=1, burn=0)
-    assert ds.for_individual(0)[0, 0] == 0.0
-    assert ds.for_individual(1)[0, 0] == pytest.approx(
+    draws = build_drawset(n_individuals=2, dims=1, nrep=1, burn=0)
+    assert draws[0, 0, 0] == 0.0
+    assert draws[1, 0, 0] == pytest.approx(
         -0.6744897501960817, abs=1e-9
     )
 
@@ -111,36 +111,36 @@ def test_build_drawset_block_assignment():
 def test_build_drawset_deterministic():
     a = build_drawset(5, 3, 7, burn=15)
     b = build_drawset(5, 3, 7, burn=15)
-    assert np.array_equal(a.draws, b.draws)
+    assert np.array_equal(a, b)
 
 
 def test_build_drawset_blocks_partition_the_stream():
     n, nrep, burn = 4, 6, 15
-    ds = build_drawset(n, 2, nrep, burn)
+    draws = build_drawset(n, 2, nrep, burn)
     for k, base in enumerate((2, 3)):
         stream = inverse_normal_cdf(halton_sequence(base, n * nrep, burn))
         for i in range(n):
             np.testing.assert_array_equal(
-                ds.for_individual(i)[k], stream[i * nrep:(i + 1) * nrep]
+                draws[i, k], stream[i * nrep:(i + 1) * nrep]
             )
 
 
 def test_build_drawset_dimensions_use_consecutive_primes():
-    ds = build_drawset(1, 3, 4, burn=0)
+    draws = build_drawset(1, 3, 4, burn=0)
     for k, base in enumerate((2, 3, 5)):
         expected = inverse_normal_cdf(halton_sequence(base, 4, 0))
-        np.testing.assert_array_equal(ds.for_individual(0)[k], expected)
+        np.testing.assert_array_equal(draws[0, k], expected)
 
 
 def test_draw_mean_converges_to_zero():
-    ds = build_drawset(n_individuals=100, dims=2, nrep=100, burn=15)
+    draws = build_drawset(n_individuals=100, dims=2, nrep=100, burn=15)
     for k in range(2):
-        assert abs(ds.draws[:, k, :].mean()) < 0.05
+        assert abs(draws[:, k, :].mean()) < 0.05
 
 
 def test_all_draws_finite():
-    ds = build_drawset(50, 4, 50, burn=15)
-    assert np.all(np.isfinite(ds.draws))
+    draws = build_drawset(50, 4, 50, burn=15)
+    assert np.all(np.isfinite(draws))
 
 
 def test_build_drawset_validates_arguments():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_dataset
 from mixrrm.dataset import load_long_csv
-from mixrrm.draws import DrawSet, build_drawset
+from mixrrm.draws import build_drawset
 from mixrrm.errors import (
     FewerClustersThanParameters,
     InvalidFitFile,
@@ -14,7 +14,10 @@ from mixrrm.errors import (
     SingularHessian,
 )
 from mixrrm.estimation import (
+    FIT_SCHEMA,
     FitOptions,
+    _fd_hessian,
+    _loglik,
     _maximize,
     covariance_cluster,
     covariance_hessian,
@@ -23,10 +26,10 @@ from mixrrm.estimation import (
     fit_mixed,
     fit_result_from_json,
     fit_result_to_json,
+    individual_scores,
     load_fit_json,
     save_fit_json,
     simulated_loglik,
-    _make_value_grad,
 )
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import irls_binary_logit, simulate_panel, write_rows_csv
@@ -110,7 +113,7 @@ def test_fd_hessian_covariance_matches_loglik_curvature(tmp_path, rng):
     fit = fit_classical(ds, spec)
 
     design = ModelDesign(ds, spec)
-    value = lambda x: _make_value_grad(design, None)(x, False)[0]
+    value = lambda x: _loglik(design, design.draws(), x)
     x = fit.theta
     n = x.size
     hess = np.empty((n, n))
@@ -135,12 +138,14 @@ def test_fd_hessian_covariance_matches_loglik_curvature(tmp_path, rng):
 def test_maximize_quadratic():
     target = np.array([2.0, -3.0])
 
-    def value_grad(x, need_grad):
+    def loglik(x):
         diff = x - target
-        ll = -0.5 * diff @ diff
-        return ll, (-diff if need_grad else None)
+        return -0.5 * diff @ diff
 
-    res = _maximize(value_grad, np.zeros(2))
+    def scores(x):  # one row: the whole objective and its gradient
+        return np.array([loglik(x)]), -(x - target)[None]
+
+    res = _maximize(loglik, scores, np.zeros(2))
     assert res.converged
     np.testing.assert_allclose(res.x, target, atol=1e-6)
 
@@ -149,7 +154,9 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
     ds = panel_dataset(tmp_path, rng, n_individuals=60, n_situations=3,
                        n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
     design = ModelDesign(ds, ModelSpec(fixed_attrs=("tt", "tc")))
-    res = _maximize(_make_value_grad(design, None), np.zeros(2))
+    draws = design.draws()
+    res = _maximize(lambda x: _loglik(design, draws, x),
+                    lambda x: individual_scores(design, draws, x), np.zeros(2))
     assert res.converged
     history = np.array(res.ll_history)
     noise = 8.0 * np.finfo(float).eps * (np.abs(history[:-1]) + 1.0)
@@ -161,7 +168,8 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
 
 @pytest.mark.parametrize("kwargs", [
     {"level": 150.0}, {"level": 0.0}, {"maxiter": -1}, {"gtol": 0.0},
-    {"covariance": "sandwich"},
+    {"covariance": "sandwich"}, {"burn": -1}, {"start": ["a"]},
+    {"start": {"a": 1.0}},
 ])
 def test_fit_options_rejects_out_of_range(kwargs):
     with pytest.raises(InvalidOption):
@@ -195,7 +203,7 @@ def test_classical_single_parameter_matches_grid_search():
     fit = fit_classical(ds, spec)
 
     design = ModelDesign(ds, spec)
-    value = lambda b: _make_value_grad(design, None)(np.array([b]), False)[0]
+    value = lambda b: _loglik(design, design.draws(), np.array([b]))
     grid = np.linspace(-5.0, 5.0, 20001)  # step 5e-4
     values = [value(b) for b in grid]
     best = grid[int(np.argmax(values))]
@@ -323,8 +331,7 @@ def test_degenerate_one_draw_equals_classical_objective(tmp_path, rng):
     spec_mixed = ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",))
     spec_classical = ModelSpec(fixed_attrs=("tc", "tt"))
 
-    z0 = DrawSet(nrep=1, burn=0, dims=1,
-                 draws=np.zeros((ds.n_individuals, 1, 1)))
+    z0 = np.zeros((ds.n_individuals, 1, 1))
     for b in (-0.5, 0.0, 1.2):
         theta_m = ParameterVector(
             fixed=np.array([-0.3]), rand_location=np.array([b]),
@@ -335,7 +342,8 @@ def test_degenerate_one_draw_equals_classical_objective(tmp_path, rng):
             rand_scale=np.zeros(0), asc=np.zeros(0),
         )
         sll = simulated_loglik(ds, spec_mixed, theta_m, z0)
-        ll = simulated_loglik(ds, spec_classical, theta_c, None)
+        ll = simulated_loglik(ds, spec_classical, theta_c,
+                              ModelDesign(ds, spec_classical).draws())
         assert sll == pytest.approx(ll, abs=1e-10)
 
 
@@ -387,7 +395,7 @@ def test_mixed_sign_flip_mirror_identity(tmp_path, rng):
                        random={"tt": ("normal", -0.5, 0.2)})
     spec = ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",))
     drawset = build_drawset(ds.n_individuals, 1, 16, 15)
-    mirrored = DrawSet(nrep=16, burn=15, dims=1, draws=-drawset.draws)
+    mirrored = -drawset
     theta_pos = ParameterVector(
         fixed=np.array([-0.3]), rand_location=np.array([-0.5]),
         rand_scale=np.array([0.2]), asc=np.zeros(0),
@@ -496,3 +504,98 @@ def test_fit_json_sizes_checked_against_model_block(tmp_path, rng, field):
         payload["covariance"] = [row[:1] for row in payload["covariance"]]
     with pytest.raises(InvalidFitFile, match=field):
         fit_result_from_json(payload)
+
+
+def test_start_checked_against_parameter_count(tmp_path, rng):
+    ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=2,
+                       n_alternatives=3, fixed={"tt": -0.4, "tc": -0.3})
+    spec = ModelSpec(fixed_attrs=("tt", "tc"))
+    for start in ([0.1], [[0.1, 0.2]]):
+        with pytest.raises(InvalidOption, match="start has shape"):
+            fit_classical(ds, spec, FitOptions(start=start))
+    with pytest.raises(InvalidOption, match="not finite at the starting values"):
+        fit_classical(ds, spec, FitOptions(start=[np.nan, 0.0]))
+
+
+def test_cluster_sandwich_needs_two_clusters(rng):
+    with pytest.raises(InvalidOption):
+        covariance_cluster(-np.eye(2), rng.normal(size=(4, 2)), [7, 7, 7, 7])
+
+
+@pytest.mark.parametrize("maxiter", [200, 2])
+def test_sandwich_uses_scores_of_the_final_point(tmp_path, rng, maxiter):
+    """The optimizer's last gradient rows are the sandwich meat: the robust
+    covariance equals the one rebuilt from a fresh score pass, bit for bit."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=40, n_situations=3,
+                       n_alternatives=3, fixed={"tc": -0.3},
+                       random={"tt": ("normal", -0.5, 0.2)})
+    spec = ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",))
+    opts = FitOptions(nrep=20, covariance="robust", maxiter=maxiter,
+                      start=[-0.3, -0.5, 0.1])
+    try:
+        fit = fit_mixed(ds, spec, opts)
+    except NonConvergence as err:
+        fit = err.result
+    assert fit.converged == (maxiter == 200)
+    design = ModelDesign(ds, spec)
+    draws = design.draws(20, 15)
+    scores = lambda x: individual_scores(design, draws, x)
+    expected = covariance_robust(_fd_hessian(scores, fit.theta),
+                                 scores(fit.theta)[1])
+    assert np.array_equal(fit.covariance, expected)
+
+
+def _without(payload, path):
+    *blocks, key = path.split(".")
+    for block in blocks:
+        payload = payload[block]
+    del payload[key]
+
+
+def _replaced(value):
+    def edit(payload, path):
+        *blocks, key = path.split(".")
+        for block in blocks:
+            payload = payload[block]
+        payload[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("path, edit, message", [
+    ("schema", _without, "'schema' is missing"),
+    ("schema", _replaced(FIT_SCHEMA + 1), "'schema' is 2; this version reads schema 1"),
+    ("schema", _replaced(True), "'schema' has the wrong type"),
+    ("model", _without, "'model' is missing"),
+    ("model", _replaced([]), "'model' has the wrong type"),
+    ("model.fixed_attrs", _without, "'model.fixed_attrs' is missing"),
+    ("model.fixed_attrs", _replaced("tt"), "'model.fixed_attrs' has the wrong type"),
+    ("model.use_asc", _replaced(0), "'model.use_asc' has the wrong type"),
+    ("model.alternative_labels", _replaced([1.5, 2]),
+     "'model.alternative_labels' has the wrong type"),
+    ("theta", _replaced(["0.1", 0.2]), "'theta' has the wrong type"),
+    ("covariance", _replaced([[1.0, "x"], [0.0, 1.0]]), "'covariance' has the wrong type"),
+    ("loglik", _without, "'loglik' is missing"),
+    ("nrep", _replaced("50"), "'nrep' has the wrong type"),
+    ("converged", _replaced("yes"), "'converged' has the wrong type"),
+])
+def test_fit_json_fields_checked(tmp_path, rng, path, edit, message):
+    ds = panel_dataset(tmp_path, rng, n_individuals=30, n_situations=2,
+                       n_alternatives=3, fixed={"tt": -0.4, "tc": -0.3})
+    payload = fit_result_to_json(fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc"))))
+    assert payload["schema"] == FIT_SCHEMA
+    edit(payload, path)
+    with pytest.raises(InvalidFitFile, match=message):
+        fit_result_from_json(payload)
+    # the file reader names the file as well as the field
+    fit_file = tmp_path / "fit.json"
+    fit_file.write_text(json.dumps(payload))
+    with pytest.raises(InvalidFitFile, match=f"fit.json: field {message}"):
+        load_fit_json(fit_file)
+
+
+@pytest.mark.parametrize("content", [b'{"schema": 1,', b"\xff\xfe{}", b"[1, 2]"])
+def test_fit_file_not_a_fit_object(tmp_path, content):
+    fit_file = tmp_path / "fit.json"
+    fit_file.write_bytes(content)
+    with pytest.raises(InvalidFitFile, match="fit.json"):
+        load_fit_json(fit_file)

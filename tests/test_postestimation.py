@@ -154,7 +154,7 @@ def test_betas_single_draw_equals_realization():
     table = individual_betas(ds, fit, nrep=1, burn=0)
     draws = build_drawset(2, 1, 1, 0)
     for pos in range(2):
-        expected = b + s * draws.for_individual(pos)[0, 0]
+        expected = b + s * draws[pos, 0, 0]
         assert table.values[pos, 0] == pytest.approx(expected, rel=1e-14)
 
 
@@ -166,7 +166,7 @@ def test_betas_identical_alternatives_give_simple_mean():
     fit = fake_fit(ds, spec, [0.3, -0.4, 0.7], nrep=16, burn=15)
     table = individual_betas(ds, fit)
     draws = build_drawset(1, 1, 16, 15)
-    realized = -0.4 + 0.7 * draws.for_individual(0)[0]
+    realized = -0.4 + 0.7 * draws[0, 0]
     assert table.values[0, 0] == pytest.approx(realized.mean(), rel=1e-12)
 
 
@@ -205,7 +205,7 @@ def test_betas_weights_are_probability_vectors(rng):
     design = ModelDesign(ds, fit.spec)
     draws = build_drawset(ds.n_individuals, 1, 32, 15)
     for pos, w in enumerate(weights):
-        coef = design.random_coefficient_draws(fit.theta_hat, draws.for_individual(pos))
+        coef = design.random_coefficient_draws(fit.theta_hat, draws[pos])
         assert table.values[pos, 0] == (w @ coef)[0]
 
 
@@ -220,7 +220,7 @@ def test_betas_stay_within_draw_hull(rng):
     draws = build_drawset(ds.n_individuals, 1, 16, 15)
     for pos in range(ds.n_individuals):
         realized = design.random_coefficient_draws(
-            design.unpack(np.asarray(theta)), draws.for_individual(pos)
+            design.unpack(np.asarray(theta)), draws[pos]
         )
         assert realized.min() - 1e-12 <= table.values[pos, 0]
         assert table.values[pos, 0] <= realized.max() + 1e-12

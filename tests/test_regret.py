@@ -33,7 +33,7 @@ def fixed_point(values, asc=()):
 
 def probs_at(design, theta, pos=0):
     """(S, J) choice probabilities of one individual, single zero draw."""
-    _, probs = design.individual_draw_info(pos, theta, design.zero_draws())
+    _, probs = design.individual_draw_info(pos, theta, design.draws()[pos])
     return probs[0]
 
 
@@ -310,7 +310,7 @@ def test_sequence_single_situation_equals_choice_probability():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
     ln_seq, probs = design.individual_draw_info(
-        0, fixed_point([-1.0]), design.zero_draws()
+        0, fixed_point([-1.0]), design.draws()[0]
     )
     assert math.exp(ln_seq[0]) == pytest.approx(probs[0, 0, 0], rel=1e-14)
 
@@ -320,7 +320,7 @@ def test_sequence_product_rule():
     sits = {s: [(1, x, True), (2, x, False)] for s in (1, 2)}
     ds = make_dataset({1: sits}, ["a"])
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, _ = design.individual_draw_info(0, fixed_point([3.0]), design.zero_draws())
+    ln_seq, _ = design.individual_draw_info(0, fixed_point([3.0]), design.draws()[0])
     assert math.exp(ln_seq[0]) == pytest.approx(0.25, rel=1e-14)
 
 
@@ -331,7 +331,7 @@ def test_sequence_ten_thirds_no_underflow():
     }
     ds = make_dataset({1: sits}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
-    theta, z = fixed_point([0.0, 0.0]), design.zero_draws()
+    theta, z = fixed_point([0.0, 0.0]), design.draws()[0]
     ln_seq, _ = design.individual_draw_info(0, theta, z)
     assert math.exp(ln_seq[0]) == pytest.approx(3.0 ** -10, rel=1e-12)
     assert design.individual_loglik(0, theta, z) == pytest.approx(
@@ -347,7 +347,7 @@ def test_regret_gradient_zero_differences():
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False)]}}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
     _, grad = design.individual_loglik_gradient(
-        0, fixed_point([1.3, -0.4]), design.zero_draws()
+        0, fixed_point([1.3, -0.4]), design.draws()[0]
     )
     np.testing.assert_array_equal(grad, [0.0, 0.0])
 
@@ -356,7 +356,7 @@ def test_regret_gradient_two_alternative_example():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
     _, grad = design.individual_loglik_gradient(
-        0, fixed_point([-1.0]), design.zero_draws()
+        0, fixed_point([-1.0]), design.draws()[0]
     )
     # d ln P_1 / d beta = P_2 (dR_2/d beta - dR_1/d beta)
     #                   = logistic(-1) * (-logistic(1) - logistic(-1))
@@ -375,7 +375,7 @@ def test_regret_gradient_matches_finite_differences(seed):
     design = design_for(ds, fixed_attrs=("x0", "x1"))
     values = rng.normal(size=2)
     _, grad = design.individual_loglik_gradient(
-        0, fixed_point(values), design.zero_draws()
+        0, fixed_point(values), design.draws()[0]
     )
     plain = [plain_situations(design, 0)]
 
@@ -414,7 +414,7 @@ def test_loglik_gradient_zero_scale_matches_classical(rng):
     theta_c = fixed_point([0.4, -0.8])
     ll_m, g_m = mixed.individual_loglik_gradient(0, theta_m, z)
     ll_c, g_c = classical.individual_loglik_gradient(
-        0, theta_c, classical.zero_draws()
+        0, theta_c, classical.draws()[0]
     )
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)  # fixed coefficient
@@ -435,7 +435,7 @@ def test_loglik_gradient_single_draw_reduces_to_classical(rng):
     theta_c = fixed_point([0.2, b + s * z[0, 0]])
     ll_m, g_m = mixed.individual_loglik_gradient(0, theta_m, z)
     ll_c, g_c = classical.individual_loglik_gradient(
-        0, theta_c, classical.zero_draws()
+        0, theta_c, classical.draws()[0]
     )
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)
