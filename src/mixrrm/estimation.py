@@ -62,12 +62,15 @@ class FitOptions:
                 raise InvalidOption("start is not a list of numbers") from None
 
     def check_cluster(self, ds: ChoiceDataset) -> None:
-        """A cluster covariance needs a cluster id for every individual."""
-        if self.covariance == "cluster" and (
-            self.cluster is None
-            or any(b.individual_id not in self.cluster for b in ds.individuals)
-        ):
+        """A cluster covariance needs a cluster id for every individual, and
+        at least 2 distinct ids among them."""
+        if self.covariance != "cluster":
+            return
+        ids = [b.individual_id for b in ds.individuals]
+        if self.cluster is None or any(i not in self.cluster for i in ids):
             raise InvalidOption("the cluster mapping must cover every individual")
+        if len({self.cluster[i] for i in ids}) < 2:
+            raise InvalidOption("cluster sandwich needs at least 2 clusters")
 
 
 @dataclass

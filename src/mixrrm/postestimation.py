@@ -167,7 +167,7 @@ def lognormal_summary(fit: FitResult, attr: str, sign: int = 1) -> LognormalSumm
     s only through s^2): median = exp(b), mean = exp(b + s^2/2),
     sd = mean * sqrt(exp(s^2) - 1).  ``sign`` of -1 flips median and mean
     for attributes that were negated before estimation; the sd keeps its
-    sign-free value.
+    sign-free value.  Moments beyond the float range raise DomainError.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -185,16 +185,23 @@ def lognormal_summary(fit: FitResult, attr: str, sign: int = 1) -> LognormalSumm
     s = fit.theta[idx_s]
     sub_cov = fit.covariance[np.ix_([idx_b, idx_s], [idx_b, idx_s])]
 
-    median = math.exp(b)
     s2 = s * s
-    mean = math.exp(b + 0.5 * s2)
-    spread = math.sqrt(math.expm1(s2))
+    try:
+        median, mean = math.exp(b), math.exp(b + 0.5 * s2)
+        spread, growth = math.sqrt(math.expm1(s2)), math.exp(s2)
+    except OverflowError:
+        mean = spread = math.inf
     sd = mean * spread
+    if not math.isfinite(sd):
+        raise DomainError(
+            f"log-normal coefficient {attr!r} has no finite moments: "
+            f"location {b:.6g}, scale {s:.6g}"
+        )
 
     jac_median = np.array([median, 0.0])
     jac_mean = np.array([mean, mean * s])
     if s != 0.0:
-        d_sd_ds = sd * s + mean * s * math.exp(s2) / spread
+        d_sd_ds = sd * s + mean * s * growth / spread
     else:
         d_sd_ds = mean  # limit of the expression as s -> 0
     jac_sd = np.array([sd, d_sd_ds])

@@ -9,8 +9,13 @@ individual's choice situations, and averages the product over draws.
 
 Everything here is a pure function of its inputs.  The hot path is
 :meth:`ModelDesign.individual_loglik_gradient`, vectorized over draws and
-situations within one individual.  The test suite checks it against a
-first-principles reference written with plain loops (``tests/oracles.py``).
+situations within one individual.  It evaluates each unordered pair of
+alternatives i < j once: with a = beta_m * (x_j - x_i), i bears
+ln(1 + exp(a)) and j bears ln(1 + exp(-a)), both from one exp(-|a|).  The
+fixed attributes and the constants form a base that does not depend on the
+draw, so only the random attributes are evaluated per draw.  The test suite
+checks the kernel against a first-principles reference written with plain
+loops (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -22,12 +27,6 @@ import numpy as np
 from .dataset import ChoiceDataset, IndividualBlock
 from .draws import build_drawset
 from .errors import SpecMismatch
-
-
-def softplus(x):
-    """ln(1 + exp(x)) without overflow: max(x, 0) + log1p(exp(-|x|))."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,17 @@ class ParameterVector:
 
 @dataclass(frozen=True)
 class _BlockData:
-    """Precomputed tensors for one individual (S situations padded to J)."""
+    """Precomputed tensors for one individual: S situations padded to J slots
+    and their P = J(J-1)/2 unordered slot pairs i < j.  The draw axis goes
+    last (a trailing 1 here), so every kernel reduction adds whole slabs."""
 
     avail: np.ndarray        # (S, J) bool
     chosen: np.ndarray       # (S,) int, position within the situation
-    diffs: np.ndarray        # (S, J, J, M): x[j] - x[i] per attribute
-    pair_mask: np.ndarray    # (S, J, J) bool: both available, i != j
-    asc_pos: np.ndarray      # (S, J) int index into asc vector, -1 for base
-    asc_onehot: np.ndarray   # (S, J, n_asc) float
+    d_fixed: np.ndarray      # (Mf, P, S, 1) x[j] - x[i], fixed attributes
+    d_random: np.ndarray     # (Mr, P, S, 1) x[j] - x[i], random attributes
+    live: np.ndarray         # (P, S, 1) float: 1 where both slots hold data
+    incidence: np.ndarray    # (2P, J): row p marks slot i of pair p, row P+p slot j
+    asc_onehot: np.ndarray   # (J, S, n_asc) float
 
 
 class ModelDesign:
@@ -176,8 +178,9 @@ class ModelDesign:
         self.n_params = len(self.param_names)
 
         asc_index = {label: a for a, label in enumerate(self.asc_labels)}
+        pairs = {}  # J -> slot pairs and incidence, shared by blocks of equal J
         self._blocks = [
-            self._build_block(block, asc_index) for block in ds.individuals
+            self._build_block(block, asc_index, pairs) for block in ds.individuals
         ]
 
     # -- packing ------------------------------------------------------------
@@ -197,12 +200,11 @@ class ModelDesign:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_block(self, block: IndividualBlock, asc_index) -> _BlockData:
+    def _build_block(self, block: IndividualBlock, asc_index, pairs) -> _BlockData:
         n_sit = block.n_situations
         j_max = max(s.n_alternatives for s in block.situations)
-        n_model = len(self.model_attrs)
 
-        x = np.zeros((n_sit, j_max, n_model))
+        x = np.zeros((n_sit, j_max, len(self.model_attrs)))
         avail = np.zeros((n_sit, j_max), dtype=bool)
         chosen = np.zeros(n_sit, dtype=np.intp)
         asc_pos = np.full((n_sit, j_max), -1, dtype=np.intp)
@@ -214,18 +216,23 @@ class ModelDesign:
             for j, (label, _, _) in enumerate(sit.alternatives):
                 asc_pos[s, j] = asc_index.get(label, -1)
 
-        diffs = x[:, None, :, :] - x[:, :, None, :]  # [s,i,j,m] = x[j,m]-x[i,m]
-        pair = avail[:, :, None] & avail[:, None, :]
-        pair &= ~np.eye(j_max, dtype=bool)[None]
+        if j_max not in pairs:
+            first, second = np.triu_indices(j_max, 1)
+            pairs[j_max] = first, second, np.eye(j_max)[np.r_[first, second]]
+        first, second, incidence = pairs[j_max]
+        live = (avail[:, first] & avail[:, second]).T[..., None]
+        # a pair with a padded slot gets a zero difference, so it adds
+        # nothing to the gradient; ``live`` masks it out of the regrets
+        pair_diff = (x[:, second] - x[:, first]).T[..., None] * live
 
-        asc_onehot = np.zeros((n_sit, j_max, self.n_asc))
-        if self.n_asc:
-            s_idx, j_idx = np.nonzero(asc_pos >= 0)
-            asc_onehot[s_idx, j_idx, asc_pos[s_idx, j_idx]] = 1.0
+        asc_onehot = np.zeros((j_max, n_sit, self.n_asc))
+        s_idx, j_idx = np.nonzero(asc_pos >= 0)
+        asc_onehot[j_idx, s_idx, asc_pos[s_idx, j_idx]] = 1.0
 
         return _BlockData(
-            avail=avail, chosen=chosen, diffs=diffs, pair_mask=pair,
-            asc_pos=asc_pos, asc_onehot=asc_onehot,
+            avail=avail, chosen=chosen, d_fixed=pair_diff[self._fixed_pos],
+            d_random=pair_diff[self._random_pos], live=live.astype(float),
+            incidence=incidence, asc_onehot=asc_onehot,
         )
 
     # -- coefficient realization ---------------------------------------------
@@ -238,18 +245,16 @@ class ModelDesign:
         with no random coefficients takes its one zero draw, shape (0, 1),
         from :meth:`draws`.
         """
-        n_draws = z.shape[1]
-        beta = np.empty((n_draws, len(self.model_attrs)))
+        beta = np.empty((z.shape[1], len(self.model_attrs)))
         beta[:, self._fixed_pos] = theta.fixed
-        if self.n_random:
-            vals = theta.rand_location[:, None] + theta.rand_scale[:, None] * z
-            vals[self._lognormal] = np.exp(vals[self._lognormal])
-            beta[:, self._random_pos] = vals.T
+        beta[:, self._random_pos] = self.random_coefficient_draws(theta, z)
         return beta
 
     def random_coefficient_draws(self, theta, z) -> np.ndarray:
         """(R, K) realized random coefficients, coefficient scale, declared order."""
-        return self.realize_batch(theta, z)[:, self._random_pos]
+        vals = theta.rand_location[:, None] + theta.rand_scale[:, None] * z
+        np.exp(vals, out=vals, where=self._lognormal[:, None])
+        return vals.T
 
     def available(self, position: int) -> np.ndarray:
         """(S, J) mask of the slots holding data rows (dataset order in C order)."""
@@ -257,43 +262,39 @@ class ModelDesign:
 
     # -- per-individual kernels ------------------------------------------------
 
-    def _draw_regrets(self, bd: _BlockData, beta, theta, want_gradient):
-        """Regrets (R,S,J) and, when asked, d(regret)/d(beta) (R,S,J,M)."""
-        activation = beta[:, None, None, None, :] * bd.diffs[None]
-        sp = softplus(activation)
-        d_regret = None
-        if want_gradient:
-            # softplus'(x) = logistic(x) = exp(x - softplus(x)), never overflows
-            sig = np.exp(activation - sp)
-            sig *= bd.pair_mask[None, ..., None]
-            d_regret = np.einsum("rsijm,sijm->rsim", sig, bd.diffs)
-        sp *= bd.pair_mask[None, ..., None]
-        regrets = sp.sum(axis=(3, 4))
-        if self.n_asc:
-            safe = np.maximum(bd.asc_pos, 0)
-            asc_vals = np.where(bd.asc_pos >= 0, theta.asc[safe], 0.0)
-            regrets = regrets + asc_vals[None]
-        return regrets, d_regret
+    def _draw_regrets(self, bd: _BlockData, theta, coefs, want_gradient):
+        """Regrets (J,S,R) under the (K,R) random coefficients ``coefs``: a
+        draw-invariant (J,S,1) base of the fixed attributes and constants plus
+        the random attributes' terms; with ``want_gradient`` also the pair
+        logistics of the fixed (Mf,P,S,1) and random (Mr,P,S,R) attributes."""
+        fixed, sig_fixed = _pair_terms(
+            theta.fixed[:, None, None, None] * bd.d_fixed, bd.live, want_gradient
+        )
+        regrets = _lead(bd.incidence.T, fixed) + (bd.asc_onehot @ theta.asc)[..., None]
+        if not self.n_random:  # a classical model: the base is all there is
+            return regrets, sig_fixed, None
+        drawn, sig_random = _pair_terms(
+            coefs[:, None, None, :] * bd.d_random, bd.live, want_gradient
+        )
+        return regrets + _lead(bd.incidence.T, drawn), sig_fixed, sig_random
 
     def _probabilities(self, bd: _BlockData, regrets):
-        """Per-draw choice probabilities (R,S,J) and chosen log-probs (R,S)."""
-        neg = np.where(bd.avail[None], -regrets, -np.inf)
-        peak = neg.max(axis=2, keepdims=True)
+        """Per-draw choice probabilities (J,S,R) and chosen log-probs (S,R)."""
+        neg = np.where(bd.avail.T[..., None], -regrets, -np.inf)
+        peak = neg.max(axis=0)
         expn = np.exp(neg - peak)
-        denom = expn.sum(axis=2, keepdims=True)
+        denom = expn.sum(axis=0)
         probs = expn / denom
-        lse = peak[..., 0] + np.log(denom[..., 0])
-        s_idx = np.arange(bd.chosen.shape[0])
-        ln_chosen = neg[:, s_idx, bd.chosen] - lse
-        return probs, ln_chosen
+        lse = peak + np.log(denom)
+        return probs, neg[bd.chosen, np.arange(bd.chosen.size)] - lse
 
     def individual_draw_info(self, position: int, theta, z):
         """Per-draw sequence log-probs (R,) and probabilities (R,S,J)."""
         bd = self._blocks[position]
-        beta = self.realize_batch(theta, z)
-        regrets, _ = self._draw_regrets(bd, beta, theta, want_gradient=False)
+        coefs = self.random_coefficient_draws(theta, z).T
+        regrets, _, _ = self._draw_regrets(bd, theta, coefs, want_gradient=False)
         probs, ln_chosen = self._probabilities(bd, regrets)
-        return ln_chosen.sum(axis=1), probs
+        return ln_chosen.sum(axis=0), probs.T
 
     def individual_loglik(self, position: int, theta, z) -> float:
         ln_seq, _ = self.individual_draw_info(position, theta, z)
@@ -306,42 +307,72 @@ class ModelDesign:
         and ``grad`` is exact with respect to the packed parameter vector.
         """
         bd = self._blocks[position]
-        beta = self.realize_batch(theta, z)
-        regrets, d_regret = self._draw_regrets(bd, beta, theta, want_gradient=True)
+        coefs = self.random_coefficient_draws(theta, z).T
+        regrets, sig_fixed, sig_random = self._draw_regrets(
+            bd, theta, coefs, want_gradient=True
+        )
         probs, ln_chosen = self._probabilities(bd, regrets)
 
         # d ln P(chosen) / d R_i = P_i - 1[i = chosen]
         resid = probs.copy()
-        s_idx = np.arange(bd.chosen.shape[0])
-        resid[:, s_idx, bd.chosen] -= 1.0
+        resid[bd.chosen, np.arange(bd.chosen.size)] -= 1.0
+        res_i, res_j = _lead(bd.incidence, resid).reshape(2, -1, *resid.shape[1:])
 
-        g_beta = np.einsum("rsi,rsim->rm", resid, d_regret)
-
-        n_draws = beta.shape[0]
-        per_draw = np.empty((n_draws, self.n_params))
-        per_draw[:, :self.n_fixed] = g_beta[:, self._fixed_pos]
+        n_draws = z.shape[1]
+        f, k = self.n_fixed, self.n_random
+        per_draw = np.empty((self.n_params, n_draws))
+        per_draw[:f] = _pair_gradient(bd.d_fixed, sig_fixed, res_i, res_j)
         if self.n_random:
-            g_rand = g_beta[:, self._random_pos]
             # chain rule: d beta/d b is 1 (normal) or beta (log-normal);
             # d beta/d s multiplies that by the draw.
-            link = np.where(
-                self._lognormal[None], beta[:, self._random_pos], 1.0
-            )
-            f, k = self.n_fixed, self.n_random
-            per_draw[:, f:f + k] = g_rand * link
-            per_draw[:, f + k:f + 2 * k] = g_rand * link * z.T
+            g_rand = _pair_gradient(bd.d_random, sig_random, res_i, res_j)
+            g_rand *= np.where(self._lognormal[:, None], coefs, 1.0)
+            per_draw[f:f + k] = g_rand
+            per_draw[f + k:f + 2 * k] = g_rand * z
         if self.n_asc:
-            per_draw[:, self.n_fixed + 2 * self.n_random:] = np.einsum(
-                "rsi,sia->ra", resid, bd.asc_onehot
-            )
+            per_draw[f + 2 * k:] = (bd.asc_onehot.reshape(-1, self.n_asc).T
+                                    @ resid.reshape(-1, n_draws))
 
-        ln_seq = ln_chosen.sum(axis=1)
+        ln_seq = ln_chosen.sum(axis=0)
         peak = ln_seq.max()
         weights = np.exp(ln_seq - peak)
         total = weights.sum()
         ll = peak + np.log(total) - np.log(n_draws)
         weights /= total
-        return ll, weights @ per_draw
+        return ll, per_draw @ weights
+
+
+def _lead(matrix, array):
+    """``matrix`` (A, B) applied to the leading axis of ``array`` (B, ...)."""
+    return (matrix @ array.reshape(len(array), -1)).reshape(-1, *array.shape[1:])
+
+
+def _pair_terms(a, live, want_logistic):
+    """Regret terms of the pair activations ``a`` (M, P, S, R), summed over
+    the attributes: ln(1 + exp(a)), borne by slot i of each pair, then
+    ln(1 + exp(-a)), borne by slot j, as (2P, S, R); and logistic(a) when
+    asked.
+
+    Both directions share t = exp(-|a|) and are exact, with no cancellation:
+    ln(1 + exp(+-a)) = max(+-a, 0) + log1p(t), and logistic(a) is 1/(1+t)
+    for a >= 0, else t/(1+t).  ``live`` zeroes t of a dead pair, whose a is
+    0, so its terms are exactly 0.
+    """
+    t = np.exp(-np.abs(a)) * live
+    log_t = np.log1p(t)
+    terms = np.concatenate([
+        (np.maximum(a, 0.0) + log_t).sum(axis=0),
+        (np.maximum(-a, 0.0) + log_t).sum(axis=0),
+    ])
+    sig = np.where(a >= 0.0, 1.0, t) / (1.0 + t) if want_logistic else None
+    return terms, sig
+
+
+def _pair_gradient(d, sig, res_i, res_j):
+    """d(sum_i res_i R_i)/d beta per attribute and draw, (M, R), from the
+    pairs: sum over p and s of d ((res_i + res_j) logistic(a) - res_j),
+    since logistic(-a) = 1 - logistic(a)."""
+    return (d * (sig * (res_i + res_j) - res_j)).sum(axis=(1, 2))
 
 
 def _log_mean_exp(values: np.ndarray) -> float:

@@ -338,6 +338,19 @@ def test_lognormal_json_roundtrip(panel_csv, tmp_path, capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_lognormal_overflowing_location_exit_1(panel_csv, tmp_path, capsys):
+    fit = lognormal_fit_json(panel_csv, tmp_path, capsys)
+    payload = json.loads(fit.read_text())
+    payload["theta"][1] = 800.0  # total_time's location: exp(800) overflows
+    fit.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "lognormal", "--fit", fit,
+                         "--attr", "total_time")
+    assert code == 1
+    assert out == ""
+    assert "total_time" in err
+    assert "Traceback" not in err
+
+
 def test_lognormal_wrong_attr_exit_1(panel_csv, tmp_path, capsys):
     fit = fit_json(panel_csv, tmp_path, capsys)  # normal, not log-normal
     code, _, err = run(capsys, "lognormal", "--fit", fit,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset
+from mixrrm import estimation
 from mixrrm.dataset import load_long_csv
 from mixrrm.draws import build_drawset
 from mixrrm.errors import (
@@ -184,6 +185,23 @@ def test_cluster_mapping_must_cover_every_individual(tmp_path, rng):
         opts = FitOptions(covariance="cluster", cluster=cluster)
         with pytest.raises(InvalidOption):
             fit_classical(ds, ModelSpec(fixed_attrs=("tt",)), opts)
+
+
+def test_one_cluster_rejected_before_any_kernel(tmp_path, rng, monkeypatch):
+    ds = panel_dataset(tmp_path, rng, n_individuals=6, n_situations=2,
+                       n_alternatives=3, fixed={"tc": -0.3},
+                       random={"tt": ("normal", -0.5, 0.2)})
+    one_cluster = {block.individual_id: 7 for block in ds.individuals}
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the fit ran a kernel")
+
+    monkeypatch.setattr(estimation, "ModelDesign", no_kernel)
+    monkeypatch.setattr(estimation, "individual_scores", no_kernel)
+    monkeypatch.setattr(estimation, "_loglik", no_kernel)
+    opts = FitOptions(covariance="cluster", cluster=one_cluster, nrep=5)
+    with pytest.raises(InvalidOption, match="at least 2 clusters"):
+        fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)), opts)
 
 
 def test_classical_rejects_random_spec():

@@ -481,3 +481,104 @@ def test_kernel_matches_scalar_composition(seed):
         ref = brute_force_sll([plain_situations(design, pos)], oracle_theta,
                               [z.tolist()], asc=[asc])
         assert ll == pytest.approx(ref, abs=1e-12)
+
+
+# --- pair indexing: padding, alternative order, extreme activations -----------
+
+
+def padded_design(data, rng, n_individuals=2, attr_scale=1.0):
+    """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
+    file order, so smaller situations pad their slots and labels go missing;
+    x0 is fixed, x1 normal and x2 log-normal, and the constants' base is a
+    label other than the lowest."""
+    individuals = {}
+    for n in range(1, n_individuals + 1):
+        sizes = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+        sits = {}
+        for s, size in enumerate(sizes, start=1):
+            labels = rng.permutation(5)[:size] + 1
+            chosen = int(rng.integers(size))
+            sits[s] = [(int(label), (attr_scale * rng.normal(size=3)).tolist(),
+                        j == chosen) for j, label in enumerate(labels)]
+        individuals[n] = sits
+    ds = make_dataset(individuals, ["x0", "x1", "x2"])
+    base = data.draw(st.sampled_from(ds.alternative_labels[1:]))
+    return design_for(ds, fixed_attrs=("x0",), random_attrs=("x1", "x2"),
+                      ln_count=1, use_asc=True, base_alternative=base)
+
+
+def oracle_loglik(design, pos, x, z):
+    """brute_force_sll of one individual at the packed point ``x``."""
+    theta = design.unpack(x)
+    constant = dict(zip(design.asc_labels, theta.asc.tolist()))
+    asc = [[constant.get(label, 0.0) for label, _, _ in sit.alternatives]
+           for sit in design.ds.individuals[pos].situations]
+    oracle_theta = {
+        "fixed": theta.fixed.tolist(), "location": theta.rand_location.tolist(),
+        "scale": theta.rand_scale.tolist(), "lognormal": [False, True],
+    }
+    return brute_force_sll([plain_situations(design, pos)], oracle_theta,
+                           [z.tolist()], asc=[asc])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_padded_situations_match_oracle(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    design = padded_design(data, rng)
+    x = rng.normal(size=design.n_params) * 0.5
+    z = rng.normal(size=(2, 3))
+    for pos in range(design.ds.n_individuals):
+        ll, grad = design.individual_loglik_gradient(pos, design.unpack(x), z)
+        ref = oracle_loglik(design, pos, x, z)
+        assert ll == pytest.approx(ref, rel=1e-12)
+        assert design.individual_loglik(pos, design.unpack(x), z) == pytest.approx(
+            ref, rel=1e-12
+        )
+        oracle = fd_gradient(lambda v: oracle_loglik(design, pos, v, z), x,
+                             rel_step=5e-6)
+        np.testing.assert_allclose(grad, oracle, rtol=1e-7, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_alternative_order_leaves_loglik_unchanged(data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    design = padded_design(data, rng, n_individuals=1)
+    (block,) = design.ds.individuals
+    shuffled = {
+        s: [(label, x.tolist(), chosen)
+            for label, x, chosen in (sit.alternatives[j]
+                                     for j in rng.permutation(sit.n_alternatives))]
+        for s, sit in enumerate(block.situations, start=1)
+    }
+    other = design_for(make_dataset({1: shuffled}, ["x0", "x1", "x2"]),
+                       **vars(design.spec))
+    theta = design.unpack(rng.normal(size=design.n_params) * 0.5)
+    z = rng.normal(size=(2, 4))
+    assert other.individual_loglik(0, theta, z) == pytest.approx(
+        design.individual_loglik(0, theta, z), rel=1e-12
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.floats(300.0, 3000.0))
+def test_extreme_activations_stay_finite(data, size):
+    """|beta * dx| around 1e3: no overflow in the value, the gradient or the
+    probabilities, which still sum to 1."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    design = padded_design(data, rng, attr_scale=size / 100.0)
+    sign = rng.choice([-1.0, 1.0], size=2)
+    theta = ParameterVector(
+        fixed=np.array([100.0 * sign[0]]),
+        rand_location=np.array([100.0 * sign[1], math.log(100.0)]),
+        rand_scale=np.array([10.0, 0.1]),
+        asc=rng.normal(size=design.n_asc),
+    )
+    z = rng.normal(size=(2, 5))
+    for pos in range(design.ds.n_individuals):
+        ll, grad = design.individual_loglik_gradient(pos, theta, z)
+        ln_seq, probs = design.individual_draw_info(pos, theta, z)
+        assert np.isfinite(ll) and np.all(np.isfinite(grad))
+        assert np.all(np.isfinite(ln_seq)) and np.all(np.isfinite(probs))
+        np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-12)
