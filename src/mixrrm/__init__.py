@@ -12,8 +12,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # dataset
     "ChoiceDataset": "dataset",
-    "IndividualBlock": "dataset",
-    "ChoiceSituation": "dataset",
     "load_long_csv": "dataset",
     "reshape_wide_to_long": "dataset",
     "cluster_index": "dataset",

@@ -286,6 +286,8 @@ def cmd_predict(args) -> int:
     from .estimation import load_fit_json
     from .postestimation import draw_settings, predict_rows
 
+    if os.path.exists(args.out) and os.path.samefile(args.out, args.data):
+        raise InvalidOption(f"--out {args.out} is the data file it reads")
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))

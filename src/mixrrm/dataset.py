@@ -1,11 +1,11 @@
 """Long-format panel choice data: ingestion, validation, indexing.
 
 The canonical layout is one CSV row per alternative, grouped into choice
-situations (one row has ``choice = 1``), grouped into individuals.  After
-loading, the data are held in an immutable nested structure ordered
-individuals -> situations -> alternatives so downstream code can iterate
-without re-scanning, and so that draw assignment is stable no matter how
-the input file was ordered.
+situations (one row has ``choice = 1``), grouped into individuals.  A
+loaded panel is a table of row columns sorted by individual and situation,
+with file order kept inside a situation, so downstream code slices
+contiguous runs, and draw assignment is stable no matter how the input
+file was ordered.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -31,73 +30,75 @@ from .errors import (
     SituationTooSmall,
 )
 
+_INT64 = range(-2**63, 2**63)
 
-@dataclass(frozen=True)
-class ChoiceSituation:
-    """One choice occasion: the alternatives shown and the one picked.
 
-    ``alternatives`` keeps the file's row order; each entry is
-    ``(alternative_id, attributes, chosen)`` with ``attributes`` a float
-    vector aligned with the dataset's ``attribute_names``.  ``source_rows``
-    holds each alternative's row number in the file it was loaded from
-    (header = 1); it is empty for a situation built in memory.
+@dataclass(frozen=True, eq=False)
+class ChoiceDataset:
+    """A validated panel as read-only row columns, one row per alternative.
+
+    Construction sorts the rows stably by (individual, situation) and checks
+    that every situation has at least 2 rows and exactly one chosen.
+    ``source_row`` is each row's number in the file it was loaded from
+    (header = 1); ``cluster`` is the optional integer column
+    ``cluster_col``.  The labels and the start offsets are derived:
+    ``situation_starts`` holds the first row of each situation,
+    ``individual_starts`` the first situation of each individual.
     """
 
-    situation_id: int
-    alternatives: tuple[tuple[int, np.ndarray, bool], ...]
-    source_rows: tuple[int, ...] = ()
-
-    @property
-    def n_alternatives(self) -> int:
-        return len(self.alternatives)
-
-    @property
-    def chosen_index(self) -> int:
-        for pos, (_, _, chosen) in enumerate(self.alternatives):
-            if chosen:
-                return pos
-        raise AssertionError("validated situation lost its chosen flag")
-
-    def attribute_matrix(self) -> np.ndarray:
-        """(J, M) matrix of attribute values in row order."""
-        return np.array([alt[1] for alt in self.alternatives], dtype=float)
-
-
-@dataclass(frozen=True)
-class IndividualBlock:
-    individual_id: int
-    situations: tuple[ChoiceSituation, ...]
-
-    @property
-    def n_situations(self) -> int:
-        return len(self.situations)
-
-
-@dataclass(frozen=True)
-class ChoiceDataset:
-    """Validated panel of individuals, ordered ascending by individual ID."""
-
-    individuals: tuple[IndividualBlock, ...]
+    individual: np.ndarray    # (rows,) int64
+    situation: np.ndarray     # (rows,) int64
+    alternative: np.ndarray   # (rows,) int64
+    chosen: np.ndarray        # (rows,) bool
+    attributes: np.ndarray    # (rows, M) float
+    source_row: np.ndarray    # (rows,) int64
     attribute_names: tuple[str, ...]
-    alternative_labels: tuple[int, ...]
+    cluster: np.ndarray | None = None  # (rows,) int64
     cluster_col: str | None = None
-    cluster_values: dict[int, int] | None = field(default=None, repr=False)
+    alternative_labels: tuple[int, ...] = field(init=False)
+    situation_starts: np.ndarray = field(init=False, repr=False)
+    individual_starts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        set_ = lambda name, value: object.__setattr__(self, name, value)
+        order = np.lexsort((self.situation, self.individual))
+        dtypes = dict(individual=np.int64, situation=np.int64, alternative=np.int64,
+                      chosen=bool, attributes=float, source_row=np.int64, cluster=np.int64)
+        for name, dtype in dtypes.items():
+            if getattr(self, name) is not None:
+                column = np.asarray(getattr(self, name), dtype=dtype)[order]
+                column.setflags(write=False)
+                set_(name, column)
+        set_("alternative_labels", tuple(sorted(set(self.alternative.tolist()))))
+
+        starts = _run_starts(self.individual, self.situation)
+        sizes = np.diff(starts, append=self.n_rows)
+        n_chosen = np.add.reduceat(self.chosen, starts, dtype=np.intp)
+        broken = np.flatnonzero((sizes < 2) | (n_chosen != 1))
+        if broken.size:  # the first broken situation in sorted order
+            s = broken[0]
+            rule = (SituationTooSmall if sizes[s] < 2
+                    else MultipleChosen if n_chosen[s] > 1 else NoneChosen)
+            raise rule(int(self.individual[starts[s]]), int(self.situation[starts[s]]))
+        set_("situation_starts", starts)
+        set_("individual_starts", _run_starts(self.individual[starts]))
+
+    @property
+    def individual_ids(self) -> np.ndarray:
+        """(N,) individual IDs, ascending."""
+        return self.individual[self.situation_starts[self.individual_starts]]
 
     @property
     def n_individuals(self) -> int:
-        return len(self.individuals)
+        return self.individual_starts.size
 
     @property
     def n_situations(self) -> int:
-        return sum(block.n_situations for block in self.individuals)
+        return self.situation_starts.size
 
     @property
     def n_rows(self) -> int:
-        return sum(
-            situation.n_alternatives
-            for block in self.individuals
-            for situation in block.situations
-        )
+        return self.individual.size
 
     def attribute_index(self, name: str) -> int:
         try:
@@ -106,15 +107,53 @@ class ChoiceDataset:
             raise MissingColumn(name) from None
 
 
-def _parse_int(value: str, row: int, col: str) -> int:
-    """id/group/alternative cells must be integer-valued (``2`` or ``2.0``)."""
+def _run_starts(*keys) -> np.ndarray:
+    """Offsets at which a run of rows with equal ``keys`` begins."""
+    changed = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return np.flatnonzero(np.r_[keys[0].size > 0, changed])
+
+
+def _to_int(cell) -> int:
+    """An int64 cell, exactly: ``2``, or an exact float form such as ``2.0``;
+    the ValueError says why any other cell is not one."""
     try:
-        as_float = float(value)
+        value = int(cell)
     except (TypeError, ValueError):
-        as_float = float("nan")
-    if not as_float.is_integer():
-        raise MalformedCsv(f"row {row}: column {col!r} value {value!r} is not an integer")
-    return int(as_float)
+        from decimal import Decimal  # imported only when a float form needs it
+        try:
+            exact = Decimal(cell) if float(cell).is_integer() else None
+        except (TypeError, ValueError):
+            exact = None
+        if exact is None or exact != exact.to_integral_value():
+            raise ValueError("is not an integer") from None
+        value = int(exact)
+    if value not in _INT64:
+        raise ValueError("is outside the int64 range")
+    return value
+
+
+def _not_int(value, row: int, col: str) -> MalformedCsv | None:
+    """The error of an id-like cell that :func:`_to_int` rejects, else None."""
+    try:
+        _to_int(value)
+    except ValueError as err:
+        return MalformedCsv(f"row {row}: column {col!r} value {value!r} {err}")
+
+
+def _parsed(cells, parse, dtype):
+    """``parse`` of every cell as a ``dtype`` array, and the mask of the
+    cells it rejects with ValueError (those hold 0)."""
+    bad = np.zeros(len(cells), dtype=bool)
+    try:
+        return np.fromiter(map(parse, cells), dtype=dtype, count=len(cells)), bad
+    except ValueError:
+        values = np.zeros(len(cells), dtype=dtype)
+        for pos, cell in enumerate(cells):
+            try:
+                values[pos] = parse(cell)
+            except ValueError:
+                bad[pos] = True
+        return values, bad
 
 
 @contextmanager
@@ -151,108 +190,74 @@ def load_long_csv(
         Integer column, constant within each individual, retained for
         cluster-robust standard errors.
 
-    Raises the specific validation error for the first violated rule;
-    missing attribute cells are hard errors, not dropped rows.
+    Raises the validation error of the earliest row breaking a row rule,
+    else of the first sorted situation breaking a situation rule; missing
+    attribute cells are hard errors, not dropped rows.
     """
     with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
         except StopIteration:
             raise MissingColumn(id_col) from None
         rows = list(reader)
 
-    col_pos: dict[str, int] = {}
-    for pos, name in enumerate(header):
-        col_pos.setdefault(name.strip(), pos)
-
+    col_pos = {name: pos for pos, name in reversed(list(enumerate(header)))}
     if attr_cols is None:
-        reserved = {id_col, group_col, alt_col, choice_col}
-        if cluster_col is not None:
-            reserved.add(cluster_col)
-        attr_cols = [name for name in header if name.strip() not in reserved]
-
-    needed = [id_col, group_col, alt_col, choice_col] + list(attr_cols)
-    if cluster_col is not None:
-        needed.append(cluster_col)
+        reserved = {id_col, group_col, alt_col, choice_col, cluster_col}
+        attr_cols = [name for name in header if name not in reserved]
+    keys = [id_col, group_col, alt_col] + [cluster_col] * (cluster_col is not None)
+    needed = [*keys[:3], choice_col, *attr_cols, *keys[3:]]
     for name in needed:
         if name not in col_pos:
             raise MissingColumn(name)
 
-    # (individual, situation) -> list of (alt_id, attrs, chosen), file order
-    # kept; source_rows holds the row number of each entry
-    situations: dict[tuple[int, int], list[tuple[int, np.ndarray, bool]]] = {}
-    source_rows: dict[tuple[int, int], list[int]] = {}
-    clusters: dict[int, int] = {}
+    row_no = np.flatnonzero([bool("".join(row).strip()) for row in rows])
+    rows = [rows[pos] for pos in row_no]
+    row_no += 2  # the header is row 1
+    width = np.array([len(row) for row in rows], dtype=np.intp)
+    for pos in np.flatnonzero(width < len(header)):  # padded so the other cells parse
+        rows[pos] = rows[pos] + [""] * (len(header) - width[pos])
+    raw = {name: [row[col_pos[name]] for row in rows] for name in [*keys, choice_col]}
+    ints = {name: _parsed(raw[name], _to_int, np.int64) for name in keys}
+    ind, sit, alt = (ints[name][0] for name in keys[:3])
+    choice, bad_choice = _parsed(raw[choice_col], float, float)
+    attributes, bad = _parsed([row[col_pos[name]] for row in rows for name in attr_cols],
+                              float, float)
+    attributes = attributes.reshape(len(rows), len(attr_cols))
+    bad_attrs = bad.reshape(attributes.shape) | ~np.isfinite(attributes)
 
-    for row_no, row in enumerate(rows, start=2):  # header is line 1
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) < len(header):
-            raise MalformedCsv(
-                f"row {row_no}: expected {len(header)} fields, got {len(row)}"
-            )
-        ind = _parse_int(row[col_pos[id_col]], row_no, id_col)
-        sit = _parse_int(row[col_pos[group_col]], row_no, group_col)
-        alt = _parse_int(row[col_pos[alt_col]], row_no, alt_col)
-
-        raw_choice = row[col_pos[choice_col]].strip()
-        try:
-            choice_val = float(raw_choice)
-        except ValueError:
-            raise NonBinaryChoice(row_no, raw_choice) from None
-        if choice_val not in (0.0, 1.0):
-            raise NonBinaryChoice(row_no, raw_choice)
-        chosen = choice_val == 1.0
-
-        attrs = np.empty(len(attr_cols))
-        for k, col in enumerate(attr_cols):
-            cell = row[col_pos[col]].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonFiniteAttribute(row_no, col) from None
-            if not np.isfinite(value):
-                raise NonFiniteAttribute(row_no, col)
-            attrs[k] = value
-
-        if cluster_col is not None:
-            cluster = _parse_int(row[col_pos[cluster_col]], row_no, cluster_col)
-            if ind in clusters and clusters[ind] != cluster:
-                raise ClusterVariesWithinIndividual(ind)
-            clusters[ind] = cluster
-
-        key = (ind, sit)
-        entries = situations.setdefault(key, [])
-        if any(existing_alt == alt for existing_alt, _, _ in entries):
-            raise DuplicateAlternative(ind, sit, alt)
-        entries.append((alt, attrs, chosen))
-        source_rows.setdefault(key, []).append(row_no)
-
-    blocks: list[IndividualBlock] = []
-    labels: set[int] = set()
-    for ind, keys in groupby(sorted(situations), key=lambda key: key[0]):
-        sits: list[ChoiceSituation] = []
-        for key in keys:
-            entries = situations[key]
-            if len(entries) < 2:
-                raise SituationTooSmall(*key)
-            n_chosen = sum(chosen for _, _, chosen in entries)
-            if n_chosen > 1:
-                raise MultipleChosen(*key)
-            if n_chosen == 0:
-                raise NoneChosen(*key)
-            labels.update(alt for alt, _, _ in entries)
-            sits.append(ChoiceSituation(key[1], tuple(entries),
-                                        tuple(source_rows[key])))
-        blocks.append(IndividualBlock(ind, tuple(sits)))
+    # each row rule as (the rows breaking it, the error of a row), in the
+    # order one row is checked; the earliest row wins, then the earliest rule
+    int_rule = lambda name: (ints[name][1],
+                             lambda p: _not_int(raw[name][p], row_no[p], name))
+    rules = [(width < len(header), lambda p: MalformedCsv(
+        f"row {row_no[p]}: expected {len(header)} fields, got {width[p]}"))]
+    rules += [int_rule(name) for name in keys[:3]]
+    rules.append((bad_choice | ((choice != 0.0) & (choice != 1.0)),
+                  lambda p: NonBinaryChoice(row_no[p], raw[choice_col][p].strip())))
+    rules += [(bad_attrs[:, k], lambda p, name=name: NonFiniteAttribute(row_no[p], name))
+              for k, name in enumerate(attr_cols)]
+    cluster = None
+    if cluster_col is not None:
+        cluster = ints[cluster_col][0]
+        _, first, owner = np.unique(ind, return_index=True, return_inverse=True)
+        rules.append(int_rule(cluster_col))
+        rules.append((cluster != cluster[first][owner],
+                      lambda p: ClusterVariesWithinIndividual(ind[p])))
+    repeat = np.ones(len(rows), dtype=bool)  # all but each key's first row
+    _, first = np.unique(np.stack([ind, sit, alt], axis=1), axis=0, return_index=True)
+    repeat[first] = False
+    rules.append((repeat, lambda p: DuplicateAlternative(ind[p], sit[p], alt[p])))
+    broken = np.array([mask for mask, _ in rules])
+    if broken.any():
+        p = int(np.argmax(broken.any(axis=0)))
+        raise rules[int(np.argmax(broken[:, p]))][1](p)
 
     return ChoiceDataset(
-        individuals=tuple(blocks),
-        attribute_names=tuple(attr_cols),
-        alternative_labels=tuple(sorted(labels)),
-        cluster_col=cluster_col,
-        cluster_values=clusters if cluster_col is not None else None,
+        individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,
+        attributes=attributes, source_row=row_no,
+        attribute_names=tuple(attr_cols), cluster=cluster, cluster_col=cluster_col,
     )
 
 
@@ -278,7 +283,7 @@ def reshape_wide_to_long(
     """
     with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        wide_rows = list(reader)
+        wide_rows = [(reader.line_num, row) for row in reader]
         header = reader.fieldnames or []
 
     for col in id_cols:
@@ -296,10 +301,13 @@ def reshape_wide_to_long(
     out_fields += [long_name for long_name, _ in stub_specs]
 
     long_rows: list[dict[str, str]] = []
-    for row in wide_rows:
+    for row_no, row in wide_rows:
         chosen_alt = None
         if has_choice:
-            chosen_alt = _parse_int(row[choice_col], -1, choice_col)
+            try:
+                chosen_alt = _to_int(row[choice_col])
+            except ValueError:
+                raise _not_int(row[choice_col], row_no, choice_col) from None
             if not 1 <= chosen_alt <= alt_count:
                 raise InconsistentAltCount(
                     f"choice value {chosen_alt} outside 1..{alt_count}"
@@ -321,6 +329,8 @@ def reshape_wide_to_long(
     return long_rows
 
 
+
+
 def cluster_index(ds: ChoiceDataset, cluster_col: str | None = None) -> dict[int, int]:
     """Map individual ID -> cluster ID for sandwich standard errors.
 
@@ -328,11 +338,10 @@ def cluster_index(ds: ChoiceDataset, cluster_col: str | None = None) -> dict[int
     mapping is the identity on IDs).  With one, the dataset must have been
     loaded with that same ``cluster_col``.
     """
+    ids = ds.individual_ids.tolist()
     if cluster_col is None:
-        return {block.individual_id: block.individual_id for block in ds.individuals}
-    if ds.cluster_col != cluster_col or ds.cluster_values is None:
+        return dict(zip(ids, ids))
+    if ds.cluster_col != cluster_col or ds.cluster is None:
         raise MissingColumn(cluster_col)
-    return {
-        block.individual_id: ds.cluster_values[block.individual_id]
-        for block in ds.individuals
-    }
+    first_rows = ds.situation_starts[ds.individual_starts]
+    return dict(zip(ids, ds.cluster[first_rows].tolist()))

@@ -66,7 +66,7 @@ class FitOptions:
         at least 2 distinct ids among them."""
         if self.covariance != "cluster":
             return
-        ids = [b.individual_id for b in ds.individuals]
+        ids = ds.individual_ids.tolist()
         if self.cluster is None or any(i not in self.cluster for i in ids):
             raise InvalidOption("the cluster mapping must cover every individual")
         if len({self.cluster[i] for i in ids}) < 2:
@@ -451,10 +451,7 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         elif opts.covariance == "robust":
             cov = covariance_robust(hessian, opt.scores)
         else:
-            ids = [
-                opts.cluster[block.individual_id]
-                for block in design.ds.individuals
-            ]
+            ids = [opts.cluster[i] for i in ds.individual_ids.tolist()]
             cov = covariance_cluster(hessian, opt.scores, ids)
     except SingularHessian:
         if opt.converged:

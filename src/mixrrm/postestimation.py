@@ -105,13 +105,7 @@ def predict_rows(ds, fit, nrep=None, burn=None) -> dict[int, float]:
     """Simulated probability of every data row, keyed by the row number
     :func:`~mixrrm.dataset.load_long_csv` recorded for it (header = 1)."""
     probs = predict_probabilities(ds, fit, nrep, burn)
-    rows = (
-        row
-        for block in ds.individuals
-        for situation in block.situations
-        for row in situation.source_rows
-    )
-    return dict(zip(rows, probs.tolist(), strict=True))
+    return dict(zip(ds.source_row.tolist(), probs.tolist(), strict=True))
 
 
 def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
@@ -153,10 +147,9 @@ def individual_betas(
     coefs = design.random_coefficient_draws(
         fit.theta_hat, draws.transpose(1, 0, 2).reshape(k, n_ind * r)
     ).reshape(n_ind, r, k)
-    ids = np.array([block.individual_id for block in ds.individuals])
     values = np.matmul(weights[:, None, :], coefs)[:, 0]
     return IndividualBetaTable(
-        attrs=fit.spec.random_attrs, ids=ids, values=values
+        attrs=fit.spec.random_attrs, ids=ds.individual_ids, values=values
     )
 
 

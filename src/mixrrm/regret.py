@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset, IndividualBlock
+from .dataset import ChoiceDataset
 from .draws import build_drawset
 from .errors import SpecMismatch
 
@@ -177,10 +177,27 @@ class ModelDesign:
         self.n_asc = len(self.asc_labels)
         self.n_params = len(self.param_names)
 
-        asc_index = {label: a for a, label in enumerate(self.asc_labels)}
+        # every row goes to its slot in one (situations, J, M) padded array;
+        # an individual's block is its run of situations, J cut to its widest
+        starts = ds.situation_starts
+        sizes = np.diff(starts, append=ds.n_rows)
+        row_sit = np.repeat(np.arange(starts.size), sizes)
+        slot = np.arange(ds.n_rows) - starts[row_sit]
+        shape = (starts.size, sizes.max(initial=0))
+        x = np.zeros((*shape, len(self.model_attrs)))
+        x[row_sit, slot] = ds.attributes[:, self.attr_indices]
+        avail = np.arange(shape[1]) < sizes[:, None]
+        asc_onehot = np.zeros((shape[1], shape[0], self.n_asc))
+        asc_onehot[slot, row_sit] = ds.alternative[:, None] == np.array(self.asc_labels)
+        chosen = slot[ds.chosen]
+
+        bounds = np.append(ds.individual_starts, starts.size)
+        widths = np.maximum.reduceat(sizes, bounds[:-1])
         pairs = {}  # J -> slot pairs and incidence, shared by blocks of equal J
         self._blocks = [
-            self._build_block(block, asc_index, pairs) for block in ds.individuals
+            self._build_block(x[a:b, :j], avail[a:b, :j], chosen[a:b],
+                              asc_onehot[:j, a:b].copy(), pairs)
+            for a, b, j in zip(bounds[:-1], bounds[1:], widths)
         ]
 
     # -- packing ------------------------------------------------------------
@@ -200,22 +217,10 @@ class ModelDesign:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_block(self, block: IndividualBlock, asc_index, pairs) -> _BlockData:
-        n_sit = block.n_situations
-        j_max = max(s.n_alternatives for s in block.situations)
-
-        x = np.zeros((n_sit, j_max, len(self.model_attrs)))
-        avail = np.zeros((n_sit, j_max), dtype=bool)
-        chosen = np.zeros(n_sit, dtype=np.intp)
-        asc_pos = np.full((n_sit, j_max), -1, dtype=np.intp)
-        for s, sit in enumerate(block.situations):
-            j_here = sit.n_alternatives
-            x[s, :j_here] = sit.attribute_matrix()[:, self.attr_indices]
-            avail[s, :j_here] = True
-            chosen[s] = sit.chosen_index
-            for j, (label, _, _) in enumerate(sit.alternatives):
-                asc_pos[s, j] = asc_index.get(label, -1)
-
+    def _build_block(self, x, avail, chosen, asc_onehot, pairs) -> _BlockData:
+        """One individual's block from its (S, J, M) attributes, (S, J)
+        slots, (S,) chosen slots and (J, S, n_asc) constants."""
+        j_max = avail.shape[1]
         if j_max not in pairs:
             first, second = np.triu_indices(j_max, 1)
             pairs[j_max] = first, second, np.eye(j_max)[np.r_[first, second]]
@@ -224,10 +229,6 @@ class ModelDesign:
         # a pair with a padded slot gets a zero difference, so it adds
         # nothing to the gradient; ``live`` masks it out of the regrets
         pair_diff = (x[:, second] - x[:, first]).T[..., None] * live
-
-        asc_onehot = np.zeros((j_max, n_sit, self.n_asc))
-        s_idx, j_idx = np.nonzero(asc_pos >= 0)
-        asc_onehot[j_idx, s_idx, asc_pos[s_idx, j_idx]] = 1.0
 
         return _BlockData(
             avail=avail, chosen=chosen, d_fixed=pair_diff[self._fixed_pos],

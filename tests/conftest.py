@@ -6,29 +6,35 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mixrrm.dataset import ChoiceDataset, ChoiceSituation, IndividualBlock
-
-
-def make_situation(sid, alternatives):
-    """alternatives: list of (alt_id, attribute list, chosen flag)."""
-    return ChoiceSituation(
-        sid,
-        tuple((a, np.asarray(x, dtype=float), bool(c)) for a, x, c in alternatives),
-    )
+from mixrrm.dataset import ChoiceDataset
 
 
 def make_dataset(individuals, attr_names):
-    """individuals: dict id -> dict sid -> list of (alt, attrs, chosen)."""
-    blocks = []
-    labels = set()
-    for ind_id in sorted(individuals):
-        sits = []
-        for sid in sorted(individuals[ind_id]):
-            sit = make_situation(sid, individuals[ind_id][sid])
-            labels.update(a for a, _, _ in sit.alternatives)
-            sits.append(sit)
-        blocks.append(IndividualBlock(ind_id, tuple(sits)))
-    return ChoiceDataset(tuple(blocks), tuple(attr_names), tuple(sorted(labels)))
+    """individuals: dict id -> dict sid -> list of (alt, attrs, chosen).
+
+    Rows are numbered in that listing's sorted order, the first as row 2."""
+    rows = [
+        (ind_id, sid, alt, bool(chosen), list(x))
+        for ind_id in sorted(individuals)
+        for sid in sorted(individuals[ind_id])
+        for alt, x, chosen in individuals[ind_id][sid]
+    ]
+    ind, sit, alt, chosen, x = zip(*rows)
+    return ChoiceDataset(
+        individual=ind, situation=sit, alternative=alt, chosen=chosen,
+        attributes=np.array(x, dtype=float).reshape(len(rows), len(attr_names)),
+        source_row=np.arange(2, len(rows) + 2), attribute_names=tuple(attr_names),
+    )
+
+
+def situation_slices(ds, pos=None):
+    """Row slices of every situation, or only of individual ``pos``'s."""
+    bounds = [*ds.situation_starts.tolist(), ds.n_rows]
+    situations = range(ds.n_situations)
+    if pos is not None:
+        firsts = [*ds.individual_starts.tolist(), ds.n_situations]
+        situations = range(firsts[pos], firsts[pos + 1])
+    return [slice(bounds[s], bounds[s + 1]) for s in situations]
 
 
 def random_dataset(rng, n_individuals=3, n_situations=2, n_alternatives=3,

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, situation_slices
 from mixrrm.dataset import cluster_index, load_long_csv
 from mixrrm.draws import build_drawset, halton_sequence
 from mixrrm.estimation import (
@@ -166,13 +166,10 @@ def test_binary_choice_equals_binary_logit(tmp_path):
     write_rows_csv(rows, path)
     ds = load_long_csv(path, "id", "cs", "altern", "choice", attrs)
     fit = fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc")))
-    diffs, chose_first = [], []
-    for block in ds.individuals:
-        for sit in block.situations:
-            (x_first, x_second) = (alt[1] for alt in sit.alternatives)
-            diffs.append(x_first - x_second)
-            chose_first.append(1.0 if sit.alternatives[0][2] else 0.0)
-    oracle = irls_binary_logit(np.array(diffs), np.array(chose_first))
+    first = ds.situation_starts
+    diffs = ds.attributes[first] - ds.attributes[first + 1]
+    chose_first = ds.chosen[first].astype(float)
+    oracle = irls_binary_logit(diffs, chose_first)
     assert np.max(np.abs(fit.theta - oracle)) <= 1e-6
 
 
@@ -255,8 +252,7 @@ def test_variance_estimators(tmp_path):
     singleton = covariance_cluster(hessian, scores, np.arange(len(scores)))
     assert np.array_equal(robust, singleton)
 
-    ids = np.array([cluster_index(ds, "grp")[b.individual_id]
-                    for b in ds.individuals])
+    ids = np.array([cluster_index(ds, "grp")[i] for i in ds.individual_ids])
     two_cluster = covariance_cluster(hessian, scores, ids)
     grouped = np.zeros((2, scores.shape[1]))
     for row, cl in zip(scores, ids):
@@ -378,12 +374,8 @@ def test_probability_laws(tmp_path):
     fit = fit_mixed(ds, spec, FitOptions(nrep=50))
 
     probs = predict_probabilities(ds, fit)
-    cursor = 0
-    for block in ds.individuals:
-        for sit in block.situations:
-            j = sit.n_alternatives
-            assert abs(probs[cursor:cursor + j].sum() - 1.0) <= 1e-10
-            cursor += j
+    for rows in situation_slices(ds):
+        assert abs(probs[rows].sum() - 1.0) <= 1e-10
 
     for weights in posterior_weights(ds, fit):
         assert np.all(weights >= 0.0)

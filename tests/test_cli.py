@@ -221,6 +221,19 @@ def test_predict_copies_blank_lines_through(panel_csv, tmp_path, capsys):
             assert new == old
 
 
+@pytest.mark.parametrize("alias", ["panel.csv", "link.csv"])
+def test_predict_refuses_to_write_over_its_data(panel_csv, tmp_path, capsys, alias):
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    if alias == "link.csv":
+        (tmp_path / alias).symlink_to(panel_csv)
+    before = panel_csv.read_bytes()
+    code, out, err = run(capsys, "predict", panel_csv, "--fit", fit,
+                         "--out", tmp_path / alias)
+    assert code == 1
+    assert err.startswith("error: --out") and "data file" in err
+    assert panel_csv.read_bytes() == before
+
+
 def test_predict_spec_mismatch_exit_1(panel_csv, tmp_path, capsys, rng):
     fit = fit_json(panel_csv, tmp_path, capsys)
     other_rows, _ = simulate_panel(rng, n_individuals=5, n_situations=2,
@@ -382,6 +395,17 @@ def test_reshape_roundtrip(tmp_path, capsys):
         "--ids", "id", "cs", "--alt-count", 3, "--threads", 2,
     )
     assert code == 0
+
+
+def test_reshape_bad_choice_names_its_row(tmp_path, capsys):
+    wide = tmp_path / "wide.csv"
+    wide.write_text("id,cs,tt1,tt2,choice\n1,1,10,15,two\n")
+    code, _, err = run(
+        capsys, "reshape", wide, "--out", tmp_path / "long.csv",
+        "--stubs", "tt=total_time", "--ids", "id", "cs", "--alt-count", 2,
+    )
+    assert code == 1
+    assert err.startswith("error: row 2: column 'choice' value 'two'")
 
 
 def test_reshape_identity_single_alternative(tmp_path, capsys):

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from mixrrm import errors
 from mixrrm.dataset import cluster_index, load_long_csv, reshape_wide_to_long
+from mixrrm.errors import NonConvergence
+from mixrrm.estimation import fit_classical
+from mixrrm.regret import ModelSpec
+from oracles import simulate_panel
 
 
 def write_csv(path, header, rows):
@@ -35,11 +39,9 @@ def test_basic_grouping(tmp_path):
     path = write_csv(tmp_path / "d.csv", HEADER, basic_rows())
     ds = load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
     assert ds.n_individuals == 2
-    assert [b.individual_id for b in ds.individuals] == [1, 2]
-    assert all(b.n_situations == 2 for b in ds.individuals)
-    assert all(
-        s.n_alternatives == 3 for b in ds.individuals for s in b.situations
-    )
+    assert ds.individual_ids.tolist() == [1, 2]
+    assert ds.individual_starts.tolist() == [0, 2]
+    assert ds.situation_starts.tolist() == [0, 3, 6, 9]
     assert ds.attribute_names == ("tt", "tc")
     assert ds.alternative_labels == (1, 2, 3)
     assert ds.n_rows == 12
@@ -119,13 +121,9 @@ def test_deterministic_reload(tmp_path):
     first = load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
     second = load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
     assert first.alternative_labels == second.alternative_labels
-    for b1, b2 in zip(first.individuals, second.individuals):
-        assert b1.individual_id == b2.individual_id
-        for s1, s2 in zip(b1.situations, b2.situations):
-            assert s1.situation_id == s2.situation_id
-            for (a1, x1, c1), (a2, x2, c2) in zip(s1.alternatives, s2.alternatives):
-                assert a1 == a2 and c1 == c2
-                assert np.array_equal(x1, x2)
+    for column in ("individual", "situation", "alternative", "chosen",
+                   "attributes", "source_row"):
+        assert np.array_equal(getattr(first, column), getattr(second, column))
 
 
 def test_shuffled_file_same_order(tmp_path, rng):
@@ -135,12 +133,44 @@ def test_shuffled_file_same_order(tmp_path, rng):
     p2 = write_csv(tmp_path / "b.csv", HEADER, shuffled)
     ds1 = load_long_csv(p1, "id", "cs", "altern", "choice", ["tt", "tc"])
     ds2 = load_long_csv(p2, "id", "cs", "altern", "choice", ["tt", "tc"])
-    assert [b.individual_id for b in ds1.individuals] == [
-        b.individual_id for b in ds2.individuals
-    ]
-    assert [s.situation_id for b in ds1.individuals for s in b.situations] == [
-        s.situation_id for b in ds2.individuals for s in b.situations
-    ]
+    assert np.array_equal(ds1.individual_ids, ds2.individual_ids)
+    assert np.array_equal(ds1.situation[ds1.situation_starts],
+                          ds2.situation[ds2.situation_starts])
+
+
+def classical_theta(ds):
+    try:
+        return fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc"))).theta
+    except NonConvergence as err:
+        return err.result.theta
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_interleaved_rows_load_to_equal_columns(tmp_path_factory, seed, data):
+    """Rows interleaved across situations, each situation's rows kept in
+    their relative order, load to the same columns and the same fit."""
+    rows, attrs = simulate_panel(np.random.default_rng(seed), n_individuals=6,
+                                 n_situations=3, n_alternatives=3,
+                                 fixed={"tt": -0.5, "tc": -0.3})
+    queues = {}
+    for row in rows:
+        queues.setdefault((row["id"], row["cs"]), []).append(row)
+    keys = data.draw(st.permutations([key for key, queue in queues.items()
+                                      for _ in queue]))
+    interleaved = [queues[key].pop(0) for key in keys]
+    tmp = tmp_path_factory.mktemp("interleave")
+    header = list(rows[0])
+    loaded = []
+    for name, table in (("file.csv", rows), ("interleaved.csv", interleaved)):
+        path = write_csv(tmp / name, header, [list(r.values()) for r in table])
+        loaded.append(load_long_csv(path, "id", "cs", "altern", "choice", attrs))
+    ds1, ds2 = loaded
+    for column in ("individual", "situation", "alternative", "chosen", "attributes",
+                   "situation_starts", "individual_starts"):
+        assert np.array_equal(getattr(ds1, column), getattr(ds2, column)), column
+    assert ds1.alternative_labels == ds2.alternative_labels
+    assert np.array_equal(classical_theta(ds1), classical_theta(ds2))
 
 
 def test_row_count_conservation(tmp_path):
@@ -248,9 +278,7 @@ def test_reshape_then_load_has_one_chosen(tmp_path_factory, n_situations,
     )
     ds = load_long_csv(long_path, "id", "cs", "altern", "choice", ["tt"])
     assert ds.n_rows == n_situations * alt_count
-    for block in ds.individuals:
-        for sit in block.situations:
-            assert sum(c for _, _, c in sit.alternatives) == 1
+    assert np.add.reduceat(ds.chosen, ds.situation_starts, dtype=int).tolist() == [1] * n_situations
 
 
 # --- cluster index -------------------------------------------------------------
@@ -318,6 +346,57 @@ def test_malformed_rows_are_typed(tmp_path, mangle):
     mangle(rows)
     path = write_csv(tmp_path / "d.csv", HEADER, rows)
     with pytest.raises(errors.MalformedCsv, match="row 2"):
+        load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_integer_cells_parse_exactly(tmp_path, column):
+    """Two cells apart by 1 beyond 2**53 stay apart in every key column;
+    a float form is taken only when its value is an exact integer."""
+    big = 2**53
+    if column == 2:  # one situation holding both large alternatives
+        keys = [[1, 1, big], [1, 1, f"{big + 1}.0"]]
+    else:  # two individuals, or two situations of one
+        keys = [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 2]]  # id, cs, altern
+        keys[0][column] = keys[1][column] = big
+        keys[2][column] = keys[3][column] = f"{big + 1}.0"
+    rows = [key + [int(pos % 2 == 0), 1.0 + pos, 2.0] for pos, key in enumerate(keys)]
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    ds = load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
+    key = (ds.individual, ds.situation, ds.alternative)[column]
+    assert sorted(set(key.tolist())) == [big, big + 1]
+
+
+@pytest.mark.parametrize("value, problem", [
+    (f"{2**53 + 1}.5", "is not an integer"),
+    ("1e-400", "is not an integer"),
+    (str(2**63), "is outside the int64 range"),
+    ("-1e19", "is outside the int64 range"),
+])
+def test_integer_cells_outside_int64_are_typed(tmp_path, value, problem):
+    rows = basic_rows()
+    rows[1][1] = value
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    with pytest.raises(errors.MalformedCsv, match=f"row 3: column 'cs' .*{problem}"):
+        load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
+
+
+def test_header_names_are_stripped(tmp_path):
+    path = write_csv(tmp_path / "d.csv", ["id", " cs", "altern ", "choice", " tt", "tc "],
+                     basic_rows())
+    ds = load_long_csv(path)
+    assert ds.attribute_names == ("tt", "tc")
+    assert ds.n_rows == len(basic_rows())
+
+
+def test_earliest_row_wins_across_rules(tmp_path):
+    """An empty attribute cell at an earlier row is reported before a
+    non-binary choice at a later one."""
+    rows = basic_rows()
+    rows[3][5] = ""
+    rows[7][3] = 2
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    with pytest.raises(errors.NonFiniteAttribute, match="row 5: attribute 'tc'"):
         load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
 
 

@@ -180,7 +180,7 @@ def test_fit_options_rejects_out_of_range(kwargs):
 def test_cluster_mapping_must_cover_every_individual(tmp_path, rng):
     ds = panel_dataset(tmp_path, rng, n_individuals=6, n_situations=2,
                        n_alternatives=3, fixed={"tt": -0.5})
-    partial = {block.individual_id: 1 for block in ds.individuals[1:]}
+    partial = {i: 1 for i in ds.individual_ids[1:].tolist()}
     for cluster in (None, partial):
         opts = FitOptions(covariance="cluster", cluster=cluster)
         with pytest.raises(InvalidOption):
@@ -191,7 +191,7 @@ def test_one_cluster_rejected_before_any_kernel(tmp_path, rng, monkeypatch):
     ds = panel_dataset(tmp_path, rng, n_individuals=6, n_situations=2,
                        n_alternatives=3, fixed={"tc": -0.3},
                        random={"tt": ("normal", -0.5, 0.2)})
-    one_cluster = {block.individual_id: 7 for block in ds.individuals}
+    one_cluster = {i: 7 for i in ds.individual_ids.tolist()}
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the fit ran a kernel")
@@ -233,13 +233,10 @@ def test_classical_binary_matches_irls_logit(tmp_path, rng):
                        n_alternatives=2, fixed={"tt": -0.6, "tc": 0.4})
     fit = fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc")))
 
-    rows_x, rows_y = [], []
-    for block in ds.individuals:
-        for sit in block.situations:
-            (x1, x2) = (alt[1] for alt in sit.alternatives)
-            rows_x.append(x1 - x2)
-            rows_y.append(1.0 if sit.alternatives[0][2] else 0.0)
-    oracle = irls_binary_logit(np.array(rows_x), np.array(rows_y))
+    first = ds.situation_starts
+    rows_x = ds.attributes[first] - ds.attributes[first + 1]
+    rows_y = ds.chosen[first].astype(float)
+    oracle = irls_binary_logit(rows_x, rows_y)
     np.testing.assert_allclose(fit.theta, oracle, atol=1e-6)
 
 

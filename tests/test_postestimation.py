@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, situation_slices
 from mixrrm.dataset import load_long_csv
 from mixrrm.draws import build_drawset, inverse_normal_cdf
 from mixrrm.errors import AttrNotLognormal, EmptyInput, SpecMismatch
@@ -19,6 +21,7 @@ from mixrrm.postestimation import (
     lognormal_summary,
     posterior_weights,
     predict_probabilities,
+    predict_rows,
     read_beta_file,
     write_beta_file,
 )
@@ -111,12 +114,39 @@ def test_predict_sums_to_one_per_situation(rng):
         [0.5, -0.6, 0.4], nrep=16, burn=15,
     )
     probs = predict_probabilities(ds, fit)
-    cursor = 0
-    for block in ds.individuals:
-        for sit in block.situations:
-            j = sit.n_alternatives
-            assert abs(probs[cursor:cursor + j].sum() - 1.0) <= 1e-10
-            cursor += j
+    for rows in situation_slices(ds):
+        assert abs(probs[rows].sum() - 1.0) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_predict_rows_cover_every_data_row_once(tmp_path_factory, seed, data):
+    """In any row order, with blank lines anywhere, every non-blank data row
+    gets one probability, and each situation's probabilities sum to 1."""
+    rows, attrs = simulate_panel(
+        np.random.default_rng(seed), n_individuals=data.draw(st.integers(1, 4)),
+        n_situations=data.draw(st.integers(1, 3)),
+        n_alternatives=data.draw(st.integers(2, 4)), fixed={"tc": -0.3},
+        random={"tt": ("normal", -0.5, 0.2)},
+    )
+    lines = data.draw(st.permutations([",".join(map(str, row.values()))
+                                       for row in rows]))
+    for pos in data.draw(st.lists(st.integers(0, len(lines)), max_size=4)):
+        lines.insert(pos, data.draw(st.sampled_from(["", " ", ",,,"])))
+    path = tmp_path_factory.mktemp("predict") / "panel.csv"
+    path.write_text("\n".join([",".join(rows[0]), *lines]) + "\n")
+    ds = load_long_csv(path, "id", "cs", "altern", "choice", attrs)
+    fit = fake_fit(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
+                   [-0.3, -0.5, 0.2], nrep=8)
+
+    probs = predict_rows(ds, fit)
+    data_rows = {n: line for n, line in enumerate(lines, start=2) if line.strip(" ,")}
+    assert sorted(probs) == sorted(data_rows)
+    totals = {}
+    for n, line in data_rows.items():
+        key = tuple(line.split(",")[:2])
+        totals[key] = totals.get(key, 0.0) + probs[n]
+    assert all(abs(total - 1.0) <= 1e-12 for total in totals.values())
 
 
 def test_predict_spec_mismatch(rng):

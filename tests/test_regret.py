@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset
+from conftest import make_dataset, random_dataset, situation_slices
 from mixrrm.errors import SpecMismatch
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import brute_force_sll, fd_gradient, naive_regret
@@ -40,10 +40,18 @@ def probs_at(design, theta, pos=0):
 def plain_situations(design, pos):
     """One individual's situations as the oracles take them: (x_all, chosen),
     columns in model-attribute order."""
+    ds = design.ds
     return [
-        (sit.attribute_matrix()[:, design.attr_indices].tolist(), sit.chosen_index)
-        for sit in design.ds.individuals[pos].situations
+        (ds.attributes[rows][:, design.attr_indices].tolist(),
+         int(np.argmax(ds.chosen[rows])))
+        for rows in situation_slices(ds, pos)
     ]
+
+
+def situation_constants(design, pos, constant):
+    """One individual's constants per situation and row, for the oracles."""
+    return [[constant.get(label, 0.0) for label in design.ds.alternative[rows].tolist()]
+            for rows in situation_slices(design.ds, pos)]
 
 
 # --- ParameterVector ---------------------------------------------------------
@@ -474,10 +482,9 @@ def test_kernel_matches_scalar_composition(seed):
     }
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
 
-    for pos, block in enumerate(ds.individuals):
+    for pos in range(ds.n_individuals):
         ll, _ = design.individual_loglik_gradient(pos, theta, z)
-        asc = [[constant.get(label, 0.0) for label, _, _ in sit.alternatives]
-               for sit in block.situations]
+        asc = situation_constants(design, pos, constant)
         ref = brute_force_sll([plain_situations(design, pos)], oracle_theta,
                               [z.tolist()], asc=[asc])
         assert ll == pytest.approx(ref, abs=1e-12)
@@ -511,8 +518,7 @@ def oracle_loglik(design, pos, x, z):
     """brute_force_sll of one individual at the packed point ``x``."""
     theta = design.unpack(x)
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
-    asc = [[constant.get(label, 0.0) for label, _, _ in sit.alternatives]
-           for sit in design.ds.individuals[pos].situations]
+    asc = situation_constants(design, pos, constant)
     oracle_theta = {
         "fixed": theta.fixed.tolist(), "location": theta.rand_location.tolist(),
         "scale": theta.rand_scale.tolist(), "lognormal": [False, True],
@@ -545,12 +551,11 @@ def test_padded_situations_match_oracle(data):
 def test_alternative_order_leaves_loglik_unchanged(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     design = padded_design(data, rng, n_individuals=1)
-    (block,) = design.ds.individuals
+    ds = design.ds
     shuffled = {
-        s: [(label, x.tolist(), chosen)
-            for label, x, chosen in (sit.alternatives[j]
-                                     for j in rng.permutation(sit.n_alternatives))]
-        for s, sit in enumerate(block.situations, start=1)
+        s: [(int(ds.alternative[r]), ds.attributes[r].tolist(), bool(ds.chosen[r]))
+            for r in rows.start + rng.permutation(rows.stop - rows.start)]
+        for s, rows in enumerate(situation_slices(ds), start=1)
     }
     other = design_for(make_dataset({1: shuffled}, ["x0", "x1", "x2"]),
                        **vars(design.spec))
