@@ -313,6 +313,8 @@ def cmd_betas(args) -> int:
         draw_settings, histogram_svg, individual_betas, write_beta_file,
     )
 
+    if os.path.exists(args.saving) and os.path.samefile(args.saving, args.data):
+        raise InvalidOption(f"--saving {args.saving} is the data file it reads")
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))

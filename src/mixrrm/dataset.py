@@ -19,6 +19,7 @@ import numpy as np
 from .errors import (
     ClusterVariesWithinIndividual,
     DuplicateAlternative,
+    EmptyInput,
     InconsistentAltCount,
     MalformedCsv,
     MissingColumn,
@@ -192,15 +193,16 @@ def load_long_csv(
 
     Raises the validation error of the earliest row breaking a row rule,
     else of the first sorted situation breaking a situation rule; missing
-    attribute cells are hard errors, not dropped rows.
+    attribute cells are hard errors, not dropped rows.  A file with no
+    non-blank row after its header raises :class:`EmptyInput`.
     """
     with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise MissingColumn(id_col) from None
+        header = [name.strip() for name in next(reader, [])]
         rows = list(reader)
+    row_no = np.flatnonzero([bool("".join(row).strip()) for row in rows])
+    if not row_no.size:
+        raise EmptyInput(f"{path}: no data row after the header")
 
     col_pos = {name: pos for pos, name in reversed(list(enumerate(header)))}
     if attr_cols is None:
@@ -212,7 +214,6 @@ def load_long_csv(
         if name not in col_pos:
             raise MissingColumn(name)
 
-    row_no = np.flatnonzero([bool("".join(row).strip()) for row in rows])
     rows = [rows[pos] for pos in row_no]
     row_no += 2  # the header is row 1
     width = np.array([len(row) for row in rows], dtype=np.intp)

@@ -3,8 +3,9 @@
 The optimizer is quasi-Newton BFGS with a backtracking line search that
 enforces sufficient decrease, so the log-likelihood is non-decreasing over
 accepted steps and two runs on identical inputs take bit-identical paths.
-The Hessian used for covariances is obtained by central differences of the
-analytic gradient at the optimum only.
+The Hessian used for covariances is exact: one value+gradient walk at the
+optimum also returns each individual's Hessian, built from the same pair
+terms as the gradient, and adds them in dataset order.
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class _OptResult:
     x: np.ndarray
     loglik: float
     grad: np.ndarray
-    scores: np.ndarray  # per-individual gradient rows at x
     iterations: int
     converged: bool
     ll_history: list[float]
@@ -175,7 +175,7 @@ def _maximize(
     """BFGS ascent with Armijo backtracking.
 
     ``loglik(x)`` is the objective; ``scores(x)`` returns its per-individual
-    terms and gradient rows, summed here and kept for the final point.
+    terms and gradient rows, summed here.
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
     longer than ``step_tol``.  Accepted steps never decrease the objective
@@ -184,11 +184,11 @@ def _maximize(
 
     def value_grad(x):
         lls, rows = scores(x)
-        return _ordered_sum(lls), _ordered_sum(rows), rows
+        return _ordered_sum(lls), _ordered_sum(rows)
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    ll, grad, rows = value_grad(x)
+    ll, grad = value_grad(x)
     if not np.isfinite(ll):
         raise InvalidOption("log-likelihood not finite at the starting values")
     h_inv = np.eye(n)
@@ -232,7 +232,7 @@ def _maximize(
         if not accepted:
             break
 
-        ll_new, grad_new, rows_new = value_grad(candidate)
+        ll_new, grad_new = value_grad(candidate)
         s = candidate - x
         y = grad - grad_new  # gradient change of -ll (minimization form)
         sy = s @ y
@@ -244,7 +244,7 @@ def _maximize(
             rho = 1.0 / sy
             v = np.eye(n) - rho * np.outer(s, y)
             h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
-        x, ll, grad, rows = candidate, ll_new, grad_new, rows_new
+        x, ll, grad = candidate, ll_new, grad_new
         history.append(ll)
         iterations += 1
 
@@ -252,28 +252,10 @@ def _maximize(
         x=x,
         loglik=float(ll),
         grad=grad,
-        scores=rows,
         iterations=iterations,
         converged=bool(np.max(np.abs(grad)) <= gtol),
         ll_history=history,
     )
-
-
-def _fd_hessian(scores: Callable, x: np.ndarray) -> np.ndarray:
-    """Central differences of the analytic gradient, step 1e-5*(1+|x_i|);
-    the gradient is the ordered sum of the rows ``scores(x)`` returns."""
-    n = x.size
-    hess = np.empty((n, n))
-    for i in range(n):
-        h = 1e-5 * (1.0 + abs(x[i]))
-        plus = x.copy()
-        minus = x.copy()
-        plus[i] += h
-        minus[i] -= h
-        hess[:, i] = (
-            _ordered_sum(scores(plus)[1]) - _ordered_sum(scores(minus)[1])
-        ) / (2.0 * h)
-    return 0.5 * (hess + hess.T)
 
 
 def covariance_hessian(hessian: np.ndarray) -> np.ndarray:
@@ -336,17 +318,24 @@ def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
     return total
 
 
-def individual_scores(design: ModelDesign, draws: np.ndarray, x):
+def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
     """Per-individual log-likelihood terms (N,) and gradient rows (N, P) at
-    ``x``; the only walk that evaluates the gradient."""
+    ``x``; the only walk that evaluates the gradient.  With ``hessian``, also
+    the log-likelihood Hessian (P, P): the individual Hessians added in
+    dataset order, then symmetrised."""
     theta = design.unpack(x)
     n_ind = design.ds.n_individuals
     lls = np.empty(n_ind)
     rows = np.empty((n_ind, design.n_params))
+    total = np.zeros((design.n_params, design.n_params))
     for pos in range(n_ind):
-        lls[pos], rows[pos] = design.individual_loglik_gradient(
-            pos, theta, draws[pos]
+        lls[pos], rows[pos], *hess = design.individual_loglik_gradient(
+            pos, theta, draws[pos], hessian
         )
+        if hessian:
+            total += hess[0]
+    if hessian:
+        return lls, rows, 0.5 * (total + total.T)
     return lls, rows
 
 
@@ -438,21 +427,21 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     if np.shape(x0) != (design.n_params,):
         raise InvalidOption(f"start has shape {np.shape(x0)}; the model has "
                             f"{design.n_params} parameters")
-    scores = lambda x: individual_scores(design, draws, x)
     opt = _maximize(
-        lambda x: _loglik(design, draws, x), scores, x0,
+        lambda x: _loglik(design, draws, x),
+        lambda x: individual_scores(design, draws, x), x0,
         maxiter=opts.maxiter, gtol=opts.gtol, step_tol=opts.step_tol,
     )
-    hessian = _fd_hessian(scores, opt.x)
+    _, scores, hessian = individual_scores(design, draws, opt.x, hessian=True)
 
     try:
         if opts.covariance == "hessian":
             cov = covariance_hessian(hessian)
         elif opts.covariance == "robust":
-            cov = covariance_robust(hessian, opt.scores)
+            cov = covariance_robust(hessian, scores)
         else:
             ids = [opts.cluster[i] for i in ds.individual_ids.tolist()]
-            cov = covariance_cluster(hessian, opt.scores, ids)
+            cov = covariance_cluster(hessian, scores, ids)
     except SingularHessian:
         if opt.converged:
             raise

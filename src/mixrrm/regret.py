@@ -13,9 +13,10 @@ situations within one individual.  It evaluates each unordered pair of
 alternatives i < j once: with a = beta_m * (x_j - x_i), i bears
 ln(1 + exp(a)) and j bears ln(1 + exp(-a)), both from one exp(-|a|).  The
 fixed attributes and the constants form a base that does not depend on the
-draw, so only the random attributes are evaluated per draw.  The test suite
-checks the kernel against a first-principles reference written with plain
-loops (``tests/oracles.py``).
+draw, so only the random attributes are evaluated per draw.  The same pass
+can also return the individual's exact Hessian, built from the same pair
+logistics.  The test suite checks the kernel against a first-principles
+reference written with plain loops (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -301,11 +302,13 @@ class ModelDesign:
         ln_seq, _ = self.individual_draw_info(position, theta, z)
         return _log_mean_exp(ln_seq)
 
-    def individual_loglik_gradient(self, position: int, theta, z):
+    def individual_loglik_gradient(self, position: int, theta, z, hessian=False):
         """Simulated log-likelihood term of one individual and its gradient.
 
         Returns ``(ll, grad)`` where ``ll = ln((1/R) sum_r P_n(asc, beta^r))``
-        and ``grad`` is exact with respect to the packed parameter vector.
+        and ``grad`` is exact with respect to the packed parameter vector;
+        with ``hessian``, ``(ll, grad, hess)``, where ``hess`` is the exact
+        (P, P) Hessian of ``ll``, symmetric up to rounding.
         """
         bd = self._blocks[position]
         coefs = self.random_coefficient_draws(theta, z).T
@@ -321,13 +324,14 @@ class ModelDesign:
 
         n_draws = z.shape[1]
         f, k = self.n_fixed, self.n_random
+        # chain rule: d beta/d b is 1 (normal) or beta (log-normal);
+        # d beta/d s multiplies that by the draw.
+        chain = np.where(self._lognormal[:, None], coefs, 1.0)
         per_draw = np.empty((self.n_params, n_draws))
         per_draw[:f] = _pair_gradient(bd.d_fixed, sig_fixed, res_i, res_j)
         if self.n_random:
-            # chain rule: d beta/d b is 1 (normal) or beta (log-normal);
-            # d beta/d s multiplies that by the draw.
             g_rand = _pair_gradient(bd.d_random, sig_random, res_i, res_j)
-            g_rand *= np.where(self._lognormal[:, None], coefs, 1.0)
+            g_rand *= chain
             per_draw[f:f + k] = g_rand
             per_draw[f + k:f + 2 * k] = g_rand * z
         if self.n_asc:
@@ -340,7 +344,45 @@ class ModelDesign:
         total = weights.sum()
         ll = peak + np.log(total) - np.log(n_draws)
         weights /= total
-        return ll, per_draw @ weights
+        grad = per_draw @ weights
+        if not hessian:
+            return ll, grad
+
+        # H = sum_r w_r (H_r + g_r g_r') - grad grad', with the draw-weighted
+        # spread of the g_r taken about grad.  Per draw and situation, H_r is
+        # sum_i res_i d2R_i - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)'.
+        slot = np.empty((self.n_params, *probs.shape))  # dR/dtheta, (P, J, S, R)
+        slot[:f] = _slot_gradient(bd.incidence, bd.d_fixed, sig_fixed)
+        if self.n_random:
+            d_rand = _slot_gradient(bd.incidence, bd.d_random, sig_random)
+            d_rand *= chain[:, None, None]
+            slot[f:f + k] = d_rand
+            slot[f + k:f + 2 * k] = d_rand * z[:, None, None]
+        slot[f + 2 * k:] = np.moveaxis(bd.asc_onehot, -1, 0)[..., None]
+        weighted = slot * probs
+        mean = weighted.sum(axis=1)
+        spread = per_draw - grad[:, None]
+        flat = lambda a: a.reshape(self.n_params, -1)
+        hess = (flat(mean * weights) @ flat(mean).T
+                - flat(weighted * weights) @ flat(slot).T
+                + (spread * weights) @ spread.T)
+
+        # the pair curvature is diagonal in beta; a log-normal beta also has
+        # d2 beta = beta [1, z; z, z^2] over (b, s), times its gradient g_beta
+        fixed = np.arange(f)
+        curv = _pair_curvature(bd.d_fixed, sig_fixed, res_i, res_j)
+        hess[fixed, fixed] += curv @ weights
+        if self.n_random:
+            curv = _pair_curvature(bd.d_random, sig_random, res_i, res_j) * chain**2
+            curv += np.where(self._lognormal[:, None], g_rand, 0.0)
+            loc = np.arange(f, f + k)
+            scale = loc + k
+            cross = (curv * z) @ weights
+            hess[loc, loc] += curv @ weights
+            hess[loc, scale] += cross
+            hess[scale, loc] += cross
+            hess[scale, scale] += (curv * z * z) @ weights
+        return ll, grad, hess
 
 
 def _lead(matrix, array):
@@ -374,6 +416,22 @@ def _pair_gradient(d, sig, res_i, res_j):
     pairs: sum over p and s of d ((res_i + res_j) logistic(a) - res_j),
     since logistic(-a) = 1 - logistic(a)."""
     return (d * (sig * (res_i + res_j) - res_j)).sum(axis=(1, 2))
+
+
+def _slot_gradient(incidence, d, sig):
+    """dR/d beta per attribute, slot, situation and draw, (M, J, S, R): slot
+    i of each pair gets d logistic(a), slot j d (logistic(a) - 1)."""
+    bears = d * sig
+    pairs = np.concatenate([bears, bears - d], axis=1)  # (M, 2P, S, R)
+    n_attr, n_pairs, n_sit, n_draws = pairs.shape
+    scattered = incidence.T @ pairs.reshape(n_attr, n_pairs, n_sit * n_draws)
+    return scattered.reshape(n_attr, incidence.shape[1], n_sit, n_draws)
+
+
+def _pair_curvature(d, sig, res_i, res_j):
+    """d2(sum_i res_i R_i)/d beta2 per attribute and draw, (M, R): both slots
+    of a pair bear d^2 logistic(a) (1 - logistic(a))."""
+    return (d * d * sig * (1.0 - sig) * (res_i + res_j)).sum(axis=(1, 2))
 
 
 def _log_mean_exp(values: np.ndarray) -> float:

@@ -8,6 +8,7 @@ package is evidence, not tautology.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,25 @@ def fd_jacobian(fun, x, rel_step=1e-6):
         minus[i] -= h
         jac[:, i] = (np.asarray(fun(plus)) - np.asarray(fun(minus))) / (2.0 * h)
     return jac
+
+
+def _fd_hessian(scores: Callable, x: np.ndarray) -> np.ndarray:
+    """Central differences of the analytic gradient, step 1e-5*(1+|x_i|);
+    the gradient is the ordered sum of the rows ``scores(x)`` returns."""
+    from mixrrm.estimation import _ordered_sum
+
+    n = x.size
+    hess = np.empty((n, n))
+    for i in range(n):
+        h = 1e-5 * (1.0 + abs(x[i]))
+        plus = x.copy()
+        minus = x.copy()
+        plus[i] += h
+        minus[i] -= h
+        hess[:, i] = (
+            _ordered_sum(scores(plus)[1]) - _ordered_sum(scores(minus)[1])
+        ) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
 
 
 def irls_binary_logit(X, y, tol=1e-12, maxiter=200):

@@ -242,7 +242,7 @@ def test_variance_estimators(tmp_path):
 
     design = ModelDesign(ds, spec)
     _, scores = individual_scores(design, design.draws(), fit.theta)
-    from mixrrm.estimation import _fd_hessian
+    from oracles import _fd_hessian
 
     hessian = _fd_hessian(
         lambda x: individual_scores(design, design.draws(), x), fit.theta

@@ -305,6 +305,40 @@ def test_betas_refuses_existing_file(panel_csv, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("alias", ["panel.csv", "link.csv"])
+def test_betas_refuses_to_write_over_its_data(panel_csv, tmp_path, capsys, alias):
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    if alias == "link.csv":
+        (tmp_path / alias).symlink_to(panel_csv)
+    before = panel_csv.read_bytes()
+    # refused before the fit is read: a missing fit file gives the same error
+    for fit_file in (fit, tmp_path / "missing.json"):
+        code, out, err = run(capsys, "betas", panel_csv, "--fit", fit_file,
+                             "--saving", tmp_path / alias, "--replace")
+        assert code == 1
+        assert err.startswith("error: --saving") and "data file" in err
+        assert panel_csv.read_bytes() == before
+
+
+@pytest.mark.parametrize("content", ["id,cs,altern,choice,total_time\n", "\n\n \n"],
+                         ids=["header_only", "blank_lines"])
+@pytest.mark.parametrize("command", ["fit", "predict", "betas"])
+def test_data_file_without_rows_is_empty_input(panel_csv, tmp_path, capsys,
+                                               command, content):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(content)
+    if command == "fit":
+        argv = ["fit", empty, "--fixed", "total_time", "--noconstant"]
+    else:
+        fit = fit_json(panel_csv, tmp_path, capsys)
+        flag = "--out" if command == "predict" else "--saving"
+        argv = [command, empty, "--fit", fit, flag, tmp_path / "out.csv"]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err == f"error: {empty}: no data row after the header\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_betas_classical_fit_exit_1(panel_csv, tmp_path, capsys):
     fit = fit_json(panel_csv, tmp_path, capsys, mixed=False)
     code, out, err = run(

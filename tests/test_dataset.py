@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,18 @@ def test_missing_column(tmp_path):
     path = write_csv(tmp_path / "d.csv", HEADER, basic_rows())
     with pytest.raises(errors.MissingColumn):
         load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "price"])
+
+
+@pytest.mark.parametrize("content", ["", "id,cs,altern,choice,tt,tc\n",
+                                     "id,cs,altern,choice,tt,tc\n\n , ,\n",
+                                     "\n\n\n"],
+                         ids=["no_bytes", "header_only", "header_and_blanks",
+                              "blank_lines"])
+def test_file_without_data_rows_is_empty_input(tmp_path, content):
+    path = tmp_path / "d.csv"
+    path.write_text(content)
+    with pytest.raises(errors.EmptyInput, match=f"^{re.escape(str(path))}: no data row"):
+        load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
 
 
 def test_non_binary_choice(tmp_path):

@@ -17,9 +17,9 @@ from mixrrm.errors import (
 from mixrrm.estimation import (
     FIT_SCHEMA,
     FitOptions,
-    _fd_hessian,
     _loglik,
     _maximize,
+    _run_fit,
     covariance_cluster,
     covariance_hessian,
     covariance_robust,
@@ -33,7 +33,7 @@ from mixrrm.estimation import (
     simulated_loglik,
 )
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
-from oracles import irls_binary_logit, simulate_panel, write_rows_csv
+from oracles import _fd_hessian, irls_binary_logit, simulate_panel, write_rows_csv
 
 
 def panel_dataset(tmp_path, rng, cluster=False, **kwargs):
@@ -107,7 +107,7 @@ def test_fewer_clusters_than_parameters_warns(rng):
 
 
 def test_fd_hessian_covariance_matches_loglik_curvature(tmp_path, rng):
-    """Covariance from the analytic-gradient Hessian vs. a pure value-based one."""
+    """Covariance from the analytic Hessian vs. a pure value-based one."""
     ds = panel_dataset(tmp_path, rng, n_individuals=60, n_situations=3,
                        n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
     spec = ModelSpec(fixed_attrs=("tt", "tc"))
@@ -468,6 +468,79 @@ def test_lognormal_starting_location_uses_log_abs(tmp_path, rng):
     assert np.exp(fit.theta[1]) > 0
 
 
+# --- analytic Hessian --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    {"fixed_attrs": ("tt", "tc")},
+    {"fixed_attrs": ("tt", "tc"), "use_asc": True},
+    {"fixed_attrs": ("tc",), "random_attrs": ("tt",)},
+    {"fixed_attrs": ("tc",), "random_attrs": ("tt",), "ln_count": 1},
+    {"random_attrs": ("tt", "tc"), "ln_count": 1, "use_asc": True,
+     "base_alternative": 2},
+], ids=["classical", "classical_asc", "normal", "lognormal", "mixed_asc"])
+def test_analytic_hessian_matches_finite_differences(tmp_path, rng, spec):
+    """The one-pass Hessian agrees with central differences of the gradient
+    to their truncation error, and is exactly symmetric."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=3,
+                       n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
+    design = ModelDesign(ds, ModelSpec(**spec))
+    draws = design.draws(10, 15)
+    x = rng.normal(size=design.n_params) * 0.3
+    _, _, hessian = individual_scores(design, draws, x, hessian=True)
+    oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
+    assert np.array_equal(hessian, hessian.T)
+    np.testing.assert_allclose(hessian, oracle, rtol=0,
+                               atol=1e-7 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("random_attrs", [(), ("tt",)])
+def test_constant_attribute_hessian_is_singular(tmp_path, rng, random_attrs):
+    rows, _ = simulate_panel(rng, n_individuals=20, n_situations=3,
+                             n_alternatives=3, fixed={"tt": -0.5})
+    for row in rows:
+        row["flat"] = "1.0"
+    path = tmp_path / "flat.csv"
+    write_rows_csv(rows, path)
+    ds = load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "flat"])
+    fixed = tuple(a for a in ("tt", "flat") if a not in random_attrs)
+    spec = ModelSpec(fixed_attrs=fixed, random_attrs=random_attrs)
+    with pytest.raises(SingularHessian):
+        _run_fit(ds, spec, FitOptions(nrep=10))
+
+
+@pytest.mark.parametrize("random", [None, {"tt": ("normal", -0.5, 0.2)}])
+def test_hessian_costs_one_score_walk(tmp_path, rng, monkeypatch, random):
+    """After the optimizer stops, a fit makes exactly one value+gradient
+    walk, which also returns the Hessian; a mixed fit's preliminary
+    classical fit does the same."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=3,
+                       n_alternatives=3, fixed={"tc": -0.3}, random=random)
+    calls = []
+    walk, maximize = estimation.individual_scores, estimation._maximize
+
+    def counted_walk(*args, hessian=False):
+        calls.append("hessian" if hessian else "walk")
+        return walk(*args, hessian=hessian)
+
+    def marked_maximize(*args, **kwargs):
+        result = maximize(*args, **kwargs)
+        calls.append("optimum")
+        return result
+
+    monkeypatch.setattr(estimation, "individual_scores", counted_walk)
+    monkeypatch.setattr(estimation, "_maximize", marked_maximize)
+    spec = ModelSpec(fixed_attrs=("tc",), random_attrs=tuple(random or ()))
+    _run_fit(ds, spec, FitOptions(nrep=10))
+    fits = 2 if random else 1
+    assert calls.count("optimum") == calls.count("hessian") == fits
+    for k, call in enumerate(calls):
+        if call == "optimum":
+            assert calls[k + 1] == "hessian"
+    assert calls[-2:] == ["optimum", "hessian"]
+    assert not hasattr(estimation, "_fd_hessian")
+
+
 # --- serialization ------------------------------------------------------------------
 
 
@@ -539,8 +612,8 @@ def test_cluster_sandwich_needs_two_clusters(rng):
 
 @pytest.mark.parametrize("maxiter", [200, 2])
 def test_sandwich_uses_scores_of_the_final_point(tmp_path, rng, maxiter):
-    """The optimizer's last gradient rows are the sandwich meat: the robust
-    covariance equals the one rebuilt from a fresh score pass, bit for bit."""
+    """The sandwich is built from the final point: the robust covariance
+    equals the one rebuilt from a fresh score and Hessian pass, bit for bit."""
     ds = panel_dataset(tmp_path, rng, n_individuals=40, n_situations=3,
                        n_alternatives=3, fixed={"tc": -0.3},
                        random={"tt": ("normal", -0.5, 0.2)})
@@ -554,9 +627,8 @@ def test_sandwich_uses_scores_of_the_final_point(tmp_path, rng, maxiter):
     assert fit.converged == (maxiter == 200)
     design = ModelDesign(ds, spec)
     draws = design.draws(20, 15)
-    scores = lambda x: individual_scores(design, draws, x)
-    expected = covariance_robust(_fd_hessian(scores, fit.theta),
-                                 scores(fit.theta)[1])
+    _, scores, hessian = individual_scores(design, draws, fit.theta, hessian=True)
+    expected = covariance_robust(hessian, scores)
     assert np.array_equal(fit.covariance, expected)
 
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dataset, situation_slices
 from mixrrm.errors import SpecMismatch
+from mixrrm.estimation import individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
-from oracles import brute_force_sll, fd_gradient, naive_regret
+from oracles import _fd_hessian, brute_force_sll, fd_gradient, naive_regret
 
 LN2 = math.log(2.0)
 
@@ -544,6 +545,21 @@ def test_padded_situations_match_oracle(data):
         oracle = fd_gradient(lambda v: oracle_loglik(design, pos, v, z), x,
                              rel_step=5e-6)
         np.testing.assert_allclose(grad, oracle, rtol=1e-7, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_padded_situations_hessian_matches_finite_differences(data):
+    """Padded slots and missing labels add nothing to the Hessian: it agrees
+    with central differences of the gradient and is exactly symmetric."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    design = padded_design(data, rng)
+    x = rng.normal(size=design.n_params) * 0.5
+    draws = rng.normal(size=(design.ds.n_individuals, 2, 3))
+    _, _, hessian = individual_scores(design, draws, x, hessian=True)
+    oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
+    assert np.array_equal(hessian, hessian.T)
+    np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
