@@ -313,29 +313,35 @@ def cmd_betas(args) -> int:
         draw_settings, histogram_svg, individual_betas, write_beta_file,
     )
 
+    if os.path.exists(args.saving) and not args.replace:
+        raise InvalidOption(f"{args.saving} exists; pass --replace to overwrite")
     if os.path.exists(args.saving) and os.path.samefile(args.saving, args.data):
         raise InvalidOption(f"--saving {args.saving} is the data file it reads")
+    if args.attrs and len(set(args.attrs)) < len(args.attrs):
+        raise InvalidOption("--attrs names an attribute twice")
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
+    if not fit.spec.n_random:
+        raise SpecMismatch("fit has no random coefficients")
+    keep = args.attrs or list(fit.spec.random_attrs)
+    for attr in keep:
+        if attr not in fit.spec.random_attrs:
+            raise InvalidOption(f"--attrs {attr!r} is not a random attribute")
+    out_dir = os.path.dirname(os.path.abspath(args.saving))
+    plots = [os.path.join(out_dir, f"{a}_hist.svg") for a in keep if args.plot]
+    for path in plots:
+        if os.path.exists(path) and not args.replace:
+            raise InvalidOption(f"{path} exists; pass --replace to overwrite")
     ds = _load_dataset(args, _attr_cols(fit.spec))
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)
-
-    keep = args.attrs or list(table.attrs)
-    for attr in keep:
-        if attr not in table.attrs:
-            raise SpecMismatch(f"{attr!r} is not a random attribute of this fit")
     cols = [table.attrs.index(a) for a in keep]
     table = type(table)(attrs=tuple(keep), ids=table.ids, values=table.values[:, cols])
 
     write_beta_file(table, args.saving, replace=args.replace)
     print(f"individual coefficients written to {args.saving}", file=sys.stderr)
-    if args.plot:
-        out_dir = os.path.dirname(os.path.abspath(args.saving))
-        for attr in table.attrs:
-            svg_path = os.path.join(out_dir, f"{attr}_hist.svg")
-            col = table.values[:, table.attrs.index(attr)]
-            histogram_svg(col, f"Distribution of {attr} coefficient", svg_path)
-            print(f"plot written to {svg_path}", file=sys.stderr)
+    for attr, svg_path, col in zip(keep, plots, table.values.T):
+        histogram_svg(col, f"Distribution of {attr} coefficient", svg_path)
+        print(f"plot written to {svg_path}", file=sys.stderr)
     return 0
 
 

@@ -52,6 +52,8 @@ class FitOptions:
             raise InvalidOption(f"maxiter {self.maxiter!r} is negative")
         if not self.gtol > 0.0:
             raise InvalidOption(f"gtol {self.gtol!r} is not positive")
+        if not 0.0 < self.step_tol < math.inf:
+            raise InvalidOption(f"step_tol {self.step_tol!r} must be positive and finite")
         if self.covariance not in ("hessian", "robust", "cluster"):
             raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
         if self.burn < 0:
@@ -310,27 +312,27 @@ def covariance_robust(hessian: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
-    """The log-likelihood walk: individual terms added in dataset order."""
+    """The log-likelihood walk over blocks: terms added in dataset order."""
     theta = design.unpack(x)
-    total = 0.0
-    for pos in range(design.ds.n_individuals):
-        total += design.individual_loglik(pos, theta, draws[pos])
-    return total
+    return float(_ordered_sum(np.concatenate([
+        design.individual_loglik(block, theta, draws[start:stop])
+        for block, (start, stop) in enumerate(design.blocks)
+    ])))
 
 
 def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
     """Per-individual log-likelihood terms (N,) and gradient rows (N, P) at
     ``x``; the only walk that evaluates the gradient.  With ``hessian``, also
-    the log-likelihood Hessian (P, P): the individual Hessians added in
-    dataset order, then symmetrised."""
+    the log-likelihood Hessian (P, P): the block Hessians added in dataset
+    order, then symmetrised."""
     theta = design.unpack(x)
     n_ind = design.ds.n_individuals
     lls = np.empty(n_ind)
     rows = np.empty((n_ind, design.n_params))
     total = np.zeros((design.n_params, design.n_params))
-    for pos in range(n_ind):
-        lls[pos], rows[pos], *hess = design.individual_loglik_gradient(
-            pos, theta, draws[pos], hessian
+    for block, (start, stop) in enumerate(design.blocks):
+        lls[start:stop], rows[start:stop], *hess = design.individual_loglik_gradient(
+            block, theta, draws[start:stop], hessian
         )
         if hessian:
             total += hess[0]

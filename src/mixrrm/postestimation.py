@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import ChoiceDataset
 from .errors import AttrNotLognormal, DomainError, EmptyInput, InvalidOption, SpecMismatch
 from .estimation import FitResult
-from .regret import ModelDesign
+from .regret import ModelDesign, _log_mean_exp
 
 
 @dataclass(frozen=True)
@@ -72,14 +72,16 @@ def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
 
 
 def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
-    """The draw-info walk: the fit's design on ``ds``, its draws, and
-    ``summarize(design, position, ln_seq, probs)`` of every individual."""
+    """The draw-info walk over blocks: the fit's design on ``ds``, its draws,
+    and ``summarize(rows, ln_seq, probs)`` of every block in order, ``rows``
+    its data slots (:meth:`ModelDesign.available`)."""
     design = _bind_design(ds, fit)
     draws = design.draws(*draw_settings(fit, nrep, burn))
     theta = fit.theta_hat
     return design, draws, [
-        summarize(design, pos, *design.individual_draw_info(pos, theta, draws[pos]))
-        for pos in range(ds.n_individuals)
+        summarize(design.available(block),
+                  *design.individual_draw_info(block, theta, draws[start:stop]))
+        for block, (start, stop) in enumerate(design.blocks)
     ]
 
 
@@ -96,7 +98,7 @@ def predict_probabilities(
     """
     *_, rows = _draw_info_walk(
         ds, fit, nrep, burn,
-        lambda design, pos, _, probs: probs.mean(axis=0)[design.available(pos)],
+        lambda rows, _, probs: probs.mean(axis=1)[rows],
     )
     return np.concatenate(rows)
 
@@ -112,13 +114,10 @@ def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
     """Design, (N, K, R) draws and (N, R) posterior draw weights of a mixed fit."""
     if fit.spec.n_random < 1:
         raise SpecMismatch("fit has no random coefficients")
-    design, draws, weights = _draw_info_walk(ds, fit, nrep, burn, _normalized)
-    return design, draws, np.array(weights)
-
-
-def _normalized(design, position, ln_seq, probs) -> np.ndarray:
-    w = np.exp(ln_seq - ln_seq.max())
-    return w / w.sum()
+    design, draws, weights = _draw_info_walk(
+        ds, fit, nrep, burn, lambda rows, ln_seq, _: _log_mean_exp(ln_seq)[1]
+    )
+    return design, draws, np.concatenate(weights)
 
 
 def posterior_weights(
@@ -142,12 +141,8 @@ def individual_betas(
     averaged on the coefficient scale, not the log scale.
     """
     design, draws, weights = _posterior(ds, fit, nrep, burn)
-    n_ind, k, r = draws.shape
-    # every individual's draws side by side: column n*R + r is draws[n, :, r]
-    coefs = design.random_coefficient_draws(
-        fit.theta_hat, draws.transpose(1, 0, 2).reshape(k, n_ind * r)
-    ).reshape(n_ind, r, k)
-    values = np.matmul(weights[:, None, :], coefs)[:, 0]
+    coefs = design.random_coefficient_draws(fit.theta_hat, draws.transpose(1, 0, 2))
+    values = np.matmul(weights[:, None, :], coefs.transpose(1, 0, 2))[:, 0]
     return IndividualBetaTable(
         attrs=fit.spec.random_attrs, ids=ds.individual_ids, values=values
     )

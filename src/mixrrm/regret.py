@@ -8,19 +8,20 @@ individual, multiplies the chosen-alternative probabilities across that
 individual's choice situations, and averages the product over draws.
 
 Everything here is a pure function of its inputs.  The hot path is
-:meth:`ModelDesign.individual_loglik_gradient`, vectorized over draws and
-situations within one individual.  It evaluates each unordered pair of
-alternatives i < j once: with a = beta_m * (x_j - x_i), i bears
-ln(1 + exp(a)) and j bears ln(1 + exp(-a)), both from one exp(-|a|).  The
-fixed attributes and the constants form a base that does not depend on the
-draw, so only the random attributes are evaluated per draw.  The same pass
-can also return the individual's exact Hessian, built from the same pair
-logistics.  The test suite checks the kernel against a first-principles
-reference written with plain loops (``tests/oracles.py``).
+:meth:`ModelDesign.individual_loglik_gradient`, vectorized over the draws,
+situations and individuals of a block: ``_CHUNK`` consecutive individuals of
+a classical model (one zero draw each), or one of a mixed model.  Each
+unordered pair of alternatives i < j is evaluated once: with a = beta_m *
+(x_j - x_i), i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).
+Fixed attributes and constants form a draw-invariant base, so only the random
+attributes are evaluated per draw.  The same pass can return the block's
+exact Hessian from the same pair logistics.  The tests check the kernel
+against a first-principles reference with plain loops (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,19 +132,26 @@ class ParameterVector:
         )
 
 
+# individuals per block of a classical design; a mixed design has one
+_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class _BlockData:
-    """Precomputed tensors for one individual: S situations padded to J slots
-    and their P = J(J-1)/2 unordered slot pairs i < j.  The draw axis goes
-    last (a trailing 1 here), so every kernel reduction adds whole slabs."""
+    """Precomputed tensors for a block: n consecutive individuals with S
+    situations each (the block's most; a padded situation has only slot 0,
+    available and chosen, so it adds exactly 0) of J slots, and the P =
+    J(J-1)/2 slot pairs i < j.  The individual axis comes just before the
+    draw axis, which goes last (a trailing 1 here), so reductions add slabs."""
 
-    avail: np.ndarray        # (S, J) bool
-    chosen: np.ndarray       # (S,) int, position within the situation
-    d_fixed: np.ndarray      # (Mf, P, S, 1) x[j] - x[i], fixed attributes
-    d_random: np.ndarray     # (Mr, P, S, 1) x[j] - x[i], random attributes
-    live: np.ndarray         # (P, S, 1) float: 1 where both slots hold data
+    rows: np.ndarray         # (n, S, J) bool: slots holding a data row
+    avail: np.ndarray        # (J, S, n, 1) bool: data slots and padded slot 0
+    chosen: np.ndarray       # (S*n,) int: each chosen slot's row in (J*S*n, R)
+    d_fixed: np.ndarray      # (Mf, P, S, n, 1) x[j] - x[i], fixed attributes
+    d_random: np.ndarray     # (Mr, P, S, n, 1) x[j] - x[i], random attributes
+    live: np.ndarray         # (P, S, n, 1) float: 1 where both slots hold data
     incidence: np.ndarray    # (2P, J): row p marks slot i of pair p, row P+p slot j
-    asc_onehot: np.ndarray   # (J, S, n_asc) float
+    asc_onehot: np.ndarray   # (J, S, n, n_asc) float
 
 
 class ModelDesign:
@@ -178,28 +186,48 @@ class ModelDesign:
         self.n_asc = len(self.asc_labels)
         self.n_params = len(self.param_names)
 
-        # every row goes to its slot in one (situations, J, M) padded array;
-        # an individual's block is its run of situations, J cut to its widest
+        # blocks: runs of _CHUNK individuals for a classical design (one zero
+        # draw each), one individual for a mixed one; ``blocks`` holds each
+        # block's individual range [start, stop)
+        n_ind = ds.n_individuals
+        edges = np.append(np.arange(0, n_ind, 1 if self.n_random else _CHUNK), n_ind)
+        self.blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+
+        # every row goes to its slot in one padded (cells, J, M) array: each
+        # individual has S_b cells, S_b its block's most situations, and a
+        # block is its individuals' cells with J cut to its widest situation
         starts = ds.situation_starts
         sizes = np.diff(starts, append=ds.n_rows)
+        n_sit = np.diff(ds.individual_starts, append=starts.size)
+        depth = np.maximum.reduceat(n_sit, edges[:-1])
+        widths = np.maximum.reduceat(sizes, ds.individual_starts[edges[:-1]])
+        ind_depth = np.repeat(depth, np.diff(edges))
+        ind_cell = np.cumsum(ind_depth) - ind_depth
+        sit_cell = (np.repeat(ind_cell - ds.individual_starts, n_sit)
+                    + np.arange(starts.size))
         row_sit = np.repeat(np.arange(starts.size), sizes)
+        row_cell = sit_cell[row_sit]
         slot = np.arange(ds.n_rows) - starts[row_sit]
-        shape = (starts.size, sizes.max(initial=0))
+        shape = (ind_depth.sum(), sizes.max(initial=0))
         x = np.zeros((*shape, len(self.model_attrs)))
-        x[row_sit, slot] = ds.attributes[:, self.attr_indices]
-        avail = np.arange(shape[1]) < sizes[:, None]
-        asc_onehot = np.zeros((shape[1], shape[0], self.n_asc))
-        asc_onehot[slot, row_sit] = ds.alternative[:, None] == np.array(self.asc_labels)
-        chosen = slot[ds.chosen]
+        x[row_cell, slot] = ds.attributes[:, self.attr_indices]
+        rows = np.zeros(shape, dtype=bool)
+        rows[row_cell, slot] = True
+        asc_onehot = np.zeros((*shape, self.n_asc))
+        asc_onehot[row_cell, slot] = ds.alternative[:, None] == self.asc_labels
+        chosen = np.zeros(shape[0], dtype=np.intp)
+        chosen[sit_cell] = slot[ds.chosen]
 
-        bounds = np.append(ds.individual_starts, starts.size)
-        widths = np.maximum.reduceat(sizes, bounds[:-1])
-        pairs = {}  # J -> slot pairs and incidence, shared by blocks of equal J
-        self._blocks = [
-            self._build_block(x[a:b, :j], avail[a:b, :j], chosen[a:b],
-                              asc_onehot[:j, a:b].copy(), pairs)
-            for a, b, j in zip(bounds[:-1], bounds[1:], widths)
-        ]
+        # blocks of equal (n, S, J) are built together, as slabs of one array
+        shapes, built = {}, {}
+        for block, key in enumerate(zip(np.diff(edges).tolist(), depth.tolist(),
+                                        widths.tolist())):
+            shapes.setdefault(key, []).append(block)
+        for (n, s, j), members in shapes.items():
+            cut = ind_cell[edges[members], None] + np.arange(n * s)
+            built.update(zip(members, self._build_blocks(
+                n, x[cut, :j], rows[cut, :j], chosen[cut], asc_onehot[cut, :j])))
+        self._blocks = [built[block] for block in range(len(self.blocks))]
 
     # -- packing ------------------------------------------------------------
 
@@ -218,24 +246,29 @@ class ModelDesign:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_block(self, x, avail, chosen, asc_onehot, pairs) -> _BlockData:
-        """One individual's block from its (S, J, M) attributes, (S, J)
-        slots, (S,) chosen slots and (J, S, n_asc) constants."""
-        j_max = avail.shape[1]
-        if j_max not in pairs:
-            first, second = np.triu_indices(j_max, 1)
-            pairs[j_max] = first, second, np.eye(j_max)[np.r_[first, second]]
-        first, second, incidence = pairs[j_max]
-        live = (avail[:, first] & avail[:, second]).T[..., None]
+    def _build_blocks(self, n, x, rows, chosen, asc_onehot) -> list:
+        """G blocks of n individuals from their n*S cells each, individual-major:
+        (G, cells, J, M) attributes, (G, cells, J) data slots, (G, cells) chosen
+        slots and (G, cells, J, n_asc) constants; a block's tensors are slabs."""
+        n_group, n_cells, j_max = rows.shape
+        first, second = np.triu_indices(j_max, 1)
+        grid = lambda a: a.reshape(n_group, n, n_cells // n, *a.shape[2:])
+        # kernel order (G, ..., S, n): the axes after G reversed
+        kernel = lambda a: np.ascontiguousarray(
+            grid(a).transpose(0, *range(a.ndim, 0, -1)))
+        live = kernel(rows[..., first] & rows[..., second])[..., None]
         # a pair with a padded slot gets a zero difference, so it adds
         # nothing to the gradient; ``live`` masks it out of the regrets
-        pair_diff = (x[:, second] - x[:, first]).T[..., None] * live
-
-        return _BlockData(
-            avail=avail, chosen=chosen, d_fixed=pair_diff[self._fixed_pos],
-            d_random=pair_diff[self._random_pos], live=live.astype(float),
-            incidence=incidence, asc_onehot=asc_onehot,
-        )
+        pair_diff = kernel(x[:, :, second] - x[:, :, first])[..., None] * live[:, None]
+        chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
+        avail = rows | (np.arange(j_max) == 0)  # a padded situation has slot 0
+        return list(map(  # the _BlockData fields, in order
+            _BlockData, grid(rows), kernel(avail)[..., None],
+            chosen * n_cells + np.arange(n_cells), pair_diff.take(self._fixed_pos, 1),
+            pair_diff.take(self._random_pos, 1), live.astype(float),
+            [np.eye(j_max)[np.r_[first, second]]] * n_group,
+            np.ascontiguousarray(grid(asc_onehot).transpose(0, 3, 2, 1, 4)),
+        ))
 
     # -- coefficient realization ---------------------------------------------
 
@@ -253,64 +286,70 @@ class ModelDesign:
         return beta
 
     def random_coefficient_draws(self, theta, z) -> np.ndarray:
-        """(R, K) realized random coefficients, coefficient scale, declared order."""
-        vals = theta.rand_location[:, None] + theta.rand_scale[:, None] * z
-        np.exp(vals, out=vals, where=self._lognormal[:, None])
+        """Realized random coefficients, coefficient scale, declared order,
+        from (K, ...) standard draws, axes reversed: (R, K) from (K, R)."""
+        lead = (slice(None),) + (None,) * (z.ndim - 1)
+        vals = theta.rand_location[lead] + theta.rand_scale[lead] * z
+        np.exp(vals, out=vals, where=self._lognormal[lead])
         return vals.T
 
-    def available(self, position: int) -> np.ndarray:
-        """(S, J) mask of the slots holding data rows (dataset order in C order)."""
-        return self._blocks[position].avail
+    def available(self, block: int) -> np.ndarray:
+        """(n, S, J) mask of a block's data slots (dataset order in C order)."""
+        return self._blocks[block].rows
 
-    # -- per-individual kernels ------------------------------------------------
+    # -- block kernels ---------------------------------------------------------
+    # A kernel evaluates block ``block`` under its individuals' (n, K, R)
+    # draws ``z``, e.g. ``draws[start:stop]`` for its range in ``blocks``.
 
     def _draw_regrets(self, bd: _BlockData, theta, coefs, want_gradient):
-        """Regrets (J,S,R) under the (K,R) random coefficients ``coefs``: a
-        draw-invariant (J,S,1) base of the fixed attributes and constants plus
-        the random attributes' terms; with ``want_gradient`` also the pair
-        logistics of the fixed (Mf,P,S,1) and random (Mr,P,S,R) attributes."""
+        """Regrets (J,S,n,R) under the (K,n,R) random coefficients ``coefs``:
+        a draw-invariant (J,S,n,1) base of the fixed attributes and constants
+        plus the random attributes' terms; with ``want_gradient`` also the
+        pair logistics of the fixed (Mf,P,S,n,1) and random (Mr,P,S,n,R)
+        attributes."""
         fixed, sig_fixed = _pair_terms(
-            theta.fixed[:, None, None, None] * bd.d_fixed, bd.live, want_gradient
+            theta.fixed[:, None, None, None, None] * bd.d_fixed, bd.live, want_gradient
         )
         regrets = _lead(bd.incidence.T, fixed) + (bd.asc_onehot @ theta.asc)[..., None]
         if not self.n_random:  # a classical model: the base is all there is
             return regrets, sig_fixed, None
         drawn, sig_random = _pair_terms(
-            coefs[:, None, None, :] * bd.d_random, bd.live, want_gradient
+            coefs[:, None, None] * bd.d_random, bd.live, want_gradient
         )
         return regrets + _lead(bd.incidence.T, drawn), sig_fixed, sig_random
 
     def _probabilities(self, bd: _BlockData, regrets):
-        """Per-draw choice probabilities (J,S,R) and chosen log-probs (S,R)."""
-        neg = np.where(bd.avail.T[..., None], -regrets, -np.inf)
+        """Per-draw choice probabilities (J,S,n,R) and chosen log-probs (S,n,R)."""
+        neg = np.where(bd.avail, -regrets, -np.inf)
         peak = neg.max(axis=0)
         expn = np.exp(neg - peak)
         denom = expn.sum(axis=0)
         probs = expn / denom
         lse = peak + np.log(denom)
-        return probs, neg[bd.chosen, np.arange(bd.chosen.size)] - lse
+        chosen = neg.reshape(-1, neg.shape[-1])[bd.chosen]
+        return probs, chosen.reshape(lse.shape) - lse
 
-    def individual_draw_info(self, position: int, theta, z):
-        """Per-draw sequence log-probs (R,) and probabilities (R,S,J)."""
-        bd = self._blocks[position]
-        coefs = self.random_coefficient_draws(theta, z).T
+    def individual_draw_info(self, block: int, theta, z):
+        """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J)."""
+        bd = self._blocks[block]
+        coefs = self.random_coefficient_draws(theta, z.transpose(1, 0, 2)).T
         regrets, _, _ = self._draw_regrets(bd, theta, coefs, want_gradient=False)
         probs, ln_chosen = self._probabilities(bd, regrets)
-        return ln_chosen.sum(axis=0), probs.T
+        return ln_chosen.sum(axis=0), probs.transpose(2, 3, 1, 0)
 
-    def individual_loglik(self, position: int, theta, z) -> float:
-        ln_seq, _ = self.individual_draw_info(position, theta, z)
-        return _log_mean_exp(ln_seq)
+    def individual_loglik(self, block: int, theta, z) -> np.ndarray:
+        """Simulated log-likelihood terms (n,) of a block's individuals."""
+        ln_seq, _ = self.individual_draw_info(block, theta, z)
+        return _log_mean_exp(ln_seq)[0]
 
-    def individual_loglik_gradient(self, position: int, theta, z, hessian=False):
-        """Simulated log-likelihood term of one individual and its gradient.
-
-        Returns ``(ll, grad)`` where ``ll = ln((1/R) sum_r P_n(asc, beta^r))``
-        and ``grad`` is exact with respect to the packed parameter vector;
-        with ``hessian``, ``(ll, grad, hess)``, where ``hess`` is the exact
-        (P, P) Hessian of ``ll``, symmetric up to rounding.
-        """
-        bd = self._blocks[position]
+    def individual_loglik_gradient(self, block: int, theta, z, hessian=False):
+        """Simulated log-likelihood terms of a block's individuals and their
+        gradient rows: ``(ll, grad)``, ``ll[i] = ln((1/R) sum_r P_i(asc,
+        beta^r))`` of shape (n,) and ``grad`` (n, P), exact in the packed
+        parameters; with ``hessian``, ``(ll, grad, hess)``, ``hess`` the exact
+        (P, P) Hessian of ``ll.sum()``, symmetric up to rounding."""
+        bd = self._blocks[block]
+        z = z.transpose(1, 0, 2)  # (K, n, R)
         coefs = self.random_coefficient_draws(theta, z).T
         regrets, sig_fixed, sig_random = self._draw_regrets(
             bd, theta, coefs, want_gradient=True
@@ -319,39 +358,37 @@ class ModelDesign:
 
         # d ln P(chosen) / d R_i = P_i - 1[i = chosen]
         resid = probs.copy()
-        resid[bd.chosen, np.arange(bd.chosen.size)] -= 1.0
+        resid.reshape(-1, resid.shape[-1])[bd.chosen] -= 1.0
         res_i, res_j = _lead(bd.incidence, resid).reshape(2, -1, *resid.shape[1:])
 
-        n_draws = z.shape[1]
+        n_ind, n_draws = resid.shape[2:]
         f, k = self.n_fixed, self.n_random
         # chain rule: d beta/d b is 1 (normal) or beta (log-normal);
         # d beta/d s multiplies that by the draw.
-        chain = np.where(self._lognormal[:, None], coefs, 1.0)
-        per_draw = np.empty((self.n_params, n_draws))
+        chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
+        per_draw = np.empty((self.n_params, n_ind, n_draws))
         per_draw[:f] = _pair_gradient(bd.d_fixed, sig_fixed, res_i, res_j)
         if self.n_random:
             g_rand = _pair_gradient(bd.d_random, sig_random, res_i, res_j)
             g_rand *= chain
             per_draw[f:f + k] = g_rand
             per_draw[f + k:f + 2 * k] = g_rand * z
-        if self.n_asc:
-            per_draw[f + 2 * k:] = (bd.asc_onehot.reshape(-1, self.n_asc).T
-                                    @ resid.reshape(-1, n_draws))
+        if self.n_asc:  # per individual: (n_asc, J*S) @ (J*S, R)
+            onehot = bd.asc_onehot.reshape(-1, n_ind, self.n_asc).transpose(1, 2, 0)
+            per_draw[f + 2 * k:] = np.matmul(
+                onehot, resid.reshape(-1, n_ind, n_draws).transpose(1, 0, 2)
+            ).transpose(1, 0, 2)
 
-        ln_seq = ln_chosen.sum(axis=0)
-        peak = ln_seq.max()
-        weights = np.exp(ln_seq - peak)
-        total = weights.sum()
-        ll = peak + np.log(total) - np.log(n_draws)
-        weights /= total
-        grad = per_draw @ weights
+        ll, weights = _log_mean_exp(ln_chosen.sum(axis=0))
+        grad = np.matmul(per_draw.transpose(1, 0, 2), weights[..., None])[..., 0]
         if not hessian:
             return ll, grad
 
-        # H = sum_r w_r (H_r + g_r g_r') - grad grad', with the draw-weighted
-        # spread of the g_r taken about grad.  Per draw and situation, H_r is
-        # sum_i res_i d2R_i - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)'.
-        slot = np.empty((self.n_params, *probs.shape))  # dR/dtheta, (P, J, S, R)
+        # H = sum_r w_r (H_r + g_r g_r') - grad grad' per individual, with the
+        # draw-weighted spread of the g_r taken about grad, summed over the
+        # block.  Per draw and situation, H_r is sum_i res_i d2R_i
+        # - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)'.
+        slot = np.empty((self.n_params, *probs.shape))  # dR/dtheta, (P, J, S, n, R)
         slot[:f] = _slot_gradient(bd.incidence, bd.d_fixed, sig_fixed)
         if self.n_random:
             d_rand = _slot_gradient(bd.incidence, bd.d_random, sig_random)
@@ -361,27 +398,28 @@ class ModelDesign:
         slot[f + 2 * k:] = np.moveaxis(bd.asc_onehot, -1, 0)[..., None]
         weighted = slot * probs
         mean = weighted.sum(axis=1)
-        spread = per_draw - grad[:, None]
-        flat = lambda a: a.reshape(self.n_params, -1)
+        spread = per_draw - grad.T[..., None]
+        flat = lambda a: a.reshape(len(a), math.prod(a.shape[1:]))
         hess = (flat(mean * weights) @ flat(mean).T
                 - flat(weighted * weights) @ flat(slot).T
-                + (spread * weights) @ spread.T)
+                + flat(spread * weights) @ flat(spread).T)
 
         # the pair curvature is diagonal in beta; a log-normal beta also has
         # d2 beta = beta [1, z; z, z^2] over (b, s), times its gradient g_beta
+        weights = weights.ravel()
         fixed = np.arange(f)
         curv = _pair_curvature(bd.d_fixed, sig_fixed, res_i, res_j)
-        hess[fixed, fixed] += curv @ weights
+        hess[fixed, fixed] += flat(curv) @ weights
         if self.n_random:
             curv = _pair_curvature(bd.d_random, sig_random, res_i, res_j) * chain**2
-            curv += np.where(self._lognormal[:, None], g_rand, 0.0)
+            curv += np.where(self._lognormal[:, None, None], g_rand, 0.0)
             loc = np.arange(f, f + k)
             scale = loc + k
-            cross = (curv * z) @ weights
-            hess[loc, loc] += curv @ weights
+            cross = flat(curv * z) @ weights
+            hess[loc, loc] += flat(curv) @ weights
             hess[loc, scale] += cross
             hess[scale, loc] += cross
-            hess[scale, scale] += (curv * z * z) @ weights
+            hess[scale, scale] += flat(curv * z * z) @ weights
         return ll, grad, hess
 
 
@@ -391,9 +429,9 @@ def _lead(matrix, array):
 
 
 def _pair_terms(a, live, want_logistic):
-    """Regret terms of the pair activations ``a`` (M, P, S, R), summed over
-    the attributes: ln(1 + exp(a)), borne by slot i of each pair, then
-    ln(1 + exp(-a)), borne by slot j, as (2P, S, R); and logistic(a) when
+    """Regret terms of the pair activations ``a`` (M, P, S, n, R), summed
+    over the attributes: ln(1 + exp(a)), borne by slot i of each pair, then
+    ln(1 + exp(-a)), borne by slot j, as (2P, S, n, R); and logistic(a) when
     asked.
 
     Both directions share t = exp(-|a|) and are exact, with no cancellation:
@@ -403,37 +441,40 @@ def _pair_terms(a, live, want_logistic):
     """
     t = np.exp(-np.abs(a)) * live
     log_t = np.log1p(t)
-    terms = np.concatenate([
-        (np.maximum(a, 0.0) + log_t).sum(axis=0),
-        (np.maximum(-a, 0.0) + log_t).sum(axis=0),
-    ])
+    pos = np.maximum(a, 0.0)  # and max(-a, 0) = pos - a, exactly
+    terms = np.concatenate([(pos + log_t).sum(axis=0), (pos - a + log_t).sum(axis=0)])
     sig = np.where(a >= 0.0, 1.0, t) / (1.0 + t) if want_logistic else None
     return terms, sig
 
 
 def _pair_gradient(d, sig, res_i, res_j):
-    """d(sum_i res_i R_i)/d beta per attribute and draw, (M, R), from the
-    pairs: sum over p and s of d ((res_i + res_j) logistic(a) - res_j),
-    since logistic(-a) = 1 - logistic(a)."""
+    """d(sum_i res_i R_i)/d beta per attribute, individual and draw,
+    (M, n, R), from the pairs: sum over p and s of d ((res_i + res_j)
+    logistic(a) - res_j), since logistic(-a) = 1 - logistic(a)."""
     return (d * (sig * (res_i + res_j) - res_j)).sum(axis=(1, 2))
 
 
 def _slot_gradient(incidence, d, sig):
-    """dR/d beta per attribute, slot, situation and draw, (M, J, S, R): slot
-    i of each pair gets d logistic(a), slot j d (logistic(a) - 1)."""
+    """dR/d beta per attribute, slot, situation, individual and draw,
+    (M, J, S, n, R): slot i of each pair gets d logistic(a), slot j
+    d (logistic(a) - 1)."""
     bears = d * sig
-    pairs = np.concatenate([bears, bears - d], axis=1)  # (M, 2P, S, R)
-    n_attr, n_pairs, n_sit, n_draws = pairs.shape
-    scattered = incidence.T @ pairs.reshape(n_attr, n_pairs, n_sit * n_draws)
-    return scattered.reshape(n_attr, incidence.shape[1], n_sit, n_draws)
+    pairs = np.concatenate([bears, bears - d], axis=1)  # (M, 2P, S, n, R)
+    n_attr, n_pairs, *rest = pairs.shape
+    scattered = incidence.T @ pairs.reshape(n_attr, n_pairs, math.prod(rest))
+    return scattered.reshape(n_attr, incidence.shape[1], *rest)
 
 
 def _pair_curvature(d, sig, res_i, res_j):
-    """d2(sum_i res_i R_i)/d beta2 per attribute and draw, (M, R): both slots
-    of a pair bear d^2 logistic(a) (1 - logistic(a))."""
+    """d2(sum_i res_i R_i)/d beta2 per attribute, individual and draw,
+    (M, n, R): both slots of a pair bear d^2 logistic(a) (1 - logistic(a))."""
     return (d * d * sig * (1.0 - sig) * (res_i + res_j)).sum(axis=(1, 2))
 
 
-def _log_mean_exp(values: np.ndarray) -> float:
-    peak = values.max()
-    return float(peak + np.log(np.exp(values - peak).sum()) - np.log(values.size))
+def _log_mean_exp(values: np.ndarray):
+    """ln of the mean of exp(values) over the last axis, (n, R) -> (n,), and
+    the weights exp(values) / sum(exp(values)), (n, R)."""
+    peak = values.max(axis=-1, keepdims=True)
+    weights = np.exp(values - peak)
+    total = weights.sum(axis=-1, keepdims=True)
+    return (peak + np.log(total) - np.log(values.shape[-1]))[..., 0], weights / total

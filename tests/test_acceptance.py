@@ -96,14 +96,14 @@ def test_gradient_matches_finite_differences():
         def sll(vec):
             theta = design.unpack(vec)
             return sum(
-                design.individual_loglik(pos, theta, draws[pos])
+                design.individual_loglik(pos, theta, draws[pos][None])[0]
                 for pos in range(n_ind)
             )
 
         theta = design.unpack(x)
         grad = np.zeros(design.n_params)
         for pos in range(n_ind):
-            grad += design.individual_loglik_gradient(pos, theta, draws[pos])[1]
+            grad += design.individual_loglik_gradient(pos, theta, draws[pos][None])[1][0]
         oracle = fd_gradient(sll, x, rel_step=5e-6)
         np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-8)
         checked += 1
@@ -154,9 +154,9 @@ def test_binary_choice_equals_binary_logit(tmp_path):
         design = ModelDesign(ds, ModelSpec(fixed_attrs=("p", "q", "r")))
         theta = ParameterVector(fixed=vals, rand_location=np.zeros(0),
                                 rand_scale=np.zeros(0), asc=np.zeros(0))
-        _, probs = design.individual_draw_info(0, theta, design.draws()[0])
+        _, probs = design.individual_draw_info(0, theta, design.draws())
         logit = 1.0 / (1.0 + math.exp(-vals @ (x1 - x2)))
-        assert probs[0, 0, 0] == pytest.approx(logit, abs=1e-12)
+        assert probs[0, 0, 0, 0] == pytest.approx(logit, abs=1e-12)
 
     # coefficients on a simulated binary panel
     rows, attrs = simulate_panel(rng, n_individuals=200, n_situations=3,

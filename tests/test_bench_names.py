@@ -1,11 +1,14 @@
 """The traced benchmark wraps package functions by name (``bench/spans.py``);
-every name it lists must exist, so a rename fails here first."""
+every name it lists must exist, so a rename fails here first.  It also reads
+passes as kernel calls / N, which the kernels' call counts must keep true."""
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -32,3 +35,54 @@ def test_kernel_resolves_on_model_design(attr):
     from mixrrm.regret import ModelDesign
 
     assert callable(getattr(ModelDesign, attr))
+
+
+@pytest.mark.parametrize("chunk", [None, 4])
+def test_trace_counts_whole_passes(tmp_path, monkeypatch, chunk):
+    """Traced around a small mixed fit, the kernels outside the preliminary
+    classical fit run a whole number of calls per individual (the traced
+    benchmark reads passes as calls / N); inside it, every walk makes one
+    call per block of _CHUNK individuals."""
+    from mixrrm import estimation, regret
+    from mixrrm.dataset import load_long_csv
+    from oracles import simulate_panel, write_rows_csv
+
+    if chunk:
+        monkeypatch.setattr(regret, "_CHUNK", chunk)
+    rows, attrs = simulate_panel(np.random.default_rng(3), n_individuals=10,
+                                 n_situations=3, n_alternatives=3,
+                                 fixed={"tc": -0.3},
+                                 random={"tt": ("normal", -0.5, 0.2)})
+    write_rows_csv(rows, tmp_path / "panel.csv")
+    ds = load_long_csv(tmp_path / "panel.csv", attr_cols=attrs)
+    walks = []  # random-coefficient count of each log-likelihood walk's design
+    loglik = estimation._loglik
+
+    def counted_loglik(design, *args):
+        walks.append(design.n_random)
+        return loglik(design, *args)
+
+    monkeypatch.setattr(estimation, "_loglik", counted_loglik)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        estimation.fit_mixed(ds, regret.ModelSpec(fixed_attrs=("tc",),
+                                                  random_attrs=("tt",)),
+                             estimation.FitOptions(nrep=5))
+    finally:
+        tracer.uninstall()
+
+    (prelim,) = [s for s in tracer.spans if s.name == "fit_classical"]
+    classical, todo = [], [prelim]
+    while todo:
+        span = todo.pop()
+        classical.append(span)
+        todo += [s for s in tracer.spans if s.parent == span.id]
+    mixed = [s for s in tracer.spans if s.id not in {c.id for c in classical}]
+    n, per_pass = ds.n_individuals, math.ceil(ds.n_individuals / regret._CHUNK)
+    scores = lambda group: sum(s.name == "individual_scores" for s in group)
+    assert scores(mixed) > 0 and walks.count(1) > 0
+    assert spans.kernel_totals(mixed, "vg")[0] == n * scores(mixed)
+    assert spans.kernel_totals(mixed, "ll")[0] == n * walks.count(1)
+    assert spans.kernel_totals(classical, "vg")[0] == per_pass * scores(classical)
+    assert spans.kernel_totals(classical, "ll")[0] == per_pass * walks.count(0)

@@ -300,9 +300,46 @@ def test_betas_refuses_existing_file(panel_csv, tmp_path, capsys):
     code, _, err = run(capsys, "betas", panel_csv, "--fit", fit,
                        "--saving", saving)
     assert code == 1
+    assert "pass --replace" in err
     code, _, _ = run(capsys, "betas", panel_csv, "--fit", fit,
                      "--saving", saving, "--replace")
     assert code == 0
+
+
+@pytest.mark.parametrize("case, message", [
+    ("saving_exists", "b.csv exists; pass --replace"),
+    ("plot_exists", "total_time_hist.svg exists; pass --replace"),
+    ("unknown_attr", "--attrs 'nope' is not a random attribute"),
+    ("repeated_attr", "--attrs names an attribute twice"),
+    ("classical_fit", "fit has no random coefficients"),
+])
+def test_betas_checks_outputs_and_attrs_before_reading_data(
+        panel_csv, tmp_path, capsys, case, message):
+    # the data file does not exist: every refusal comes before it is read
+    fit = fit_json(panel_csv, tmp_path, capsys, mixed=case != "classical_fit")
+    argv = ["betas", tmp_path / "absent.csv", "--fit", fit,
+            "--saving", tmp_path / "b.csv", "--plot"]
+    if case == "saving_exists":
+        (tmp_path / "b.csv").write_text("keep me\n")
+    if case == "plot_exists":
+        (tmp_path / "total_time_hist.svg").write_text("keep me\n")
+    argv += {"unknown_attr": ["--attrs", "nope"],
+             "repeated_attr": ["--attrs", "total_time", "total_time"]}.get(case, [])
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "absent" not in err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_betas_replace_overwrites_plot(panel_csv, tmp_path, capsys):
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    svg = tmp_path / "total_time_hist.svg"
+    svg.write_text("keep me\n")
+    code, _, _ = run(capsys, "betas", panel_csv, "--fit", fit,
+                     "--saving", tmp_path / "b.csv", "--plot", "--replace")
+    assert code == 0
+    assert svg.read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize("alias", ["panel.csv", "link.csv"])

@@ -170,7 +170,8 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
 @pytest.mark.parametrize("kwargs", [
     {"level": 150.0}, {"level": 0.0}, {"maxiter": -1}, {"gtol": 0.0},
     {"covariance": "sandwich"}, {"burn": -1}, {"start": ["a"]},
-    {"start": {"a": 1.0}},
+    {"start": {"a": 1.0}}, {"step_tol": float("nan")}, {"step_tol": 0.0},
+    {"step_tol": -1.0}, {"step_tol": float("inf")},
 ])
 def test_fit_options_rejects_out_of_range(kwargs):
     with pytest.raises(InvalidOption):
@@ -686,3 +687,36 @@ def test_fit_file_not_a_fit_object(tmp_path, content):
     fit_file.write_bytes(content)
     with pytest.raises(InvalidFitFile, match="fit.json"):
         load_fit_json(fit_file)
+
+
+@pytest.mark.parametrize("covariance", ["robust", "cluster"])
+def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
+    """A classical fit over two blocks (_CHUNK + 1 people) builds its robust
+    and cluster sandwiches, and predicts, from rows in dataset order: both
+    equal the ones from one-individual blocks at the fitted point."""
+    from unittest import mock
+
+    from mixrrm import regret
+    from mixrrm.dataset import cluster_index
+    from mixrrm.postestimation import predict_probabilities
+
+    ds = panel_dataset(tmp_path, rng, cluster=True,
+                       n_individuals=regret._CHUNK + 1, n_situations=2,
+                       n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
+    spec = ModelSpec(fixed_attrs=("tt", "tc"))
+    clusters = cluster_index(ds, "grp")
+    fit = fit_classical(ds, spec, FitOptions(covariance=covariance,
+                                             cluster=clusters))
+    assert len(ModelDesign(ds, spec).blocks) == 2
+    with mock.patch.object(regret, "_CHUNK", 1):
+        single = ModelDesign(ds, spec)
+        single_probs = predict_probabilities(ds, fit)
+    _, rows, hessian = individual_scores(single, single.draws(), fit.theta,
+                                         hessian=True)
+    ids = [clusters[i] for i in ds.individual_ids.tolist()]
+    expected = (covariance_robust(hessian, rows) if covariance == "robust"
+                else covariance_cluster(hessian, rows, ids))
+    np.testing.assert_allclose(fit.covariance, expected, rtol=1e-10,
+                               atol=1e-10 * np.abs(expected).max())
+    np.testing.assert_allclose(predict_probabilities(ds, fit), single_probs,
+                               rtol=1e-12, atol=0)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dataset, situation_slices
+from mixrrm import regret
 from mixrrm.errors import SpecMismatch
 from mixrrm.estimation import individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
@@ -33,9 +35,10 @@ def fixed_point(values, asc=()):
 
 
 def probs_at(design, theta, pos=0):
-    """(S, J) choice probabilities of one individual, single zero draw."""
-    _, probs = design.individual_draw_info(pos, theta, design.draws()[pos])
-    return probs[0]
+    """(S, J) choice probabilities of one individual of a classical design,
+    single zero draw; a small design is one block."""
+    _, probs = design.individual_draw_info(0, theta, design.draws())
+    return probs[pos, 0]
 
 
 def plain_situations(design, pos):
@@ -319,9 +322,9 @@ def test_sequence_single_situation_equals_choice_probability():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
     ln_seq, probs = design.individual_draw_info(
-        0, fixed_point([-1.0]), design.draws()[0]
+        0, fixed_point([-1.0]), design.draws()
     )
-    assert math.exp(ln_seq[0]) == pytest.approx(probs[0, 0, 0], rel=1e-14)
+    assert math.exp(ln_seq[0, 0]) == pytest.approx(probs[0, 0, 0, 0], rel=1e-14)
 
 
 def test_sequence_product_rule():
@@ -329,8 +332,8 @@ def test_sequence_product_rule():
     sits = {s: [(1, x, True), (2, x, False)] for s in (1, 2)}
     ds = make_dataset({1: sits}, ["a"])
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, _ = design.individual_draw_info(0, fixed_point([3.0]), design.draws()[0])
-    assert math.exp(ln_seq[0]) == pytest.approx(0.25, rel=1e-14)
+    ln_seq, _ = design.individual_draw_info(0, fixed_point([3.0]), design.draws())
+    assert math.exp(ln_seq[0, 0]) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_sequence_ten_thirds_no_underflow():
@@ -340,10 +343,10 @@ def test_sequence_ten_thirds_no_underflow():
     }
     ds = make_dataset({1: sits}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
-    theta, z = fixed_point([0.0, 0.0]), design.draws()[0]
+    theta, z = fixed_point([0.0, 0.0]), design.draws()
     ln_seq, _ = design.individual_draw_info(0, theta, z)
-    assert math.exp(ln_seq[0]) == pytest.approx(3.0 ** -10, rel=1e-12)
-    assert design.individual_loglik(0, theta, z) == pytest.approx(
+    assert math.exp(ln_seq[0, 0]) == pytest.approx(3.0 ** -10, rel=1e-12)
+    assert design.individual_loglik(0, theta, z)[0] == pytest.approx(
         -10 * math.log(3.0), rel=1e-14
     )
 
@@ -356,21 +359,21 @@ def test_regret_gradient_zero_differences():
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False)]}}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
     _, grad = design.individual_loglik_gradient(
-        0, fixed_point([1.3, -0.4]), design.draws()[0]
+        0, fixed_point([1.3, -0.4]), design.draws()
     )
-    np.testing.assert_array_equal(grad, [0.0, 0.0])
+    np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
 
 def test_regret_gradient_two_alternative_example():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
     _, grad = design.individual_loglik_gradient(
-        0, fixed_point([-1.0]), design.draws()[0]
+        0, fixed_point([-1.0]), design.draws()
     )
     # d ln P_1 / d beta = P_2 (dR_2/d beta - dR_1/d beta)
     #                   = logistic(-1) * (-logistic(1) - logistic(-1))
     #                   = -logistic(-1), frozen from a 50-digit evaluation
-    assert grad[0] == pytest.approx(-0.26894142136999512, rel=1e-12)
+    assert grad[0, 0] == pytest.approx(-0.26894142136999512, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -383,8 +386,8 @@ def test_regret_gradient_matches_finite_differences(seed):
                         n_alternatives=3, n_attrs=2)
     design = design_for(ds, fixed_attrs=("x0", "x1"))
     values = rng.normal(size=2)
-    _, grad = design.individual_loglik_gradient(
-        0, fixed_point(values), design.draws()[0]
+    _, (grad,) = design.individual_loglik_gradient(
+        0, fixed_point(values), design.draws()
     )
     plain = [plain_situations(design, 0)]
 
@@ -421,9 +424,9 @@ def test_loglik_gradient_zero_scale_matches_classical(rng):
         rand_scale=np.array([0.0]), asc=np.zeros(0),
     )
     theta_c = fixed_point([0.4, -0.8])
-    ll_m, g_m = mixed.individual_loglik_gradient(0, theta_m, z)
-    ll_c, g_c = classical.individual_loglik_gradient(
-        0, theta_c, classical.draws()[0]
+    (ll_m,), (g_m,) = mixed.individual_loglik_gradient(0, theta_m, z[None])
+    (ll_c,), (g_c,) = classical.individual_loglik_gradient(
+        0, theta_c, classical.draws()
     )
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)  # fixed coefficient
@@ -442,9 +445,9 @@ def test_loglik_gradient_single_draw_reduces_to_classical(rng):
         rand_scale=np.array([s]), asc=np.zeros(0),
     )
     theta_c = fixed_point([0.2, b + s * z[0, 0]])
-    ll_m, g_m = mixed.individual_loglik_gradient(0, theta_m, z)
-    ll_c, g_c = classical.individual_loglik_gradient(
-        0, theta_c, classical.draws()[0]
+    (ll_m,), (g_m,) = mixed.individual_loglik_gradient(0, theta_m, z[None])
+    (ll_c,), (g_c,) = classical.individual_loglik_gradient(
+        0, theta_c, classical.draws()
     )
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)
@@ -460,9 +463,9 @@ def test_loglik_gradient_matches_finite_differences(seed, use_asc):
     x = rng.normal(size=design.n_params) * 0.5
     z = rng.normal(size=(2, 4))
 
-    _, grad = design.individual_loglik_gradient(1, design.unpack(x), z)
+    _, (grad,) = design.individual_loglik_gradient(1, design.unpack(x), z[None])
     oracle = fd_gradient(
-        lambda v: design.individual_loglik(1, design.unpack(v), z), x,
+        lambda v: design.individual_loglik(1, design.unpack(v), z[None])[0], x,
         rel_step=5e-6,
     )
     np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-8)
@@ -484,7 +487,7 @@ def test_kernel_matches_scalar_composition(seed):
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
 
     for pos in range(ds.n_individuals):
-        ll, _ = design.individual_loglik_gradient(pos, theta, z)
+        (ll,), _ = design.individual_loglik_gradient(pos, theta, z[None])
         asc = situation_constants(design, pos, constant)
         ref = brute_force_sll([plain_situations(design, pos)], oracle_theta,
                               [z.tolist()], asc=[asc])
@@ -494,11 +497,12 @@ def test_kernel_matches_scalar_composition(seed):
 # --- pair indexing: padding, alternative order, extreme activations -----------
 
 
-def padded_design(data, rng, n_individuals=2, attr_scale=1.0):
+def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False):
     """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
     file order, so smaller situations pad their slots and labels go missing;
     x0 is fixed, x1 normal and x2 log-normal, and the constants' base is a
-    label other than the lowest."""
+    label other than the lowest.  A ``classical`` design fixes all three and
+    puts everyone in one block, padded to its most situations and slots."""
     individuals = {}
     for n in range(1, n_individuals + 1):
         sizes = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
@@ -511,8 +515,25 @@ def padded_design(data, rng, n_individuals=2, attr_scale=1.0):
         individuals[n] = sits
     ds = make_dataset(individuals, ["x0", "x1", "x2"])
     base = data.draw(st.sampled_from(ds.alternative_labels[1:]))
+    if classical:
+        return design_for(ds, fixed_attrs=("x0", "x1", "x2"), use_asc=True,
+                          base_alternative=base)
     return design_for(ds, fixed_attrs=("x0",), random_attrs=("x1", "x2"),
                       ln_count=1, use_asc=True, base_alternative=base)
+
+
+def padded_draws(design, rng):
+    """(N, K, R) draws: 3 normal draws per person, or a classical design's
+    one zero draw."""
+    if design.n_random:
+        return rng.normal(size=(design.ds.n_individuals, design.n_random, 3))
+    return design.draws()
+
+
+def one_per_block(design):
+    """The same design with one individual per block."""
+    with mock.patch.object(regret, "_CHUNK", 1):
+        return ModelDesign(design.ds, design.spec)
 
 
 def oracle_loglik(design, pos, x, z):
@@ -529,37 +550,87 @@ def oracle_loglik(design, pos, x, z):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_padded_situations_match_oracle(data):
+@given(st.data(), st.booleans())
+def test_padded_situations_match_oracle(data, classical):
+    """Every individual's log-likelihood and gradient row agree with the
+    oracle.  A classical block holds people of different S and J; its rows
+    agree with one-individual blocks to 1e-12."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    design = padded_design(data, rng)
+    design = padded_design(data, rng, n_individuals=3, classical=classical)
+    assert len(design.blocks) == (1 if classical else 3)
     x = rng.normal(size=design.n_params) * 0.5
-    z = rng.normal(size=(2, 3))
+    draws = padded_draws(design, rng)
+    lls, rows = individual_scores(design, draws, x)
+    theta = design.unpack(x)
+    ll_only = [design.individual_loglik(block, theta, draws[start:stop])
+               for block, (start, stop) in enumerate(design.blocks)]
+    np.testing.assert_allclose(np.concatenate(ll_only), lls, rtol=1e-12, atol=0)
     for pos in range(design.ds.n_individuals):
-        ll, grad = design.individual_loglik_gradient(pos, design.unpack(x), z)
-        ref = oracle_loglik(design, pos, x, z)
-        assert ll == pytest.approx(ref, rel=1e-12)
-        assert design.individual_loglik(pos, design.unpack(x), z) == pytest.approx(
-            ref, rel=1e-12
-        )
+        z = draws[pos]
+        assert lls[pos] == pytest.approx(oracle_loglik(design, pos, x, z), rel=1e-12)
         oracle = fd_gradient(lambda v: oracle_loglik(design, pos, v, z), x,
                              rel_step=5e-6)
-        np.testing.assert_allclose(grad, oracle, rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(rows[pos], oracle, rtol=1e-7, atol=1e-9)
+    single_lls, single_rows = individual_scores(one_per_block(design), draws, x)
+    np.testing.assert_allclose(lls, single_lls, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rows, single_rows, rtol=1e-12,
+                               atol=1e-12 * np.abs(single_rows).max())
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_padded_situations_hessian_matches_finite_differences(data):
-    """Padded slots and missing labels add nothing to the Hessian: it agrees
-    with central differences of the gradient and is exactly symmetric."""
+@given(st.data(), st.booleans())
+def test_padded_situations_hessian_matches_finite_differences(data, classical):
+    """Padded slots, padded situations and missing labels add nothing to the
+    Hessian: it agrees with central differences of the gradient and is
+    exactly symmetric."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    design = padded_design(data, rng)
+    design = padded_design(data, rng, n_individuals=3, classical=classical)
     x = rng.normal(size=design.n_params) * 0.5
-    draws = rng.normal(size=(design.ds.n_individuals, 2, 3))
+    draws = padded_draws(design, rng)
     _, _, hessian = individual_scores(design, draws, x, hessian=True)
     oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
     assert np.array_equal(hessian, hessian.T)
     np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_chunk_edges_match_one_individual_blocks(extra):
+    """_CHUNK - 1, _CHUNK and _CHUNK + 1 people of 1-3 situations of 2-4
+    alternatives: blocks of at most _CHUNK in dataset order, whose rows and
+    Hessian agree with one-individual blocks and the oracles."""
+    rng = np.random.default_rng(100 + extra)
+    n_ind = regret._CHUNK + extra
+    individuals = {}
+    for n in range(1, n_ind + 1):
+        sits = {}
+        for s in range(1, int(rng.integers(1, 4)) + 1):
+            size = int(rng.integers(2, 5))
+            chosen = int(rng.integers(size))
+            sits[s] = [(int(label), rng.normal(size=2).tolist(), j == chosen)
+                       for j, label in enumerate(rng.permutation(4)[:size] + 1)]
+        individuals[n] = sits
+    ds = make_dataset(individuals, ["x0", "x1"])
+    design = design_for(ds, fixed_attrs=("x0", "x1"), use_asc=True)
+    assert design.blocks == [(a, min(a + regret._CHUNK, n_ind))
+                             for a in range(0, n_ind, regret._CHUNK)]
+    x = rng.normal(size=design.n_params) * 0.5
+    draws = design.draws()
+    lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
+    single = one_per_block(design)
+    single_lls, single_rows, single_hessian = individual_scores(
+        single, draws, x, hessian=True
+    )
+    np.testing.assert_allclose(lls, single_lls, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(rows, single_rows, rtol=1e-12,
+                               atol=1e-12 * np.abs(single_rows).max())
+    np.testing.assert_allclose(hessian, single_hessian, rtol=1e-12,
+                               atol=1e-12 * np.abs(single_hessian).max())
+    for pos in (0, n_ind // 2, n_ind - 1):
+        assert lls[pos] == pytest.approx(oracle_loglik(design, pos, x, draws[pos]),
+                                         rel=1e-12)
+    oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
+    np.testing.assert_allclose(hessian, oracle, rtol=0,
+                               atol=1e-7 * np.abs(oracle).max())
 
 
 @settings(max_examples=40, deadline=None)
@@ -577,8 +648,8 @@ def test_alternative_order_leaves_loglik_unchanged(data):
                        **vars(design.spec))
     theta = design.unpack(rng.normal(size=design.n_params) * 0.5)
     z = rng.normal(size=(2, 4))
-    assert other.individual_loglik(0, theta, z) == pytest.approx(
-        design.individual_loglik(0, theta, z), rel=1e-12
+    assert other.individual_loglik(0, theta, z[None]) == pytest.approx(
+        design.individual_loglik(0, theta, z[None]), rel=1e-12
     )
 
 
@@ -596,10 +667,10 @@ def test_extreme_activations_stay_finite(data, size):
         rand_scale=np.array([10.0, 0.1]),
         asc=rng.normal(size=design.n_asc),
     )
-    z = rng.normal(size=(2, 5))
+    z = rng.normal(size=(1, 2, 5))
     for pos in range(design.ds.n_individuals):
         ll, grad = design.individual_loglik_gradient(pos, theta, z)
         ln_seq, probs = design.individual_draw_info(pos, theta, z)
-        assert np.isfinite(ll) and np.all(np.isfinite(grad))
+        assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
         assert np.all(np.isfinite(ln_seq)) and np.all(np.isfinite(probs))
-        np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
