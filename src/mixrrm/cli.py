@@ -189,6 +189,15 @@ def _load_dataset(args, attr_cols, cluster_col=None):
     )
 
 
+def _check_output(name, path, data, replace):
+    """Refuse an output that is the data file, or exists unless ``replace``."""
+    if os.path.exists(path):
+        if os.path.exists(data) and os.path.samefile(path, data):
+            raise InvalidOption(f"{name} {path} is the data file it reads")
+        if not replace:
+            raise InvalidOption(f"{path} exists; pass --replace to overwrite")
+
+
 def _attr_cols(spec):
     return list(dict.fromkeys([*spec.fixed_attrs, *spec.random_attrs]))
 
@@ -286,8 +295,7 @@ def cmd_predict(args) -> int:
     from .estimation import load_fit_json
     from .postestimation import draw_settings, predict_rows
 
-    if os.path.exists(args.out) and os.path.samefile(args.out, args.data):
-        raise InvalidOption(f"--out {args.out} is the data file it reads")
+    _check_output("--out", args.out, args.data, replace=True)
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))
@@ -313,10 +321,7 @@ def cmd_betas(args) -> int:
         draw_settings, histogram_svg, individual_betas, write_beta_file,
     )
 
-    if os.path.exists(args.saving) and not args.replace:
-        raise InvalidOption(f"{args.saving} exists; pass --replace to overwrite")
-    if os.path.exists(args.saving) and os.path.samefile(args.saving, args.data):
-        raise InvalidOption(f"--saving {args.saving} is the data file it reads")
+    _check_output("--saving", args.saving, args.data, args.replace)
     if args.attrs and len(set(args.attrs)) < len(args.attrs):
         raise InvalidOption("--attrs names an attribute twice")
     fit = load_fit_json(args.fit)
@@ -330,8 +335,7 @@ def cmd_betas(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.saving))
     plots = [os.path.join(out_dir, f"{a}_hist.svg") for a in keep if args.plot]
     for path in plots:
-        if os.path.exists(path) and not args.replace:
-            raise InvalidOption(f"{path} exists; pass --replace to overwrite")
+        _check_output("plot", path, args.data, args.replace)
     ds = _load_dataset(args, _attr_cols(fit.spec))
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)
     cols = [table.attrs.index(a) for a in keep]

@@ -9,9 +9,10 @@ individual's choice situations, and averages the product over draws.
 
 Everything here is a pure function of its inputs.  The hot path is
 :meth:`ModelDesign.individual_loglik_gradient`, vectorized over the draws,
-situations and individuals of a block: ``_CHUNK`` consecutive individuals of
-a classical model (one zero draw each), or one of a mixed model.  Each
-unordered pair of alternatives i < j is evaluated once: with a = beta_m *
+situations and individuals of a block: one individual of a mixed model, or a
+run of consecutive individuals of a classical model (one zero draw each),
+padded to at most ``_BLOCK_FLOATS`` floats per pair array.  Each unordered
+pair of alternatives i < j is evaluated once: with a = beta_m *
 (x_j - x_i), i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).
 Fixed attributes and constants form a draw-invariant base, so only the random
 attributes are evaluated per draw.  The same pass can return the block's
@@ -132,8 +133,9 @@ class ParameterVector:
         )
 
 
-# individuals per block of a classical design; a mixed design has one
-_CHUNK = 256
+# most padded floats of a classical block, n * S * (P*M + J*n_params): its
+# pair arrays and the Hessian's slot derivatives; a pass holds about six
+_BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -186,21 +188,21 @@ class ModelDesign:
         self.n_asc = len(self.asc_labels)
         self.n_params = len(self.param_names)
 
-        # blocks: runs of _CHUNK individuals for a classical design (one zero
-        # draw each), one individual for a mixed one; ``blocks`` holds each
-        # block's individual range [start, stop)
-        n_ind = ds.n_individuals
-        edges = np.append(np.arange(0, n_ind, 1 if self.n_random else _CHUNK), n_ind)
+        # blocks: runs of consecutive individuals, one per block in a mixed
+        # design; ``blocks`` holds each block's individual range [start, stop)
+        starts = ds.situation_starts
+        sizes = np.diff(starts, append=ds.n_rows)
+        n_sit = np.diff(ds.individual_starts, append=starts.size)
+        ind_width = np.maximum.reduceat(sizes, ds.individual_starts)
+        edges = np.arange(ds.n_individuals + 1) if self.n_random else _classical_edges(
+            n_sit, ind_width, len(self.model_attrs), self.n_params)
         self.blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
         # every row goes to its slot in one padded (cells, J, M) array: each
         # individual has S_b cells, S_b its block's most situations, and a
         # block is its individuals' cells with J cut to its widest situation
-        starts = ds.situation_starts
-        sizes = np.diff(starts, append=ds.n_rows)
-        n_sit = np.diff(ds.individual_starts, append=starts.size)
         depth = np.maximum.reduceat(n_sit, edges[:-1])
-        widths = np.maximum.reduceat(sizes, ds.individual_starts[edges[:-1]])
+        widths = np.maximum.reduceat(ind_width, edges[:-1])
         ind_depth = np.repeat(depth, np.diff(edges))
         ind_cell = np.cumsum(ind_depth) - ind_depth
         sit_cell = (np.repeat(ind_cell - ds.individual_starts, n_sit)
@@ -421,6 +423,22 @@ class ModelDesign:
             hess[scale, loc] += cross
             hess[scale, scale] += flat(curv * z * z) @ weights
         return ll, grad, hess
+
+
+def _classical_edges(n_sit, widths, n_attrs, n_params) -> np.ndarray:
+    """Block edges from each individual's situations and widest situation: a
+    block takes the next individual while its padded floats stay within
+    ``_BLOCK_FLOATS`` and twice its individuals' own, so padding at most
+    doubles a design's arrays; a larger individual is a block alone."""
+    floats = lambda s, j: s * (j * (j - 1) // 2 * n_attrs + j * n_params)
+    edges, s_max, j_max, own = [0], 0, 0, 0
+    for pos, (s, j) in enumerate(zip(n_sit.tolist(), widths.tolist())):
+        s_max, j_max, own = max(s_max, s), max(j_max, j), own + floats(s, j)
+        padded = (pos + 1 - edges[-1]) * floats(s_max, j_max)
+        if pos > edges[-1] and padded > min(_BLOCK_FLOATS, 2 * own):
+            edges.append(pos)
+            s_max, j_max, own = s, j, floats(s, j)
+    return np.array(edges + [len(n_sit)])
 
 
 def _lead(matrix, array):

@@ -37,18 +37,20 @@ def test_kernel_resolves_on_model_design(attr):
     assert callable(getattr(ModelDesign, attr))
 
 
-@pytest.mark.parametrize("chunk", [None, 4])
-def test_trace_counts_whole_passes(tmp_path, monkeypatch, chunk):
+@pytest.mark.parametrize("budget", [None, 4 * 36])
+def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     """Traced around a small mixed fit, the kernels outside the preliminary
     classical fit run a whole number of calls per individual (the traced
     benchmark reads passes as calls / N); inside it, every walk makes one
-    call per block of _CHUNK individuals."""
+    call per block: 10 people of 3 situations of 3 alternatives, 2 fixed
+    attributes, so 3 * (3*2 + 3*2) = 36 padded floats each, and
+    ``_BLOCK_FLOATS`` // 36 people per block."""
     from mixrrm import estimation, regret
     from mixrrm.dataset import load_long_csv
     from oracles import simulate_panel, write_rows_csv
 
-    if chunk:
-        monkeypatch.setattr(regret, "_CHUNK", chunk)
+    if budget:
+        monkeypatch.setattr(regret, "_BLOCK_FLOATS", budget)
     rows, attrs = simulate_panel(np.random.default_rng(3), n_individuals=10,
                                  n_situations=3, n_alternatives=3,
                                  fixed={"tc": -0.3},
@@ -79,7 +81,8 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, chunk):
         classical.append(span)
         todo += [s for s in tracer.spans if s.parent == span.id]
     mixed = [s for s in tracer.spans if s.id not in {c.id for c in classical}]
-    n, per_pass = ds.n_individuals, math.ceil(ds.n_individuals / regret._CHUNK)
+    n = ds.n_individuals
+    per_pass = math.ceil(n / (regret._BLOCK_FLOATS // 36))
     scores = lambda group: sum(s.name == "individual_scores" for s in group)
     assert scores(mixed) > 0 and walks.count(1) > 0
     assert spans.kernel_totals(mixed, "vg")[0] == n * scores(mixed)

@@ -348,13 +348,27 @@ def test_betas_refuses_to_write_over_its_data(panel_csv, tmp_path, capsys, alias
     if alias == "link.csv":
         (tmp_path / alias).symlink_to(panel_csv)
     before = panel_csv.read_bytes()
-    # refused before the fit is read: a missing fit file gives the same error
-    for fit_file in (fit, tmp_path / "missing.json"):
+    # refused before the fit is read: a missing fit file gives the same error,
+    # and without --replace the message still names the data file
+    missing = tmp_path / "missing.json"
+    for fit_file, replace in ((fit, "--replace"), (missing, "--replace"), (fit, "--plot")):
         code, out, err = run(capsys, "betas", panel_csv, "--fit", fit_file,
-                             "--saving", tmp_path / alias, "--replace")
+                             "--saving", tmp_path / alias, replace)
         assert code == 1
         assert err.startswith("error: --saving") and "data file" in err
         assert panel_csv.read_bytes() == before
+    # a histogram path that names the data file is refused too, --replace or not
+    data = tmp_path / "total_time_hist.svg"
+    if alias == "link.csv":
+        data.symlink_to(panel_csv)
+    else:
+        data.write_bytes(before)
+    for replace in ([], ["--replace"]):
+        code, out, err = run(capsys, "betas", data, "--fit", fit,
+                             "--saving", tmp_path / "b.csv", "--plot", *replace)
+        assert code == 1
+        assert err.startswith("error: plot") and "data file" in err
+        assert data.read_bytes() == before and not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("content", ["id,cs,altern,choice,total_time\n", "\n\n \n"],

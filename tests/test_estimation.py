@@ -691,24 +691,27 @@ def test_fit_file_not_a_fit_object(tmp_path, content):
 
 @pytest.mark.parametrize("covariance", ["robust", "cluster"])
 def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
-    """A classical fit over two blocks (_CHUNK + 1 people) builds its robust
-    and cluster sandwiches, and predicts, from rows in dataset order: both
-    equal the ones from one-individual blocks at the fitted point."""
+    """A classical fit over three blocks (20, 20 and 1 people: each has 2
+    situations of 3 alternatives and 2 attributes, 2 * (3*2 + 3*2) = 24
+    padded floats) builds its robust and cluster sandwiches, and predicts,
+    from rows in dataset order: both equal the ones from one-individual
+    blocks at the fitted point."""
     from unittest import mock
 
     from mixrrm import regret
     from mixrrm.dataset import cluster_index
     from mixrrm.postestimation import predict_probabilities
 
-    ds = panel_dataset(tmp_path, rng, cluster=True,
-                       n_individuals=regret._CHUNK + 1, n_situations=2,
-                       n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
+    ds = panel_dataset(tmp_path, rng, cluster=True, n_individuals=41,
+                       n_situations=2, n_alternatives=3,
+                       fixed={"tt": -0.5, "tc": -0.3})
     spec = ModelSpec(fixed_attrs=("tt", "tc"))
     clusters = cluster_index(ds, "grp")
-    fit = fit_classical(ds, spec, FitOptions(covariance=covariance,
-                                             cluster=clusters))
-    assert len(ModelDesign(ds, spec).blocks) == 2
-    with mock.patch.object(regret, "_CHUNK", 1):
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 24):
+        fit = fit_classical(ds, spec, FitOptions(covariance=covariance,
+                                                 cluster=clusters))
+        assert ModelDesign(ds, spec).blocks == [(0, 20), (20, 40), (40, 41)]
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
         single = ModelDesign(ds, spec)
         single_probs = predict_probabilities(ds, fit)
     _, rows, hessian = individual_scores(single, single.draws(), fit.theta,

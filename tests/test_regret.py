@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -501,8 +502,8 @@ def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False):
     """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
     file order, so smaller situations pad their slots and labels go missing;
     x0 is fixed, x1 normal and x2 log-normal, and the constants' base is a
-    label other than the lowest.  A ``classical`` design fixes all three and
-    puts everyone in one block, padded to its most situations and slots."""
+    label other than the lowest.  A ``classical`` design fixes all three; each
+    of its blocks is padded to its people's most situations and slots."""
     individuals = {}
     for n in range(1, n_individuals + 1):
         sizes = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
@@ -532,7 +533,7 @@ def padded_draws(design, rng):
 
 def one_per_block(design):
     """The same design with one individual per block."""
-    with mock.patch.object(regret, "_CHUNK", 1):
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
         return ModelDesign(design.ds, design.spec)
 
 
@@ -549,15 +550,56 @@ def oracle_loglik(design, pos, x, z):
                            [z.tolist()], asc=[asc])
 
 
+def block_floats(design, start, stop):
+    """Padded and own floats of individuals start..stop-1 of a classical
+    design, counted from the dataset: n * S * (P*M + J*n_params) over their
+    most situations S and widest situation J, and the sum of each one's own
+    S_i * (P_i*M + J_i*n_params)."""
+    ds = design.ds
+    sits = np.append(ds.individual_starts, ds.n_situations)
+    widths = np.maximum.reduceat(np.diff(np.append(ds.situation_starts, ds.n_rows)),
+                                 ds.individual_starts)
+    floats = lambda s, j: s * (j * (j - 1) // 2 * len(design.model_attrs)
+                               + j * design.n_params)
+    n_sit, widths = np.diff(sits)[start:stop], widths[start:stop]
+    return ((stop - start) * floats(n_sit.max(), widths.max()),
+            sum(floats(s, j) for s, j in zip(n_sit, widths)))
+
+
+def assert_blocks_fill_budget(design):
+    """Blocks cover the individuals in order and each is padded to its most
+    situations and widest situation.  A block of more than one individual
+    holds at most ``_BLOCK_FLOATS`` padded floats and at most twice its own,
+    and every block but the last breaks one of these if it took the next."""
+    n_ind = design.ds.n_individuals
+    assert [a for a, _ in design.blocks[1:]] == [b for _, b in design.blocks[:-1]]
+    assert design.blocks[0][0] == 0 and design.blocks[-1][1] == n_ind
+    sits = np.append(design.ds.individual_starts, design.ds.n_situations)
+    rows = np.append(design.ds.situation_starts, design.ds.n_rows)
+    fits = lambda floats: floats[0] <= min(regret._BLOCK_FLOATS, 2 * floats[1])
+    for block, (a, b) in enumerate(design.blocks):
+        assert design.available(block).shape == (
+            b - a, np.diff(sits)[a:b].max(), np.diff(rows)[sits[a]:sits[b]].max())
+        assert b - a == 1 or fits(block_floats(design, a, b))
+        if b < n_ind:
+            assert not fits(block_floats(design, a, b + 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.booleans())
 def test_padded_situations_match_oracle(data, classical):
     """Every individual's log-likelihood and gradient row agree with the
-    oracle.  A classical block holds people of different S and J; its rows
-    agree with one-individual blocks to 1e-12."""
+    oracle.  A classical block holds people of different S and J, as many
+    as a drawn bound on padded floats allows; its rows agree with
+    one-individual blocks to 1e-12."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    design = padded_design(data, rng, n_individuals=3, classical=classical)
-    assert len(design.blocks) == (1 if classical else 3)
+    budget = data.draw(st.integers(0, 1000)) if classical else regret._BLOCK_FLOATS
+    with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
+        design = padded_design(data, rng, n_individuals=3, classical=classical)
+        if classical:
+            assert_blocks_fill_budget(design)
+        else:
+            assert design.blocks == [(n, n + 1) for n in range(3)]
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
     lls, rows = individual_scores(design, draws, x)
@@ -594,25 +636,27 @@ def test_padded_situations_hessian_matches_finite_differences(data, classical):
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_chunk_edges_match_one_individual_blocks(extra):
-    """_CHUNK - 1, _CHUNK and _CHUNK + 1 people of 1-3 situations of 2-4
-    alternatives: blocks of at most _CHUNK in dataset order, whose rows and
-    Hessian agree with one-individual blocks and the oracles."""
+def test_block_edges_match_one_individual_blocks(extra):
+    """k - 1, k and k + 1 people, k the most that ``_BLOCK_FLOATS`` lets one
+    block hold: each person has 2 situations of 4 alternatives, 2 attributes
+    and 3 constants, 2 * (6*2 + 4*5) = 64 padded floats.  Blocks of k in
+    dataset order, whose rows and Hessian agree with one-individual blocks
+    and the oracles."""
     rng = np.random.default_rng(100 + extra)
-    n_ind = regret._CHUNK + extra
+    per_block = regret._BLOCK_FLOATS // 64
+    n_ind = per_block + extra
     individuals = {}
     for n in range(1, n_ind + 1):
         sits = {}
-        for s in range(1, int(rng.integers(1, 4)) + 1):
-            size = int(rng.integers(2, 5))
-            chosen = int(rng.integers(size))
+        for s in (1, 2):
+            chosen = int(rng.integers(4))
             sits[s] = [(int(label), rng.normal(size=2).tolist(), j == chosen)
-                       for j, label in enumerate(rng.permutation(4)[:size] + 1)]
+                       for j, label in enumerate(rng.permutation(4) + 1)]
         individuals[n] = sits
     ds = make_dataset(individuals, ["x0", "x1"])
     design = design_for(ds, fixed_attrs=("x0", "x1"), use_asc=True)
-    assert design.blocks == [(a, min(a + regret._CHUNK, n_ind))
-                             for a in range(0, n_ind, regret._CHUNK)]
+    assert design.blocks == [(a, min(a + per_block, n_ind))
+                             for a in range(0, n_ind, per_block)]
     x = rng.normal(size=design.n_params) * 0.5
     draws = design.draws()
     lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
@@ -631,6 +675,37 @@ def test_chunk_edges_match_one_individual_blocks(extra):
     oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
     np.testing.assert_allclose(hessian, oracle, rtol=0,
                                atol=1e-7 * np.abs(oracle).max())
+
+
+def test_classical_pass_memory_is_bounded_by_block_floats():
+    """One value+gradient+Hessian pass of a classical design over a wide,
+    unbalanced panel (1-10 situations of 2-10 alternatives, 3 attributes)
+    allocates at most 8 arrays of ``_BLOCK_FLOATS`` floats at its peak,
+    though the panel padded as one block would be over 20 times that; its
+    blocks keep both bounds of ``assert_blocks_fill_budget``."""
+    rng = np.random.default_rng(7)
+    individuals = {}
+    for n in range(1, 201):
+        sits = {}
+        for s in range(1, int(rng.integers(1, 11)) + 1):
+            size = int(rng.integers(2, 11))
+            chosen = int(rng.integers(size))
+            sits[s] = [(int(label), rng.normal(size=3).tolist(), j == chosen)
+                       for j, label in enumerate(rng.permutation(10)[:size] + 1)]
+        individuals[n] = sits
+    ds = make_dataset(individuals, ["x0", "x1", "x2"])
+    design = design_for(ds, fixed_attrs=("x0", "x1", "x2"))
+    assert block_floats(design, 0, ds.n_individuals)[0] > 20 * regret._BLOCK_FLOATS
+    assert_blocks_fill_budget(design)
+    x = rng.normal(size=design.n_params) * 0.3
+    draws = design.draws()
+    tracemalloc.start()
+    try:
+        individual_scores(design, draws, x, hessian=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * regret._BLOCK_FLOATS
 
 
 @settings(max_examples=40, deadline=None)
