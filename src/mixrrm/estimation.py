@@ -3,6 +3,8 @@
 The optimizer is quasi-Newton BFGS with a backtracking line search that
 enforces sufficient decrease, so the log-likelihood is non-decreasing over
 accepted steps and two runs on identical inputs take bit-identical paths.
+A unit step is evaluated with its gradient, so an accepted one costs one
+value+gradient pass; only backtracked trials are log-likelihood-only passes.
 The Hessian used for covariances is exact: one value+gradient walk at the
 optimum also returns each individual's Hessian, built from the same pair
 terms as the gradient, and adds them in dataset order.
@@ -157,6 +159,9 @@ class _OptResult:
     iterations: int
     converged: bool
     ll_history: list[float]
+    stop: str  # gtol | line_search | maxiter | zero_slope
+    ll_passes: int  # log-likelihood-only passes: the backtracked trials
+    vg_passes: int  # value+gradient passes, the start included
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -177,16 +182,27 @@ def _maximize(
     """BFGS ascent with Armijo backtracking.
 
     ``loglik(x)`` is the objective; ``scores(x)`` returns its per-individual
-    terms and gradient rows, summed here.
+    terms and gradient rows, summed here in order to the same float.  The
+    unit step, accepted on most iterations, is tried with ``scores``; only
+    the halved trials after a rejected one use ``loglik``, and the point
+    they accept gets its ``scores`` pass.  Trials run with numpy's
+    floating-point warnings off: one that overflows is rejected as non-finite.
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
     longer than ``step_tol``.  Accepted steps never decrease the objective
     beyond the floating-point rounding noise of the total log-likelihood.
     """
 
+    passes = {"ll": 0, "vg": 0}
+
     def value_grad(x):
+        passes["vg"] += 1
         lls, rows = scores(x)
         return _ordered_sum(lls), _ordered_sum(rows)
+
+    def value(x):
+        passes["ll"] += 1
+        return loglik(x), None
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -197,11 +213,15 @@ def _maximize(
     first_update = True
     history = [ll]
     iterations = 0
+    stop = "gtol"
     # summation rounding across individuals makes the objective fuzzy at a
     # few ulps of its own magnitude
     noise_floor = 8.0 * np.finfo(float).eps
 
-    while np.max(np.abs(grad)) > gtol and iterations < maxiter:
+    while not np.max(np.abs(grad)) <= gtol:  # a nan gradient ends in line_search
+        if iterations >= maxiter:
+            stop = "maxiter"
+            break
         direction = h_inv @ grad  # ascent direction
         slope = grad @ direction
         if slope <= 0.0:
@@ -210,31 +230,33 @@ def _maximize(
             direction = grad.copy()
             slope = grad @ grad
             if slope == 0.0:
+                stop = "zero_slope"
                 break
 
         step = 1.0
         d_norm = np.max(np.abs(direction))
-        accepted = False
         floor = noise_floor * (abs(ll) + 1.0)
-        while step * d_norm >= step_tol:
-            candidate = x + step * direction
-            ll_new = loglik(candidate)
-            target = 1e-4 * step * slope
-            # Once the predicted gain sinks below the rounding noise of ll
-            # itself, sufficient decrease cannot be certified; accept any
-            # step that stays within that noise so the gradient can still
-            # be driven to tolerance.
-            if np.isfinite(ll_new) and (
-                ll_new >= ll + target
-                or (target <= floor and ll_new >= ll - floor)
-            ):
-                accepted = True
+        with np.errstate(all="ignore"):  # a rejected trial may overflow
+            while step * d_norm >= step_tol:
+                candidate = x + step * direction
+                ll_new, grad_new = (value_grad if step == 1.0 else value)(candidate)
+                target = 1e-4 * step * slope
+                # Once the predicted gain sinks below the rounding noise of ll
+                # itself, sufficient decrease cannot be certified; accept any
+                # step that stays within that noise so the gradient can still
+                # be driven to tolerance.
+                if np.isfinite(ll_new) and (
+                    ll_new >= ll + target
+                    or (target <= floor and ll_new >= ll - floor)
+                ):
+                    break
+                step *= 0.5
+            else:
+                stop = "line_search"
                 break
-            step *= 0.5
-        if not accepted:
-            break
+            if grad_new is None:  # accepted after backtracking
+                ll_new, grad_new = value_grad(candidate)
 
-        ll_new, grad_new = value_grad(candidate)
         s = candidate - x
         y = grad - grad_new  # gradient change of -ll (minimization form)
         sy = s @ y
@@ -257,6 +279,9 @@ def _maximize(
         iterations=iterations,
         converged=bool(np.max(np.abs(grad)) <= gtol),
         ll_history=history,
+        stop=stop,
+        ll_passes=passes["ll"],
+        vg_passes=passes["vg"],
     )
 
 
@@ -467,8 +492,8 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     )
     if not opt.converged:
         raise NonConvergence(
-            f"no convergence after {opt.iterations} iterations "
-            f"(max |gradient| = {result.gradient_norm:.3e})",
+            f"no convergence after {opt.iterations} iterations (stop: "
+            f"{opt.stop}; max |gradient| = {result.gradient_norm:.3e})",
             result=result,
         )
     return result

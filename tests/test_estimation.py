@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -136,19 +138,144 @@ def test_fd_hessian_covariance_matches_loglik_curvature(tmp_path, rng):
 # --- optimizer ------------------------------------------------------------------
 
 
-def test_maximize_quadratic():
+def counted_quadratic(curvature):
+    """A quadratic with its maximum at (2, -3) and the same ``curvature`` in
+    every direction, whose two callables record each call's name and point."""
     target = np.array([2.0, -3.0])
+    calls = []
 
     def loglik(x):
-        diff = x - target
-        return -0.5 * diff @ diff
+        calls.append(("loglik", x.copy()))
+        return -0.5 * curvature * (x - target) @ (x - target)
 
-    def scores(x):  # one row: the whole objective and its gradient
-        return np.array([loglik(x)]), -(x - target)[None]
+    def scores(x):
+        calls.append(("scores", x.copy()))
+        return (np.array([-0.5 * curvature * (x - target) @ (x - target)]),
+                -curvature * (x - target)[None])
 
+    return loglik, scores, calls
+
+
+def test_maximize_quadratic():
+    """On a well-scaled quadratic every unit step is accepted: one
+    value+gradient pass per iteration, and no log-likelihood-only pass."""
+    loglik, scores, calls = counted_quadratic(1.0)
     res = _maximize(loglik, scores, np.zeros(2))
-    assert res.converged
-    np.testing.assert_allclose(res.x, target, atol=1e-6)
+    assert res.converged and res.stop == "gtol"
+    np.testing.assert_allclose(res.x, [2.0, -3.0], atol=1e-6)
+    assert [name for name, _ in calls] == ["scores"] * (res.iterations + 1)
+    assert (res.vg_passes, res.ll_passes) == (res.iterations + 1, 0)
+
+
+def test_backtracked_trials_cost_loglik_passes():
+    """At curvature 100 the first unit step overshoots: it costs a
+    value+gradient pass, each halved trial a log-likelihood-only pass, and
+    the point accepted after backtracking one more value+gradient pass.  The
+    scaled BFGS update then makes every later unit step acceptable."""
+    loglik, scores, calls = counted_quadratic(100.0)
+    res = _maximize(loglik, scores, np.zeros(2))
+    names = [name for name, _ in calls]
+    # Armijo holds from step 1/64 on: 1/2 .. 1/32 are rejected, 1/64 taken
+    assert names[:9] == ["scores", "scores"] + ["loglik"] * 6 + ["scores"]
+    assert set(names[9:]) == {"scores"}
+    unit = calls[1][1]
+    for k, (_, point) in enumerate(calls[2:8], start=1):
+        np.testing.assert_array_equal(point, unit * 0.5**k)
+    np.testing.assert_array_equal(calls[8][1], calls[7][1])
+    assert res.converged and res.stop == "gtol"
+    assert (res.ll_passes, res.vg_passes) == (6, names.count("scores"))
+
+
+@pytest.mark.parametrize("curvature, kwargs, stop", [
+    (1.0, {}, "gtol"),
+    (1.0, {"maxiter": 0}, "maxiter"),
+    (1.0, {"step_tol": 1e9}, "line_search"),  # no trial is long enough to test
+    (1e-170, {"gtol": 1e-300}, "zero_slope"),  # grad @ grad underflows to 0
+])
+def test_maximize_stop_reason(curvature, kwargs, stop):
+    loglik, scores, _ = counted_quadratic(curvature)
+    res = _maximize(loglik, scores, np.zeros(2), **kwargs)
+    assert res.stop == stop
+    assert res.converged == (stop == "gtol")
+
+
+def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
+    """Counted like ``test_hessian_costs_one_score_walk``: in the mixed
+    optimizer run, each iteration opens with one value+gradient walk at the
+    unit step; log-likelihood walks happen only at the halved trials after a
+    rejected unit step, and the accepted one gets a value+gradient walk.
+    The log-likelihood walks equal ``_OptResult.ll_passes``."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=3,
+                       n_alternatives=3, fixed={"tc": -0.3},
+                       random={"tt": ("normal", -0.5, 0.2)})
+    calls, results = [], []
+    walk, loglik, maximize = (estimation.individual_scores, estimation._loglik,
+                              estimation._maximize)
+
+    def counted_walk(design, draws, x, hessian=False):
+        if design.n_random and not hessian:
+            calls.append(("S", np.array(x, dtype=float)))
+        return walk(design, draws, x, hessian=hessian)
+
+    def counted_loglik(design, draws, x):
+        if design.n_random:
+            calls.append(("L", np.array(x, dtype=float)))
+        return loglik(design, draws, x)
+
+    def kept_maximize(*args, **kwargs):
+        results.append(maximize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(estimation, "individual_scores", counted_walk)
+    monkeypatch.setattr(estimation, "_loglik", counted_loglik)
+    monkeypatch.setattr(estimation, "_maximize", kept_maximize)
+    fit = fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
+                    FitOptions(nrep=10))
+    opt = results[-1]
+    names = "".join(name for name, _ in calls)
+    assert re.fullmatch(r"S(S(L+S)?)*", names)
+    assert names.count("L") == opt.ll_passes > 0
+    assert names.count("S") == opt.vg_passes == 1 + fit.iterations + names.count("LS")
+    # each log-likelihood walk halves the step of the rejected unit trial
+    x = calls[0][1]
+    for k, (name, point) in enumerate(calls[1:], start=1):
+        if name == "L":
+            halvings = 1 if calls[k - 1][0] == "S" else halvings + 1
+            unit = calls[k - halvings][1]
+            np.testing.assert_allclose(point - x, (unit - x) * 0.5**halvings,
+                                       rtol=1e-12, atol=1e-15)
+        elif k + 1 == len(calls) or calls[k + 1][0] == "S":
+            x = point  # the iteration's accepted point
+
+
+def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
+    """A log-normal location started at 3 makes the first trials overflow;
+    they are rejected for a non-finite log-likelihood without a numpy
+    warning, and with warnings turned into errors the fit takes the same
+    path."""
+    ds = panel_dataset(tmp_path, np.random.default_rng(1), n_individuals=30,
+                       n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
+                       random={"cf": ("lognormal", -1.0, 0.4)})
+    spec = ModelSpec(fixed_attrs=("tc",), random_attrs=("cf",), ln_count=1)
+    opts = lambda: FitOptions(nrep=10, start=[-0.3, 3.0, 0.3])
+    values = []
+    loglik = estimation._loglik
+
+    def recorded_loglik(*args):
+        values.append(loglik(*args))
+        return values[-1]
+
+    monkeypatch.setattr(estimation, "_loglik", recorded_loglik)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        quiet = fit_mixed(ds, spec, opts())
+    assert not np.all(np.isfinite(values))  # some trial did overflow
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        strict = fit_mixed(ds, spec, opts())
+    assert strict.converged
+    np.testing.assert_array_equal(strict.theta, quiet.theta)
 
 
 def test_maximize_history_nondecreasing(tmp_path, rng):
@@ -282,7 +409,7 @@ def test_classical_invariant_to_individual_order(tmp_path, rng):
 def test_nonconvergence_carries_result(tmp_path, rng):
     ds = panel_dataset(tmp_path, rng, n_individuals=40, n_situations=2,
                        n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
-    with pytest.raises(NonConvergence) as excinfo:
+    with pytest.raises(NonConvergence, match="stop: maxiter;") as excinfo:
         fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc")),
                       FitOptions(maxiter=1))
     result = excinfo.value.result

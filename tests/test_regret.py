@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset, random_dataset, situation_slices
 from mixrrm import regret
 from mixrrm.errors import SpecMismatch
-from mixrrm.estimation import individual_scores
+from mixrrm.estimation import _loglik, _ordered_sum, individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import _fd_hessian, brute_force_sll, fd_gradient, naive_regret
 
@@ -633,6 +633,24 @@ def test_padded_situations_hessian_matches_finite_differences(data, classical):
     oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
     assert np.array_equal(hessian, hessian.T)
     np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.booleans())
+def test_loglik_walk_equals_ordered_score_sum(data, classical):
+    """The log-likelihood walk and the ordered sum of the value+gradient
+    walk's terms are the same float, bit for bit, on classical blocks of
+    several people and on mixed designs with normal and log-normal
+    coefficients and constants: the optimizer tests a trial point with
+    either walk and takes the same path."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    design = padded_design(data, rng, n_individuals=4, classical=classical)
+    if classical:
+        assert any(stop - start > 1 for start, stop in design.blocks)
+    draws = padded_draws(design, rng)
+    x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.1, 1.0, 3.0]))
+    lls, _ = individual_scores(design, draws, x)
+    assert _loglik(design, draws, x) == float(_ordered_sum(lls))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
