@@ -102,6 +102,10 @@ class FitResult:
     gradient_norm: float
     nrep: int
     burn: int
+    # how the optimizer ran; not written to the fit JSON, so None when loaded
+    stop: str | None = None  # gtol | line_search | maxiter | zero_slope
+    ll_passes: int | None = None  # log-likelihood-only passes: backtracked trials
+    vg_passes: int | None = None  # value+gradient passes, the start included
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -186,7 +190,8 @@ def _maximize(
     unit step, accepted on most iterations, is tried with ``scores``; only
     the halved trials after a rejected one use ``loglik``, and the point
     they accept gets its ``scores`` pass.  Trials run with numpy's
-    floating-point warnings off: one that overflows is rejected as non-finite.
+    floating-point warnings off: one whose log-likelihood or gradient is not
+    finite is rejected, and the step halved.
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
     longer than ``step_tol``.  Accepted steps never decrease the objective
@@ -249,13 +254,14 @@ def _maximize(
                     ll_new >= ll + target
                     or (target <= floor and ll_new >= ll - floor)
                 ):
-                    break
+                    if grad_new is None:  # accepted after backtracking
+                        ll_new, grad_new = value_grad(candidate)
+                    if np.isfinite(grad_new).all():
+                        break
                 step *= 0.5
             else:
                 stop = "line_search"
                 break
-            if grad_new is None:  # accepted after backtracking
-                ll_new, grad_new = value_grad(candidate)
 
         s = candidate - x
         y = grad - grad_new  # gradient change of -ll (minimization form)
@@ -337,27 +343,31 @@ def covariance_robust(hessian: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
-    """The log-likelihood walk over blocks: terms added in dataset order."""
+    """The log-likelihood walk: the pass's prologue, then one kernel per
+    block, whose terms are added in dataset order."""
     theta = design.unpack(x)
+    parts = design.prologue(theta, draws)
     return float(_ordered_sum(np.concatenate([
-        design.individual_loglik(block, theta, draws[start:stop])
+        design.individual_loglik(block, theta, draws[start:stop], parts[block])
         for block, (start, stop) in enumerate(design.blocks)
     ])))
 
 
 def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
     """Per-individual log-likelihood terms (N,) and gradient rows (N, P) at
-    ``x``; the only walk that evaluates the gradient.  With ``hessian``, also
-    the log-likelihood Hessian (P, P): the block Hessians added in dataset
-    order, then symmetrised."""
+    ``x``; the only walk that evaluates the gradient: the pass's prologue
+    (:meth:`ModelDesign.prologue`), then one kernel per block.  With
+    ``hessian``, also the log-likelihood Hessian (P, P): the block Hessians
+    added in dataset order, then symmetrised."""
     theta = design.unpack(x)
+    parts = design.prologue(theta, draws, gradient=True)
     n_ind = design.ds.n_individuals
     lls = np.empty(n_ind)
     rows = np.empty((n_ind, design.n_params))
     total = np.zeros((design.n_params, design.n_params))
     for block, (start, stop) in enumerate(design.blocks):
         lls[start:stop], rows[start:stop], *hess = design.individual_loglik_gradient(
-            block, theta, draws[start:stop], hessian
+            block, theta, draws[start:stop], hessian, parts[block]
         )
         if hessian:
             total += hess[0]
@@ -489,6 +499,7 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         gradient_norm=float(np.max(np.abs(opt.grad))),
         nrep=opts.nrep if mixed else 0,
         burn=opts.burn if mixed else 0,
+        stop=opt.stop, ll_passes=opt.ll_passes, vg_passes=opt.vg_passes,
     )
     if not opt.converged:
         raise NonConvergence(

@@ -78,9 +78,10 @@ def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
     design = _bind_design(ds, fit)
     draws = design.draws(*draw_settings(fit, nrep, burn))
     theta = fit.theta_hat
+    parts = design.prologue(theta, draws)
     return design, draws, [
-        summarize(design.available(block),
-                  *design.individual_draw_info(block, theta, draws[start:stop]))
+        summarize(design.available(block), *design.individual_draw_info(
+            block, theta, draws[start:stop], parts[block]))
         for block, (start, stop) in enumerate(design.blocks)
     ]
 

@@ -7,17 +7,19 @@ negated regrets.  The mixed model draws the random coefficients once per
 individual, multiplies the chosen-alternative probabilities across that
 individual's choice situations, and averages the product over draws.
 
-Everything here is a pure function of its inputs.  The hot path is
-:meth:`ModelDesign.individual_loglik_gradient`, vectorized over the draws,
-situations and individuals of a block: one individual of a mixed model, or a
-run of consecutive individuals of a classical model (one zero draw each),
-padded to at most ``_BLOCK_FLOATS`` floats per pair array.  Each unordered
-pair of alternatives i < j is evaluated once: with a = beta_m *
-(x_j - x_i), i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).
-Fixed attributes and constants form a draw-invariant base, so only the random
-attributes are evaluated per draw.  The same pass can return the block's
-exact Hessian from the same pair logistics.  The tests check the kernel
-against a first-principles reference with plain loops (``tests/oracles.py``).
+Everything here is a pure function of its inputs.  A pass over the data is
+a prologue, :meth:`ModelDesign.prologue`, and one kernel call per block, the
+hot one :meth:`ModelDesign.individual_loglik_gradient`.  A block is one
+individual of a mixed model, or a run of consecutive individuals of a
+classical model (one zero draw each), padded to at most ``_BLOCK_FLOATS``
+floats per pair array.  Once per pass, the prologue realizes the random
+coefficients and builds the draw-invariant regret base of the fixed
+attributes and constants, one slab per group of equal-shape blocks; each
+kernel, vectorized over its block's draws, adds the random attributes' terms.
+A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
+i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).  A pass can
+return the exact Hessian from the same pair logistics.  The tests check the
+kernels against a first-principles reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -220,15 +222,18 @@ class ModelDesign:
         chosen = np.zeros(shape[0], dtype=np.intp)
         chosen[sit_cell] = slot[ds.chosen]
 
-        # blocks of equal (n, S, J) are built together, as slabs of one array
-        shapes, built = {}, {}
+        # blocks of equal (n, S, J) form a group, built as one array with a
+        # leading block axis; a block's tensors are its slab of the group's
+        shapes, self._groups = {}, []
         for block, key in enumerate(zip(np.diff(edges).tolist(), depth.tolist(),
                                         widths.tolist())):
             shapes.setdefault(key, []).append(block)
         for (n, s, j), members in shapes.items():
             cut = ind_cell[edges[members], None] + np.arange(n * s)
-            built.update(zip(members, self._build_blocks(
+            self._groups.append((members, self._build_group(
                 n, x[cut, :j], rows[cut, :j], chosen[cut], asc_onehot[cut, :j])))
+        built = {block: _BlockData(*(a[pos] for a in vars(group).values()))
+                 for members, group in self._groups for pos, block in enumerate(members)}
         self._blocks = [built[block] for block in range(len(self.blocks))]
 
     # -- packing ------------------------------------------------------------
@@ -248,10 +253,11 @@ class ModelDesign:
 
     # -- construction ---------------------------------------------------------
 
-    def _build_blocks(self, n, x, rows, chosen, asc_onehot) -> list:
+    def _build_group(self, n, x, rows, chosen, asc_onehot) -> _BlockData:
         """G blocks of n individuals from their n*S cells each, individual-major:
         (G, cells, J, M) attributes, (G, cells, J) data slots, (G, cells) chosen
-        slots and (G, cells, J, n_asc) constants; a block's tensors are slabs."""
+        slots and (G, cells, J, n_asc) constants; every field of the result
+        has a leading block axis G."""
         n_group, n_cells, j_max = rows.shape
         first, second = np.triu_indices(j_max, 1)
         grid = lambda a: a.reshape(n_group, n, n_cells // n, *a.shape[2:])
@@ -264,13 +270,14 @@ class ModelDesign:
         pair_diff = kernel(x[:, :, second] - x[:, :, first])[..., None] * live[:, None]
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
         avail = rows | (np.arange(j_max) == 0)  # a padded situation has slot 0
-        return list(map(  # the _BlockData fields, in order
-            _BlockData, grid(rows), kernel(avail)[..., None],
+        return _BlockData(  # the fields, in order
+            grid(rows), kernel(avail)[..., None],
             chosen * n_cells + np.arange(n_cells), pair_diff.take(self._fixed_pos, 1),
             pair_diff.take(self._random_pos, 1), live.astype(float),
-            [np.eye(j_max)[np.r_[first, second]]] * n_group,
+            np.broadcast_to(np.eye(j_max)[np.r_[first, second]],
+                            (n_group, 2 * len(first), j_max)),
             np.ascontiguousarray(grid(asc_onehot).transpose(0, 3, 2, 1, 4)),
-        ))
+        )
 
     # -- coefficient realization ---------------------------------------------
 
@@ -299,63 +306,87 @@ class ModelDesign:
         """(n, S, J) mask of a block's data slots (dataset order in C order)."""
         return self._blocks[block].rows
 
-    # -- block kernels ---------------------------------------------------------
+    # -- pass prologue and block kernels ---------------------------------------
     # A kernel evaluates block ``block`` under its individuals' (n, K, R)
-    # draws ``z``, e.g. ``draws[start:stop]`` for its range in ``blocks``.
+    # draws ``z``, e.g. ``draws[start:stop]`` for its range in ``blocks``, and
+    # ``part``, its entry of the pass's prologue, or computes its own.
 
-    def _draw_regrets(self, bd: _BlockData, theta, coefs, want_gradient):
-        """Regrets (J,S,n,R) under the (K,n,R) random coefficients ``coefs``:
-        a draw-invariant (J,S,n,1) base of the fixed attributes and constants
-        plus the random attributes' terms; with ``want_gradient`` also the
-        pair logistics of the fixed (Mf,P,S,n,1) and random (Mr,P,S,n,R)
-        attributes."""
-        fixed, sig_fixed = _pair_terms(
-            theta.fixed[:, None, None, None, None] * bd.d_fixed, bd.live, want_gradient
-        )
-        regrets = _lead(bd.incidence.T, fixed) + (bd.asc_onehot @ theta.asc)[..., None]
+    def prologue(self, theta, z, block=None, gradient=False) -> list:
+        """A pass's draw-invariant work under the (N, K, R) draws ``z``, for
+        every block or only ``block`` (``z`` its draws): per block, slices
+        ``(base, sig_fixed, coefs, chain)`` of arrays computed once, the
+        regret base of the fixed attributes and constants (J,S,n,1), the
+        random coefficients (K,n,R) and, with ``gradient``, the fixed pair
+        logistics (Mf,P,S,n,1) and d beta / d b (K,n,R), 1 or beta (log-normal).
+        A classical block, draw-free and within ``_BLOCK_FLOATS``, gets
+        ``None`` from a whole pass and its kernel computes its own."""
+        if block is None and not self.n_random:
+            return [None] * len(self.blocks)
+        coefs = self.random_coefficient_draws(theta, z.transpose(1, 0, 2)).T
+        chain = np.where(self._lognormal[:, None, None], coefs, 1.0) if gradient else None
+        groups = self._groups if block is None else [([block], _BlockData(  # alone
+            *(a[None] for a in vars(self._blocks[block]).values())))]
+        first, parts = 0 if block is None else self.blocks[block][0], {}
+        for members, group in groups:
+            fixed, sig = _pair_terms(theta.fixed[:, None, None, None, None]
+                                     * group.d_fixed, group.live[:, None], gradient)
+            base = (_lead(group.incidence[0].T, fixed, batch=1)
+                    + (group.asc_onehot @ theta.asc)[..., None])
+            for pos, b in enumerate(members):
+                cut = slice(*(i - first for i in self.blocks[b]))
+                parts[b] = (base[pos], sig[pos] if gradient else None, coefs[:, cut],
+                            chain[:, cut] if gradient else None)
+        return [parts[b] for b in sorted(parts)]
+
+    def _regrets(self, bd: _BlockData, part, gradient):
+        """Regrets (J,S,n,R) of a block: its prologue ``part``'s base plus the
+        random attributes' terms; with ``gradient`` also the pair logistics of
+        the fixed (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes."""
+        base, sig_fixed, coefs, _ = part
         if not self.n_random:  # a classical model: the base is all there is
-            return regrets, sig_fixed, None
-        drawn, sig_random = _pair_terms(
-            coefs[:, None, None] * bd.d_random, bd.live, want_gradient
-        )
-        return regrets + _lead(bd.incidence.T, drawn), sig_fixed, sig_random
+            return base, sig_fixed, None
+        drawn, sig_random = _pair_terms(coefs[:, None, None] * bd.d_random, bd.live,
+                                        gradient)
+        return base + _lead(bd.incidence.T, drawn), sig_fixed, sig_random
 
-    def _probabilities(self, bd: _BlockData, regrets):
-        """Per-draw choice probabilities (J,S,n,R) and chosen log-probs (S,n,R)."""
+    def _probabilities(self, bd: _BlockData, regrets, probs=True):
+        """Per-draw choice probabilities (J,S,n,R), ``None`` unless ``probs``,
+        and chosen log-probs (S,n,R)."""
         neg = np.where(bd.avail, -regrets, -np.inf)
         peak = neg.max(axis=0)
         expn = np.exp(neg - peak)
         denom = expn.sum(axis=0)
-        probs = expn / denom
         lse = peak + np.log(denom)
         chosen = neg.reshape(-1, neg.shape[-1])[bd.chosen]
-        return probs, chosen.reshape(lse.shape) - lse
+        return expn / denom if probs else None, chosen.reshape(lse.shape) - lse
 
-    def individual_draw_info(self, block: int, theta, z):
-        """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J)."""
+    def _choices(self, block, theta, z, part, probs):
         bd = self._blocks[block]
-        coefs = self.random_coefficient_draws(theta, z.transpose(1, 0, 2)).T
-        regrets, _, _ = self._draw_regrets(bd, theta, coefs, want_gradient=False)
-        probs, ln_chosen = self._probabilities(bd, regrets)
+        regrets, _, _ = self._regrets(bd, part or self.prologue(theta, z, block)[0], False)
+        return self._probabilities(bd, regrets, probs)
+
+    def individual_draw_info(self, block: int, theta, z, part=None):
+        """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J)."""
+        probs, ln_chosen = self._choices(block, theta, z, part, probs=True)
         return ln_chosen.sum(axis=0), probs.transpose(2, 3, 1, 0)
 
-    def individual_loglik(self, block: int, theta, z) -> np.ndarray:
+    def individual_loglik(self, block: int, theta, z, part=None) -> np.ndarray:
         """Simulated log-likelihood terms (n,) of a block's individuals."""
-        ln_seq, _ = self.individual_draw_info(block, theta, z)
-        return _log_mean_exp(ln_seq)[0]
+        _, ln_chosen = self._choices(block, theta, z, part, probs=False)
+        return _log_mean_exp(ln_chosen.sum(axis=0))[0]
 
-    def individual_loglik_gradient(self, block: int, theta, z, hessian=False):
+    def individual_loglik_gradient(self, block: int, theta, z, hessian=False, part=None):
         """Simulated log-likelihood terms of a block's individuals and their
         gradient rows: ``(ll, grad)``, ``ll[i] = ln((1/R) sum_r P_i(asc,
         beta^r))`` of shape (n,) and ``grad`` (n, P), exact in the packed
         parameters; with ``hessian``, ``(ll, grad, hess)``, ``hess`` the exact
-        (P, P) Hessian of ``ll.sum()``, symmetric up to rounding."""
+        (P, P) Hessian of ``ll.sum()``, symmetric up to rounding.  ``part``
+        must come from a ``gradient`` prologue."""
         bd = self._blocks[block]
+        part = part or self.prologue(theta, z, block, gradient=True)[0]
+        chain = part[3]  # chain rule: d beta / d s is d beta / d b times the draw
         z = z.transpose(1, 0, 2)  # (K, n, R)
-        coefs = self.random_coefficient_draws(theta, z).T
-        regrets, sig_fixed, sig_random = self._draw_regrets(
-            bd, theta, coefs, want_gradient=True
-        )
+        regrets, sig_fixed, sig_random = self._regrets(bd, part, gradient=True)
         probs, ln_chosen = self._probabilities(bd, regrets)
 
         # d ln P(chosen) / d R_i = P_i - 1[i = chosen]
@@ -365,9 +396,6 @@ class ModelDesign:
 
         n_ind, n_draws = resid.shape[2:]
         f, k = self.n_fixed, self.n_random
-        # chain rule: d beta/d b is 1 (normal) or beta (log-normal);
-        # d beta/d s multiplies that by the draw.
-        chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
         per_draw = np.empty((self.n_params, n_ind, n_draws))
         per_draw[:f] = _pair_gradient(bd.d_fixed, sig_fixed, res_i, res_j)
         if self.n_random:
@@ -441,16 +469,18 @@ def _classical_edges(n_sit, widths, n_attrs, n_params) -> np.ndarray:
     return np.array(edges + [len(n_sit)])
 
 
-def _lead(matrix, array):
-    """``matrix`` (A, B) applied to the leading axis of ``array`` (B, ...)."""
-    return (matrix @ array.reshape(len(array), -1)).reshape(-1, *array.shape[1:])
+def _lead(matrix, array, batch=0):
+    """``matrix`` (A, B) applied to axis ``batch`` of ``array`` (..., B, ...)."""
+    head = array.shape[:batch + 1]
+    product = matrix @ array.reshape(*head, -1)
+    return product.reshape(*head[:-1], -1, *array.shape[batch + 1:])
 
 
 def _pair_terms(a, live, want_logistic):
-    """Regret terms of the pair activations ``a`` (M, P, S, n, R), summed
+    """Regret terms of the pair activations ``a`` (..., M, P, S, n, R), summed
     over the attributes: ln(1 + exp(a)), borne by slot i of each pair, then
-    ln(1 + exp(-a)), borne by slot j, as (2P, S, n, R); and logistic(a) when
-    asked.
+    ln(1 + exp(-a)), borne by slot j, as (..., 2P, S, n, R); and logistic(a)
+    when asked.
 
     Both directions share t = exp(-|a|) and are exact, with no cancellation:
     ln(1 + exp(+-a)) = max(+-a, 0) + log1p(t), and logistic(a) is 1/(1+t)
@@ -460,7 +490,8 @@ def _pair_terms(a, live, want_logistic):
     t = np.exp(-np.abs(a)) * live
     log_t = np.log1p(t)
     pos = np.maximum(a, 0.0)  # and max(-a, 0) = pos - a, exactly
-    terms = np.concatenate([(pos + log_t).sum(axis=0), (pos - a + log_t).sum(axis=0)])
+    terms = np.concatenate([(pos + log_t).sum(axis=-5), (pos - a + log_t).sum(axis=-5)],
+                           axis=-4)
     sig = np.where(a >= 0.0, 1.0, t) / (1.0 + t) if want_logistic else None
     return terms, sig
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,12 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the CLI tests run ``python -m mixrrm.cli`` in child processes, which find
+# the package of this checkout through PYTHONPATH, as this process does
+# through pytest's ``pythonpath`` setting
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])
 
 from mixrrm.dataset import ChoiceDataset
 

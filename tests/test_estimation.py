@@ -21,6 +21,7 @@ from mixrrm.estimation import (
     FitOptions,
     _loglik,
     _maximize,
+    _ordered_sum,
     _run_fit,
     covariance_cluster,
     covariance_hessian,
@@ -276,6 +277,68 @@ def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
         strict = fit_mixed(ds, spec, opts())
     assert strict.converged
     np.testing.assert_array_equal(strict.theta, quiet.theta)
+
+
+def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
+    """Started at a log-normal location of 3, this fit walks the location
+    towards -200 and the scale towards 350, where a unit-step trial can have
+    a finite log-likelihood but a nan gradient.  Such a trial is rejected
+    like one whose log-likelihood is not finite, so the fit never takes a
+    point without a gradient: it ends with a finite max |gradient|, here on
+    the typed NonConvergence error."""
+    ds = panel_dataset(tmp_path, np.random.default_rng(0), n_individuals=30,
+                       n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
+                       random={"cf": ("lognormal", -1.0, 0.4)})
+    trials = []  # (log-likelihood finite, gradient finite) of each walk
+    walk = estimation.individual_scores
+
+    def recorded_walk(design, draws, x, hessian=False):
+        out = walk(design, draws, x, hessian=hessian)
+        trials.append((np.isfinite(_ordered_sum(out[0])), np.isfinite(out[1]).all()))
+        return out
+
+    monkeypatch.setattr(estimation, "individual_scores", recorded_walk)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the covariance pass
+        with pytest.raises(NonConvergence) as excinfo:
+            fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("cf",),
+                                    ln_count=1),
+                      FitOptions(nrep=10, start=[-0.3, 3.0, 0.3]))
+    assert (True, False) in trials
+    result = excinfo.value.result
+    assert np.isfinite(result.gradient_norm) and np.isfinite(result.loglik)
+    assert result.stop == "line_search"
+
+
+def test_fit_result_reports_stop_and_passes(tmp_path, rng, monkeypatch):
+    """A fit carries its optimizer's stop reason and pass counts; the fit
+    JSON leaves them out, so a loaded fit has ``None`` for them."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=40, n_situations=3,
+                       n_alternatives=3, fixed={"tc": -0.3},
+                       random={"tt": ("normal", -0.5, 0.2)})
+    spec = ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",))
+    results, maximize = [], estimation._maximize
+
+    def kept_maximize(*args, **kwargs):
+        results.append(maximize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(estimation, "_maximize", kept_maximize)
+    fit = fit_mixed(ds, spec, FitOptions(nrep=5))
+    opt = results[-1]
+    assert fit.stop == "gtol"
+    assert (fit.ll_passes, fit.vg_passes) == (opt.ll_passes, opt.vg_passes)
+    assert fit.vg_passes >= fit.iterations + 1
+    payload = fit_result_to_json(fit)
+    assert not {"stop", "ll_passes", "vg_passes"} & set(payload)
+    loaded = fit_result_from_json(payload)
+    assert (loaded.stop, loaded.ll_passes, loaded.vg_passes) == (None, None, None)
+    with pytest.raises(NonConvergence) as excinfo:
+        fit_mixed(ds, spec, FitOptions(nrep=5, maxiter=1, start=[0.0, 0.0, 0.1]))
+    stopped = excinfo.value.result
+    assert (stopped.stop, stopped.iterations) == ("maxiter", 1)
+    assert (stopped.ll_passes, stopped.vg_passes) == (results[-1].ll_passes,
+                                                      results[-1].vg_passes)
 
 
 def test_maximize_history_nondecreasing(tmp_path, rng):

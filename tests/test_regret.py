@@ -4,13 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dataset, situation_slices
-from mixrrm import regret
+from mixrrm import postestimation, regret
 from mixrrm.errors import SpecMismatch
-from mixrrm.estimation import _loglik, _ordered_sum, individual_scores
+from mixrrm.estimation import FitResult, _loglik, _ordered_sum, individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import _fd_hessian, brute_force_sll, fd_gradient, naive_regret
 
@@ -651,6 +651,55 @@ def test_loglik_walk_equals_ordered_score_sum(data, classical):
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.1, 1.0, 3.0]))
     lls, _ = individual_scores(design, draws, x)
     assert _loglik(design, draws, x) == float(_ordered_sum(lls))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_walks_equal_standalone_block_kernels(data):
+    """On a mixed panel whose people differ in S and J, so a pass's prologue
+    spans several groups of equal-shape blocks, every walk gives each block
+    bit for bit what its kernel gives when called alone, computing its own
+    prologue: the value+gradient walk its terms, gradient rows and (as the
+    same ordered sum) Hessian, the log-likelihood walk its terms, and the
+    draw-info walk its sequence log-probabilities and probabilities."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    design = padded_design(data, rng, n_individuals=6)
+    assume(len({design.available(b).shape for b in range(len(design.blocks))}) > 1)
+    nrep, burn = 3, 2
+    draws = design.draws(nrep, burn)
+    x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 3.0]))
+    theta = design.unpack(x)
+
+    def alone(kernel, *args):
+        return [kernel(block, theta, draws[start:stop], *args)
+                for block, (start, stop) in enumerate(design.blocks)]
+
+    def assert_same(walked, standalone):
+        for got, want in zip(walked, standalone, strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    for hessian in (False, True):
+        walked = individual_scores(design, draws, x, hessian=hessian)
+        kernels = [*zip(*alone(design.individual_loglik_gradient, hessian))]
+        assert_same(walked[:2], map(np.concatenate, kernels[:2]))
+        if hessian:
+            total = _ordered_sum(np.array(kernels[2]))
+            assert_same(walked[2:], [0.5 * (total + total.T)])
+
+    terms, kernel = [], design.individual_loglik
+    with mock.patch.object(design, "individual_loglik",
+                           lambda *args: terms.append(kernel(*args)) or terms[-1]):
+        _loglik(design, draws, x)
+    assert_same(terms, alone(kernel))
+
+    ds = design.ds
+    fit = FitResult(design.spec, ds.alternative_labels, x, 0.0, ds.n_individuals,
+                    ds.n_situations, np.eye(design.n_params), "hessian", 95.0,
+                    True, 0, 0.0, nrep, burn)
+    _, _, infos = postestimation._draw_info_walk(
+        ds, fit, None, None, lambda rows, ln_seq, probs: (ln_seq, probs))
+    for walked, standalone in zip(infos, alone(design.individual_draw_info), strict=True):
+        assert_same(walked, standalone)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
