@@ -294,6 +294,8 @@ def _maximize(
 def covariance_hessian(hessian: np.ndarray) -> np.ndarray:
     """(-H)^-1 for a negative-definite log-likelihood Hessian."""
     neg = -np.asarray(hessian, dtype=float)
+    if not np.isfinite(neg).all():
+        raise SingularHessian("Hessian at the optimum is not finite")
     try:
         np.linalg.cholesky(neg)
         cov = np.linalg.inv(neg)
@@ -343,37 +345,32 @@ def covariance_robust(hessian: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
-    """The log-likelihood walk: the pass's prologue, then one kernel per
-    block, whose terms are added in dataset order."""
-    theta = design.unpack(x)
-    parts = design.prologue(theta, draws)
-    return float(_ordered_sum(np.concatenate([
-        design.individual_loglik(block, theta, draws[start:stop], parts[block])
-        for block, (start, stop) in enumerate(design.blocks)
-    ])))
+    """The log-likelihood at ``x``: one :meth:`ModelDesign.walk` with the
+    log-likelihood kernel, whose terms are added in dataset order."""
+    lls = np.empty(design.ds.n_individuals)
+    for block, terms in design.walk(design.individual_loglik, design.unpack(x), draws):
+        lls[slice(*design.blocks[block])] = terms
+    return float(_ordered_sum(lls))
 
 
 def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
     """Per-individual log-likelihood terms (N,) and gradient rows (N, P) at
-    ``x``; the only walk that evaluates the gradient: the pass's prologue
-    (:meth:`ModelDesign.prologue`), then one kernel per block.  With
+    ``x``; the only pass that evaluates the gradient: one
+    :meth:`ModelDesign.walk` with the value+gradient kernel.  With
     ``hessian``, also the log-likelihood Hessian (P, P): the block Hessians
-    added in dataset order, then symmetrised."""
-    theta = design.unpack(x)
-    parts = design.prologue(theta, draws, gradient=True)
+    added in block (dataset) order, whatever order the walk yields them in,
+    then symmetrised."""
     n_ind = design.ds.n_individuals
-    lls = np.empty(n_ind)
-    rows = np.empty((n_ind, design.n_params))
-    total = np.zeros((design.n_params, design.n_params))
-    for block, (start, stop) in enumerate(design.blocks):
-        lls[start:stop], rows[start:stop], *hess = design.individual_loglik_gradient(
-            block, theta, draws[start:stop], hessian, parts[block]
-        )
-        if hessian:
-            total += hess[0]
-    if hessian:
-        return lls, rows, 0.5 * (total + total.T)
-    return lls, rows
+    lls, rows = np.empty(n_ind), np.empty((n_ind, design.n_params))
+    hessians = [None] * len(design.blocks)  # per block, [Hessian] or []
+    for block, (ll, grad, *hess) in design.walk(
+            design.individual_loglik_gradient, design.unpack(x), draws, hessian):
+        cut = slice(*design.blocks[block])
+        lls[cut], rows[cut], hessians[block] = ll, grad, hess
+    if not hessian:
+        return lls, rows
+    total = _ordered_sum(np.concatenate(hessians))
+    return lls, rows, 0.5 * (total + total.T)
 
 
 def simulated_loglik(
@@ -469,7 +466,8 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         lambda x: individual_scores(design, draws, x), x0,
         maxiter=opts.maxiter, gtol=opts.gtol, step_tol=opts.step_tol,
     )
-    _, scores, hessian = individual_scores(design, draws, opt.x, hessian=True)
+    with np.errstate(all="ignore"):  # an unconverged fit's last point may overflow
+        _, scores, hessian = individual_scores(design, draws, opt.x, hessian=True)
 
     try:
         if opts.covariance == "hessian":

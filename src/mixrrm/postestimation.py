@@ -72,18 +72,16 @@ def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
 
 
 def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
-    """The draw-info walk over blocks: the fit's design on ``ds``, its draws,
-    and ``summarize(rows, ln_seq, probs)`` of every block in order, ``rows``
-    its data slots (:meth:`ModelDesign.available`)."""
+    """The fit's design on ``ds``, its draws, and ``summarize(rows, ln_seq,
+    probs)`` of every block in block (dataset) order, from one
+    :meth:`ModelDesign.walk` with the draw-info kernel; ``rows`` is the
+    block's data slots (:meth:`ModelDesign.available`)."""
     design = _bind_design(ds, fit)
     draws = design.draws(*draw_settings(fit, nrep, burn))
-    theta = fit.theta_hat
-    parts = design.prologue(theta, draws)
-    return design, draws, [
-        summarize(design.available(block), *design.individual_draw_info(
-            block, theta, draws[start:stop], parts[block]))
-        for block, (start, stop) in enumerate(design.blocks)
-    ]
+    summaries = [None] * len(design.blocks)
+    for block, info in design.walk(design.individual_draw_info, fit.theta_hat, draws):
+        summaries[block] = summarize(design.available(block), *info)
+    return design, draws, summaries
 
 
 def predict_probabilities(

@@ -8,14 +8,15 @@ individual, multiplies the chosen-alternative probabilities across that
 individual's choice situations, and averages the product over draws.
 
 Everything here is a pure function of its inputs.  A pass over the data is
-a prologue, :meth:`ModelDesign.prologue`, and one kernel call per block, the
-hot one :meth:`ModelDesign.individual_loglik_gradient`.  A block is one
-individual of a mixed model, or a run of consecutive individuals of a
-classical model (one zero draw each), padded to at most ``_BLOCK_FLOATS``
-floats per pair array.  Once per pass, the prologue realizes the random
-coefficients and builds the draw-invariant regret base of the fixed
-attributes and constants, one slab per group of equal-shape blocks; each
-kernel, vectorized over its block's draws, adds the random attributes' terms.
+one :meth:`ModelDesign.walk`, the only loop over blocks: it realizes the
+random coefficients, builds the draw-invariant regret base of the fixed
+attributes and constants once per group of equal-shape blocks, slices each
+block's draws and calls a block kernel once per block, the hot one
+:meth:`ModelDesign.individual_loglik_gradient`.  A block is one individual
+of a mixed model, or a run of consecutive individuals of a classical model
+(one zero draw each), padded to at most ``_BLOCK_FLOATS`` floats per pair
+array; each kernel, vectorized over its block's draws, adds the random
+attributes' terms to the base.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).  A pass can
 return the exact Hessian from the same pair logistics.  The tests check the
@@ -281,22 +282,10 @@ class ModelDesign:
 
     # -- coefficient realization ---------------------------------------------
 
-    def realize_batch(self, theta: ParameterVector, z: np.ndarray) -> np.ndarray:
-        """Realized coefficients per draw, shape (R, M) in model-attr order.
-
-        ``z`` is (K, R); normal entries become b + s*z, log-normal entries
-        exp(b + s*z), fixed entries are copied into every draw.  A model
-        with no random coefficients takes its one zero draw, shape (0, 1),
-        from :meth:`draws`.
-        """
-        beta = np.empty((z.shape[1], len(self.model_attrs)))
-        beta[:, self._fixed_pos] = theta.fixed
-        beta[:, self._random_pos] = self.random_coefficient_draws(theta, z)
-        return beta
-
     def random_coefficient_draws(self, theta, z) -> np.ndarray:
         """Realized random coefficients, coefficient scale, declared order,
-        from (K, ...) standard draws, axes reversed: (R, K) from (K, R)."""
+        from (K, ...) standard draws, axes reversed: (R, K) from (K, R).
+        Normal entries are b + s*z, log-normal entries exp(b + s*z)."""
         lead = (slice(None),) + (None,) * (z.ndim - 1)
         vals = theta.rand_location[lead] + theta.rand_scale[lead] * z
         np.exp(vals, out=vals, where=self._lognormal[lead])
@@ -306,40 +295,38 @@ class ModelDesign:
         """(n, S, J) mask of a block's data slots (dataset order in C order)."""
         return self._blocks[block].rows
 
-    # -- pass prologue and block kernels ---------------------------------------
+    # -- the walk and the block kernels ------------------------------------------
     # A kernel evaluates block ``block`` under its individuals' (n, K, R)
-    # draws ``z``, e.g. ``draws[start:stop]`` for its range in ``blocks``, and
-    # ``part``, its entry of the pass's prologue, or computes its own.
+    # draws ``z`` and ``part``, its share of the pass's draw-invariant work;
+    # only :meth:`walk` calls one.
 
-    def prologue(self, theta, z, block=None, gradient=False) -> list:
-        """A pass's draw-invariant work under the (N, K, R) draws ``z``, for
-        every block or only ``block`` (``z`` its draws): per block, slices
-        ``(base, sig_fixed, coefs, chain)`` of arrays computed once, the
-        regret base of the fixed attributes and constants (J,S,n,1), the
-        random coefficients (K,n,R) and, with ``gradient``, the fixed pair
-        logistics (Mf,P,S,n,1) and d beta / d b (K,n,R), 1 or beta (log-normal).
-        A classical block, draw-free and within ``_BLOCK_FLOATS``, gets
-        ``None`` from a whole pass and its kernel computes its own."""
-        if block is None and not self.n_random:
-            return [None] * len(self.blocks)
-        coefs = self.random_coefficient_draws(theta, z.transpose(1, 0, 2)).T
-        chain = np.where(self._lognormal[:, None, None], coefs, 1.0) if gradient else None
-        groups = self._groups if block is None else [([block], _BlockData(  # alone
-            *(a[None] for a in vars(self._blocks[block]).values())))]
-        first, parts = 0 if block is None else self.blocks[block][0], {}
-        for members, group in groups:
-            fixed, sig = _pair_terms(theta.fixed[:, None, None, None, None]
-                                     * group.d_fixed, group.live[:, None], gradient)
-            base = (_lead(group.incidence[0].T, fixed, batch=1)
-                    + (group.asc_onehot @ theta.asc)[..., None])
-            for pos, b in enumerate(members):
-                cut = slice(*(i - first for i in self.blocks[b]))
-                parts[b] = (base[pos], sig[pos] if gradient else None, coefs[:, cut],
-                            chain[:, cut] if gradient else None)
-        return [parts[b] for b in sorted(parts)]
+    def walk(self, kernel, theta, draws, *args):
+        """One pass over the data under the (N, K, R) ``draws``: yields
+        ``(block, kernel(block, z, part, *args))`` once per block, in group
+        order, ``z`` the block's draws.  Per group of equal-shape blocks it
+        builds, once, the regret base of the fixed attributes and constants
+        (J,S,n,1) and the fixed pair logistics (Mf,P,S,n,1); ``part`` is the
+        block's slice of these, of the random coefficients (K,n,R) and of
+        d beta / d b (K,n,R), 1 or beta (log-normal).  A classical block is
+        built alone, so a classical pass holds one block's arrays."""
+        coefs = self.random_coefficient_draws(theta, draws.transpose(1, 0, 2)).T
+        chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
+        for members, group in self._groups:
+            step = len(members) if self.n_random else 1
+            for lo in range(0, len(members), step):
+                d_fixed, live, asc_onehot = (a[lo:lo + step] for a in (
+                    group.d_fixed, group.live, group.asc_onehot))
+                fixed, sig = _pair_terms(theta.fixed[:, None, None, None, None]
+                                         * d_fixed, live[:, None], True)
+                base = (_lead(group.incidence[0].T, fixed, batch=1)
+                        + (asc_onehot @ theta.asc)[..., None])
+                for pos, block in enumerate(members[lo:lo + step]):
+                    cut = slice(*self.blocks[block])
+                    yield block, kernel(block, draws[cut], (
+                        base[pos], sig[pos], coefs[:, cut], chain[:, cut]), *args)
 
     def _regrets(self, bd: _BlockData, part, gradient):
-        """Regrets (J,S,n,R) of a block: its prologue ``part``'s base plus the
+        """Regrets (J,S,n,R) of a block: its walk ``part``'s base plus the
         random attributes' terms; with ``gradient`` also the pair logistics of
         the fixed (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes."""
         base, sig_fixed, coefs, _ = part
@@ -360,30 +347,26 @@ class ModelDesign:
         chosen = neg.reshape(-1, neg.shape[-1])[bd.chosen]
         return expn / denom if probs else None, chosen.reshape(lse.shape) - lse
 
-    def _choices(self, block, theta, z, part, probs):
-        bd = self._blocks[block]
-        regrets, _, _ = self._regrets(bd, part or self.prologue(theta, z, block)[0], False)
-        return self._probabilities(bd, regrets, probs)
-
-    def individual_draw_info(self, block: int, theta, z, part=None):
+    def individual_draw_info(self, block: int, z, part):
         """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J)."""
-        probs, ln_chosen = self._choices(block, theta, z, part, probs=True)
+        bd = self._blocks[block]
+        probs, ln_chosen = self._probabilities(bd, self._regrets(bd, part, False)[0])
         return ln_chosen.sum(axis=0), probs.transpose(2, 3, 1, 0)
 
-    def individual_loglik(self, block: int, theta, z, part=None) -> np.ndarray:
+    def individual_loglik(self, block: int, z, part) -> np.ndarray:
         """Simulated log-likelihood terms (n,) of a block's individuals."""
-        _, ln_chosen = self._choices(block, theta, z, part, probs=False)
+        bd = self._blocks[block]
+        _, ln_chosen = self._probabilities(bd, self._regrets(bd, part, False)[0],
+                                           probs=False)
         return _log_mean_exp(ln_chosen.sum(axis=0))[0]
 
-    def individual_loglik_gradient(self, block: int, theta, z, hessian=False, part=None):
+    def individual_loglik_gradient(self, block: int, z, part, hessian=False):
         """Simulated log-likelihood terms of a block's individuals and their
         gradient rows: ``(ll, grad)``, ``ll[i] = ln((1/R) sum_r P_i(asc,
         beta^r))`` of shape (n,) and ``grad`` (n, P), exact in the packed
         parameters; with ``hessian``, ``(ll, grad, hess)``, ``hess`` the exact
-        (P, P) Hessian of ``ll.sum()``, symmetric up to rounding.  ``part``
-        must come from a ``gradient`` prologue."""
+        (P, P) Hessian of ``ll.sum()``, symmetric up to rounding."""
         bd = self._blocks[block]
-        part = part or self.prologue(theta, z, block, gradient=True)[0]
         chain = part[3]  # chain rule: d beta / d s is d beta / d b times the draw
         z = z.transpose(1, 0, 2)  # (K, n, R)
         regrets, sig_fixed, sig_random = self._regrets(bd, part, gradient=True)

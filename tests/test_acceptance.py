@@ -94,16 +94,16 @@ def test_gradient_matches_finite_differences():
         draws = [rng.normal(size=(2, n_rep)) for _ in range(n_ind)]
 
         def sll(vec):
-            theta = design.unpack(vec)
-            return sum(
-                design.individual_loglik(pos, theta, draws[pos][None])[0]
-                for pos in range(n_ind)
-            )
+            lls = dict(design.walk(design.individual_loglik, design.unpack(vec),
+                                   np.array(draws)))
+            return sum(lls[pos][0] for pos in range(n_ind))
 
         theta = design.unpack(x)
         grad = np.zeros(design.n_params)
+        rows = dict(design.walk(design.individual_loglik_gradient, theta,
+                                np.array(draws)))
         for pos in range(n_ind):
-            grad += design.individual_loglik_gradient(pos, theta, draws[pos][None])[1][0]
+            grad += rows[pos][1][0]
         oracle = fd_gradient(sll, x, rel_step=5e-6)
         np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-8)
         checked += 1
@@ -154,7 +154,8 @@ def test_binary_choice_equals_binary_logit(tmp_path):
         design = ModelDesign(ds, ModelSpec(fixed_attrs=("p", "q", "r")))
         theta = ParameterVector(fixed=vals, rand_location=np.zeros(0),
                                 rand_scale=np.zeros(0), asc=np.zeros(0))
-        _, probs = design.individual_draw_info(0, theta, design.draws())
+        _, probs = dict(design.walk(design.individual_draw_info, theta,
+                                    design.draws()))[0]
         logit = 1.0 / (1.0 + math.exp(-vals @ (x1 - x2)))
         assert probs[0, 0, 0, 0] == pytest.approx(logit, abs=1e-12)
 

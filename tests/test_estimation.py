@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -35,6 +36,7 @@ from mixrrm.estimation import (
     save_fit_json,
     simulated_loglik,
 )
+from mixrrm.postestimation import individual_betas, predict_probabilities
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import _fd_hessian, irls_binary_logit, simulate_panel, write_rows_csv
 
@@ -70,6 +72,14 @@ def test_covariance_hessian_rejects_positive_direction():
         covariance_hessian(np.diag([-1.0, 2.0]))
     with pytest.raises(SingularHessian):
         covariance_hessian(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_covariance_hessian_rejects_nonfinite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularHessian, match="not finite"):
+            covariance_hessian(np.array([[-2.0, 0.5], [0.5, bad]]))
 
 
 def test_cluster_singletons_equal_robust_bitwise(rng):
@@ -285,7 +295,9 @@ def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
     a finite log-likelihood but a nan gradient.  Such a trial is rejected
     like one whose log-likelihood is not finite, so the fit never takes a
     point without a gradient: it ends with a finite max |gradient|, here on
-    the typed NonConvergence error."""
+    the typed NonConvergence error.  The covariance pass at that point
+    overflows quietly, and its non-finite Hessian leaves the covariance
+    NaN without a numpy warning."""
     ds = panel_dataset(tmp_path, np.random.default_rng(0), n_individuals=30,
                        n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
                        random={"cf": ("lognormal", -1.0, 0.4)})
@@ -298,12 +310,13 @@ def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(estimation, "individual_scores", recorded_walk)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the covariance pass
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(NonConvergence) as excinfo:
             fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("cf",),
                                     ln_count=1),
                       FitOptions(nrep=10, start=[-0.3, 3.0, 0.3]))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert (True, False) in trials
     result = excinfo.value.result
     assert np.isfinite(result.gradient_norm) and np.isfinite(result.loglik)
@@ -913,3 +926,31 @@ def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
                                atol=1e-10 * np.abs(expected).max())
     np.testing.assert_allclose(predict_probabilities(ds, fit), single_probs,
                                rtol=1e-12, atol=0)
+
+
+def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
+    """``ModelDesign.walk`` is the one loop over blocks: through a mixed fit
+    (its preliminary classical fit included), its predictions and
+    conditional betas, and a classical fit, every block kernel is called
+    directly by a walk."""
+    calls = []  # (kernel, called by a walk) per call
+    walk = ModelDesign.walk.__code__
+    for name in ("individual_loglik", "individual_loglik_gradient",
+                 "individual_draw_info"):
+
+        def recorded(self, *args, kernel=getattr(ModelDesign, name), name=name):
+            calls.append((name, sys._getframe(1).f_code is walk))
+            return kernel(self, *args)
+
+        monkeypatch.setattr(ModelDesign, name, recorded)
+    ds = panel_dataset(tmp_path, np.random.default_rng(5), n_individuals=12,
+                       n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
+                       random={"tt": ("normal", -0.5, 0.2)})
+    fit = fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
+                    FitOptions(nrep=5))
+    predict_probabilities(ds, fit)
+    individual_betas(ds, fit)
+    fit_classical(ds, ModelSpec(fixed_attrs=("tc", "tt")))
+    assert {name for name, _ in calls} == {
+        "individual_loglik", "individual_loglik_gradient", "individual_draw_info"}
+    assert all(by_walk for _, by_walk in calls)

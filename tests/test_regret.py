@@ -38,7 +38,7 @@ def fixed_point(values, asc=()):
 def probs_at(design, theta, pos=0):
     """(S, J) choice probabilities of one individual of a classical design,
     single zero draw; a small design is one block."""
-    _, probs = design.individual_draw_info(0, theta, design.draws())
+    _, probs = dict(design.walk(design.individual_draw_info, theta, design.draws()))[0]
     return probs[pos, 0]
 
 
@@ -105,12 +105,13 @@ def test_spec_rejects_unknown_base_alternative():
                   base_alternative=9).validate(ds)
 
 
-# --- realize_batch -----------------------------------------------------------------
+# --- coefficient realization ----------------------------------------------------
 
 
 def realize_one(design, theta, z):
-    """Coefficients (model-attribute order) realized from one draw vector."""
-    return design.realize_batch(theta, np.asarray(z, dtype=float).reshape(-1, 1))[0]
+    """Random coefficients (declared order) realized from one draw vector."""
+    return design.random_coefficient_draws(
+        theta, np.asarray(z, dtype=float).reshape(-1, 1))[0]
 
 
 def test_realize_normal_zero_draw():
@@ -147,14 +148,23 @@ def test_realize_lognormal_value():
 
 
 def test_realize_mixes_fixed_and_random_in_dataset_order(rng):
+    """With x1 fixed and x2, x0 random, the design's attributes interleave
+    fixed and random coefficients in dataset order; the walk's
+    log-likelihood agrees with the oracle, which takes them as declared."""
     ds = random_dataset(rng, n_attrs=3)
     design = design_for(ds, fixed_attrs=("x1",), random_attrs=("x2", "x0"))
-    theta = ParameterVector(
-        fixed=np.array([5.0]), rand_location=np.array([1.0, 2.0]),
-        rand_scale=np.array([0.0, 0.0]), asc=np.zeros(0),
-    )
     assert design.model_attrs == ("x0", "x1", "x2")
-    assert realize_one(design, theta, [0.0, 0.0]).tolist() == [2.0, 5.0, 1.0]
+    x = np.array([0.5, 1.0, -0.7, 0.3, 0.6])
+    draws = rng.normal(size=(ds.n_individuals, 2, 4))
+    declared = [ds.attribute_index(a) for a in ("x1", "x2", "x0")]
+    individuals = [[(ds.attributes[rows][:, declared].tolist(),
+                     int(np.argmax(ds.chosen[rows])))
+                    for rows in situation_slices(ds, pos)]
+                   for pos in range(ds.n_individuals)]
+    oracle_theta = {"fixed": [0.5], "location": [1.0, -0.7], "scale": [0.3, 0.6],
+                    "lognormal": [False, False]}
+    assert _loglik(design, draws, x) == pytest.approx(
+        brute_force_sll(individuals, oracle_theta, draws.tolist()), rel=1e-12)
 
 
 # --- regret -----------------------------------------------------------------------
@@ -322,9 +332,8 @@ def test_translation_invariance(seed, shift):
 def test_sequence_single_situation_equals_choice_probability():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, probs = design.individual_draw_info(
-        0, fixed_point([-1.0]), design.draws()
-    )
+    ln_seq, probs = dict(design.walk(
+        design.individual_draw_info, fixed_point([-1.0]), design.draws()))[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(probs[0, 0, 0, 0], rel=1e-14)
 
 
@@ -333,7 +342,8 @@ def test_sequence_product_rule():
     sits = {s: [(1, x, True), (2, x, False)] for s in (1, 2)}
     ds = make_dataset({1: sits}, ["a"])
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, _ = design.individual_draw_info(0, fixed_point([3.0]), design.draws())
+    ln_seq, _ = dict(design.walk(
+        design.individual_draw_info, fixed_point([3.0]), design.draws()))[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(0.25, rel=1e-14)
 
 
@@ -345,9 +355,9 @@ def test_sequence_ten_thirds_no_underflow():
     ds = make_dataset({1: sits}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
     theta, z = fixed_point([0.0, 0.0]), design.draws()
-    ln_seq, _ = design.individual_draw_info(0, theta, z)
+    ln_seq, _ = dict(design.walk(design.individual_draw_info, theta, z))[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(3.0 ** -10, rel=1e-12)
-    assert design.individual_loglik(0, theta, z)[0] == pytest.approx(
+    assert dict(design.walk(design.individual_loglik, theta, z))[0][0] == pytest.approx(
         -10 * math.log(3.0), rel=1e-14
     )
 
@@ -359,18 +369,16 @@ def test_regret_gradient_zero_differences():
     x = [1.0, 2.0]
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False)]}}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
-    _, grad = design.individual_loglik_gradient(
-        0, fixed_point([1.3, -0.4]), design.draws()
-    )
+    _, grad = dict(design.walk(design.individual_loglik_gradient,
+                               fixed_point([1.3, -0.4]), design.draws()))[0]
     np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
 
 def test_regret_gradient_two_alternative_example():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
-    _, grad = design.individual_loglik_gradient(
-        0, fixed_point([-1.0]), design.draws()
-    )
+    _, grad = dict(design.walk(design.individual_loglik_gradient,
+                               fixed_point([-1.0]), design.draws()))[0]
     # d ln P_1 / d beta = P_2 (dR_2/d beta - dR_1/d beta)
     #                   = logistic(-1) * (-logistic(1) - logistic(-1))
     #                   = -logistic(-1), frozen from a 50-digit evaluation
@@ -387,9 +395,8 @@ def test_regret_gradient_matches_finite_differences(seed):
                         n_alternatives=3, n_attrs=2)
     design = design_for(ds, fixed_attrs=("x0", "x1"))
     values = rng.normal(size=2)
-    _, (grad,) = design.individual_loglik_gradient(
-        0, fixed_point(values), design.draws()
-    )
+    _, (grad,) = dict(design.walk(design.individual_loglik_gradient,
+                                  fixed_point(values), design.draws()))[0]
     plain = [plain_situations(design, 0)]
 
     def oracle_ll(v):
@@ -425,10 +432,10 @@ def test_loglik_gradient_zero_scale_matches_classical(rng):
         rand_scale=np.array([0.0]), asc=np.zeros(0),
     )
     theta_c = fixed_point([0.4, -0.8])
-    (ll_m,), (g_m,) = mixed.individual_loglik_gradient(0, theta_m, z[None])
-    (ll_c,), (g_c,) = classical.individual_loglik_gradient(
-        0, theta_c, classical.draws()
-    )
+    (ll_m,), (g_m,) = dict(mixed.walk(mixed.individual_loglik_gradient, theta_m,
+                                      z[None]))[0]
+    (ll_c,), (g_c,) = dict(classical.walk(classical.individual_loglik_gradient,
+                                          theta_c, classical.draws()))[0]
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)  # fixed coefficient
     assert g_m[1] == pytest.approx(g_c[1], abs=1e-12)  # location == classical
@@ -446,10 +453,10 @@ def test_loglik_gradient_single_draw_reduces_to_classical(rng):
         rand_scale=np.array([s]), asc=np.zeros(0),
     )
     theta_c = fixed_point([0.2, b + s * z[0, 0]])
-    (ll_m,), (g_m,) = mixed.individual_loglik_gradient(0, theta_m, z[None])
-    (ll_c,), (g_c,) = classical.individual_loglik_gradient(
-        0, theta_c, classical.draws()
-    )
+    (ll_m,), (g_m,) = dict(mixed.walk(mixed.individual_loglik_gradient, theta_m,
+                                      z[None]))[0]
+    (ll_c,), (g_c,) = dict(classical.walk(classical.individual_loglik_gradient,
+                                          theta_c, classical.draws()))[0]
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)
     assert g_m[1] == pytest.approx(g_c[1], abs=1e-12)
@@ -464,9 +471,12 @@ def test_loglik_gradient_matches_finite_differences(seed, use_asc):
     x = rng.normal(size=design.n_params) * 0.5
     z = rng.normal(size=(2, 4))
 
-    _, (grad,) = design.individual_loglik_gradient(1, design.unpack(x), z[None])
+    draws = np.array([z, z])  # one individual per block
+    _, (grad,) = dict(design.walk(design.individual_loglik_gradient,
+                                  design.unpack(x), draws))[1]
     oracle = fd_gradient(
-        lambda v: design.individual_loglik(1, design.unpack(v), z[None])[0], x,
+        lambda v: dict(design.walk(design.individual_loglik, design.unpack(v),
+                                   draws))[1][0], x,
         rel_step=5e-6,
     )
     np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-8)
@@ -487,8 +497,10 @@ def test_kernel_matches_scalar_composition(seed):
     }
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
 
+    walked = dict(design.walk(design.individual_loglik_gradient, theta,
+                              np.array([z, z])))  # one individual per block
     for pos in range(ds.n_individuals):
-        (ll,), _ = design.individual_loglik_gradient(pos, theta, z[None])
+        (ll,), _ = walked[pos]
         asc = situation_constants(design, pos, constant)
         ref = brute_force_sll([plain_situations(design, pos)], oracle_theta,
                               [z.tolist()], asc=[asc])
@@ -603,10 +615,9 @@ def test_padded_situations_match_oracle(data, classical):
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
     lls, rows = individual_scores(design, draws, x)
-    theta = design.unpack(x)
-    ll_only = [design.individual_loglik(block, theta, draws[start:stop])
-               for block, (start, stop) in enumerate(design.blocks)]
-    np.testing.assert_allclose(np.concatenate(ll_only), lls, rtol=1e-12, atol=0)
+    ll_only = dict(design.walk(design.individual_loglik, design.unpack(x), draws))
+    np.testing.assert_allclose(np.concatenate([ll_only[b] for b in range(len(ll_only))]),
+                               lls, rtol=1e-12, atol=0)
     for pos in range(design.ds.n_individuals):
         z = draws[pos]
         assert lls[pos] == pytest.approx(oracle_loglik(design, pos, x, z), rel=1e-12)
@@ -654,52 +665,41 @@ def test_loglik_walk_equals_ordered_score_sum(data, classical):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_walks_equal_standalone_block_kernels(data):
-    """On a mixed panel whose people differ in S and J, so a pass's prologue
-    spans several groups of equal-shape blocks, every walk gives each block
-    bit for bit what its kernel gives when called alone, computing its own
-    prologue: the value+gradient walk its terms, gradient rows and (as the
-    same ordered sum) Hessian, the log-likelihood walk its terms, and the
-    draw-info walk its sequence log-probabilities and probabilities."""
+@given(st.data(), st.booleans())
+def test_walk_order_leaves_every_pass_unchanged(data, classical):
+    """On a panel whose people differ in S and J, ``ModelDesign.walk``
+    yields every block exactly once, and every pass reduces in dataset
+    order, not in the order the walk yields: with the walk yielding its
+    blocks in reverse, the log-likelihood, the scores and Hessian, the
+    predicted probabilities and the posterior weights keep every bit."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    design = padded_design(data, rng, n_individuals=6)
-    assume(len({design.available(b).shape for b in range(len(design.blocks))}) > 1)
-    nrep, burn = 3, 2
+    design = padded_design(data, rng, n_individuals=6, classical=classical)
+    nrep, burn = (0, 0) if classical else (3, 2)
     draws = design.draws(nrep, burn)
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 3.0]))
     theta = design.unpack(x)
-
-    def alone(kernel, *args):
-        return [kernel(block, theta, draws[start:stop], *args)
-                for block, (start, stop) in enumerate(design.blocks)]
-
-    def assert_same(walked, standalone):
-        for got, want in zip(walked, standalone, strict=True):
-            assert np.array_equal(got, want, equal_nan=True)
-
-    for hessian in (False, True):
-        walked = individual_scores(design, draws, x, hessian=hessian)
-        kernels = [*zip(*alone(design.individual_loglik_gradient, hessian))]
-        assert_same(walked[:2], map(np.concatenate, kernels[:2]))
-        if hessian:
-            total = _ordered_sum(np.array(kernels[2]))
-            assert_same(walked[2:], [0.5 * (total + total.T)])
-
-    terms, kernel = [], design.individual_loglik
-    with mock.patch.object(design, "individual_loglik",
-                           lambda *args: terms.append(kernel(*args)) or terms[-1]):
-        _loglik(design, draws, x)
-    assert_same(terms, alone(kernel))
+    for kernel in (design.individual_loglik, design.individual_loglik_gradient,
+                   design.individual_draw_info):
+        assert sorted(block for block, _ in design.walk(kernel, theta, draws)) == [
+            *range(len(design.blocks))]
 
     ds = design.ds
     fit = FitResult(design.spec, ds.alternative_labels, x, 0.0, ds.n_individuals,
                     ds.n_situations, np.eye(design.n_params), "hessian", 95.0,
                     True, 0, 0.0, nrep, burn)
-    _, _, infos = postestimation._draw_info_walk(
-        ds, fit, None, None, lambda rows, ln_seq, probs: (ln_seq, probs))
-    for walked, standalone in zip(infos, alone(design.individual_draw_info), strict=True):
-        assert_same(walked, standalone)
+
+    def passes():
+        return [_loglik(design, draws, x),
+                *individual_scores(design, draws, x, hessian=True),
+                postestimation.predict_probabilities(ds, fit),
+                *([] if classical else [postestimation.posterior_weights(ds, fit)])]
+
+    forward, walk = passes(), ModelDesign.walk
+    with mock.patch.object(ModelDesign, "walk",
+                           lambda self, *args: reversed([*walk(self, *args)])):
+        backward = passes()
+    for got, want in zip(backward, forward, strict=True):
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -790,8 +790,8 @@ def test_alternative_order_leaves_loglik_unchanged(data):
                        **vars(design.spec))
     theta = design.unpack(rng.normal(size=design.n_params) * 0.5)
     z = rng.normal(size=(2, 4))
-    assert other.individual_loglik(0, theta, z[None]) == pytest.approx(
-        design.individual_loglik(0, theta, z[None]), rel=1e-12
+    assert dict(other.walk(other.individual_loglik, theta, z[None]))[0] == pytest.approx(
+        dict(design.walk(design.individual_loglik, theta, z[None]))[0], rel=1e-12
     )
 
 
@@ -809,10 +809,10 @@ def test_extreme_activations_stay_finite(data, size):
         rand_scale=np.array([10.0, 0.1]),
         asc=rng.normal(size=design.n_asc),
     )
-    z = rng.normal(size=(1, 2, 5))
-    for pos in range(design.ds.n_individuals):
-        ll, grad = design.individual_loglik_gradient(pos, theta, z)
-        ln_seq, probs = design.individual_draw_info(pos, theta, z)
+    z = rng.normal(size=(1, 2, 5)).repeat(design.ds.n_individuals, axis=0)
+    infos = dict(design.walk(design.individual_draw_info, theta, z))
+    for block, (ll, grad) in design.walk(design.individual_loglik_gradient, theta, z):
+        ln_seq, probs = infos[block]
         assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
         assert np.all(np.isfinite(ln_seq)) and np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
