@@ -5,6 +5,9 @@ enforces sufficient decrease, so the log-likelihood is non-decreasing over
 accepted steps and two runs on identical inputs take bit-identical paths.
 A unit step is evaluated with its gradient, so an accepted one costs one
 value+gradient pass; only backtracked trials are log-likelihood-only passes.
+Where the line search gives up, near the optimum of a large panel whose
+summed log-likelihood is too noisy to rank steps, exact Newton steps finish
+the fit, each accepted when it shrinks the gradient.
 The Hessian used for covariances is exact: one value+gradient walk at the
 optimum also returns each individual's Hessian, built from the same pair
 terms as the gradient, and adds them in dataset order.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -103,9 +106,10 @@ class FitResult:
     nrep: int
     burn: int
     # how the optimizer ran; not written to the fit JSON, so None when loaded
-    stop: str | None = None  # gtol | line_search | maxiter | zero_slope
+    stop: str | None = None  # gtol | line_search | maxiter | zero_slope | newton
     ll_passes: int | None = None  # log-likelihood-only passes: backtracked trials
-    vg_passes: int | None = None  # value+gradient passes, the start included
+    # value+gradient passes, the start and the Newton trials included
+    vg_passes: int | None = None
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -163,9 +167,9 @@ class _OptResult:
     iterations: int
     converged: bool
     ll_history: list[float]
-    stop: str  # gtol | line_search | maxiter | zero_slope
+    stop: str  # gtol | line_search | maxiter | zero_slope | newton
     ll_passes: int  # log-likelihood-only passes: the backtracked trials
-    vg_passes: int  # value+gradient passes, the start included
+    vg_passes: int  # value+gradient passes, the start and the Newton trials included
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -291,6 +295,39 @@ def _maximize(
     )
 
 
+def _newton_finish(opt: _OptResult, scores_hessian: Callable, rows, hessian,
+                   maxiter: int, gtol: float):
+    """Exact Newton steps x - H^-1 g from the point where the line search
+    gave up, with ``rows`` and ``hessian`` the gradient rows and Hessian
+    there; ``scores_hessian(x)`` returns the terms, rows and Hessian of a
+    trial.  While the gradient is above ``gtol`` and iterations are left, a
+    step is taken only where -H passes a Cholesky factorization, and
+    accepted when its gradient is finite and smaller in sup-norm: near the
+    optimum of a large panel, the change in value is summation noise.
+    Returns the optimizer result, stopped at ``newton`` after an accepted
+    step, with the last point's rows and Hessian."""
+    norm = lambda g: np.max(np.abs(g))
+    while norm(opt.grad) > gtol and opt.iterations < maxiter:
+        if not np.isfinite(hessian).all():
+            break
+        try:
+            np.linalg.cholesky(-hessian)
+        except np.linalg.LinAlgError:
+            break
+        x = opt.x - np.linalg.solve(hessian, opt.grad)
+        lls, new_rows, new_hessian = scores_hessian(x)
+        ll, grad = float(_ordered_sum(lls)), _ordered_sum(new_rows)
+        opt = replace(opt, vg_passes=opt.vg_passes + 1)
+        if not (np.isfinite(ll) and np.isfinite(grad).all()
+                and norm(grad) < norm(opt.grad)):
+            break
+        opt = replace(opt, x=x, loglik=ll, grad=grad, iterations=opt.iterations + 1,
+                      converged=bool(norm(grad) <= gtol), stop="newton",
+                      ll_history=[*opt.ll_history, ll])
+        rows, hessian = new_rows, new_hessian
+    return opt, rows, hessian
+
+
 def covariance_hessian(hessian: np.ndarray) -> np.ndarray:
     """(-H)^-1 for a negative-definite log-likelihood Hessian."""
     neg = -np.asarray(hessian, dtype=float)
@@ -379,7 +416,7 @@ def simulated_loglik(
 ) -> float:
     """Evaluate the (simulated) log-likelihood at a given parameter point,
     averaging over ``draws`` (N, K, R), e.g. ``ModelDesign.draws(...)``."""
-    return _loglik(ModelDesign(ds, spec), draws, theta.pack())
+    return _loglik(ModelDesign(ds, spec, draws.shape[-1]), draws, theta.pack())
 
 
 # -- fitting -------------------------------------------------------------------
@@ -450,8 +487,8 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     if mixed and opts.nrep < 1:
         raise InvalidOption(f"nrep {opts.nrep!r} is below 1")
     opts.check_cluster(ds)
-    design = ModelDesign(ds, spec)
-    draws = design.draws(opts.nrep, opts.burn)
+    design = ModelDesign(ds, spec, opts.nrep)
+    draws = design.draws(opts.burn)
     if opts.start is not None:
         x0 = opts.start
     elif mixed:
@@ -467,7 +504,11 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         maxiter=opts.maxiter, gtol=opts.gtol, step_tol=opts.step_tol,
     )
     with np.errstate(all="ignore"):  # an unconverged fit's last point may overflow
-        _, scores, hessian = individual_scores(design, draws, opt.x, hessian=True)
+        scores_hessian = lambda x: individual_scores(design, draws, x, hessian=True)
+        _, scores, hessian = scores_hessian(opt.x)
+        if opt.stop == "line_search":
+            opt, scores, hessian = _newton_finish(opt, scores_hessian, scores, hessian,
+                                                  opts.maxiter, opts.gtol)
 
     try:
         if opts.covariance == "hessian":

@@ -46,9 +46,9 @@ class LognormalSummary:
     sd_se: float
 
 
-def _bind_design(ds: ChoiceDataset, fit: FitResult) -> ModelDesign:
+def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
     try:
-        design = ModelDesign(ds, fit.spec)
+        design = ModelDesign(ds, fit.spec, nrep)
     except SpecMismatch as err:
         raise SpecMismatch(f"fit does not match this dataset: {err}") from None
     # with equal labels (or no constants) the parameter counts agree too
@@ -76,8 +76,9 @@ def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
     probs)`` of every block in block (dataset) order, from one
     :meth:`ModelDesign.walk` with the draw-info kernel; ``rows`` is the
     block's data slots (:meth:`ModelDesign.available`)."""
-    design = _bind_design(ds, fit)
-    draws = design.draws(*draw_settings(fit, nrep, burn))
+    nrep, burn = draw_settings(fit, nrep, burn)
+    design = _bind_design(ds, fit, nrep)
+    draws = design.draws(burn)
     summaries = [None] * len(design.blocks)
     for block, info in design.walk(design.individual_draw_info, fit.theta_hat, draws):
         summaries[block] = summarize(design.available(block), *info)

@@ -12,10 +12,11 @@ one :meth:`ModelDesign.walk`, the only loop over blocks: it realizes the
 random coefficients, builds the draw-invariant regret base of the fixed
 attributes and constants once per group of equal-shape blocks, slices each
 block's draws and calls a block kernel once per block, the hot one
-:meth:`ModelDesign.individual_loglik_gradient`.  A block is one individual
-of a mixed model, or a run of consecutive individuals of a classical model
-(one zero draw each), padded to at most ``_BLOCK_FLOATS`` floats per pair
-array; each kernel, vectorized over its block's draws, adds the random
+:meth:`ModelDesign.individual_loglik_gradient`.  A block is a run of
+consecutive individuals, padded to their most situations and widest
+situation, whose padded floats times the R draws per person stay within
+``_BLOCK_FLOATS`` (a classical model has one zero draw, R = 1); each
+kernel, vectorized over its block's individuals and draws, adds the random
 attributes' terms to the base.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).  A pass can
@@ -136,9 +137,13 @@ class ParameterVector:
         )
 
 
-# most padded floats of a classical block, n * S * (P*M + J*n_params): its
-# pair arrays and the Hessian's slot derivatives; a pass holds about six
-_BLOCK_FLOATS = 2**14
+# most padded floats of a block times its draws per person,
+# n * S * (P*M + J*n_params) * R: its pair arrays and the Hessian's slot
+# derivatives over its draws; a pass holds about six.  That is two people of
+# 10 situations of 3 alternatives at R = 100 (15,000 floats each), where a
+# kernel call's fixed cost, some 60 small numpy operations, is already a
+# small share of its work; larger blocks were no faster there
+_BLOCK_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -160,12 +165,17 @@ class _BlockData:
 
 
 class ModelDesign:
-    """A ModelSpec bound to a ChoiceDataset, with precomputed tensors."""
+    """A ModelSpec bound to a ChoiceDataset, with precomputed tensors, for
+    walks over ``nrep`` draws per individual (a classical model's one zero
+    draw whatever ``nrep``): ``nrep`` sizes the blocks, and :meth:`draws`
+    builds that many.  A walk over another number of draws gives the same
+    results, in blocks sized for ``nrep``."""
 
-    def __init__(self, ds: ChoiceDataset, spec: ModelSpec):
+    def __init__(self, ds: ChoiceDataset, spec: ModelSpec, nrep: int = 1):
         spec.validate(ds)
         self.ds = ds
         self.spec = spec
+        self.nrep = nrep if spec.n_random else 1
 
         self.model_attrs = tuple(
             a for a in ds.attribute_names
@@ -191,14 +201,14 @@ class ModelDesign:
         self.n_asc = len(self.asc_labels)
         self.n_params = len(self.param_names)
 
-        # blocks: runs of consecutive individuals, one per block in a mixed
-        # design; ``blocks`` holds each block's individual range [start, stop)
+        # blocks: runs of consecutive individuals; ``blocks`` holds each
+        # block's individual range [start, stop)
         starts = ds.situation_starts
         sizes = np.diff(starts, append=ds.n_rows)
         n_sit = np.diff(ds.individual_starts, append=starts.size)
         ind_width = np.maximum.reduceat(sizes, ds.individual_starts)
-        edges = np.arange(ds.n_individuals + 1) if self.n_random else _classical_edges(
-            n_sit, ind_width, len(self.model_attrs), self.n_params)
+        edges = _block_edges(n_sit, ind_width, len(self.model_attrs), self.n_params,
+                             self.nrep)
         self.blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
         # every row goes to its slot in one padded (cells, J, M) array: each
@@ -242,12 +252,13 @@ class ModelDesign:
     def unpack(self, vec) -> ParameterVector:
         return ParameterVector.unpack(vec, self.n_fixed, self.n_random, self.n_asc)
 
-    def draws(self, nrep: int = 0, burn: int = 0) -> np.ndarray:
-        """Read-only (N, K, R) standard-normal draws: ``nrep`` Halton draws
-        per individual after ``burn`` for a mixed model; one zero draw,
-        (N, 0, 1), for a classical one, which is the same likelihood."""
+    def draws(self, burn: int = 0) -> np.ndarray:
+        """Read-only (N, K, R) standard-normal draws: the design's ``nrep``
+        Halton draws per individual after ``burn`` for a mixed model; one
+        zero draw, (N, 0, 1), for a classical one, which is the same
+        likelihood."""
         if self.n_random:
-            return build_drawset(self.ds.n_individuals, self.n_random, nrep, burn)
+            return build_drawset(self.ds.n_individuals, self.n_random, self.nrep, burn)
         zero = np.zeros((self.ds.n_individuals, 0, 1))
         zero.setflags(write=False)
         return zero
@@ -436,12 +447,13 @@ class ModelDesign:
         return ll, grad, hess
 
 
-def _classical_edges(n_sit, widths, n_attrs, n_params) -> np.ndarray:
+def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
     """Block edges from each individual's situations and widest situation: a
-    block takes the next individual while its padded floats stay within
-    ``_BLOCK_FLOATS`` and twice its individuals' own, so padding at most
-    doubles a design's arrays; a larger individual is a block alone."""
-    floats = lambda s, j: s * (j * (j - 1) // 2 * n_attrs + j * n_params)
+    block takes the next individual while its padded floats times the
+    ``nrep`` draws per person stay within ``_BLOCK_FLOATS`` and within twice
+    its individuals' own, so padding at most doubles a design's arrays; a
+    larger individual is a block alone."""
+    floats = lambda s, j: s * (j * (j - 1) // 2 * n_attrs + j * n_params) * nrep
     edges, s_max, j_max, own = [0], 0, 0, 0
     for pos, (s, j) in enumerate(zip(n_sit.tolist(), widths.tolist())):
         s_max, j_max, own = max(s_max, s), max(j_max, j), own + floats(s, j)

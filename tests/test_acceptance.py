@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_dataset, random_dataset, situation_slices
+from conftest import make_dataset, per_person, random_dataset, situation_slices
 from mixrrm.dataset import cluster_index, load_long_csv
 from mixrrm.draws import build_drawset, halton_sequence
 from mixrrm.estimation import (
@@ -94,14 +94,14 @@ def test_gradient_matches_finite_differences():
         draws = [rng.normal(size=(2, n_rep)) for _ in range(n_ind)]
 
         def sll(vec):
-            lls = dict(design.walk(design.individual_loglik, design.unpack(vec),
-                                   np.array(draws)))
+            lls = per_person(design, design.walk(
+                design.individual_loglik, design.unpack(vec), np.array(draws)))
             return sum(lls[pos][0] for pos in range(n_ind))
 
         theta = design.unpack(x)
         grad = np.zeros(design.n_params)
-        rows = dict(design.walk(design.individual_loglik_gradient, theta,
-                                np.array(draws)))
+        rows = per_person(design, design.walk(design.individual_loglik_gradient,
+                                              theta, np.array(draws)))
         for pos in range(n_ind):
             grad += rows[pos][1][0]
         oracle = fd_gradient(sll, x, rel_step=5e-6)
@@ -154,8 +154,8 @@ def test_binary_choice_equals_binary_logit(tmp_path):
         design = ModelDesign(ds, ModelSpec(fixed_attrs=("p", "q", "r")))
         theta = ParameterVector(fixed=vals, rand_location=np.zeros(0),
                                 rand_scale=np.zeros(0), asc=np.zeros(0))
-        _, probs = dict(design.walk(design.individual_draw_info, theta,
-                                    design.draws()))[0]
+        _, probs = per_person(design, design.walk(design.individual_draw_info,
+                                                  theta, design.draws()))[0]
         logit = 1.0 / (1.0 + math.exp(-vals @ (x1 - x2)))
         assert probs[0, 0, 0, 0] == pytest.approx(logit, abs=1e-12)
 

@@ -1,10 +1,9 @@
 """The traced benchmark wraps package functions by name (``bench/spans.py``);
-every name it lists must exist, so a rename fails here first.  It also reads
-passes as kernel calls / N, which the kernels' call counts must keep true."""
+every name it lists must exist, so a rename fails here first.  It also
+counts kernel calls, which make one call per block of a walk's design."""
 
 import importlib
 import importlib.util
-import math
 import sys
 from pathlib import Path
 
@@ -37,14 +36,14 @@ def test_kernel_resolves_on_model_design(attr):
     assert callable(getattr(ModelDesign, attr))
 
 
-@pytest.mark.parametrize("budget", [None, 4 * 36])
+@pytest.mark.parametrize("budget", [None, 4 * 36, 4 * 225])
 def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
-    """Traced around a small mixed fit, the kernels outside the preliminary
-    classical fit run a whole number of calls per individual (the traced
-    benchmark reads passes as calls / N); inside it, every walk makes one
-    call per block: 10 people of 3 situations of 3 alternatives, 2 fixed
-    attributes, so 3 * (3*2 + 3*2) = 36 padded floats each, and
-    ``_BLOCK_FLOATS`` // 36 people per block."""
+    """Traced around a small mixed fit, every walk, in the preliminary
+    classical fit and in the mixed one alike, makes one kernel call per
+    block of its design: 10 people of 3 situations of 3 alternatives and 2
+    attributes, so 3 * (3*2 + 3*3) * 5 = 225 padded floats each at the
+    mixed fit's R = 5 draws and 3 * (3*2 + 3*2) = 36 in the classical one,
+    and a block holds ``_BLOCK_FLOATS`` // 225 or // 36 people."""
     from mixrrm import estimation, regret
     from mixrrm.dataset import load_long_csv
     from oracles import simulate_panel, write_rows_csv
@@ -57,6 +56,12 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
                                  random={"tt": ("normal", -0.5, 0.2)})
     write_rows_csv(rows, tmp_path / "panel.csv")
     ds = load_long_csv(tmp_path / "panel.csv", attr_cols=attrs)
+    spec = regret.ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",))
+    # random-coefficient count -> blocks of the fit's designs, built alike
+    blocks = {1: len(regret.ModelDesign(ds, spec, 5).blocks),
+              0: len(regret.ModelDesign(ds, regret.ModelSpec(fixed_attrs=("tc", "tt"))).blocks)}
+    assert blocks == {None: {1: 1, 0: 1}, 4 * 36: {1: 10, 0: 3},
+                      4 * 225: {1: 3, 0: 1}}[budget]
     walks = []  # random-coefficient count of each log-likelihood walk's design
     loglik = estimation._loglik
 
@@ -68,9 +73,7 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        estimation.fit_mixed(ds, regret.ModelSpec(fixed_attrs=("tc",),
-                                                  random_attrs=("tt",)),
-                             estimation.FitOptions(nrep=5))
+        estimation.fit_mixed(ds, spec, estimation.FitOptions(nrep=5))
     finally:
         tracer.uninstall()
 
@@ -81,11 +84,9 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
         classical.append(span)
         todo += [s for s in tracer.spans if s.parent == span.id]
     mixed = [s for s in tracer.spans if s.id not in {c.id for c in classical}]
-    n = ds.n_individuals
-    per_pass = math.ceil(n / (regret._BLOCK_FLOATS // 36))
     scores = lambda group: sum(s.name == "individual_scores" for s in group)
     assert scores(mixed) > 0 and walks.count(1) > 0
-    assert spans.kernel_totals(mixed, "vg")[0] == n * scores(mixed)
-    assert spans.kernel_totals(mixed, "ll")[0] == n * walks.count(1)
-    assert spans.kernel_totals(classical, "vg")[0] == per_pass * scores(classical)
-    assert spans.kernel_totals(classical, "ll")[0] == per_pass * walks.count(0)
+    assert spans.kernel_totals(mixed, "vg")[0] == blocks[1] * scores(mixed)
+    assert spans.kernel_totals(mixed, "ll")[0] == blocks[1] * walks.count(1)
+    assert spans.kernel_totals(classical, "vg")[0] == blocks[0] * scores(classical)
+    assert spans.kernel_totals(classical, "ll")[0] == blocks[0] * walks.count(0)

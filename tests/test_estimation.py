@@ -2,6 +2,7 @@ import json
 import re
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +322,57 @@ def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
     result = excinfo.value.result
     assert np.isfinite(result.gradient_norm) and np.isfinite(result.loglik)
     assert result.stop == "line_search"
+
+
+@pytest.mark.parametrize("curvature", [1.0, -1.0])
+def test_newton_finish_steps_only_on_a_concave_hessian(curvature):
+    """From a point of the quadratic of ``counted_quadratic``, one exact
+    Newton step reaches its maximum when -H is positive definite and is then
+    named in ``stop``; on a convex one -H fails its Cholesky factorization,
+    and the finish changes nothing."""
+    loglik, scores, calls = counted_quadratic(curvature)
+    start = _maximize(loglik, scores, np.zeros(2), maxiter=0)
+    hessian = -curvature * np.eye(2)
+    opt, rows, finish_hessian = estimation._newton_finish(
+        start, lambda x: (*scores(x), hessian), scores(start.x)[1], hessian,
+        maxiter=200, gtol=1e-6)
+    if curvature < 0:
+        assert opt is start and finish_hessian is hessian
+        return
+    assert opt.converged and opt.stop == "newton"
+    assert (opt.iterations, opt.vg_passes) == (1, start.vg_passes + 1)
+    np.testing.assert_array_equal(opt.x, [2.0, -3.0])
+    np.testing.assert_array_equal(rows, [[0.0, 0.0]])
+
+
+def test_newton_finish_converges_where_the_line_search_stalls(tmp_path, monkeypatch):
+    """1000 people of 8 situations of 3 alternatives, a fixed and a normal
+    coefficient at R = 10, clustered by person (seed 1, panel 0 of
+    ``bench/workloads.py``'s generator): near the optimum the predicted gain
+    of a BFGS step sinks below the rounding noise of the summed
+    log-likelihood, and the line search gives up at max |gradient| 3.0e-6.
+    Exact Newton steps then finish the fit."""
+    import importlib.util
+
+    from mixrrm.dataset import cluster_index
+
+    source = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(source)
+    monkeypatch.setitem(sys.modules, source.name, workloads)  # for its dataclass
+    source.loader.exec_module(workloads)
+    workload = workloads.Workload(
+        name="many_people", n_individuals=1000, n_situations=8, n_alternatives=3,
+        fixed={"tc": -0.3}, random={"tt": ("normal", -0.5, 0.2)}, nrep=10)
+    workloads.write_workload(workload, 1, 0, tmp_path / "panel.csv")
+    ds = load_long_csv(tmp_path / "panel.csv", attr_cols=workload.attrs,
+                       cluster_col="id")
+    fit = fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
+                    FitOptions(nrep=10, burn=15, covariance="cluster",
+                               cluster=cluster_index(ds, "id")))
+    assert fit.converged and fit.stop == "newton"
+    assert fit.gradient_norm <= 1e-6
+    assert np.isfinite(fit.covariance).all()
 
 
 def test_fit_result_reports_stop_and_passes(tmp_path, rng, monkeypatch):
@@ -688,8 +740,8 @@ def test_analytic_hessian_matches_finite_differences(tmp_path, rng, spec):
     to their truncation error, and is exactly symmetric."""
     ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=3,
                        n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
-    design = ModelDesign(ds, ModelSpec(**spec))
-    draws = design.draws(10, 15)
+    design = ModelDesign(ds, ModelSpec(**spec), 10)
+    draws = design.draws(15)
     x = rng.normal(size=design.n_params) * 0.3
     _, _, hessian = individual_scores(design, draws, x, hessian=True)
     oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
@@ -829,8 +881,8 @@ def test_sandwich_uses_scores_of_the_final_point(tmp_path, rng, maxiter):
     except NonConvergence as err:
         fit = err.result
     assert fit.converged == (maxiter == 200)
-    design = ModelDesign(ds, spec)
-    draws = design.draws(20, 15)
+    design = ModelDesign(ds, spec, 20)
+    draws = design.draws(15)
     _, scores, hessian = individual_scores(design, draws, fit.theta, hessian=True)
     expected = covariance_robust(hessian, scores)
     assert np.array_equal(fit.covariance, expected)

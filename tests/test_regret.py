@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, random_dataset, situation_slices
+from conftest import make_dataset, per_person, random_dataset, situation_slices
 from mixrrm import postestimation, regret
 from mixrrm.errors import SpecMismatch
 from mixrrm.estimation import FitResult, _loglik, _ordered_sum, individual_scores
@@ -23,8 +23,8 @@ def two_alt_dataset():
     )
 
 
-def design_for(ds, **spec_kwargs):
-    return ModelDesign(ds, ModelSpec(**spec_kwargs))
+def design_for(ds, nrep=1, **spec_kwargs):
+    return ModelDesign(ds, ModelSpec(**spec_kwargs), nrep)
 
 
 def fixed_point(values, asc=()):
@@ -471,12 +471,12 @@ def test_loglik_gradient_matches_finite_differences(seed, use_asc):
     x = rng.normal(size=design.n_params) * 0.5
     z = rng.normal(size=(2, 4))
 
-    draws = np.array([z, z])  # one individual per block
-    _, (grad,) = dict(design.walk(design.individual_loglik_gradient,
-                                  design.unpack(x), draws))[1]
+    draws = np.array([z, z])
+    _, (grad,) = per_person(design, design.walk(design.individual_loglik_gradient,
+                                                design.unpack(x), draws))[1]
     oracle = fd_gradient(
-        lambda v: dict(design.walk(design.individual_loglik, design.unpack(v),
-                                   draws))[1][0], x,
+        lambda v: per_person(design, design.walk(design.individual_loglik,
+                                                 design.unpack(v), draws))[1][0], x,
         rel_step=5e-6,
     )
     np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-8)
@@ -497,8 +497,8 @@ def test_kernel_matches_scalar_composition(seed):
     }
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
 
-    walked = dict(design.walk(design.individual_loglik_gradient, theta,
-                              np.array([z, z])))  # one individual per block
+    walked = per_person(design, design.walk(design.individual_loglik_gradient, theta,
+                                            np.array([z, z])))
     for pos in range(ds.n_individuals):
         (ll,), _ = walked[pos]
         asc = situation_constants(design, pos, constant)
@@ -510,12 +510,14 @@ def test_kernel_matches_scalar_composition(seed):
 # --- pair indexing: padding, alternative order, extreme activations -----------
 
 
-def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False):
+def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
+                  nrep=3):
     """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
     file order, so smaller situations pad their slots and labels go missing;
     x0 is fixed, x1 normal and x2 log-normal, and the constants' base is a
-    label other than the lowest.  A ``classical`` design fixes all three; each
-    of its blocks is padded to its people's most situations and slots."""
+    label other than the lowest; the design is sized for ``nrep`` draws.  A
+    ``classical`` design fixes all three.  Each block is padded to its
+    people's most situations and slots."""
     individuals = {}
     for n in range(1, n_individuals + 1):
         sizes = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
@@ -531,22 +533,22 @@ def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False):
     if classical:
         return design_for(ds, fixed_attrs=("x0", "x1", "x2"), use_asc=True,
                           base_alternative=base)
-    return design_for(ds, fixed_attrs=("x0",), random_attrs=("x1", "x2"),
+    return design_for(ds, nrep, fixed_attrs=("x0",), random_attrs=("x1", "x2"),
                       ln_count=1, use_asc=True, base_alternative=base)
 
 
 def padded_draws(design, rng):
-    """(N, K, R) draws: 3 normal draws per person, or a classical design's
-    one zero draw."""
+    """(N, K, R) draws: the design's R normal draws per person, or a
+    classical design's one zero draw."""
     if design.n_random:
-        return rng.normal(size=(design.ds.n_individuals, design.n_random, 3))
+        return rng.normal(size=(design.ds.n_individuals, design.n_random, design.nrep))
     return design.draws()
 
 
 def one_per_block(design):
     """The same design with one individual per block."""
     with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
-        return ModelDesign(design.ds, design.spec)
+        return ModelDesign(design.ds, design.spec, design.nrep)
 
 
 def oracle_loglik(design, pos, x, z):
@@ -563,16 +565,16 @@ def oracle_loglik(design, pos, x, z):
 
 
 def block_floats(design, start, stop):
-    """Padded and own floats of individuals start..stop-1 of a classical
-    design, counted from the dataset: n * S * (P*M + J*n_params) over their
-    most situations S and widest situation J, and the sum of each one's own
-    S_i * (P_i*M + J_i*n_params)."""
+    """Padded and own floats of individuals start..stop-1 times the design's
+    R draws per person, counted from the dataset: n * S * (P*M +
+    J*n_params) * R over their most situations S and widest situation J,
+    and the sum of each one's own S_i * (P_i*M + J_i*n_params) * R."""
     ds = design.ds
     sits = np.append(ds.individual_starts, ds.n_situations)
     widths = np.maximum.reduceat(np.diff(np.append(ds.situation_starts, ds.n_rows)),
                                  ds.individual_starts)
     floats = lambda s, j: s * (j * (j - 1) // 2 * len(design.model_attrs)
-                               + j * design.n_params)
+                               + j * design.n_params) * design.nrep
     n_sit, widths = np.diff(sits)[start:stop], widths[start:stop]
     return ((stop - start) * floats(n_sit.max(), widths.max()),
             sum(floats(s, j) for s, j in zip(n_sit, widths)))
@@ -601,17 +603,17 @@ def assert_blocks_fill_budget(design):
 @given(st.data(), st.booleans())
 def test_padded_situations_match_oracle(data, classical):
     """Every individual's log-likelihood and gradient row agree with the
-    oracle.  A classical block holds people of different S and J, as many
-    as a drawn bound on padded floats allows; its rows agree with
-    one-individual blocks to 1e-12."""
+    oracle.  A block holds people of different S and J, as many as a drawn
+    bound on padded floats times a drawn R draws per person allows (R = 1
+    for a classical design); its rows agree with one-individual blocks to
+    1e-12."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    budget = data.draw(st.integers(0, 1000)) if classical else regret._BLOCK_FLOATS
-    with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
-        design = padded_design(data, rng, n_individuals=3, classical=classical)
-        if classical:
-            assert_blocks_fill_budget(design)
-        else:
-            assert design.blocks == [(n, n + 1) for n in range(3)]
+    nrep = 1 if classical else data.draw(st.integers(1, 5))
+    with mock.patch.object(regret, "_BLOCK_FLOATS",
+                           data.draw(st.integers(0, 1000 * nrep))):
+        design = padded_design(data, rng, n_individuals=3, classical=classical,
+                               nrep=nrep)
+        assert_blocks_fill_budget(design)
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
     lls, rows = individual_scores(design, draws, x)
@@ -628,6 +630,47 @@ def test_padded_situations_match_oracle(data, classical):
     np.testing.assert_allclose(lls, single_lls, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rows, single_rows, rtol=1e-12,
                                atol=1e-12 * np.abs(single_rows).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_mixed_blocks_match_one_individual_blocks(data):
+    """On an unbalanced mixed panel, blocks of several people, as many as a
+    drawn bound on padded floats times a drawn R allows, give what
+    one-individual blocks give: every log-likelihood term and gradient row,
+    the predicted probabilities and the posterior weights bit for bit, and
+    the Hessian, now summed over blocks of people, to 1e-12.  R is at least
+    2: with one draw, numpy adds a lone person's pair terms pairwise but a
+    block's in order, so those rows agree to rounding only, as classical
+    ones do (``test_padded_situations_match_oracle``)."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nrep = data.draw(st.integers(2, 6))
+    budget = data.draw(st.integers(0, 2000 * nrep))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
+        design = padded_design(data, rng, n_individuals=6, nrep=nrep)
+        assert_blocks_fill_budget(design)
+    single = one_per_block(design)
+    draws = design.draws(2)
+    x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 2.0]))
+    lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
+    single_lls, single_rows, single_hessian = individual_scores(single, draws, x,
+                                                                hessian=True)
+    assert np.array_equal(lls, single_lls) and np.array_equal(rows, single_rows)
+    np.testing.assert_allclose(hessian, single_hessian, rtol=1e-12,
+                               atol=1e-12 * np.abs(single_hessian).max())
+
+    ds = design.ds
+    fit = FitResult(design.spec, ds.alternative_labels, x, 0.0, ds.n_individuals,
+                    ds.n_situations, np.eye(design.n_params), "hessian", 95.0,
+                    True, 0, 0.0, nrep, 2)
+    outputs = []
+    for bound in (budget, 0):
+        with mock.patch.object(regret, "_BLOCK_FLOATS", bound):
+            outputs.append((postestimation.predict_probabilities(ds, fit),
+                            postestimation.posterior_weights(ds, fit)))
+    (probs, weights), (single_probs, single_weights) = outputs
+    assert np.array_equal(probs, single_probs)
+    assert np.array_equal(weights, single_weights)
 
 
 @settings(max_examples=30, deadline=None)
@@ -667,39 +710,42 @@ def test_loglik_walk_equals_ordered_score_sum(data, classical):
 @settings(max_examples=30, deadline=None)
 @given(st.data(), st.booleans())
 def test_walk_order_leaves_every_pass_unchanged(data, classical):
-    """On a panel whose people differ in S and J, ``ModelDesign.walk``
-    yields every block exactly once, and every pass reduces in dataset
-    order, not in the order the walk yields: with the walk yielding its
-    blocks in reverse, the log-likelihood, the scores and Hessian, the
-    predicted probabilities and the posterior weights keep every bit."""
+    """On a panel whose people differ in S and J, in blocks as large as a
+    drawn bound on padded floats allows, ``ModelDesign.walk`` yields every
+    block exactly once, and every pass reduces in dataset order, not in the
+    order the walk yields: with the walk yielding its blocks in reverse, the
+    log-likelihood, the scores and Hessian, the predicted probabilities and
+    the posterior weights keep every bit."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    design = padded_design(data, rng, n_individuals=6, classical=classical)
-    nrep, burn = (0, 0) if classical else (3, 2)
-    draws = design.draws(nrep, burn)
-    x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 3.0]))
-    theta = design.unpack(x)
-    for kernel in (design.individual_loglik, design.individual_loglik_gradient,
-                   design.individual_draw_info):
-        assert sorted(block for block, _ in design.walk(kernel, theta, draws)) == [
-            *range(len(design.blocks))]
+    # a drawn bound on padded floats, so the walk yields several blocks
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
+        nrep, burn = (0, 0) if classical else (3, 2)
+        design = padded_design(data, rng, n_individuals=6, classical=classical, nrep=nrep)
+        draws = design.draws(burn)
+        x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 3.0]))
+        theta = design.unpack(x)
+        for kernel in (design.individual_loglik, design.individual_loglik_gradient,
+                       design.individual_draw_info):
+            assert sorted(block for block, _ in design.walk(kernel, theta, draws)) == [
+                *range(len(design.blocks))]
 
-    ds = design.ds
-    fit = FitResult(design.spec, ds.alternative_labels, x, 0.0, ds.n_individuals,
-                    ds.n_situations, np.eye(design.n_params), "hessian", 95.0,
-                    True, 0, 0.0, nrep, burn)
+        ds = design.ds
+        fit = FitResult(design.spec, ds.alternative_labels, x, 0.0, ds.n_individuals,
+                        ds.n_situations, np.eye(design.n_params), "hessian", 95.0,
+                        True, 0, 0.0, nrep, burn)
 
-    def passes():
-        return [_loglik(design, draws, x),
-                *individual_scores(design, draws, x, hessian=True),
-                postestimation.predict_probabilities(ds, fit),
-                *([] if classical else [postestimation.posterior_weights(ds, fit)])]
+        def passes():
+            return [_loglik(design, draws, x),
+                    *individual_scores(design, draws, x, hessian=True),
+                    postestimation.predict_probabilities(ds, fit),
+                    *([] if classical else [postestimation.posterior_weights(ds, fit)])]
 
-    forward, walk = passes(), ModelDesign.walk
-    with mock.patch.object(ModelDesign, "walk",
-                           lambda self, *args: reversed([*walk(self, *args)])):
-        backward = passes()
-    for got, want in zip(backward, forward, strict=True):
-        assert np.array_equal(got, want, equal_nan=True)
+        forward, walk = passes(), ModelDesign.walk
+        with mock.patch.object(ModelDesign, "walk",
+                               lambda self, *args: reversed([*walk(self, *args)])):
+            backward = passes()
+        for got, want in zip(backward, forward, strict=True):
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -746,13 +792,14 @@ def test_block_edges_match_one_individual_blocks(extra):
 
 def test_classical_pass_memory_is_bounded_by_block_floats():
     """One value+gradient+Hessian pass of a classical design over a wide,
-    unbalanced panel (1-10 situations of 2-10 alternatives, 3 attributes)
+    unbalanced panel (400 people of 1-10 situations of 2-10 alternatives, 3
+    attributes)
     allocates at most 8 arrays of ``_BLOCK_FLOATS`` floats at its peak,
     though the panel padded as one block would be over 20 times that; its
     blocks keep both bounds of ``assert_blocks_fill_budget``."""
     rng = np.random.default_rng(7)
     individuals = {}
-    for n in range(1, 201):
+    for n in range(1, 401):
         sits = {}
         for s in range(1, int(rng.integers(1, 11)) + 1):
             size = int(rng.integers(2, 11))
