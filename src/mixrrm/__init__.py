@@ -14,7 +14,6 @@ _EXPORTS = {
     "ChoiceDataset": "dataset",
     "load_long_csv": "dataset",
     "reshape_wide_to_long": "dataset",
-    "cluster_index": "dataset",
     # draws
     "halton_sequence": "draws",
     "inverse_normal_cdf": "draws",

@@ -189,11 +189,13 @@ def _load_dataset(args, attr_cols, cluster_col=None):
     )
 
 
-def _check_output(name, path, data, replace):
-    """Refuse an output that is the data file, or exists unless ``replace``."""
+def _check_output(name, path, inputs, replace):
+    """Refuse an output that is a file the command reads (``inputs`` maps a
+    kind, such as "data", to its path), or that exists unless ``replace``."""
     if os.path.exists(path):
-        if os.path.exists(data) and os.path.samefile(path, data):
-            raise InvalidOption(f"{name} {path} is the data file it reads")
+        for kind, source in inputs.items():
+            if os.path.exists(source) and os.path.samefile(path, source):
+                raise InvalidOption(f"{name} {path} is the {kind} file it reads")
         if not replace:
             raise InvalidOption(f"{path} exists; pass --replace to overwrite")
 
@@ -234,7 +236,6 @@ def _print_fit(fit):
 
 
 def cmd_fit(args) -> int:
-    from .dataset import cluster_index
     from .estimation import FitOptions, fit_classical, fit_mixed, save_fit_json
     from .regret import ModelSpec
 
@@ -267,9 +268,9 @@ def cmd_fit(args) -> int:
         nrep=args.nrep,
         burn=args.burn,
     )
+    if args.out:
+        _check_output("--out", args.out, {"data": args.data}, replace=True)
     ds = _load_dataset(args, _attr_cols(spec), cluster_col=args.cluster)
-    if args.cluster:
-        opts.cluster = cluster_index(ds, args.cluster)
 
     exit_code = 0
     try:
@@ -295,7 +296,8 @@ def cmd_predict(args) -> int:
     from .estimation import load_fit_json
     from .postestimation import draw_settings, predict_rows
 
-    _check_output("--out", args.out, args.data, replace=True)
+    _check_output("--out", args.out, {"data": args.data, "fit": args.fit},
+                  replace=True)
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))
@@ -321,7 +323,8 @@ def cmd_betas(args) -> int:
         draw_settings, histogram_svg, individual_betas, write_beta_file,
     )
 
-    _check_output("--saving", args.saving, args.data, args.replace)
+    inputs = {"data": args.data, "fit": args.fit}
+    _check_output("--saving", args.saving, inputs, args.replace)
     if args.attrs and len(set(args.attrs)) < len(args.attrs):
         raise InvalidOption("--attrs names an attribute twice")
     fit = load_fit_json(args.fit)
@@ -335,7 +338,7 @@ def cmd_betas(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.saving))
     plots = [os.path.join(out_dir, f"{a}_hist.svg") for a in keep if args.plot]
     for path in plots:
-        _check_output("plot", path, args.data, args.replace)
+        _check_output("plot", path, inputs, args.replace)
     ds = _load_dataset(args, _attr_cols(fit.spec))
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)
     cols = [table.attrs.index(a) for a in keep]
@@ -372,6 +375,7 @@ def cmd_lognormal(args) -> int:
 def cmd_reshape(args) -> int:
     from .dataset import reshape_wide_to_long
 
+    _check_output("--out", args.out, {"data": args.data}, replace=True)
     stub_specs = []
     for item in args.stubs:
         if "=" not in item:

@@ -41,10 +41,10 @@ class ChoiceDataset:
     Construction sorts the rows stably by (individual, situation) and checks
     that every situation has at least 2 rows and exactly one chosen.
     ``source_row`` is each row's number in the file it was loaded from
-    (header = 1); ``cluster`` is the optional integer column
-    ``cluster_col``.  The labels and the start offsets are derived:
-    ``situation_starts`` holds the first row of each situation,
-    ``individual_starts`` the first situation of each individual.
+    (header = 1); ``cluster`` is an optional integer column.  The labels
+    and the start offsets are derived: ``situation_starts`` holds the first
+    row of each situation, ``individual_starts`` the first situation of each
+    individual.
     """
 
     individual: np.ndarray    # (rows,) int64
@@ -55,7 +55,6 @@ class ChoiceDataset:
     source_row: np.ndarray    # (rows,) int64
     attribute_names: tuple[str, ...]
     cluster: np.ndarray | None = None  # (rows,) int64
-    cluster_col: str | None = None
     alternative_labels: tuple[int, ...] = field(init=False)
     situation_starts: np.ndarray = field(init=False, repr=False)
     individual_starts: np.ndarray = field(init=False, repr=False)
@@ -88,6 +87,14 @@ class ChoiceDataset:
     def individual_ids(self) -> np.ndarray:
         """(N,) individual IDs, ascending."""
         return self.individual[self.situation_starts[self.individual_starts]]
+
+    @property
+    def individual_clusters(self) -> np.ndarray | None:
+        """(N,) each individual's cluster, in ``individual_ids`` order; None
+        without a cluster column."""
+        if self.cluster is None:
+            return None
+        return self.cluster[self.situation_starts[self.individual_starts]]
 
     @property
     def n_individuals(self) -> int:
@@ -258,7 +265,7 @@ def load_long_csv(
     return ChoiceDataset(
         individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,
         attributes=attributes, source_row=row_no,
-        attribute_names=tuple(attr_cols), cluster=cluster, cluster_col=cluster_col,
+        attribute_names=tuple(attr_cols), cluster=cluster,
     )
 
 
@@ -328,21 +335,3 @@ def reshape_wide_to_long(
             writer.writeheader()
             writer.writerows(long_rows)
     return long_rows
-
-
-
-
-def cluster_index(ds: ChoiceDataset, cluster_col: str | None = None) -> dict[int, int]:
-    """Map individual ID -> cluster ID for sandwich standard errors.
-
-    Without a cluster column every individual is its own cluster (the
-    mapping is the identity on IDs).  With one, the dataset must have been
-    loaded with that same ``cluster_col``.
-    """
-    ids = ds.individual_ids.tolist()
-    if cluster_col is None:
-        return dict(zip(ids, ids))
-    if ds.cluster_col != cluster_col or ds.cluster is None:
-        raise MissingColumn(cluster_col)
-    first_rows = ds.situation_starts[ds.individual_starts]
-    return dict(zip(ids, ds.cluster[first_rows].tolist()))

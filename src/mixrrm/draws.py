@@ -34,7 +34,8 @@ def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
     """Elements ``burn+1 .. burn+count`` of the Halton sequence in ``base``.
 
     Element k is the radical inverse of k (k starting at 1), so every value
-    lies strictly inside (0, 1).
+    lies strictly inside (0, 1).  The indices are int64: ``burn + count``
+    beyond that range is a :class:`DomainError`.
     """
     if not _is_prime(base):
         raise NonPrimeBase(base)
@@ -42,6 +43,9 @@ def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if burn < 0:
         raise ValueError("burn must be >= 0")
+    if burn + count > np.iinfo(np.int64).max:
+        raise DomainError(f"Halton elements up to burn + count = {burn + count} "
+                          "exceed the int64 range")
 
     k = np.arange(burn + 1, burn + count + 1, dtype=np.int64)
     out = np.zeros(count)

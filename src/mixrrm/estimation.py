@@ -19,7 +19,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -37,16 +37,15 @@ from .regret import ModelDesign, ModelSpec, ParameterVector
 
 @dataclass
 class FitOptions:
-    """Optimizer and inference settings shared by both fit entry points, checked
-    on construction (the cluster mapping and start length when a fit starts)."""
+    """Optimizer and inference settings shared by both fit entry points,
+    checked on construction (the start length, and a cluster covariance's
+    cluster column, when a fit starts)."""
 
     maxiter: int = 200
     gtol: float = 1e-6
-    step_tol: float = 1e-10
     start: np.ndarray | None = None
     level: float = 95.0
     covariance: str = "hessian"  # hessian | robust | cluster
-    cluster: Mapping[int, int] | None = None
     nrep: int = 50
     burn: int = 15
 
@@ -57,8 +56,6 @@ class FitOptions:
             raise InvalidOption(f"maxiter {self.maxiter!r} is negative")
         if not self.gtol > 0.0:
             raise InvalidOption(f"gtol {self.gtol!r} is not positive")
-        if not 0.0 < self.step_tol < math.inf:
-            raise InvalidOption(f"step_tol {self.step_tol!r} must be positive and finite")
         if self.covariance not in ("hessian", "robust", "cluster"):
             raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
         if self.burn < 0:
@@ -68,17 +65,6 @@ class FitOptions:
                 self.start = np.asarray(self.start, dtype=float)
             except (TypeError, ValueError):
                 raise InvalidOption("start is not a list of numbers") from None
-
-    def check_cluster(self, ds: ChoiceDataset) -> None:
-        """A cluster covariance needs a cluster id for every individual, and
-        at least 2 distinct ids among them."""
-        if self.covariance != "cluster":
-            return
-        ids = ds.individual_ids.tolist()
-        if self.cluster is None or any(i not in self.cluster for i in ids):
-            raise InvalidOption("the cluster mapping must cover every individual")
-        if len({self.cluster[i] for i in ids}) < 2:
-            raise InvalidOption("cluster sandwich needs at least 2 clusters")
 
 
 @dataclass
@@ -455,8 +441,7 @@ def _starting_values(ds, spec, design: ModelDesign, opts: FitOptions) -> np.ndar
         base_alternative=spec.base_alternative,
     )
     prelim_opts = FitOptions(
-        maxiter=opts.maxiter, gtol=opts.gtol, step_tol=opts.step_tol,
-        level=opts.level, covariance="hessian",
+        maxiter=opts.maxiter, gtol=opts.gtol, level=opts.level, covariance="hessian",
     )
     try:
         prelim = fit_classical(ds, prelim_spec, prelim_opts)
@@ -486,7 +471,10 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     mixed = spec.n_random > 0
     if mixed and opts.nrep < 1:
         raise InvalidOption(f"nrep {opts.nrep!r} is below 1")
-    opts.check_cluster(ds)
+    if opts.covariance == "cluster" and (
+            ds.cluster is None or np.unique(ds.individual_clusters).size < 2):
+        raise InvalidOption("a cluster covariance needs a cluster column with "
+                            "at least 2 clusters")
     design = ModelDesign(ds, spec, opts.nrep)
     draws = design.draws(opts.burn)
     if opts.start is not None:
@@ -501,8 +489,7 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     opt = _maximize(
         lambda x: _loglik(design, draws, x),
         lambda x: individual_scores(design, draws, x), x0,
-        maxiter=opts.maxiter, gtol=opts.gtol, step_tol=opts.step_tol,
-    )
+        maxiter=opts.maxiter, gtol=opts.gtol)
     with np.errstate(all="ignore"):  # an unconverged fit's last point may overflow
         scores_hessian = lambda x: individual_scores(design, draws, x, hessian=True)
         _, scores, hessian = scores_hessian(opt.x)
@@ -516,8 +503,7 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         elif opts.covariance == "robust":
             cov = covariance_robust(hessian, scores)
         else:
-            ids = [opts.cluster[i] for i in ds.individual_ids.tolist()]
-            cov = covariance_cluster(hessian, scores, ids)
+            cov = covariance_cluster(hessian, scores, ds.individual_clusters)
     except SingularHessian:
         if opt.converged:
             raise

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from conftest import make_dataset, per_person, random_dataset, situation_slices
-from mixrrm.dataset import cluster_index, load_long_csv
+from mixrrm.dataset import load_long_csv
 from mixrrm.draws import build_drawset, halton_sequence
 from mixrrm.estimation import (
     FitOptions,
@@ -253,7 +253,7 @@ def test_variance_estimators(tmp_path):
     singleton = covariance_cluster(hessian, scores, np.arange(len(scores)))
     assert np.array_equal(robust, singleton)
 
-    ids = np.array([cluster_index(ds, "grp")[i] for i in ds.individual_ids])
+    ids = ds.individual_clusters
     two_cluster = covariance_cluster(hessian, scores, ids)
     grouped = np.zeros((2, scores.shape[1]))
     for row, cl in zip(scores, ids):

@@ -1,6 +1,9 @@
 import csv
 import json
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from mixrrm import cli
@@ -64,6 +67,33 @@ def test_fit_mixed_with_cluster(panel_csv, tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert payload["covariance_kind"] == "cluster"
     assert payload["nrep"] == 20 and payload["burn"] == 15
+
+
+def test_fit_cluster_column_gives_library_sandwich(tmp_path, capsys, rng):
+    """``--cluster grp`` on a column of two groups: the fit's covariance is
+    the library's cluster sandwich over each person's group."""
+    from mixrrm.dataset import load_long_csv
+    from mixrrm.estimation import covariance_cluster, individual_scores, load_fit_json
+    from mixrrm.regret import ModelDesign
+
+    rows, attrs = simulate_panel(rng, n_individuals=30, n_situations=3,
+                                 n_alternatives=3,
+                                 fixed={"total_time": -0.5, "total_cost": -0.3})
+    for row in rows:
+        row["grp"] = 1 + row["id"] % 2
+    data, out_json = tmp_path / "grouped.csv", tmp_path / "fit.json"
+    write_rows_csv(rows, data)
+    code, out, _ = run(capsys, "fit", data, "--fixed", "total_time", "total_cost",
+                       "--noconstant", "--cluster", "grp", "--out", out_json)
+    assert code == 0 and "covariance: cluster" in out
+    fit = load_fit_json(out_json)
+    ds = load_long_csv(data, attr_cols=attrs, cluster_col="grp")
+    assert set(ds.individual_clusters.tolist()) == {1, 2}
+    design = ModelDesign(ds, fit.spec)
+    _, scores, hessian = individual_scores(design, design.draws(), fit.theta,
+                                           hessian=True)
+    np.testing.assert_array_equal(
+        fit.covariance, covariance_cluster(hessian, scores, ds.individual_clusters))
 
 
 def test_fit_from_starting_vector(panel_csv, tmp_path, capsys):
@@ -234,6 +264,35 @@ def test_predict_refuses_to_write_over_its_data(panel_csv, tmp_path, capsys, ali
     assert panel_csv.read_bytes() == before
 
 
+@pytest.mark.parametrize("alias", ["same", "link"])
+@pytest.mark.parametrize("command", ["fit", "predict", "betas", "reshape"])
+def test_no_command_writes_over_a_file_it_reads(panel_csv, tmp_path, capsys,
+                                                command, alias):
+    """An output that is the data or fit file, by its own path or through a
+    symlink, is refused before anything is read or written."""
+    fit = fit_json(panel_csv, tmp_path, capsys, mixed=False)
+    wide = tmp_path / "wide.csv"
+    wide.write_text("id,cs,tt1,tt2,choice\n1,1,10,15,2\n")
+    argv, source = {
+        "fit": (["fit", panel_csv, "--fixed", "total_time", "--noconstant",
+                 "--out"], panel_csv),
+        "predict": (["predict", panel_csv, "--fit", fit, "--out"], fit),
+        "betas": (["betas", panel_csv, "--fit", fit, "--replace", "--saving"], fit),
+        "reshape": (["reshape", wide, "--stubs", "tt=tt", "--ids", "id", "cs",
+                     "--alt-count", 2, "--out"], wide),
+    }[command]
+    target = source
+    if alias == "link":
+        target = tmp_path / "link"
+        target.symlink_to(source)
+    before = source.read_bytes()
+    code, out, err = run(capsys, *argv, target)
+    assert code == 1 and out == ""
+    kind = "fit" if source == fit else "data"
+    assert err == f"error: {argv[-1]} {target} is the {kind} file it reads\n"
+    assert source.read_bytes() == before
+
+
 def test_predict_spec_mismatch_exit_1(panel_csv, tmp_path, capsys, rng):
     fit = fit_json(panel_csv, tmp_path, capsys)
     other_rows, _ = simulate_panel(rng, n_individuals=5, n_situations=2,
@@ -260,6 +319,28 @@ def test_draw_option_checked_when_fit_loads(panel_csv, tmp_path, capsys,
     assert code == 1
     assert flags[0].lstrip("-") in err and "absent" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("burn", ["9223372036854775800", "99999999999999999999"])
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_burn_past_int64_is_one_error_line(panel_csv, tmp_path, capsys, command, burn):
+    """A --burn that takes the Halton indices past the int64 range exits 1
+    with one error line.  The command runs in a child process with a
+    timeout, so a hang fails the test instead of stalling it."""
+    if command == "fit":
+        argv = ["fit", panel_csv, "--fixed", "total_cost", "--rand", "total_time",
+                "--noconstant", "--nrep", 5]
+    else:
+        argv = ["predict", panel_csv, "--fit", fit_json(panel_csv, tmp_path, capsys),
+                "--out", tmp_path / "pred.csv"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixrrm.cli", *map(str, argv), "--burn", burn],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "int64" in proc.stderr
+    assert not (tmp_path / "pred.csv").exists()
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -512,9 +593,6 @@ def test_reshape_identity_single_alternative(tmp_path, capsys):
 
 
 def test_console_script_end_to_end(panel_csv, tmp_path):
-    import subprocess
-    import sys
-
     out_json = tmp_path / "fit.json"
     proc = subprocess.run(
         [sys.executable, "-m", "mixrrm.cli", "fit", str(panel_csv),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixrrm import errors
-from mixrrm.dataset import cluster_index, load_long_csv, reshape_wide_to_long
+from mixrrm.dataset import load_long_csv, reshape_wide_to_long
 from mixrrm.errors import NonConvergence
 from mixrrm.estimation import fit_classical
 from mixrrm.regret import ModelSpec
@@ -294,18 +294,33 @@ def test_reshape_then_load_has_one_chosen(tmp_path_factory, n_situations,
     assert np.add.reduceat(ds.chosen, ds.situation_starts, dtype=int).tolist() == [1] * n_situations
 
 
-# --- cluster index -------------------------------------------------------------
+# --- clusters ------------------------------------------------------------------
 
 
-def test_cluster_default_singletons(tmp_path):
+def test_individual_clusters_none_without_cluster_column(tmp_path):
     rows = []
     for ind in range(1, 6):
         for alt in (1, 2):
             rows.append([ind, ind, alt, 1 if alt == 1 else 0, alt, alt])
     path = write_csv(tmp_path / "d.csv", HEADER, rows)
     ds = load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
-    mapping = cluster_index(ds)
-    assert mapping == {i: i for i in range(1, 6)}
+    assert ds.cluster is None and ds.individual_clusters is None
+
+
+def test_individual_clusters_follow_the_column(tmp_path):
+    """One cluster per individual, in ``individual_ids`` order, whatever
+    the file order of the rows."""
+    header = HEADER + ["grp"]
+    groups = {4: 30, 1: 10, 3: 30, 2: -5}
+    rows = [[ind, sit, alt, int(alt == 1), alt, alt, groups[ind]]
+            for ind in groups for sit in (2, 1) for alt in (2, 1)]
+    path = write_csv(tmp_path / "d.csv", header, rows)
+    ds = load_long_csv(
+        path, "id", "cs", "altern", "choice", ["tt", "tc"], cluster_col="grp"
+    )
+    assert ds.individual_ids.tolist() == [1, 2, 3, 4]
+    assert ds.individual_clusters.tolist() == [10, -5, 30, 30]
+    assert ds.individual_clusters.dtype == np.int64
 
 
 def test_cluster_column_equal_to_id_matches_default(tmp_path):
@@ -318,7 +333,7 @@ def test_cluster_column_equal_to_id_matches_default(tmp_path):
     ds = load_long_csv(
         path, "id", "cs", "altern", "choice", ["tt", "tc"], cluster_col="grp"
     )
-    assert cluster_index(ds, "grp") == cluster_index(ds)
+    np.testing.assert_array_equal(ds.individual_clusters, ds.individual_ids)
 
 
 def test_cluster_constant_column(tmp_path):
@@ -331,9 +346,7 @@ def test_cluster_constant_column(tmp_path):
     ds = load_long_csv(
         path, "id", "cs", "altern", "choice", ["tt", "tc"], cluster_col="grp"
     )
-    mapping = cluster_index(ds, "grp")
-    assert set(mapping.values()) == {7}
-    assert len(mapping) == 5
+    assert ds.individual_clusters.tolist() == [7] * 5
 
 
 def test_cluster_varies_within_individual(tmp_path):

@@ -44,6 +44,18 @@ def test_halton_strictly_inside_unit_interval():
         assert seq.max() < 1.0
 
 
+def test_halton_indices_stay_in_int64():
+    """Element k is computed from the int64 k: the last element is
+    2**63 - 1, and any burn + count past it is a DomainError, where the
+    indices would otherwise wrap negative."""
+    top = 2**63 - 1
+    seq = halton_sequence(3, 4, top - 4)
+    assert seq.shape == (4,) and np.all((seq > 0.0) & (seq <= 1.0))
+    for count, burn in ((4, top - 3), (1, top), (5, 10**20)):
+        with pytest.raises(errors.DomainError, match="int64"):
+            halton_sequence(3, count, burn)
+
+
 def test_nth_prime():
     assert [nth_prime(k) for k in range(6)] == [2, 3, 5, 7, 11, 13]
     assert nth_prime(40) == 179
