@@ -2,10 +2,13 @@
 data, estimated by maximum (simulated) likelihood with Halton draws.
 
 Submodule imports are resolved lazily so the command-line entry point can
-cap numeric worker threads before any linear-algebra library loads.
+cap numeric worker threads before any linear-algebra library loads; only
+``errors``, which imports nothing, loads with the package.
 """
 
 from importlib import import_module
+
+from . import errors
 
 __version__ = "0.1.0"
 

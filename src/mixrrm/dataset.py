@@ -39,7 +39,8 @@ class ChoiceDataset:
     """A validated panel as read-only row columns, one row per alternative.
 
     Construction sorts the rows stably by (individual, situation) and checks
-    that every situation has at least 2 rows and exactly one chosen.
+    that every situation has at least 2 rows and exactly one chosen, and
+    that the cluster, if any, is constant within each individual.
     ``source_row`` is each row's number in the file it was loaded from
     (header = 1); ``cluster`` is an optional integer column.  The labels
     and the start offsets are derived: ``situation_starts`` holds the first
@@ -82,6 +83,12 @@ class ChoiceDataset:
             raise rule(int(self.individual[starts[s]]), int(self.situation[starts[s]]))
         set_("situation_starts", starts)
         set_("individual_starts", _run_starts(self.individual[starts]))
+        if self.cluster is not None:  # refused in the first individual it varies in
+            first = starts[self.individual_starts]
+            own = np.repeat(self.individual_clusters, np.diff(first, append=self.n_rows))
+            varies = np.flatnonzero(self.cluster != own)
+            if varies.size:
+                raise ClusterVariesWithinIndividual(int(self.individual[varies[0]]))
 
     @property
     def individual_ids(self) -> np.ndarray:
@@ -199,9 +206,11 @@ def load_long_csv(
         cluster-robust standard errors.
 
     Raises the validation error of the earliest row breaking a row rule,
-    else of the first sorted situation breaking a situation rule; missing
-    attribute cells are hard errors, not dropped rows.  A file with no
-    non-blank row after its header raises :class:`EmptyInput`.
+    else of the first sorted situation breaking a situation rule, else of
+    the first sorted individual whose cluster varies (the rules
+    :class:`ChoiceDataset` checks on construction); missing attribute cells
+    are hard errors, not dropped rows.  A file with no non-blank row after
+    its header raises :class:`EmptyInput`.
     """
     with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -249,10 +258,7 @@ def load_long_csv(
     cluster = None
     if cluster_col is not None:
         cluster = ints[cluster_col][0]
-        _, first, owner = np.unique(ind, return_index=True, return_inverse=True)
         rules.append(int_rule(cluster_col))
-        rules.append((cluster != cluster[first][owner],
-                      lambda p: ClusterVariesWithinIndividual(ind[p])))
     repeat = np.ones(len(rows), dtype=bool)  # all but each key's first row
     _, first = np.unique(np.stack([ind, sit, alt], axis=1), axis=0, return_index=True)
     repeat[first] = False

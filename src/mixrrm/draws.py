@@ -33,9 +33,9 @@ def _is_prime(n: int) -> bool:
 def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
     """Elements ``burn+1 .. burn+count`` of the Halton sequence in ``base``.
 
-    Element k is the radical inverse of k (k starting at 1), so every value
-    lies strictly inside (0, 1).  The indices are int64: ``burn + count``
-    beyond that range is a :class:`DomainError`.
+    Element k is the radical inverse of k (k starting at 1), inside (0, 1);
+    a ``burn`` so large that an element rounds to 1.0, or ``burn + count``
+    beyond the int64 indices, is a :class:`DomainError`.
     """
     if not _is_prime(base):
         raise NonPrimeBase(base)
@@ -54,6 +54,8 @@ def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
         k, digit = np.divmod(k, base)
         out += digit * scale
         scale /= base
+    if not np.all(out < 1.0):
+        raise DomainError(f"burn {burn} rounds Halton elements in base {base} to 1.0")
     return out
 
 
@@ -111,8 +113,10 @@ def inverse_normal_cdf(u):
     Accepts a scalar or an array; scalar in, scalar out.
     """
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError(f"inverse normal CDF needs 0 < u < 1, got {u!r}")
+    bad = arr[(arr <= 0.0) | (arr >= 1.0)]
+    if bad.size:
+        raise DomainError(f"inverse normal CDF needs 0 < u < 1: {bad.size} of "
+                          f"{arr.size} outside, the first {float(bad[0])!r}")
 
     q = arr - 0.5
     central = np.abs(q) <= 0.425
@@ -141,14 +145,14 @@ def inverse_normal_cdf(u):
 def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> np.ndarray:
     """Build the normal draws used to simulate the mixing distribution.
 
-    Returns a read-only (n_individuals, dims, nrep) array.  Dimension k
-    takes one Halton stream in the k-th prime base of length
+    Returns a read-only (n_individuals, dims, nrep) array, empty if dims is
+    0.  Dimension k takes one Halton stream in the k-th prime base of length
     ``n_individuals * nrep`` (after dropping ``burn`` initial elements);
     individual n, counted in sorted-ID order, gets the contiguous slice
     ``[n*nrep, (n+1)*nrep)`` as ``draws[n, k]``.
     """
-    if n_individuals < 1 or dims < 1 or nrep < 1:
-        raise ValueError("n_individuals, dims and nrep must be positive")
+    if n_individuals < 1 or dims < 0 or nrep < 1:
+        raise ValueError("n_individuals and nrep must be positive, dims non-negative")
     if burn < 0:
         raise ValueError("burn must be >= 0")
 

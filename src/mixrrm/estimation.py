@@ -58,6 +58,8 @@ class FitOptions:
             raise InvalidOption(f"gtol {self.gtol!r} is not positive")
         if self.covariance not in ("hessian", "robust", "cluster"):
             raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
+        if self.nrep < 1:
+            raise InvalidOption(f"nrep {self.nrep!r} is below 1")
         if self.burn < 0:
             raise InvalidOption(f"burn {self.burn!r} is negative")
         if self.start is not None:
@@ -469,8 +471,6 @@ def _starting_values(ds, spec, design: ModelDesign, opts: FitOptions) -> np.ndar
 
 def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     mixed = spec.n_random > 0
-    if mixed and opts.nrep < 1:
-        raise InvalidOption(f"nrep {opts.nrep!r} is below 1")
     if opts.covariance == "cluster" and (
             ds.cluster is None or np.unique(ds.individual_clusters).size < 2):
         raise InvalidOption("a cluster covariance needs a cluster column with "

@@ -94,7 +94,7 @@ def predict_probabilities(
     Rows follow dataset order (individuals ascending, situations ascending,
     alternatives in file order).  Mixed fits average the per-draw
     probabilities over the Halton draws (defaults: the fit's own nrep/burn);
-    classical fits use their one zero draw, the closed form.
+    classical fits, with no random coefficient, take one draw: the closed form.
     """
     *_, rows = _draw_info_walk(
         ds, fit, nrep, burn,

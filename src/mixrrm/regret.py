@@ -15,9 +15,9 @@ block's draws and calls a block kernel once per block, the hot one
 :meth:`ModelDesign.individual_loglik_gradient`.  A block is a run of
 consecutive individuals, padded to their most situations and widest
 situation, whose padded floats times the R draws per person stay within
-``_BLOCK_FLOATS`` (a classical model has one zero draw, R = 1); each
-kernel, vectorized over its block's individuals and draws, adds the random
-attributes' terms to the base.
+``_BLOCK_FLOATS``; each kernel, vectorized over its block's individuals and
+draws, adds the K random attributes' terms to the base.  A classical model
+is the case K = 0, R = 1, on the same path.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).  A pass can
 return the exact Hessian from the same pair logistics.  The tests check the
@@ -166,9 +166,9 @@ class _BlockData:
 
 class ModelDesign:
     """A ModelSpec bound to a ChoiceDataset, with precomputed tensors, for
-    walks over ``nrep`` draws per individual (a classical model's one zero
-    draw whatever ``nrep``): ``nrep`` sizes the blocks, and :meth:`draws`
-    builds that many.  A walk over another number of draws gives the same
+    walks over ``nrep`` draws per individual (one for a classical model,
+    whatever ``nrep``): ``nrep`` sizes the blocks, and :meth:`draws` builds
+    that many.  A walk over another number of draws gives the same
     results, in blocks sized for ``nrep``."""
 
     def __init__(self, ds: ChoiceDataset, spec: ModelSpec, nrep: int = 1):
@@ -254,14 +254,8 @@ class ModelDesign:
 
     def draws(self, burn: int = 0) -> np.ndarray:
         """Read-only (N, K, R) standard-normal draws: the design's ``nrep``
-        Halton draws per individual after ``burn`` for a mixed model; one
-        zero draw, (N, 0, 1), for a classical one, which is the same
-        likelihood."""
-        if self.n_random:
-            return build_drawset(self.ds.n_individuals, self.n_random, self.nrep, burn)
-        zero = np.zeros((self.ds.n_individuals, 0, 1))
-        zero.setflags(write=False)
-        return zero
+        Halton draws per individual after ``burn``, empty for a classical model."""
+        return build_drawset(self.ds.n_individuals, self.n_random, self.nrep, burn)
 
     # -- construction ---------------------------------------------------------
 
@@ -314,24 +308,23 @@ class ModelDesign:
     def walk(self, kernel, theta, draws, *args):
         """One pass over the data under the (N, K, R) ``draws``: yields
         ``(block, kernel(block, z, part, *args))`` once per block, in group
-        order, ``z`` the block's draws.  Per group of equal-shape blocks it
-        builds, once, the regret base of the fixed attributes and constants
-        (J,S,n,1) and the fixed pair logistics (Mf,P,S,n,1); ``part`` is the
-        block's slice of these, of the random coefficients (K,n,R) and of
-        d beta / d b (K,n,R), 1 or beta (log-normal).  A classical block is
-        built alone, so a classical pass holds one block's arrays."""
+        order, ``z`` the block's draws.  Per run of at most R equal-shape
+        blocks (so within ``_BLOCK_FLOATS`` without the draw axis) it builds,
+        once, the regret base of the fixed attributes and constants (J,S,n,1)
+        and the fixed pair logistics (Mf,P,S,n,1); ``part`` is the block's
+        slice of these, of the random coefficients (K,n,R) and of
+        d beta / d b (K,n,R), 1 or beta (log-normal)."""
         coefs = self.random_coefficient_draws(theta, draws.transpose(1, 0, 2)).T
         chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
         for members, group in self._groups:
-            step = len(members) if self.n_random else 1
-            for lo in range(0, len(members), step):
-                d_fixed, live, asc_onehot = (a[lo:lo + step] for a in (
+            for lo in range(0, len(members), self.nrep):
+                d_fixed, live, asc_onehot = (a[lo:lo + self.nrep] for a in (
                     group.d_fixed, group.live, group.asc_onehot))
                 fixed, sig = _pair_terms(theta.fixed[:, None, None, None, None]
                                          * d_fixed, live[:, None], True)
                 base = (_lead(group.incidence[0].T, fixed, batch=1)
                         + (asc_onehot @ theta.asc)[..., None])
-                for pos, block in enumerate(members[lo:lo + step]):
+                for pos, block in enumerate(members[lo:lo + self.nrep]):
                     cut = slice(*self.blocks[block])
                     yield block, kernel(block, draws[cut], (
                         base[pos], sig[pos], coefs[:, cut], chain[:, cut]), *args)
@@ -341,8 +334,6 @@ class ModelDesign:
         random attributes' terms; with ``gradient`` also the pair logistics of
         the fixed (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes."""
         base, sig_fixed, coefs, _ = part
-        if not self.n_random:  # a classical model: the base is all there is
-            return base, sig_fixed, None
         drawn, sig_random = _pair_terms(coefs[:, None, None] * bd.d_random, bd.live,
                                         gradient)
         return base + _lead(bd.incidence.T, drawn), sig_fixed, sig_random
@@ -392,11 +383,10 @@ class ModelDesign:
         f, k = self.n_fixed, self.n_random
         per_draw = np.empty((self.n_params, n_ind, n_draws))
         per_draw[:f] = _pair_gradient(bd.d_fixed, sig_fixed, res_i, res_j)
-        if self.n_random:
-            g_rand = _pair_gradient(bd.d_random, sig_random, res_i, res_j)
-            g_rand *= chain
-            per_draw[f:f + k] = g_rand
-            per_draw[f + k:f + 2 * k] = g_rand * z
+        g_rand = _pair_gradient(bd.d_random, sig_random, res_i, res_j)
+        g_rand *= chain
+        per_draw[f:f + k] = g_rand
+        per_draw[f + k:f + 2 * k] = g_rand * z
         if self.n_asc:  # per individual: (n_asc, J*S) @ (J*S, R)
             onehot = bd.asc_onehot.reshape(-1, n_ind, self.n_asc).transpose(1, 2, 0)
             per_draw[f + 2 * k:] = np.matmul(
@@ -414,11 +404,10 @@ class ModelDesign:
         # - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)'.
         slot = np.empty((self.n_params, *probs.shape))  # dR/dtheta, (P, J, S, n, R)
         slot[:f] = _slot_gradient(bd.incidence, bd.d_fixed, sig_fixed)
-        if self.n_random:
-            d_rand = _slot_gradient(bd.incidence, bd.d_random, sig_random)
-            d_rand *= chain[:, None, None]
-            slot[f:f + k] = d_rand
-            slot[f + k:f + 2 * k] = d_rand * z[:, None, None]
+        d_rand = _slot_gradient(bd.incidence, bd.d_random, sig_random)
+        d_rand *= chain[:, None, None]
+        slot[f:f + k] = d_rand
+        slot[f + k:f + 2 * k] = d_rand * z[:, None, None]
         slot[f + 2 * k:] = np.moveaxis(bd.asc_onehot, -1, 0)[..., None]
         weighted = slot * probs
         mean = weighted.sum(axis=1)
@@ -434,16 +423,15 @@ class ModelDesign:
         fixed = np.arange(f)
         curv = _pair_curvature(bd.d_fixed, sig_fixed, res_i, res_j)
         hess[fixed, fixed] += flat(curv) @ weights
-        if self.n_random:
-            curv = _pair_curvature(bd.d_random, sig_random, res_i, res_j) * chain**2
-            curv += np.where(self._lognormal[:, None, None], g_rand, 0.0)
-            loc = np.arange(f, f + k)
-            scale = loc + k
-            cross = flat(curv * z) @ weights
-            hess[loc, loc] += flat(curv) @ weights
-            hess[loc, scale] += cross
-            hess[scale, loc] += cross
-            hess[scale, scale] += flat(curv * z * z) @ weights
+        curv = _pair_curvature(bd.d_random, sig_random, res_i, res_j) * chain**2
+        curv += np.where(self._lognormal[:, None, None], g_rand, 0.0)
+        loc = np.arange(f, f + k)
+        scale = loc + k
+        cross = flat(curv * z) @ weights
+        hess[loc, loc] += flat(curv) @ weights
+        hess[loc, scale] += cross
+        hess[scale, loc] += cross
+        hess[scale, scale] += flat(curv * z * z) @ weights
         return ll, grad, hess
 
 

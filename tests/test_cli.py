@@ -127,7 +127,8 @@ def test_usage_error_is_exit_1(argv):
 
 @pytest.mark.parametrize("flags", [
     ["--level", "150"], ["--level", "0"], ["--maxiter", "-1"], ["--gtol", "0"],
-    ["--burn", "-1"], ["--from", "[0.1,"], ["--from", "{nope}"],
+    ["--burn", "-1"], ["--from", "[0.1,"], ["--from", "{nope}"], ["--nrep", "0"],
+    ["--nrep", "0", "--rand", "b"],
 ])
 def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
     # the data file does not exist: the option is rejected before any work
@@ -341,6 +342,21 @@ def test_burn_past_int64_is_one_error_line(panel_csv, tmp_path, capsys, command,
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "int64" in proc.stderr
     assert not (tmp_path / "pred.csv").exists()
+
+
+def test_burn_rounding_halton_to_one_is_one_error_line(panel_csv):
+    """A --burn within the int64 range but so large that a Halton element
+    rounds to 1.0 exits 1 with one error line naming the burn."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "mixrrm.cli", "fit", str(panel_csv), "--fixed",
+         "total_cost", "--rand", "total_time", "--noconstant", "--nrep", "5",
+         "--burn", "18014398509481974"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "burn 18014398509481974" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("edit, field", [

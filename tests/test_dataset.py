@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixrrm import errors
-from mixrrm.dataset import load_long_csv, reshape_wide_to_long
+from mixrrm.dataset import ChoiceDataset, load_long_csv, reshape_wide_to_long
 from mixrrm.errors import NonConvergence
 from mixrrm.estimation import fit_classical
 from mixrrm.regret import ModelSpec
@@ -360,6 +360,16 @@ def test_cluster_varies_within_individual(tmp_path):
         load_long_csv(
             path, "id", "cs", "altern", "choice", ["tt", "tc"], cluster_col="grp"
         )
+
+
+def test_cluster_varying_within_individual_is_refused_on_construction():
+    """The rule belongs to the dataset, not only to the loader: a directly
+    built panel whose individual 1 spans clusters 5 and 6 is refused."""
+    with pytest.raises(errors.ClusterVariesWithinIndividual, match="individual 1"):
+        ChoiceDataset(individual=[1, 1, 2, 2], situation=[1, 1, 1, 1],
+                      alternative=[1, 2, 1, 2], chosen=[1, 0, 0, 1],
+                      attributes=np.zeros((4, 1)), source_row=[2, 3, 4, 5],
+                      attribute_names=("x",), cluster=[5, 6, 7, 7])
 
 
 @pytest.mark.parametrize("mangle", [

@@ -50,10 +50,19 @@ def test_halton_indices_stay_in_int64():
     indices would otherwise wrap negative."""
     top = 2**63 - 1
     seq = halton_sequence(3, 4, top - 4)
-    assert seq.shape == (4,) and np.all((seq > 0.0) & (seq <= 1.0))
+    assert seq.shape == (4,) and np.all((seq > 0.0) & (seq < 1.0))
     for count, burn in ((4, top - 3), (1, top), (5, 10**20)):
         with pytest.raises(errors.DomainError, match="int64"):
             halton_sequence(3, count, burn)
+
+
+@pytest.mark.parametrize("burn", [2**63 - 5, 2**54 - 3])
+def test_halton_element_rounding_to_one_names_the_burn(burn):
+    """Far enough out, an element of base 2 rounds to 1.0 (2**63 - 1 and
+    2**54 - 1 have 63 and 54 one bits): a DomainError naming the burn, not
+    a value outside (0, 1)."""
+    with pytest.raises(errors.DomainError, match=f"burn {burn}"):
+        halton_sequence(2, 4, burn)
 
 
 def test_nth_prime():
@@ -95,6 +104,18 @@ def test_inverse_normal_cdf_antisymmetric(u):
 def test_inverse_normal_cdf_domain(u):
     with pytest.raises(errors.DomainError):
         inverse_normal_cdf(u)
+
+
+def test_inverse_normal_cdf_domain_message_is_one_short_line():
+    """The message counts the values outside (0, 1) and names the first,
+    on one line, however long the array."""
+    u = np.full(10_000, 0.5)
+    u[[7, 9000]] = 1.0, 0.0
+    with pytest.raises(errors.DomainError) as excinfo:
+        inverse_normal_cdf(u)
+    message = str(excinfo.value)
+    assert "2 of 10000" in message and "first 1.0" in message
+    assert "\n" not in message and len(message) < 100
 
 
 def test_inverse_normal_cdf_array_roundtrip():
@@ -160,4 +181,8 @@ def test_build_drawset_validates_arguments():
         build_drawset(0, 1, 1)
     with pytest.raises(ValueError):
         build_drawset(1, 1, 1, burn=-1)
+    with pytest.raises(ValueError):
+        build_drawset(1, -1, 1)
+    empty = build_drawset(4, 0, 3)  # a model with no random coefficient
+    assert empty.shape == (4, 0, 3) and not empty.flags.writeable
 

@@ -423,7 +423,7 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
 @pytest.mark.parametrize("kwargs", [
     {"level": 150.0}, {"level": 0.0}, {"maxiter": -1}, {"gtol": 0.0},
     {"covariance": "sandwich"}, {"burn": -1}, {"start": ["a"]},
-    {"start": {"a": 1.0}},
+    {"start": {"a": 1.0}}, {"nrep": 0},
 ])
 def test_fit_options_rejects_out_of_range(kwargs):
     with pytest.raises(InvalidOption):

@@ -1,15 +1,22 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
-
-import mixrrm
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mixrrm"
 
 
 def test_every_export_resolves():
-    for name in mixrrm.__all__:
-        assert getattr(mixrrm, name) is not None, name
+    """In a child process, where no earlier test has imported a submodule."""
+    loop = ("import mixrrm\n"
+            "for name in mixrrm.__all__:\n"
+            "    assert getattr(mixrrm, name) is not None, name\n")
+    proc = subprocess.run([sys.executable, "-c", loop], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                              [str(SRC.parent), os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_runtime_imports_are_numpy_and_stdlib():

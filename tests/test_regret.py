@@ -511,16 +511,20 @@ def test_kernel_matches_scalar_composition(seed):
 
 
 def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
-                  nrep=3):
+                  nrep=3, shapes=None):
     """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
     file order, so smaller situations pad their slots and labels go missing;
     x0 is fixed, x1 normal and x2 log-normal, and the constants' base is a
     label other than the lowest; the design is sized for ``nrep`` draws.  A
     ``classical`` design fixes all three.  Each block is padded to its
-    people's most situations and slots."""
+    people's most situations and slots.  With ``shapes``, the people take
+    turns among that many drawn lists of situation sizes, so one-person
+    blocks of equal shape form groups of several."""
+    draw_sizes = lambda: data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+    pool = [draw_sizes() for _ in range(shapes or 0)]
     individuals = {}
     for n in range(1, n_individuals + 1):
-        sizes = data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+        sizes = pool[n % shapes] if shapes else draw_sizes()
         sits = {}
         for s, size in enumerate(sizes, start=1):
             labels = rng.permutation(5)[:size] + 1
@@ -538,11 +542,9 @@ def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
 
 
 def padded_draws(design, rng):
-    """(N, K, R) draws: the design's R normal draws per person, or a
-    classical design's one zero draw."""
-    if design.n_random:
-        return rng.normal(size=(design.ds.n_individuals, design.n_random, design.nrep))
-    return design.draws()
+    """(N, K, R) draws: the design's R normal draws per person, empty for a
+    classical design (K = 0, R = 1)."""
+    return rng.normal(size=(design.ds.n_individuals, design.n_random, design.nrep))
 
 
 def one_per_block(design):
@@ -639,17 +641,20 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     drawn bound on padded floats times a drawn R allows, give what
     one-individual blocks give: every log-likelihood term and gradient row,
     the predicted probabilities and the posterior weights bit for bit, and
-    the Hessian, now summed over blocks of people, to 1e-12.  R is at least
-    2: with one draw, numpy adds a lone person's pair terms pairwise but a
-    block's in order, so those rows agree to rounding only, as classical
-    ones do (``test_padded_situations_match_oracle``)."""
+    the Hessian, now summed over blocks of people, to 1e-12.  The people
+    take turns between two shapes, so a group of one-individual blocks
+    holds more than R of them and the walk builds its base in several runs.
+    R is at least 2: with one draw, numpy adds a lone person's pair terms
+    pairwise but a block's in order, so those rows agree to rounding only,
+    as classical ones do (``test_padded_situations_match_oracle``)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    nrep = data.draw(st.integers(2, 6))
+    nrep = data.draw(st.integers(2, 5))
     budget = data.draw(st.integers(0, 2000 * nrep))
     with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
-        design = padded_design(data, rng, n_individuals=6, nrep=nrep)
+        design = padded_design(data, rng, n_individuals=12, nrep=nrep, shapes=2)
         assert_blocks_fill_budget(design)
     single = one_per_block(design)
+    assert max(len(members) for members, _ in single._groups) > nrep
     draws = design.draws(2)
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 2.0]))
     lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
@@ -746,6 +751,40 @@ def test_walk_order_leaves_every_pass_unchanged(data, classical):
             backward = passes()
         for got, want in zip(backward, forward, strict=True):
             assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("classical, nrep", [(True, 5), (False, 1), (False, 2),
+                                             (False, 3), (False, 8)])
+def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
+    """In one-individual blocks, a group of 7 people of 2 situations of 3
+    alternatives and one of 3 people of 3 situations of 2: the walk builds
+    a group's draw-invariant base (its one ``_pair_terms`` call asking for
+    the logistic in a log-likelihood pass) once per run of at most R
+    blocks, ceil(blocks / R) times per group, R = 1 for a classical
+    design whatever ``nrep``."""
+    rng = np.random.default_rng(nrep)
+    shapes = [(2, 3)] * 7 + [(3, 2)] * 3
+    ds = make_dataset({n: {s: [(j, rng.normal(size=2).tolist(), j == 1)
+                               for j in range(1, width + 1)]
+                           for s in range(1, depth + 1)}
+                       for n, (depth, width) in enumerate(shapes, start=1)},
+                      ["x0", "x1"])
+    spec = dict(fixed_attrs=("x0", "x1")) if classical else dict(
+        fixed_attrs=("x0",), random_attrs=("x1",))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
+        design = design_for(ds, nrep, **spec)
+    r = design.nrep
+    assert r == (1 if classical else nrep)
+    assert sorted(len(members) for members, _ in design._groups) == [3, 7]
+    x = rng.normal(size=design.n_params) * 0.5
+    with mock.patch.object(regret, "_pair_terms", wraps=regret._pair_terms) as spy:
+        walked = dict(design.walk(design.individual_loglik, design.unpack(x),
+                                  design.draws()))
+    assert sorted(walked) == [*range(10)]
+    runs = [call.args[0].shape[0] for call in spy.call_args_list if call.args[2]]
+    assert len(runs) == math.ceil(7 / r) + math.ceil(3 / r)
+    assert sorted(runs) == sorted(min(r, blocks - lo) for blocks in (7, 3)
+                                  for lo in range(0, blocks, r))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
