@@ -61,13 +61,15 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
 
 def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
     """``nrep``/``burn`` for post-estimation, the fit's own unless given; a
-    negative ``burn``, or a mixed fit's ``nrep`` below 1, is an InvalidOption."""
+    negative ``burn``, a given ``nrep`` below 1 or a mixed fit's own ``nrep``
+    below 1 is an InvalidOption (a classical fit stores ``nrep`` 0)."""
+    checked = nrep is not None or fit.spec.n_random
     nrep = fit.nrep if nrep is None else nrep
     burn = fit.burn if burn is None else burn
     if burn < 0:
         raise InvalidOption(f"burn {burn!r} is negative")
-    if fit.spec.n_random and nrep < 1:
-        raise InvalidOption(f"nrep {nrep!r} is below 1 for a mixed fit")
+    if checked and nrep < 1:
+        raise InvalidOption(f"nrep {nrep!r} is below 1")
     return nrep, burn
 
 

@@ -322,6 +322,21 @@ def test_draw_option_checked_when_fit_loads(panel_csv, tmp_path, capsys,
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["predict", "betas"])
+def test_classical_fit_refuses_given_nrep_below_1(panel_csv, tmp_path, capsys,
+                                                  command):
+    # a classical fit stores nrep 0, but a given --nrep 0 is refused as fit
+    # refuses it, before the (absent) data file is read
+    fit = fit_json(panel_csv, tmp_path, capsys, mixed=False)
+    assert json.loads(fit.read_text())["nrep"] == 0
+    out_flag = "--out" if command == "predict" else "--saving"
+    code, out, err = run(capsys, command, tmp_path / "absent.csv", "--fit", fit,
+                         out_flag, tmp_path / "o.csv", "--nrep", "0")
+    assert code == 1
+    assert "nrep" in err and "absent" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("burn", ["9223372036854775800", "99999999999999999999"])
 @pytest.mark.parametrize("command", ["fit", "predict"])
 def test_burn_past_int64_is_one_error_line(panel_csv, tmp_path, capsys, command, burn):

@@ -641,20 +641,24 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     drawn bound on padded floats times a drawn R allows, give what
     one-individual blocks give: every log-likelihood term and gradient row,
     the predicted probabilities and the posterior weights bit for bit, and
-    the Hessian, now summed over blocks of people, to 1e-12.  The people
-    take turns between two shapes, so a group of one-individual blocks
-    holds more than R of them and the walk builds its base in several runs.
-    R is at least 2: with one draw, numpy adds a lone person's pair terms
-    pairwise but a block's in order, so those rows agree to rounding only,
-    as classical ones do (``test_padded_situations_match_oracle``)."""
+    the Hessian, now summed over blocks of people, to 1e-12.  People draw
+    their situation sizes one by one, or take turns between two drawn
+    shapes, so that a group of one-individual blocks holds more than R of
+    them and the walk builds its base in several runs.  R is at least 2:
+    with one draw, numpy adds a lone person's pair terms pairwise but a
+    block's in order, so those rows agree to rounding only, as classical
+    ones do (``test_padded_situations_match_oracle``)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    nrep = data.draw(st.integers(2, 5))
+    nrep = data.draw(st.integers(2, 6))
     budget = data.draw(st.integers(0, 2000 * nrep))
+    shapes = data.draw(st.sampled_from([None, 2]))
     with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
-        design = padded_design(data, rng, n_individuals=12, nrep=nrep, shapes=2)
+        design = padded_design(data, rng, n_individuals=14, nrep=nrep,
+                               shapes=shapes)
         assert_blocks_fill_budget(design)
     single = one_per_block(design)
-    assert max(len(members) for members, _ in single._groups) > nrep
+    if shapes:
+        assert max(len(members) for members, _ in single._groups) > nrep
     draws = design.draws(2)
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 2.0]))
     lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
