@@ -201,7 +201,7 @@ def _check_output(name, path, inputs, replace):
 
 
 def _attr_cols(spec):
-    return list(dict.fromkeys([*spec.fixed_attrs, *spec.random_attrs]))
+    return [*spec.fixed_attrs, *spec.random_attrs]
 
 
 def _print_fit(fit):
@@ -239,8 +239,6 @@ def cmd_fit(args) -> int:
     from .estimation import FitOptions, fit_classical, fit_mixed, save_fit_json
     from .regret import ModelSpec
 
-    if not args.fixed and not args.rand:
-        raise InvalidOption("give at least one attribute via --fixed or --rand")
     spec = ModelSpec(
         fixed_attrs=tuple(args.fixed),
         random_attrs=tuple(args.rand),
@@ -259,6 +257,8 @@ def cmd_fit(args) -> int:
             start = json.loads(args.start)
         except ValueError as err:
             raise InvalidOption(f"start (--from) is not JSON: {err}") from None
+        if not isinstance(start, list):
+            raise InvalidOption("start (--from) is not a JSON list")
     opts = FitOptions(
         maxiter=args.maxiter,
         gtol=args.gtol,
@@ -355,13 +355,16 @@ def cmd_betas(args) -> int:
 def cmd_lognormal(args) -> int:
     from dataclasses import asdict
 
-    from .estimation import load_fit_json
+    from .estimation import _nan_to_none, load_fit_json
     from .postestimation import lognormal_summary
 
     fit = load_fit_json(args.fit)
     summary = lognormal_summary(fit, args.attr, sign=-1 if args.negate else 1)
     if args.as_json:
-        print(json.dumps(asdict(summary), sort_keys=True))
+        # a NaN standard error (no covariance) is written as null
+        fields = {key: _nan_to_none(value) if isinstance(value, float) else value
+                  for key, value in asdict(summary).items()}
+        print(json.dumps(fields, sort_keys=True, allow_nan=False))
         return 0
     print(f"log-normal coefficient summary: {summary.attr} "
           f"(sign {'+' if summary.sign > 0 else '-'}1)")

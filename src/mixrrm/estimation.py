@@ -31,6 +31,7 @@ from .errors import (
     InvalidOption,
     NonConvergence,
     SingularHessian,
+    SpecMismatch,
 )
 from .regret import ModelDesign, ModelSpec, ParameterVector
 
@@ -470,7 +471,6 @@ def _starting_values(ds, spec, design: ModelDesign, opts: FitOptions) -> np.ndar
 
 
 def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
-    mixed = spec.n_random > 0
     if opts.covariance == "cluster" and (
             ds.cluster is None or np.unique(ds.individual_clusters).size < 2):
         raise InvalidOption("a cluster covariance needs a cluster column with "
@@ -479,7 +479,7 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     draws = design.draws(opts.burn)
     if opts.start is not None:
         x0 = opts.start
-    elif mixed:
+    elif spec.n_random:
         x0 = _starting_values(ds, spec, design, opts)
     else:
         x0 = np.zeros(design.n_params)
@@ -522,8 +522,8 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         converged=opt.converged,
         iterations=opt.iterations,
         gradient_norm=float(np.max(np.abs(opt.grad))),
-        nrep=opts.nrep if mixed else 0,
-        burn=opts.burn if mixed else 0,
+        nrep=design.nrep,
+        burn=opts.burn,
         stop=opt.stop, ll_passes=opt.ll_passes, vg_passes=opt.vg_passes,
     )
     if not opt.converged:
@@ -537,7 +537,9 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
 
 # -- serialization --------------------------------------------------------------
 
-FIT_SCHEMA = 1  # layout version written to, and required of, every fit JSON
+# layout version written to every fit JSON; schema 1, also read, differs
+# only in a classical fit's ``nrep``, stored as 0 rather than 1
+FIT_SCHEMA = 2
 
 
 def fit_result_to_json(fit: FitResult) -> dict:
@@ -614,9 +616,12 @@ def _has_type(value, kind) -> bool:
 def fit_result_from_json(payload: dict) -> FitResult:
     """Rebuild a FitResult from :func:`fit_result_to_json` output.
 
-    Raises :class:`InvalidFitFile`, naming the field, for a missing or
-    unknown ``schema``, a missing field, a value of the wrong type, and a
-    ``theta`` or ``covariance`` whose size disagrees with the model block.
+    Reads schema 2 and schema 1, whose classical fits store ``nrep`` 0;
+    that is read as 1, the classical design's one draw.  Raises
+    :class:`InvalidFitFile`, naming the field, for a missing or unknown
+    ``schema``, a missing field, a value of the wrong type, a ``model``
+    block that :class:`ModelSpec` refuses, and a ``theta`` or
+    ``covariance`` whose size disagrees with the model block.
     """
     if not isinstance(payload, dict):
         raise InvalidFitFile("a fit file holds one JSON object")
@@ -628,11 +633,16 @@ def fit_result_from_json(payload: dict) -> FitResult:
         f[path] = f[block][key]
         if not _has_type(f[path], kind):
             raise InvalidFitFile(f"field {path!r} has the wrong type")
-        if path == "schema" and f[path] != FIT_SCHEMA:
+        if path == "schema" and f[path] not in (1, FIT_SCHEMA):
             raise InvalidFitFile(f"field 'schema' is {f[path]}; this version "
-                                 f"reads schema {FIT_SCHEMA}")
-    spec = ModelSpec(**{key: f[f"model.{key}"] for key in (
-        "fixed_attrs", "random_attrs", "ln_count", "use_asc", "base_alternative")})
+                                 f"reads schemas 1 and {FIT_SCHEMA}")
+    try:
+        spec = ModelSpec(**{key: f[f"model.{key}"] for key in (
+            "fixed_attrs", "random_attrs", "ln_count", "use_asc", "base_alternative")})
+    except SpecMismatch as err:
+        raise InvalidFitFile(f"field 'model': {err}") from None
+    if f["schema"] == 1 and not spec.n_random and f["nrep"] == 0:
+        f["nrep"] = 1
     labels = tuple(f["model.alternative_labels"])
     n_params = len(spec.param_names(labels))
     theta, cov = f["theta"], f["covariance"]

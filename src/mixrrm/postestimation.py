@@ -60,15 +60,14 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
 
 
 def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
-    """``nrep``/``burn`` for post-estimation, the fit's own unless given; a
-    negative ``burn``, a given ``nrep`` below 1 or a mixed fit's own ``nrep``
-    below 1 is an InvalidOption (a classical fit stores ``nrep`` 0)."""
-    checked = nrep is not None or fit.spec.n_random
+    """``nrep``/``burn`` for post-estimation, the fit's own unless given;
+    either in effect out of range (``nrep`` below 1, ``burn`` negative) is
+    an InvalidOption."""
     nrep = fit.nrep if nrep is None else nrep
     burn = fit.burn if burn is None else burn
     if burn < 0:
         raise InvalidOption(f"burn {burn!r} is negative")
-    if checked and nrep < 1:
+    if nrep < 1:
         raise InvalidOption(f"nrep {nrep!r} is below 1")
     return nrep, burn
 

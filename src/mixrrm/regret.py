@@ -44,7 +44,10 @@ class ModelSpec:
     streams are assigned in that order, and the last ``ln_count`` entries
     are log-normally rather than normally distributed.  ``base_alternative``
     is the label whose constant is pinned to 0; ``None`` means the lowest
-    label.
+    label.  Construction refuses, with :class:`SpecMismatch`, a model with
+    no attribute, an attribute named twice (fixed, random or both) and an
+    ``ln_count`` outside 0..K; :meth:`validate` checks the rest against a
+    dataset.
     """
 
     fixed_attrs: tuple[str, ...] = ()
@@ -56,6 +59,16 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "fixed_attrs", tuple(self.fixed_attrs))
         object.__setattr__(self, "random_attrs", tuple(self.random_attrs))
+        attrs = (*self.fixed_attrs, *self.random_attrs)
+        if not attrs:
+            raise SpecMismatch("model has no attributes")
+        twice = sorted({a for a in attrs if attrs.count(a) > 1})
+        if twice:
+            raise SpecMismatch(f"attributes named twice: {twice}")
+        if not 0 <= self.ln_count <= self.n_random:
+            raise SpecMismatch(
+                f"ln_count {self.ln_count} outside 0..{self.n_random}"
+            )
 
     @property
     def n_fixed(self) -> int:
@@ -87,18 +100,11 @@ class ModelSpec:
         )
 
     def validate(self, ds: ChoiceDataset) -> None:
-        overlap = set(self.fixed_attrs) & set(self.random_attrs)
-        if overlap:
-            raise SpecMismatch(f"attributes both fixed and random: {sorted(overlap)}")
-        if not self.fixed_attrs and not self.random_attrs:
-            raise SpecMismatch("model has no attributes")
+        """Refuse, with :class:`SpecMismatch`, an attribute or a base
+        alternative that ``ds`` lacks."""
         for attr in (*self.fixed_attrs, *self.random_attrs):
             if attr not in ds.attribute_names:
                 raise SpecMismatch(f"attribute {attr!r} not in dataset")
-        if not 0 <= self.ln_count <= self.n_random:
-            raise SpecMismatch(
-                f"ln_count {self.ln_count} outside 0..{self.n_random}"
-            )
         if self.use_asc and self.base_alternative is not None:
             if self.base_alternative not in ds.alternative_labels:
                 raise SpecMismatch(

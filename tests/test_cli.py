@@ -38,7 +38,7 @@ def test_fit_classical_dispatch(panel_csv, tmp_path, capsys):
     assert "Classical random regret minimization fit" in out
     assert "total_time" in out and "total_cost" in out
     payload = json.loads(out_json.read_text())
-    assert payload["nrep"] == 0
+    assert payload["nrep"] == 1
     assert payload["converged"] is True
     assert payload["model"]["random_attrs"] == []
 
@@ -128,7 +128,7 @@ def test_usage_error_is_exit_1(argv):
 @pytest.mark.parametrize("flags", [
     ["--level", "150"], ["--level", "0"], ["--maxiter", "-1"], ["--gtol", "0"],
     ["--burn", "-1"], ["--from", "[0.1,"], ["--from", "{nope}"], ["--nrep", "0"],
-    ["--nrep", "0", "--rand", "b"],
+    ["--nrep", "0", "--rand", "b"], ["--from", "null"],
 ])
 def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
     # the data file does not exist: the option is rejected before any work
@@ -137,6 +137,19 @@ def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
     assert code == 1
     assert flags[0].lstrip("-") in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "model has no attributes"),
+    (["--fixed", "a", "--rand", "a"], "attributes named twice: ['a']"),
+    (["--fixed", "a", "a"], "attributes named twice: ['a']"),
+    (["--rand", "a", "--ln", "2"], "ln_count 2 outside 0..1"),
+])
+def test_fit_bad_model_exit_1(tmp_path, capsys, flags, message):
+    # the model is refused before the (absent) data file is read
+    code, out, err = run(capsys, "fit", tmp_path / "absent.csv", *flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("start", ["[0.1]", '["a", "b"]', '{"a": 1}', "[NaN, 0]"])
@@ -325,10 +338,10 @@ def test_draw_option_checked_when_fit_loads(panel_csv, tmp_path, capsys,
 @pytest.mark.parametrize("command", ["predict", "betas"])
 def test_classical_fit_refuses_given_nrep_below_1(panel_csv, tmp_path, capsys,
                                                   command):
-    # a classical fit stores nrep 0, but a given --nrep 0 is refused as fit
+    # a classical fit stores nrep 1, and a given --nrep 0 is refused as fit
     # refuses it, before the (absent) data file is read
     fit = fit_json(panel_csv, tmp_path, capsys, mixed=False)
-    assert json.loads(fit.read_text())["nrep"] == 0
+    assert json.loads(fit.read_text())["nrep"] == 1
     out_flag = "--out" if command == "predict" else "--saving"
     code, out, err = run(capsys, command, tmp_path / "absent.csv", "--fit", fit,
                          out_flag, tmp_path / "o.csv", "--nrep", "0")
@@ -536,16 +549,43 @@ def test_lognormal_table_default_sign(panel_csv, tmp_path, capsys):
     assert again[:2] == (0, out)
 
 
+def strict_json(text):
+    """Parse ``text``, refusing NaN and infinities, which JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_lognormal_json_roundtrip(panel_csv, tmp_path, capsys):
     fit = lognormal_fit_json(panel_csv, tmp_path, capsys)
     code, out, _ = run(capsys, "lognormal", "--fit", fit,
                        "--attr", "total_time", "--negate", "--json")
     assert code == 0
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert payload["sign"] == -1
     assert payload["median"] < 0 and payload["mean"] < 0
     assert payload["sd"] >= 0
     assert json.loads(json.dumps(payload)) == payload
+    # a fit without a covariance has no standard errors: null, as in the fit
+    fit_payload = json.loads(fit.read_text())
+    fit_payload["covariance"] = [[None] * 3] * 3
+    fit.write_text(json.dumps(fit_payload))
+    code, out, _ = run(capsys, "lognormal", "--fit", fit,
+                       "--attr", "total_time", "--json")
+    assert code == 0
+    no_se = strict_json(out)
+    assert [no_se[f"{m}_se"] for m in ("median", "mean", "sd")] == [None] * 3
+    assert (no_se["median"], no_se["sd"]) == (-payload["median"], payload["sd"])
+
+
+def test_lognormal_fit_file_model_checked(panel_csv, tmp_path, capsys):
+    fit = lognormal_fit_json(panel_csv, tmp_path, capsys)
+    payload = json.loads(fit.read_text())
+    payload["model"]["ln_count"] = 3
+    fit.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "lognormal", "--fit", fit, "--attr", "total_time")
+    assert (code, out) == (1, "")
+    assert err == f"error: {fit}: field 'model': ln_count 3 outside 0..1\n"
 
 
 def test_lognormal_overflowing_location_exit_1(panel_csv, tmp_path, capsys):

@@ -38,7 +38,7 @@ from mixrrm.estimation import (
     save_fit_json,
     simulated_loglik,
 )
-from mixrrm.postestimation import individual_betas, predict_probabilities
+from mixrrm.postestimation import draw_settings, individual_betas, predict_probabilities
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import _fd_hessian, irls_binary_logit, simulate_panel, write_rows_csv
 
@@ -832,6 +832,22 @@ def test_fit_json_bytes_deterministic(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_fit_json_schema_1_classical_reads_nrep_1(tmp_path, rng):
+    """A schema-1 classical fit stores nrep 0 and burn 0; it loads with the
+    classical design's one draw and predicts as the schema-2 file does.  A
+    schema-2 file holds the nrep in effect, so its nrep 0 is refused."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=30, n_situations=2,
+                       n_alternatives=3, fixed={"tt": -0.4, "tc": -0.3})
+    payload = fit_result_to_json(fit_classical(ds, ModelSpec(fixed_attrs=("tt", "tc"))))
+    assert (payload["schema"], payload["nrep"], payload["burn"]) == (FIT_SCHEMA, 1, 15)
+    old = fit_result_from_json({**payload, "schema": 1, "nrep": 0, "burn": 0})
+    assert (old.nrep, old.burn) == (1, 0)
+    np.testing.assert_array_equal(predict_probabilities(ds, old),
+                                  predict_probabilities(ds, fit_result_from_json(payload)))
+    with pytest.raises(InvalidOption, match="nrep 0 is below 1"):
+        draw_settings(fit_result_from_json({**payload, "nrep": 0}))
+
+
 @pytest.mark.parametrize("field", ["theta", "covariance"])
 def test_fit_json_sizes_checked_against_model_block(tmp_path, rng, field):
     ds = panel_dataset(tmp_path, rng, n_individuals=30, n_situations=2,
@@ -901,13 +917,15 @@ def _replaced(value):
 
 @pytest.mark.parametrize("path, edit, message", [
     ("schema", _without, "'schema' is missing"),
-    ("schema", _replaced(FIT_SCHEMA + 1), "'schema' is 2; this version reads schema 1"),
+    ("schema", _replaced(FIT_SCHEMA + 1), "'schema' is 3; this version reads schemas 1 and 2"),
     ("schema", _replaced(True), "'schema' has the wrong type"),
     ("model", _without, "'model' is missing"),
     ("model", _replaced([]), "'model' has the wrong type"),
     ("model.fixed_attrs", _without, "'model.fixed_attrs' is missing"),
     ("model.fixed_attrs", _replaced("tt"), "'model.fixed_attrs' has the wrong type"),
     ("model.use_asc", _replaced(0), "'model.use_asc' has the wrong type"),
+    ("model.ln_count", _replaced(3), "'model': ln_count 3 outside 0..0"),
+    ("model.random_attrs", _replaced(["tt"]), "'model': attributes named twice"),
     ("model.alternative_labels", _replaced([1.5, 2]),
      "'model.alternative_labels' has the wrong type"),
     ("theta", _replaced(["0.1", 0.2]), "'theta' has the wrong type"),

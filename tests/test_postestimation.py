@@ -29,7 +29,7 @@ from mixrrm.regret import ModelDesign, ModelSpec
 from oracles import fd_jacobian, simulate_panel, write_rows_csv
 
 
-def fake_fit(ds, spec, theta_packed, covariance=None, nrep=0, burn=0):
+def fake_fit(ds, spec, theta_packed, covariance=None, nrep=1, burn=0):
     """A FitResult shell around a known parameter point (no estimation)."""
     n = ModelDesign(ds, spec).n_params
     return FitResult(

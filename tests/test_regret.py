@@ -728,7 +728,7 @@ def test_walk_order_leaves_every_pass_unchanged(data, classical):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # a drawn bound on padded floats, so the walk yields several blocks
     with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
-        nrep, burn = (0, 0) if classical else (3, 2)
+        nrep, burn = (1, 0) if classical else (3, 2)
         design = padded_design(data, rng, n_individuals=6, classical=classical, nrep=nrep)
         draws = design.draws(burn)
         x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 3.0]))
