@@ -239,6 +239,9 @@ def cmd_fit(args) -> int:
     from .estimation import FitOptions, fit_classical, fit_mixed, save_fit_json
     from .regret import ModelSpec
 
+    if args.noconstant and args.basealternative is not None:
+        raise InvalidOption("--basealternative names the base of the constants "
+                            "that --noconstant leaves out")
     spec = ModelSpec(
         fixed_attrs=tuple(args.fixed),
         random_attrs=tuple(args.rand),

@@ -19,8 +19,12 @@ situation, whose padded floats times the R draws per person stay within
 draws, adds the K random attributes' terms to the base.  A classical model
 is the case K = 0, R = 1, on the same path.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
-i bears ln(1 + exp(a)) and j ln(1 + exp(-a)), from one exp(-|a|).  A pass can
-return the exact Hessian from the same pair logistics.  The tests check the
+i bears L(a) = ln(1 + exp(a)) and j ln(1 + exp(-a)) = L(a) - a.  So both
+slots take the pair's one L(a), from one exp(-|a|), and j's -a, linear in
+beta, is a slot-level term: beta_m times the sum of x_j - x_i over the pairs
+where the slot is j, a draw-invariant sum built with the design (in the
+walk's base for the fixed attributes, per draw for the random ones).  A pass
+can return the exact Hessian from the same pair logistics.  The tests check the
 kernels against a first-principles reference (``tests/oracles.py``).
 """
 
@@ -144,12 +148,17 @@ class ParameterVector:
 
 
 # most padded floats of a block times its draws per person,
-# n * S * (P*M + J*n_params) * R: its pair arrays and the Hessian's slot
-# derivatives over its draws; a pass holds about six.  That is two people of
-# 10 situations of 3 alternatives at R = 100 (15,000 floats each), where a
-# kernel call's fixed cost, some 60 small numpy operations, is already a
-# small share of its work; larger blocks were no faster there
-_BLOCK_FLOATS = 2**15
+# n * S * max(P*M + J*n_params, 8*J) * R: the larger of its pair arrays and
+# the Hessian's slot derivatives (a pass holds about six of these) and eight
+# slot-level arrays (J, S, n, R), so a slot-level temporary, of which a pass
+# makes many, stays within 8,192 floats (64 KB).  Past that, glibc gives the
+# heap top back and faults it in again block after block: at 10 situations
+# of 3 alternatives and R = 100, 4-person blocks (96 KB) took some 3,100 page
+# faults a value+gradient pass against some 50 in 2-person blocks, and ran
+# a fifth slower.  At 8 situations of 5 alternatives, 11 parameters and
+# R = 20 the bound gives 4-person blocks, a fifth faster than 2-person ones:
+# a kernel call's fixed cost, some 60 small numpy operations, is large there
+_BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -165,8 +174,10 @@ class _BlockData:
     chosen: np.ndarray       # (S*n,) int: each chosen slot's row in (J*S*n, R)
     d_fixed: np.ndarray      # (Mf, P, S, n, 1) x[j] - x[i], fixed attributes
     d_random: np.ndarray     # (Mr, P, S, n, 1) x[j] - x[i], random attributes
+    rival_fixed: np.ndarray  # (Mf, J, S, n, 1) sum of x[j] - x[i] over the pairs
+    rival_random: np.ndarray # (Mr, J, S, n, 1)   whose slot j is this slot
     live: np.ndarray         # (P, S, n, 1) float: 1 where both slots hold data
-    incidence: np.ndarray    # (2P, J): row p marks slot i of pair p, row P+p slot j
+    incidence: np.ndarray    # (P, J): row p marks both slots i and j of pair p
     asc_onehot: np.ndarray   # (J, S, n, n_asc) float
 
 
@@ -280,14 +291,16 @@ class ModelDesign:
         # a pair with a padded slot gets a zero difference, so it adds
         # nothing to the gradient; ``live`` masks it out of the regrets
         pair_diff = kernel(x[:, :, second] - x[:, :, first])[..., None] * live[:, None]
+        rival = _lead(np.eye(j_max)[second].T, pair_diff, batch=2)
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
         avail = rows | (np.arange(j_max) == 0)  # a padded situation has slot 0
         return _BlockData(  # the fields, in order
             grid(rows), kernel(avail)[..., None],
             chosen * n_cells + np.arange(n_cells), pair_diff.take(self._fixed_pos, 1),
-            pair_diff.take(self._random_pos, 1), live.astype(float),
-            np.broadcast_to(np.eye(j_max)[np.r_[first, second]],
-                            (n_group, 2 * len(first), j_max)),
+            pair_diff.take(self._random_pos, 1), rival.take(self._fixed_pos, 1),
+            rival.take(self._random_pos, 1), live.astype(float),
+            np.broadcast_to(np.eye(j_max)[first] + np.eye(j_max)[second],
+                            (n_group, len(first), j_max)),
             np.ascontiguousarray(grid(asc_onehot).transpose(0, 3, 2, 1, 4)),
         )
 
@@ -316,33 +329,38 @@ class ModelDesign:
         ``(block, kernel(block, z, part, *args))`` once per block, in group
         order, ``z`` the block's draws.  Per run of at most R equal-shape
         blocks (so within ``_BLOCK_FLOATS`` without the draw axis) it builds,
-        once, the regret base of the fixed attributes and constants (J,S,n,1)
-        and the fixed pair logistics (Mf,P,S,n,1); ``part`` is the block's
+        once, the regret base (J,S,n,1) of the constants and the fixed
+        attributes (their pair terms less beta times their ``rival_fixed``
+        sums) and the fixed pair slopes (Mf,P,S,n,1); ``part`` is the block's
         slice of these, of the random coefficients (K,n,R) and of
         d beta / d b (K,n,R), 1 or beta (log-normal)."""
         coefs = self.random_coefficient_draws(theta, draws.transpose(1, 0, 2)).T
         chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
+        beta = theta.fixed[:, None, None, None, None]
         for members, group in self._groups:
             for lo in range(0, len(members), self.nrep):
-                d_fixed, live, asc_onehot = (a[lo:lo + self.nrep] for a in (
-                    group.d_fixed, group.live, group.asc_onehot))
-                fixed, sig = _pair_terms(theta.fixed[:, None, None, None, None]
-                                         * d_fixed, live[:, None], True)
+                d_fixed, rival, live, asc_onehot = (a[lo:lo + self.nrep] for a in (
+                    group.d_fixed, group.rival_fixed, group.live, group.asc_onehot))
+                fixed, slope = _pair_terms(beta, d_fixed, live[:, None], True)
                 base = (_lead(group.incidence[0].T, fixed, batch=1)
+                        - (beta * rival).sum(axis=1)
                         + (asc_onehot @ theta.asc)[..., None])
                 for pos, block in enumerate(members[lo:lo + self.nrep]):
                     cut = slice(*self.blocks[block])
                     yield block, kernel(block, draws[cut], (
-                        base[pos], sig[pos], coefs[:, cut], chain[:, cut]), *args)
+                        base[pos], slope[pos], coefs[:, cut], chain[:, cut]), *args)
 
     def _regrets(self, bd: _BlockData, part, gradient):
         """Regrets (J,S,n,R) of a block: its walk ``part``'s base plus the
-        random attributes' terms; with ``gradient`` also the pair logistics of
-        the fixed (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes."""
-        base, sig_fixed, coefs, _ = part
-        drawn, sig_random = _pair_terms(coefs[:, None, None] * bd.d_random, bd.live,
-                                        gradient)
-        return base + _lead(bd.incidence.T, drawn), sig_fixed, sig_random
+        random attributes' terms; with ``gradient`` also the pair slopes
+        d ln(1 + exp(a)) / d beta = (x[j] - x[i]) logistic(a) of the fixed
+        (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes."""
+        base, slope_fixed, coefs, _ = part
+        coefs = coefs[:, None, None]
+        drawn, slope_random = _pair_terms(coefs, bd.d_random, bd.live, gradient)
+        regrets = base + _lead(bd.incidence.T, drawn)
+        regrets -= (coefs * bd.rival_random).sum(axis=0)
+        return regrets, slope_fixed, slope_random
 
     def _probabilities(self, bd: _BlockData, regrets, probs=True):
         """Per-draw choice probabilities (J,S,n,R), ``None`` unless ``probs``,
@@ -377,19 +395,20 @@ class ModelDesign:
         bd = self._blocks[block]
         chain = part[3]  # chain rule: d beta / d s is d beta / d b times the draw
         z = z.transpose(1, 0, 2)  # (K, n, R)
-        regrets, sig_fixed, sig_random = self._regrets(bd, part, gradient=True)
+        regrets, slope_fixed, slope_random = self._regrets(bd, part, gradient=True)
         probs, ln_chosen = self._probabilities(bd, regrets)
 
-        # d ln P(chosen) / d R_i = P_i - 1[i = chosen]
+        # d ln P(chosen) / d R_i = P_i - 1[i = chosen], and per pair the sum
+        # over its two slots
         resid = probs.copy()
         resid.reshape(-1, resid.shape[-1])[bd.chosen] -= 1.0
-        res_i, res_j = _lead(bd.incidence, resid).reshape(2, -1, *resid.shape[1:])
+        res = _lead(bd.incidence, resid)
 
         n_ind, n_draws = resid.shape[2:]
         f, k = self.n_fixed, self.n_random
         per_draw = np.empty((self.n_params, n_ind, n_draws))
-        per_draw[:f] = _pair_gradient(bd.d_fixed, sig_fixed, res_i, res_j)
-        g_rand = _pair_gradient(bd.d_random, sig_random, res_i, res_j)
+        per_draw[:f] = _pair_gradient(slope_fixed, res, bd.rival_fixed, resid)
+        g_rand = _pair_gradient(slope_random, res, bd.rival_random, resid)
         g_rand *= chain
         per_draw[f:f + k] = g_rand
         per_draw[f + k:f + 2 * k] = g_rand * z
@@ -409,8 +428,8 @@ class ModelDesign:
         # block.  Per draw and situation, H_r is sum_i res_i d2R_i
         # - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)'.
         slot = np.empty((self.n_params, *probs.shape))  # dR/dtheta, (P, J, S, n, R)
-        slot[:f] = _slot_gradient(bd.incidence, bd.d_fixed, sig_fixed)
-        d_rand = _slot_gradient(bd.incidence, bd.d_random, sig_random)
+        slot[:f] = _slot_gradient(bd.incidence, slope_fixed, bd.rival_fixed)
+        d_rand = _slot_gradient(bd.incidence, slope_random, bd.rival_random)
         d_rand *= chain[:, None, None]
         slot[f:f + k] = d_rand
         slot[f + k:f + 2 * k] = d_rand * z[:, None, None]
@@ -427,9 +446,9 @@ class ModelDesign:
         # d2 beta = beta [1, z; z, z^2] over (b, s), times its gradient g_beta
         weights = weights.ravel()
         fixed = np.arange(f)
-        curv = _pair_curvature(bd.d_fixed, sig_fixed, res_i, res_j)
+        curv = _pair_curvature(bd.d_fixed, slope_fixed, res)
         hess[fixed, fixed] += flat(curv) @ weights
-        curv = _pair_curvature(bd.d_random, sig_random, res_i, res_j) * chain**2
+        curv = _pair_curvature(bd.d_random, slope_random, res) * chain**2
         curv += np.where(self._lognormal[:, None, None], g_rand, 0.0)
         loc = np.arange(f, f + k)
         scale = loc + k
@@ -443,11 +462,13 @@ class ModelDesign:
 
 def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
     """Block edges from each individual's situations and widest situation: a
-    block takes the next individual while its padded floats times the
-    ``nrep`` draws per person stay within ``_BLOCK_FLOATS`` and within twice
-    its individuals' own, so padding at most doubles a design's arrays; a
-    larger individual is a block alone."""
-    floats = lambda s, j: s * (j * (j - 1) // 2 * n_attrs + j * n_params) * nrep
+    block takes the next individual while its padded floats (as
+    ``_BLOCK_FLOATS`` counts them) times the ``nrep`` draws per person stay
+    within ``_BLOCK_FLOATS`` and within twice its individuals' own, so
+    padding at most doubles a design's arrays; a larger individual is a
+    block alone."""
+    floats = lambda s, j: s * max(j * (j - 1) // 2 * n_attrs + j * n_params,
+                                  8 * j) * nrep
     edges, s_max, j_max, own = [0], 0, 0, 0
     for pos, (s, j) in enumerate(zip(n_sit.tolist(), widths.tolist())):
         s_max, j_max, own = max(s_max, s), max(j_max, j), own + floats(s, j)
@@ -461,52 +482,59 @@ def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
 def _lead(matrix, array, batch=0):
     """``matrix`` (A, B) applied to axis ``batch`` of ``array`` (..., B, ...)."""
     head = array.shape[:batch + 1]
-    product = matrix @ array.reshape(*head, -1)
-    return product.reshape(*head[:-1], -1, *array.shape[batch + 1:])
+    product = matrix @ array.reshape(*head, math.prod(array.shape[batch + 1:]))
+    return product.reshape(*head[:-1], len(matrix), *array.shape[batch + 1:])
 
 
-def _pair_terms(a, live, want_logistic):
-    """Regret terms of the pair activations ``a`` (..., M, P, S, n, R), summed
-    over the attributes: ln(1 + exp(a)), borne by slot i of each pair, then
-    ln(1 + exp(-a)), borne by slot j, as (..., 2P, S, n, R); and logistic(a)
-    when asked.
+def _pair_terms(beta, d, live, want_slope):
+    """Regret terms of the pair activations a = ``beta`` * ``d`` (..., M, P,
+    S, n, R), ``d`` = x[j] - x[i], summed over the attributes: L(a) = ln(1 +
+    exp(a)) per pair, (..., P, S, n, R), which both slots of the pair bear;
+    and, when asked, the slopes dL/d beta = d logistic(a), (..., M, P, S, n,
+    R).  Slot j's term is ln(1 + exp(-a)) = L(a) - a, and the kernels
+    subtract the sum of a over the pairs where a slot is slot j at slot
+    level, from the draw-invariant ``rival_*`` sums of x[j] - x[i].
 
-    Both directions share t = exp(-|a|) and are exact, with no cancellation:
-    ln(1 + exp(+-a)) = max(+-a, 0) + log1p(t), and logistic(a) is 1/(1+t)
-    for a >= 0, else t/(1+t).  ``live`` zeroes t of a dead pair, whose a is
-    0, so its terms are exactly 0.
+    With t = exp(-|a|), L(a) = max(a, 0) + log1p(t), exact, and logistic(a)
+    is 1/(1+t) for a >= 0, else t/(1+t): max(t, a >= 0) / (1 + t), as t <= 1.
+    ``live`` zeroes t of a dead pair, whose a is 0, so its term is exactly 0.
+    The work is done in place, so a block makes few fresh arrays.
     """
-    t = np.exp(-np.abs(a)) * live
-    log_t = np.log1p(t)
-    pos = np.maximum(a, 0.0)  # and max(-a, 0) = pos - a, exactly
-    terms = np.concatenate([(pos + log_t).sum(axis=-5), (pos - a + log_t).sum(axis=-5)],
-                           axis=-4)
-    sig = np.where(a >= 0.0, 1.0, t) / (1.0 + t) if want_logistic else None
-    return terms, sig
+    a = beta * d
+    t = np.abs(a)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    t *= live
+    slope = np.maximum(t, a >= 0.0) if want_slope else None
+    terms = np.log1p(t)
+    terms += np.maximum(a, 0.0, out=a)
+    if want_slope:
+        t += 1.0
+        slope /= t
+        slope *= d
+    return terms.sum(axis=-5), slope
 
 
-def _pair_gradient(d, sig, res_i, res_j):
+def _pair_gradient(slope, res, rival, resid):
     """d(sum_i res_i R_i)/d beta per attribute, individual and draw,
-    (M, n, R), from the pairs: sum over p and s of d ((res_i + res_j)
-    logistic(a) - res_j), since logistic(-a) = 1 - logistic(a)."""
-    return (d * (sig * (res_i + res_j) - res_j)).sum(axis=(1, 2))
+    (M, n, R): over pairs and situations, the pair ``slope`` times ``res``,
+    the sum of its slots' ``resid``; less, over slots and situations, each
+    slot's ``rival`` sum times its ``resid``."""
+    return (slope * res).sum(axis=(1, 2)) - (rival * resid).sum(axis=(1, 2))
 
 
-def _slot_gradient(incidence, d, sig):
+def _slot_gradient(incidence, slope, rival):
     """dR/d beta per attribute, slot, situation, individual and draw,
-    (M, J, S, n, R): slot i of each pair gets d logistic(a), slot j
-    d (logistic(a) - 1)."""
-    bears = d * sig
-    pairs = np.concatenate([bears, bears - d], axis=1)  # (M, 2P, S, n, R)
-    n_attr, n_pairs, *rest = pairs.shape
-    scattered = incidence.T @ pairs.reshape(n_attr, n_pairs, math.prod(rest))
-    return scattered.reshape(n_attr, incidence.shape[1], *rest)
+    (M, J, S, n, R): each slot gets the ``slope`` of its pairs, less its
+    ``rival`` sum."""
+    return _lead(incidence.T, slope, batch=1) - rival
 
 
-def _pair_curvature(d, sig, res_i, res_j):
+def _pair_curvature(d, slope, res):
     """d2(sum_i res_i R_i)/d beta2 per attribute, individual and draw,
-    (M, n, R): both slots of a pair bear d^2 logistic(a) (1 - logistic(a))."""
-    return (d * d * sig * (1.0 - sig) * (res_i + res_j)).sum(axis=(1, 2))
+    (M, n, R): both slots of a pair bear d^2 logistic(a) (1 - logistic(a)),
+    which is slope (d - slope)."""
+    return (slope * (d - slope) * res).sum(axis=(1, 2))
 
 
 def _log_mean_exp(values: np.ndarray):

@@ -152,6 +152,20 @@ def test_fit_bad_model_exit_1(tmp_path, capsys, flags, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("label", ["9", "1"])
+def test_fit_base_alternative_without_constants_exit_1(panel_csv, tmp_path, capsys,
+                                                       label):
+    """A base alternative names the constant pinned to 0, so it contradicts
+    --noconstant, whether or not the label is in the data; it is refused
+    before the data are read."""
+    message = ("error: --basealternative names the base of the constants that "
+               "--noconstant leaves out\n")
+    for data in (panel_csv, tmp_path / "absent.csv"):
+        code, out, err = run(capsys, "fit", data, "--fixed", "total_time",
+                             "--noconstant", "--basealternative", label)
+        assert (code, out, err) == (1, "", message)
+
+
 @pytest.mark.parametrize("start", ["[0.1]", '["a", "b"]', '{"a": 1}', "[NaN, 0]"])
 def test_fit_bad_start_exit_1(panel_csv, capsys, start):
     code, out, err = run(capsys, "fit", panel_csv, "--fixed", "total_time",

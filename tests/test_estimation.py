@@ -960,8 +960,8 @@ def test_fit_file_not_a_fit_object(tmp_path, content):
 @pytest.mark.parametrize("covariance", ["robust", "cluster"])
 def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
     """A classical fit over three blocks (20, 20 and 1 people: each has 2
-    situations of 3 alternatives and 2 attributes, 2 * (3*2 + 3*2) = 24
-    padded floats) builds its robust and cluster sandwiches, and predicts,
+    situations of 3 alternatives and 2 attributes, 2 * max(3*2 + 3*2, 8*3)
+    = 48 padded floats) builds its robust and cluster sandwiches, and predicts,
     from rows in dataset order: both equal the ones from one-individual
     blocks at the fitted point."""
     from unittest import mock
@@ -973,7 +973,7 @@ def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
                        n_situations=2, n_alternatives=3,
                        fixed={"tt": -0.5, "tc": -0.3})
     spec = ModelSpec(fixed_attrs=("tt", "tc"))
-    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 24):
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 48):
         fit = fit_classical(ds, spec, FitOptions(covariance=covariance))
         assert ModelDesign(ds, spec).blocks == [(0, 20), (20, 40), (40, 41)]
     with mock.patch.object(regret, "_BLOCK_FLOATS", 0):

@@ -12,7 +12,8 @@ from mixrrm import postestimation, regret
 from mixrrm.errors import SpecMismatch
 from mixrrm.estimation import FitResult, _loglik, _ordered_sum, individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
-from oracles import _fd_hessian, brute_force_sll, fd_gradient, naive_regret
+from oracles import (_fd_hessian, brute_force_sll, fd_gradient, naive_choice_probs,
+                     naive_regret)
 
 LN2 = math.log(2.0)
 
@@ -568,15 +569,16 @@ def oracle_loglik(design, pos, x, z):
 
 def block_floats(design, start, stop):
     """Padded and own floats of individuals start..stop-1 times the design's
-    R draws per person, counted from the dataset: n * S * (P*M +
-    J*n_params) * R over their most situations S and widest situation J,
-    and the sum of each one's own S_i * (P_i*M + J_i*n_params) * R."""
+    R draws per person, counted from the dataset: n * S * max(P*M +
+    J*n_params, 8*J) * R over their most situations S and widest situation
+    J, and the sum of each one's own S_i * max(P_i*M + J_i*n_params, 8*J_i)
+    * R."""
     ds = design.ds
     sits = np.append(ds.individual_starts, ds.n_situations)
     widths = np.maximum.reduceat(np.diff(np.append(ds.situation_starts, ds.n_rows)),
                                  ds.individual_starts)
-    floats = lambda s, j: s * (j * (j - 1) // 2 * len(design.model_attrs)
-                               + j * design.n_params) * design.nrep
+    floats = lambda s, j: s * max(j * (j - 1) // 2 * len(design.model_attrs)
+                                  + j * design.n_params, 8 * j) * design.nrep
     n_sit, widths = np.diff(sits)[start:stop], widths[start:stop]
     return ((stop - start) * floats(n_sit.max(), widths.max()),
             sum(floats(s, j) for s, j in zip(n_sit, widths)))
@@ -785,7 +787,7 @@ def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
         walked = dict(design.walk(design.individual_loglik, design.unpack(x),
                                   design.draws()))
     assert sorted(walked) == [*range(10)]
-    runs = [call.args[0].shape[0] for call in spy.call_args_list if call.args[2]]
+    runs = [call.args[1].shape[0] for call in spy.call_args_list if call.args[3]]
     assert len(runs) == math.ceil(7 / r) + math.ceil(3 / r)
     assert sorted(runs) == sorted(min(r, blocks - lo) for blocks in (7, 3)
                                   for lo in range(0, blocks, r))
@@ -795,7 +797,7 @@ def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
 def test_block_edges_match_one_individual_blocks(extra):
     """k - 1, k and k + 1 people, k the most that ``_BLOCK_FLOATS`` lets one
     block hold: each person has 2 situations of 4 alternatives, 2 attributes
-    and 3 constants, 2 * (6*2 + 4*5) = 64 padded floats.  Blocks of k in
+    and 3 constants, 2 * max(6*2 + 4*5, 8*4) = 64 padded floats.  Blocks of k in
     dataset order, whose rows and Hessian agree with one-individual blocks
     and the oracles."""
     rng = np.random.default_rng(100 + extra)
@@ -835,14 +837,14 @@ def test_block_edges_match_one_individual_blocks(extra):
 
 def test_classical_pass_memory_is_bounded_by_block_floats():
     """One value+gradient+Hessian pass of a classical design over a wide,
-    unbalanced panel (400 people of 1-10 situations of 2-10 alternatives, 3
+    unbalanced panel (1000 people of 1-10 situations of 2-10 alternatives, 3
     attributes)
     allocates at most 8 arrays of ``_BLOCK_FLOATS`` floats at its peak,
     though the panel padded as one block would be over 20 times that; its
     blocks keep both bounds of ``assert_blocks_fill_budget``."""
     rng = np.random.default_rng(7)
     individuals = {}
-    for n in range(1, 401):
+    for n in range(1, 1001):
         sits = {}
         for s in range(1, int(rng.integers(1, 11)) + 1):
             size = int(rng.integers(2, 11))
@@ -863,6 +865,38 @@ def test_classical_pass_memory_is_bounded_by_block_floats():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 8 * regret._BLOCK_FLOATS
+
+
+@pytest.mark.parametrize("shape, spec, nrep", [
+    ((10, 3), dict(fixed_attrs=("x0",), random_attrs=("x1",)), 100),
+    ((8, 5), dict(fixed_attrs=("x0",), random_attrs=("x1", "x2", "x3"), ln_count=1,
+                  use_asc=True), 20),
+])
+def test_block_bound_is_tuned_on_the_bench_shapes(shape, spec, nrep):
+    """The bound is tuned on two designs: 10 situations of 3 alternatives, a
+    fixed and a normal attribute at R = 100, whose slot-level arrays count
+    8 * 3 * 10 * 100 = 24,000 floats a person, so its blocks keep 2 people;
+    and 8 situations of 5, with a fixed, two normal and a log-normal
+    attribute and 4 constants at R = 20, 8 * (10*4 + 5*11) * 20 = 15,200
+    floats a person, so its blocks take 4, not the 2 of a bound of 2^15.
+    With R >= 2 every person's log-likelihood term and gradient row are
+    still those of one-individual blocks, bit for bit."""
+    rng = np.random.default_rng(nrep)
+    depth, width = shape
+    ds = make_dataset({n: {s: [(j, rng.normal(size=4).tolist(), j == 1)
+                               for j in range(1, width + 1)]
+                           for s in range(1, depth + 1)}
+                       for n in range(1, 11)}, ["x0", "x1", "x2", "x3"])
+    design = design_for(ds, nrep, **spec)
+    per_block = {10: 2, 8: 4}[depth]
+    assert block_floats(design, 0, 1)[0] == {10: 24_000, 8: 15_200}[depth]
+    assert design.blocks == [(a, min(a + per_block, 10)) for a in range(0, 10, per_block)]
+    assert_blocks_fill_budget(design)
+    x = rng.normal(size=design.n_params) * 0.3
+    draws = design.draws(15)
+    lls, rows = individual_scores(design, draws, x)
+    single_lls, single_rows = individual_scores(one_per_block(design), draws, x)
+    assert np.array_equal(lls, single_lls) and np.array_equal(rows, single_rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -906,3 +940,54 @@ def test_extreme_activations_stay_finite(data, size):
         assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
         assert np.all(np.isfinite(ln_seq)) and np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.floats(100.0, 700.0))
+def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size):
+    """Slot j of a pair bears ln(1 + exp(-a)) as L(a) - a, L(a) = ln(1 +
+    exp(a)), with the sum of a over its pairs taken at slot level, so the
+    kernel's regrets cancel where the reference's do not.  At |beta * dx| up
+    to ``size`` (700 keeps exp(a) a float for the scalar reference), through
+    the fixed attribute's walk base and the random one's slot-level term,
+    regrets and probabilities agree with ``naive_regret`` and
+    ``naive_choice_probs`` to a few ulps of the largest |a| per rival term.
+    Alternative 1 of each situation dominates on both attributes, so the
+    reference's softmax does not underflow to 0 / 0."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sign = rng.choice([-1.0, 1.0], size=2)
+    beta = 100.0 * sign
+    individuals = {}
+    for n in (1, 2, 3):
+        sits = {}
+        for s in range(1, int(rng.integers(1, 4)) + 1):
+            width = int(rng.integers(2, 6))
+            x = rng.uniform(-1.0, 1.0, size=(width, 2)) * size / 200.0
+            x[0] = np.where(sign > 0, x.max(axis=0), x.min(axis=0))
+            sits[s] = [(j + 1, x[j].tolist(), j == 0) for j in range(width)]
+        individuals[n] = sits
+    ds = make_dataset(individuals, ["x0", "x1"])
+    design = design_for(ds, 2, fixed_attrs=("x0",), random_attrs=("x1",),
+                        use_asc=True)
+    theta = ParameterVector(fixed=beta[:1], rand_location=beta[1:],
+                            rand_scale=np.zeros(1), asc=rng.normal(size=design.n_asc))
+    draws = rng.normal(size=(ds.n_individuals, 1, 2))
+    regrets = dict(design.walk(
+        lambda block, z, part: design._regrets(design._blocks[block], part, False)[0],
+        theta, draws))
+    infos = dict(design.walk(design.individual_draw_info, theta, draws))
+    constant = dict(zip(design.asc_labels, theta.asc.tolist()))
+    for block, (start, stop) in enumerate(design.blocks):
+        for pos in range(start, stop):
+            asc = situation_constants(design, pos, constant)
+            for s, (x_all, _) in enumerate(plain_situations(design, pos)):
+                width = len(x_all)
+                a = beta * (np.array(x_all)[:, None] - np.array(x_all)[None])
+                tol = 4 * 2 * (width - 1) * np.spacing(max(np.abs(a).max(), 1.0))
+                want = [naive_regret(x_all, i, beta.tolist(), asc[s])
+                        for i in range(width)]
+                got = regrets[block][:width, s, pos - start]
+                np.testing.assert_allclose(got, np.repeat([want], 2, 0).T, rtol=0, atol=tol)
+                probs = naive_choice_probs(x_all, beta.tolist(), asc[s])
+                got = infos[block][1][pos - start, :, s, :width]
+                np.testing.assert_allclose(got, np.repeat([probs], 2, 0), rtol=0, atol=tol)
