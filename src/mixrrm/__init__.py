@@ -25,8 +25,9 @@ _EXPORTS = {
     "ModelSpec": "regret",
     "ModelDesign": "regret",
     "ParameterVector": "regret",
+    # options
+    "FitOptions": "options",
     # estimation
-    "FitOptions": "estimation",
     "FitResult": "estimation",
     "fit_classical": "estimation",
     "fit_mixed": "estimation",

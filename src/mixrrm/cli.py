@@ -21,6 +21,7 @@ import os
 import sys
 
 from .errors import Error, InvalidOption, NonConvergence, SpecMismatch
+from .options import FitOptions
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", parents=[threads],
                          help="estimate a classical or mixed regret model")
     _add_data_arguments(fit, with_model=True)
-    fit.add_argument("--nrep", type=int, default=50,
-                     help="Halton draws for the simulation (default: 50)")
-    fit.add_argument("--burn", type=int, default=15,
-                     help="initial Halton elements to drop (default: 15)")
+    defaults = FitOptions()
+    fit.add_argument("--nrep", type=int, default=defaults.nrep,
+                     help="Halton draws for the simulation (default: %(default)s)")
+    fit.add_argument("--burn", type=int, default=defaults.burn,
+                     help="initial Halton elements to drop (default: %(default)s)")
     fit.add_argument("--noconstant", action="store_true",
                      help="suppress alternative-specific constants")
     fit.add_argument("--basealternative", type=int, default=None,
@@ -91,15 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cluster column for sandwich standard errors")
     fit.add_argument("--robust", action="store_true",
                      help="robust (singleton-cluster) standard errors")
-    fit.add_argument("--level", type=float, default=95.0,
-                     help="confidence level in percent (default: 95)")
+    fit.add_argument("--level", type=float, default=defaults.level,
+                     help="confidence level in percent (default: %(default)s)")
     fit.add_argument("--from", dest="start", default=None,
                      help="JSON vector of starting values in packing order "
                           "[fixed | location | scale | asc]")
-    fit.add_argument("--maxiter", type=int, default=200,
-                     help="optimizer iteration cap (default: 200)")
-    fit.add_argument("--gtol", type=float, default=1e-6,
-                     help="gradient sup-norm tolerance (default: 1e-6)")
+    fit.add_argument("--maxiter", type=int, default=defaults.maxiter,
+                     help="optimizer iteration cap (default: %(default)s)")
+    fit.add_argument("--gtol", type=float, default=defaults.gtol,
+                     help="gradient sup-norm tolerance (default: %(default)s)")
     fit.add_argument("--out", default=None, help="write the fit as JSON here")
     fit.set_defaults(handler=cmd_fit)
 
@@ -226,9 +228,7 @@ def _print_fit(fit):
               f"{'P>|z|':>9}{f'[{low:g}%':>12}{f'{high:g}%]':>12}")
     print(header)
     print("-" * len(header))
-    columns = zip(fit.param_names, fit.estimates, fit.std_errors, fit.z_stats,
-                  fit.p_values, fit.ci_lower, fit.ci_upper)
-    for name, coef, se, z, p, low, high in columns:
+    for name, coef, se, z, p, low, high in fit.coefficient_rows:
         print(
             f"{name:<16}{coef:>12.4f}{se:>12.4f}"
             f"{z:>9.3f}{p:>9.4f}{low:>12.4f}{high:>12.4f}"
@@ -236,7 +236,7 @@ def _print_fit(fit):
 
 
 def cmd_fit(args) -> int:
-    from .estimation import FitOptions, fit_classical, fit_mixed, save_fit_json
+    from .estimation import fit_classical, fit_mixed, save_fit_json
     from .regret import ModelSpec
 
     if args.noconstant and args.basealternative is not None:

@@ -21,6 +21,7 @@ from .errors import (
     DuplicateAlternative,
     EmptyInput,
     InconsistentAltCount,
+    InvalidOption,
     MalformedCsv,
     MissingColumn,
     MissingStubColumn,
@@ -293,8 +294,11 @@ def reshape_wide_to_long(
 
     Returns the long rows as a list of dicts (header order: id columns,
     ``altern``, ``choice`` if any, then stubs); also writes them as CSV when
-    ``out_path`` is given.
+    ``out_path`` is given.  An ``alt_count`` below 2 is refused unread.
     """
+    if alt_count < 2:
+        raise InvalidOption(f"alt_count {alt_count!r} is below 2; a choice "
+                            "situation needs at least 2 alternatives")
     with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         wide_rows = [(reader.line_num, row) for row in reader]

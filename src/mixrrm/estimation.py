@@ -33,41 +33,8 @@ from .errors import (
     SingularHessian,
     SpecMismatch,
 )
+from .options import FitOptions, _has_type
 from .regret import ModelDesign, ModelSpec, ParameterVector
-
-
-@dataclass
-class FitOptions:
-    """Optimizer and inference settings shared by both fit entry points,
-    checked on construction (the start length, and a cluster covariance's
-    cluster column, when a fit starts)."""
-
-    maxiter: int = 200
-    gtol: float = 1e-6
-    start: np.ndarray | None = None
-    level: float = 95.0
-    covariance: str = "hessian"  # hessian | robust | cluster
-    nrep: int = 50
-    burn: int = 15
-
-    def __post_init__(self):
-        if not 0.0 < self.level < 100.0:
-            raise InvalidOption(f"level {self.level!r} is outside (0, 100)")
-        if self.maxiter < 0:
-            raise InvalidOption(f"maxiter {self.maxiter!r} is negative")
-        if not self.gtol > 0.0:
-            raise InvalidOption(f"gtol {self.gtol!r} is not positive")
-        if self.covariance not in ("hessian", "robust", "cluster"):
-            raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
-        if self.nrep < 1:
-            raise InvalidOption(f"nrep {self.nrep!r} is below 1")
-        if self.burn < 0:
-            raise InvalidOption(f"burn {self.burn!r} is negative")
-        if self.start is not None:
-            try:
-                self.start = np.asarray(self.start, dtype=float)
-            except (TypeError, ValueError):
-                raise InvalidOption("start is not a list of numbers") from None
 
 
 @dataclass
@@ -146,6 +113,13 @@ class FitResult:
 
     def _z_crit(self) -> float:
         return inverse_normal_cdf(0.5 + self.level / 200.0)
+
+    @property
+    def coefficient_rows(self) -> list[tuple]:
+        """The coefficient table: (name, estimate, std err, z, p, CI low, CI
+        high) per parameter."""
+        return list(zip(self.param_names, self.estimates, self.std_errors,
+                        self.z_stats, self.p_values, self.ci_lower, self.ci_upper))
 
 
 @dataclass
@@ -373,10 +347,8 @@ def covariance_robust(hessian: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
     """The log-likelihood at ``x``: one :meth:`ModelDesign.walk` with the
     log-likelihood kernel, whose terms are added in dataset order."""
-    lls = np.empty(design.ds.n_individuals)
-    for block, terms in design.walk(design.individual_loglik, design.unpack(x), draws):
-        lls[slice(*design.blocks[block])] = terms
-    return float(_ordered_sum(lls))
+    terms = design.walk(design.individual_loglik, design.unpack(x), draws)
+    return float(_ordered_sum(np.concatenate(terms)))
 
 
 def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
@@ -384,18 +356,13 @@ def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
     ``x``; the only pass that evaluates the gradient: one
     :meth:`ModelDesign.walk` with the value+gradient kernel.  With
     ``hessian``, also the log-likelihood Hessian (P, P): the block Hessians
-    added in block (dataset) order, whatever order the walk yields them in,
-    then symmetrised."""
-    n_ind = design.ds.n_individuals
-    lls, rows = np.empty(n_ind), np.empty((n_ind, design.n_params))
-    hessians = [None] * len(design.blocks)  # per block, [Hessian] or []
-    for block, (ll, grad, *hess) in design.walk(
-            design.individual_loglik_gradient, design.unpack(x), draws, hessian):
-        cut = slice(*design.blocks[block])
-        lls[cut], rows[cut], hessians[block] = ll, grad, hess
+    added in block (dataset) order, then symmetrised."""
+    terms, grads, *hessians = zip(*design.walk(
+        design.individual_loglik_gradient, design.unpack(x), draws, hessian))
+    lls, rows = np.concatenate(terms), np.concatenate(grads)
     if not hessian:
         return lls, rows
-    total = _ordered_sum(np.concatenate(hessians))
+    total = _ordered_sum(np.stack(hessians[0]))
     return lls, rows, 0.5 * (total + total.T)
 
 
@@ -545,21 +512,12 @@ FIT_SCHEMA = 2
 def fit_result_to_json(fit: FitResult) -> dict:
     """JSON-ready dict; includes the model block needed to reload the fit.
     NaN is written as null, so the output is strict JSON."""
-    columns = zip(fit.param_names, fit.estimates, fit.std_errors, fit.z_stats,
-                  fit.p_values, fit.ci_lower, fit.ci_upper)
     return {
         "schema": FIT_SCHEMA,
         "estimates": [
-            {
-                "name": name,
-                "coef": float(coef),
-                "se": _nan_to_none(se),
-                "z": _nan_to_none(z),
-                "p": _nan_to_none(p),
-                "ci_low": _nan_to_none(low),
-                "ci_high": _nan_to_none(high),
-            }
-            for name, coef, se, z, p, low, high in columns
+            {"name": name, "coef": float(coef),
+             **dict(zip(("se", "z", "p", "ci_low", "ci_high"), map(_nan_to_none, rest)))}
+            for name, coef, *rest in fit.coefficient_rows
         ],
         "loglik": fit.loglik,
         "nrep": fit.nrep,
@@ -590,8 +548,8 @@ def _nan_to_none(value):
     return None if math.isnan(value) else value
 
 
-# the JSON type of every field the reader uses, by path ("model.x" is x in
-# the model block); float admits integers, and no number admits a boolean
+# the JSON type of every field the reader uses (``_has_type``), by path
+# ("model.x" is x in the model block)
 _FIELD_TYPES = {
     "schema": int, "model": dict, "model.fixed_attrs": [str],
     "model.random_attrs": [str], "model.ln_count": int, "model.use_asc": bool,
@@ -601,16 +559,6 @@ _FIELD_TYPES = {
     "gradient_norm": float, "n_individuals": int, "n_situations": int,
     "nrep": int, "burn": int,
 }
-
-
-def _has_type(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_type(v, kind[0]) for v in value)
-    if isinstance(kind, tuple):
-        return any(_has_type(value, k) for k in kind)
-    if kind is None or isinstance(value, bool):
-        return value is kind or kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def fit_result_from_json(payload: dict) -> FitResult:

@@ -73,17 +73,18 @@ def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
 
 
 def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
-    """The fit's design on ``ds``, its draws, and ``summarize(rows, ln_seq,
-    probs)`` of every block in block (dataset) order, from one
-    :meth:`ModelDesign.walk` with the draw-info kernel; ``rows`` is the
-    block's data slots (:meth:`ModelDesign.available`)."""
+    """The fit's design on ``ds``, its draws, and the ``summarize(rows,
+    ln_seq, probs)`` of every block concatenated in dataset order, from one
+    :meth:`ModelDesign.walk` whose kernel summarizes each block's draw info
+    as soon as it is made, so no block's per-draw probabilities outlive it;
+    ``rows`` is the block's data slots (:meth:`ModelDesign.available`)."""
     nrep, burn = draw_settings(fit, nrep, burn)
     design = _bind_design(ds, fit, nrep)
     draws = design.draws(burn)
-    summaries = [None] * len(design.blocks)
-    for block, info in design.walk(design.individual_draw_info, fit.theta_hat, draws):
-        summaries[block] = summarize(design.available(block), *info)
-    return design, draws, summaries
+    return design, draws, np.concatenate(design.walk(
+        lambda block, z, part: summarize(
+            design.available(block), *design.individual_draw_info(block, z, part)),
+        fit.theta_hat, draws))
 
 
 def predict_probabilities(
@@ -97,11 +98,8 @@ def predict_probabilities(
     probabilities over the Halton draws (defaults: the fit's own nrep/burn);
     classical fits, with no random coefficient, take one draw: the closed form.
     """
-    *_, rows = _draw_info_walk(
-        ds, fit, nrep, burn,
-        lambda rows, _, probs: probs.mean(axis=1)[rows],
-    )
-    return np.concatenate(rows)
+    return _draw_info_walk(ds, fit, nrep, burn,
+                           lambda rows, _, probs: probs.mean(axis=1)[rows])[2]
 
 
 def predict_rows(ds, fit, nrep=None, burn=None) -> dict[int, float]:
@@ -115,10 +113,8 @@ def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
     """Design, (N, K, R) draws and (N, R) posterior draw weights of a mixed fit."""
     if fit.spec.n_random < 1:
         raise SpecMismatch("fit has no random coefficients")
-    design, draws, weights = _draw_info_walk(
-        ds, fit, nrep, burn, lambda rows, ln_seq, _: _log_mean_exp(ln_seq)[1]
-    )
-    return design, draws, np.concatenate(weights)
+    return _draw_info_walk(ds, fit, nrep, burn,
+                           lambda rows, ln_seq, _: _log_mean_exp(ln_seq)[1])
 
 
 def posterior_weights(

@@ -12,12 +12,12 @@ one :meth:`ModelDesign.walk`, the only loop over blocks: it realizes the
 random coefficients, builds the draw-invariant regret base of the fixed
 attributes and constants once per group of equal-shape blocks, slices each
 block's draws and calls a block kernel once per block, the hot one
-:meth:`ModelDesign.individual_loglik_gradient`.  A block is a run of
-consecutive individuals, padded to their most situations and widest
-situation, whose padded floats times the R draws per person stay within
-``_BLOCK_FLOATS``; each kernel, vectorized over its block's individuals and
-draws, adds the K random attributes' terms to the base.  A classical model
-is the case K = 0, R = 1, on the same path.
+:meth:`ModelDesign.individual_loglik_gradient`, and returns the results in
+block (dataset) order.  A block is a run of consecutive individuals, padded
+to their most situations and widest situation, whose padded floats times
+the R draws per person stay within ``_BLOCK_FLOATS``; each kernel,
+vectorized over its block's individuals and draws, adds the K random
+attributes' terms to the base.  A classical model is the case K = 0, R = 1.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears L(a) = ln(1 + exp(a)) and j ln(1 + exp(-a)) = L(a) - a.  So both
 slots take the pair's one L(a), from one exp(-|a|), and j's -a, linear in
@@ -322,21 +322,23 @@ class ModelDesign:
     # -- the walk and the block kernels ------------------------------------------
     # A kernel evaluates block ``block`` under its individuals' (n, K, R)
     # draws ``z`` and ``part``, its share of the pass's draw-invariant work;
-    # only :meth:`walk` calls one.
+    # only :meth:`walk`, or a kernel handed to it, calls one.
 
-    def walk(self, kernel, theta, draws, *args):
-        """One pass over the data under the (N, K, R) ``draws``: yields
-        ``(block, kernel(block, z, part, *args))`` once per block, in group
-        order, ``z`` the block's draws.  Per run of at most R equal-shape
-        blocks (so within ``_BLOCK_FLOATS`` without the draw axis) it builds,
-        once, the regret base (J,S,n,1) of the constants and the fixed
-        attributes (their pair terms less beta times their ``rival_fixed``
-        sums) and the fixed pair slopes (Mf,P,S,n,1); ``part`` is the block's
-        slice of these, of the random coefficients (K,n,R) and of
-        d beta / d b (K,n,R), 1 or beta (log-normal)."""
+    def walk(self, kernel, theta, draws, *args) -> list:
+        """One pass over the data under the (N, K, R) ``draws``: the list of
+        ``kernel(block, z, part, *args)`` of every block, in block (dataset)
+        order, ``z`` the block's draws.  It visits the blocks group by group;
+        per run of at most R equal-shape blocks (so within ``_BLOCK_FLOATS``
+        without the draw axis) it builds, once, the regret base (J,S,n,1) of
+        the constants and the fixed attributes (their pair terms less beta
+        times their ``rival_fixed`` sums) and the fixed pair slopes
+        (Mf,P,S,n,1); ``part`` is the block's slice of these, of the random
+        coefficients (K,n,R) and of d beta / d b (K,n,R), 1 or beta
+        (log-normal)."""
         coefs = self.random_coefficient_draws(theta, draws.transpose(1, 0, 2)).T
         chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
         beta = theta.fixed[:, None, None, None, None]
+        results = [None] * len(self.blocks)
         for members, group in self._groups:
             for lo in range(0, len(members), self.nrep):
                 d_fixed, rival, live, asc_onehot = (a[lo:lo + self.nrep] for a in (
@@ -347,8 +349,9 @@ class ModelDesign:
                         + (asc_onehot @ theta.asc)[..., None])
                 for pos, block in enumerate(members[lo:lo + self.nrep]):
                     cut = slice(*self.blocks[block])
-                    yield block, kernel(block, draws[cut], (
+                    results[block] = kernel(block, draws[cut], (
                         base[pos], slope[pos], coefs[:, cut], chain[:, cut]), *args)
+        return results
 
     def _regrets(self, bd: _BlockData, part, gradient):
         """Regrets (J,S,n,R) of a block: its walk ``part``'s base plus the

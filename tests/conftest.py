@@ -44,18 +44,17 @@ def situation_slices(ds, pos=None):
     return [slice(bounds[s], bounds[s + 1]) for s in situations]
 
 
-def per_person(design, walk):
-    """The ``(block, result)`` pairs of a ``ModelDesign.walk`` without the
-    Hessian as one result per individual, in dataset order: each array of a
-    block's result cut to the individual's row of its leading axis, kept as
-    an axis of length 1."""
-    people = [None] * design.ds.n_individuals
-    for block, result in walk:
-        start, stop = design.blocks[block]
-        for pos in range(start, stop):
-            cut = slice(pos - start, pos - start + 1)
-            people[pos] = (result[cut] if isinstance(result, np.ndarray)
-                           else tuple(part[cut] for part in result))
+def per_person(design, results):
+    """The block results of a ``ModelDesign.walk`` without the Hessian as one
+    result per individual, in dataset order: each array of a block's result
+    cut to the individual's row of its leading axis, kept as an axis of
+    length 1."""
+    people = []
+    for (start, stop), result in zip(design.blocks, results, strict=True):
+        for pos in range(stop - start):
+            cut = slice(pos, pos + 1)
+            people.append(result[cut] if isinstance(result, np.ndarray)
+                          else tuple(part[cut] for part in result))
     return people
 
 

@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixrrm import cli
-from mixrrm.cli import main
+from mixrrm.cli import build_parser, main
+from mixrrm.options import FitOptions
 from oracles import simulate_panel, write_rows_csv
 
 
@@ -103,6 +110,23 @@ def test_fit_from_starting_vector(panel_csv, tmp_path, capsys):
         "--from", "[-0.3, -0.5, 0.1]",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("start", ['["0.1"]', "[true]", "[0.1, false]", '[[0.1, "a"]]'])
+def test_fit_start_not_numbers_exit_1(tmp_path, capsys, start):
+    """A --from list holding a string or a boolean is refused before the
+    data are read, here an absent file."""
+    code, out, err = run(capsys, "fit", tmp_path / "absent.csv", "--fixed", "a",
+                         "--noconstant", "--from", start)
+    assert (code, out, err) == (1, "", "error: start is not a list of numbers\n")
+
+
+def test_bare_fit_parses_into_the_fit_option_defaults():
+    """The fit command's draw, level and optimizer defaults are FitOptions'."""
+    args = build_parser().parse_args(["fit", "data.csv", "--fixed", "a"])
+    defaults = FitOptions()
+    for name in ("nrep", "burn", "level", "maxiter", "gtol"):
+        assert getattr(args, name) == getattr(defaults, name), name
 
 
 def test_fit_missing_column_exit_1(panel_csv, capsys):
@@ -659,22 +683,25 @@ def test_reshape_bad_choice_names_its_row(tmp_path, capsys):
     assert err.startswith("error: row 2: column 'choice' value 'two'")
 
 
-def test_reshape_identity_single_alternative(tmp_path, capsys):
+def test_reshape_alt_count_below_2_exit_1(tmp_path, capsys):
+    """--alt-count 1 would write one-alternative situations, which the
+    loader refuses, and 0 or -2 a header-only file: each exits 1 with one
+    error line and writes nothing."""
     wide = tmp_path / "wide.csv"
     with open(wide, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "tt1", "choice"])
         writer.writerow([1, "42.5", 1])
     out = tmp_path / "long.csv"
-    code, _, _ = run(
-        capsys, "reshape", wide, "--out", out, "--stubs", "tt=total_time",
-        "--ids", "id", "--alt-count", 1,
-    )
-    assert code == 0
-    with open(out, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    assert rows == [{"id": "1", "altern": "1", "choice": "1",
-                     "total_time": "42.5"}]
+    for alt_count in (1, 0, -2):
+        code, stdout, err = run(
+            capsys, "reshape", wide, "--out", out, "--stubs", "tt=total_time",
+            "--ids", "id", "--alt-count", alt_count,
+        )
+        assert (code, stdout) == (1, "")
+        assert err == f"error: alt_count {alt_count} is below 2; a choice " \
+                      "situation needs at least 2 alternatives\n"
+        assert not out.exists()
 
 
 def test_console_script_end_to_end(panel_csv, tmp_path):
@@ -688,3 +715,98 @@ def test_console_script_end_to_end(panel_csv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Mixed random regret minimization fit" in proc.stdout
     assert out_json.exists()
+
+
+# --- aim 3's invariants on generated panels ------------------------------------
+
+
+def run_quietly(*argv):
+    """``main(argv)``'s exit code, stdout and stderr; any exception it raises
+    propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def tiny_panels(draw):
+    """CSV text of a long panel: 1-6 people of 1-3 situations of 1-4
+    alternatives, labels from an odd pool, two attributes each extreme,
+    ordinary or constant, and maybe a cluster column; with the pool."""
+    pool = draw(st.sampled_from([(1, 2, 3, 4), (0, -1, 5, 9), (-1, -2, -3, -4),
+                                 (0, 1, 2, 1_000_000)]))
+    scales = [draw(st.sampled_from([0.0, 1e-8, 1.0, 1e3])) for _ in range(2)]
+    clustered = draw(st.booleans())
+    # a one-alternative situation, which the loader refuses, in one panel of 5
+    fewest = draw(st.sampled_from([2, 2, 2, 2, 1]))
+    lines = ["id,cs,altern,choice,a,b" + (",grp" if clustered else "")]
+    for person in range(1, draw(st.integers(1, 6)) + 1):
+        group = draw(st.sampled_from([7, 8]))
+        for situation in range(1, draw(st.integers(1, 3)) + 1):
+            labels = draw(st.lists(st.sampled_from(pool), min_size=fewest,
+                                   max_size=4, unique=True))
+            chosen = draw(st.integers(0, len(labels) - 1))
+            for pos, label in enumerate(labels):
+                x = [scale * draw(st.sampled_from([-1.5, -0.2, 0.0, 0.7, 2.0]))
+                     + (3.0 if scale == 0.0 else 0.0) for scale in scales]
+                lines.append(f"{person},{situation},{label},{int(pos == chosen)},"
+                             f"{x[0]!r},{x[1]!r}" + (f",{group}" if clustered else ""))
+    return "\n".join(lines) + "\n", pool, clustered
+
+
+@settings(max_examples=25, deadline=None)
+@given(tiny_panels(), st.data())
+def test_generated_panels_keep_the_cli_invariants(panel, data):
+    """fit -> predict -> betas --plot -> lognormal --json on a tiny panel
+    under a drawn model and options: every command exits 0, 1 or 2 without
+    raising, an exit 1 prints exactly one ``error:`` line, and predicted
+    probabilities sum to 1 in every situation of a prediction that exits 0."""
+    text, pool, clustered = panel
+    fixed, rand, ln = data.draw(st.sampled_from([
+        (["a"], [], 0), (["a", "b"], [], 0), ([], ["a"], 0), (["a"], ["b"], 0),
+        (["b"], ["a"], 1), ([], ["a", "b"], 1)]))
+    options = ["--nrep", data.draw(st.integers(1, 4)),
+               "--burn", data.draw(st.integers(0, 3)),
+               "--maxiter", data.draw(st.integers(0, 20))]
+    if data.draw(st.booleans()):
+        options.append("--noconstant")
+    elif data.draw(st.booleans()):
+        options.append(f"--basealternative={data.draw(st.sampled_from(pool))}")
+    covariance = data.draw(st.sampled_from(["hessian", "robust", "cluster"]))
+    if covariance == "robust":
+        options.append("--robust")
+    elif covariance == "cluster":
+        options += ["--cluster", "grp" if clustered else "id"]
+
+    def check(code, err):
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert [line.startswith("error:") for line in err.splitlines()].count(True) == 1
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "panel.csv").write_text(text)
+        fit = tmp / "fit.json"
+        code, _, err = run_quietly("fit", tmp / "panel.csv", "--fixed", *fixed,
+                                   "--rand", *rand, "--ln", ln, *options, "--out", fit)
+        check(code, err)
+        if not fit.exists():
+            return
+        code, _, err = run_quietly("predict", tmp / "panel.csv", "--fit", fit,
+                                   "--out", tmp / "pred.csv")
+        check(code, err)
+        if code == 0:
+            with open(tmp / "pred.csv", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            totals = {}
+            for row in rows:
+                key = (row["id"], row["cs"])
+                totals[key] = totals.get(key, 0.0) + float(row["pred_p"])
+            np.testing.assert_allclose(list(totals.values()), 1.0, rtol=0, atol=1e-12)
+        code, _, err = run_quietly("betas", tmp / "panel.csv", "--fit", fit,
+                                   "--saving", tmp / "betas.csv", "--plot")
+        check(code, err)
+        code, _, err = run_quietly("lognormal", "--fit", fit, "--attr",
+                                   (rand or fixed)[-1], "--json")
+        check(code, err)

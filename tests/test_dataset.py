@@ -215,16 +215,16 @@ def test_reshape_basic(tmp_path):
     assert [r["total_cost"] for r in rows] == ["2", "3", "4"]
 
 
-def test_reshape_identity_single_alternative(tmp_path):
-    path = write_csv(
-        tmp_path / "w.csv", ["id", "tt1", "choice"], [[1, 42.5, 1]]
-    )
-    rows = reshape_wide_to_long(
-        path, stub_specs=[("total_time", "tt")], id_cols=["id"], alt_count=1
-    )
-    assert rows == [
-        {"id": "1", "altern": "1", "choice": "1", "total_time": "42.5"}
-    ]
+def test_reshape_refuses_alt_count_below_2(tmp_path):
+    """Situations of fewer than 2 alternatives, which the loader refuses,
+    are refused before the file is read: the file named need not exist."""
+    for alt_count in (1, 0, -2):
+        with pytest.raises(errors.InvalidOption, match=f"alt_count {alt_count} "):
+            reshape_wide_to_long(
+                tmp_path / "absent.csv", stub_specs=[("total_time", "tt")],
+                id_cols=["id"], alt_count=alt_count, out_path=tmp_path / "long.csv",
+            )
+    assert not (tmp_path / "long.csv").exists()
 
 
 def test_reshape_missing_stub(tmp_path):
@@ -442,4 +442,4 @@ def test_non_utf8_file_is_typed(tmp_path):
     with pytest.raises(errors.MalformedCsv, match="UTF-8"):
         load_long_csv(path, "id", "cs", "altern", "choice", ["tt"])
     with pytest.raises(errors.MalformedCsv, match="UTF-8"):
-        reshape_wide_to_long(path, [("x", "tt")], ["id"], 1)
+        reshape_wide_to_long(path, [("x", "tt")], ["id"], 2)

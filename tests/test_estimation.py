@@ -872,6 +872,27 @@ def test_start_checked_against_parameter_count(tmp_path, rng):
         fit_classical(ds, spec, FitOptions(start=[np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("start", [
+    ["0.1"], [True], [0.1, False], [[0.1, True]], [0.1, None], "0.1",
+    np.array(["0.1"]), np.array([True, False]), [[0.1], [0.2, 0.3]],
+    [np.zeros((2, 2)), np.zeros((2, 3))],
+])
+def test_start_refuses_what_is_not_numbers(start):
+    """As the fit-file reader does, no number admits a boolean."""
+    with pytest.raises(InvalidOption, match="start is not a list of numbers"):
+        FitOptions(start=start)
+
+
+@pytest.mark.parametrize("start", [
+    [0.1, -2], (1, 2.5), [[0.1, 0.2]], np.array([0.5, 1.0]), np.array([1, 2]),
+    [np.float64(0.3), 4], [float("nan")],
+])
+def test_start_keeps_numbers_as_floats(start):
+    kept = FitOptions(start=start).start
+    assert kept.dtype == float
+    np.testing.assert_array_equal(kept, np.asarray(start, dtype=float))
+
+
 def test_cluster_sandwich_needs_two_clusters(rng):
     with pytest.raises(InvalidOption):
         covariance_cluster(-np.eye(2), rng.normal(size=(4, 2)), [7, 7, 7, 7])
@@ -993,14 +1014,29 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     """``ModelDesign.walk`` is the one loop over blocks: through a mixed fit
     (its preliminary classical fit included), its predictions and
     conditional betas, and a classical fit, every block kernel is called
-    directly by a walk."""
-    calls = []  # (kernel, called by a walk) per call
-    walk = ModelDesign.walk.__code__
+    inside a walk, by the walk or by the kernel it was handed (the draw-info
+    pass hands it one that summarizes each block), and no other loop calls
+    one: each walk makes exactly one kernel call per block, in designs of
+    several blocks."""
+    from mixrrm import regret
+
+    monkeypatch.setattr(regret, "_BLOCK_FLOATS", 500)
+    calls = []  # (kernel, called inside a walk) per call
+    walks = []  # [blocks, kernel calls] per walk
+    walk = ModelDesign.walk
+
+    def counted_walk(self, *args):
+        walks.append([len(self.blocks), 0])
+        return walk(self, *args)
+
+    monkeypatch.setattr(ModelDesign, "walk", counted_walk)
     for name in ("individual_loglik", "individual_loglik_gradient",
                  "individual_draw_info"):
 
         def recorded(self, *args, kernel=getattr(ModelDesign, name), name=name):
-            calls.append((name, sys._getframe(1).f_code is walk))
+            caller = sys._getframe(1)
+            calls.append((name, walk.__code__ in (caller.f_code, caller.f_back.f_code)))
+            walks[-1][1] += 1
             return kernel(self, *args)
 
         monkeypatch.setattr(ModelDesign, name, recorded)
@@ -1014,4 +1050,6 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     fit_classical(ds, ModelSpec(fixed_attrs=("tc", "tt")))
     assert {name for name, _ in calls} == {
         "individual_loglik", "individual_loglik_gradient", "individual_draw_info"}
-    assert all(by_walk for _, by_walk in calls)
+    assert all(in_walk for _, in_walk in calls)
+    assert min(blocks for blocks, _ in walks) > 1
+    assert all(blocks == kernel_calls for blocks, kernel_calls in walks)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset, per_person, random_dataset, situation_slices
 from mixrrm import postestimation, regret
+from mixrrm.dataset import ChoiceDataset
 from mixrrm.errors import SpecMismatch
 from mixrrm.estimation import FitResult, _loglik, _ordered_sum, individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
@@ -39,7 +40,7 @@ def fixed_point(values, asc=()):
 def probs_at(design, theta, pos=0):
     """(S, J) choice probabilities of one individual of a classical design,
     single zero draw; a small design is one block."""
-    _, probs = dict(design.walk(design.individual_draw_info, theta, design.draws()))[0]
+    _, probs = design.walk(design.individual_draw_info, theta, design.draws())[0]
     return probs[pos, 0]
 
 
@@ -333,8 +334,8 @@ def test_translation_invariance(seed, shift):
 def test_sequence_single_situation_equals_choice_probability():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, probs = dict(design.walk(
-        design.individual_draw_info, fixed_point([-1.0]), design.draws()))[0]
+    ln_seq, probs = design.walk(
+        design.individual_draw_info, fixed_point([-1.0]), design.draws())[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(probs[0, 0, 0, 0], rel=1e-14)
 
 
@@ -343,8 +344,8 @@ def test_sequence_product_rule():
     sits = {s: [(1, x, True), (2, x, False)] for s in (1, 2)}
     ds = make_dataset({1: sits}, ["a"])
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, _ = dict(design.walk(
-        design.individual_draw_info, fixed_point([3.0]), design.draws()))[0]
+    ln_seq, _ = design.walk(
+        design.individual_draw_info, fixed_point([3.0]), design.draws())[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(0.25, rel=1e-14)
 
 
@@ -356,9 +357,9 @@ def test_sequence_ten_thirds_no_underflow():
     ds = make_dataset({1: sits}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
     theta, z = fixed_point([0.0, 0.0]), design.draws()
-    ln_seq, _ = dict(design.walk(design.individual_draw_info, theta, z))[0]
+    ln_seq, _ = design.walk(design.individual_draw_info, theta, z)[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(3.0 ** -10, rel=1e-12)
-    assert dict(design.walk(design.individual_loglik, theta, z))[0][0] == pytest.approx(
+    assert design.walk(design.individual_loglik, theta, z)[0][0] == pytest.approx(
         -10 * math.log(3.0), rel=1e-14
     )
 
@@ -370,16 +371,16 @@ def test_regret_gradient_zero_differences():
     x = [1.0, 2.0]
     ds = make_dataset({1: {1: [(1, x, True), (2, x, False)]}}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
-    _, grad = dict(design.walk(design.individual_loglik_gradient,
-                               fixed_point([1.3, -0.4]), design.draws()))[0]
+    _, grad = design.walk(design.individual_loglik_gradient,
+                          fixed_point([1.3, -0.4]), design.draws())[0]
     np.testing.assert_array_equal(grad, [[0.0, 0.0]])
 
 
 def test_regret_gradient_two_alternative_example():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
-    _, grad = dict(design.walk(design.individual_loglik_gradient,
-                               fixed_point([-1.0]), design.draws()))[0]
+    _, grad = design.walk(design.individual_loglik_gradient,
+                          fixed_point([-1.0]), design.draws())[0]
     # d ln P_1 / d beta = P_2 (dR_2/d beta - dR_1/d beta)
     #                   = logistic(-1) * (-logistic(1) - logistic(-1))
     #                   = -logistic(-1), frozen from a 50-digit evaluation
@@ -396,8 +397,8 @@ def test_regret_gradient_matches_finite_differences(seed):
                         n_alternatives=3, n_attrs=2)
     design = design_for(ds, fixed_attrs=("x0", "x1"))
     values = rng.normal(size=2)
-    _, (grad,) = dict(design.walk(design.individual_loglik_gradient,
-                                  fixed_point(values), design.draws()))[0]
+    _, (grad,) = design.walk(design.individual_loglik_gradient,
+                             fixed_point(values), design.draws())[0]
     plain = [plain_situations(design, 0)]
 
     def oracle_ll(v):
@@ -433,10 +434,10 @@ def test_loglik_gradient_zero_scale_matches_classical(rng):
         rand_scale=np.array([0.0]), asc=np.zeros(0),
     )
     theta_c = fixed_point([0.4, -0.8])
-    (ll_m,), (g_m,) = dict(mixed.walk(mixed.individual_loglik_gradient, theta_m,
-                                      z[None]))[0]
-    (ll_c,), (g_c,) = dict(classical.walk(classical.individual_loglik_gradient,
-                                          theta_c, classical.draws()))[0]
+    (ll_m,), (g_m,) = mixed.walk(mixed.individual_loglik_gradient, theta_m,
+                                 z[None])[0]
+    (ll_c,), (g_c,) = classical.walk(classical.individual_loglik_gradient,
+                                     theta_c, classical.draws())[0]
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)  # fixed coefficient
     assert g_m[1] == pytest.approx(g_c[1], abs=1e-12)  # location == classical
@@ -454,10 +455,10 @@ def test_loglik_gradient_single_draw_reduces_to_classical(rng):
         rand_scale=np.array([s]), asc=np.zeros(0),
     )
     theta_c = fixed_point([0.2, b + s * z[0, 0]])
-    (ll_m,), (g_m,) = dict(mixed.walk(mixed.individual_loglik_gradient, theta_m,
-                                      z[None]))[0]
-    (ll_c,), (g_c,) = dict(classical.walk(classical.individual_loglik_gradient,
-                                          theta_c, classical.draws()))[0]
+    (ll_m,), (g_m,) = mixed.walk(mixed.individual_loglik_gradient, theta_m,
+                                 z[None])[0]
+    (ll_c,), (g_c,) = classical.walk(classical.individual_loglik_gradient,
+                                     theta_c, classical.draws())[0]
     assert ll_m == pytest.approx(ll_c, abs=1e-12)
     assert g_m[0] == pytest.approx(g_c[0], abs=1e-12)
     assert g_m[1] == pytest.approx(g_c[1], abs=1e-12)
@@ -621,9 +622,8 @@ def test_padded_situations_match_oracle(data, classical):
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
     lls, rows = individual_scores(design, draws, x)
-    ll_only = dict(design.walk(design.individual_loglik, design.unpack(x), draws))
-    np.testing.assert_allclose(np.concatenate([ll_only[b] for b in range(len(ll_only))]),
-                               lls, rtol=1e-12, atol=0)
+    ll_only = design.walk(design.individual_loglik, design.unpack(x), draws)
+    np.testing.assert_allclose(np.concatenate(ll_only), lls, rtol=1e-12, atol=0)
     for pos in range(design.ds.n_individuals):
         z = draws[pos]
         assert lls[pos] == pytest.approx(oracle_loglik(design, pos, x, z), rel=1e-12)
@@ -718,45 +718,52 @@ def test_loglik_walk_equals_ordered_score_sum(data, classical):
     assert _loglik(design, draws, x) == float(_ordered_sum(lls))
 
 
+def people_alone(design, start, stop):
+    """The design over individuals ``start``..``stop``-1 alone, sized for the
+    same R draws; it keeps the whole panel's labels, so its constants are
+    the same parameters."""
+    ds = design.ds
+    bounds = [*ds.situation_starts[ds.individual_starts].tolist(), ds.n_rows]
+    rows = slice(bounds[start], bounds[stop])
+    alone = ChoiceDataset(
+        individual=ds.individual[rows], situation=ds.situation[rows],
+        alternative=ds.alternative[rows], chosen=ds.chosen[rows],
+        attributes=ds.attributes[rows], source_row=ds.source_row[rows],
+        attribute_names=ds.attribute_names)
+    object.__setattr__(alone, "alternative_labels", ds.alternative_labels)
+    return ModelDesign(alone, design.spec, design.nrep)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data(), st.booleans())
-def test_walk_order_leaves_every_pass_unchanged(data, classical):
+def test_walk_returns_each_block_result_in_block_order(data, classical):
     """On a panel whose people differ in S and J, in blocks as large as a
-    drawn bound on padded floats allows, ``ModelDesign.walk`` yields every
-    block exactly once, and every pass reduces in dataset order, not in the
-    order the walk yields: with the walk yielding its blocks in reverse, the
-    log-likelihood, the scores and Hessian, the predicted probabilities and
-    the posterior weights keep every bit."""
+    drawn bound on padded floats allows, ``ModelDesign.walk`` returns one
+    result per block, in block (dataset) order: with every kernel, and with
+    the value+gradient kernel's Hessian, block b's result equals bit for bit
+    the one result of a walk over block b's people alone under their draws,
+    for classical designs and mixed ones at R = 3."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    # a drawn bound on padded floats, so the walk yields several blocks
+    # a drawn bound on padded floats, so the walk visits several blocks
     with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
         nrep, burn = (1, 0) if classical else (3, 2)
         design = padded_design(data, rng, n_individuals=6, classical=classical, nrep=nrep)
-        draws = design.draws(burn)
-        x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 3.0]))
-        theta = design.unpack(x)
-        for kernel in (design.individual_loglik, design.individual_loglik_gradient,
-                       design.individual_draw_info):
-            assert sorted(block for block, _ in design.walk(kernel, theta, draws)) == [
-                *range(len(design.blocks))]
-
-        ds = design.ds
-        fit = FitResult(design.spec, ds.alternative_labels, x, 0.0, ds.n_individuals,
-                        ds.n_situations, np.eye(design.n_params), "hessian", 95.0,
-                        True, 0, 0.0, nrep, burn)
-
-        def passes():
-            return [_loglik(design, draws, x),
-                    *individual_scores(design, draws, x, hessian=True),
-                    postestimation.predict_probabilities(ds, fit),
-                    *([] if classical else [postestimation.posterior_weights(ds, fit)])]
-
-        forward, walk = passes(), ModelDesign.walk
-        with mock.patch.object(ModelDesign, "walk",
-                               lambda self, *args: reversed([*walk(self, *args)])):
-            backward = passes()
-        for got, want in zip(backward, forward, strict=True):
-            assert np.array_equal(got, want, equal_nan=True)
+        alone = [people_alone(design, start, stop) for start, stop in design.blocks]
+    assert [len(own.blocks) for own in alone] == [1] * len(design.blocks)
+    draws = design.draws(burn)
+    theta = design.unpack(rng.normal(size=design.n_params)
+                          * data.draw(st.sampled_from([0.5, 3.0])))
+    for kernel, args in [("individual_loglik", ()), ("individual_draw_info", ()),
+                         ("individual_loglik_gradient", (False,)),
+                         ("individual_loglik_gradient", (True,))]:
+        walked = design.walk(getattr(design, kernel), theta, draws, *args)
+        assert len(walked) == len(design.blocks)
+        for (start, stop), got, own in zip(design.blocks, walked, alone, strict=True):
+            (want,) = own.walk(getattr(own, kernel), theta, draws[start:stop], *args)
+            for got_part, want_part in zip(*(
+                    (r,) if isinstance(r, np.ndarray) else r for r in (got, want)),
+                    strict=True):
+                assert np.array_equal(got_part, want_part, equal_nan=True)
 
 
 @pytest.mark.parametrize("classical, nrep", [(True, 5), (False, 1), (False, 2),
@@ -784,9 +791,9 @@ def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
     assert sorted(len(members) for members, _ in design._groups) == [3, 7]
     x = rng.normal(size=design.n_params) * 0.5
     with mock.patch.object(regret, "_pair_terms", wraps=regret._pair_terms) as spy:
-        walked = dict(design.walk(design.individual_loglik, design.unpack(x),
-                                  design.draws()))
-    assert sorted(walked) == [*range(10)]
+        walked = design.walk(design.individual_loglik, design.unpack(x),
+                             design.draws())
+    assert [len(terms) for terms in walked] == [1] * 10
     runs = [call.args[1].shape[0] for call in spy.call_args_list if call.args[3]]
     assert len(runs) == math.ceil(7 / r) + math.ceil(3 / r)
     assert sorted(runs) == sorted(min(r, blocks - lo) for blocks in (7, 3)
@@ -914,8 +921,8 @@ def test_alternative_order_leaves_loglik_unchanged(data):
                        **vars(design.spec))
     theta = design.unpack(rng.normal(size=design.n_params) * 0.5)
     z = rng.normal(size=(2, 4))
-    assert dict(other.walk(other.individual_loglik, theta, z[None]))[0] == pytest.approx(
-        dict(design.walk(design.individual_loglik, theta, z[None]))[0], rel=1e-12
+    assert other.walk(other.individual_loglik, theta, z[None])[0] == pytest.approx(
+        design.walk(design.individual_loglik, theta, z[None])[0], rel=1e-12
     )
 
 
@@ -934,9 +941,9 @@ def test_extreme_activations_stay_finite(data, size):
         asc=rng.normal(size=design.n_asc),
     )
     z = rng.normal(size=(1, 2, 5)).repeat(design.ds.n_individuals, axis=0)
-    infos = dict(design.walk(design.individual_draw_info, theta, z))
-    for block, (ll, grad) in design.walk(design.individual_loglik_gradient, theta, z):
-        ln_seq, probs = infos[block]
+    for (ll, grad), (ln_seq, probs) in zip(
+            design.walk(design.individual_loglik_gradient, theta, z),
+            design.walk(design.individual_draw_info, theta, z), strict=True):
         assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
         assert np.all(np.isfinite(ln_seq)) and np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
@@ -972,10 +979,10 @@ def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size):
     theta = ParameterVector(fixed=beta[:1], rand_location=beta[1:],
                             rand_scale=np.zeros(1), asc=rng.normal(size=design.n_asc))
     draws = rng.normal(size=(ds.n_individuals, 1, 2))
-    regrets = dict(design.walk(
+    regrets = design.walk(
         lambda block, z, part: design._regrets(design._blocks[block], part, False)[0],
-        theta, draws))
-    infos = dict(design.walk(design.individual_draw_info, theta, draws))
+        theta, draws)
+    infos = design.walk(design.individual_draw_info, theta, draws)
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
     for block, (start, stop) in enumerate(design.blocks):
         for pos in range(start, stop):
