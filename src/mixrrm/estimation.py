@@ -442,6 +442,9 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
             ds.cluster is None or np.unique(ds.individual_clusters).size < 2):
         raise InvalidOption("a cluster covariance needs a cluster column with "
                             "at least 2 clusters")
+    if opts.covariance == "robust" and ds.n_individuals < 2:
+        raise InvalidOption("a robust covariance (--robust) needs at least 2 "
+                            "individuals")
     design = ModelDesign(ds, spec, opts.nrep)
     draws = design.draws(opts.burn)
     if opts.start is not None:

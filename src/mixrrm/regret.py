@@ -7,17 +7,22 @@ negated regrets.  The mixed model draws the random coefficients once per
 individual, multiplies the chosen-alternative probabilities across that
 individual's choice situations, and averages the product over draws.
 
-Everything here is a pure function of its inputs.  A pass over the data is
-one :meth:`ModelDesign.walk`, the only loop over blocks: it realizes the
-random coefficients, builds the draw-invariant regret base of the fixed
-attributes and constants once per group of equal-shape blocks, slices each
-block's draws and calls a block kernel once per block, the hot one
+Every result is a function of its inputs alone.  A pass over the data is
+one :meth:`ModelDesign.walk`, the only loop over blocks: it builds the
+draw-invariant regret base of the fixed attributes and constants once per
+run of equal-shape blocks, realizes each block's random coefficients from
+its draws and calls a block kernel once per block, the hot one
 :meth:`ModelDesign.individual_loglik_gradient`, and returns the results in
 block (dataset) order.  A block is a run of consecutive individuals, padded
 to their most situations and widest situation, whose padded floats times
 the R draws per person stay within ``_BLOCK_FLOATS``; each kernel,
 vectorized over its block's individuals and draws, adds the K random
-attributes' terms to the base.  A classical model is the case K = 0, R = 1.
+attributes' terms to the base.  The walk and its kernels write every
+block-sized intermediate into views of the design's workspace, one buffer
+per role grown to the largest block, and a kernel returns arrays of its
+own, so a pass after the first allocates only its per-person results; a
+design's passes share that workspace, so one thread at a time walks a
+design.  A classical model is the case K = 0, R = 1.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears L(a) = ln(1 + exp(a)) and j ln(1 + exp(-a)) = L(a) - a.  So both
 slots take the pair's one L(a), from one exp(-|a|), and j's -a, linear in
@@ -148,17 +153,17 @@ class ParameterVector:
 
 
 # most padded floats of a block times its draws per person,
-# n * S * max(P*M + J*n_params, 8*J) * R: the larger of its pair arrays and
-# the Hessian's slot derivatives (a pass holds about six of these) and eight
-# slot-level arrays (J, S, n, R), so a slot-level temporary, of which a pass
-# makes many, stays within 8,192 floats (64 KB).  Past that, glibc gives the
-# heap top back and faults it in again block after block: at 10 situations
-# of 3 alternatives and R = 100, 4-person blocks (96 KB) took some 3,100 page
-# faults a value+gradient pass against some 50 in 2-person blocks, and ran
-# a fifth slower.  At 8 situations of 5 alternatives, 11 parameters and
-# R = 20 the bound gives 4-person blocks, a fifth faster than 2-person ones:
-# a kernel call's fixed cost, some 60 small numpy operations, is large there
-_BLOCK_FLOATS = 2**16
+# n * S * (P*M + J*n_params) * R: its pair arrays (one per slot pair and
+# attribute) and the Hessian's slot derivatives (one per slot and parameter),
+# the largest of the arrays that its kernels keep in the design's workspace.
+# A pass allocates none of them, so the bound trades the workspace's memory
+# against the number of kernel calls, whose fixed cost of some 60 small numpy
+# operations dominates small blocks.  At 10 situations of 3 alternatives and
+# R = 100 (15,000 floats a person) and at 8 situations of 5 alternatives, 11
+# parameters and R = 20 (15,200) it gives 8-person blocks: the benchmark's
+# peak RSS rose at most 2.3% over the 2- and 4-person blocks of the
+# allocating kernels, and 9-person blocks put the second 3.2% higher
+_BLOCK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -170,7 +175,8 @@ class _BlockData:
     draw axis, which goes last (a trailing 1 here), so reductions add slabs."""
 
     rows: np.ndarray         # (n, S, J) bool: slots holding a data row
-    avail: np.ndarray        # (J, S, n, 1) bool: data slots and padded slot 0
+    empty: np.ndarray        # (J, S, n, 1) bool: slots with no data row that
+                             #   are not a padded situation's slot 0
     chosen: np.ndarray       # (S*n,) int: each chosen slot's row in (J*S*n, R)
     d_fixed: np.ndarray      # (Mf, P, S, n, 1) x[j] - x[i], fixed attributes
     d_random: np.ndarray     # (Mr, P, S, n, 1) x[j] - x[i], random attributes
@@ -217,6 +223,7 @@ class ModelDesign:
         self.n_random = spec.n_random
         self.n_asc = len(self.asc_labels)
         self.n_params = len(self.param_names)
+        self._work = _Workspace()
 
         # blocks: runs of consecutive individuals; ``blocks`` holds each
         # block's individual range [start, stop)
@@ -293,9 +300,9 @@ class ModelDesign:
         pair_diff = kernel(x[:, :, second] - x[:, :, first])[..., None] * live[:, None]
         rival = _lead(np.eye(j_max)[second].T, pair_diff, batch=2)
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
-        avail = rows | (np.arange(j_max) == 0)  # a padded situation has slot 0
+        empty = ~rows & (np.arange(j_max) > 0)  # a padded situation has slot 0
         return _BlockData(  # the fields, in order
-            grid(rows), kernel(avail)[..., None],
+            grid(rows), kernel(empty)[..., None],
             chosen * n_cells + np.arange(n_cells), pair_diff.take(self._fixed_pos, 1),
             pair_diff.take(self._random_pos, 1), rival.take(self._fixed_pos, 1),
             rival.take(self._random_pos, 1), live.astype(float),
@@ -310,10 +317,15 @@ class ModelDesign:
         """Realized random coefficients, coefficient scale, declared order,
         from (K, ...) standard draws, axes reversed: (R, K) from (K, R).
         Normal entries are b + s*z, log-normal entries exp(b + s*z)."""
+        return self._coefficients(theta, z, np.empty(z.shape)).T
+
+    def _coefficients(self, theta, z, out) -> np.ndarray:
+        """:meth:`random_coefficient_draws` written to ``out``, axes kept."""
         lead = (slice(None),) + (None,) * (z.ndim - 1)
-        vals = theta.rand_location[lead] + theta.rand_scale[lead] * z
+        vals = np.multiply(theta.rand_scale[lead], z, out=out)
+        vals += theta.rand_location[lead]
         np.exp(vals, out=vals, where=self._lognormal[lead])
-        return vals.T
+        return vals
 
     def available(self, block: int) -> np.ndarray:
         """(n, S, J) mask of a block's data slots (dataset order in C order)."""
@@ -332,62 +344,96 @@ class ModelDesign:
         without the draw axis) it builds, once, the regret base (J,S,n,1) of
         the constants and the fixed attributes (their pair terms less beta
         times their ``rival_fixed`` sums) and the fixed pair slopes
-        (Mf,P,S,n,1); ``part`` is the block's slice of these, of the random
-        coefficients (K,n,R) and of d beta / d b (K,n,R), 1 or beta
-        (log-normal)."""
-        coefs = self.random_coefficient_draws(theta, draws.transpose(1, 0, 2)).T
-        chain = np.where(self._lognormal[:, None, None], coefs, 1.0)
+        (Mf,P,S,n,1); ``part`` is the block's slice of these, its random
+        coefficients (K,n,R) and d beta / d b (K,n,R), 1 or beta
+        (log-normal).  All of these are views of the design's workspace."""
+        take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
+        lognormal = self._lognormal[:, None, None]
         results = [None] * len(self.blocks)
         for members, group in self._groups:
             for lo in range(0, len(members), self.nrep):
                 d_fixed, rival, live, asc_onehot = (a[lo:lo + self.nrep] for a in (
                     group.d_fixed, group.rival_fixed, group.live, group.asc_onehot))
-                fixed, slope = _pair_terms(beta, d_fixed, live[:, None], True)
-                base = (_lead(group.incidence[0].T, fixed, batch=1)
-                        - (beta * rival).sum(axis=1)
-                        + (asc_onehot @ theta.asc)[..., None])
+                # the run's base and slopes outlive its kernel calls; its
+                # other intermediates take kernel roles, dead by the first call
+                fixed, slope = _pair_terms(beta, d_fixed, live[:, None], "fixed slope",
+                                           take)
+                base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
+                    "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
+                base -= _product(beta, rival, "a", take).sum(
+                    axis=1, out=take("terms", base.shape))
+                base += np.matmul(asc_onehot, theta.asc,
+                                  out=take("t", base.shape[:-1]))[..., None]
                 for pos, block in enumerate(members[lo:lo + self.nrep]):
-                    cut = slice(*self.blocks[block])
-                    results[block] = kernel(block, draws[cut], (
-                        base[pos], slope[pos], coefs[:, cut], chain[:, cut]), *args)
+                    z = draws[slice(*self.blocks[block])]
+                    by_coef = z.transpose(1, 0, 2)  # (K, n, R)
+                    coefs = self._coefficients(theta, by_coef,
+                                               take("coefs", by_coef.shape))
+                    chain = take("chain", coefs.shape)
+                    chain.fill(1.0)
+                    np.copyto(chain, coefs, where=lognormal)
+                    results[block] = kernel(block, z, (base[pos], slope[pos], coefs,
+                                                       chain), *args)
         return results
 
     def _regrets(self, bd: _BlockData, part, gradient):
         """Regrets (J,S,n,R) of a block: its walk ``part``'s base plus the
         random attributes' terms; with ``gradient`` also the pair slopes
         d ln(1 + exp(a)) / d beta = (x[j] - x[i]) logistic(a) of the fixed
-        (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes."""
+        (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes.  The regrets and
+        the random slopes are views of the workspace."""
         base, slope_fixed, coefs, _ = part
+        take = self._work.take
         coefs = coefs[:, None, None]
-        drawn, slope_random = _pair_terms(coefs, bd.d_random, bd.live, gradient)
-        regrets = base + _lead(bd.incidence.T, drawn)
-        regrets -= (coefs * bd.rival_random).sum(axis=0)
+        drawn, slope_random = _pair_terms(coefs, bd.d_random, bd.live,
+                                          "slope" if gradient else None, take)
+        regrets = _lead(bd.incidence.T, drawn,
+                        out=take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
+        regrets += base
+        regrets -= _product(coefs, bd.rival_random, "a", take).sum(
+            axis=0, out=take("t", regrets.shape))
         return regrets, slope_fixed, slope_random
 
     def _probabilities(self, bd: _BlockData, regrets, probs=True):
         """Per-draw choice probabilities (J,S,n,R), ``None`` unless ``probs``,
-        and chosen log-probs (S,n,R)."""
-        neg = np.where(bd.avail, -regrets, -np.inf)
-        peak = neg.max(axis=0)
-        expn = np.exp(neg - peak)
-        denom = expn.sum(axis=0)
-        lse = peak + np.log(denom)
-        chosen = neg.reshape(-1, neg.shape[-1])[bd.chosen]
-        return expn / denom if probs else None, chosen.reshape(lse.shape) - lse
+        and chosen log-probs (S,n,R), made in the workspace: the
+        probabilities in place of ``regrets``."""
+        take = self._work.take
+        neg = np.negative(regrets, out=regrets)
+        np.copyto(neg, -np.inf, where=bd.empty)
+        flat = neg.reshape(-1, neg.shape[-1])
+        chosen = np.take(flat, bd.chosen, axis=0, mode="clip",
+                         out=take("chosen", (len(bd.chosen), flat.shape[1])))
+        peak = neg.max(axis=0, out=take("peak", neg.shape[1:]))
+        np.subtract(neg, peak, out=neg)
+        expn = np.exp(neg, out=neg)
+        denom = expn.sum(axis=0, out=take("denom", peak.shape))
+        if probs:
+            expn /= denom
+        lse = np.add(peak, np.log(denom, out=denom), out=peak)
+        chosen = chosen.reshape(lse.shape)
+        chosen -= lse
+        return expn if probs else None, chosen
 
     def individual_draw_info(self, block: int, z, part):
         """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J)."""
         bd = self._blocks[block]
         probs, ln_chosen = self._probabilities(bd, self._regrets(bd, part, False)[0])
-        return ln_chosen.sum(axis=0), probs.transpose(2, 3, 1, 0)
+        return ln_chosen.sum(axis=0), probs.copy().transpose(2, 3, 1, 0)
 
     def individual_loglik(self, block: int, z, part) -> np.ndarray:
         """Simulated log-likelihood terms (n,) of a block's individuals."""
         bd = self._blocks[block]
         _, ln_chosen = self._probabilities(bd, self._regrets(bd, part, False)[0],
                                            probs=False)
-        return _log_mean_exp(ln_chosen.sum(axis=0))[0]
+        return _log_mean_exp(self._sequence(ln_chosen))[0]
+
+    def _sequence(self, ln_chosen):
+        """Per-draw sequence log-probs (n, R) of chosen log-probs (S, n, R),
+        in the workspace."""
+        return ln_chosen.sum(axis=0,
+                             out=self._work.take("sequence", ln_chosen.shape[1:]))
 
     def individual_loglik_gradient(self, block: int, z, part, hessian=False):
         """Simulated log-likelihood terms of a block's individuals and their
@@ -396,32 +442,40 @@ class ModelDesign:
         parameters; with ``hessian``, ``(ll, grad, hess)``, ``hess`` the exact
         (P, P) Hessian of ``ll.sum()``, symmetric up to rounding."""
         bd = self._blocks[block]
+        take = self._work.take
         chain = part[3]  # chain rule: d beta / d s is d beta / d b times the draw
         z = z.transpose(1, 0, 2)  # (K, n, R)
         regrets, slope_fixed, slope_random = self._regrets(bd, part, gradient=True)
         probs, ln_chosen = self._probabilities(bd, regrets)
+        ll, weights = _log_mean_exp(self._sequence(ln_chosen))
 
         # d ln P(chosen) / d R_i = P_i - 1[i = chosen], and per pair the sum
         # over its two slots
-        resid = probs.copy()
-        resid.reshape(-1, resid.shape[-1])[bd.chosen] -= 1.0
-        res = _lead(bd.incidence, resid)
+        resid = take("resid", probs.shape)
+        np.copyto(resid, probs)
+        flat = resid.reshape(-1, resid.shape[-1])
+        chosen = np.take(flat, bd.chosen, axis=0, mode="clip",
+                         out=take("chosen", (len(bd.chosen), flat.shape[1])))
+        chosen -= 1.0
+        flat[bd.chosen] = chosen
+        res = _lead(bd.incidence, resid, out=take("drawn", (len(bd.incidence),
+                                                            *resid.shape[1:])))
 
         n_ind, n_draws = resid.shape[2:]
         f, k = self.n_fixed, self.n_random
-        per_draw = np.empty((self.n_params, n_ind, n_draws))
-        per_draw[:f] = _pair_gradient(slope_fixed, res, bd.rival_fixed, resid)
-        g_rand = _pair_gradient(slope_random, res, bd.rival_random, resid)
+        per_draw = take("per_draw", (self.n_params, n_ind, n_draws))
+        _pair_gradient(slope_fixed, res, bd.rival_fixed, resid, per_draw[:f], take)
+        g_rand = _pair_gradient(slope_random, res, bd.rival_random, resid,
+                                per_draw[f:f + k], take)
         g_rand *= chain
-        per_draw[f:f + k] = g_rand
-        per_draw[f + k:f + 2 * k] = g_rand * z
+        np.multiply(g_rand, z, out=per_draw[f + k:f + 2 * k])
         if self.n_asc:  # per individual: (n_asc, J*S) @ (J*S, R)
             onehot = bd.asc_onehot.reshape(-1, n_ind, self.n_asc).transpose(1, 2, 0)
-            per_draw[f + 2 * k:] = np.matmul(
-                onehot, resid.reshape(-1, n_ind, n_draws).transpose(1, 0, 2)
-            ).transpose(1, 0, 2)
+            by_person = resid.reshape(-1, n_ind, n_draws).transpose(1, 0, 2)
+            asc = np.matmul(onehot, by_person,
+                            out=take("asc", (n_ind, self.n_asc, n_draws)))
+            per_draw[f + 2 * k:] = asc.transpose(1, 0, 2)
 
-        ll, weights = _log_mean_exp(ln_chosen.sum(axis=0))
         grad = np.matmul(per_draw.transpose(1, 0, 2), weights[..., None])[..., 0]
         if not hessian:
             return ll, grad
@@ -429,29 +483,36 @@ class ModelDesign:
         # H = sum_r w_r (H_r + g_r g_r') - grad grad' per individual, with the
         # draw-weighted spread of the g_r taken about grad, summed over the
         # block.  Per draw and situation, H_r is sum_i res_i d2R_i
-        # - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)'.
-        slot = np.empty((self.n_params, *probs.shape))  # dR/dtheta, (P, J, S, n, R)
+        # - sum_i P_i dR_i dR_i' + (sum_i P_i dR_i)(...)', whose middle term,
+        # weighted by w_r, is the Gram matrix of dR_i sqrt(P_i w_r).  Its
+        # intermediates take the roles of the gradient's, dead by now but for
+        # the slopes, ``res``, the probabilities, the weights and ``per_draw``.
+        # dR/dtheta, (P, J, S, n, R)
+        slot = take("terms", (self.n_params, *probs.shape))
         slot[:f] = _slot_gradient(bd.incidence, slope_fixed, bd.rival_fixed)
-        d_rand = _slot_gradient(bd.incidence, slope_random, bd.rival_random)
+        d_rand = _slot_gradient(bd.incidence, slope_random, bd.rival_random,
+                                out=slot[f:f + k])
         d_rand *= chain[:, None, None]
-        slot[f:f + k] = d_rand
-        slot[f + k:f + 2 * k] = d_rand * z[:, None, None]
+        np.multiply(d_rand, z[:, None, None], out=slot[f + k:f + 2 * k])
         slot[f + 2 * k:] = np.moveaxis(bd.asc_onehot, -1, 0)[..., None]
-        weighted = slot * probs
-        mean = weighted.sum(axis=1)
-        spread = per_draw - grad.T[..., None]
+        mean = np.einsum("pj...,j...->p...", slot, probs,
+                         out=take("t", (len(slot), *probs.shape[1:])))
+        spread = np.subtract(per_draw, grad.T[..., None],
+                             out=take("chosen", per_draw.shape))
         flat = lambda a: a.reshape(len(a), math.prod(a.shape[1:]))
-        hess = (flat(mean * weights) @ flat(mean).T
-                - flat(weighted * weights) @ flat(slot).T
-                + flat(spread * weights) @ flat(spread).T)
+        hess = flat(_product(mean, weights, "a", take)) @ flat(mean).T
+        root = _product(probs, weights, "resid", take)
+        slot *= np.sqrt(root, out=root)
+        hess -= flat(slot) @ flat(slot).T
+        hess += flat(spread * weights) @ flat(spread).T
 
         # the pair curvature is diagonal in beta; a log-normal beta also has
         # d2 beta = beta [1, z; z, z^2] over (b, s), times its gradient g_beta
         weights = weights.ravel()
         fixed = np.arange(f)
-        curv = _pair_curvature(bd.d_fixed, slope_fixed, res)
+        curv = _pair_curvature(bd.d_fixed, slope_fixed, res, take)
         hess[fixed, fixed] += flat(curv) @ weights
-        curv = _pair_curvature(bd.d_random, slope_random, res) * chain**2
+        curv = _pair_curvature(bd.d_random, slope_random, res, take) * chain**2
         curv += np.where(self._lognormal[:, None, None], g_rand, 0.0)
         loc = np.arange(f, f + k)
         scale = loc + k
@@ -463,15 +524,42 @@ class ModelDesign:
         return ll, grad, hess
 
 
+class _Workspace:
+    """Scratch memory of a design's block kernels: one flat float buffer per
+    role, grown to the largest view ever taken of it, so after a walk has
+    visited every block the kernels of every later block and pass allocate
+    none of their block-sized intermediates.  A view is valid until its
+    role is taken again: a kernel takes a role again only once the
+    earlier view is dead, and the arrays a kernel returns are its own."""
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}  # (role, shape) -> view of the role's current buffer
+
+    def take(self, role: str, shape: tuple) -> np.ndarray:
+        """A C-ordered view of ``shape`` on the role's buffer."""
+        view = self._views.get((role, shape))
+        if view is None:
+            size = math.prod(shape)
+            buffer = self._buffers.get(role)
+            if buffer is None or buffer.size < size:
+                buffer = self._buffers[role] = np.empty(size)
+                self._views = {key: view for key, view in self._views.items()
+                               if key[0] != role}
+            view = self._views[role, shape] = buffer[:size].reshape(shape)
+        return view
+
+
 def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
     """Block edges from each individual's situations and widest situation: a
     block takes the next individual while its padded floats (as
-    ``_BLOCK_FLOATS`` counts them) times the ``nrep`` draws per person stay
-    within ``_BLOCK_FLOATS`` and within twice its individuals' own, so
-    padding at most doubles a design's arrays; a larger individual is a
-    block alone."""
-    floats = lambda s, j: s * max(j * (j - 1) // 2 * n_attrs + j * n_params,
-                                  8 * j) * nrep
+    ``_BLOCK_FLOATS`` counts them: its pair arrays and the Hessian's slot
+    derivatives, the largest buffers of the workspace) times the ``nrep``
+    draws per person stay within ``_BLOCK_FLOATS`` and within twice its
+    individuals' own, so padding at most doubles a design's arrays and the
+    workspace is a few times the bound; a larger individual is a block
+    alone."""
+    floats = lambda s, j: s * (j * (j - 1) // 2 * n_attrs + j * n_params) * nrep
     edges, s_max, j_max, own = [0], 0, 0, 0
     for pos, (s, j) in enumerate(zip(n_sit.tolist(), widths.tolist())):
         s_max, j_max, own = max(s_max, s), max(j_max, j), own + floats(s, j)
@@ -482,68 +570,93 @@ def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
     return np.array(edges + [len(n_sit)])
 
 
-def _lead(matrix, array, batch=0):
-    """``matrix`` (A, B) applied to axis ``batch`` of ``array`` (..., B, ...)."""
+def _lead(matrix, array, batch=0, out=None):
+    """``matrix`` (A, B) applied to axis ``batch`` of ``array`` (..., B, ...),
+    written to ``out`` (..., A, ...) if given."""
     head = array.shape[:batch + 1]
-    product = matrix @ array.reshape(*head, math.prod(array.shape[batch + 1:]))
-    return product.reshape(*head[:-1], len(matrix), *array.shape[batch + 1:])
+    rest = math.prod(array.shape[batch + 1:])
+    shape = (*head[:-1], len(matrix), *array.shape[batch + 1:])
+    if out is not None:
+        out = out.reshape(*shape[:batch + 1], rest)
+    product = np.matmul(matrix, array.reshape(*head, rest), out=out)
+    return product.reshape(shape)
 
 
-def _pair_terms(beta, d, live, want_slope):
+def _product(x, y, role, take):
+    """``x`` * ``y``, broadcast, in ``take(role, shape)``."""
+    return np.multiply(x, y, out=take(role, np.broadcast(x, y).shape))
+
+
+def _pair_terms(beta, d, live, slope_role, take):
     """Regret terms of the pair activations a = ``beta`` * ``d`` (..., M, P,
     S, n, R), ``d`` = x[j] - x[i], summed over the attributes: L(a) = ln(1 +
     exp(a)) per pair, (..., P, S, n, R), which both slots of the pair bear;
-    and, when asked, the slopes dL/d beta = d logistic(a), (..., M, P, S, n,
-    R).  Slot j's term is ln(1 + exp(-a)) = L(a) - a, and the kernels
-    subtract the sum of a over the pairs where a slot is slot j at slot
-    level, from the draw-invariant ``rival_*`` sums of x[j] - x[i].
+    and, given a ``slope_role``, the slopes dL/d beta = d logistic(a), (...,
+    M, P, S, n, R), else ``None``.  Slot j's term is ln(1 + exp(-a)) = L(a) -
+    a, and the kernels subtract the sum of a over the pairs where a slot is
+    slot j at slot level, from the draw-invariant ``rival_*`` sums of x[j] -
+    x[i].
 
     With t = exp(-|a|), L(a) = max(a, 0) + log1p(t), exact, and logistic(a)
     is 1/(1+t) for a >= 0, else t/(1+t): max(t, a >= 0) / (1 + t), as t <= 1.
     ``live`` zeroes t of a dead pair, whose a is 0, so its term is exactly 0.
-    The work is done in place, so a block makes few fresh arrays.
+    Every array, the results too, is a workspace view ``take(role, shape)``,
+    the slopes in ``slope_role``.
     """
-    a = beta * d
-    t = np.abs(a)
+    a = _product(beta, d, "a", take)
+    shape = a.shape
+    t = np.abs(a, out=take("t", shape))
     np.negative(t, out=t)
     np.exp(t, out=t)
     t *= live
-    slope = np.maximum(t, a >= 0.0) if want_slope else None
-    terms = np.log1p(t)
+    slope = None
+    if slope_role:
+        slope = np.greater_equal(a, 0.0, out=take(slope_role, shape))
+        np.maximum(t, slope, out=slope)
+    terms = np.log1p(t, out=take("terms", shape))
     terms += np.maximum(a, 0.0, out=a)
-    if want_slope:
+    if slope_role:
         t += 1.0
         slope /= t
         slope *= d
-    return terms.sum(axis=-5), slope
+    return terms.sum(axis=-5, out=take("drawn", (*shape[:-5], *shape[-4:]))), slope
 
 
-def _pair_gradient(slope, res, rival, resid):
+def _pair_gradient(slope, res, rival, resid, out, take):
     """d(sum_i res_i R_i)/d beta per attribute, individual and draw,
-    (M, n, R): over pairs and situations, the pair ``slope`` times ``res``,
-    the sum of its slots' ``resid``; less, over slots and situations, each
-    slot's ``rival`` sum times its ``resid``."""
-    return (slope * res).sum(axis=(1, 2)) - (rival * resid).sum(axis=(1, 2))
+    (M, n, R), written to ``out``: over pairs and situations, the pair
+    ``slope`` times ``res``, the sum of its slots' ``resid``; less, over
+    slots and situations, each slot's ``rival`` sum times its ``resid``."""
+    _product(slope, res, "a", take).sum(axis=(1, 2), out=out)
+    out -= _product(rival, resid, "a", take).sum(axis=(1, 2), out=take("t", out.shape))
+    return out
 
 
-def _slot_gradient(incidence, slope, rival):
+def _slot_gradient(incidence, slope, rival, out=None):
     """dR/d beta per attribute, slot, situation, individual and draw,
-    (M, J, S, n, R): each slot gets the ``slope`` of its pairs, less its
-    ``rival`` sum."""
-    return _lead(incidence.T, slope, batch=1) - rival
+    (M, J, S, n, R), written to ``out`` if given: each slot gets the
+    ``slope`` of its pairs, less its ``rival`` sum."""
+    gradient = _lead(incidence.T, slope, batch=1, out=out)
+    gradient -= rival
+    return gradient
 
 
-def _pair_curvature(d, slope, res):
+def _pair_curvature(d, slope, res, take):
     """d2(sum_i res_i R_i)/d beta2 per attribute, individual and draw,
     (M, n, R): both slots of a pair bear d^2 logistic(a) (1 - logistic(a)),
     which is slope (d - slope)."""
-    return (slope * (d - slope) * res).sum(axis=(1, 2))
+    curv = np.subtract(d, slope, out=take("a", np.broadcast(d, slope).shape))
+    curv *= slope
+    return _product(curv, res, "t", take).sum(axis=(1, 2))
 
 
 def _log_mean_exp(values: np.ndarray):
     """ln of the mean of exp(values) over the last axis, (n, R) -> (n,), and
-    the weights exp(values) / sum(exp(values)), (n, R)."""
+    the weights exp(values) / sum(exp(values)), (n, R), made in place of
+    ``values``."""
     peak = values.max(axis=-1, keepdims=True)
-    weights = np.exp(values - peak)
+    values -= peak
+    weights = np.exp(values, out=values)
     total = weights.sum(axis=-1, keepdims=True)
-    return (peak + np.log(total) - np.log(values.shape[-1]))[..., 0], weights / total
+    weights /= total
+    return (peak + np.log(total) - np.log(values.shape[-1]))[..., 0], weights

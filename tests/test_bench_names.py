@@ -36,15 +36,15 @@ def test_kernel_resolves_on_model_design(attr):
     assert callable(getattr(ModelDesign, attr))
 
 
-@pytest.mark.parametrize("budget", [None, 4 * 72, 4 * 360])
+@pytest.mark.parametrize("budget", [None, 8 * 36, 40 * 36])
 def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     """Traced around a small mixed fit, every walk, in the preliminary
     classical fit and in the mixed one alike, makes one kernel call per
     block of its design: 10 people of 3 situations of 3 alternatives and 2
-    attributes, so 3 * max(3*2 + 3*3, 8*3) * 5 = 360 padded floats each at
-    the mixed fit's R = 5 draws and 3 * max(3*2 + 3*2, 8*3) = 72 in the
-    classical one, and a block holds ``_BLOCK_FLOATS`` // 360 or // 72
-    people."""
+    attributes, so 3 * (3*2 + 3*3) * 5 = 225 padded floats each at the mixed
+    fit's R = 5 draws and 3 * (3*2 + 3*2) = 36 in the classical one, and a
+    block holds ``_BLOCK_FLOATS`` // 225 or // 36 people: one and 8, or 6
+    and all 10."""
     from mixrrm import estimation, regret
     from mixrrm.dataset import load_long_csv
     from oracles import simulate_panel, write_rows_csv
@@ -61,8 +61,8 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     # random-coefficient count -> blocks of the fit's designs, built alike
     blocks = {1: len(regret.ModelDesign(ds, spec, 5).blocks),
               0: len(regret.ModelDesign(ds, regret.ModelSpec(fixed_attrs=("tc", "tt"))).blocks)}
-    assert blocks == {None: {1: 1, 0: 1}, 4 * 72: {1: 10, 0: 3},
-                      4 * 360: {1: 3, 0: 1}}[budget]
+    assert blocks == {None: {1: 1, 0: 1}, 8 * 36: {1: 10, 0: 2},
+                      40 * 36: {1: 2, 0: 1}}[budget]
     walks = []  # random-coefficient count of each log-likelihood walk's design
     loglik = estimation._loglik
 

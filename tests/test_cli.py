@@ -103,6 +103,25 @@ def test_fit_cluster_column_gives_library_sandwich(tmp_path, capsys, rng):
         fit.covariance, covariance_cluster(hessian, scores, ds.individual_clusters))
 
 
+def test_fit_robust_on_one_individual_exit_1_before_any_pass(tmp_path, capsys,
+                                                            monkeypatch):
+    """A robust sandwich has one cluster per person, so ``--robust`` on a
+    panel of one person (2 situations) is refused before any pass over the
+    data, naming the option, and writes no fit file."""
+    from mixrrm.regret import ModelDesign
+
+    data, out_json = tmp_path / "one.csv", tmp_path / "fit.json"
+    data.write_text("id,cs,altern,choice,a\n1,1,1,1,0.5\n1,1,2,0,1.5\n"
+                    "1,2,1,0,2.0\n1,2,2,1,0.1\n")
+    walks = []
+    monkeypatch.setattr(ModelDesign, "walk", lambda *args: walks.append(args))
+    code, out, err = run(capsys, "fit", data, "--fixed", "a", "--noconstant",
+                         "--robust", "--out", out_json)
+    assert (code, out, walks) == (1, "", [])
+    assert "--robust" in err and "2 individuals" in err
+    assert not out_json.exists()
+
+
 def test_fit_from_starting_vector(panel_csv, tmp_path, capsys):
     code, out, _ = run(
         capsys, "fit", panel_csv, "--fixed", "total_cost",

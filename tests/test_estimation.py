@@ -981,8 +981,8 @@ def test_fit_file_not_a_fit_object(tmp_path, content):
 @pytest.mark.parametrize("covariance", ["robust", "cluster"])
 def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
     """A classical fit over three blocks (20, 20 and 1 people: each has 2
-    situations of 3 alternatives and 2 attributes, 2 * max(3*2 + 3*2, 8*3)
-    = 48 padded floats) builds its robust and cluster sandwiches, and predicts,
+    situations of 3 alternatives and 2 attributes, 2 * (3*2 + 3*2) = 24
+    padded floats) builds its robust and cluster sandwiches, and predicts,
     from rows in dataset order: both equal the ones from one-individual
     blocks at the fitted point."""
     from unittest import mock
@@ -994,7 +994,7 @@ def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
                        n_situations=2, n_alternatives=3,
                        fixed={"tt": -0.5, "tc": -0.3})
     spec = ModelSpec(fixed_attrs=("tt", "tc"))
-    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 48):
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 24):
         fit = fit_classical(ds, spec, FitOptions(covariance=covariance))
         assert ModelDesign(ds, spec).blocks == [(0, 20), (20, 40), (40, 41)]
     with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
@@ -1017,10 +1017,12 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     inside a walk, by the walk or by the kernel it was handed (the draw-info
     pass hands it one that summarizes each block), and no other loop calls
     one: each walk makes exactly one kernel call per block, in designs of
-    several blocks."""
+    several blocks: 12 people of 3 situations of 3 alternatives, 3 * (3*2 +
+    3*3) * 5 = 225 padded floats each at the mixed fit's R = 5 and 3 * (3*2
+    + 3*2) = 36 in a classical design, so blocks of 1 and of 11 people."""
     from mixrrm import regret
 
-    monkeypatch.setattr(regret, "_BLOCK_FLOATS", 500)
+    monkeypatch.setattr(regret, "_BLOCK_FLOATS", 400)
     calls = []  # (kernel, called inside a walk) per call
     walks = []  # [blocks, kernel calls] per walk
     walk = ModelDesign.walk

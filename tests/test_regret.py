@@ -570,16 +570,15 @@ def oracle_loglik(design, pos, x, z):
 
 def block_floats(design, start, stop):
     """Padded and own floats of individuals start..stop-1 times the design's
-    R draws per person, counted from the dataset: n * S * max(P*M +
-    J*n_params, 8*J) * R over their most situations S and widest situation
-    J, and the sum of each one's own S_i * max(P_i*M + J_i*n_params, 8*J_i)
-    * R."""
+    R draws per person, counted from the dataset: n * S * (P*M +
+    J*n_params) * R over their most situations S and widest situation J,
+    and the sum of each one's own S_i * (P_i*M + J_i*n_params) * R."""
     ds = design.ds
     sits = np.append(ds.individual_starts, ds.n_situations)
     widths = np.maximum.reduceat(np.diff(np.append(ds.situation_starts, ds.n_rows)),
                                  ds.individual_starts)
-    floats = lambda s, j: s * max(j * (j - 1) // 2 * len(design.model_attrs)
-                                  + j * design.n_params, 8 * j) * design.nrep
+    floats = lambda s, j: s * (j * (j - 1) // 2 * len(design.model_attrs)
+                               + j * design.n_params) * design.nrep
     n_sit, widths = np.diff(sits)[start:stop], widths[start:stop]
     return ((stop - start) * floats(n_sit.max(), widths.max()),
             sum(floats(s, j) for s, j in zip(n_sit, widths)))
@@ -804,7 +803,7 @@ def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
 def test_block_edges_match_one_individual_blocks(extra):
     """k - 1, k and k + 1 people, k the most that ``_BLOCK_FLOATS`` lets one
     block hold: each person has 2 situations of 4 alternatives, 2 attributes
-    and 3 constants, 2 * max(6*2 + 4*5, 8*4) = 64 padded floats.  Blocks of k in
+    and 3 constants, 2 * (6*2 + 4*5) = 64 padded floats.  Blocks of k in
     dataset order, whose rows and Hessian agree with one-individual blocks
     and the oracles."""
     rng = np.random.default_rng(100 + extra)
@@ -844,14 +843,14 @@ def test_block_edges_match_one_individual_blocks(extra):
 
 def test_classical_pass_memory_is_bounded_by_block_floats():
     """One value+gradient+Hessian pass of a classical design over a wide,
-    unbalanced panel (1000 people of 1-10 situations of 2-10 alternatives, 3
+    unbalanced panel (1700 people of 1-10 situations of 2-10 alternatives, 3
     attributes)
     allocates at most 8 arrays of ``_BLOCK_FLOATS`` floats at its peak,
     though the panel padded as one block would be over 20 times that; its
     blocks keep both bounds of ``assert_blocks_fill_budget``."""
     rng = np.random.default_rng(7)
     individuals = {}
-    for n in range(1, 1001):
+    for n in range(1, 1701):
         sits = {}
         for s in range(1, int(rng.integers(1, 11)) + 1):
             size = int(rng.integers(2, 11))
@@ -874,36 +873,76 @@ def test_classical_pass_memory_is_bounded_by_block_floats():
     assert peak <= 8 * 8 * regret._BLOCK_FLOATS
 
 
-@pytest.mark.parametrize("shape, spec, nrep", [
+# the benchmark's designs: (situations, alternatives), model and R
+BENCH_SHAPES = [
     ((10, 3), dict(fixed_attrs=("x0",), random_attrs=("x1",)), 100),
     ((8, 5), dict(fixed_attrs=("x0",), random_attrs=("x1", "x2", "x3"), ln_count=1,
                   use_asc=True), 20),
-])
-def test_block_bound_is_tuned_on_the_bench_shapes(shape, spec, nrep):
-    """The bound is tuned on two designs: 10 situations of 3 alternatives, a
-    fixed and a normal attribute at R = 100, whose slot-level arrays count
-    8 * 3 * 10 * 100 = 24,000 floats a person, so its blocks keep 2 people;
-    and 8 situations of 5, with a fixed, two normal and a log-normal
-    attribute and 4 constants at R = 20, 8 * (10*4 + 5*11) * 20 = 15,200
-    floats a person, so its blocks take 4, not the 2 of a bound of 2^15.
-    With R >= 2 every person's log-likelihood term and gradient row are
-    still those of one-individual blocks, bit for bit."""
+]
+
+
+def bench_shape_design(shape, spec, nrep, n_individuals):
+    """The design of a balanced panel of ``n_individuals`` people of
+    ``shape`` (situations, alternatives) with 4 attributes, and its rng."""
     rng = np.random.default_rng(nrep)
     depth, width = shape
     ds = make_dataset({n: {s: [(j, rng.normal(size=4).tolist(), j == 1)
                                for j in range(1, width + 1)]
                            for s in range(1, depth + 1)}
-                       for n in range(1, 11)}, ["x0", "x1", "x2", "x3"])
-    design = design_for(ds, nrep, **spec)
-    per_block = {10: 2, 8: 4}[depth]
-    assert block_floats(design, 0, 1)[0] == {10: 24_000, 8: 15_200}[depth]
-    assert design.blocks == [(a, min(a + per_block, 10)) for a in range(0, 10, per_block)]
+                       for n in range(1, n_individuals + 1)}, ["x0", "x1", "x2", "x3"])
+    return design_for(ds, nrep, **spec), rng
+
+
+@pytest.mark.parametrize("shape, spec, nrep", BENCH_SHAPES)
+def test_block_bound_is_tuned_on_the_bench_shapes(shape, spec, nrep):
+    """The bound is tuned on two designs: 10 situations of 3 alternatives, a
+    fixed and a normal attribute at R = 100, 10 * (3*2 + 3*3) * 100 = 15,000
+    floats a person, and 8 situations of 5, with a fixed, two normal and a
+    log-normal attribute and 4 constants at R = 20, 8 * (10*4 + 5*11) * 20 =
+    15,200 floats a person; the blocks of both take 8 people, not the 4 of a
+    bound of 2^16.  With R >= 2 every person's log-likelihood term and
+    gradient row are still those of one-individual blocks, bit for bit."""
+    design, rng = bench_shape_design(shape, spec, nrep, 10)
+    assert block_floats(design, 0, 1)[0] == {100: 15_000, 20: 15_200}[nrep]
+    assert design.blocks == [(0, 8), (8, 10)]
     assert_blocks_fill_budget(design)
     x = rng.normal(size=design.n_params) * 0.3
     draws = design.draws(15)
     lls, rows = individual_scores(design, draws, x)
     single_lls, single_rows = individual_scores(one_per_block(design), draws, x)
     assert np.array_equal(lls, single_lls) and np.array_equal(rows, single_rows)
+
+
+@pytest.mark.parametrize("shape, spec, nrep, n_individuals",
+                         [(*BENCH_SHAPES[0], 200), (*BENCH_SHAPES[1], 100)])
+def test_warm_passes_allocate_less_than_one_slot_array(shape, spec, nrep,
+                                                       n_individuals):
+    """On the bench shapes and numbers of people, once a first pass has
+    sized the design's workspace, a value+gradient pass and a
+    log-likelihood pass each allocate, at their tracemalloc peak, less than
+    one (J, S, n, R) slot-level array of the largest block: every
+    block-sized intermediate of the walk and of its kernels is a view of
+    the workspace, and only the per-person results are new.  numpy's ufunc
+    iterator buffers, up to ``np.getbufsize()`` elements an operand whatever
+    the block, are set to their smallest while the peak is measured."""
+    design, rng = bench_shape_design(shape, spec, nrep, n_individuals)
+    largest = max(stop - start for start, stop in design.blocks)
+    assert largest > 1 and len(design.blocks) > 1
+    slot_bytes = 8 * shape[1] * shape[0] * largest * nrep
+    x = rng.normal(size=design.n_params) * 0.3
+    draws = design.draws(15)
+    for one_pass in (lambda: individual_scores(design, draws, x),
+                     lambda: _loglik(design, draws, x)):
+        one_pass()
+        bufsize = np.setbufsize(16)
+        tracemalloc.start()
+        try:
+            one_pass()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak < slot_bytes, (peak, slot_bytes)
 
 
 @settings(max_examples=40, deadline=None)
@@ -979,8 +1018,9 @@ def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size):
     theta = ParameterVector(fixed=beta[:1], rand_location=beta[1:],
                             rand_scale=np.zeros(1), asc=rng.normal(size=design.n_asc))
     draws = rng.normal(size=(ds.n_individuals, 1, 2))
+    # ``_regrets`` returns a view of the design's workspace: keep a copy
     regrets = design.walk(
-        lambda block, z, part: design._regrets(design._blocks[block], part, False)[0],
+        lambda block, z, part: design._regrets(design._blocks[block], part, False)[0].copy(),
         theta, draws)
     infos = design.walk(design.individual_draw_info, theta, draws)
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
