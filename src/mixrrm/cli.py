@@ -296,6 +296,7 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     import csv
 
+    from .dataset import open_csv
     from .estimation import load_fit_json
     from .postestimation import draw_settings, predict_rows
 
@@ -308,7 +309,7 @@ def cmd_predict(args) -> int:
 
     # rows are numbered as the loader numbered them; rows it skipped as
     # blank have no probability and are copied through unchanged
-    with open(args.data, newline="", encoding="utf-8") as source, \
+    with open_csv(args.data) as source, \
             open(args.out, "w", newline="", encoding="utf-8") as handle:
         reader = csv.reader(source)
         writer = csv.writer(handle)

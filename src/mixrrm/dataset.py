@@ -11,6 +11,7 @@ file was ordered.
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -181,6 +182,12 @@ def _reading_csv(path):
         raise MalformedCsv(f"{path}: not a readable UTF-8 CSV file ({err})") from None
 
 
+def open_csv(path):
+    """A data file opened as UTF-8 text for the csv module; a leading
+    byte-order mark, which spreadsheet exports write, is dropped."""
+    return open(path, newline="", encoding="utf-8-sig")
+
+
 def load_long_csv(
     path,
     id_col: str = "id",
@@ -195,7 +202,7 @@ def load_long_csv(
     Parameters
     ----------
     path : str or Path
-        UTF-8 CSV with a header row.
+        UTF-8 CSV with a header row, with or without a byte-order mark.
     id_col, group_col, alt_col, choice_col : str
         Columns identifying the individual, the choice situation, the
         alternative, and the 0/1 chosen flag.
@@ -212,24 +219,120 @@ def load_long_csv(
     :class:`ChoiceDataset` checks on construction); missing attribute cells
     are hard errors, not dropped rows.  A file with no non-blank row after
     its header raises :class:`EmptyInput`.
-    """
-    with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = [name.strip() for name in next(reader, [])]
-        rows = list(reader)
-    row_no = np.flatnonzero([bool("".join(row).strip()) for row in rows])
-    if not row_no.size:
-        raise EmptyInput(f"{path}: no data row after the header")
 
+    A plain numeric table (:func:`_plain_columns`) that breaks no row rule
+    is parsed by one ``np.loadtxt`` call; every other file is read cell by
+    cell (:func:`_cell_columns`), which raises every loading error.  Both
+    give the same columns, bit for bit.
+    """
+    with _reading_csv(path), open_csv(path) as handle:
+        text = handle.read()
+    names = (id_col, group_col, alt_col, choice_col, attr_cols, cluster_col)
+    columns = _plain_columns(text, *names)
+    if columns is None:
+        columns = _cell_columns(path, text, *names)
+    return ChoiceDataset(**columns)
+
+
+def _layout(header, id_col, group_col, alt_col, choice_col, attr_cols, cluster_col):
+    """The key columns (individual, situation, alternative, then the cluster
+    if any), the attribute columns and each header name's first position;
+    a needed column missing from ``header`` raises :class:`MissingColumn`."""
     col_pos = {name: pos for pos, name in reversed(list(enumerate(header)))}
     if attr_cols is None:
         reserved = {id_col, group_col, alt_col, choice_col, cluster_col}
         attr_cols = [name for name in header if name not in reserved]
     keys = [id_col, group_col, alt_col] + [cluster_col] * (cluster_col is not None)
-    needed = [*keys[:3], choice_col, *attr_cols, *keys[3:]]
-    for name in needed:
+    for name in [*keys[:3], choice_col, *attr_cols, *keys[3:]]:
         if name not in col_pos:
             raise MissingColumn(name)
+    return keys, attr_cols, col_pos
+
+
+def _repeats(ind, sit, alt) -> np.ndarray:
+    """Mask of the rows whose (individual, situation, alternative) an
+    earlier row has."""
+    order = np.lexsort((alt, sit, ind))  # stable: equal keys keep file order
+    keys = np.stack([ind, sit, alt])[:, order]
+    repeat = np.zeros(len(ind), dtype=bool)
+    repeat[order[1:][np.all(keys[:, 1:] == keys[:, :-1], axis=0)]] = True
+    return repeat
+
+
+def _plain_columns(text, id_col, group_col, alt_col, choice_col, attr_cols,
+                   cluster_col) -> dict | None:
+    """The :class:`ChoiceDataset` columns of ``text`` when it is a plain
+    numeric table that breaks no row rule, else None.
+
+    A plain numeric table has no quote character and no blank row; every
+    data row is as wide as the header; ``np.loadtxt`` reads every cell (it
+    reads a cell only as ``float`` does, to the same bit, and refuses
+    ``1_0`` or non-ASCII digits, which ``float`` reads); and every key cell
+    is an integer written without a point or an exponent, below 2**53 in
+    magnitude, so its float is exact.  Without quotes, a row is one line
+    (ended by ``\\r\\n``, ``\\r`` or ``\\n``, as in the csv module) split at
+    every comma, so no line may be longer than the csv module's field limit.
+    """
+    # str.splitlines also ends a line at the other characters here, which
+    # the csv module keeps inside a cell
+    if '"' in text or any(mark in text for mark in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        return None
+    lines = text.splitlines()
+    n_rows = len(lines) - 1
+    if n_rows < 1 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = [name.strip() for name in lines[0].split(",")]
+    width = len(header)
+    try:
+        keys, attr_cols, col_pos = _layout(header, id_col, group_col, alt_col,
+                                           choice_col, attr_cols, cluster_col)
+    except MissingColumn:
+        return None
+    # the key columns' cells, if every row is as wide as the header (checked
+    # below); the cell list is dropped before np.loadtxt runs, to bound the
+    # peak memory
+    cells = ",".join(lines).split(",")
+    key_cells = ",".join([",".join(cells[width + pos::width])
+                          for pos in map(col_pos.get, keys)])
+    del cells
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2,
+                            dtype=float)
+    except ValueError:
+        return None
+    if values.shape != (n_rows, width):  # loadtxt skips blank lines
+        return None
+    key_values = values[:, [col_pos[name] for name in keys]]
+    choice = values[:, col_pos[choice_col]]
+    attributes = values[:, [col_pos[name] for name in attr_cols]]
+    if (any(mark in key_cells for mark in ".eE")
+            or not np.all(np.abs(key_values) < 2.0**53)
+            or not np.all((choice == 0.0) | (choice == 1.0))
+            or not np.all(np.isfinite(attributes))):
+        return None
+    ind, sit, alt, *cluster = key_values.astype(np.int64).T
+    if _repeats(ind, sit, alt).any():
+        return None
+    return dict(individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,
+                attributes=attributes, source_row=np.arange(2, n_rows + 2),
+                attribute_names=tuple(attr_cols), cluster=cluster[0] if cluster else None)
+
+
+def _cell_columns(path, text, id_col, group_col, alt_col, choice_col, attr_cols,
+                  cluster_col) -> dict:
+    """The :class:`ChoiceDataset` columns of the CSV ``text`` read from
+    ``path``, parsed cell by cell: the one reader of quoted cells, blank
+    rows, text columns and key cells such as ``2.0`` or ``1e3``, and the
+    one that raises a loading error."""
+    with _reading_csv(path):
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = [name.strip() for name in next(reader, [])]
+        rows = list(reader)
+    row_no = np.flatnonzero([bool("".join(row).strip()) for row in rows])
+    if not row_no.size:
+        raise EmptyInput(f"{path}: no data row after the header")
+    keys, attr_cols, col_pos = _layout(header, id_col, group_col, alt_col,
+                                       choice_col, attr_cols, cluster_col)
 
     rows = [rows[pos] for pos in row_no]
     row_no += 2  # the header is row 1
@@ -260,20 +363,16 @@ def load_long_csv(
     if cluster_col is not None:
         cluster = ints[cluster_col][0]
         rules.append(int_rule(cluster_col))
-    repeat = np.ones(len(rows), dtype=bool)  # all but each key's first row
-    _, first = np.unique(np.stack([ind, sit, alt], axis=1), axis=0, return_index=True)
-    repeat[first] = False
-    rules.append((repeat, lambda p: DuplicateAlternative(ind[p], sit[p], alt[p])))
+    rules.append((_repeats(ind, sit, alt),
+                  lambda p: DuplicateAlternative(ind[p], sit[p], alt[p])))
     broken = np.array([mask for mask, _ in rules])
     if broken.any():
         p = int(np.argmax(broken.any(axis=0)))
         raise rules[int(np.argmax(broken[:, p]))][1](p)
 
-    return ChoiceDataset(
-        individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,
-        attributes=attributes, source_row=row_no,
-        attribute_names=tuple(attr_cols), cluster=cluster,
-    )
+    return dict(individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,
+                attributes=attributes, source_row=row_no,
+                attribute_names=tuple(attr_cols), cluster=cluster)
 
 
 def reshape_wide_to_long(
@@ -299,7 +398,7 @@ def reshape_wide_to_long(
     if alt_count < 2:
         raise InvalidOption(f"alt_count {alt_count!r} is below 2; a choice "
                             "situation needs at least 2 alternatives")
-    with _reading_csv(path), open(path, newline="", encoding="utf-8") as handle:
+    with _reading_csv(path), open_csv(path) as handle:
         reader = csv.DictReader(handle)
         wide_rows = [(reader.line_num, row) for row in reader]
         header = reader.fieldnames or []

@@ -72,18 +72,20 @@ def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
     return nrep, burn
 
 
-def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize):
+def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,
+                    probs=True):
     """The fit's design on ``ds``, its draws, and the ``summarize(rows,
     ln_seq, probs)`` of every block concatenated in dataset order, from one
     :meth:`ModelDesign.walk` whose kernel summarizes each block's draw info
     as soon as it is made, so no block's per-draw probabilities outlive it;
-    ``rows`` is the block's data slots (:meth:`ModelDesign.available`)."""
+    ``rows`` is the block's data slots (:meth:`ModelDesign.available`), and
+    ``probs`` is ``None`` unless ``probs``."""
     nrep, burn = draw_settings(fit, nrep, burn)
     design = _bind_design(ds, fit, nrep)
     draws = design.draws(burn)
     return design, draws, np.concatenate(design.walk(
         lambda block, z, part: summarize(
-            design.available(block), *design.individual_draw_info(block, z, part)),
+            design.available(block), *design.individual_draw_info(block, z, part, probs)),
         fit.theta_hat, draws))
 
 
@@ -114,7 +116,7 @@ def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
     if fit.spec.n_random < 1:
         raise SpecMismatch("fit has no random coefficients")
     return _draw_info_walk(ds, fit, nrep, burn,
-                           lambda rows, ln_seq, _: _log_mean_exp(ln_seq)[1])
+                           lambda rows, ln_seq, _: _log_mean_exp(ln_seq)[1], probs=False)
 
 
 def posterior_weights(

@@ -416,11 +416,15 @@ class ModelDesign:
         chosen -= lse
         return expn if probs else None, chosen
 
-    def individual_draw_info(self, block: int, z, part):
-        """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J)."""
+    def individual_draw_info(self, block: int, z, part, probs=True):
+        """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J),
+        the latter ``None`` unless ``probs``."""
         bd = self._blocks[block]
-        probs, ln_chosen = self._probabilities(bd, self._regrets(bd, part, False)[0])
-        return ln_chosen.sum(axis=0), probs.copy().transpose(2, 3, 1, 0)
+        per_draw, ln_chosen = self._probabilities(
+            bd, self._regrets(bd, part, False)[0], probs)
+        if probs:
+            per_draw = per_draw.copy().transpose(2, 3, 1, 0)
+        return ln_chosen.sum(axis=0), per_draw
 
     def individual_loglik(self, block: int, z, part) -> np.ndarray:
         """Simulated log-likelihood terms (n,) of a block's individuals."""

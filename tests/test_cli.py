@@ -61,6 +61,24 @@ def test_fit_json_byte_identical(panel_csv, tmp_path, capsys):
     assert j1.read_bytes() == j2.read_bytes()
 
 
+def test_fit_and_predict_read_a_byte_order_mark(panel_csv, tmp_path, capsys):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark: fit
+    reads such a copy of a panel as it reads the panel, and predict copies
+    its rows through without the mark."""
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + panel_csv.read_bytes())
+    outputs = []
+    for data in (panel_csv, marked):
+        fit, pred = tmp_path / f"{data.stem}.json", tmp_path / f"{data.stem}_pred.csv"
+        code, out, err = run(capsys, "fit", data, "--fixed", "total_time", "total_cost",
+                             "--noconstant", "--out", fit)
+        assert code == 0, err
+        code, _, err = run(capsys, "predict", data, "--fit", fit, "--out", pred)
+        assert code == 0, err
+        outputs.append((out, fit.read_bytes(), pred.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_fit_mixed_with_cluster(panel_csv, tmp_path, capsys):
     out_json = tmp_path / "fit.json"
     code, out, err = run(
@@ -691,6 +709,21 @@ def test_reshape_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+def test_reshape_reads_a_byte_order_mark(tmp_path, capsys):
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark,
+    which is not part of the first column's name."""
+    wide = tmp_path / "wide.csv"
+    wide.write_bytes(b"\xef\xbb\xbfid,cs,tt1,tt2,choice\r\n1,1,10,15,2\r\n")
+    out = tmp_path / "long.csv"
+    code, _, err = run(
+        capsys, "reshape", wide, "--out", out, "--stubs", "tt=total_time",
+        "--ids", "id", "cs", "--alt-count", 2,
+    )
+    assert code == 0, err
+    assert out.read_bytes() == (b"id,cs,altern,choice,total_time\r\n"
+                                b"1,1,1,0,10\r\n1,1,2,1,15\r\n")
+
+
 def test_reshape_bad_choice_names_its_row(tmp_path, capsys):
     wide = tmp_path / "wide.csv"
     wide.write_text("id,cs,tt1,tt2,choice\n1,1,10,15,two\n")
@@ -752,25 +785,37 @@ def run_quietly(*argv):
 def tiny_panels(draw):
     """CSV text of a long panel: 1-6 people of 1-3 situations of 1-4
     alternatives, labels from an odd pool, two attributes each extreme,
-    ordinary or constant, and maybe a cluster column; with the pool."""
+    ordinary or constant, and maybe a cluster column; with the pool.  One
+    panel in four is one that only the per-cell reader reads: it has a
+    blank row, quoted cells, ids written as floats (``2.0``) or a trailing
+    text column."""
     pool = draw(st.sampled_from([(1, 2, 3, 4), (0, -1, 5, 9), (-1, -2, -3, -4),
                                  (0, 1, 2, 1_000_000)]))
     scales = [draw(st.sampled_from([0.0, 1e-8, 1.0, 1e3])) for _ in range(2)]
     clustered = draw(st.booleans())
     # a one-alternative situation, which the loader refuses, in one panel of 5
     fewest = draw(st.sampled_from([2, 2, 2, 2, 1]))
-    lines = ["id,cs,altern,choice,a,b" + (",grp" if clustered else "")]
+    odd = (draw(st.sampled_from(["blank", "quoted", "float_id", "text"]))
+           if draw(st.sampled_from([False, False, False, True])) else None)
+    text = ",note" if odd == "text" else ""
+    lines = ["id,cs,altern,choice,a,b" + (",grp" if clustered else "") + text]
     for person in range(1, draw(st.integers(1, 6)) + 1):
         group = draw(st.sampled_from([7, 8]))
+        ind = f"{person}.0" if odd == "float_id" else person
         for situation in range(1, draw(st.integers(1, 3)) + 1):
             labels = draw(st.lists(st.sampled_from(pool), min_size=fewest,
                                    max_size=4, unique=True))
             chosen = draw(st.integers(0, len(labels) - 1))
             for pos, label in enumerate(labels):
-                x = [scale * draw(st.sampled_from([-1.5, -0.2, 0.0, 0.7, 2.0]))
-                     + (3.0 if scale == 0.0 else 0.0) for scale in scales]
-                lines.append(f"{person},{situation},{label},{int(pos == chosen)},"
-                             f"{x[0]!r},{x[1]!r}" + (f",{group}" if clustered else ""))
+                x = [repr(scale * draw(st.sampled_from([-1.5, -0.2, 0.0, 0.7, 2.0]))
+                          + (3.0 if scale == 0.0 else 0.0)) for scale in scales]
+                if odd == "quoted":
+                    x[0] = f'"{x[0]}"'
+                lines.append(f"{ind},{situation},{label},{int(pos == chosen)},"
+                             f"{x[0]},{x[1]}" + (f",{group}" if clustered else "")
+                             + (",n/a" if text else ""))
+    if odd == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "")
     return "\n".join(lines) + "\n", pool, clustered
 
 

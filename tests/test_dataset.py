@@ -1,12 +1,13 @@
 import csv
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixrrm import errors
+from mixrrm import dataset, errors
 from mixrrm.dataset import ChoiceDataset, load_long_csv, reshape_wide_to_long
 from mixrrm.errors import NonConvergence
 from mixrrm.estimation import fit_classical
@@ -436,6 +437,21 @@ def test_earliest_row_wins_across_rules(tmp_path):
         load_long_csv(path, "id", "cs", "altern", "choice", ["tt", "tc"])
 
 
+def test_duplicate_alternative_is_reported_at_its_second_row(tmp_path):
+    """A repeated (id, cs, altern) breaks the row rule at its second row, so
+    an earlier row between the two breaking another rule is reported."""
+    rows = basic_rows()
+    rows[1][3] = 2      # row 3: non-binary choice
+    rows[2][2] = 1      # row 4: repeats row 2's alternative
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    with pytest.raises(errors.NonBinaryChoice, match="row 3"):
+        load_long_csv(path)
+    rows[1][3] = 0
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    with pytest.raises(errors.DuplicateAlternative):
+        load_long_csv(path)
+
+
 def test_non_utf8_file_is_typed(tmp_path):
     path = write_csv(tmp_path / "d.csv", HEADER, basic_rows())
     path.write_bytes(path.read_bytes().replace(b"tc", b"t\xe9"))
@@ -443,3 +459,183 @@ def test_non_utf8_file_is_typed(tmp_path):
         load_long_csv(path, "id", "cs", "altern", "choice", ["tt"])
     with pytest.raises(errors.MalformedCsv, match="UTF-8"):
         reshape_wide_to_long(path, [("x", "tt")], ["id"], 2)
+
+
+# --- the numpy parse of a plain table against the per-cell reader -------------
+
+
+# cells that np.loadtxt reads as float() does, cells it refuses although
+# float() reads them (1_0, an Arabic-Indic digit, a carriage return before a
+# comma), and cells neither reads
+ODD_NUMBERS = [" 1.5 ", "\xa01.5", "\t1.5", "1e3", "+.5", "5.", "-0", "nan", "-Infinity",
+               "inf", "1e400", "1_0", "\u0661", "1.5\r", "", " ", "1..5", "0x10", "1,5",
+               '"1.5"']
+# key cells: plain integers, exact float forms the per-cell reader takes,
+# forms whose float is integral although the cell is not, and the edges of
+# 2**53 and of int64
+ODD_KEYS = ["2.0", "1e3", "+2", " 2 ", "-0", "1_0", "\u0661", "2.5", "nan", "inf",
+            "1.0000000000000000001", "1e-400", str(2**53 - 1), str(-(2**53 - 1)),
+            str(2**53), str(2**53 + 1), str(2**63), str(-(2**63))]
+ODD_CHOICES = ["2", "1.0", "0e0", "-0", " 1", "nan", "", "0.5"]
+
+
+def load_outcome(path, attr_cols=None, cluster_col=None):
+    """The loaded dataset, or the type and message of the error raised."""
+    try:
+        return load_long_csv(path, "id", "cs", "altern", "choice", attr_cols, cluster_col)
+    except errors.Error as err:
+        return type(err), str(err)
+
+
+def assert_loads_as_per_cell_reader(path, attr_cols=None, cluster_col=None):
+    """``load_long_csv`` returns the per-cell reader's dataset, column for
+    column and attributes bit for bit, or raises its error type and
+    message; returns whether the numpy parse took the file."""
+    got = load_outcome(path, attr_cols, cluster_col)
+    with mock.patch.object(dataset, "_plain_columns", lambda *_: None):
+        want = load_outcome(path, attr_cols, cluster_col)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, ChoiceDataset)
+        for column in ("individual", "situation", "alternative", "chosen", "source_row",
+                       "situation_starts", "individual_starts"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert (got.attributes.dtype, got.attributes.shape) == (
+            want.attributes.dtype, want.attributes.shape)
+        assert got.attributes.tobytes() == want.attributes.tobytes()
+        assert (got.attribute_names, got.alternative_labels) == (
+            want.attribute_names, want.alternative_labels)
+        assert (got.cluster is None) == (want.cluster is None)
+        if got.cluster is not None:
+            assert np.array_equal(got.cluster, want.cluster)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        text = handle.read()
+    return dataset._plain_columns(text, "id", "cs", "altern", "choice", attr_cols,
+                                  cluster_col) is not None
+
+
+def basic_text(end="\n"):
+    return end.join(",".join(map(str, row)) for row in [HEADER, *basic_rows()]) + end
+
+
+@pytest.mark.parametrize("col, cell", [(4, cell) for cell in ODD_NUMBERS]
+                         + [(col, cell) for col in (0, 1, 2) for cell in ODD_KEYS]
+                         + [(3, cell) for cell in ODD_CHOICES])
+def test_odd_cells_load_as_the_per_cell_reader_loads_them(tmp_path, col, cell):
+    rows = basic_rows()
+    rows[4][col] = cell
+    path = tmp_path / "d.csv"
+    path.write_bytes("\n".join(",".join(map(str, row)) for row in [HEADER, *rows])
+                     .encode("utf-8"))
+    assert_loads_as_per_cell_reader(path)
+    assert_loads_as_per_cell_reader(path, cluster_col="id")
+
+
+@pytest.mark.parametrize("text, plain", [
+    (basic_text(), True),
+    (basic_text("\r\n"), True),
+    (basic_text("\r"), True),
+    (basic_text().rstrip("\n"), True),
+    ("\ufeff" + basic_text("\r\n"), True),
+    (basic_text() + "\n", False),                                  # blank last row
+    (basic_text().replace("\n", "\n\n", 3), False),                 # blank rows
+    (basic_text().replace("\n", "\r\r\n", 2), False),               # a blank CR row
+    (basic_text().replace("\n", "\n , ,,,, \n", 1), False),         # a row of blanks
+    (basic_text().replace("3.5\n", "3.5,7\n", 1), False),           # a wider row
+    (basic_text().replace(",3.5\n", "\n", 1), False),               # a narrower row
+    (basic_text().replace(",3.5\n", ",3.5\r", 1), True),            # a lone CR row end
+    (basic_text().replace("tt,tc", '"tt,tc"'), False),              # a quoted header
+    (basic_text().replace("5\n", "5\x0b", 1), False),               # a vertical tab
+    (basic_text().replace("tt,tc\n", "tt,tc,note\n").replace("5\n", "5,x\n"),
+     False),                                                       # a text column
+], ids=["lf", "crlf", "cr", "no_last_break", "bom", "blank_last", "blank_rows",
+        "blank_cr_row", "blank_cells_row", "wider", "narrower", "lone_cr",
+        "quoted_header", "vertical_tab", "text_column"])
+def test_odd_files_load_as_the_per_cell_reader_loads_them(tmp_path, text, plain):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert assert_loads_as_per_cell_reader(path) == plain
+    assert_loads_as_per_cell_reader(path, attr_cols=["tt"])
+
+
+def test_cell_past_the_csv_field_limit_is_typed(tmp_path):
+    """A cell longer than the csv module's field limit is a MalformedCsv
+    from the per-cell reader, though np.loadtxt would read it."""
+    rows = basic_rows()
+    rows[0][4] = "1." + "0" * csv.field_size_limit()
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    with pytest.raises(errors.MalformedCsv, match="field larger than field limit"):
+        load_long_csv(path)
+
+
+# in the order they are made: cell edits before the row width changes
+CHANGES = ["odd_attr", "odd_key", "odd_choice", "quote", "text_column", "duplicate",
+           "long", "short", "blank"]
+
+
+@st.composite
+def long_files(draw):
+    """Bytes of a small long-format file and whether it is written plainly:
+    a valid panel of 1-3 people, each with 1-2 situations of 2-3
+    alternatives and attributes ``tt`` and ``tc``, with up to 3 drawn
+    changes (odd cells, quoted cells, blank rows, rows narrower or wider
+    than the header, a text column, a repeated row), a drawn line ending
+    (LF, CRLF or CR), perhaps no break after the last row and perhaps a
+    byte-order mark."""
+    header = list(HEADER)
+    rows = []
+    for person in range(1, draw(st.integers(1, 3)) + 1):
+        for situation in range(1, draw(st.integers(1, 2)) + 1):
+            labels = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=2, max_size=3,
+                                   unique=True))
+            chosen = draw(st.sampled_from(labels))
+            for label in labels:
+                x = [draw(st.floats(-1e3, 1e3, allow_subnormal=False)) for _ in range(2)]
+                rows.append([str(person), str(situation), str(label),
+                             str(int(label == chosen)), *map(repr, x)])
+    changes = sorted(draw(st.lists(st.sampled_from(CHANGES), max_size=3)), key=CHANGES.index)
+    pick = lambda: draw(st.sampled_from([row for row in rows if len(row) >= 6]))
+    for change in changes:
+        if change == "odd_attr":
+            pick()[draw(st.sampled_from([4, 5]))] = draw(st.sampled_from(ODD_NUMBERS))
+        elif change == "odd_key":
+            pick()[draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_KEYS))
+        elif change == "odd_choice":
+            pick()[3] = draw(st.sampled_from(ODD_CHOICES))
+        elif change == "quote":
+            row = draw(st.sampled_from([header, *rows]))
+            col = draw(st.integers(0, len(row) - 1))
+            row[col] = f'"{row[col]}"'
+        elif change == "text_column" and "note" not in header:
+            header.append("note")
+            for row in rows:
+                row.append(draw(st.sampled_from(["a", "b c", "3"])))
+        elif change == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(pick()))
+        elif change == "long":
+            pick().append("7")
+        elif change == "short":
+            draw(st.sampled_from([row for row in rows if row])).pop()
+        elif change == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(
+                [[], [""] * len(header), [" "] * len(header)])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(",".join(row) for row in [header, *rows])
+    text += end * draw(st.booleans())
+    bom = draw(st.booleans())
+    return ("\ufeff" * bom + text).encode("utf-8"), not changes
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_files(), st.sampled_from([None, ["tt"], ["tc", "tt"]]),
+       st.sampled_from([None, "id", "cs"]))
+def test_plain_table_parse_matches_the_per_cell_reader(tmp_path_factory, file,
+                                                       attr_cols, cluster_col):
+    """On generated files ``load_long_csv`` gives what the per-cell reader
+    gives, and a file written plainly takes the numpy parse."""
+    data, plain = file
+    path = tmp_path_factory.mktemp("load") / "d.csv"
+    path.write_bytes(data)
+    fast = assert_loads_as_per_cell_reader(path, attr_cols, cluster_col)
+    assert fast or not plain

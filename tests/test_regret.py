@@ -364,6 +364,23 @@ def test_sequence_ten_thirds_no_underflow():
     )
 
 
+def test_draw_info_without_probabilities_keeps_the_sequence_log_probs(rng):
+    """``probs=False`` leaves out the per-draw probabilities and returns the
+    sequence log-probs bit-identical, in every block of a mixed design."""
+    ds = random_dataset(rng, n_individuals=7, n_situations=3, n_attrs=2)
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 400):
+        design = design_for(ds, 4, fixed_attrs=("x0",), random_attrs=("x1",),
+                            use_asc=True)
+    assert len(design.blocks) > 1
+    theta = design.unpack(rng.normal(size=design.n_params))
+    z = design.draws(3)
+    full = design.walk(design.individual_draw_info, theta, z)
+    bare = design.walk(design.individual_draw_info, theta, z, False)
+    for (ln_seq, probs), (bare_seq, none) in zip(full, bare, strict=True):
+        assert probs is not None and none is None
+        assert np.array_equal(ln_seq, bare_seq)
+
+
 # --- regret gradient, through the log-likelihood gradient --------------------------
 
 
