@@ -294,9 +294,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import csv
-
-    from .dataset import open_csv
+    from .dataset import copy_with_column
     from .estimation import load_fit_json
     from .postestimation import draw_settings, predict_rows
 
@@ -306,17 +304,9 @@ def cmd_predict(args) -> int:
     draw_settings(fit, args.nrep, args.burn)
     ds = _load_dataset(args, _attr_cols(fit.spec))
     probs = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
-
-    # rows are numbered as the loader numbered them; rows it skipped as
-    # blank have no probability and are copied through unchanged
-    with open_csv(args.data) as source, \
-            open(args.out, "w", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(source)
-        writer = csv.writer(handle)
-        writer.writerow(next(reader) + ["pred_p"])
-        for row_no, row in enumerate(reader, start=2):
-            prob = probs.get(row_no)
-            writer.writerow(row if prob is None else row + [repr(prob)])
+    # rows the loader skipped as blank have no probability and are copied
+    # through unchanged
+    copy_with_column(args.data, args.out, "pred_p", probs)
     print(f"predictions written to {args.out}", file=sys.stderr)
     return 0
 

@@ -14,6 +14,7 @@ import csv
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,6 +35,11 @@ from .errors import (
 )
 
 _INT64 = range(-2**63, 2**63)
+# the characters other than \r and \n at which str.splitlines ends a line;
+# the csv module keeps them inside a cell
+_LINE_MARKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# lines per write of copy_with_column
+_COPY_LINES = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,23 +265,28 @@ def _repeats(ind, sit, alt) -> np.ndarray:
     return repeat
 
 
+def _plain_text(text) -> bool:
+    """Whether ``text`` has no quote character and none of the characters
+    at which ``str.splitlines`` ends a line and the csv module does not.  In
+    such text a csv row is one line (ended by ``\\r\\n``, ``\\r`` or
+    ``\\n``) split at every comma."""
+    return '"' not in text and not any(mark in text for mark in _LINE_MARKS)
+
+
 def _plain_columns(text, id_col, group_col, alt_col, choice_col, attr_cols,
                    cluster_col) -> dict | None:
     """The :class:`ChoiceDataset` columns of ``text`` when it is a plain
     numeric table that breaks no row rule, else None.
 
-    A plain numeric table has no quote character and no blank row; every
-    data row is as wide as the header; ``np.loadtxt`` reads every cell (it
-    reads a cell only as ``float`` does, to the same bit, and refuses
-    ``1_0`` or non-ASCII digits, which ``float`` reads); and every key cell
-    is an integer written without a point or an exponent, below 2**53 in
-    magnitude, so its float is exact.  Without quotes, a row is one line
-    (ended by ``\\r\\n``, ``\\r`` or ``\\n``, as in the csv module) split at
-    every comma, so no line may be longer than the csv module's field limit.
+    A plain numeric table is plain text (:func:`_plain_text`) with no blank
+    row; every data row is as wide as the header; ``np.loadtxt`` reads every
+    cell (it reads a cell only as ``float`` does, to the same bit, and
+    refuses ``1_0`` or non-ASCII digits, which ``float`` reads); and every
+    key cell is an integer written without a point or an exponent, below
+    2**53 in magnitude, so its float is exact.  As a row is one line split
+    at every comma, no line may be longer than the csv module's field limit.
     """
-    # str.splitlines also ends a line at the other characters here, which
-    # the csv module keeps inside a cell
-    if '"' in text or any(mark in text for mark in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+    if not _plain_text(text):
         return None
     lines = text.splitlines()
     n_rows = len(lines) - 1
@@ -352,7 +363,7 @@ def _cell_columns(path, text, id_col, group_col, alt_col, choice_col, attr_cols,
     # order one row is checked; the earliest row wins, then the earliest rule
     int_rule = lambda name: (ints[name][1],
                              lambda p: _not_int(raw[name][p], row_no[p], name))
-    rules = [(width < len(header), lambda p: MalformedCsv(
+    rules = [(width != len(header), lambda p: MalformedCsv(
         f"row {row_no[p]}: expected {len(header)} fields, got {width[p]}"))]
     rules += [int_rule(name) for name in keys[:3]]
     rules.append((bad_choice | ((choice != 0.0) & (choice != 1.0)),
@@ -373,6 +384,54 @@ def _cell_columns(path, text, id_col, group_col, alt_col, choice_col, attr_cols,
     return dict(individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,
                 attributes=attributes, source_row=row_no,
                 attribute_names=tuple(attr_cols), cluster=cluster)
+
+
+def copy_with_column(path, out_path, name: str, values) -> bool:
+    """Copy the data file at ``path`` to the CSV file ``out_path`` with one
+    more column: ``name`` ends the header, and ``repr(values[n])`` ends each
+    row whose number ``n`` (the header is row 1, as :func:`load_long_csv`
+    numbers rows) ``values`` holds; the other rows, such as the blank rows
+    the loader skips, are copied unchanged.  The copy is what ``csv.writer``
+    writes for the rows ``csv.reader`` reads: UTF-8 without a byte-order
+    mark, every row ended by ``\\r\\n``.
+
+    The file is streamed in chunks of lines, one write per chunk.  While
+    the text is plain (:func:`_plain_text`) a row is its line, so the line
+    is copied as it is; from the first chunk that is not, the csv module
+    reads and writes the rest, and re-quotes a quoted cell as ``csv.writer``
+    does.  Returns whether every line was copied as text.
+    """
+    get = values.get
+    with _reading_csv(path), open_csv(path) as source, \
+            open(out_path, "w", newline="", encoding="utf-8") as out:
+        start = 1
+        while chunk := list(islice(source, _COPY_LINES)):
+            if not _plain_text("".join(chunk)):
+                break
+            rows = []
+            for row_no, line in enumerate(chunk, start):
+                line = line.rstrip("\r\n")
+                value = get(row_no)
+                if value is not None:
+                    line = f"{line},{value!r}" if line else repr(value)
+                rows.append(line)
+            if start == 1:
+                header = chunk[0].rstrip("\r\n")
+                rows[0] = f"{header},{name}" if header else name
+            rows.append("")
+            out.write("\r\n".join(rows))
+            start += len(chunk)
+        else:
+            return True
+        writer = csv.writer(out)
+        for row_no, row in enumerate(csv.reader(chain(chunk, source)), start):
+            value = get(row_no)
+            if row_no == 1:
+                row.append(name)
+            elif value is not None:
+                row.append(repr(value))
+            writer.writerow(row)
+    return False
 
 
 def reshape_wide_to_long(

@@ -195,3 +195,20 @@ def write_rows_csv(rows, path, fieldnames=None):
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
+
+
+def csv_copy_with_column(path, out_path, name, values):
+    """The data file at ``path`` copied to ``out_path`` row by row through
+    ``csv.reader`` and ``csv.writer``: ``name`` appended to the header and
+    ``repr(values[n])`` to each later row numbered ``n`` (header = 1) that
+    ``values`` holds."""
+    import csv
+
+    with open(path, newline="", encoding="utf-8-sig") as source, \
+            open(out_path, "w", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(source)
+        writer = csv.writer(handle)
+        writer.writerow(next(reader) + [name])
+        for row_no, row in enumerate(reader, start=2):
+            value = values.get(row_no)
+            writer.writerow(row if value is None else row + [repr(value)])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mixrrm import cli
 from mixrrm.cli import build_parser, main
 from mixrrm.options import FitOptions
-from oracles import simulate_panel, write_rows_csv
+from oracles import csv_copy_with_column, simulate_panel, write_rows_csv
 
 
 @pytest.fixture
@@ -338,6 +338,54 @@ def test_predict_copies_blank_lines_through(panel_csv, tmp_path, capsys):
             assert 0.0 < float(new[-1]) < 1.0
         else:
             assert new == old
+
+
+def quote_ids(text):
+    return text.replace(b"\r\n1,", b'\r\n"1",').replace(b"total_cost", b'"total_cost"')
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: b"\xef\xbb\xbf" + text,
+    lambda text: text,
+    lambda text: text.replace(b"\r\n", b"\n"),
+    lambda text: text.replace(b"\r\n", b"\r").rstrip(b"\r"),
+    lambda text: text.replace(b"\r\n", b"\n\r\n, ,,\n", 3),
+    quote_ids,
+], ids=["bom", "crlf", "lf", "cr_no_last_break", "blank_rows", "quoted"])
+def test_predict_writes_the_csv_module_copy(panel_csv, tmp_path, capsys, edit):
+    """predict writes the bytes of the csv module's row by row copy of its
+    data file, with each loaded row's probability appended."""
+    from mixrrm.dataset import load_long_csv
+    from mixrrm.estimation import load_fit_json
+    from mixrrm.postestimation import predict_rows
+
+    data = tmp_path / "data.csv"
+    data.write_bytes(edit(panel_csv.read_bytes()))
+    fit = fit_json(data, tmp_path, capsys)
+    code, _, err = run(capsys, "predict", data, "--fit", fit, "--out", tmp_path / "got.csv")
+    assert code == 0, err
+    probs = predict_rows(load_long_csv(data, attr_cols=["total_cost", "total_time"]),
+                         load_fit_json(fit))
+    csv_copy_with_column(data, tmp_path / "want.csv", "pred_p", probs)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_row_wider_than_the_header_exit_1(panel_csv, tmp_path, capsys, command):
+    """A data row with a cell past the header, as a trailing comma makes,
+    is refused by its row number; predict writes no file."""
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    lines = panel_csv.read_bytes().split(b"\r\n")
+    lines[4] += b","
+    wider = tmp_path / "wider.csv"
+    wider.write_bytes(b"\r\n".join(lines))
+    out = tmp_path / "out"
+    argv = {"fit": ["fit", wider, "--fixed", "total_cost", "--rand", "total_time",
+                    "--noconstant", "--out", out],
+            "predict": ["predict", wider, "--fit", fit, "--out", out]}[command]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (1, "error: row 5: expected 6 fields, got 7\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("alias", ["panel.csv", "link.csv"])

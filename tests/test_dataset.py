@@ -1,5 +1,6 @@
 import csv
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from mixrrm.dataset import ChoiceDataset, load_long_csv, reshape_wide_to_long
 from mixrrm.errors import NonConvergence
 from mixrrm.estimation import fit_classical
 from mixrrm.regret import ModelSpec
-from oracles import simulate_panel
+from oracles import csv_copy_with_column, simulate_panel
 
 
 def write_csv(path, header, rows):
@@ -532,31 +533,41 @@ def test_odd_cells_load_as_the_per_cell_reader_loads_them(tmp_path, col, cell):
     assert_loads_as_per_cell_reader(path, cluster_col="id")
 
 
-@pytest.mark.parametrize("text, plain", [
-    (basic_text(), True),
-    (basic_text("\r\n"), True),
-    (basic_text("\r"), True),
-    (basic_text().rstrip("\n"), True),
-    ("\ufeff" + basic_text("\r\n"), True),
-    (basic_text() + "\n", False),                                  # blank last row
-    (basic_text().replace("\n", "\n\n", 3), False),                 # blank rows
-    (basic_text().replace("\n", "\r\r\n", 2), False),               # a blank CR row
-    (basic_text().replace("\n", "\n , ,,,, \n", 1), False),         # a row of blanks
-    (basic_text().replace("3.5\n", "3.5,7\n", 1), False),           # a wider row
-    (basic_text().replace(",3.5\n", "\n", 1), False),               # a narrower row
-    (basic_text().replace(",3.5\n", ",3.5\r", 1), True),            # a lone CR row end
-    (basic_text().replace("tt,tc", '"tt,tc"'), False),              # a quoted header
-    (basic_text().replace("5\n", "5\x0b", 1), False),               # a vertical tab
+def width_error(row, want, got):
+    return errors.MalformedCsv, f"row {row}: expected {want} fields, got {got}"
+
+
+@pytest.mark.parametrize("text, plain, refused", [
+    (basic_text(), True, None),
+    (basic_text("\r\n"), True, None),
+    (basic_text("\r"), True, None),
+    (basic_text().rstrip("\n"), True, None),
+    ("\ufeff" + basic_text("\r\n"), True, None),
+    (basic_text() + "\n", False, None),                            # blank last row
+    (basic_text().replace("\n", "\n\n", 3), False, None),           # blank rows
+    (basic_text().replace("\n", "\r\r\n", 2), False, None),         # a blank CR row
+    (basic_text().replace("\n", "\n , ,,,, \n", 1), False, None),   # a row of blanks
+    (basic_text().replace("3.5\n", "3.5,7\n", 1), False, width_error(4, 6, 7)),  # wider
+    (basic_text().replace(",3.5\n", "\n", 1), False, width_error(4, 6, 5)),  # narrower
+    (basic_text().replace(",3.5\n", ",3.5\r", 1), True, None),      # a lone CR row end
+    (basic_text().replace("tt,tc", '"tt,tc"'), False, width_error(2, 5, 6)),  # quoted header
+    (basic_text().replace("5\n", "5\x0b", 1), False, width_error(2, 6, 11)),  # vertical tab
     (basic_text().replace("tt,tc\n", "tt,tc,note\n").replace("5\n", "5,x\n"),
-     False),                                                       # a text column
+     False, (errors.NonFiniteAttribute,
+             "row 2: attribute 'note' is missing or not finite")),  # a text column
 ], ids=["lf", "crlf", "cr", "no_last_break", "bom", "blank_last", "blank_rows",
         "blank_cr_row", "blank_cells_row", "wider", "narrower", "lone_cr",
         "quoted_header", "vertical_tab", "text_column"])
-def test_odd_files_load_as_the_per_cell_reader_loads_them(tmp_path, text, plain):
+def test_odd_files_load_as_the_per_cell_reader_loads_them(tmp_path, text, plain, refused):
+    """Both readers load each file alike, and its default load gives a
+    dataset or the expected error: a row wider or narrower than the header
+    is refused, so is a text column read as an attribute."""
     path = tmp_path / "d.csv"
     path.write_bytes(text.encode("utf-8"))
     assert assert_loads_as_per_cell_reader(path) == plain
     assert_loads_as_per_cell_reader(path, attr_cols=["tt"])
+    outcome = load_outcome(path)
+    assert outcome == refused if refused else isinstance(outcome, ChoiceDataset)
 
 
 def test_cell_past_the_csv_field_limit_is_typed(tmp_path):
@@ -639,3 +650,77 @@ def test_plain_table_parse_matches_the_per_cell_reader(tmp_path_factory, file,
     path.write_bytes(data)
     fast = assert_loads_as_per_cell_reader(path, attr_cols, cluster_col)
     assert fast or not plain
+
+
+# cells of a copied file: plain ones, and ones only the csv module copies
+# (quoted, with a stray quote, or holding a character at which
+# str.splitlines ends a line and the csv module does not)
+PLAIN_CELLS = ["1", "2.5", "a b", " x ", "", " ", "nan"]
+CSV_CELLS = ['"q"', '"a,b"', '"c\r\nd"', '"e\rf"', '"g\nh"', 'i"j', '""', "k\x1cl",
+             "m\u2028n"]
+
+
+@st.composite
+def copy_files(draw):
+    """Bytes of a small file, whether it is plain text, and values for some
+    of its row numbers: a header of names with spaces and up to 8 rows of
+    1-4 cells, blank, comma-only or blank-celled rows among them, with drawn
+    line endings (LF, CRLF or CR, mixed or not), perhaps no break after the
+    last line and perhaps a byte-order mark; in one file of two, cells that
+    only the csv module copies."""
+    pool = PLAIN_CELLS + CSV_CELLS * draw(st.booleans())
+    header = draw(st.lists(st.sampled_from(["id", " cs", "x y ", "tt"]), min_size=1,
+                           max_size=4))
+    rows = draw(st.lists(st.one_of(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+        st.sampled_from([[], ["", "", ""], [" ", " "]])), max_size=8))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1,
+                            max_size=3, unique=True))
+    lines = [",".join(row) for row in [header, *rows]]
+    text = "".join(line + draw(st.sampled_from(endings)) for line in lines)
+    if draw(st.booleans()):
+        text = text[:-2] if text.endswith("\r\n") else text[:-1]
+    values = draw(st.dictionaries(st.integers(1, len(lines) + 1), st.floats(),
+                                  max_size=len(lines)))
+    plain = all(cell in PLAIN_CELLS for row in rows for cell in row)
+    return ("\ufeff" * draw(st.booleans()) + text).encode("utf-8"), plain, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(copy_files(), st.integers(1, 4))
+def test_copy_writes_what_the_csv_module_writes(tmp_path_factory, file, chunk):
+    """``copy_with_column`` writes the bytes of the csv module's row by row
+    copy-through, in chunks of any size, and copies lines as text exactly
+    when the file is plain."""
+    data, plain, values = file
+    tmp = tmp_path_factory.mktemp("copy")
+    (tmp / "d.csv").write_bytes(data)
+    csv_copy_with_column(tmp / "d.csv", tmp / "want.csv", "pred_p", values)
+    with mock.patch.object(dataset, "_COPY_LINES", chunk):
+        as_text = dataset.copy_with_column(tmp / "d.csv", tmp / "got.csv", "pred_p",
+                                           values)
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+    assert as_text == plain
+
+
+def test_copy_streams_the_file(tmp_path):
+    """On a 1000-person panel the copy's traced peak stays below the size of
+    the data file: it holds about one chunk of lines, never a list of every
+    line or the whole output."""
+    n_rows = 1000 * 10 * 3
+    x = np.random.default_rng(7).uniform(0.0, 4.0, (n_rows, 3)).tolist()
+    lines = ["id,cs,altern,choice,tt,tc"] + [
+        f"{row // 30 + 1},{row // 3 + 1},{row % 3 + 1},{int(row % 3 == 0)},{tt!r},{tc!r}"
+        for row, (tt, tc, _) in enumerate(x)]
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    values = {row_no: p for row_no, (*_, p) in enumerate(x, start=2)}
+    tracemalloc.start()
+    try:
+        assert dataset.copy_with_column(path, tmp_path / "got.csv", "pred_p", values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+    csv_copy_with_column(path, tmp_path / "want.csv", "pred_p", values)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
