@@ -28,9 +28,14 @@ i bears L(a) = ln(1 + exp(a)) and j ln(1 + exp(-a)) = L(a) - a.  So both
 slots take the pair's one L(a), from one exp(-|a|), and j's -a, linear in
 beta, is a slot-level term: beta_m times the sum of x_j - x_i over the pairs
 where the slot is j, a draw-invariant sum built with the design (in the
-walk's base for the fixed attributes, per draw for the random ones).  A pass
-can return the exact Hessian from the same pair logistics.  The tests check the
-kernels against a first-principles reference (``tests/oracles.py``).
+walk's base for the fixed attributes, per draw for the random ones, as one
+matrix product per individual over the attributes).  A pair's L(a) summed
+over its attributes takes one log per pair and draw, of a product of one
+factor in [1, 2] per attribute; a pair with a padded slot is masked once,
+on that sum.  A slot with no data row gets +inf in the walk's base, so its
+regret is +inf and its probability exactly 0.  A pass can return the exact
+Hessian from the same pair logistics.  The tests check the kernels against
+a first-principles reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -158,11 +163,12 @@ class ParameterVector:
 # the largest of the arrays that its kernels keep in the design's workspace.
 # A pass allocates none of them, so the bound trades the workspace's memory
 # against the number of kernel calls, whose fixed cost of some 60 small numpy
-# operations dominates small blocks.  At 10 situations of 3 alternatives and
-# R = 100 (15,000 floats a person) and at 8 situations of 5 alternatives, 11
-# parameters and R = 20 (15,200) it gives 8-person blocks: the benchmark's
-# peak RSS rose at most 2.3% over the 2- and 4-person blocks of the
-# allocating kernels, and 9-person blocks put the second 3.2% higher
+# operations (about 40 in a log-likelihood call) dominates small blocks.  At
+# 10 situations of 3 alternatives and R = 100 (15,000 floats a person) and at
+# 8 situations of 5 alternatives, 11 parameters and R = 20 (15,200) it gives
+# 8-person blocks: the benchmark's peak RSS rose at most 2.3% over the 2- and
+# 4-person blocks of the allocating kernels, and 9-person blocks put the
+# second 3.2% higher
 _BLOCK_FLOATS = 2**17
 
 
@@ -182,6 +188,7 @@ class _BlockData:
     d_random: np.ndarray     # (Mr, P, S, n, 1) x[j] - x[i], random attributes
     rival_fixed: np.ndarray  # (Mf, J, S, n, 1) sum of x[j] - x[i] over the pairs
     rival_random: np.ndarray # (Mr, J, S, n, 1)   whose slot j is this slot
+    rival_by_person: np.ndarray  # (n, J*S, Mr) rival_random per individual
     live: np.ndarray         # (P, S, n, 1) float: 1 where both slots hold data
     incidence: np.ndarray    # (P, J): row p marks both slots i and j of pair p
     asc_onehot: np.ndarray   # (J, S, n, n_asc) float
@@ -301,11 +308,14 @@ class ModelDesign:
         rival = _lead(np.eye(j_max)[second].T, pair_diff, batch=2)
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
         empty = ~rows & (np.arange(j_max) > 0)  # a padded situation has slot 0
+        rival_random = rival.take(self._random_pos, 1)
+        by_person = np.ascontiguousarray(rival_random[..., 0].transpose(0, 4, 2, 3, 1))
         return _BlockData(  # the fields, in order
             grid(rows), kernel(empty)[..., None],
             chosen * n_cells + np.arange(n_cells), pair_diff.take(self._fixed_pos, 1),
             pair_diff.take(self._random_pos, 1), rival.take(self._fixed_pos, 1),
-            rival.take(self._random_pos, 1), live.astype(float),
+            rival_random, by_person.reshape(n_group, n, j_max * n_cells // n, -1),
+            live.astype(float),
             np.broadcast_to(np.eye(j_max)[first] + np.eye(j_max)[second],
                             (n_group, len(first), j_max)),
             np.ascontiguousarray(grid(asc_onehot).transpose(0, 3, 2, 1, 4)),
@@ -343,28 +353,30 @@ class ModelDesign:
         per run of at most R equal-shape blocks (so within ``_BLOCK_FLOATS``
         without the draw axis) it builds, once, the regret base (J,S,n,1) of
         the constants and the fixed attributes (their pair terms less beta
-        times their ``rival_fixed`` sums) and the fixed pair slopes
-        (Mf,P,S,n,1); ``part`` is the block's slice of these, its random
-        coefficients (K,n,R) and d beta / d b (K,n,R), 1 or beta
-        (log-normal).  All of these are views of the design's workspace."""
+        times their ``rival_fixed`` sums), +inf at the ``empty`` slots, and
+        the fixed pair slopes (Mf,P,S,n,1); ``part`` is the block's slice of
+        these, its random coefficients (K,n,R) and d beta / d b (K,n,R), 1 or
+        beta (log-normal).  All of these are views of the design's
+        workspace."""
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
         lognormal = self._lognormal[:, None, None]
         results = [None] * len(self.blocks)
         for members, group in self._groups:
             for lo in range(0, len(members), self.nrep):
-                d_fixed, rival, live, asc_onehot = (a[lo:lo + self.nrep] for a in (
-                    group.d_fixed, group.rival_fixed, group.live, group.asc_onehot))
+                d_fixed, rival, live, empty, asc_onehot = (a[lo:lo + self.nrep] for a in (
+                    group.d_fixed, group.rival_fixed, group.live, group.empty,
+                    group.asc_onehot))
                 # the run's base and slopes outlive its kernel calls; its
                 # other intermediates take kernel roles, dead by the first call
-                fixed, slope = _pair_terms(beta, d_fixed, live[:, None], "fixed slope",
-                                           take)
+                fixed, slope = _pair_terms(beta, d_fixed, live, "fixed slope", take)
                 base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
                     "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
                 base -= _product(beta, rival, "a", take).sum(
                     axis=1, out=take("terms", base.shape))
                 base += np.matmul(asc_onehot, theta.asc,
                                   out=take("t", base.shape[:-1]))[..., None]
+                np.copyto(base, np.inf, where=empty)
                 for pos, block in enumerate(members[lo:lo + self.nrep]):
                     z = draws[slice(*self.blocks[block])]
                     by_coef = z.transpose(1, 0, 2)  # (K, n, R)
@@ -378,30 +390,33 @@ class ModelDesign:
         return results
 
     def _regrets(self, bd: _BlockData, part, gradient):
-        """Regrets (J,S,n,R) of a block: its walk ``part``'s base plus the
-        random attributes' terms; with ``gradient`` also the pair slopes
+        """Regrets (J,S,n,R) of a block, +inf at its ``empty`` slots: its walk
+        ``part``'s base plus the random attributes' terms; with ``gradient``
+        also the pair slopes
         d ln(1 + exp(a)) / d beta = (x[j] - x[i]) logistic(a) of the fixed
         (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes.  The regrets and
         the random slopes are views of the workspace."""
         base, slope_fixed, coefs, _ = part
         take = self._work.take
-        coefs = coefs[:, None, None]
-        drawn, slope_random = _pair_terms(coefs, bd.d_random, bd.live,
+        drawn, slope_random = _pair_terms(coefs[:, None, None], bd.d_random, bd.live,
                                           "slope" if gradient else None, take)
         regrets = _lead(bd.incidence.T, drawn,
                         out=take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
         regrets += base
-        regrets -= _product(coefs, bd.rival_random, "a", take).sum(
-            axis=0, out=take("t", regrets.shape))
+        # per individual: (J*S, Mr) @ (Mr, R), written to (J, S, n, R)
+        rival = take("t", regrets.shape)
+        np.matmul(bd.rival_by_person, coefs.transpose(1, 0, 2),
+                  out=rival.reshape(-1, *rival.shape[2:]).transpose(1, 0, 2))
+        regrets -= rival
         return regrets, slope_fixed, slope_random
 
     def _probabilities(self, bd: _BlockData, regrets, probs=True):
         """Per-draw choice probabilities (J,S,n,R), ``None`` unless ``probs``,
         and chosen log-probs (S,n,R), made in the workspace: the
-        probabilities in place of ``regrets``."""
+        probabilities in place of ``regrets``, whose +inf at the ``empty``
+        slots gives them probability exactly 0."""
         take = self._work.take
         neg = np.negative(regrets, out=regrets)
-        np.copyto(neg, -np.inf, where=bd.empty)
         flat = neg.reshape(-1, neg.shape[-1])
         chosen = np.take(flat, bd.chosen, axis=0, mode="clip",
                          out=take("chosen", (len(bd.chosen), flat.shape[1])))
@@ -468,7 +483,14 @@ class ModelDesign:
         n_ind, n_draws = resid.shape[2:]
         f, k = self.n_fixed, self.n_random
         per_draw = take("per_draw", (self.n_params, n_ind, n_draws))
-        _pair_gradient(slope_fixed, res, bd.rival_fixed, resid, per_draw[:f], take)
+        # the fixed slopes are draw-invariant, so their pair and rival terms
+        # are one slot gradient dR/d beta, (Mf, J, S, n, 1), times ``resid``;
+        # these sums over the padded J and S stay numpy reductions, in J then
+        # S order, which padding leaves unchanged: a BLAS product groups them
+        # by the padded length, so a person's row would depend on the block
+        d_fixed = _slot_gradient(bd.incidence, slope_fixed, bd.rival_fixed,
+                                 out=take("fixed slot", (f, *probs.shape[:-1], 1)))
+        _product(d_fixed, resid, "a", take).sum(axis=(1, 2), out=per_draw[:f])
         g_rand = _pair_gradient(slope_random, res, bd.rival_random, resid,
                                 per_draw[f:f + k], take)
         g_rand *= chain
@@ -493,7 +515,7 @@ class ModelDesign:
         # the slopes, ``res``, the probabilities, the weights and ``per_draw``.
         # dR/dtheta, (P, J, S, n, R)
         slot = take("terms", (self.n_params, *probs.shape))
-        slot[:f] = _slot_gradient(bd.incidence, slope_fixed, bd.rival_fixed)
+        slot[:f] = d_fixed
         d_rand = _slot_gradient(bd.incidence, slope_random, bd.rival_random,
                                 out=slot[f:f + k])
         d_rand *= chain[:, None, None]
@@ -601,29 +623,34 @@ def _pair_terms(beta, d, live, slope_role, take):
     slot j at slot level, from the draw-invariant ``rival_*`` sums of x[j] -
     x[i].
 
-    With t = exp(-|a|), L(a) = max(a, 0) + log1p(t), exact, and logistic(a)
+    With t = exp(-|a|), L(a) = max(a, 0) + ln(1 + t), exact, and logistic(a)
     is 1/(1+t) for a >= 0, else t/(1+t): max(t, a >= 0) / (1 + t), as t <= 1.
-    ``live`` zeroes t of a dead pair, whose a is 0, so its term is exactly 0.
+    The sum over the M attributes takes one log per pair: sum_m max(a_m, 0)
+    + ln prod_m (1 + t_m), whose factors lie in [1, 2], so the product stays
+    within 2^M and the log is within a few ulps of 1 of the M log1p's sum;
+    M = 0 gives 0.  ``live`` (..., P, S, n, 1) masks that sum: a dead pair
+    has d = 0, so a = 0, its slope is 0 and its M ln 2 becomes exactly 0.
     Every array, the results too, is a workspace view ``take(role, shape)``,
     the slopes in ``slope_role``.
     """
     a = _product(beta, d, "a", take)
-    shape = a.shape
+    shape, pairs = a.shape, (*a.shape[:-5], *a.shape[-4:])
     t = np.abs(a, out=take("t", shape))
     np.negative(t, out=t)
     np.exp(t, out=t)
-    t *= live
     slope = None
     if slope_role:
         slope = np.greater_equal(a, 0.0, out=take(slope_role, shape))
         np.maximum(t, slope, out=slope)
-    terms = np.log1p(t, out=take("terms", shape))
-    terms += np.maximum(a, 0.0, out=a)
+    t += 1.0
+    terms = t.prod(axis=-5, out=take("drawn", pairs))
+    np.log(terms, out=terms)
+    terms += np.maximum(a, 0.0, out=a).sum(axis=-5, out=take("terms", pairs))
+    terms *= live
     if slope_role:
-        t += 1.0
         slope /= t
         slope *= d
-    return terms.sum(axis=-5, out=take("drawn", (*shape[:-5], *shape[-4:]))), slope
+    return terms, slope
 
 
 def _pair_gradient(slope, res, rival, resid, out, take):

@@ -817,6 +817,32 @@ def test_console_script_end_to_end(panel_csv, tmp_path):
     assert out_json.exists()
 
 
+def test_fit_json_does_not_depend_on_thread_count(tmp_path, rng):
+    """Fits of a panel with 3 random attributes, one log-normal, and
+    constants, run in child processes capped at 1 and at 2 numeric worker
+    threads, write byte-identical fit JSON: the kernels' matrix products
+    give every individual the same sums whatever the thread count."""
+    rows, _ = simulate_panel(rng, n_individuals=60, n_situations=5, n_alternatives=4,
+                             fixed={"cost": -0.3},
+                             random={"time": ("normal", -0.4, 0.3),
+                                     "wait": ("normal", -0.2, 0.2),
+                                     "comfort": ("lognormal", -1.0, 0.4)})
+    panel = tmp_path / "panel.csv"
+    write_rows_csv(rows, panel)
+    outputs = []
+    for threads in (1, 2):
+        out_json = tmp_path / f"fit{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixrrm.cli", "--threads", str(threads), "fit",
+             str(panel), "--fixed", "cost", "--rand", "time", "wait", "comfort",
+             "--ln", "1", "--nrep", "20", "--robust", "--out", str(out_json)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out_json.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 # --- aim 3's invariants on generated panels ------------------------------------
 
 

@@ -1006,35 +1006,47 @@ def test_extreme_activations_stay_finite(data, size):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.floats(100.0, 700.0))
-def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size):
+@given(st.data(), st.floats(100.0, 700.0), st.integers(1, 3))
+def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size, n_random):
     """Slot j of a pair bears ln(1 + exp(-a)) as L(a) - a, L(a) = ln(1 +
     exp(a)), with the sum of a over its pairs taken at slot level, so the
-    kernel's regrets cancel where the reference's do not.  At |beta * dx| up
-    to ``size`` (700 keeps exp(a) a float for the scalar reference), through
-    the fixed attribute's walk base and the random one's slot-level term,
+    kernel's regrets cancel where the reference's do not; and a pair's L
+    over the K random attributes is one log of a product of K factors.  At
+    |beta * dx| up to ``size`` (700 keeps exp(a) a float for the scalar
+    reference), through the fixed attribute's walk base and the K = 1, 2 or
+    3 random ones' pair and slot-level terms (the last of 2 or 3 log-normal),
     regrets and probabilities agree with ``naive_regret`` and
     ``naive_choice_probs`` to a few ulps of the largest |a| per rival term.
-    Alternative 1 of each situation dominates on both attributes, so the
-    reference's softmax does not underflow to 0 / 0."""
+    Situations of 2 to 5 alternatives share a block, so it has dead pairs
+    and empty slots.  Alternative 1 of each situation dominates on every
+    attribute, so the reference's softmax does not underflow to 0 / 0."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    sign = rng.choice([-1.0, 1.0], size=2)
+    names = [f"x{m}" for m in range(1 + n_random)]
+    ln_count = int(n_random > 1)
+    sign = rng.choice([-1.0, 1.0], size=len(names))
+    if ln_count:
+        sign[-1] = 1.0  # a log-normal coefficient exp(b) is positive
     beta = 100.0 * sign
+    location = beta[1:].copy()
+    if ln_count:
+        location[-1] = math.log(beta[-1])
+        beta[-1] = np.exp(location[-1])  # the coefficient the kernel realizes
     individuals = {}
     for n in (1, 2, 3):
         sits = {}
-        for s in range(1, int(rng.integers(1, 4)) + 1):
-            width = int(rng.integers(2, 6))
-            x = rng.uniform(-1.0, 1.0, size=(width, 2)) * size / 200.0
+        for s in range(1, int(rng.integers(1 + (n == 1), 4)) + 1):
+            width = {(1, 1): 5, (1, 2): 2}.get((n, s)) or int(rng.integers(2, 6))
+            x = rng.uniform(-1.0, 1.0, size=(width, len(names))) * size / 200.0
             x[0] = np.where(sign > 0, x.max(axis=0), x.min(axis=0))
             sits[s] = [(j + 1, x[j].tolist(), j == 0) for j in range(width)]
         individuals[n] = sits
-    ds = make_dataset(individuals, ["x0", "x1"])
-    design = design_for(ds, 2, fixed_attrs=("x0",), random_attrs=("x1",),
-                        use_asc=True)
-    theta = ParameterVector(fixed=beta[:1], rand_location=beta[1:],
-                            rand_scale=np.zeros(1), asc=rng.normal(size=design.n_asc))
-    draws = rng.normal(size=(ds.n_individuals, 1, 2))
+    ds = make_dataset(individuals, names)
+    design = design_for(ds, 2, fixed_attrs=("x0",), random_attrs=tuple(names[1:]),
+                        ln_count=ln_count, use_asc=True)
+    assert design._blocks[0].empty.any()
+    theta = ParameterVector(fixed=beta[:1], rand_location=location,
+                            rand_scale=np.zeros(n_random), asc=rng.normal(size=design.n_asc))
+    draws = rng.normal(size=(ds.n_individuals, n_random, 2))
     # ``_regrets`` returns a view of the design's workspace: keep a copy
     regrets = design.walk(
         lambda block, z, part: design._regrets(design._blocks[block], part, False)[0].copy(),
@@ -1055,3 +1067,35 @@ def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size):
                 probs = naive_choice_probs(x_all, beta.tolist(), asc[s])
                 got = infos[block][1][pos - start, :, s, :width]
                 np.testing.assert_allclose(got, np.repeat([probs], 2, 0), rtol=0, atol=tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.booleans())
+def test_empty_slots_get_infinite_regret_and_zero_probability(data, classical):
+    """On an unbalanced panel, in blocks as large as a drawn bound on padded
+    floats allows, the walk's base puts +inf at exactly a block's ``empty``
+    slots (no data row, not a padded situation's slot 0), so ``_regrets`` is
+    +inf there and finite elsewhere; the draw-info kernel's per-draw
+    probabilities are exactly 0.0 at every slot with no data row but a
+    padded situation's slot 0, which is 1.0, and each situation's sum to 1
+    within 1e-12."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
+        design = padded_design(data, rng, n_individuals=6, classical=classical)
+    assume(any(bd.empty.any() for bd in design._blocks))
+    draws = padded_draws(design, rng)
+    theta = design.unpack(rng.normal(size=design.n_params))
+    regrets = design.walk(
+        lambda block, z, part: design._regrets(design._blocks[block], part, False)[0].copy(),
+        theta, draws)
+    infos = design.walk(design.individual_draw_info, theta, draws)
+    for block, (got, (_, probs)) in enumerate(zip(regrets, infos, strict=True)):
+        empty = np.broadcast_to(design._blocks[block].empty, got.shape)
+        assert np.array_equal(np.isposinf(got), empty)
+        assert np.all(np.isfinite(got[~empty]))
+        rows = design.available(block)  # (n, S, J)
+        padded = ~rows.any(axis=2, keepdims=True) & (np.arange(rows.shape[2]) == 0)
+        probs = probs.transpose(1, 0, 2, 3)  # (R, n, S, J)
+        assert np.all(probs[:, ~rows & ~padded] == 0.0)
+        assert np.all(probs[:, padded] == 1.0)
+        np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
