@@ -346,22 +346,29 @@ class ModelDesign:
     # draws ``z`` and ``part``, its share of the pass's draw-invariant work;
     # only :meth:`walk`, or a kernel handed to it, calls one.
 
-    def walk(self, kernel, theta, draws, *args) -> list:
+    def walk(self, kernel, theta, draws, *args, stop=None) -> list | None:
         """One pass over the data under the (N, K, R) ``draws``: the list of
         ``kernel(block, z, part, *args)`` of every block, in block (dataset)
-        order, ``z`` the block's draws.  It visits the blocks group by group;
-        per run of at most R equal-shape blocks (so within ``_BLOCK_FLOATS``
-        without the draw axis) it builds, once, the regret base (J,S,n,1) of
-        the constants and the fixed attributes (their pair terms less beta
-        times their ``rival_fixed`` sums), +inf at the ``empty`` slots, and
-        the fixed pair slopes (Mf,P,S,n,1); ``part`` is the block's slice of
-        these, its random coefficients (K,n,R) and d beta / d b (K,n,R), 1 or
-        beta (log-normal).  All of these are views of the design's
-        workspace."""
+        order, ``z`` the block's draws.  With ``stop``, after each kernel
+        call the walk hands ``stop`` the results it has not yet handed of
+        the finished blocks from block 0 up to the first unfinished one, so
+        ``stop`` sees each block once, in dataset order; the walk ends and
+        returns ``None`` as soon as ``stop`` returns true.  Only a
+        line-search trial's pass has a ``stop``
+        (``estimation._rejection_test``).  The walk visits the blocks group
+        by group; per run of at most R equal-shape blocks (so within
+        ``_BLOCK_FLOATS`` without the draw axis) it builds, once, the regret
+        base (J,S,n,1) of the constants and the fixed attributes (their pair
+        terms less beta times their ``rival_fixed`` sums), +inf at the
+        ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1); ``part`` is
+        the block's slice of these, its random coefficients (K,n,R) and d
+        beta / d b (K,n,R), 1 or beta (log-normal).  All of these are views
+        of the design's workspace."""
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
         lognormal = self._lognormal[:, None, None]
         results = [None] * len(self.blocks)
+        fed = 0  # blocks handed to ``stop``: a finished dataset-order prefix
         for members, group in self._groups:
             for lo in range(0, len(members), self.nrep):
                 d_fixed, rival, live, empty, asc_onehot = (a[lo:lo + self.nrep] for a in (
@@ -387,6 +394,11 @@ class ModelDesign:
                     np.copyto(chain, coefs, where=lognormal)
                     results[block] = kernel(block, z, (base[pos], slope[pos], coefs,
                                                        chain), *args)
+                    while (stop is not None and fed < len(results)
+                           and results[fed] is not None):
+                        if stop(results[fed]):
+                            return None
+                        fed += 1
         return results
 
     def _regrets(self, bd: _BlockData, part, gradient):

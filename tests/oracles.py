@@ -13,18 +13,35 @@ from typing import Callable
 import numpy as np
 
 
-def fd_gradient(fun, x, rel_step=1e-6):
-    """Central finite differences of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        h = rel_step * (1.0 + abs(x[i]))
+def _richardson(fun, x, i, h):
+    """d fun / d x_i from central differences D at steps h and h/2 with their
+    h^2 error terms cancelled: (4 D(h/2) - D(h)) / 3, whose truncation error
+    is O(h^4).  Each quotient divides by the step as represented in x."""
+
+    def central(step):
         plus = x.copy()
         minus = x.copy()
-        plus[i] += h
-        minus[i] -= h
-        grad[i] = (fun(plus) - fun(minus)) / (2.0 * h)
-    return grad
+        plus[i] += step
+        minus[i] -= step
+        return (np.asarray(fun(plus)) - np.asarray(fun(minus))) / (plus[i] - minus[i])
+
+    return (4.0 * central(0.5 * h) - central(h)) / 3.0
+
+
+def _steps(fun, x, rel_step):
+    """Steps rel_step (1 + |x_i|) (1 + max |fun(x)|)^(1/5) for
+    :func:`_richardson`.  Its error is about eps |f| / h from rounding plus
+    the O(h^4) truncation, so where the derivatives stay moderate as |f|
+    grows, the step that balances the two grows as |f|^(1/5)."""
+    magnitude = np.max(np.abs(fun(x)))
+    return rel_step * (1.0 + np.abs(x)) * (1.0 + magnitude) ** 0.2
+
+
+def fd_gradient(fun, x, rel_step=2e-4):
+    """Richardson-extrapolated central differences of a scalar function."""
+    x = np.asarray(x, dtype=float)
+    return np.array([_richardson(fun, x, i, h)
+                     for i, h in enumerate(_steps(fun, x, rel_step))])
 
 
 def fd_jacobian(fun, x, rel_step=1e-6):
@@ -43,21 +60,14 @@ def fd_jacobian(fun, x, rel_step=1e-6):
 
 
 def _fd_hessian(scores: Callable, x: np.ndarray) -> np.ndarray:
-    """Central differences of the analytic gradient, step 1e-5*(1+|x_i|);
-    the gradient is the ordered sum of the rows ``scores(x)`` returns."""
+    """Richardson-extrapolated central differences of the analytic gradient,
+    the ordered sum of the rows ``scores(x)`` returns, symmetrised; steps as
+    in :func:`fd_gradient`."""
     from mixrrm.estimation import _ordered_sum
 
-    n = x.size
-    hess = np.empty((n, n))
-    for i in range(n):
-        h = 1e-5 * (1.0 + abs(x[i]))
-        plus = x.copy()
-        minus = x.copy()
-        plus[i] += h
-        minus[i] -= h
-        hess[:, i] = (
-            _ordered_sum(scores(plus)[1]) - _ordered_sum(scores(minus)[1])
-        ) / (2.0 * h)
+    gradient = lambda v: _ordered_sum(scores(v)[1])
+    hess = np.column_stack([_richardson(gradient, x, i, h)
+                            for i, h in enumerate(_steps(gradient, x, 2e-4))])
     return 0.5 * (hess + hess.T)
 
 
@@ -89,21 +99,44 @@ def binary_logit_prob(x_own, x_other, beta):
 
 
 def naive_regret(x_all, i, beta, asc=None):
-    """Straight-line regret: sum over rivals/attributes of ln(1 + exp(.))."""
+    """Straight-line regret: sum over rivals/attributes of ln(1 + exp(a));
+    where exp(a) overflows, the same a + ln(1 + exp(-a))."""
     total = 0.0 if asc is None else asc[i]
     for j in range(len(x_all)):
         if j == i:
             continue
         for m in range(len(beta)):
-            total += math.log(1.0 + math.exp(beta[m] * (x_all[j][m] - x_all[i][m])))
+            a = beta[m] * (x_all[j][m] - x_all[i][m])
+            try:
+                total += math.log(1.0 + math.exp(a))
+            except OverflowError:
+                total += a + math.log1p(math.exp(-a))
     return total
 
 
 def naive_choice_probs(x_all, beta, asc=None):
+    """Choice probabilities exp(-r_i) / sum_j exp(-r_j) of the regrets r;
+    where a weight overflows or all of them underflow, the exponentials of
+    :func:`naive_choice_log_probs`."""
     regrets = [naive_regret(x_all, i, beta, asc) for i in range(len(x_all))]
-    weights = [math.exp(-r) for r in regrets]
-    denom = sum(weights)
-    return [w / denom for w in weights]
+    try:
+        weights = [math.exp(-r) for r in regrets]
+        denom = sum(weights)
+        return [w / denom for w in weights]
+    except (OverflowError, ZeroDivisionError):
+        return [math.exp(v) for v in _log_probs(regrets)]
+
+
+def naive_choice_log_probs(x_all, beta, asc=None):
+    """ln of :func:`naive_choice_probs`, taken about the least regret, so a
+    probability too small for a float still has its finite logarithm."""
+    return _log_probs([naive_regret(x_all, i, beta, asc) for i in range(len(x_all))])
+
+
+def _log_probs(regrets):
+    least = min(regrets)
+    log_denom = math.log(sum(math.exp(least - r) for r in regrets))
+    return [least - r - log_denom for r in regrets]
 
 
 def brute_force_sll(individuals, theta, draws, asc=None):
@@ -118,6 +151,9 @@ def brute_force_sll(individuals, theta, draws, asc=None):
     ``draws``: per individual, a K x R list of standard-normal values.
     ``asc``: optional, per individual, per situation, the constant added to
     each alternative's regret (0 for the base alternative).
+    Each draw's sequence probability is a sum of chosen log-probabilities,
+    and the mean over draws is taken about the largest, so a sequence too
+    improbable for a float still counts.
     """
     fixed = list(theta["fixed"])
     location = list(theta["location"])
@@ -127,18 +163,19 @@ def brute_force_sll(individuals, theta, draws, asc=None):
     for n, situations in enumerate(individuals):
         z = draws[n]
         n_draws = len(z[0]) if z else 1
-        acc = 0.0
+        sequences = []
         for r in range(n_draws):
             beta = list(fixed)
             for k in range(len(location)):
                 value = location[k] + scale[k] * z[k][r]
                 beta.append(math.exp(value) if lognormal[k] else value)
-            seq_prob = 1.0
+            seq_log_prob = 0.0
             for s, (x_all, chosen) in enumerate(situations):
                 constants = None if asc is None else asc[n][s]
-                seq_prob *= naive_choice_probs(x_all, beta, constants)[chosen]
-            acc += seq_prob
-        total += math.log(acc / n_draws)
+                seq_log_prob += naive_choice_log_probs(x_all, beta, constants)[chosen]
+            sequences.append(seq_log_prob)
+        peak = max(sequences)
+        total += peak + math.log(sum(math.exp(v - peak) for v in sequences) / n_draws)
     return total
 
 

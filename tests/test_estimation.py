@@ -153,15 +153,16 @@ def test_fd_hessian_covariance_matches_loglik_curvature(tmp_path, rng):
 
 def counted_quadratic(curvature):
     """A quadratic with its maximum at (2, -3) and the same ``curvature`` in
-    every direction, whose two callables record each call's name and point."""
+    every direction, whose two callables record each call's name and point;
+    they take a trial's acceptance bound and always return the full value."""
     target = np.array([2.0, -3.0])
     calls = []
 
-    def loglik(x):
+    def loglik(x, bound=None):
         calls.append(("loglik", x.copy()))
         return -0.5 * curvature * (x - target) @ (x - target)
 
-    def scores(x):
+    def scores(x, bound=None):
         calls.append(("scores", x.copy()))
         return (np.array([-0.5 * curvature * (x - target) @ (x - target)]),
                 -curvature * (x - target)[None])
@@ -225,15 +226,15 @@ def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
     walk, loglik, maximize = (estimation.individual_scores, estimation._loglik,
                               estimation._maximize)
 
-    def counted_walk(design, draws, x, hessian=False):
+    def counted_walk(design, draws, x, hessian=False, bound=None):
         if design.n_random and not hessian:
             calls.append(("S", np.array(x, dtype=float)))
-        return walk(design, draws, x, hessian=hessian)
+        return walk(design, draws, x, hessian=hessian, bound=bound)
 
-    def counted_loglik(design, draws, x):
+    def counted_loglik(design, draws, x, bound=None):
         if design.n_random:
             calls.append(("L", np.array(x, dtype=float)))
-        return loglik(design, draws, x)
+        return loglik(design, draws, x, bound=bound)
 
     def kept_maximize(*args, **kwargs):
         results.append(maximize(*args, **kwargs))
@@ -265,7 +266,9 @@ def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
     """A log-normal location started at 3 makes the first trials overflow;
     they are rejected for a non-finite log-likelihood without a numpy
     warning, and with warnings turned into errors the fit takes the same
-    path."""
+    path.  Each trial is recorded at its full log-likelihood, walked without
+    its bound, so a trial that its first blocks reject still shows its
+    overflow."""
     ds = panel_dataset(tmp_path, np.random.default_rng(1), n_individuals=30,
                        n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
                        random={"cf": ("lognormal", -1.0, 0.4)})
@@ -274,9 +277,9 @@ def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
     values = []
     loglik = estimation._loglik
 
-    def recorded_loglik(*args):
-        values.append(loglik(*args))
-        return values[-1]
+    def recorded_loglik(design, draws, x, bound=None):
+        values.append(loglik(design, draws, x))
+        return loglik(design, draws, x, bound=bound)
 
     monkeypatch.setattr(estimation, "_loglik", recorded_loglik)
     with warnings.catch_warnings(record=True) as caught:
@@ -303,12 +306,14 @@ def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
     ds = panel_dataset(tmp_path, np.random.default_rng(0), n_individuals=30,
                        n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
                        random={"cf": ("lognormal", -1.0, 0.4)})
-    trials = []  # (log-likelihood finite, gradient finite) of each walk
+    trials = []  # (log-likelihood finite, gradient finite) of each whole walk
     walk = estimation.individual_scores
 
-    def recorded_walk(design, draws, x, hessian=False):
-        out = walk(design, draws, x, hessian=hessian)
-        trials.append((np.isfinite(_ordered_sum(out[0])), np.isfinite(out[1]).all()))
+    def recorded_walk(design, draws, x, hessian=False, bound=None):
+        out = walk(design, draws, x, hessian=hessian, bound=bound)
+        if out is not None:  # not a trial stopped by its bound
+            trials.append((np.isfinite(_ordered_sum(out[0])),
+                           np.isfinite(out[1]).all()))
         return out
 
     monkeypatch.setattr(estimation, "individual_scores", recorded_walk)
@@ -409,8 +414,9 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
                        n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
     design = ModelDesign(ds, ModelSpec(fixed_attrs=("tt", "tc")))
     draws = design.draws()
-    res = _maximize(lambda x: _loglik(design, draws, x),
-                    lambda x: individual_scores(design, draws, x), np.zeros(2))
+    res = _maximize(lambda x, bound: _loglik(design, draws, x, bound=bound),
+                    lambda x, bound: individual_scores(design, draws, x, bound=bound),
+                    np.zeros(2))
     assert res.converged
     history = np.array(res.ll_history)
     noise = 8.0 * np.finfo(float).eps * (np.abs(history[:-1]) + 1.0)
@@ -770,9 +776,9 @@ def test_hessian_costs_one_score_walk(tmp_path, rng, monkeypatch, random):
     calls = []
     walk, maximize = estimation.individual_scores, estimation._maximize
 
-    def counted_walk(*args, hessian=False):
+    def counted_walk(*args, hessian=False, bound=None):
         calls.append("hessian" if hessian else "walk")
-        return walk(*args, hessian=hessian)
+        return walk(*args, hessian=hessian, bound=bound)
 
     def marked_maximize(*args, **kwargs):
         result = maximize(*args, **kwargs)
@@ -1016,20 +1022,25 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     conditional betas, and a classical fit, every block kernel is called
     inside a walk, by the walk or by the kernel it was handed (the draw-info
     pass hands it one that summarizes each block), and no other loop calls
-    one: each walk makes exactly one kernel call per block, in designs of
-    several blocks: 12 people of 3 situations of 3 alternatives, 3 * (3*2 +
-    3*3) * 5 = 225 padded floats each at the mixed fit's R = 5 and 3 * (3*2
-    + 3*2) = 36 in a classical design, so blocks of 1 and of 11 people."""
+    one: a walk that is not stopped makes exactly one kernel call per block,
+    in designs of several blocks, and a line-search trial's walk stopped by
+    its ``stop``, known by its ``None`` result, calls the kernel at least
+    once and on no block twice.  Some trials are stopped.  The panel: 12
+    people of 3 situations of 3 alternatives, 3 * (3*2 + 3*3) * 5 = 225
+    padded floats each at the mixed fit's R = 5 and 3 * (3*2 + 3*2) = 36 in
+    a classical design, so blocks of 1 and of 11 people."""
     from mixrrm import regret
 
     monkeypatch.setattr(regret, "_BLOCK_FLOATS", 400)
     calls = []  # (kernel, called inside a walk) per call
-    walks = []  # [blocks, kernel calls] per walk
+    walks = []  # [blocks, blocks called, stopped] per walk
     walk = ModelDesign.walk
 
-    def counted_walk(self, *args):
-        walks.append([len(self.blocks), 0])
-        return walk(self, *args)
+    def counted_walk(self, *args, **kwargs):
+        walks.append([len(self.blocks), [], None])
+        out = walk(self, *args, **kwargs)
+        walks[-1][2] = out is None
+        return out
 
     monkeypatch.setattr(ModelDesign, "walk", counted_walk)
     for name in ("individual_loglik", "individual_loglik_gradient",
@@ -1038,7 +1049,7 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
         def recorded(self, *args, kernel=getattr(ModelDesign, name), name=name):
             caller = sys._getframe(1)
             calls.append((name, walk.__code__ in (caller.f_code, caller.f_back.f_code)))
-            walks[-1][1] += 1
+            walks[-1][1].append(args[0])
             return kernel(self, *args)
 
         monkeypatch.setattr(ModelDesign, name, recorded)
@@ -1053,5 +1064,10 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     assert {name for name, _ in calls} == {
         "individual_loglik", "individual_loglik_gradient", "individual_draw_info"}
     assert all(in_walk for _, in_walk in calls)
-    assert min(blocks for blocks, _ in walks) > 1
-    assert all(blocks == kernel_calls for blocks, kernel_calls in walks)
+    assert min(blocks for blocks, *_ in walks) > 1
+    for blocks, called, stopped in walks:
+        if stopped:
+            assert len(called) == len(set(called)) >= 1
+        else:
+            assert sorted(called) == list(range(blocks))
+    assert any(stopped for *_, stopped in walks)

@@ -11,7 +11,8 @@ from conftest import make_dataset, per_person, random_dataset, situation_slices
 from mixrrm import postestimation, regret
 from mixrrm.dataset import ChoiceDataset
 from mixrrm.errors import SpecMismatch
-from mixrrm.estimation import FitResult, _loglik, _ordered_sum, individual_scores
+from mixrrm.estimation import (FitResult, _loglik, _ordered_sum, _rejection_test,
+                               individual_scores)
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import (_fd_hessian, brute_force_sll, fd_gradient, naive_choice_probs,
                      naive_regret)
@@ -422,8 +423,7 @@ def test_regret_gradient_matches_finite_differences(seed):
         theta = {"fixed": list(v), "location": [], "scale": [], "lognormal": []}
         return brute_force_sll(plain, theta, [[]])
 
-    # step ~ eps^(1/3) balances truncation against roundoff in the oracle
-    oracle = fd_gradient(oracle_ll, values, rel_step=5e-6)
+    oracle = fd_gradient(oracle_ll, values)
     np.testing.assert_allclose(grad, oracle, rtol=1e-7, atol=1e-9)
 
 
@@ -495,9 +495,7 @@ def test_loglik_gradient_matches_finite_differences(seed, use_asc):
                                                 design.unpack(x), draws))[1]
     oracle = fd_gradient(
         lambda v: per_person(design, design.walk(design.individual_loglik,
-                                                 design.unpack(v), draws))[1][0], x,
-        rel_step=5e-6,
-    )
+                                                 design.unpack(v), draws))[1][0], x)
     np.testing.assert_allclose(grad, oracle, rtol=1e-6, atol=1e-8)
 
 
@@ -643,13 +641,39 @@ def test_padded_situations_match_oracle(data, classical):
     for pos in range(design.ds.n_individuals):
         z = draws[pos]
         assert lls[pos] == pytest.approx(oracle_loglik(design, pos, x, z), rel=1e-12)
-        oracle = fd_gradient(lambda v: oracle_loglik(design, pos, v, z), x,
-                             rel_step=5e-6)
+        oracle = fd_gradient(lambda v: oracle_loglik(design, pos, v, z), x)
         np.testing.assert_allclose(rows[pos], oracle, rtol=1e-7, atol=1e-9)
     single_lls, single_rows = individual_scores(one_per_block(design), draws, x)
     np.testing.assert_allclose(lls, single_lls, rtol=1e-12, atol=0)
     np.testing.assert_allclose(rows, single_rows, rtol=1e-12,
                                atol=1e-12 * np.abs(single_rows).max())
+
+
+def test_oracle_is_total_at_an_overflowing_activation():
+    """A log-normal coefficient of about 391 times an attribute gap of 2.7
+    is an activation near 1056, past where ``math.exp`` overflows, and makes
+    the chosen alternative's probability underflow to 0.0.  The oracle
+    still gives the log-likelihood, in log space, and the kernel's term and
+    gradient row agree with it as in ``test_padded_situations_match_oracle``."""
+    situations = {1: [(1, [0.4, 1.0, 0.0], True), (2, [1.1, 0.2, 2.7], False),
+                      (3, [0.0, 0.5, 1.3], False)],
+                  2: [(1, [0.9, 0.3, 1.2], False), (2, [0.1, 1.4, 0.8], True)]}
+    design = design_for(make_dataset({1: situations}, ["x0", "x1", "x2"]), 2,
+                        fixed_attrs=("x0",), random_attrs=("x1", "x2"), ln_count=1,
+                        use_asc=True)
+    x = np.array([0.3, 0.2, math.log(391.0), 0.4, 0.05, -0.1, 0.2])
+    z = np.array([[0.7, -1.2], [0.3, -0.4]])
+    (x_all, chosen), _ = plain_situations(design, 0)
+    beta = [0.3, 0.2 + 0.4 * 0.7, math.exp(math.log(391.0) + 0.05 * 0.3)]
+    assert beta[2] * 2.7 > 1000.0
+    assert naive_choice_probs(x_all, beta)[chosen] == 0.0
+    assert math.isfinite(naive_regret(x_all, chosen, beta))
+    lls, rows = individual_scores(design, z[None], x)
+    want = oracle_loglik(design, 0, x, z)
+    assert want < -1000.0
+    assert lls[0] == pytest.approx(want, rel=1e-12)
+    oracle = fd_gradient(lambda v: oracle_loglik(design, 0, v, z), x)
+    np.testing.assert_allclose(rows[0], oracle, rtol=1e-7, atol=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -732,6 +756,137 @@ def test_loglik_walk_equals_ordered_score_sum(data, classical):
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.1, 1.0, 3.0]))
     lls, _ = individual_scores(design, draws, x)
     assert _loglik(design, draws, x) == float(_ordered_sum(lls))
+
+
+def near_bounds(data, full):
+    """Acceptance bounds for a trial whose full log-likelihood is ``full``:
+    itself, the floats on either side, a drawn nearby value, any drawn
+    float, nan and +inf."""
+    return [full, math.nextafter(full, math.inf), math.nextafter(full, -math.inf),
+            full + data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats()),
+            np.nan, np.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_walk_stop_sees_a_dataset_order_prefix_and_rejects_exactly(data):
+    """A walk handed ``stop`` feeds it each block's result in dataset order,
+    and the rejection test of a line-search trial stops a walk only where the
+    full pass would reject.  The panel is unbalanced and its people take
+    turns between two shapes, in blocks as large as a drawn bound on padded
+    floats allows, so the walk visits a group's blocks out of dataset order.
+    A stand-in kernel returns drawn terms: at most 0 (some of them within a
+    few eps ln R of it), or above it by no more than the 2 eps ln R that
+    the rounding of a term's two logarithms can leave, and -inf or nan.
+    For each bound (the ordered sum of the terms, the floats next to it, a
+    nearby and any float, nan, +inf) the walk returns ``None`` only where
+    that sum is not a finite number at least the bound, and otherwise every
+    block's result."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    nrep = data.draw(st.integers(1, 4))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 1000 * nrep))):
+        design = padded_design(data, rng, n_individuals=9, nrep=nrep, shapes=2)
+    n_ind = design.ds.n_individuals
+    lift = 2.0 * np.finfo(float).eps * math.log(nrep)
+    terms = np.array(data.draw(st.lists(
+        st.one_of(st.floats(max_value=0.0), st.floats(-4.0 * lift, 0.0),
+                  st.floats(0.0, lift), st.sampled_from([-np.inf, np.nan])),
+        min_size=n_ind, max_size=n_ind)))
+    full = float(_ordered_sum(terms))
+    draws = padded_draws(design, rng)
+    theta = design.unpack(rng.normal(size=design.n_params))
+    block_terms = lambda block, z, part: (block, terms[slice(*design.blocks[block])])
+    for bound in near_bounds(data, full):
+        fed = []  # the blocks handed to ``stop``, in turn
+        test = _rejection_test(design, draws, bound)
+
+        def stop(result):
+            fed.append(result[0])
+            return test(result[1])
+
+        walked = design.walk(block_terms, theta, draws, stop=stop)
+        assert fed == list(range(len(fed)))
+        if walked is None:
+            assert not (math.isfinite(full) and full >= bound)
+        else:
+            assert fed == [block for block, _ in walked] == list(range(len(design.blocks)))
+
+
+def test_rejection_slack_covers_terms_lifted_above_zero():
+    """The rounding of a term's two logarithms can leave it up to 2 eps ln R
+    above 0, and such terms can lift the sum past a bound that a prefix is
+    below: at R = 2, the terms -3d, d, d, d (d = 2 eps ln 2) of four
+    one-person blocks add to a float above 0, their first alone is below
+    it.  With the bound at that sum, the slack of the rejection test keeps
+    the walk going to the end, where the full pass accepts the trial."""
+    ds = random_dataset(np.random.default_rng(2), n_individuals=4)
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
+        design = design_for(ds, 2, fixed_attrs=("x0",), random_attrs=("x1",))
+    lift = 2.0 * math.ulp(1.0) * math.log(2.0)
+    terms = np.array([-3.0 * lift, lift, lift, lift])
+    full = float(_ordered_sum(terms))
+    assert full > 0.0 > terms[0]
+    draws = design.draws()
+    walked = design.walk(lambda block, z, part: terms[block:block + 1],
+                         design.unpack(np.zeros(design.n_params)), draws,
+                         stop=_rejection_test(design, draws, full))
+    assert walked is not None and len(walked) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.booleans(), st.sampled_from([0.5, 3.0, 1e150]))
+def test_bounded_passes_decide_as_the_full_pass(data, classical, scale):
+    """At drawn trial points, some of whose log-likelihoods are nan, on
+    unbalanced panels in drawn blocks, ``_loglik`` and ``individual_scores``
+    handed a bound return ``None`` only where the full log-likelihood is not
+    a finite number at least the bound, and otherwise what the full pass
+    returns, bit for bit."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
+        design = padded_design(data, rng, n_individuals=6, classical=classical)
+    draws = padded_draws(design, rng)
+    x = rng.normal(size=design.n_params) * scale
+    with np.errstate(all="ignore"):
+        full = _loglik(design, draws, x)
+        lls, rows = individual_scores(design, draws, x)
+        for bound in near_bounds(data, full):
+            accept = math.isfinite(full) and full >= bound
+            value = _loglik(design, draws, x, bound=bound)
+            scored = individual_scores(design, draws, x, bound=bound)
+            assert (value is None) == (scored is None)
+            if value is None:
+                assert not accept
+            else:
+                assert np.array_equal(value, full, equal_nan=True)
+                assert np.array_equal(scored[0], lls, equal_nan=True)
+                assert np.array_equal(scored[1], rows, equal_nan=True)
+
+
+def test_a_trial_stops_on_its_first_block(monkeypatch):
+    """Ten people in one-person blocks: a trial whose bound lies 1 above the
+    first person's term is rejected after one kernel call, on the first
+    block, by either pass; the full pass rejects it too."""
+    rng = np.random.default_rng(4)
+    ds = random_dataset(rng, n_individuals=10, n_situations=2, n_alternatives=3)
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
+        design = design_for(ds, 5, fixed_attrs=("x0",), random_attrs=("x1",))
+    assert len(design.blocks) == 10
+    draws = design.draws()
+    x = rng.normal(size=design.n_params) * 0.5
+    lls, _ = individual_scores(design, draws, x)
+    bound = lls[0] + 1.0
+    assert _loglik(design, draws, x) < bound
+    for kernel, bounded in [("individual_loglik", _loglik),
+                            ("individual_loglik_gradient", individual_scores)]:
+        calls = []
+
+        def counted(block, *args, kernel=getattr(design, kernel)):
+            calls.append(block)
+            return kernel(block, *args)
+
+        monkeypatch.setattr(design, kernel, counted)
+        assert bounded(design, draws, x, bound=bound) is None
+        assert calls == [0]
 
 
 def people_alone(design, start, stop):
@@ -1006,20 +1161,20 @@ def test_extreme_activations_stay_finite(data, size):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.floats(100.0, 700.0), st.integers(1, 3))
+@given(st.data(), st.floats(100.0, 1500.0), st.integers(1, 3))
 def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size, n_random):
     """Slot j of a pair bears ln(1 + exp(-a)) as L(a) - a, L(a) = ln(1 +
     exp(a)), with the sum of a over its pairs taken at slot level, so the
     kernel's regrets cancel where the reference's do not; and a pair's L
     over the K random attributes is one log of a product of K factors.  At
-    |beta * dx| up to ``size`` (700 keeps exp(a) a float for the scalar
-    reference), through the fixed attribute's walk base and the K = 1, 2 or
-    3 random ones' pair and slot-level terms (the last of 2 or 3 log-normal),
-    regrets and probabilities agree with ``naive_regret`` and
-    ``naive_choice_probs`` to a few ulps of the largest |a| per rival term.
-    Situations of 2 to 5 alternatives share a block, so it has dead pairs
-    and empty slots.  Alternative 1 of each situation dominates on every
-    attribute, so the reference's softmax does not underflow to 0 / 0."""
+    |beta * dx| up to ``size`` (past 709, where exp(a) overflows, the
+    scalar reference takes a + ln(1 + exp(-a))), through the fixed
+    attribute's walk base and the K = 1, 2 or 3 random ones' pair and
+    slot-level terms (the last of 2 or 3 log-normal), regrets and
+    probabilities agree with ``naive_regret`` and ``naive_choice_probs`` to
+    a few ulps of the largest |a| per rival term.  Situations of 2 to 5
+    alternatives share a block, so it has dead pairs and empty slots.
+    Alternative 1 of each situation dominates on every attribute."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     names = [f"x{m}" for m in range(1 + n_random)]
     ln_count = int(n_random > 1)
