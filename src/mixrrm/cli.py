@@ -1,6 +1,7 @@
 """Command-line front end: fit, predict, betas, lognormal, reshape.
 
-Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
+Results go to stdout, diagnostics to stderr, where a library warning is
+one ``warning: <message>`` line.  Exit codes: 0 success,
 1 usage or data error, 2 non-convergence (results are still emitted).
 Exit code 1 reports only the package's typed errors and ``OSError``; any
 other exception is a bug and propagates with its traceback.
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .errors import Error, InvalidOption, NonConvergence, SpecMismatch
 from .options import FitOptions
@@ -170,11 +172,17 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     _apply_thread_cap(args.threads)
-    try:
-        return args.handler(args)
-    except (Error, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.handler(args)
+        except (Error, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_dataset(args, attr_cols, cluster_col=None):

@@ -24,18 +24,21 @@ own, so a pass after the first allocates only its per-person results; a
 design's passes share that workspace, so one thread at a time walks a
 design.  A classical model is the case K = 0, R = 1.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
-i bears L(a) = ln(1 + exp(a)) and j ln(1 + exp(-a)) = L(a) - a.  So both
-slots take the pair's one L(a), from one exp(-|a|), and j's -a, linear in
-beta, is a slot-level term: beta_m times the sum of x_j - x_i over the pairs
-where the slot is j, a draw-invariant sum built with the design (in the
-walk's base for the fixed attributes, per draw for the random ones, as one
-matrix product per individual over the attributes).  A pair's L(a) summed
-over its attributes takes one log per pair and draw, of a product of one
-factor in [1, 2] per attribute; a pair with a padded slot is masked once,
-on that sum.  A slot with no data row gets +inf in the walk's base, so its
-regret is +inf and its probability exactly 0.  A pass can return the exact
-Hessian from the same pair logistics.  The tests check the kernels against
-a first-principles reference (``tests/oracles.py``).
+i bears L(a) = ln(1 + exp(a)) and j L(-a), and L(a) = a/2 + h(a) with h(a) =
+|a|/2 + ln(1 + exp(-|a|)) = ln(2 cosh(a/2)) even.  So both slots take the
+pair's one h(a), a function of |a| = |beta_m| |x_j - x_i| alone, and the odd
+halves, +a/2 at i and -a/2 at j, add up to a slot-level term linear in beta:
+beta_m times lin_k = 1/2 sum over the slots l != k with data of x_l - x_k, a
+draw-invariant sum built with the design (in the walk's base for the fixed
+attributes, per draw for the random ones, as one matrix product per
+individual over the attributes).  A pair's odd halves cancel, so the lin_k
+of a situation sum to 0: the split moves regret between slots, never adds
+any.  A pair's h summed over its attributes takes one log per pair and draw,
+of a product of one factor in [1, 2] per attribute; a pair with a padded slot
+is masked once, on that sum.  A slot with no data row gets +inf in the
+walk's base, so its regret is +inf and its probability exactly 0.  A pass
+can return the exact Hessian from the same pair terms.  The tests check the
+kernels against a first-principles reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -178,17 +181,19 @@ class _BlockData:
     situations each (the block's most; a padded situation has only slot 0,
     available and chosen, so it adds exactly 0) of J slots, and the P =
     J(J-1)/2 slot pairs i < j.  The individual axis comes just before the
-    draw axis, which goes last (a trailing 1 here), so reductions add slabs."""
+    draw axis, which goes last (a trailing 1 here), so reductions add slabs.
+    A pair gives half its x[j] - x[i] to slot i's ``lin_*`` and less that
+    half to slot j's, so a situation's ``lin_*`` add up to 0."""
 
     rows: np.ndarray         # (n, S, J) bool: slots holding a data row
     empty: np.ndarray        # (J, S, n, 1) bool: slots with no data row that
                              #   are not a padded situation's slot 0
     chosen: np.ndarray       # (S*n,) int: each chosen slot's row in (J*S*n, R)
-    d_fixed: np.ndarray      # (Mf, P, S, n, 1) x[j] - x[i], fixed attributes
-    d_random: np.ndarray     # (Mr, P, S, n, 1) x[j] - x[i], random attributes
-    rival_fixed: np.ndarray  # (Mf, J, S, n, 1) sum of x[j] - x[i] over the pairs
-    rival_random: np.ndarray # (Mr, J, S, n, 1)   whose slot j is this slot
-    rival_by_person: np.ndarray  # (n, J*S, Mr) rival_random per individual
+    d_fixed: np.ndarray      # (Mf, P, S, n, 1) |x[j] - x[i]|, fixed attributes
+    d_random: np.ndarray     # (Mr, P, S, n, 1) |x[j] - x[i]|, random attributes
+    lin_fixed: np.ndarray    # (Mf, J, S, n, 1) lin_k = 1/2 sum over the other
+    lin_random: np.ndarray   # (Mr, J, S, n, 1)   data slots l of x[l] - x[k]
+    lin_by_person: np.ndarray  # (n, J*S, Mr) lin_random per individual
     live: np.ndarray         # (P, S, n, 1) float: 1 where both slots hold data
     incidence: np.ndarray    # (P, J): row p marks both slots i and j of pair p
     asc_onehot: np.ndarray   # (J, S, n, n_asc) float
@@ -303,18 +308,20 @@ class ModelDesign:
             grid(a).transpose(0, *range(a.ndim, 0, -1)))
         live = kernel(rows[..., first] & rows[..., second])[..., None]
         # a pair with a padded slot gets a zero difference, so it adds
-        # nothing to the gradient; ``live`` masks it out of the regrets
+        # nothing to ``lin`` or the gradient; ``live`` masks it out of the regrets
         pair_diff = kernel(x[:, :, second] - x[:, :, first])[..., None] * live[:, None]
-        rival = _lead(np.eye(j_max)[second].T, pair_diff, batch=2)
+        lin = _lead(0.5 * (np.eye(j_max)[first] - np.eye(j_max)[second]).T, pair_diff,
+                    batch=2)
+        dist = np.abs(pair_diff, out=pair_diff)
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
         empty = ~rows & (np.arange(j_max) > 0)  # a padded situation has slot 0
-        rival_random = rival.take(self._random_pos, 1)
-        by_person = np.ascontiguousarray(rival_random[..., 0].transpose(0, 4, 2, 3, 1))
+        lin_random = lin.take(self._random_pos, 1)
+        by_person = np.ascontiguousarray(lin_random[..., 0].transpose(0, 4, 2, 3, 1))
         return _BlockData(  # the fields, in order
             grid(rows), kernel(empty)[..., None],
-            chosen * n_cells + np.arange(n_cells), pair_diff.take(self._fixed_pos, 1),
-            pair_diff.take(self._random_pos, 1), rival.take(self._fixed_pos, 1),
-            rival_random, by_person.reshape(n_group, n, j_max * n_cells // n, -1),
+            chosen * n_cells + np.arange(n_cells), dist.take(self._fixed_pos, 1),
+            dist.take(self._random_pos, 1), lin.take(self._fixed_pos, 1),
+            lin_random, by_person.reshape(n_group, n, j_max * n_cells // n, -1),
             live.astype(float),
             np.broadcast_to(np.eye(j_max)[first] + np.eye(j_max)[second],
                             (n_group, len(first), j_max)),
@@ -359,27 +366,29 @@ class ModelDesign:
         by group; per run of at most R equal-shape blocks (so within
         ``_BLOCK_FLOATS`` without the draw axis) it builds, once, the regret
         base (J,S,n,1) of the constants and the fixed attributes (their pair
-        terms less beta times their ``rival_fixed`` sums), +inf at the
-        ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1); ``part`` is
-        the block's slice of these, its random coefficients (K,n,R) and d
-        beta / d b (K,n,R), 1 or beta (log-normal).  All of these are views
-        of the design's workspace."""
+        terms plus beta times their ``lin_fixed`` sums), +inf at the
+        ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1), their
+        sign(beta) applied; ``part`` is the block's slice of these, its
+        random coefficients (K,n,R) and d beta / d b (K,n,R), 1 or beta
+        (log-normal).  All of these are views of the design's workspace."""
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
+        sign = np.sign(beta)
         lognormal = self._lognormal[:, None, None]
         results = [None] * len(self.blocks)
         fed = 0  # blocks handed to ``stop``: a finished dataset-order prefix
         for members, group in self._groups:
             for lo in range(0, len(members), self.nrep):
-                d_fixed, rival, live, empty, asc_onehot = (a[lo:lo + self.nrep] for a in (
-                    group.d_fixed, group.rival_fixed, group.live, group.empty,
+                d_fixed, lin, live, empty, asc_onehot = (a[lo:lo + self.nrep] for a in (
+                    group.d_fixed, group.lin_fixed, group.live, group.empty,
                     group.asc_onehot))
                 # the run's base and slopes outlive its kernel calls; its
                 # other intermediates take kernel roles, dead by the first call
                 fixed, slope = _pair_terms(beta, d_fixed, live, "fixed slope", take)
+                slope *= sign
                 base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
                     "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
-                base -= _product(beta, rival, "a", take).sum(
+                base += _product(beta, lin, "a", take).sum(
                     axis=1, out=take("terms", base.shape))
                 base += np.matmul(asc_onehot, theta.asc,
                                   out=take("t", base.shape[:-1]))[..., None]
@@ -404,10 +413,10 @@ class ModelDesign:
     def _regrets(self, bd: _BlockData, part, gradient):
         """Regrets (J,S,n,R) of a block, +inf at its ``empty`` slots: its walk
         ``part``'s base plus the random attributes' terms; with ``gradient``
-        also the pair slopes
-        d ln(1 + exp(a)) / d beta = (x[j] - x[i]) logistic(a) of the fixed
-        (Mf,P,S,n,1) and random (Mr,P,S,n,R) attributes.  The regrets and
-        the random slopes are views of the workspace."""
+        also the pair slopes of the even terms, dh(a) / d beta of the fixed
+        attributes (Mf,P,S,n,1) and dh(a) / d beta without its factor
+        sign(beta) of the random ones (Mr,P,S,n,R).  The regrets and the
+        random slopes are views of the workspace."""
         base, slope_fixed, coefs, _ = part
         take = self._work.take
         drawn, slope_random = _pair_terms(coefs[:, None, None], bd.d_random, bd.live,
@@ -416,10 +425,10 @@ class ModelDesign:
                         out=take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
         regrets += base
         # per individual: (J*S, Mr) @ (Mr, R), written to (J, S, n, R)
-        rival = take("t", regrets.shape)
-        np.matmul(bd.rival_by_person, coefs.transpose(1, 0, 2),
-                  out=rival.reshape(-1, *rival.shape[2:]).transpose(1, 0, 2))
-        regrets -= rival
+        lin = take("t", regrets.shape)
+        np.matmul(bd.lin_by_person, coefs.transpose(1, 0, 2),
+                  out=lin.reshape(-1, *lin.shape[2:]).transpose(1, 0, 2))
+        regrets += lin
         return regrets, slope_fixed, slope_random
 
     def _probabilities(self, bd: _BlockData, regrets, probs=True):
@@ -474,7 +483,8 @@ class ModelDesign:
         (P, P) Hessian of ``ll.sum()``, symmetric up to rounding."""
         bd = self._blocks[block]
         take = self._work.take
-        chain = part[3]  # chain rule: d beta / d s is d beta / d b times the draw
+        # chain rule: d beta / d s is d beta / d b, ``chain``, times the draw
+        _, _, coefs, chain = part
         z = z.transpose(1, 0, 2)  # (K, n, R)
         regrets, slope_fixed, slope_random = self._regrets(bd, part, gradient=True)
         probs, ln_chosen = self._probabilities(bd, regrets)
@@ -495,15 +505,16 @@ class ModelDesign:
         n_ind, n_draws = resid.shape[2:]
         f, k = self.n_fixed, self.n_random
         per_draw = take("per_draw", (self.n_params, n_ind, n_draws))
-        # the fixed slopes are draw-invariant, so their pair and rival terms
+        # the fixed slopes are draw-invariant, so their pair and lin terms
         # are one slot gradient dR/d beta, (Mf, J, S, n, 1), times ``resid``;
         # these sums over the padded J and S stay numpy reductions, in J then
         # S order, which padding leaves unchanged: a BLAS product groups them
         # by the padded length, so a person's row would depend on the block
-        d_fixed = _slot_gradient(bd.incidence, slope_fixed, bd.rival_fixed,
+        d_fixed = _slot_gradient(bd.incidence, slope_fixed, bd.lin_fixed,
                                  out=take("fixed slot", (f, *probs.shape[:-1], 1)))
         _product(d_fixed, resid, "a", take).sum(axis=(1, 2), out=per_draw[:f])
-        g_rand = _pair_gradient(slope_random, res, bd.rival_random, resid,
+        sign = np.sign(coefs, out=take("sign", coefs.shape))
+        g_rand = _pair_gradient(slope_random, res, sign, bd.lin_random, resid,
                                 per_draw[f:f + k], take)
         g_rand *= chain
         np.multiply(g_rand, z, out=per_draw[f + k:f + 2 * k])
@@ -528,7 +539,8 @@ class ModelDesign:
         # dR/dtheta, (P, J, S, n, R)
         slot = take("terms", (self.n_params, *probs.shape))
         slot[:f] = d_fixed
-        d_rand = _slot_gradient(bd.incidence, slope_random, bd.rival_random,
+        slope_random *= sign[:, None, None]
+        d_rand = _slot_gradient(bd.incidence, slope_random, bd.lin_random,
                                 out=slot[f:f + k])
         d_rand *= chain[:, None, None]
         np.multiply(d_rand, z[:, None, None], out=slot[f + k:f + 2 * k])
@@ -626,70 +638,105 @@ def _product(x, y, role, take):
 
 
 def _pair_terms(beta, d, live, slope_role, take):
-    """Regret terms of the pair activations a = ``beta`` * ``d`` (..., M, P,
-    S, n, R), ``d`` = x[j] - x[i], summed over the attributes: L(a) = ln(1 +
-    exp(a)) per pair, (..., P, S, n, R), which both slots of the pair bear;
-    and, given a ``slope_role``, the slopes dL/d beta = d logistic(a), (...,
-    M, P, S, n, R), else ``None``.  Slot j's term is ln(1 + exp(-a)) = L(a) -
-    a, and the kernels subtract the sum of a over the pairs where a slot is
-    slot j at slot level, from the draw-invariant ``rival_*`` sums of x[j] -
-    x[i].
+    """Even regret terms of the pair activations a = ``beta`` * (x[j] - x[i])
+    (..., M, P, S, n, R), from ``d`` = |x[j] - x[i]|, summed over the
+    attributes: h(a) = |a|/2 + ln(1 + exp(-|a|)) per pair, (..., P, S, n,
+    R), which both slots of the pair bear; and, given a ``slope_role``, the
+    slopes dh/d beta without their factor sign(beta), d tanh(|a|/2) / 2,
+    (..., M, P, S, n, R), else ``None``.  L(a) = ln(1 + exp(a)) is a/2 +
+    h(a), so slot i's term L(a) and slot j's L(-a) differ from h by +a/2 and
+    -a/2, which the kernels add at slot level, beta times the draw-invariant
+    ``lin_*`` sums.
 
-    With t = exp(-|a|), L(a) = max(a, 0) + ln(1 + t), exact, and logistic(a)
-    is 1/(1+t) for a >= 0, else t/(1+t): max(t, a >= 0) / (1 + t), as t <= 1.
-    The sum over the M attributes takes one log per pair: sum_m max(a_m, 0)
-    + ln prod_m (1 + t_m), whose factors lie in [1, 2], so the product stays
-    within 2^M and the log is within a few ulps of 1 of the M log1p's sum;
-    M = 0 gives 0.  ``live`` (..., P, S, n, 1) masks that sum: a dead pair
-    has d = 0, so a = 0, its slope is 0 and its M ln 2 becomes exactly 0.
-    Every array, the results too, is a workspace view ``take(role, shape)``,
-    the slopes in ``slope_role``.
+    h depends on |a| alone, and -|beta| d is -|a| exactly, as IEEE rounding
+    does not depend on sign.  With t = exp(-|a|), the sum over the M
+    attributes takes one log per pair, sum_m |a_m|/2 + ln prod_m (1 + t_m),
+    whose factors lie in [1, 2], so the product stays within 2^M and the log
+    is within a few ulps of 1 of the M log1p's sum; M = 0 gives 0.
+    tanh(|a|/2) / 2 is 1/(1 + t) - 1/2.  ``live`` (..., P, S, n, 1) masks
+    the sum: a dead pair has d = 0, so a = 0, its slope is 0 and its M ln 2
+    becomes exactly 0.  Every array, the results too, is a workspace view
+    ``take(role, shape)``, the slopes in ``slope_role``.
     """
-    a = _product(beta, d, "a", take)
+    a = _activations(np.copysign(beta, -1.0, out=take("abs", beta.shape)), d, take)
     shape, pairs = a.shape, (*a.shape[:-5], *a.shape[-4:])
-    t = np.abs(a, out=take("t", shape))
-    np.negative(t, out=t)
-    np.exp(t, out=t)
+    t = np.exp(a, out=take("t", shape))
+    t += 1.0
     slope = None
     if slope_role:
-        slope = np.greater_equal(a, 0.0, out=take(slope_role, shape))
-        np.maximum(t, slope, out=slope)
-    t += 1.0
-    terms = t.prod(axis=-5, out=take("drawn", pairs))
-    np.log(terms, out=terms)
-    terms += np.maximum(a, 0.0, out=a).sum(axis=-5, out=take("terms", pairs))
-    terms *= live
-    if slope_role:
-        slope /= t
+        slope = np.reciprocal(t, out=take(slope_role, shape))
+        slope -= 0.5
         slope *= d
+    terms = take("drawn", pairs)
+    np.log(_over_attributes(np.multiply, t, terms), out=terms)
+    half = take("terms", pairs)
+    terms += np.multiply(_over_attributes(np.add, a, half), -0.5, out=half)
+    terms *= live
     return terms, slope
 
 
-def _pair_gradient(slope, res, rival, resid, out, take):
+def _activations(beta, d, take):
+    """``beta`` (M, 1, 1, n or 1, R) times ``d`` (..., M, P, S, n, 1), in
+    ``take("a", ...)``.  With R = 1 (fixed coefficients, or one draw), a
+    broadcast multiply, whose inner loop spans the individuals.  With R
+    draws that loop would cover only R, several times slower at R = 20 to
+    100, so per attribute and run of at most 8 individuals the (P*S, k)
+    ``d`` multiply a (k, k*R) block-diagonal matrix of their coefficients:
+    each entry is one product plus exact zeros, the broadcast product on
+    any BLAS path."""
+    *lead, m, p, s, n, r = np.broadcast_shapes(beta.shape, d.shape)
+    if r == 1:
+        return _product(beta, d, "a", take)
+    a = take("a", (*lead, m, p, s, n, r))
+    rows, cols = d.reshape(*lead, m, p * s, n), a.reshape(*lead, m, p * s, n * r)
+    for lo in range(0, n, 8):
+        k = min(8, n - lo)
+        diag = take("diag", (m, k * k, r))
+        diag.fill(0.0)
+        diag[:, ::k + 1] = beta[:, 0, 0, lo:lo + k]
+        np.matmul(rows[..., lo:lo + k], diag.reshape(m, k, k * r),
+                  out=cols[..., lo * r:(lo + k) * r])
+    return a
+
+
+def _over_attributes(ufunc, array, out):
+    """``ufunc`` reduced over the attribute axis -5 of ``array`` into ``out``;
+    of one attribute, ``array`` itself without that axis, which a reduction
+    would only copy."""
+    if array.shape[-5] == 1:
+        return array.reshape(out.shape)
+    return ufunc.reduce(array, axis=-5, out=out)
+
+
+def _pair_gradient(slope, res, sign, lin, resid, out, take):
     """d(sum_i res_i R_i)/d beta per attribute, individual and draw,
     (M, n, R), written to ``out``: over pairs and situations, the pair
-    ``slope`` times ``res``, the sum of its slots' ``resid``; less, over
-    slots and situations, each slot's ``rival`` sum times its ``resid``."""
+    ``slope`` times ``res``, the sum of its slots' ``resid``, times the
+    coefficients' ``sign`` (M, n, R); plus, over slots and situations, each
+    slot's ``lin`` sum times its ``resid``."""
     _product(slope, res, "a", take).sum(axis=(1, 2), out=out)
-    out -= _product(rival, resid, "a", take).sum(axis=(1, 2), out=take("t", out.shape))
+    out *= sign
+    out += _product(lin, resid, "a", take).sum(axis=(1, 2), out=take("t", out.shape))
     return out
 
 
-def _slot_gradient(incidence, slope, rival, out=None):
+def _slot_gradient(incidence, slope, lin, out=None):
     """dR/d beta per attribute, slot, situation, individual and draw,
-    (M, J, S, n, R), written to ``out`` if given: each slot gets the
-    ``slope`` of its pairs, less its ``rival`` sum."""
+    (M, J, S, n, R), written to ``out`` if given: each slot gets the signed
+    ``slope`` of its pairs, plus its ``lin`` sum."""
     gradient = _lead(incidence.T, slope, batch=1, out=out)
-    gradient -= rival
+    gradient += lin
     return gradient
 
 
 def _pair_curvature(d, slope, res, take):
     """d2(sum_i res_i R_i)/d beta2 per attribute, individual and draw,
-    (M, n, R): both slots of a pair bear d^2 logistic(a) (1 - logistic(a)),
-    which is slope (d - slope)."""
-    curv = np.subtract(d, slope, out=take("a", np.broadcast(d, slope).shape))
-    curv *= slope
+    (M, n, R): both slots of a pair bear h'' = d^2 (1 - tanh^2(|a|/2)) / 4,
+    which is (d/2)^2 less the square of the ``slope``, signed or not."""
+    quarter = np.multiply(d, 0.5, out=take("t", d.shape))
+    quarter *= quarter
+    curv = np.square(slope, out=take("a", slope.shape))
+    np.subtract(quarter, curv, out=curv)
     return _product(curv, res, "t", take).sum(axis=(1, 2))
 
 

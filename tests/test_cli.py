@@ -257,6 +257,24 @@ def test_fit_nonconvergence_exit_2(panel_csv, capsys):
     assert "Classical random regret minimization fit" in out  # still emitted
 
 
+def test_library_warning_is_one_stderr_line(tmp_path, capsys, rng):
+    """A warning from the library, here the unconverged preliminary fit of
+    a mixed fit capped at 2 iterations, reaches stderr as one ``warning:``
+    line, without the source file and line that Python's display adds."""
+    rows, _ = simulate_panel(rng, n_individuals=30, n_situations=4, n_alternatives=4,
+                             fixed={"cost": -0.3},
+                             random={"time": ("normal", -0.4, 0.3),
+                                     "comfort": ("lognormal", -1.0, 0.4)})
+    panel = tmp_path / "panel.csv"
+    write_rows_csv(rows, panel)
+    code, _, err = run(capsys, "fit", panel, "--fixed", "cost", "--rand", "time",
+                       "comfort", "--ln", 1, "--nrep", 5, "--maxiter", 2)
+    assert code == 2
+    assert ("warning: preliminary classical fit did not converge; using its last "
+            "iterate for starting values\n") in err
+    assert ".py:" not in err
+
+
 def test_singular_fit_json_is_strict(tmp_path, capsys, rng):
     """A constant attribute leaves the Hessian singular; the unconverged fit
     still writes its JSON, with null where the covariance is undefined."""

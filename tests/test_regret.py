@@ -740,6 +740,85 @@ def test_padded_situations_hessian_matches_finite_differences(data, classical):
     np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
 
 
+@pytest.mark.parametrize("case", ["classical start", "mixed zero", "normal zero",
+                                  "fixed zero", "saturated"])
+def test_gradient_and_hessian_at_zero_and_saturated_coefficients(case):
+    """A pair's even term is a function of |beta|, so its slope takes
+    sign(beta), 0 at beta = 0, and the slot's total slope is the sum of
+    x[j] - x[i] halves and tanh(|a|/2) halves, which cancel as the pair
+    saturates.  At theta = 0 (the classical start, and a mixed model whose
+    log-normal coefficient is then exp(0) = 1), at a normal random
+    coefficient with location and scale 0, at a fixed coefficient 0 beside
+    non-zero random ones, and at pair activations |beta * dx| of 20 to 60,
+    where exp(-|a|) is below eps from 37 on, the log-likelihood agrees with
+    ``brute_force_sll``, the gradient rows with its finite differences, and
+    the Hessian with finite differences of the gradient, to the tolerances
+    of the padded-situation tests."""
+    rng = np.random.default_rng(7)
+    saturated = case == "saturated"
+    individuals = {}
+    for n, sizes in enumerate([(2, 4, 3), (4, 3), (3, 2, 4)], start=1):
+        sits = {}
+        for s, size in enumerate(sizes, start=1):
+            # distinct integer attributes give every saturated pair a gap of
+            # 1 to 3, so an activation of 20 to 60 at |beta| = 20
+            x = (np.array([rng.permutation(size) for _ in range(3)]).T.astype(float)
+                 if saturated else rng.normal(size=(size, 3)))
+            chosen = int(rng.integers(size))
+            sits[s] = [(j + 1, x[j].tolist(), j == chosen) for j in range(size)]
+        individuals[n] = sits
+    ds = make_dataset(individuals, ["x0", "x1", "x2"])
+    if case == "classical start":
+        design = design_for(ds, fixed_attrs=("x0", "x1", "x2"), use_asc=True)
+    else:
+        design = design_for(ds, 3, fixed_attrs=("x0",), random_attrs=("x1", "x2"),
+                            ln_count=1, use_asc=True)
+    n_asc = design.n_asc
+    x = {
+        "classical start": np.zeros(design.n_params),
+        "mixed zero": np.zeros(design.n_params),
+        # [fixed | location | scale | asc]
+        "normal zero": np.array([0.4, 0.0, -0.3, 0.0, 0.5, *rng.normal(size=n_asc)]),
+        "fixed zero": np.array([0.0, -0.6, 0.2, 0.7, 0.3, *rng.normal(size=n_asc)]),
+        "saturated": np.array([-20.0, 20.0, math.log(20.0), 0.0, 0.0,
+                               *rng.normal(size=n_asc)]),
+    }[case]
+    draws = padded_draws(design, rng)
+    if saturated:  # every coefficient is +-20 at every draw
+        gaps = {abs(a - b) for sits in individuals.values() for rows in sits.values()
+                for i, (_, xa, _) in enumerate(rows) for _, xb, _ in rows[:i]
+                for a, b in zip(xa, xb)}
+        assert gaps == {1.0, 2.0, 3.0}
+    lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
+    for pos in range(design.ds.n_individuals):
+        z = draws[pos]
+        assert lls[pos] == pytest.approx(oracle_loglik(design, pos, x, z), rel=1e-12)
+        oracle = fd_gradient(lambda v: oracle_loglik(design, pos, v, z), x)
+        np.testing.assert_allclose(rows[pos], oracle, rtol=1e-7, atol=1e-9)
+    oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
+    assert np.array_equal(hessian, hessian.T)
+    np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (8, 20), (13, 5), (20, 100)])
+def test_activations_equal_the_broadcast_product(n, r):
+    """``_activations``' block-diagonal matrix products, over runs of up to 8
+    individuals, give the broadcast product of the coefficients and the
+    distances bit for bit, with and without a leading run axis, at zero
+    coefficients and zero distances; a coefficient shared by the block, as
+    a fixed one is, and one draw take the broadcast itself."""
+    rng = np.random.default_rng(100 * n + r)
+    d = np.abs(rng.normal(size=(2, 3, 4, 5, n, 1)))
+    d[:, :, 1] = 0.0  # the distances of a dead pair
+    beta = -np.abs(rng.normal(size=(3, 1, 1, n, r)))
+    beta[1, ..., 0] = -0.0
+    shared = -np.abs(rng.normal(size=(3, 1, 1, 1, 1)))
+    for coef in (beta, shared):
+        for dist in (d, d[0]):
+            got = regret._activations(coef, dist, regret._Workspace().take)
+            assert np.array_equal(got, coef * dist)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.booleans())
 def test_loglik_walk_equals_ordered_score_sum(data, classical):
@@ -943,7 +1022,7 @@ def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
     """In one-individual blocks, a group of 7 people of 2 situations of 3
     alternatives and one of 3 people of 3 situations of 2: the walk builds
     a group's draw-invariant base (its one ``_pair_terms`` call asking for
-    the logistic in a log-likelihood pass) once per run of at most R
+    the slopes in a log-likelihood pass) once per run of at most R
     blocks, ceil(blocks / R) times per group, R = 1 for a classical
     design whatever ``nrep``."""
     rng = np.random.default_rng(nrep)
@@ -1163,10 +1242,11 @@ def test_extreme_activations_stay_finite(data, size):
 @settings(max_examples=40, deadline=None)
 @given(st.data(), st.floats(100.0, 1500.0), st.integers(1, 3))
 def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size, n_random):
-    """Slot j of a pair bears ln(1 + exp(-a)) as L(a) - a, L(a) = ln(1 +
-    exp(a)), with the sum of a over its pairs taken at slot level, so the
-    kernel's regrets cancel where the reference's do not; and a pair's L
-    over the K random attributes is one log of a product of K factors.  At
+    """Slots i and j of a pair bear ln(1 + exp(a)) and ln(1 + exp(-a)) as
+    the pair's even h(a) = |a|/2 + ln(1 + exp(-|a|)) plus and minus a/2,
+    with the halves summed at slot level, so the kernel's regrets cancel
+    where the reference's do not; and a pair's h over the K random
+    attributes is one log of a product of K factors.  At
     |beta * dx| up to ``size`` (past 709, where exp(a) overflows, the
     scalar reference takes a + ln(1 + exp(-a))), through the fixed
     attribute's walk base and the K = 1, 2 or 3 random ones' pair and
