@@ -200,8 +200,12 @@ def _load_dataset(args, attr_cols, cluster_col=None):
 
 
 def _check_output(name, path, inputs, replace):
-    """Refuse an output that is a file the command reads (``inputs`` maps a
-    kind, such as "data", to its path), or that exists unless ``replace``."""
+    """Refuse an output that is a directory or in a missing one, that is a file
+    the command reads (``inputs``: kind -> path), or exists unless ``replace``."""
+    if os.path.isdir(path):
+        raise InvalidOption(f"{name} {path} is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise InvalidOption(f"{name} {path}: its directory does not exist")
     if os.path.exists(path):
         for kind, source in inputs.items():
             if os.path.exists(source) and os.path.samefile(path, source):

@@ -10,10 +10,10 @@ individual's choice situations, and averages the product over draws.
 Every result is a function of its inputs alone.  A pass over the data is
 one :meth:`ModelDesign.walk`, the only loop over blocks: it builds the
 draw-invariant regret base of the fixed attributes and constants once per
-run of equal-shape blocks, realizes each block's random coefficients from
-its draws and calls a block kernel once per block, the hot one
-:meth:`ModelDesign.individual_loglik_gradient`, and returns the results in
-block (dataset) order.  A block is a run of consecutive individuals, padded
+group of at most R equal-shape blocks, realizes each block's random
+coefficients from its draws and calls a block kernel once per block, the
+hot one :meth:`ModelDesign.individual_loglik_gradient`, and returns the
+results in block (dataset) order.  A block is a run of consecutive individuals, padded
 to their most situations and widest situation, whose padded floats times
 the R draws per person stay within ``_BLOCK_FLOATS``; each kernel,
 vectorized over its block's individuals and draws, adds the K random
@@ -269,16 +269,18 @@ class ModelDesign:
         chosen = np.zeros(shape[0], dtype=np.intp)
         chosen[sit_cell] = slot[ds.chosen]
 
-        # blocks of equal (n, S, J) form a group, built as one array with a
-        # leading block axis; a block's tensors are its slab of the group's
+        # up to R blocks of equal (n, S, J) form a group, built as one array with
+        # a leading block axis; a block's tensors are its slab of the group's
         shapes, self._groups = {}, []
         for block, key in enumerate(zip(np.diff(edges).tolist(), depth.tolist(),
                                         widths.tolist())):
             shapes.setdefault(key, []).append(block)
-        for (n, s, j), members in shapes.items():
-            cut = ind_cell[edges[members], None] + np.arange(n * s)
-            self._groups.append((members, self._build_group(
-                n, x[cut, :j], rows[cut, :j], chosen[cut], asc_onehot[cut, :j])))
+        for (n, s, j), blocks in shapes.items():
+            for lo in range(0, len(blocks), self.nrep):
+                members = blocks[lo:lo + self.nrep]
+                cut = ind_cell[edges[members], None] + np.arange(n * s)
+                self._groups.append((members, self._build_group(
+                    n, x[cut, :j], rows[cut, :j], chosen[cut], asc_onehot[cut, :j])))
         built = {block: _BlockData(*(a[pos] for a in vars(group).values()))
                  for members, group in self._groups for pos, block in enumerate(members)}
         self._blocks = [built[block] for block in range(len(self.blocks))]
@@ -363,51 +365,41 @@ class ModelDesign:
         returns ``None`` as soon as ``stop`` returns true.  Only a
         line-search trial's pass has a ``stop``
         (``estimation._rejection_test``).  The walk visits the blocks group
-        by group; per run of at most R equal-shape blocks (so within
-        ``_BLOCK_FLOATS`` without the draw axis) it builds, once, the regret
-        base (J,S,n,1) of the constants and the fixed attributes (their pair
-        terms plus beta times their ``lin_fixed`` sums), +inf at the
-        ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1), their
-        sign(beta) applied; ``part`` is the block's slice of these, its
-        random coefficients (K,n,R) and d beta / d b (K,n,R), 1 or beta
-        (log-normal).  All of these are views of the design's workspace."""
+        by group; per group of at most R equal-shape blocks it builds, once,
+        the regret base (J,S,n,1) of the constants and the fixed attributes
+        (their pair terms plus beta times their ``lin_fixed`` sums), +inf at
+        the ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1), their
+        sign(beta) applied; ``part`` is the block's slice of these and its
+        random coefficients (K,n,R).  All of these are views of the
+        design's workspace."""
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
         sign = np.sign(beta)
-        lognormal = self._lognormal[:, None, None]
         results = [None] * len(self.blocks)
         fed = 0  # blocks handed to ``stop``: a finished dataset-order prefix
         for members, group in self._groups:
-            for lo in range(0, len(members), self.nrep):
-                d_fixed, lin, live, empty, asc_onehot = (a[lo:lo + self.nrep] for a in (
-                    group.d_fixed, group.lin_fixed, group.live, group.empty,
-                    group.asc_onehot))
-                # the run's base and slopes outlive its kernel calls; its
-                # other intermediates take kernel roles, dead by the first call
-                fixed, slope = _pair_terms(beta, d_fixed, live, "fixed slope", take)
-                slope *= sign
-                base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
-                    "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
-                base += _product(beta, lin, "a", take).sum(
-                    axis=1, out=take("terms", base.shape))
-                base += np.matmul(asc_onehot, theta.asc,
-                                  out=take("t", base.shape[:-1]))[..., None]
-                np.copyto(base, np.inf, where=empty)
-                for pos, block in enumerate(members[lo:lo + self.nrep]):
-                    z = draws[slice(*self.blocks[block])]
-                    by_coef = z.transpose(1, 0, 2)  # (K, n, R)
-                    coefs = self._coefficients(theta, by_coef,
-                                               take("coefs", by_coef.shape))
-                    chain = take("chain", coefs.shape)
-                    chain.fill(1.0)
-                    np.copyto(chain, coefs, where=lognormal)
-                    results[block] = kernel(block, z, (base[pos], slope[pos], coefs,
-                                                       chain), *args)
-                    while (stop is not None and fed < len(results)
-                           and results[fed] is not None):
-                        if stop(results[fed]):
-                            return None
-                        fed += 1
+            # the group's base and slopes outlive its kernel calls; its
+            # other intermediates take kernel roles, dead by the first call
+            fixed, slope = _pair_terms(beta, group.d_fixed, group.live, "fixed slope",
+                                       take)
+            slope *= sign
+            base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
+                "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
+            base += _product(beta, group.lin_fixed, "a", take).sum(
+                axis=1, out=take("terms", base.shape))
+            base += np.matmul(group.asc_onehot, theta.asc,
+                              out=take("t", base.shape[:-1]))[..., None]
+            np.copyto(base, np.inf, where=group.empty)
+            for pos, block in enumerate(members):
+                z = draws[slice(*self.blocks[block])]
+                by_coef = z.transpose(1, 0, 2)  # (K, n, R)
+                coefs = self._coefficients(theta, by_coef, take("coefs", by_coef.shape))
+                results[block] = kernel(block, z, (base[pos], slope[pos], coefs), *args)
+                while (stop is not None and fed < len(results)
+                       and results[fed] is not None):
+                    if stop(results[fed]):
+                        return None
+                    fed += 1
         return results
 
     def _regrets(self, bd: _BlockData, part, gradient):
@@ -417,7 +409,7 @@ class ModelDesign:
         attributes (Mf,P,S,n,1) and dh(a) / d beta without its factor
         sign(beta) of the random ones (Mr,P,S,n,R).  The regrets and the
         random slopes are views of the workspace."""
-        base, slope_fixed, coefs, _ = part
+        base, slope_fixed, coefs = part
         take = self._work.take
         drawn, slope_random = _pair_terms(coefs[:, None, None], bd.d_random, bd.live,
                                           "slope" if gradient else None, take)
@@ -483,8 +475,12 @@ class ModelDesign:
         (P, P) Hessian of ``ll.sum()``, symmetric up to rounding."""
         bd = self._blocks[block]
         take = self._work.take
-        # chain rule: d beta / d s is d beta / d b, ``chain``, times the draw
-        _, _, coefs, chain = part
+        # chain rule: d beta / d b, ``chain``, is 1, or beta if log-normal, and
+        # d beta / d s is ``chain`` times the draw
+        coefs = part[2]
+        chain = take("chain", coefs.shape)
+        chain.fill(1.0)
+        np.copyto(chain, coefs, where=self._lognormal[:, None, None])
         z = z.transpose(1, 0, 2)  # (K, n, R)
         regrets, slope_fixed, slope_random = self._regrets(bd, part, gradient=True)
         probs, ln_chosen = self._probabilities(bd, regrets)

@@ -419,6 +419,37 @@ def test_predict_refuses_to_write_over_its_data(panel_csv, tmp_path, capsys, ali
     assert panel_csv.read_bytes() == before
 
 
+@pytest.mark.parametrize("case", ["directory", "missing_parent"])
+@pytest.mark.parametrize("command", ["fit", "predict", "betas", "reshape"])
+def test_output_path_is_checked_before_any_work(panel_csv, tmp_path, capsys,
+                                                command, case):
+    """An output path that is a directory, or whose directory does not
+    exist, is refused with exit 1 before any work: ``fit`` is given the
+    panel and prints no summary, and the other commands are given a data
+    file that does not exist and never get to read it."""
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    absent = tmp_path / "absent.csv"
+    argv = {
+        "fit": ["fit", panel_csv, "--fixed", "total_time", "--noconstant", "--out"],
+        "predict": ["predict", absent, "--fit", fit, "--out"],
+        "betas": ["betas", absent, "--fit", fit, "--replace", "--saving"],
+        "reshape": ["reshape", absent, "--stubs", "tt=tt", "--ids", "id", "cs",
+                    "--alt-count", 2, "--out"],
+    }[command]
+    target = tmp_path / "out"
+    if case == "directory":
+        target.mkdir()
+        message = f"{target} is a directory"
+    else:
+        target = target / "result"
+        message = f"{target}: its directory does not exist"
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run(capsys, *argv, target)
+    assert code == 1 and out == ""
+    assert err == f"error: {argv[-1]} {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("alias", ["same", "link"])
 @pytest.mark.parametrize("command", ["fit", "predict", "betas", "reshape"])
 def test_no_command_writes_over_a_file_it_reads(panel_csv, tmp_path, capsys,

@@ -685,8 +685,8 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     the predicted probabilities and the posterior weights bit for bit, and
     the Hessian, now summed over blocks of people, to 1e-12.  People draw
     their situation sizes one by one, or take turns between two drawn
-    shapes, so that a group of one-individual blocks holds more than R of
-    them and the walk builds its base in several runs.  R is at least 2:
+    shapes, so that more than R one-individual blocks share a shape and
+    the design builds them in several groups.  R is at least 2:
     with one draw, numpy adds a lone person's pair terms pairwise but a
     block's in order, so those rows agree to rounding only, as classical
     ones do (``test_padded_situations_match_oracle``)."""
@@ -700,7 +700,8 @@ def test_mixed_blocks_match_one_individual_blocks(data):
         assert_blocks_fill_budget(design)
     single = one_per_block(design)
     if shapes:
-        assert max(len(members) for members, _ in single._groups) > nrep
+        group_shapes = [group.rows.shape[1:] for _, group in single._groups]
+        assert len(set(group_shapes)) < len(group_shapes)
     draws = design.draws(2)
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.5, 2.0]))
     lls, rows, hessian = individual_scores(design, draws, x, hessian=True)
@@ -1018,13 +1019,13 @@ def test_walk_returns_each_block_result_in_block_order(data, classical):
 
 @pytest.mark.parametrize("classical, nrep", [(True, 5), (False, 1), (False, 2),
                                              (False, 3), (False, 8)])
-def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
-    """In one-individual blocks, a group of 7 people of 2 situations of 3
-    alternatives and one of 3 people of 3 situations of 2: the walk builds
-    a group's draw-invariant base (its one ``_pair_terms`` call asking for
-    the slopes in a log-likelihood pass) once per run of at most R
-    blocks, ceil(blocks / R) times per group, R = 1 for a classical
-    design whatever ``nrep``."""
+def test_walk_builds_each_base_once_per_group(classical, nrep):
+    """In one-individual blocks, 7 people of 2 situations of 3 alternatives
+    and 3 people of 3 situations of 2: the design cuts each shape's blocks
+    into groups of at most R, ceil(blocks / R) groups per shape, R = 1 for
+    a classical design whatever ``nrep``, and the walk builds each group's
+    draw-invariant base (its one ``_pair_terms`` call asking for the slopes
+    in a log-likelihood pass) once."""
     rng = np.random.default_rng(nrep)
     shapes = [(2, 3)] * 7 + [(3, 2)] * 3
     ds = make_dataset({n: {s: [(j, rng.normal(size=2).tolist(), j == 1)
@@ -1038,16 +1039,17 @@ def test_walk_builds_each_base_once_per_run_of_r_blocks(classical, nrep):
         design = design_for(ds, nrep, **spec)
     r = design.nrep
     assert r == (1 if classical else nrep)
-    assert sorted(len(members) for members, _ in design._groups) == [3, 7]
+    sizes = sorted(min(r, blocks - lo) for blocks in (7, 3)
+                   for lo in range(0, blocks, r))
+    assert sorted(len(members) for members, _ in design._groups) == sizes
     x = rng.normal(size=design.n_params) * 0.5
     with mock.patch.object(regret, "_pair_terms", wraps=regret._pair_terms) as spy:
         walked = design.walk(design.individual_loglik, design.unpack(x),
                              design.draws())
     assert [len(terms) for terms in walked] == [1] * 10
-    runs = [call.args[1].shape[0] for call in spy.call_args_list if call.args[3]]
-    assert len(runs) == math.ceil(7 / r) + math.ceil(3 / r)
-    assert sorted(runs) == sorted(min(r, blocks - lo) for blocks in (7, 3)
-                                  for lo in range(0, blocks, r))
+    bases = [call.args[1].shape[0] for call in spy.call_args_list if call.args[3]]
+    assert len(bases) == math.ceil(7 / r) + math.ceil(3 / r)
+    assert sorted(bases) == sizes
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -1122,6 +1124,38 @@ def test_classical_pass_memory_is_bounded_by_block_floats():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 8 * regret._BLOCK_FLOATS
+
+
+def test_design_build_peaks_within_twice_what_it_keeps():
+    """Building a design of 1200 people who take turns between four shapes,
+    8, 10, 8 and 6 situations of 3, 3, 4 and 5 alternatives, with a fixed
+    and two random attributes, constants and R = 10, peaks (tracemalloc)
+    within twice the arrays the design keeps: each group of at most R
+    equal-shape blocks is built alone, so its pair differences and their
+    temporaries are those of R blocks, not of every block of its shape."""
+    rng = np.random.default_rng(11)
+    shapes = np.tile([[8, 3], [10, 3], [8, 4], [6, 5]], (300, 1))
+    depth, width = shapes.T
+    individual = np.repeat(np.arange(1, 1201), depth * width)
+    sit_width = np.repeat(width, depth)
+    situation = np.repeat(np.concatenate([np.arange(1, s + 1) for s in depth]),
+                          sit_width)
+    alternative = np.concatenate([np.arange(1, j + 1) for j in sit_width])
+    chosen = alternative == np.repeat(rng.integers(1, sit_width + 1), sit_width)
+    ds = ChoiceDataset(individual=individual, situation=situation,
+                       alternative=alternative, chosen=chosen,
+                       attributes=rng.normal(size=(len(individual), 3)),
+                       source_row=np.arange(2, len(individual) + 2),
+                       attribute_names=("x0", "x1", "x2"))
+    spec = ModelSpec(fixed_attrs=("x0",), random_attrs=("x1", "x2"), use_asc=True)
+    tracemalloc.start()
+    try:
+        design = ModelDesign(ds, spec, 10)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(design.blocks) > 4 * 10
+    assert peak <= 2 * kept, (peak, kept)
 
 
 # the benchmark's designs: (situations, alternatives), model and R
