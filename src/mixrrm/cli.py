@@ -17,6 +17,7 @@ flag can cap the linear-algebra worker threads.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -105,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--gtol", type=float, default=defaults.gtol,
                      help="gradient sup-norm tolerance (default: %(default)s)")
     fit.add_argument("--out", default=None, help="write the fit as JSON here")
-    fit.set_defaults(handler=cmd_fit)
 
     pred = sub.add_parser("predict", parents=[threads],
                           help="append simulated choice probabilities to a CSV")
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--fit", required=True, help="fit JSON from `mixrrm fit`")
     pred.add_argument("--out", required=True, help="output CSV path")
     _add_draw_arguments(pred)
-    pred.set_defaults(handler=cmd_predict)
 
     betas = sub.add_parser("betas", parents=[threads],
                            help="individual-level conditional coefficients")
@@ -127,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     betas.add_argument("--attrs", nargs="*", default=None,
                        help="random attributes to keep (default: all)")
     _add_draw_arguments(betas)
-    betas.set_defaults(handler=cmd_betas)
 
     logn = sub.add_parser("lognormal", parents=[threads],
                           help="coefficient-scale summary of a log-normal "
@@ -138,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="report with the pre-estimation sign flip undone")
     logn.add_argument("--json", action="store_true", dest="as_json",
                       help="emit machine-readable JSON instead of a table")
-    logn.set_defaults(handler=cmd_lognormal)
 
     reshape = sub.add_parser("reshape", parents=[threads],
                              help="wide (one row per situation) to long CSV")
@@ -154,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     reshape.add_argument("--choice", default="choice",
                          help="wide column holding the chosen alternative "
                               "number (default: choice)")
-    reshape.set_defaults(handler=cmd_reshape)
 
     return parser
 
@@ -168,14 +164,23 @@ def _apply_thread_cap(threads):
         os.environ[var] = str(threads)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building it costs about a millisecond."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     _apply_thread_cap(args.threads)
+    # looked up per call, so a replaced module-level handler is the one run
+    handler = {"fit": cmd_fit, "predict": cmd_predict, "betas": cmd_betas,
+               "lognormal": cmd_lognormal, "reshape": cmd_reshape}[args.command]
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
-            return args.handler(args)
+            return handler(args)
         except (Error, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1

@@ -26,19 +26,24 @@ design.  A classical model is the case K = 0, R = 1.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears L(a) = ln(1 + exp(a)) and j L(-a), and L(a) = a/2 + h(a) with h(a) =
 |a|/2 + ln(1 + exp(-|a|)) = ln(2 cosh(a/2)) even.  So both slots take the
-pair's one h(a), a function of |a| = |beta_m| |x_j - x_i| alone, and the odd
-halves, +a/2 at i and -a/2 at j, add up to a slot-level term linear in beta:
-beta_m times lin_k = 1/2 sum over the slots l != k with data of x_l - x_k, a
-draw-invariant sum built with the design (in the walk's base for the fixed
-attributes, per draw for the random ones, as one matrix product per
-individual over the attributes).  A pair's odd halves cancel, so the lin_k
-of a situation sum to 0: the split moves regret between slots, never adds
-any.  A pair's h summed over its attributes takes one log per pair and draw,
-of a product of one factor in [1, 2] per attribute; a pair with a padded slot
-is masked once, on that sum.  A slot with no data row gets +inf in the
-walk's base, so its regret is +inf and its probability exactly 0.  A pass
-can return the exact Hessian from the same pair terms.  The tests check the
-kernels against a first-principles reference (``tests/oracles.py``).
+pair's one h(a), a function of |a| = |beta_m| |x_j - x_i| alone.  Only its
+ln(1 + exp(-|a|)) is a pair term; its |a|/2 and the odd halves, +a/2 at i
+and -a/2 at j, are linear in beta and added at slot level: beta_m lin_k +
+|beta_m| half_k, with lin_k and half_k = 1/2 sum over the slots l != k with
+data of x_l - x_k and of |x_l - x_k|, draw-invariant sums built with the
+design.  The random attributes' sit side by side in one (J*S, 2K) matrix
+per individual, times the draws' [beta; |beta|] in one matrix product per
+individual over the attributes; the fixed attributes' lin_k enter the
+walk's base, and their |beta_m| |x_j - x_i| / 2 joins their pair terms
+before the base spreads these to the slots.  A pair's odd halves cancel, so
+the lin_k of a situation sum to 0: the split moves regret between slots,
+never adds any.  A pair's ln(1 + exp(-|a|)) summed over its attributes
+takes one log per pair and draw, of a product of one factor in [1, 2] per
+attribute; a pair with a padded slot is masked once, on that sum.  A slot
+with no data row gets +inf in the walk's base, so its regret is +inf and
+its probability exactly 0.  A pass can return the exact Hessian from the
+same pair terms.  The tests check the kernels against a first-principles
+reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -166,7 +171,9 @@ class ParameterVector:
 # the largest of the arrays that its kernels keep in the design's workspace.
 # A pass allocates none of them, so the bound trades the workspace's memory
 # against the number of kernel calls, whose fixed cost of some 60 small numpy
-# operations (about 40 in a log-likelihood call) dominates small blocks.  At
+# operations (about 36 in a log-likelihood call: the slot-level [beta; |beta|]
+# copy and its product took the place of the pair-level |a|/2 multiply, add
+# and reduction over attributes) dominates small blocks.  At
 # 10 situations of 3 alternatives and R = 100 (15,000 floats a person) and at
 # 8 situations of 5 alternatives, 11 parameters and R = 20 (15,200) it gives
 # 8-person blocks: the benchmark's peak RSS rose at most 2.3% over the 2- and
@@ -183,7 +190,9 @@ class _BlockData:
     J(J-1)/2 slot pairs i < j.  The individual axis comes just before the
     draw axis, which goes last (a trailing 1 here), so reductions add slabs.
     A pair gives half its x[j] - x[i] to slot i's ``lin_*`` and less that
-    half to slot j's, so a situation's ``lin_*`` add up to 0."""
+    half to slot j's, so a situation's ``lin_*`` add up to 0, and half its
+    |x[j] - x[i]| to both slots' half_k; a slot with no data row gets 0 of
+    either."""
 
     rows: np.ndarray         # (n, S, J) bool: slots holding a data row
     empty: np.ndarray        # (J, S, n, 1) bool: slots with no data row that
@@ -192,8 +201,11 @@ class _BlockData:
     d_fixed: np.ndarray      # (Mf, P, S, n, 1) |x[j] - x[i]|, fixed attributes
     d_random: np.ndarray     # (Mr, P, S, n, 1) |x[j] - x[i]|, random attributes
     lin_fixed: np.ndarray    # (Mf, J, S, n, 1) lin_k = 1/2 sum over the other
-    lin_random: np.ndarray   # (Mr, J, S, n, 1)   data slots l of x[l] - x[k]
-    lin_by_person: np.ndarray  # (n, J*S, Mr) lin_random per individual
+                             #   data slots l of x[l] - x[k]
+    by_person: np.ndarray    # (n, J*S, 2*Mr) per individual, the random
+                             #   attributes' lin_k, then their half_k = 1/2
+                             #   sum over the other data slots l of |x[l] - x[k]|
+    lin_random: np.ndarray   # (Mr, J, S, n, 1) view of by_person's lin_k
     live: np.ndarray         # (P, S, n, 1) float: 1 where both slots hold data
     incidence: np.ndarray    # (P, J): row p marks both slots i and j of pair p
     asc_onehot: np.ndarray   # (J, S, n, n_asc) float
@@ -310,23 +322,29 @@ class ModelDesign:
             grid(a).transpose(0, *range(a.ndim, 0, -1)))
         live = kernel(rows[..., first] & rows[..., second])[..., None]
         # a pair with a padded slot gets a zero difference, so it adds
-        # nothing to ``lin`` or the gradient; ``live`` masks it out of the regrets
+        # nothing to the slot sums or the gradient; ``live`` masks it out of the
+        # regrets
         pair_diff = kernel(x[:, :, second] - x[:, :, first])[..., None] * live[:, None]
-        lin = _lead(0.5 * (np.eye(j_max)[first] - np.eye(j_max)[second]).T, pair_diff,
-                    batch=2)
+        eye = np.eye(j_max)
+        lin = _lead(0.5 * (eye[first] - eye[second]).T, pair_diff, batch=2)
         dist = np.abs(pair_diff, out=pair_diff)
+        d_random = dist.take(self._random_pos, 1)
+        incidence = eye[first] + eye[second]
+        # (G, n, J, S, 2*Mr): lin_k then half_k of the random attributes
+        k = self.n_random
+        by_person = np.empty((n_group, n, j_max, n_cells // n, 2 * k))
+        person_major = lambda a: a[..., 0].transpose(0, 4, 2, 3, 1)
+        by_person[..., :k] = person_major(lin.take(self._random_pos, 1))
+        by_person[..., k:] = person_major(_lead(0.5 * incidence.T, d_random, batch=2))
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
         empty = ~rows & (np.arange(j_max) > 0)  # a padded situation has slot 0
-        lin_random = lin.take(self._random_pos, 1)
-        by_person = np.ascontiguousarray(lin_random[..., 0].transpose(0, 4, 2, 3, 1))
         return _BlockData(  # the fields, in order
             grid(rows), kernel(empty)[..., None],
             chosen * n_cells + np.arange(n_cells), dist.take(self._fixed_pos, 1),
-            dist.take(self._random_pos, 1), lin.take(self._fixed_pos, 1),
-            lin_random, by_person.reshape(n_group, n, j_max * n_cells // n, -1),
-            live.astype(float),
-            np.broadcast_to(np.eye(j_max)[first] + np.eye(j_max)[second],
-                            (n_group, len(first), j_max)),
+            d_random, lin.take(self._fixed_pos, 1),
+            by_person.reshape(n_group, n, j_max * n_cells // n, 2 * k),
+            by_person[..., :k].transpose(0, 4, 2, 3, 1)[..., None], live.astype(float),
+            np.broadcast_to(incidence, (n_group, len(first), j_max)),
             np.ascontiguousarray(grid(asc_onehot).transpose(0, 3, 2, 1, 4)),
         )
 
@@ -367,7 +385,8 @@ class ModelDesign:
         (``estimation._rejection_test``).  The walk visits the blocks group
         by group; per group of at most R equal-shape blocks it builds, once,
         the regret base (J,S,n,1) of the constants and the fixed attributes
-        (their pair terms plus beta times their ``lin_fixed`` sums), +inf at
+        (their pair terms with their |beta| d / 2, plus beta times their
+        ``lin_fixed`` sums), +inf at
         the ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1), their
         sign(beta) applied; ``part`` is the block's slice of these and its
         random coefficients (K,n,R).  All of these are views of the
@@ -375,6 +394,7 @@ class ModelDesign:
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
         sign = np.sign(beta)
+        half_beta = 0.5 * np.abs(beta)
         results = [None] * len(self.blocks)
         fed = 0  # blocks handed to ``stop``: a finished dataset-order prefix
         for members, group in self._groups:
@@ -383,6 +403,8 @@ class ModelDesign:
             fixed, slope = _pair_terms(beta, group.d_fixed, group.live, "fixed slope",
                                        take)
             slope *= sign
+            fixed += _product(half_beta, group.d_fixed, "a", take).sum(
+                axis=1, out=take("terms", fixed.shape))
             base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
                 "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
             base += _product(beta, group.lin_fixed, "a", take).sum(
@@ -404,7 +426,9 @@ class ModelDesign:
 
     def _regrets(self, bd: _BlockData, part, gradient):
         """Regrets (J,S,n,R) of a block, +inf at its ``empty`` slots: its walk
-        ``part``'s base plus the random attributes' terms; with ``gradient``
+        ``part``'s base plus the random attributes' pair terms and, per
+        individual, ``by_person`` times the draws' [beta; |beta|], the
+        slot-level sums of their terms linear in beta; with ``gradient``
         also the pair slopes of the even terms, dh(a) / d beta of the fixed
         attributes (Mf,P,S,n,1) and dh(a) / d beta without its factor
         sign(beta) of the random ones (Mr,P,S,n,R).  The regrets and the
@@ -416,11 +440,16 @@ class ModelDesign:
         regrets = _lead(bd.incidence.T, drawn,
                         out=take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
         regrets += base
-        # per individual: (J*S, Mr) @ (Mr, R), written to (J, S, n, R)
-        lin = take("t", regrets.shape)
-        np.matmul(bd.lin_by_person, coefs.transpose(1, 0, 2),
-                  out=lin.reshape(-1, *lin.shape[2:]).transpose(1, 0, 2))
-        regrets += lin
+        # per individual: (J*S, 2*Mr) @ (2*Mr, R), [lin | half] times
+        # [beta; |beta|], written to (J, S, n, R)
+        k, n_ind, n_draws = coefs.shape
+        betas = take("abs", (n_ind, 2 * k, n_draws))
+        betas[:, :k] = coefs.transpose(1, 0, 2)
+        np.abs(betas[:, :k], out=betas[:, k:])
+        linear = take("t", regrets.shape)
+        np.matmul(bd.by_person, betas,
+                  out=linear.reshape(-1, n_ind, n_draws).transpose(1, 0, 2))
+        regrets += linear
         return regrets, slope_fixed, slope_random
 
     def _probabilities(self, bd: _BlockData, regrets, probs=True):
@@ -634,29 +663,30 @@ def _product(x, y, role, take):
 
 
 def _pair_terms(beta, d, live, slope_role, take):
-    """Even regret terms of the pair activations a = ``beta`` * (x[j] - x[i])
-    (..., M, P, S, n, R), from ``d`` = |x[j] - x[i]|, summed over the
-    attributes: h(a) = |a|/2 + ln(1 + exp(-|a|)) per pair, (..., P, S, n,
-    R), which both slots of the pair bear; and, given a ``slope_role``, the
-    slopes dh/d beta without their factor sign(beta), d tanh(|a|/2) / 2,
-    (..., M, P, S, n, R), else ``None``.  L(a) = ln(1 + exp(a)) is a/2 +
-    h(a), so slot i's term L(a) and slot j's L(-a) differ from h by +a/2 and
-    -a/2, which the kernels add at slot level, beta times the draw-invariant
-    ``lin_*`` sums.
+    """Pair terms of the activations a = ``beta`` * (x[j] - x[i]) (..., M, P,
+    S, n, R), from ``d`` = |x[j] - x[i]|, summed over the attributes:
+    ln(1 + exp(-|a|)) per pair, (..., P, S, n, R), which both slots of the
+    pair bear; and, given a ``slope_role``, the slopes dh/d beta of the whole
+    even term h(a) = |a|/2 + ln(1 + exp(-|a|)) without their factor
+    sign(beta), d tanh(|a|/2) / 2, (..., M, P, S, n, R), else ``None``.
+    L(a) = ln(1 + exp(a)) is a/2 + h(a), so slot i's term L(a) and slot j's
+    L(-a) differ from the pair term by |a|/2 + a/2 and |a|/2 - a/2, which the
+    kernels add at slot level, beta and |beta| times the draw-invariant
+    ``lin_*`` and half sums.
 
-    h depends on |a| alone, and -|beta| d is -|a| exactly, as IEEE rounding
-    does not depend on sign.  With t = exp(-|a|), the sum over the M
-    attributes takes one log per pair, sum_m |a_m|/2 + ln prod_m (1 + t_m),
-    whose factors lie in [1, 2], so the product stays within 2^M and the log
-    is within a few ulps of 1 of the M log1p's sum; M = 0 gives 0.
-    tanh(|a|/2) / 2 is 1/(1 + t) - 1/2.  ``live`` (..., P, S, n, 1) masks
-    the sum: a dead pair has d = 0, so a = 0, its slope is 0 and its M ln 2
-    becomes exactly 0.  Every array, the results too, is a workspace view
-    ``take(role, shape)``, the slopes in ``slope_role``.
+    The terms depend on |a| alone, and -|beta| d is -|a| exactly, as IEEE
+    rounding does not depend on sign.  With t = exp(-|a|), the sum over the
+    M attributes takes one log per pair, ln prod_m (1 + t_m), whose factors
+    lie in [1, 2], so the product stays within 2^M and the log is within a
+    few ulps of 1 of the M log1p's sum; M = 0 gives 0.  tanh(|a|/2) / 2 is
+    1/(1 + t) - 1/2.  ``live`` (..., P, S, n, 1) masks the sum: a dead pair
+    has d = 0, so a = 0, its slope is 0 and its M ln 2 becomes exactly 0.
+    Every array, the results too, is a workspace view ``take(role,
+    shape)``, the slopes in ``slope_role``; t takes the place of a.
     """
     a = _activations(np.copysign(beta, -1.0, out=take("abs", beta.shape)), d, take)
     shape, pairs = a.shape, (*a.shape[:-5], *a.shape[-4:])
-    t = np.exp(a, out=take("t", shape))
+    t = np.exp(a, out=a)
     t += 1.0
     slope = None
     if slope_role:
@@ -664,9 +694,10 @@ def _pair_terms(beta, d, live, slope_role, take):
         slope -= 0.5
         slope *= d
     terms = take("drawn", pairs)
-    np.log(_over_attributes(np.multiply, t, terms), out=terms)
-    half = take("terms", pairs)
-    terms += np.multiply(_over_attributes(np.add, a, half), -0.5, out=half)
+    # of one attribute, the product is t itself, which a reduction would copy
+    product = t.reshape(pairs) if shape[-5] == 1 else np.multiply.reduce(
+        t, axis=-5, out=terms)
+    np.log(product, out=terms)
     terms *= live
     return terms, slope
 
@@ -693,15 +724,6 @@ def _activations(beta, d, take):
         np.matmul(rows[..., lo:lo + k], diag.reshape(m, k, k * r),
                   out=cols[..., lo * r:(lo + k) * r])
     return a
-
-
-def _over_attributes(ufunc, array, out):
-    """``ufunc`` reduced over the attribute axis -5 of ``array`` into ``out``;
-    of one attribute, ``array`` itself without that axis, which a reduction
-    would only copy."""
-    if array.shape[-5] == 1:
-        return array.reshape(out.shape)
-    return ufunc.reduce(array, axis=-5, out=out)
 
 
 def _pair_gradient(slope, res, sign, lin, resid, out, take):
@@ -731,9 +753,10 @@ def _pair_curvature(d, slope, res, take):
     which is (d/2)^2 less the square of the ``slope``, signed or not."""
     quarter = np.multiply(d, 0.5, out=take("t", d.shape))
     quarter *= quarter
-    curv = np.square(slope, out=take("a", slope.shape))
+    curv = np.square(slope, out=take("a", np.broadcast_shapes(slope.shape, res.shape)))
     np.subtract(quarter, curv, out=curv)
-    return _product(curv, res, "t", take).sum(axis=(1, 2))
+    curv *= res
+    return curv.sum(axis=(1, 2))
 
 
 def _log_mean_exp(values: np.ndarray):

@@ -867,29 +867,36 @@ def test_console_script_end_to_end(panel_csv, tmp_path):
 
 
 def test_fit_json_does_not_depend_on_thread_count(tmp_path, rng):
-    """Fits of a panel with 3 random attributes, one log-normal, and
-    constants, run in child processes capped at 1 and at 2 numeric worker
-    threads, write byte-identical fit JSON: the kernels' matrix products
+    """Fits run in child processes capped at 1 and at 2 numeric worker
+    threads write byte-identical fit JSON, on a panel with 3 random
+    attributes, one log-normal, and constants, and on one with a fixed and
+    a lone normal attribute and no constants: the kernels' matrix products
     give every individual the same sums whatever the thread count."""
-    rows, _ = simulate_panel(rng, n_individuals=60, n_situations=5, n_alternatives=4,
-                             fixed={"cost": -0.3},
-                             random={"time": ("normal", -0.4, 0.3),
-                                     "wait": ("normal", -0.2, 0.2),
-                                     "comfort": ("lognormal", -1.0, 0.4)})
-    panel = tmp_path / "panel.csv"
-    write_rows_csv(rows, panel)
-    outputs = []
-    for threads in (1, 2):
-        out_json = tmp_path / f"fit{threads}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mixrrm.cli", "--threads", str(threads), "fit",
-             str(panel), "--fixed", "cost", "--rand", "time", "wait", "comfort",
-             "--ln", "1", "--nrep", "20", "--robust", "--out", str(out_json)],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out_json.read_bytes())
-    assert outputs[0] == outputs[1]
+    models = [
+        (dict(fixed={"cost": -0.3},
+              random={"time": ("normal", -0.4, 0.3), "wait": ("normal", -0.2, 0.2),
+                      "comfort": ("lognormal", -1.0, 0.4)}),
+         ["--ln", "1", "--robust"]),
+        (dict(fixed={"cost": -0.3}, random={"time": ("normal", -0.5, 0.2)}),
+         ["--noconstant"]),
+    ]
+    for model, (truth, flags) in enumerate(models):
+        rows, _ = simulate_panel(rng, n_individuals=60, n_situations=5,
+                                 n_alternatives=4 - model, **truth)
+        panel = tmp_path / f"panel{model}.csv"
+        write_rows_csv(rows, panel)
+        outputs = []
+        for threads in (1, 2):
+            out_json = tmp_path / f"fit{model}_{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "mixrrm.cli", "--threads", str(threads), "fit",
+                 str(panel), "--fixed", *truth["fixed"], "--rand", *truth["random"],
+                 "--nrep", "20", *flags, "--out", str(out_json)],
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out_json.read_bytes())
+        assert outputs[0] == outputs[1], truth
 
 
 # --- aim 3's invariants on generated panels ------------------------------------

@@ -528,17 +528,19 @@ def test_kernel_matches_scalar_composition(seed):
 
 
 def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
-                  nrep=3, shapes=None):
+                  nrep=3, shapes=None, n_random=2):
     """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
     file order, so smaller situations pad their slots and labels go missing;
-    x0 is fixed, x1 normal and x2 log-normal, and the constants' base is a
+    x0 is fixed and x1 .. xK random, K = ``n_random`` (1 to 3), the last of
+    them log-normal and the others normal, and the constants' base is a
     label other than the lowest; the design is sized for ``nrep`` draws.  A
-    ``classical`` design fixes all three.  Each block is padded to its
+    ``classical`` design fixes x0, x1 and x2.  Each block is padded to its
     people's most situations and slots.  With ``shapes``, the people take
     turns among that many drawn lists of situation sizes, so one-person
     blocks of equal shape form groups of several."""
     draw_sizes = lambda: data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
     pool = [draw_sizes() for _ in range(shapes or 0)]
+    names = [f"x{m}" for m in range(max(3, 1 + n_random))]
     individuals = {}
     for n in range(1, n_individuals + 1):
         sizes = pool[n % shapes] if shapes else draw_sizes()
@@ -546,16 +548,17 @@ def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
         for s, size in enumerate(sizes, start=1):
             labels = rng.permutation(5)[:size] + 1
             chosen = int(rng.integers(size))
-            sits[s] = [(int(label), (attr_scale * rng.normal(size=3)).tolist(),
+            sits[s] = [(int(label), (attr_scale * rng.normal(size=len(names))).tolist(),
                         j == chosen) for j, label in enumerate(labels)]
         individuals[n] = sits
-    ds = make_dataset(individuals, ["x0", "x1", "x2"])
+    ds = make_dataset(individuals, names)
     base = data.draw(st.sampled_from(ds.alternative_labels[1:]))
     if classical:
         return design_for(ds, fixed_attrs=("x0", "x1", "x2"), use_asc=True,
                           base_alternative=base)
-    return design_for(ds, nrep, fixed_attrs=("x0",), random_attrs=("x1", "x2"),
-                      ln_count=1, use_asc=True, base_alternative=base)
+    return design_for(ds, nrep, fixed_attrs=("x0",),
+                      random_attrs=tuple(names[1:1 + n_random]), ln_count=1,
+                      use_asc=True, base_alternative=base)
 
 
 def padded_draws(design, rng):
@@ -577,7 +580,8 @@ def oracle_loglik(design, pos, x, z):
     asc = situation_constants(design, pos, constant)
     oracle_theta = {
         "fixed": theta.fixed.tolist(), "location": theta.rand_location.tolist(),
-        "scale": theta.rand_scale.tolist(), "lognormal": [False, True],
+        "scale": theta.rand_scale.tolist(),
+        "lognormal": [design.spec.is_lognormal(k) for k in range(design.n_random)],
     }
     return brute_force_sll([plain_situations(design, pos)], oracle_theta,
                            [z.tolist()], asc=[asc])
@@ -625,13 +629,14 @@ def test_padded_situations_match_oracle(data, classical):
     oracle.  A block holds people of different S and J, as many as a drawn
     bound on padded floats times a drawn R draws per person allows (R = 1
     for a classical design); its rows agree with one-individual blocks to
-    1e-12."""
+    1e-12.  A mixed design has a drawn 1 to 3 random attributes."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     nrep = 1 if classical else data.draw(st.integers(1, 5))
+    n_random = 2 if classical else data.draw(st.integers(1, 3))
     with mock.patch.object(regret, "_BLOCK_FLOATS",
                            data.draw(st.integers(0, 1000 * nrep))):
         design = padded_design(data, rng, n_individuals=3, classical=classical,
-                               nrep=nrep)
+                               nrep=nrep, n_random=n_random)
         assert_blocks_fill_budget(design)
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
@@ -689,14 +694,17 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     the design builds them in several groups.  R is at least 2:
     with one draw, numpy adds a lone person's pair terms pairwise but a
     block's in order, so those rows agree to rounding only, as classical
-    ones do (``test_padded_situations_match_oracle``)."""
+    ones do (``test_padded_situations_match_oracle``).  The design has a
+    drawn 1 to 3 random attributes, so the per-person products of the
+    slot-level terms run with 2, 4 and 6 columns of coefficients."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     nrep = data.draw(st.integers(2, 6))
     budget = data.draw(st.integers(0, 2000 * nrep))
     shapes = data.draw(st.sampled_from([None, 2]))
+    n_random = data.draw(st.integers(1, 3))
     with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
         design = padded_design(data, rng, n_individuals=14, nrep=nrep,
-                               shapes=shapes)
+                               shapes=shapes, n_random=n_random)
         assert_blocks_fill_budget(design)
     single = one_per_block(design)
     if shapes:
@@ -730,15 +738,50 @@ def test_mixed_blocks_match_one_individual_blocks(data):
 def test_padded_situations_hessian_matches_finite_differences(data, classical):
     """Padded slots, padded situations and missing labels add nothing to the
     Hessian: it agrees with central differences of the gradient and is
-    exactly symmetric."""
+    exactly symmetric.  A mixed design has a drawn 1 to 3 random
+    attributes."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    design = padded_design(data, rng, n_individuals=3, classical=classical)
+    n_random = 2 if classical else data.draw(st.integers(1, 3))
+    design = padded_design(data, rng, n_individuals=3, classical=classical,
+                           n_random=n_random)
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
     _, _, hessian = individual_scores(design, draws, x, hessian=True)
     oracle = _fd_hessian(lambda v: individual_scores(design, draws, v), x)
     assert np.array_equal(hessian, hessian.T)
     np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_per_person_slot_sums_match_brute_force(data, n_random):
+    """Each person's (J*S, 2K) rows of a block's ``by_person`` hold, at slot
+    k of situation s, 1/2 sum over the situation's other data slots l of
+    x[l] - x[k] for each of the K random attributes, then 1/2 sum of
+    |x[l] - x[k]|, summed here by brute force in the situation's row order;
+    they are exactly 0 at every slot with no data row, padded situations'
+    too; and ``lin_random`` is a view of the first K columns."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
+        design = padded_design(data, rng, n_individuals=5, n_random=n_random)
+    for block, (start, stop) in enumerate(design.blocks):
+        bd = design._blocks[block]
+        n, depth, width = bd.rows.shape
+        got = bd.by_person.reshape(n, width, depth, 2 * n_random)
+        want = np.zeros_like(got)
+        for pos in range(start, stop):
+            for s, (x_all, _) in enumerate(plain_situations(design, pos)):
+                x = np.array(x_all)[:, 1:]  # the random attributes
+                for k in range(len(x)):
+                    others = [l for l in range(len(x)) if l != k]
+                    want[pos - start, k, s] = [
+                        *(0.5 * sum(x[l] - x[k] for l in others)),
+                        *(0.5 * sum(abs(x[l] - x[k]) for l in others))]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        assert np.all(got[~bd.rows.transpose(0, 2, 1)] == 0.0)
+        assert np.shares_memory(bd.lin_random, bd.by_person)
+        assert np.array_equal(bd.lin_random[..., 0],
+                              got[..., :n_random].transpose(3, 1, 2, 0))
 
 
 @pytest.mark.parametrize("case", ["classical start", "mixed zero", "normal zero",
