@@ -3,8 +3,18 @@
 The optimizer is quasi-Newton BFGS with a backtracking line search that
 enforces sufficient decrease, so the log-likelihood is non-decreasing over
 accepted steps and two runs on identical inputs take bit-identical paths.
-A unit step is evaluated with its gradient, so an accepted one costs one
-value+gradient pass; only backtracked trials are log-likelihood-only passes.
+While the inverse-Hessian approximation is still the identity (the first
+iteration, or after a reset), the direction is the raw gradient, whose scale
+is the problem's and not a step's, so the line search starts at the largest
+power-of-2 step that moves θ by at most ``_MAX_FIRST_MOVE`` (1) in any
+coordinate.  The steps tried are the unit step's halvings either way, so a
+search that would have accepted a step at or below that start accepts the
+same float point, and the fit takes the same path; one whose first accepted
+move was larger takes another, and ends at another point within the
+gradient tolerance.  A unit step is evaluated with its gradient, so an
+accepted one costs one value+gradient pass; trials below the unit step are
+log-likelihood-only passes, and the point one of them accepts gets its
+value+gradient pass.
 A trial's pass stops as soon as the blocks it has finished prove that it
 will be rejected: each person's term is at most 0 and adding such a term
 never raises a float sum, so once the dataset-order sum of the finished
@@ -69,7 +79,7 @@ class FitResult:
     burn: int
     # how the optimizer ran; not written to the fit JSON, so None when loaded
     stop: str | None = None  # gtol | line_search | maxiter | zero_slope | newton
-    ll_passes: int | None = None  # log-likelihood-only passes: backtracked trials
+    ll_passes: int | None = None  # log-likelihood-only passes: trials below the unit step
     # value+gradient passes, the start and the Newton trials included
     vg_passes: int | None = None
 
@@ -137,8 +147,14 @@ class _OptResult:
     converged: bool
     ll_history: list[float]
     stop: str  # gtol | line_search | maxiter | zero_slope | newton
-    ll_passes: int  # log-likelihood-only passes: the backtracked trials
+    ll_passes: int  # log-likelihood-only passes: the trials below the unit step
     vg_passes: int  # value+gradient passes, the start and the Newton trials included
+
+
+# the largest sup-norm move of a first trial along the raw gradient: the
+# accepted first moves of the 120 benchmark reference fits (seeds 1-10) span
+# 0.015-0.81, so every one of them keeps its path
+_MAX_FIRST_MOVE = 1.0
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -160,9 +176,17 @@ def _maximize(
 
     ``loglik(x, bound)`` is the objective; ``scores(x, bound)`` returns its
     per-individual terms and gradient rows, summed here in order to the same
-    float.  The unit step, accepted on most iterations, is tried with
-    ``scores``; only the halved trials after a rejected one use ``loglik``,
-    and the point they accept gets its ``scores`` pass.  A trial is accepted
+    float.  Each search tries the steps 1, 1/2, 1/4, ... and takes the first
+    that passes, except that while H is the identity (the first iteration,
+    or after a reset for a direction that is not an ascent) it skips the
+    steps that would move some coordinate of x by more than
+    ``_MAX_FIRST_MOVE``: the raw gradient's scale is the problem's, and the
+    unit step would overshoot by orders of magnitude.  A search that would
+    have accepted a step at or below its start still accepts the same float
+    point; one that would have accepted a longer step now takes another
+    path, to another point within ``gtol``.  The unit step, accepted on most later iterations, is tried with
+    ``scores``; every trial below it uses ``loglik``, and the point such a
+    trial accepts gets its ``scores`` pass.  A trial is accepted
     when its log-likelihood is at least ``bound``, ll + 1e-4 * step * slope
     (or ll less the noise floor, once that gain is within it), and its
     gradient is finite.  Each trial hands its ``bound`` to the callable,
@@ -174,8 +198,10 @@ def _maximize(
     rejected, and the step halved.
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
-    longer than ``step_tol``.  Accepted steps never decrease the objective
-    beyond the floating-point rounding noise of the total log-likelihood.
+    longer than ``step_tol``, and, with no trial, at ``line_search`` when
+    the starting gradient is not finite.  Accepted steps never decrease the
+    objective beyond the floating-point rounding noise of the total
+    log-likelihood.
     """
 
     passes = {"ll": 0, "vg": 0}
@@ -205,9 +231,12 @@ def _maximize(
     # few ulps of its own magnitude
     noise_floor = 8.0 * np.finfo(float).eps
 
-    while not np.max(np.abs(grad)) <= gtol:  # a nan gradient ends in line_search
+    while not np.max(np.abs(grad)) <= gtol:
         if iterations >= maxiter:
             stop = "maxiter"
+            break
+        if not np.isfinite(grad).all():  # only the start's can be: no direction
+            stop = "line_search"
             break
         direction = h_inv @ grad  # ascent direction
         slope = grad @ direction
@@ -222,6 +251,9 @@ def _maximize(
 
         step = 1.0
         d_norm = np.max(np.abs(direction))
+        if first_update:
+            while step * d_norm > _MAX_FIRST_MOVE:
+                step *= 0.5
         floor = noise_floor * (abs(ll) + 1.0)
         with np.errstate(all="ignore"):  # a rejected trial may overflow
             while step * d_norm >= step_tol:
@@ -235,7 +267,7 @@ def _maximize(
                 ll_new, grad_new = (value_grad if step == 1.0 else value)(
                     candidate, bound)
                 if ll_new is not None and np.isfinite(ll_new) and ll_new >= bound:
-                    if grad_new is None:  # accepted after backtracking
+                    if grad_new is None:  # a trial below the unit step
                         ll_new, grad_new = value_grad(candidate)
                     if np.isfinite(grad_new).all():
                         break

@@ -710,7 +710,9 @@ def _activations(beta, d, take):
     100, so per attribute and run of at most 8 individuals the (P*S, k)
     ``d`` multiply a (k, k*R) block-diagonal matrix of their coefficients:
     each entry is one product plus exact zeros, the broadcast product on
-    any BLAS path."""
+    any BLAS path.  A run of one person is that broadcast product: its
+    matrix product would have an inner dimension of 1, which numpy runs in
+    its own, slower loop."""
     *lead, m, p, s, n, r = np.broadcast_shapes(beta.shape, d.shape)
     if r == 1:
         return _product(beta, d, "a", take)
@@ -718,6 +720,10 @@ def _activations(beta, d, take):
     rows, cols = d.reshape(*lead, m, p * s, n), a.reshape(*lead, m, p * s, n * r)
     for lo in range(0, n, 8):
         k = min(8, n - lo)
+        if k == 1:
+            np.multiply(rows[..., lo:lo + 1], beta[:, 0, 0, lo:lo + 1],
+                        out=cols[..., lo * r:(lo + 1) * r])
+            continue
         diag = take("diag", (m, k * k, r))
         diag.fill(0.0)
         diag[:, ::k + 1] = beta[:, 0, 0, lo:lo + k]

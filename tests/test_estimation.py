@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 import warnings
@@ -171,33 +172,96 @@ def counted_quadratic(curvature):
 
 
 def test_maximize_quadratic():
-    """On a well-scaled quadratic every unit step is accepted: one
-    value+gradient pass per iteration, and no log-likelihood-only pass."""
+    """At curvature 1 the raw gradient (2, -3) at (0, 0) would move x by 3 at
+    the unit step, so the first search starts at 1/4, a move of 0.75, and
+    accepts it: one log-likelihood-only trial, then the accepted point's
+    value+gradient pass.  The scaled BFGS update then makes the unit step
+    reach the maximum."""
     loglik, scores, calls = counted_quadratic(1.0)
     res = _maximize(loglik, scores, np.zeros(2))
     assert res.converged and res.stop == "gtol"
-    np.testing.assert_allclose(res.x, [2.0, -3.0], atol=1e-6)
-    assert [name for name, _ in calls] == ["scores"] * (res.iterations + 1)
-    assert (res.vg_passes, res.ll_passes) == (res.iterations + 1, 0)
+    assert [name for name, _ in calls] == ["scores", "loglik", "scores", "scores"]
+    for (_, point), want in zip(calls, [[0.0, 0.0], [0.5, -0.75], [0.5, -0.75],
+                                        [2.0, -3.0]]):
+        np.testing.assert_array_equal(point, want)
+    np.testing.assert_array_equal(res.x, [2.0, -3.0])
+    assert (res.iterations, res.vg_passes, res.ll_passes) == (2, 3, 1)
 
 
 def test_backtracked_trials_cost_loglik_passes():
-    """At curvature 100 the first unit step overshoots: it costs a
-    value+gradient pass, each halved trial a log-likelihood-only pass, and
-    the point accepted after backtracking one more value+gradient pass.  The
-    scaled BFGS update then makes every later unit step acceptable."""
+    """At curvature 100 from (1.75, -2.75) the raw gradient (25, -25) caps
+    the first search's start at 1/32, a move of 0.78, which overshoots:
+    Armijo holds from step 1/64 on.  Each trial below the unit step costs a
+    log-likelihood-only pass, and the point accepted after backtracking one
+    more value+gradient pass.  The scaled BFGS update then makes the unit
+    step acceptable."""
     loglik, scores, calls = counted_quadratic(100.0)
-    res = _maximize(loglik, scores, np.zeros(2))
-    names = [name for name, _ in calls]
-    # Armijo holds from step 1/64 on: 1/2 .. 1/32 are rejected, 1/64 taken
-    assert names[:9] == ["scores", "scores"] + ["loglik"] * 6 + ["scores"]
-    assert set(names[9:]) == {"scores"}
-    unit = calls[1][1]
-    for k, (_, point) in enumerate(calls[2:8], start=1):
-        np.testing.assert_array_equal(point, unit * 0.5**k)
-    np.testing.assert_array_equal(calls[8][1], calls[7][1])
+    x0 = np.array([1.75, -2.75])
+    res = _maximize(loglik, scores, x0)
+    assert [name for name, _ in calls] == ["scores", "loglik", "loglik", "scores",
+                                           "scores"]
+    gradient = np.array([25.0, -25.0])
+    for (_, point), want in zip(calls, [x0, x0 + gradient / 32, x0 + gradient / 64,
+                                        x0 + gradient / 64, [2.0, -3.0]]):
+        np.testing.assert_array_equal(point, want)
     assert res.converged and res.stop == "gtol"
-    assert (res.ll_passes, res.vg_passes) == (6, names.count("scores"))
+    assert (res.ll_passes, res.vg_passes) == (2, 3)
+
+
+def test_capped_start_keeps_the_path_of_a_shorter_accepted_step(monkeypatch):
+    """Where the search from the unit step accepts a step at or below the
+    capped start, the capped search tries the same halvings from there and
+    accepts the same float point.  From (1.75, -2.75) at curvature 100 both
+    accept x0 + 2^-6 g, and every iterate is the float of a search without
+    the cap."""
+    loglik, scores, _ = counted_quadratic(100.0)
+    x0 = np.array([1.75, -2.75])
+
+    def iterates():
+        return [_maximize(loglik, scores, x0, maxiter=m).x for m in range(3)]
+
+    capped = iterates()
+    np.testing.assert_array_equal(capped[1], [1.75 + 25.0 / 64, -2.75 - 25.0 / 64])
+    assert _maximize(loglik, scores, x0).iterations == 2
+    monkeypatch.setattr(estimation, "_MAX_FIRST_MOVE", np.inf)
+    for point, unit_start in zip(capped, iterates()):
+        np.testing.assert_array_equal(point, unit_start)
+
+
+def test_first_move_capped_where_the_accepted_step_moved_further(monkeypatch):
+    """From (0, 0) at curvature 100 the search from the unit step accepts
+    step 1/64, which moves x by 300/64; the capped search starts at 1/512,
+    a move of 0.59, and accepts it.  That fit takes another path, and still
+    converges to ``gtol``."""
+    loglik, scores, _ = counted_quadratic(100.0)
+    first_move = lambda: np.max(np.abs(_maximize(loglik, scores, np.zeros(2),
+                                                 maxiter=1).x))
+    assert first_move() == 300.0 / 512 <= estimation._MAX_FIRST_MOVE
+    res = _maximize(loglik, scores, np.zeros(2), gtol=1e-9)
+    assert res.converged and res.stop == "gtol"
+    assert np.max(np.abs(res.grad)) <= 1e-9
+    monkeypatch.setattr(estimation, "_MAX_FIRST_MOVE", np.inf)
+    assert first_move() == 300.0 / 64
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_start_gradient_stops_without_a_trial(bad):
+    """A start whose log-likelihood is finite but whose gradient is not
+    gives no direction: the optimizer stops at ``line_search`` with no
+    trial pass, and without a numpy warning."""
+    def loglik(x, bound=None):
+        raise AssertionError("no trial expected")
+
+    def scores(x, bound=None):
+        if np.any(x):
+            raise AssertionError("no trial expected")
+        return np.array([-1.0]), np.array([[bad, 1.0]])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = _maximize(loglik, scores, np.zeros(2))
+    assert res.stop == "line_search" and not res.converged
+    assert (res.iterations, res.ll_passes, res.vg_passes) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("curvature, kwargs, stop", [
@@ -215,10 +279,15 @@ def test_maximize_stop_reason(curvature, kwargs, stop):
 
 def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
     """Counted like ``test_hessian_costs_one_score_walk``: in the mixed
-    optimizer run, each iteration opens with one value+gradient walk at the
-    unit step; log-likelihood walks happen only at the halved trials after a
-    rejected unit step, and the accepted one gets a value+gradient walk.
-    The log-likelihood walks equal ``_OptResult.ll_passes``."""
+    optimizer run, value+gradient walks are the start and each accepted
+    point after a trial below the unit step (S), and the unit-step trials
+    (U); log-likelihood walks (L) are the trials below the unit step.  An
+    iteration is U, U L+ S or, when its search starts below the unit step,
+    L+ S.  The first one does: its direction is the raw gradient g at the
+    start, and its trials are x + 2^-k g from the largest such step that
+    moves x by at most 1, the same floats a search from the unit step
+    would try.  Later trials halve the iteration's unit step.  The
+    log-likelihood walks equal ``_OptResult.ll_passes``."""
     ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=3,
                        n_alternatives=3, fixed={"tc": -0.3},
                        random={"tt": ("normal", -0.5, 0.2)})
@@ -227,13 +296,16 @@ def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
                               estimation._maximize)
 
     def counted_walk(design, draws, x, hessian=False, bound=None):
+        out = walk(design, draws, x, hessian=hessian, bound=bound)
         if design.n_random and not hessian:
-            calls.append(("S", np.array(x, dtype=float)))
-        return walk(design, draws, x, hessian=hessian, bound=bound)
+            gradient = None if out is None else _ordered_sum(out[1])
+            calls.append(("S" if bound is None else "U", np.array(x, dtype=float),
+                          gradient))
+        return out
 
     def counted_loglik(design, draws, x, bound=None):
         if design.n_random:
-            calls.append(("L", np.array(x, dtype=float)))
+            calls.append(("L", np.array(x, dtype=float), None))
         return loglik(design, draws, x, bound=bound)
 
     def kept_maximize(*args, **kwargs):
@@ -246,34 +318,46 @@ def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
     fit = fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
                     FitOptions(nrep=10))
     opt = results[-1]
-    names = "".join(name for name, _ in calls)
-    assert re.fullmatch(r"S(S(L+S)?)*", names)
+    names = "".join(name for name, _, _ in calls)
+    iterations = re.findall(r"U(?:L+S)?|L+S", names[1:])
+    assert names[0] == "S" and "".join(iterations) == names[1:]
+    assert len(iterations) == fit.iterations
+    assert iterations[0][0] == "L"
     assert names.count("L") == opt.ll_passes > 0
-    assert names.count("S") == opt.vg_passes == 1 + fit.iterations + names.count("LS")
-    # each log-likelihood walk halves the step of the rejected unit trial
-    x = calls[0][1]
-    for k, (name, point) in enumerate(calls[1:], start=1):
-        if name == "L":
-            halvings = 1 if calls[k - 1][0] == "S" else halvings + 1
-            unit = calls[k - halvings][1]
-            np.testing.assert_allclose(point - x, (unit - x) * 0.5**halvings,
-                                       rtol=1e-12, atol=1e-15)
-        elif k + 1 == len(calls) or calls[k + 1][0] == "S":
-            x = point  # the iteration's accepted point
+    assert names.count("S") + names.count("U") == opt.vg_passes
+    _, x, gradient = calls[0]
+    k = 1
+    for iteration in iterations:
+        trials = calls[k:k + len(iteration)]
+        k += len(iteration)
+        if iteration[0] == "L":
+            step = 2.0 ** -math.ceil(math.log2(np.max(np.abs(gradient))))
+            assert 0.5 < step * np.max(np.abs(gradient)) <= 1.0
+            for halvings, (_, point, _) in enumerate(trials[:-1]):
+                np.testing.assert_array_equal(point, x + step * 0.5**halvings * gradient)
+        else:
+            unit = trials[0][1]
+            for halvings, (_, point, _) in enumerate(trials[1:-1], start=1):
+                np.testing.assert_allclose(point - x, (unit - x) * 0.5**halvings,
+                                           rtol=1e-12, atol=1e-15)
+        if len(trials) > 1:
+            np.testing.assert_array_equal(trials[-1][1], trials[-2][1])
+        _, x, gradient = trials[-1]
 
 
 def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
-    """A log-normal location started at 3 makes the first trials overflow;
-    they are rejected for a non-finite log-likelihood without a numpy
-    warning, and with warnings turned into errors the fit takes the same
-    path.  Each trial is recorded at its full log-likelihood, walked without
-    its bound, so a trial that its first blocks reject still shows its
-    overflow."""
+    """Started at a log-normal location of 4 and a scale of 2, the unit step
+    of the fit's 20th iteration sends the scale to about -1080, and the
+    first two halvings of that step overflow too; they are rejected for a
+    non-finite log-likelihood without a numpy warning, and with warnings
+    turned into errors the fit takes the same path.  Each trial is recorded
+    at its full log-likelihood, walked without its bound, so a trial that
+    its first blocks reject still shows its overflow."""
     ds = panel_dataset(tmp_path, np.random.default_rng(1), n_individuals=30,
                        n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
                        random={"cf": ("lognormal", -1.0, 0.4)})
     spec = ModelSpec(fixed_attrs=("tc",), random_attrs=("cf",), ln_count=1)
-    opts = lambda: FitOptions(nrep=10, start=[-0.3, 3.0, 0.3])
+    opts = lambda: FitOptions(nrep=10, start=[-0.3, 4.0, 2.0])
     values = []
     loglik = estimation._loglik
 
@@ -295,8 +379,8 @@ def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
 
 
 def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
-    """Started at a log-normal location of 3, this fit walks the location
-    towards -200 and the scale towards 350, where a unit-step trial can have
+    """Started at a log-normal location of 4, this fit walks the location
+    towards -260 and the scale towards 360, where a unit-step trial can have
     a finite log-likelihood but a nan gradient.  Such a trial is rejected
     like one whose log-likelihood is not finite, so the fit never takes a
     point without a gradient: it ends with a finite max |gradient|, here on
@@ -322,7 +406,7 @@ def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
         with pytest.raises(NonConvergence) as excinfo:
             fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("cf",),
                                     ln_count=1),
-                      FitOptions(nrep=10, start=[-0.3, 3.0, 0.3]))
+                      FitOptions(nrep=10, start=[-0.3, 4.0, 0.3]))
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert (True, False) in trials
     result = excinfo.value.result

@@ -696,7 +696,10 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     block's in order, so those rows agree to rounding only, as classical
     ones do (``test_padded_situations_match_oracle``).  The design has a
     drawn 1 to 3 random attributes, so the per-person products of the
-    slot-level terms run with 2, 4 and 6 columns of coefficients."""
+    slot-level terms run with 2, 4 and 6 columns of coefficients.  Each
+    one-individual block is a run of one person, whose activations are a
+    broadcast multiply, while blocks of several take block-diagonal matrix
+    products, so the two forms agree bit for bit."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     nrep = data.draw(st.integers(2, 6))
     budget = data.draw(st.integers(0, 2000 * nrep))
@@ -707,6 +710,7 @@ def test_mixed_blocks_match_one_individual_blocks(data):
                                shapes=shapes, n_random=n_random)
         assert_blocks_fill_budget(design)
     single = one_per_block(design)
+    assert nrep >= 2 and all(b - a == 1 for a, b in single.blocks)
     if shapes:
         group_shapes = [group.rows.shape[1:] for _, group in single._groups]
         assert len(set(group_shapes)) < len(group_shapes)
@@ -844,13 +848,15 @@ def test_gradient_and_hessian_at_zero_and_saturated_coefficients(case):
     np.testing.assert_allclose(hessian, oracle, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (8, 20), (13, 5), (20, 100)])
+@pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (8, 20), (13, 5), (20, 100),
+                                  (1, 20), (9, 5), (17, 100)])
 def test_activations_equal_the_broadcast_product(n, r):
     """``_activations``' block-diagonal matrix products, over runs of up to 8
     individuals, give the broadcast product of the coefficients and the
     distances bit for bit, with and without a leading run axis, at zero
     coefficients and zero distances; a coefficient shared by the block, as
-    a fixed one is, and one draw take the broadcast itself."""
+    a fixed one is, one draw and a run of one person (1, 9 and 17 people)
+    take the broadcast itself."""
     rng = np.random.default_rng(100 * n + r)
     d = np.abs(rng.normal(size=(2, 3, 4, 5, n, 1)))
     d[:, :, 1] = 0.0  # the distances of a dead pair
