@@ -259,6 +259,9 @@ def cmd_fit(args) -> int:
     if args.noconstant and args.basealternative is not None:
         raise InvalidOption("--basealternative names the base of the constants "
                             "that --noconstant leaves out")
+    if args.cluster is not None and args.robust:
+        raise InvalidOption("--cluster and --robust each choose the sandwich "
+                            "covariance; give one")
     spec = ModelSpec(
         fixed_attrs=tuple(args.fixed),
         random_attrs=tuple(args.rand),

@@ -145,7 +145,6 @@ class _OptResult:
     grad: np.ndarray
     iterations: int
     converged: bool
-    ll_history: list[float]
     stop: str  # gtol | line_search | maxiter | zero_slope | newton
     ll_passes: int  # log-likelihood-only passes: the trials below the unit step
     vg_passes: int  # value+gradient passes, the start and the Newton trials included
@@ -224,7 +223,6 @@ def _maximize(
         raise InvalidOption("log-likelihood not finite at the starting values")
     h_inv = np.eye(n)
     first_update = True
-    history = [ll]
     iterations = 0
     stop = "gtol"
     # summation rounding across individuals makes the objective fuzzy at a
@@ -288,7 +286,6 @@ def _maximize(
             v = np.eye(n) - rho * np.outer(s, y)
             h_inv = v @ h_inv @ v.T + rho * np.outer(s, s)
         x, ll, grad = candidate, ll_new, grad_new
-        history.append(ll)
         iterations += 1
 
     return _OptResult(
@@ -297,7 +294,6 @@ def _maximize(
         grad=grad,
         iterations=iterations,
         converged=bool(np.max(np.abs(grad)) <= gtol),
-        ll_history=history,
         stop=stop,
         ll_passes=passes["ll"],
         vg_passes=passes["vg"],
@@ -331,8 +327,7 @@ def _newton_finish(opt: _OptResult, scores_hessian: Callable, rows, hessian,
                 and norm(grad) < norm(opt.grad)):
             break
         opt = replace(opt, x=x, loglik=ll, grad=grad, iterations=opt.iterations + 1,
-                      converged=bool(norm(grad) <= gtol), stop="newton",
-                      ll_history=[*opt.ll_history, ll])
+                      converged=bool(norm(grad) <= gtol), stop="newton")
         rows, hessian = new_rows, new_hessian
     return opt, rows, hessian
 
@@ -500,39 +495,30 @@ def fit_mixed(
     return _run_fit(ds, spec, opts or FitOptions())
 
 
-def _starting_values(ds, spec, design: ModelDesign, opts: FitOptions) -> np.ndarray:
-    prelim_spec = ModelSpec(
-        fixed_attrs=spec.fixed_attrs + spec.random_attrs,
-        random_attrs=(),
-        ln_count=0,
-        use_asc=spec.use_asc,
-        base_alternative=spec.base_alternative,
-    )
+def _starting_values(design: ModelDesign, opts: FitOptions) -> np.ndarray:
+    spec = design.spec
+    prelim_spec = ModelSpec(fixed_attrs=design.model_attrs, use_asc=spec.use_asc,
+                            base_alternative=spec.base_alternative)
     prelim_opts = FitOptions(
         maxiter=opts.maxiter, gtol=opts.gtol, level=opts.level, covariance="hessian",
     )
     try:
-        prelim = fit_classical(ds, prelim_spec, prelim_opts)
+        prelim = fit_classical(design.ds, prelim_spec, prelim_opts)
     except NonConvergence as err:
         warnings.warn(
             "preliminary classical fit did not converge; "
             "using its last iterate for starting values"
         )
         prelim = err.result
-    by_name = dict(zip(prelim.param_names, prelim.theta))
-
-    x0 = np.zeros(design.n_params)
-    x0[:design.n_fixed] = [by_name[a] for a in spec.fixed_attrs]
+    # the preliminary fit's coefficients are the design's attributes, in order
+    classical = prelim.theta_hat.fixed
     f, k = design.n_fixed, design.n_random
-    for j, attr in enumerate(spec.random_attrs):
-        classical = by_name[attr]
-        if spec.is_lognormal(j):
-            x0[f + j] = math.log(abs(classical)) if classical != 0.0 else math.log(0.1)
-        else:
-            x0[f + j] = classical
-    x0[f + k:f + 2 * k] = 0.1
-    # constants start at 0 (asc slots already zero)
-    return x0
+    location = [(math.log(abs(b)) if b != 0.0 else math.log(0.1))
+                if spec.is_lognormal(j) else b
+                for j, b in enumerate(classical[f:].tolist())]
+    # scales start at 0.1, constants at 0
+    return ParameterVector(classical[:f], np.array(location, dtype=float),
+                           np.full(k, 0.1), np.zeros(design.n_asc)).pack()
 
 
 def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
@@ -548,7 +534,7 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
     if opts.start is not None:
         x0 = opts.start
     elif spec.n_random:
-        x0 = _starting_values(ds, spec, design, opts)
+        x0 = _starting_values(design, opts)
     else:
         x0 = np.zeros(design.n_params)
     if np.shape(x0) != (design.n_params,):

@@ -224,18 +224,10 @@ class ModelDesign:
         self.spec = spec
         self.nrep = nrep if spec.n_random else 1
 
-        self.model_attrs = tuple(
-            a for a in ds.attribute_names
-            if a in spec.fixed_attrs or a in spec.random_attrs
-        )
+        # the attribute axis in packing order, [fixed | random]
+        self.model_attrs = (*spec.fixed_attrs, *spec.random_attrs)
         self.attr_indices = np.array(
             [ds.attribute_index(a) for a in self.model_attrs], dtype=np.intp
-        )
-        self._fixed_pos = np.array(
-            [self.model_attrs.index(a) for a in spec.fixed_attrs], dtype=np.intp
-        )
-        self._random_pos = np.array(
-            [self.model_attrs.index(a) for a in spec.random_attrs], dtype=np.intp
         )
         self._lognormal = np.array(
             [spec.is_lognormal(k) for k in range(spec.n_random)], dtype=bool
@@ -328,20 +320,20 @@ class ModelDesign:
         eye = np.eye(j_max)
         lin = _lead(0.5 * (eye[first] - eye[second]).T, pair_diff, batch=2)
         dist = np.abs(pair_diff, out=pair_diff)
-        d_random = dist.take(self._random_pos, 1)
+        f, k = self.n_fixed, self.n_random
         incidence = eye[first] + eye[second]
         # (G, n, J, S, 2*Mr): lin_k then half_k of the random attributes
-        k = self.n_random
         by_person = np.empty((n_group, n, j_max, n_cells // n, 2 * k))
         person_major = lambda a: a[..., 0].transpose(0, 4, 2, 3, 1)
-        by_person[..., :k] = person_major(lin.take(self._random_pos, 1))
-        by_person[..., k:] = person_major(_lead(0.5 * incidence.T, d_random, batch=2))
+        by_person[..., :k] = person_major(lin[:, f:])
+        by_person[..., k:] = person_major(_lead(0.5 * incidence.T, dist[:, f:], batch=2))
         chosen = grid(chosen).transpose(0, 2, 1).reshape(n_group, n_cells)
         empty = ~rows & (np.arange(j_max) > 0)  # a padded situation has slot 0
+        # ``lin_fixed`` is a copy: a view would keep all of ``lin`` alive
         return _BlockData(  # the fields, in order
             grid(rows), kernel(empty)[..., None],
-            chosen * n_cells + np.arange(n_cells), dist.take(self._fixed_pos, 1),
-            d_random, lin.take(self._fixed_pos, 1),
+            chosen * n_cells + np.arange(n_cells), dist[:, :f], dist[:, f:],
+            lin[:, :f].copy(),
             by_person.reshape(n_group, n, j_max * n_cells // n, 2 * k),
             by_person[..., :k].transpose(0, 4, 2, 3, 1)[..., None], live.astype(float),
             np.broadcast_to(incidence, (n_group, len(first), j_max)),
@@ -454,9 +446,10 @@ class ModelDesign:
 
     def _probabilities(self, bd: _BlockData, regrets, probs=True):
         """Per-draw choice probabilities (J,S,n,R), ``None`` unless ``probs``,
-        and chosen log-probs (S,n,R), made in the workspace: the
-        probabilities in place of ``regrets``, whose +inf at the ``empty``
-        slots gives them probability exactly 0."""
+        and sequence log-probs (n,R), the sums of the chosen log-probs over
+        the situations, made in the workspace: the probabilities in place of
+        ``regrets``, whose +inf at the ``empty`` slots gives them
+        probability exactly 0."""
         take = self._work.take
         neg = np.negative(regrets, out=regrets)
         flat = neg.reshape(-1, neg.shape[-1])
@@ -471,30 +464,26 @@ class ModelDesign:
         lse = np.add(peak, np.log(denom, out=denom), out=peak)
         chosen = chosen.reshape(lse.shape)
         chosen -= lse
-        return expn if probs else None, chosen
+        sequence = chosen.sum(axis=0, out=take("sequence", chosen.shape[1:]))
+        return expn if probs else None, sequence
 
     def individual_draw_info(self, block: int, z, part, probs=True):
         """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J),
         the latter ``None`` unless ``probs``."""
         bd = self._blocks[block]
-        per_draw, ln_chosen = self._probabilities(
+        per_draw, sequence = self._probabilities(
             bd, self._regrets(bd, part, False)[0], probs)
         if probs:
             per_draw = per_draw.copy().transpose(2, 3, 1, 0)
-        return ln_chosen.sum(axis=0), per_draw
+        return sequence.copy(), per_draw
 
     def individual_loglik(self, block: int, z, part) -> np.ndarray:
-        """Simulated log-likelihood terms (n,) of a block's individuals."""
+        """Simulated log-likelihood terms (n,) of a block's individuals: the
+        log-mean-exp of :meth:`individual_draw_info`'s sequence log-probs."""
         bd = self._blocks[block]
-        _, ln_chosen = self._probabilities(bd, self._regrets(bd, part, False)[0],
-                                           probs=False)
-        return _log_mean_exp(self._sequence(ln_chosen))[0]
-
-    def _sequence(self, ln_chosen):
-        """Per-draw sequence log-probs (n, R) of chosen log-probs (S, n, R),
-        in the workspace."""
-        return ln_chosen.sum(axis=0,
-                             out=self._work.take("sequence", ln_chosen.shape[1:]))
+        _, sequence = self._probabilities(bd, self._regrets(bd, part, False)[0],
+                                          probs=False)
+        return _log_mean_exp(sequence)[0]
 
     def individual_loglik_gradient(self, block: int, z, part, hessian=False):
         """Simulated log-likelihood terms of a block's individuals and their
@@ -512,8 +501,8 @@ class ModelDesign:
         np.copyto(chain, coefs, where=self._lognormal[:, None, None])
         z = z.transpose(1, 0, 2)  # (K, n, R)
         regrets, slope_fixed, slope_random = self._regrets(bd, part, gradient=True)
-        probs, ln_chosen = self._probabilities(bd, regrets)
-        ll, weights = _log_mean_exp(self._sequence(ln_chosen))
+        probs, sequence = self._probabilities(bd, regrets)
+        ll, weights = _log_mean_exp(sequence)
 
         # d ln P(chosen) / d R_i = P_i - 1[i = chosen], and per pair the sum
         # over its two slots
@@ -546,9 +535,7 @@ class ModelDesign:
         if self.n_asc:  # per individual: (n_asc, J*S) @ (J*S, R)
             onehot = bd.asc_onehot.reshape(-1, n_ind, self.n_asc).transpose(1, 2, 0)
             by_person = resid.reshape(-1, n_ind, n_draws).transpose(1, 0, 2)
-            asc = np.matmul(onehot, by_person,
-                            out=take("asc", (n_ind, self.n_asc, n_draws)))
-            per_draw[f + 2 * k:] = asc.transpose(1, 0, 2)
+            np.matmul(onehot, by_person, out=per_draw[f + 2 * k:].transpose(1, 0, 2))
 
         grad = np.matmul(per_draw.transpose(1, 0, 2), weights[..., None])[..., 0]
         if not hessian:

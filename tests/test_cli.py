@@ -227,6 +227,17 @@ def test_fit_base_alternative_without_constants_exit_1(panel_csv, tmp_path, caps
         assert (code, out, err) == (1, "", message)
 
 
+def test_fit_cluster_with_robust_exit_1(panel_csv, tmp_path, capsys):
+    """--cluster and --robust each choose the sandwich, so the pair is
+    refused, before the data are read, rather than one of them ignored."""
+    message = ("error: --cluster and --robust each choose the sandwich covariance; "
+               "give one\n")
+    for data in (panel_csv, tmp_path / "absent.csv"):
+        code, out, err = run(capsys, "fit", data, "--fixed", "total_time",
+                             "--cluster", "id", "--robust")
+        assert (code, out, err) == (1, "", message)
+
+
 @pytest.mark.parametrize("start", ["[0.1]", '["a", "b"]', '{"a": 1}', "[NaN, 0]"])
 def test_fit_bad_start_exit_1(panel_csv, capsys, start):
     code, out, err = run(capsys, "fit", panel_csv, "--fixed", "total_time",

@@ -498,11 +498,16 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
                        n_alternatives=3, fixed={"tt": -0.5, "tc": -0.3})
     design = ModelDesign(ds, ModelSpec(fixed_attrs=("tt", "tc")))
     draws = design.draws()
-    res = _maximize(lambda x, bound: _loglik(design, draws, x, bound=bound),
-                    lambda x, bound: individual_scores(design, draws, x, bound=bound),
-                    np.zeros(2))
+    maximize = lambda maxiter: _maximize(
+        lambda x, bound: _loglik(design, draws, x, bound=bound),
+        lambda x, bound: individual_scores(design, draws, x, bound=bound),
+        np.zeros(2), maxiter=maxiter)
+    res = maximize(200)
     assert res.converged
-    history = np.array(res.ll_history)
+    # the optimizer is deterministic, so the runs stopped after m iterations
+    # retrace the accepted path
+    history = np.array([maximize(m).loglik for m in range(res.iterations + 1)])
+    assert history[-1] == res.loglik
     noise = 8.0 * np.finfo(float).eps * (np.abs(history[:-1]) + 1.0)
     assert np.all(np.diff(history) >= -noise)
 

@@ -150,13 +150,14 @@ def test_realize_lognormal_value():
     assert beta[0] == pytest.approx(0.22313016014842982, rel=1e-12)
 
 
-def test_realize_mixes_fixed_and_random_in_dataset_order(rng):
-    """With x1 fixed and x2, x0 random, the design's attributes interleave
-    fixed and random coefficients in dataset order; the walk's
-    log-likelihood agrees with the oracle, which takes them as declared."""
+def test_realize_mixes_fixed_and_random_in_packing_order(rng):
+    """With x1 fixed and x2, x0 random, columns that interleave fixed and
+    random coefficients, the design's attributes take the declared [fixed |
+    random] order, θ's packing order; the walk's log-likelihood agrees with
+    the oracle, which takes them as declared."""
     ds = random_dataset(rng, n_attrs=3)
     design = design_for(ds, fixed_attrs=("x1",), random_attrs=("x2", "x0"))
-    assert design.model_attrs == ("x0", "x1", "x2")
+    assert design.model_attrs == ("x1", "x2", "x0")
     x = np.array([0.5, 1.0, -0.7, 0.3, 0.6])
     draws = rng.normal(size=(ds.n_individuals, 2, 4))
     declared = [ds.attribute_index(a) for a in ("x1", "x2", "x0")]
@@ -885,6 +886,27 @@ def test_loglik_walk_equals_ordered_score_sum(data, classical):
     x = rng.normal(size=design.n_params) * data.draw(st.sampled_from([0.1, 1.0, 3.0]))
     lls, _ = individual_scores(design, draws, x)
     assert _loglik(design, draws, x) == float(_ordered_sum(lls))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(0, 3))
+def test_loglik_kernel_is_log_mean_exp_of_the_draw_info_sequence(data, n_random):
+    """Block by block, the log-likelihood kernel's terms are the
+    log-mean-exp of the draw-info kernel's sequence log-probs, bit for bit,
+    on padded panels with 0 (classical) to 3 random attributes, in blocks
+    as large as a drawn bound on padded floats allows."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
+        design = padded_design(data, rng, n_individuals=5, classical=not n_random,
+                               n_random=max(n_random, 1))
+    assert design.n_random == n_random
+    draws = padded_draws(design, rng)
+    theta = design.unpack(rng.normal(size=design.n_params))
+    lls = design.walk(design.individual_loglik, theta, draws)
+    infos = design.walk(design.individual_draw_info, theta, draws, False)
+    for ll, (sequence, probs) in zip(lls, infos, strict=True):
+        assert probs is None
+        assert np.array_equal(ll, regret._log_mean_exp(sequence)[0])
 
 
 def near_bounds(data, full):
