@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonPrimeBase
+from .errors import DomainError, InvalidOption, NonPrimeBase
 
 
 def nth_prime(k: int) -> int:
@@ -149,14 +149,20 @@ def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> n
     0.  Dimension k takes one Halton stream in the k-th prime base of length
     ``n_individuals * nrep`` (after dropping ``burn`` initial elements);
     individual n, counted in sorted-ID order, gets the contiguous slice
-    ``[n*nrep, (n+1)*nrep)`` as ``draws[n, k]``.
+    ``[n*nrep, (n+1)*nrep)`` as ``draws[n, k]``.  An array that numpy
+    cannot allocate raises :class:`InvalidOption`.
     """
     if n_individuals < 1 or dims < 0 or nrep < 1:
         raise ValueError("n_individuals and nrep must be positive, dims non-negative")
     if burn < 0:
         raise ValueError("burn must be >= 0")
 
-    draws = np.empty((n_individuals, dims, nrep))
+    try:
+        draws = np.empty((n_individuals, dims, nrep))
+    except (MemoryError, ValueError):  # numpy's "too big" is a ValueError
+        raise InvalidOption(
+            f"cannot allocate the draw set of {n_individuals} individuals x {dims} "
+            f"random coefficients x {nrep} draws; lower nrep") from None
     for k in range(dims):
         stream = halton_sequence(nth_prime(k), n_individuals * nrep, burn)
         draws[:, k, :] = inverse_normal_cdf(stream).reshape(n_individuals, nrep)

@@ -15,12 +15,6 @@ gradient tolerance.  A unit step is evaluated with its gradient, so an
 accepted one costs one value+gradient pass; trials below the unit step are
 log-likelihood-only passes, and the point one of them accepts gets its
 value+gradient pass.
-A trial's pass stops as soon as the blocks it has finished prove that it
-will be rejected: each person's term is at most 0 and adding such a term
-never raises a float sum, so once the dataset-order sum of the finished
-blocks that lead the dataset is below the trial's acceptance bound, the full
-sum is too (:func:`_rejection_test`).  Such a trial is rejected where the
-full pass would reject it, so the fit takes the path of full passes.
 Where the line search gives up, near the optimum of a large panel whose
 summed log-likelihood is too noisy to rank steps, exact Newton steps finish
 the fit, each accepted when it shrinks the gradient.
@@ -173,28 +167,24 @@ def _maximize(
 ) -> _OptResult:
     """BFGS ascent with Armijo backtracking.
 
-    ``loglik(x, bound)`` is the objective; ``scores(x, bound)`` returns its
-    per-individual terms and gradient rows, summed here in order to the same
-    float.  Each search tries the steps 1, 1/2, 1/4, ... and takes the first
-    that passes, except that while H is the identity (the first iteration,
-    or after a reset for a direction that is not an ascent) it skips the
-    steps that would move some coordinate of x by more than
-    ``_MAX_FIRST_MOVE``: the raw gradient's scale is the problem's, and the
-    unit step would overshoot by orders of magnitude.  A search that would
-    have accepted a step at or below its start still accepts the same float
-    point; one that would have accepted a longer step now takes another
-    path, to another point within ``gtol``.  The unit step, accepted on most later iterations, is tried with
-    ``scores``; every trial below it uses ``loglik``, and the point such a
-    trial accepts gets its ``scores`` pass.  A trial is accepted
-    when its log-likelihood is at least ``bound``, ll + 1e-4 * step * slope
-    (or ll less the noise floor, once that gain is within it), and its
-    gradient is finite.  Each trial hands its ``bound`` to the callable,
-    which may return ``None`` instead of a value once part of its pass
-    proves the log-likelihood below ``bound`` (see
-    :func:`_rejection_test`); such a trial is rejected and counts as one
-    pass, as the full one would.  Trials run with numpy's floating-point
-    warnings off: one whose log-likelihood or gradient is not finite is
-    rejected, and the step halved.
+    ``loglik(x)`` is the objective; ``scores(x)`` returns its per-individual
+    terms and gradient rows, summed here in order to the same float.  Each
+    search tries the steps 1, 1/2, 1/4, ... and takes the first that passes,
+    except that while H is the identity (the first iteration, or after a
+    reset for a direction that is not an ascent) it skips the steps that
+    would move some coordinate of x by more than ``_MAX_FIRST_MOVE``: the
+    raw gradient's scale is the problem's, and the unit step would overshoot
+    by orders of magnitude.  A search that would have accepted a step at or
+    below its start still accepts the same float point; one that would have
+    accepted a longer step now takes another path, to another point within
+    ``gtol``.  Each trial is one full pass.  The unit step, accepted on most
+    later iterations, is tried with ``scores``; every trial below it uses
+    ``loglik``, and the point such a trial accepts gets its ``scores`` pass.
+    A trial is accepted when its log-likelihood is at least ``bound``, ll +
+    1e-4 * step * slope (or ll less the noise floor, once that gain is
+    within it), and its gradient is finite.  Trials run with numpy's
+    floating-point warnings off: one whose log-likelihood or gradient is not
+    finite is rejected, and the step halved.
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
     longer than ``step_tol``, and, with no trial, at ``line_search`` when
@@ -205,16 +195,14 @@ def _maximize(
 
     passes = {"ll": 0, "vg": 0}
 
-    def value_grad(x, bound=None):
+    def value_grad(x):
         passes["vg"] += 1
-        out = scores(x, bound)
-        if out is None:
-            return None, None
-        return _ordered_sum(out[0]), _ordered_sum(out[1])
+        lls, rows = scores(x)
+        return _ordered_sum(lls), _ordered_sum(rows)
 
-    def value(x, bound):
+    def value(x):
         passes["ll"] += 1
-        return loglik(x, bound), None
+        return loglik(x), None
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
@@ -262,9 +250,8 @@ def _maximize(
                 # step that stays within that noise so the gradient can still
                 # be driven to tolerance.
                 bound = ll - floor if target <= floor else ll + target
-                ll_new, grad_new = (value_grad if step == 1.0 else value)(
-                    candidate, bound)
-                if ll_new is not None and np.isfinite(ll_new) and ll_new >= bound:
+                ll_new, grad_new = (value_grad if step == 1.0 else value)(candidate)
+                if np.isfinite(ll_new) and ll_new >= bound:
                     if grad_new is None:  # a trial below the unit step
                         ll_new, grad_new = value_grad(candidate)
                     if np.isfinite(grad_new).all():
@@ -385,72 +372,21 @@ def covariance_robust(hessian: np.ndarray, scores: np.ndarray) -> np.ndarray:
 # -- objective plumbing -------------------------------------------------------
 
 
-def _rejection_test(design: ModelDesign, draws: np.ndarray, bound):
-    """The ``stop`` of a walk for a trial that is rejected unless its
-    log-likelihood is at least ``bound``; ``None`` for no bound.  Fed each
-    block's terms in dataset order, it returns true once they prove that
-    the full sum will not reach ``bound``.
-
-    It adds the terms one at a time from 0.0, as :func:`_ordered_sum` does:
-    a float ``+=`` is the same IEEE double add.  Each term is ln of a mean
-    of probabilities, so at most 0, and under round-to-nearest adding a term
-    at most 0 never raises a float sum.  So the running sum bounds the full
-    sum from above, and a nan or -inf one makes the full sum nan or -inf.
-    The test is ``not total >= bound - slack``: it stops on a nan sum, and
-    on a nan or +inf bound, which no trial meets; a bound that is not finite
-    has no slack.
-
-    The slack is 4 eps (|bound| + ln R + 1) per person still to be added.
-    A term is peak + ln(total) - ln R with peak <= 0 and total <= R, and
-    each of its two logarithms is within one ulp of the exact one, so the
-    term is at most 2 eps ln R above 0.  Adding a term t > 0 to a sum s <= 0
-    raises s at most by 2 t: a rise needs t to reach half the float spacing
-    at s, which is no narrower than at s + t.  The slack's 4 eps ln R covers
-    that 2 t rise of a term lifted 2 eps ln R; its 4 eps |bound| covers the
-    rounding of sums above 0, near a bound above 0, and its 4 eps is
-    margin."""
-    if bound is None:
-        return None
-    bound = float(bound)
-    per_person = (4.0 * math.ulp(1.0) * (abs(bound) + math.log(draws.shape[-1]) + 1.0)
-                  if math.isfinite(bound) else 0.0)
-    total, left = 0.0, design.ds.n_individuals
-
-    def stop(terms):
-        nonlocal total, left
-        for term in terms.tolist():
-            total += term
-        left -= len(terms)
-        return not total >= bound - left * per_person
-
-    return stop
-
-
-def _loglik(design: ModelDesign, draws: np.ndarray, x, bound=None) -> float | None:
+def _loglik(design: ModelDesign, draws: np.ndarray, x) -> float:
     """The log-likelihood at ``x``: one :meth:`ModelDesign.walk` with the
-    log-likelihood kernel, whose terms are added in dataset order.  With
-    ``bound``, ``None`` once the finished blocks prove it below ``bound``
-    (:func:`_rejection_test`), and the walk ends there."""
-    terms = design.walk(design.individual_loglik, design.unpack(x), draws,
-                        stop=_rejection_test(design, draws, bound))
-    return None if terms is None else float(_ordered_sum(np.concatenate(terms)))
+    log-likelihood kernel, whose terms are added in dataset order."""
+    terms = design.walk(design.individual_loglik, design.unpack(x), draws)
+    return float(_ordered_sum(np.concatenate(terms)))
 
 
-def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False,
-                      bound=None):
+def individual_scores(design: ModelDesign, draws: np.ndarray, x, hessian=False):
     """Per-individual log-likelihood terms (N,) and gradient rows (N, P) at
     ``x``; the only pass that evaluates the gradient: one
     :meth:`ModelDesign.walk` with the value+gradient kernel.  With
     ``hessian``, also the log-likelihood Hessian (P, P): the block Hessians
-    added in block (dataset) order, then symmetrised.  With ``bound``,
-    ``None`` once the finished blocks prove the summed terms below
-    ``bound``, as in :func:`_loglik`."""
-    test = _rejection_test(design, draws, bound)
-    stop = None if test is None else lambda block: test(block[0])  # its terms
+    added in block (dataset) order, then symmetrised."""
     walked = design.walk(design.individual_loglik_gradient, design.unpack(x), draws,
-                         hessian, stop=stop)
-    if walked is None:
-        return None
+                         hessian)
     terms, grads, *hessians = zip(*walked)
     lls, rows = np.concatenate(terms), np.concatenate(grads)
     if not hessian:
@@ -541,8 +477,8 @@ def _run_fit(ds: ChoiceDataset, spec: ModelSpec, opts: FitOptions) -> FitResult:
         raise InvalidOption(f"start has shape {np.shape(x0)}; the model has "
                             f"{design.n_params} parameters")
     opt = _maximize(
-        lambda x, bound: _loglik(design, draws, x, bound=bound),
-        lambda x, bound: individual_scores(design, draws, x, bound=bound), x0,
+        lambda x: _loglik(design, draws, x),
+        lambda x: individual_scores(design, draws, x), x0,
         maxiter=opts.maxiter, gtol=opts.gtol)
     with np.errstate(all="ignore"):  # an unconverged fit's last point may overflow
         scores_hessian = lambda x: individual_scores(design, draws, x, hessian=True)

@@ -365,30 +365,23 @@ class ModelDesign:
     # draws ``z`` and ``part``, its share of the pass's draw-invariant work;
     # only :meth:`walk`, or a kernel handed to it, calls one.
 
-    def walk(self, kernel, theta, draws, *args, stop=None) -> list | None:
+    def walk(self, kernel, theta, draws, *args) -> list:
         """One pass over the data under the (N, K, R) ``draws``: the list of
         ``kernel(block, z, part, *args)`` of every block, in block (dataset)
-        order, ``z`` the block's draws.  With ``stop``, after each kernel
-        call the walk hands ``stop`` the results it has not yet handed of
-        the finished blocks from block 0 up to the first unfinished one, so
-        ``stop`` sees each block once, in dataset order; the walk ends and
-        returns ``None`` as soon as ``stop`` returns true.  Only a
-        line-search trial's pass has a ``stop``
-        (``estimation._rejection_test``).  The walk visits the blocks group
-        by group; per group of at most R equal-shape blocks it builds, once,
-        the regret base (J,S,n,1) of the constants and the fixed attributes
-        (their pair terms with their |beta| d / 2, plus beta times their
-        ``lin_fixed`` sums), +inf at
-        the ``empty`` slots, and the fixed pair slopes (Mf,P,S,n,1), their
-        sign(beta) applied; ``part`` is the block's slice of these and its
-        random coefficients (K,n,R).  All of these are views of the
-        design's workspace."""
+        order, ``z`` the block's draws.  The walk visits the blocks group by
+        group, so it places each result at its block's index; per group of
+        at most R equal-shape blocks it builds, once, the regret base
+        (J,S,n,1) of the constants and the fixed attributes (their pair
+        terms with their |beta| d / 2, plus beta times their ``lin_fixed``
+        sums), +inf at the ``empty`` slots, and the fixed pair slopes
+        (Mf,P,S,n,1), their sign(beta) applied; ``part`` is the block's slice
+        of these and its random coefficients (K,n,R).  All of these are views
+        of the design's workspace."""
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
         sign = np.sign(beta)
         half_beta = 0.5 * np.abs(beta)
         results = [None] * len(self.blocks)
-        fed = 0  # blocks handed to ``stop``: a finished dataset-order prefix
         for members, group in self._groups:
             # the group's base and slopes outlive its kernel calls; its
             # other intermediates take kernel roles, dead by the first call
@@ -409,11 +402,6 @@ class ModelDesign:
                 by_coef = z.transpose(1, 0, 2)  # (K, n, R)
                 coefs = self._coefficients(theta, by_coef, take("coefs", by_coef.shape))
                 results[block] = kernel(block, z, (base[pos], slope[pos], coefs), *args)
-                while (stop is not None and fed < len(results)
-                       and results[fed] is not None):
-                    if stop(results[fed]):
-                        return None
-                    fed += 1
         return results
 
     def _regrets(self, bd: _BlockData, part, gradient):

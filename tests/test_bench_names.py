@@ -1,7 +1,6 @@
 """The traced benchmark wraps package functions by name (``bench/spans.py``);
 every name it lists must exist, so a rename fails here first.  It also
-counts kernel calls, which make one call per block of a walk's design
-unless a line-search trial's walk stops early."""
+counts kernel calls, which make one call per block of a walk's design."""
 
 import importlib
 import importlib.util
@@ -41,15 +40,12 @@ def test_kernel_resolves_on_model_design(attr):
 def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     """Traced around a small mixed fit, the trace counts every kernel call of
     every walk, in the preliminary classical fit and in the mixed one alike.
-    A walk that is not stopped makes one kernel call per block of its
-    design; a line-search trial's walk that its finished blocks stopped,
-    known by its ``None`` result, made one call per block it finished, so at
-    least one and at most as many as its design has.  The panel: 10 people
+    Every walk, a line-search trial's too, makes exactly one kernel call per
+    block of its design.  The panel: 10 people
     of 3 situations of 3 alternatives and 2 attributes, so 3 * (3*2 + 3*3) *
     5 = 225 padded floats each at the mixed fit's R = 5 draws and 3 * (3*2 +
     3*2) = 36 in the classical one, and a block holds ``_BLOCK_FLOATS`` //
-    225 or // 36 people: one and 8, or 6 and all 10.  With one person per
-    mixed block, some trial is stopped."""
+    225 or // 36 people: one and 8, or 6 and all 10."""
     from mixrrm import estimation, regret
     from mixrrm.dataset import load_long_csv
     from oracles import simulate_panel, write_rows_csv
@@ -68,17 +64,15 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
               0: len(regret.ModelDesign(ds, regret.ModelSpec(fixed_attrs=("tc", "tt"))).blocks)}
     assert blocks == {None: {1: 1, 0: 1}, 8 * 36: {1: 10, 0: 2},
                       40 * 36: {1: 2, 0: 1}}[budget]
-    walks = []  # [kind, random-coefficient count, kernel calls, stopped] per walk
+    walks = []  # [kind, random-coefficient count, kernel calls] per walk
     for kind, walker, kernel in [("ll", "_loglik", "individual_loglik"),
                                  ("vg", "individual_scores",
                                   "individual_loglik_gradient")]:
 
         def counted_walk(design, *args, walker=getattr(estimation, walker),
                          kind=kind, **kwargs):
-            walks.append([kind, design.n_random, 0, None])
-            out = walker(design, *args, **kwargs)
-            walks[-1][3] = out is None
-            return out
+            walks.append([kind, design.n_random, 0])
+            return walker(design, *args, **kwargs)
 
         def counted_kernel(*args, kernel=getattr(regret.ModelDesign, kernel)):
             walks[-1][2] += 1
@@ -101,12 +95,11 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
         todo += [s for s in tracer.spans if s.parent == span.id]
     mixed = [s for s in tracer.spans if s.id not in {c.id for c in classical}]
     for group, random in [(mixed, 1), (classical, 0)]:
-        calls = {kind: [n for k, r, n, _ in walks if (k, r) == (kind, random)]
+        calls = {kind: [n for k, r, n in walks if (k, r) == (kind, random)]
                  for kind in ("ll", "vg")}
         assert calls["ll"] and calls["vg"]
         assert sum(s.name == "individual_scores" for s in group) == len(calls["vg"])
         for kind in ("ll", "vg"):
             assert spans.kernel_totals(group, kind)[0] == sum(calls[kind])
-    for _, random, calls, stopped in walks:
-        assert (1 <= calls <= blocks[random]) if stopped else calls == blocks[random]
-    assert any(stopped for *_, stopped in walks) or budget != 8 * 36
+    for _, random, calls in walks:
+        assert calls == blocks[random]

@@ -570,6 +570,47 @@ def test_burn_rounding_halton_to_one_is_one_error_line(panel_csv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture
+def wide_panel_csv(tmp_path, rng):
+    """1000 individuals with one random coefficient, so 10**11 draws each
+    are 8e14 bytes (past 2**49), which numpy fails to allocate at once."""
+    rows, _ = simulate_panel(rng, n_individuals=1000, n_situations=1,
+                             n_alternatives=3, fixed={"total_cost": -0.3},
+                             random={"total_time": ("normal", -0.5, 0.2)})
+    path = tmp_path / "wide.csv"
+    write_rows_csv(rows, path)
+    return path
+
+
+def assert_draw_set_refused(code, out, err, nrep):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1000 individuals x 1 random coefficients" in err
+    assert f"x {nrep} draws" in err
+
+
+# 10**11 runs out of memory, 10**17 overflows the array size and 10**19 the
+# int64 dimension; each is one numpy error, raised before any byte is written
+@pytest.mark.parametrize("nrep", [10**11, 10**17, 10**19])
+def test_fit_draw_set_too_large_exit_1(wide_panel_csv, tmp_path, capsys, nrep):
+    out_json = tmp_path / "fit.json"
+    result = run(capsys, "fit", wide_panel_csv, "--fixed", "total_cost", "--rand",
+                 "total_time", "--noconstant", "--nrep", nrep, "--out", out_json)
+    assert_draw_set_refused(*result, nrep)
+    assert not out_json.exists()
+
+
+@pytest.mark.parametrize("command, nrep", [("predict", 10**11), ("betas", 10**17)])
+def test_draw_set_too_large_exit_1_when_fit_loads(panel_csv, wide_panel_csv, tmp_path,
+                                                  capsys, command, nrep):
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    out_flag = "--out" if command == "predict" else "--saving"
+    result = run(capsys, command, wide_panel_csv, "--fit", fit, out_flag,
+                 tmp_path / "o.csv", "--nrep", nrep)
+    assert_draw_set_refused(*result, nrep)
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("edit, field", [
     (lambda p: p.pop("model"), "model"),
     (lambda p: p.pop("schema"), "schema"),

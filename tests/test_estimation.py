@@ -154,16 +154,15 @@ def test_fd_hessian_covariance_matches_loglik_curvature(tmp_path, rng):
 
 def counted_quadratic(curvature):
     """A quadratic with its maximum at (2, -3) and the same ``curvature`` in
-    every direction, whose two callables record each call's name and point;
-    they take a trial's acceptance bound and always return the full value."""
+    every direction, whose two callables record each call's name and point."""
     target = np.array([2.0, -3.0])
     calls = []
 
-    def loglik(x, bound=None):
+    def loglik(x):
         calls.append(("loglik", x.copy()))
         return -0.5 * curvature * (x - target) @ (x - target)
 
-    def scores(x, bound=None):
+    def scores(x):
         calls.append(("scores", x.copy()))
         return (np.array([-0.5 * curvature * (x - target) @ (x - target)]),
                 -curvature * (x - target)[None])
@@ -249,10 +248,10 @@ def test_nonfinite_start_gradient_stops_without_a_trial(bad):
     """A start whose log-likelihood is finite but whose gradient is not
     gives no direction: the optimizer stops at ``line_search`` with no
     trial pass, and without a numpy warning."""
-    def loglik(x, bound=None):
+    def loglik(x):
         raise AssertionError("no trial expected")
 
-    def scores(x, bound=None):
+    def scores(x):
         if np.any(x):
             raise AssertionError("no trial expected")
         return np.array([-1.0]), np.array([[bad, 1.0]])
@@ -280,8 +279,9 @@ def test_maximize_stop_reason(curvature, kwargs, stop):
 def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
     """Counted like ``test_hessian_costs_one_score_walk``: in the mixed
     optimizer run, value+gradient walks are the start and each accepted
-    point after a trial below the unit step (S), and the unit-step trials
-    (U); log-likelihood walks (L) are the trials below the unit step.  An
+    point after a trial below the unit step (S), each at the start or at the
+    point of the walk before it, and the unit-step trials (U), each at a new
+    point; log-likelihood walks (L) are the trials below the unit step.  An
     iteration is U, U L+ S or, when its search starts below the unit step,
     L+ S.  The first one does: its direction is the raw gradient g at the
     start, and its trials are x + 2^-k g from the largest such step that
@@ -295,18 +295,18 @@ def test_mixed_fit_loglik_walks_are_backtracks(tmp_path, rng, monkeypatch):
     walk, loglik, maximize = (estimation.individual_scores, estimation._loglik,
                               estimation._maximize)
 
-    def counted_walk(design, draws, x, hessian=False, bound=None):
-        out = walk(design, draws, x, hessian=hessian, bound=bound)
+    def counted_walk(design, draws, x, hessian=False):
+        out = walk(design, draws, x, hessian=hessian)
         if design.n_random and not hessian:
-            gradient = None if out is None else _ordered_sum(out[1])
-            calls.append(("S" if bound is None else "U", np.array(x, dtype=float),
-                          gradient))
+            repeat = not calls or np.array_equal(x, calls[-1][1])
+            calls.append(("S" if repeat else "U", np.array(x, dtype=float),
+                          _ordered_sum(out[1])))
         return out
 
-    def counted_loglik(design, draws, x, bound=None):
+    def counted_loglik(design, draws, x):
         if design.n_random:
             calls.append(("L", np.array(x, dtype=float), None))
-        return loglik(design, draws, x, bound=bound)
+        return loglik(design, draws, x)
 
     def kept_maximize(*args, **kwargs):
         results.append(maximize(*args, **kwargs))
@@ -350,9 +350,7 @@ def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
     of the fit's 20th iteration sends the scale to about -1080, and the
     first two halvings of that step overflow too; they are rejected for a
     non-finite log-likelihood without a numpy warning, and with warnings
-    turned into errors the fit takes the same path.  Each trial is recorded
-    at its full log-likelihood, walked without its bound, so a trial that
-    its first blocks reject still shows its overflow."""
+    turned into errors the fit takes the same path."""
     ds = panel_dataset(tmp_path, np.random.default_rng(1), n_individuals=30,
                        n_situations=3, n_alternatives=3, fixed={"tc": -0.3},
                        random={"cf": ("lognormal", -1.0, 0.4)})
@@ -361,9 +359,9 @@ def test_rejected_trials_emit_no_warning(tmp_path, monkeypatch):
     values = []
     loglik = estimation._loglik
 
-    def recorded_loglik(design, draws, x, bound=None):
+    def recorded_loglik(design, draws, x):
         values.append(loglik(design, draws, x))
-        return loglik(design, draws, x, bound=bound)
+        return values[-1]
 
     monkeypatch.setattr(estimation, "_loglik", recorded_loglik)
     with warnings.catch_warnings(record=True) as caught:
@@ -393,11 +391,9 @@ def test_trial_with_nonfinite_gradient_is_rejected(tmp_path, monkeypatch):
     trials = []  # (log-likelihood finite, gradient finite) of each whole walk
     walk = estimation.individual_scores
 
-    def recorded_walk(design, draws, x, hessian=False, bound=None):
-        out = walk(design, draws, x, hessian=hessian, bound=bound)
-        if out is not None:  # not a trial stopped by its bound
-            trials.append((np.isfinite(_ordered_sum(out[0])),
-                           np.isfinite(out[1]).all()))
+    def recorded_walk(design, draws, x, hessian=False):
+        out = walk(design, draws, x, hessian=hessian)
+        trials.append((np.isfinite(_ordered_sum(out[0])), np.isfinite(out[1]).all()))
         return out
 
     monkeypatch.setattr(estimation, "individual_scores", recorded_walk)
@@ -499,8 +495,8 @@ def test_maximize_history_nondecreasing(tmp_path, rng):
     design = ModelDesign(ds, ModelSpec(fixed_attrs=("tt", "tc")))
     draws = design.draws()
     maximize = lambda maxiter: _maximize(
-        lambda x, bound: _loglik(design, draws, x, bound=bound),
-        lambda x, bound: individual_scores(design, draws, x, bound=bound),
+        lambda x: _loglik(design, draws, x),
+        lambda x: individual_scores(design, draws, x),
         np.zeros(2), maxiter=maxiter)
     res = maximize(200)
     assert res.converged
@@ -865,9 +861,9 @@ def test_hessian_costs_one_score_walk(tmp_path, rng, monkeypatch, random):
     calls = []
     walk, maximize = estimation.individual_scores, estimation._maximize
 
-    def counted_walk(*args, hessian=False, bound=None):
+    def counted_walk(*args, hessian=False):
         calls.append("hessian" if hessian else "walk")
-        return walk(*args, hessian=hessian, bound=bound)
+        return walk(*args, hessian=hessian)
 
     def marked_maximize(*args, **kwargs):
         result = maximize(*args, **kwargs)
@@ -1111,10 +1107,8 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     conditional betas, and a classical fit, every block kernel is called
     inside a walk, by the walk or by the kernel it was handed (the draw-info
     pass hands it one that summarizes each block), and no other loop calls
-    one: a walk that is not stopped makes exactly one kernel call per block,
-    in designs of several blocks, and a line-search trial's walk stopped by
-    its ``stop``, known by its ``None`` result, calls the kernel at least
-    once and on no block twice.  Some trials are stopped.  The panel: 12
+    one: every walk, a line-search trial's too, makes exactly one kernel
+    call per block, in designs of several blocks.  The panel: 12
     people of 3 situations of 3 alternatives, 3 * (3*2 + 3*3) * 5 = 225
     padded floats each at the mixed fit's R = 5 and 3 * (3*2 + 3*2) = 36 in
     a classical design, so blocks of 1 and of 11 people."""
@@ -1122,14 +1116,12 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
 
     monkeypatch.setattr(regret, "_BLOCK_FLOATS", 400)
     calls = []  # (kernel, called inside a walk) per call
-    walks = []  # [blocks, blocks called, stopped] per walk
+    walks = []  # (blocks, blocks called) per walk
     walk = ModelDesign.walk
 
-    def counted_walk(self, *args, **kwargs):
-        walks.append([len(self.blocks), [], None])
-        out = walk(self, *args, **kwargs)
-        walks[-1][2] = out is None
-        return out
+    def counted_walk(self, *args):
+        walks.append((len(self.blocks), []))
+        return walk(self, *args)
 
     monkeypatch.setattr(ModelDesign, "walk", counted_walk)
     for name in ("individual_loglik", "individual_loglik_gradient",
@@ -1153,10 +1145,6 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     assert {name for name, _ in calls} == {
         "individual_loglik", "individual_loglik_gradient", "individual_draw_info"}
     assert all(in_walk for _, in_walk in calls)
-    assert min(blocks for blocks, *_ in walks) > 1
-    for blocks, called, stopped in walks:
-        if stopped:
-            assert len(called) == len(set(called)) >= 1
-        else:
-            assert sorted(called) == list(range(blocks))
-    assert any(stopped for *_, stopped in walks)
+    assert min(blocks for blocks, _ in walks) > 1
+    for blocks, called in walks:
+        assert sorted(called) == list(range(blocks))

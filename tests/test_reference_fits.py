@@ -2,7 +2,8 @@
 benchmark panel through the command line reproduces its stored reference fit
 (``bench/reference.json``) within the benchmark gate's 1e-8 relative, in θ
 and the log-likelihood, in the number of iterations that ``ITERATIONS``
-records for it.
+records for it, and with the stop reason, iterations and pass counts that
+``PASSES`` records for its mixed fit and for its preliminary classical fit.
 
 It fits panel 0 of seed 1 of each benchmark workload: one panel per workload
 keeps the test within about a second, and panel 0 of seed 1 is the first
@@ -17,13 +18,20 @@ from pathlib import Path
 
 import pytest
 
-from mixrrm import cli
+from mixrrm import cli, estimation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # mixed-fit iterations of the reference panels; a BLAS that rounds another
 # way may move these, so a mismatch names the panel and both counts
 ITERATIONS = {("recovery", "1.0"): 10, ("wide_asc", "1.0"): 32}
+
+# (stop, iterations, ll_passes, vg_passes) of the mixed fit and of its
+# preliminary classical fit, on the same panels and with the same caveat
+PASSES = {
+    ("recovery", "1.0"): {"mixed": ("gtol", 10, 6, 13), "classical": ("gtol", 9, 1, 10)},
+    ("wide_asc", "1.0"): {"mixed": ("gtol", 32, 3, 34), "classical": ("gtol", 33, 1, 34)},
+}
 
 
 def load_bench_module(name, monkeypatch):
@@ -43,6 +51,15 @@ def test_fit_reproduces_the_reference_fit(tmp_path, monkeypatch, capsys, workloa
     spec = workloads.WORKLOADS[workload]
     data, out = tmp_path / "panel.csv", tmp_path / "fit.json"
     workloads.write_workload(spec, seed, panel, data)
+    passes = {}
+    for kind in ("mixed", "classical"):
+        def recorded(*args, fit=getattr(estimation, f"fit_{kind}"), kind=kind):
+            result = fit(*args)
+            passes[kind] = (result.stop, result.iterations, result.ll_passes,
+                            result.vg_passes)
+            return result
+
+        monkeypatch.setattr(estimation, f"fit_{kind}", recorded)
     assert cli.main(spec.fit_argv(data, out)) == 0
     capsys.readouterr()
     with open(BENCH / "reference.json", encoding="utf-8") as handle:
@@ -52,3 +69,6 @@ def test_fit_reproduces_the_reference_fit(tmp_path, monkeypatch, capsys, workloa
     assert iterations == ITERATIONS[workload, key], (
         f"{workload} panel {key}: {iterations} iterations, "
         f"{ITERATIONS[workload, key]} expected")
+    assert passes == PASSES[workload, key], (
+        f"{workload} panel {key}: (stop, iterations, ll_passes, vg_passes) "
+        f"{passes}, {PASSES[workload, key]} expected")

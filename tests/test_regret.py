@@ -11,8 +11,7 @@ from conftest import make_dataset, per_person, random_dataset, situation_slices
 from mixrrm import postestimation, regret
 from mixrrm.dataset import ChoiceDataset
 from mixrrm.errors import SpecMismatch
-from mixrrm.estimation import (FitResult, _loglik, _ordered_sum, _rejection_test,
-                               individual_scores)
+from mixrrm.estimation import FitResult, _loglik, _ordered_sum, individual_scores
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import (_fd_hessian, brute_force_sll, fd_gradient, naive_choice_probs,
                      naive_regret)
@@ -907,137 +906,6 @@ def test_loglik_kernel_is_log_mean_exp_of_the_draw_info_sequence(data, n_random)
     for ll, (sequence, probs) in zip(lls, infos, strict=True):
         assert probs is None
         assert np.array_equal(ll, regret._log_mean_exp(sequence)[0])
-
-
-def near_bounds(data, full):
-    """Acceptance bounds for a trial whose full log-likelihood is ``full``:
-    itself, the floats on either side, a drawn nearby value, any drawn
-    float, nan and +inf."""
-    return [full, math.nextafter(full, math.inf), math.nextafter(full, -math.inf),
-            full + data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats()),
-            np.nan, np.inf]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_walk_stop_sees_a_dataset_order_prefix_and_rejects_exactly(data):
-    """A walk handed ``stop`` feeds it each block's result in dataset order,
-    and the rejection test of a line-search trial stops a walk only where the
-    full pass would reject.  The panel is unbalanced and its people take
-    turns between two shapes, in blocks as large as a drawn bound on padded
-    floats allows, so the walk visits a group's blocks out of dataset order.
-    A stand-in kernel returns drawn terms: at most 0 (some of them within a
-    few eps ln R of it), or above it by no more than the 2 eps ln R that
-    the rounding of a term's two logarithms can leave, and -inf or nan.
-    For each bound (the ordered sum of the terms, the floats next to it, a
-    nearby and any float, nan, +inf) the walk returns ``None`` only where
-    that sum is not a finite number at least the bound, and otherwise every
-    block's result."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    nrep = data.draw(st.integers(1, 4))
-    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 1000 * nrep))):
-        design = padded_design(data, rng, n_individuals=9, nrep=nrep, shapes=2)
-    n_ind = design.ds.n_individuals
-    lift = 2.0 * np.finfo(float).eps * math.log(nrep)
-    terms = np.array(data.draw(st.lists(
-        st.one_of(st.floats(max_value=0.0), st.floats(-4.0 * lift, 0.0),
-                  st.floats(0.0, lift), st.sampled_from([-np.inf, np.nan])),
-        min_size=n_ind, max_size=n_ind)))
-    full = float(_ordered_sum(terms))
-    draws = padded_draws(design, rng)
-    theta = design.unpack(rng.normal(size=design.n_params))
-    block_terms = lambda block, z, part: (block, terms[slice(*design.blocks[block])])
-    for bound in near_bounds(data, full):
-        fed = []  # the blocks handed to ``stop``, in turn
-        test = _rejection_test(design, draws, bound)
-
-        def stop(result):
-            fed.append(result[0])
-            return test(result[1])
-
-        walked = design.walk(block_terms, theta, draws, stop=stop)
-        assert fed == list(range(len(fed)))
-        if walked is None:
-            assert not (math.isfinite(full) and full >= bound)
-        else:
-            assert fed == [block for block, _ in walked] == list(range(len(design.blocks)))
-
-
-def test_rejection_slack_covers_terms_lifted_above_zero():
-    """The rounding of a term's two logarithms can leave it up to 2 eps ln R
-    above 0, and such terms can lift the sum past a bound that a prefix is
-    below: at R = 2, the terms -3d, d, d, d (d = 2 eps ln 2) of four
-    one-person blocks add to a float above 0, their first alone is below
-    it.  With the bound at that sum, the slack of the rejection test keeps
-    the walk going to the end, where the full pass accepts the trial."""
-    ds = random_dataset(np.random.default_rng(2), n_individuals=4)
-    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
-        design = design_for(ds, 2, fixed_attrs=("x0",), random_attrs=("x1",))
-    lift = 2.0 * math.ulp(1.0) * math.log(2.0)
-    terms = np.array([-3.0 * lift, lift, lift, lift])
-    full = float(_ordered_sum(terms))
-    assert full > 0.0 > terms[0]
-    draws = design.draws()
-    walked = design.walk(lambda block, z, part: terms[block:block + 1],
-                         design.unpack(np.zeros(design.n_params)), draws,
-                         stop=_rejection_test(design, draws, full))
-    assert walked is not None and len(walked) == 4
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data(), st.booleans(), st.sampled_from([0.5, 3.0, 1e150]))
-def test_bounded_passes_decide_as_the_full_pass(data, classical, scale):
-    """At drawn trial points, some of whose log-likelihoods are nan, on
-    unbalanced panels in drawn blocks, ``_loglik`` and ``individual_scores``
-    handed a bound return ``None`` only where the full log-likelihood is not
-    a finite number at least the bound, and otherwise what the full pass
-    returns, bit for bit."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
-        design = padded_design(data, rng, n_individuals=6, classical=classical)
-    draws = padded_draws(design, rng)
-    x = rng.normal(size=design.n_params) * scale
-    with np.errstate(all="ignore"):
-        full = _loglik(design, draws, x)
-        lls, rows = individual_scores(design, draws, x)
-        for bound in near_bounds(data, full):
-            accept = math.isfinite(full) and full >= bound
-            value = _loglik(design, draws, x, bound=bound)
-            scored = individual_scores(design, draws, x, bound=bound)
-            assert (value is None) == (scored is None)
-            if value is None:
-                assert not accept
-            else:
-                assert np.array_equal(value, full, equal_nan=True)
-                assert np.array_equal(scored[0], lls, equal_nan=True)
-                assert np.array_equal(scored[1], rows, equal_nan=True)
-
-
-def test_a_trial_stops_on_its_first_block(monkeypatch):
-    """Ten people in one-person blocks: a trial whose bound lies 1 above the
-    first person's term is rejected after one kernel call, on the first
-    block, by either pass; the full pass rejects it too."""
-    rng = np.random.default_rng(4)
-    ds = random_dataset(rng, n_individuals=10, n_situations=2, n_alternatives=3)
-    with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
-        design = design_for(ds, 5, fixed_attrs=("x0",), random_attrs=("x1",))
-    assert len(design.blocks) == 10
-    draws = design.draws()
-    x = rng.normal(size=design.n_params) * 0.5
-    lls, _ = individual_scores(design, draws, x)
-    bound = lls[0] + 1.0
-    assert _loglik(design, draws, x) < bound
-    for kernel, bounded in [("individual_loglik", _loglik),
-                            ("individual_loglik_gradient", individual_scores)]:
-        calls = []
-
-        def counted(block, *args, kernel=getattr(design, kernel)):
-            calls.append(block)
-            return kernel(block, *args)
-
-        monkeypatch.setattr(design, kernel, counted)
-        assert bounded(design, draws, x, bound=bound) is None
-        assert calls == [0]
 
 
 def people_alone(design, start, stop):
