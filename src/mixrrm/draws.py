@@ -5,6 +5,16 @@ base), burned at the stream start, split into contiguous per-individual
 blocks of length ``nrep``, and mapped through the inverse normal CDF.
 There is no randomness anywhere: identical settings give bit-identical
 draws.
+
+Element k of a stream in base b is the radical inverse of k: its digits
+d_0, d_1, ..., lowest first, times b^-1, b^-2, ..., added to 0.0 in that
+order, each scale the last divided by b.  The consecutive indices are laid
+out as rows of b^m (b^m at most 4096), whose elements share all but their
+low m digits.  The low digits' partial sums are one table of b^m floats,
+and each higher digit adds one value per row, a broadcast column.  So
+every element gets the float adds of the digit-by-digit loop in the same
+order, and the same bits; ``tests/oracles.py`` keeps that loop as the
+reference.
 """
 
 from __future__ import annotations
@@ -14,6 +24,9 @@ import math
 import numpy as np
 
 from .errors import DomainError, InvalidOption, NonPrimeBase
+
+_TABLE = 4096  # most entries of a low-digit table
+_CHUNK = 1 << 14  # draws per chunk of a draw set's build
 
 
 def nth_prime(k: int) -> int:
@@ -35,7 +48,8 @@ def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
 
     Element k is the radical inverse of k (k starting at 1), inside (0, 1);
     a ``burn`` so large that an element rounds to 1.0, or ``burn + count``
-    beyond the int64 indices, is a :class:`DomainError`.
+    beyond the int64 indices, is a :class:`DomainError`.  The elements are
+    the bits of the digit-by-digit sum (see the module docstring).
     """
     if not _is_prime(base):
         raise NonPrimeBase(base)
@@ -43,20 +57,68 @@ def halton_sequence(base: int, count: int, burn: int = 0) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if burn < 0:
         raise ValueError("burn must be >= 0")
+    _check_int64(burn, count)
+    out = np.empty(count)
+    _radical_inverse(base, *_digit_table(base, count), burn + 1, out)
+    _check_below_one(out, base, burn)
+    return out
+
+
+def _check_int64(burn: int, count: int) -> None:
     if burn + count > np.iinfo(np.int64).max:
         raise DomainError(f"Halton elements up to burn + count = {burn + count} "
                           "exceed the int64 range")
 
-    k = np.arange(burn + 1, burn + count + 1, dtype=np.int64)
-    out = np.zeros(count)
-    scale = 1.0 / base
-    while k.any():
-        k, digit = np.divmod(k, base)
-        out += digit * scale
-        scale /= base
-    if not np.all(out < 1.0):
+
+def _check_below_one(values: np.ndarray, base: int, burn: int) -> None:
+    if not values.max() < 1.0:
         raise DomainError(f"burn {burn} rounds Halton elements in base {base} to 1.0")
-    return out
+
+
+def _digit_table(base: int, count: int):
+    """(table, scale) for a stream of ``count`` elements: the sums of the
+    low m digits' terms d_i * base^-(i+1), i = 0 .. m-1, added in that
+    order, for the residues 0 .. b^m - 1, where b^m is the largest power of
+    ``base`` at most min(count, 4096); and digit m's scale base^-(m+1), each
+    scale the last divided by ``base``."""
+    width = 1
+    while width * base <= min(count, _TABLE):
+        width *= base
+    residues = np.arange(width, dtype=np.int64)
+    table = np.zeros(width)
+    scale = 1.0 / base
+    while width > 1:
+        residues, digit = np.divmod(residues, base)
+        table += digit * scale
+        scale /= base
+        width //= base
+    return table, scale
+
+
+def _radical_inverse(base: int, table: np.ndarray, scale: float, first: int,
+                     out: np.ndarray) -> None:
+    """The radical inverses of ``first``, ``first`` + 1, ... written to the
+    1-D ``out``, from :func:`_digit_table`'s ``table`` and ``scale``.  The
+    indices lie in rows of len(table) that share their higher digits; ``out``
+    is cut at the row boundaries into a partial row, whole rows and a
+    partial row, and each piece starts from its table entries and adds, per
+    higher digit, one column of its rows' terms."""
+    width = len(table)
+    head = min(-first % width, out.size)
+    body = head + (out.size - head) // width * width
+    for lo, hi in ((0, head), (head, body), (body, out.size)):
+        if lo == hi:
+            continue
+        start = first + lo
+        cols = min(hi - lo, width)
+        rows = out[lo:hi].reshape(-1, cols)
+        rows[...] = table[start % width:start % width + cols]
+        quotients = np.arange(start // width, start // width + len(rows), dtype=np.int64)
+        digit_scale = scale
+        while quotients.any():
+            quotients, digit = np.divmod(quotients, base)
+            rows += (digit * digit_scale)[:, None]
+            digit_scale /= base
 
 
 # Rational approximations from Wichura's PPND16 algorithm; absolute error
@@ -97,14 +159,18 @@ _PPND_F = (
 )
 
 
-def _rational(r, num, den):
-    p = np.zeros_like(r)
-    q = np.zeros_like(r)
-    for c in reversed(num):
-        p = p * r + c
-    for c in reversed(den):
-        q = q * r + c
-    return p / q
+def _rational(x, num, den, out, work):
+    """P(``x``) / Q(``x``) of the coefficients ``num`` and ``den``, lowest
+    first, by Horner's rule in place, a multiply then an add per
+    coefficient, written to ``out``; ``work`` holds Q(x).  A first step
+    0 * x + c is c, x being finite."""
+    for poly, acc in ((den, work), (num, out)):
+        acc.fill(poly[-1])
+        for c in poly[-2::-1]:
+            acc *= x
+            acc += c
+    out /= work
+    return out
 
 
 def inverse_normal_cdf(u):
@@ -118,28 +184,40 @@ def inverse_normal_cdf(u):
         raise DomainError(f"inverse normal CDF needs 0 < u < 1: {bad.size} of "
                           f"{arr.size} outside, the first {float(bad[0])!r}")
 
-    q = arr - 0.5
-    central = np.abs(q) <= 0.425
     out = np.empty_like(arr)
-
-    if np.any(central):
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _rational(r, _PPND_A, _PPND_B)
-
-    tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0.0, arr[tail], 1.0 - arr[tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        value = np.empty_like(r)
-        value[near] = _rational(r[near] - 1.6, _PPND_C, _PPND_D)
-        value[~near] = _rational(r[~near] - 5.0, _PPND_E, _PPND_F)
-        out[tail] = np.where(qt < 0.0, -value, value)
-
+    _quantile(arr.copy(), out, np.empty_like(arr), np.empty_like(arr))
     if np.isscalar(u) or np.ndim(u) == 0:
         return float(out)
     return out
+
+
+def _quantile(u, out, q, den):
+    """Phi^{-1}(``u``) written to ``out``; ``u`` and the scratch arrays
+    ``q`` and ``den``, all of ``out``'s shape, are overwritten.  The
+    central rational of q = u - 0.5, q P(r) / Q(r) with r = 0.180625 - q^2,
+    runs on every element; the tail rational of r = sqrt(-ln min(u, 1 - u))
+    runs on the elements with |q| > 0.425 and is written over theirs, its
+    form for r <= 5 on all of them and its form for r > 5 then on those.
+    Each element gets the float operations of an evaluation on masked
+    copies, so the same bits."""
+    np.subtract(u, 0.5, out=q)
+    tail = np.abs(q, out=den) > 0.425
+    r, neg = u[tail], q[tail] < 0.0  # the tail's u, and where q < 0
+    central = np.multiply(q, q, out=u)
+    np.subtract(0.180625, central, out=central)
+    _rational(central, _PPND_A, _PPND_B, out, den)
+    out *= q
+    if r.size:
+        np.subtract(1.0, r, out=r, where=~neg)
+        np.sqrt(np.negative(np.log(r, out=r), out=r), out=r)
+        far = r > 5.0
+        far_r = r[far] - 5.0
+        value = _rational(np.subtract(r, 1.6, out=r), _PPND_C, _PPND_D,
+                          np.empty_like(r), np.empty_like(r))
+        if far_r.size:
+            value[far] = _rational(far_r, _PPND_E, _PPND_F, np.empty_like(far_r),
+                                   np.empty_like(far_r))
+        out[tail] = np.negative(value, out=value, where=neg)
 
 
 def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> np.ndarray:
@@ -149,23 +227,36 @@ def build_drawset(n_individuals: int, dims: int, nrep: int, burn: int = 15) -> n
     0.  Dimension k takes one Halton stream in the k-th prime base of length
     ``n_individuals * nrep`` (after dropping ``burn`` initial elements);
     individual n, counted in sorted-ID order, gets the contiguous slice
-    ``[n*nrep, (n+1)*nrep)`` as ``draws[n, k]``.  An array that numpy
-    cannot allocate raises :class:`InvalidOption`.
+    ``[n*nrep, (n+1)*nrep)`` as ``draws[n, k]``.  Each stream's slab is
+    filled one chunk of whole individuals at a time, about 2^14 draws, in
+    three buffers of the chunk's size, so the build takes little more memory
+    than the draw set.  An array that numpy cannot allocate raises
+    :class:`InvalidOption`; a stream past the int64 indices, or one whose
+    elements round to 1.0, a :class:`DomainError`.
     """
     if n_individuals < 1 or dims < 0 or nrep < 1:
         raise ValueError("n_individuals and nrep must be positive, dims non-negative")
     if burn < 0:
         raise ValueError("burn must be >= 0")
 
+    per = min(max(1, _CHUNK // nrep), n_individuals)  # individuals per chunk
     try:
         draws = np.empty((n_individuals, dims, nrep))
+        buffers = np.empty((3, per, nrep)) if dims else None
     except (MemoryError, ValueError):  # numpy's "too big" is a ValueError
         raise InvalidOption(
             f"cannot allocate the draw set of {n_individuals} individuals x {dims} "
             f"random coefficients x {nrep} draws; lower nrep") from None
+    count = n_individuals * nrep
     for k in range(dims):
-        stream = halton_sequence(nth_prime(k), n_individuals * nrep, burn)
-        draws[:, k, :] = inverse_normal_cdf(stream).reshape(n_individuals, nrep)
+        base = nth_prime(k)
+        _check_int64(burn, count)
+        table, scale = _digit_table(base, count)
+        for lo in range(0, n_individuals, per):
+            n = min(per, n_individuals - lo)
+            u, q, den = buffers[:, :n]
+            _radical_inverse(base, table, scale, burn + 1 + lo * nrep, u.reshape(-1))
+            _check_below_one(u, base, burn)
+            _quantile(u, draws[lo:lo + n, k], q, den)
     draws.setflags(write=False)
     return draws
-

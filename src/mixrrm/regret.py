@@ -390,8 +390,8 @@ class ModelDesign:
             slope *= sign
             fixed += _product(half_beta, group.d_fixed, "a", take).sum(
                 axis=1, out=take("terms", fixed.shape))
-            base = _lead(group.incidence[0].T, fixed, batch=1, out=take(
-                "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])))
+            base = _spread(group.incidence[0], fixed, take(
+                "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])), batch=1)
             base += _product(beta, group.lin_fixed, "a", take).sum(
                 axis=1, out=take("terms", base.shape))
             base += np.matmul(group.asc_onehot, theta.asc,
@@ -417,8 +417,8 @@ class ModelDesign:
         take = self._work.take
         drawn, slope_random = _pair_terms(coefs[:, None, None], bd.d_random, bd.live,
                                           "slope" if gradient else None, take)
-        regrets = _lead(bd.incidence.T, drawn,
-                        out=take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
+        regrets = _spread(bd.incidence, drawn,
+                          take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
         regrets += base
         # per individual: (J*S, 2*Mr) @ (2*Mr, R), [lin | half] times
         # [beta; |beta|], written to (J, S, n, R)
@@ -632,6 +632,18 @@ def _lead(matrix, array, batch=0, out=None):
     return product.reshape(shape)
 
 
+def _spread(incidence, terms, out, batch=0):
+    """Each slot's sum of its pairs' ``terms`` (..., P, ...), axis ``batch``:
+    ``incidence`` (P, J) transposed applied to that axis, written to ``out``
+    (..., J, ...).  In binary choice the one pair's term goes to both slots
+    by a broadcast add of 0.0, the bits of the product, whose inner
+    dimension of 1 numpy runs in its own loop from a sum of +0 (so a -0
+    term gives +0)."""
+    if len(incidence) > 1:
+        return _lead(incidence.T, terms, batch, out)
+    return np.add(terms, 0.0, out=out)
+
+
 def _product(x, y, role, take):
     """``x`` * ``y``, broadcast, in ``take(role, shape)``."""
     return np.multiply(x, y, out=take(role, np.broadcast(x, y).shape))
@@ -719,11 +731,11 @@ def _pair_gradient(slope, res, sign, lin, resid, out, take):
     return out
 
 
-def _slot_gradient(incidence, slope, lin, out=None):
+def _slot_gradient(incidence, slope, lin, out):
     """dR/d beta per attribute, slot, situation, individual and draw,
-    (M, J, S, n, R), written to ``out`` if given: each slot gets the signed
+    (M, J, S, n, R), written to ``out``: each slot gets the signed
     ``slope`` of its pairs, plus its ``lin`` sum."""
-    gradient = _lead(incidence.T, slope, batch=1, out=out)
+    gradient = _spread(incidence, slope, out, batch=1)
     gradient += lin
     return gradient
 

@@ -71,6 +71,57 @@ def _fd_hessian(scores: Callable, x: np.ndarray) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def halton_digit_loop(base, count, burn=0):
+    """Elements ``burn+1 .. burn+count`` of the Halton sequence in ``base``,
+    one int64 ``divmod`` over the whole stream per digit: element k is the
+    sum of its digits d_i times base^-(i+1), added from the lowest digit up,
+    each scale the last divided by ``base``.  The package's digit-table
+    form must give these bits."""
+    k = np.arange(burn + 1, burn + count + 1, dtype=np.int64)
+    out = np.zeros(count)
+    scale = 1.0 / base
+    while k.any():
+        k, digit = np.divmod(k, base)
+        out += digit * scale
+        scale /= base
+    return out
+
+
+def _ppnd_rational(r, num, den):
+    p = np.zeros_like(r)
+    q = np.zeros_like(r)
+    for c in reversed(num):
+        p = p * r + c
+    for c in reversed(den):
+        q = q * r + c
+    return p / q
+
+
+def inverse_normal_cdf_masked(u):
+    """Wichura's PPND16 quantile of the array ``u`` in (0, 1), each rational
+    evaluated on a boolean-masked copy of the elements it serves: the
+    central one where |u - 0.5| <= 0.425, the tail ones where r = sqrt(-ln
+    min(u, 1 - u)) is at most 5 and beyond.  The package's in-place form
+    must give these bits."""
+    from mixrrm.draws import _PPND_A, _PPND_B, _PPND_C, _PPND_D, _PPND_E, _PPND_F
+
+    arr = np.asarray(u, dtype=float)
+    q = arr - 0.5
+    central = np.abs(q) <= 0.425
+    out = np.empty_like(arr)
+    r = 0.180625 - q[central] * q[central]
+    out[central] = q[central] * _ppnd_rational(r, _PPND_A, _PPND_B)
+    tail = ~central
+    qt = q[tail]
+    r = np.sqrt(-np.log(np.where(qt < 0.0, arr[tail], 1.0 - arr[tail])))
+    near = r <= 5.0
+    value = np.empty_like(r)
+    value[near] = _ppnd_rational(r[near] - 1.6, _PPND_C, _PPND_D)
+    value[~near] = _ppnd_rational(r[~near] - 5.0, _PPND_E, _PPND_F)
+    out[tail] = np.where(qt < 0.0, -value, value)
+    return out
+
+
 def irls_binary_logit(X, y, tol=1e-12, maxiter=200):
     """Binary logit (no intercept) by iteratively reweighted least squares.
 

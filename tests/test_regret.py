@@ -528,9 +528,10 @@ def test_kernel_matches_scalar_composition(seed):
 
 
 def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
-                  nrep=3, shapes=None, n_random=2):
-    """Individuals whose situations hold 2-5 of the labels 1..5 in a drawn
-    file order, so smaller situations pad their slots and labels go missing;
+                  nrep=3, shapes=None, n_random=2, widest=5):
+    """Individuals whose situations hold 2 to ``widest`` (at most 5) of the
+    labels 1..5 in a drawn file order, so smaller situations pad their slots
+    and labels go missing, and ``widest`` = 2 is binary choice, one pair;
     x0 is fixed and x1 .. xK random, K = ``n_random`` (1 to 3), the last of
     them log-normal and the others normal, and the constants' base is a
     label other than the lowest; the design is sized for ``nrep`` draws.  A
@@ -538,7 +539,8 @@ def padded_design(data, rng, n_individuals=2, attr_scale=1.0, classical=False,
     people's most situations and slots.  With ``shapes``, the people take
     turns among that many drawn lists of situation sizes, so one-person
     blocks of equal shape form groups of several."""
-    draw_sizes = lambda: data.draw(st.lists(st.integers(2, 5), min_size=2, max_size=4))
+    draw_sizes = lambda: data.draw(st.lists(st.integers(2, widest), min_size=2,
+                                            max_size=4))
     pool = [draw_sizes() for _ in range(shapes or 0)]
     names = [f"x{m}" for m in range(max(3, 1 + n_random))]
     individuals = {}
@@ -629,14 +631,16 @@ def test_padded_situations_match_oracle(data, classical):
     oracle.  A block holds people of different S and J, as many as a drawn
     bound on padded floats times a drawn R draws per person allows (R = 1
     for a classical design); its rows agree with one-individual blocks to
-    1e-12.  A mixed design has a drawn 1 to 3 random attributes."""
+    1e-12.  A mixed design has a drawn 1 to 3 random attributes.  The
+    panel is a binary-choice one, a single pair, or has up to 5 slots."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     nrep = 1 if classical else data.draw(st.integers(1, 5))
     n_random = 2 if classical else data.draw(st.integers(1, 3))
     with mock.patch.object(regret, "_BLOCK_FLOATS",
                            data.draw(st.integers(0, 1000 * nrep))):
         design = padded_design(data, rng, n_individuals=3, classical=classical,
-                               nrep=nrep, n_random=n_random)
+                               nrep=nrep, n_random=n_random,
+                               widest=data.draw(st.sampled_from([2, 5])))
         assert_blocks_fill_budget(design)
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
@@ -699,7 +703,9 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     slot-level terms run with 2, 4 and 6 columns of coefficients.  Each
     one-individual block is a run of one person, whose activations are a
     broadcast multiply, while blocks of several take block-diagonal matrix
-    products, so the two forms agree bit for bit."""
+    products, so the two forms agree bit for bit.  The panel is a
+    binary-choice one, whose one pair both slots take by a broadcast, or
+    has up to 5 slots."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     nrep = data.draw(st.integers(2, 6))
     budget = data.draw(st.integers(0, 2000 * nrep))
@@ -707,7 +713,8 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     n_random = data.draw(st.integers(1, 3))
     with mock.patch.object(regret, "_BLOCK_FLOATS", budget):
         design = padded_design(data, rng, n_individuals=14, nrep=nrep,
-                               shapes=shapes, n_random=n_random)
+                               shapes=shapes, n_random=n_random,
+                               widest=data.draw(st.sampled_from([2, 5])))
         assert_blocks_fill_budget(design)
     single = one_per_block(design)
     assert nrep >= 2 and all(b - a == 1 for a, b in single.blocks)
@@ -737,17 +744,35 @@ def test_mixed_blocks_match_one_individual_blocks(data):
     assert np.array_equal(weights, single_weights)
 
 
+@pytest.mark.parametrize("j", [2, 3, 5])
+@pytest.mark.parametrize("batch", [0, 1])
+def test_spread_equals_the_incidence_product(j, batch):
+    """Each slot's sum of its pairs' terms has the bits of the transposed
+    incidence matrix product, signed zeros counted: in binary choice (J = 2,
+    one pair) the broadcast turns a -0 term into +0, as the product does."""
+    first, second = np.triu_indices(j, 1)
+    incidence = np.eye(j)[first] + np.eye(j)[second]
+    lead = (2,) * batch
+    terms = np.random.default_rng(j).normal(size=(*lead, len(first), 4, 5, 3))
+    terms.reshape(-1)[::3] = -0.0
+    got = regret._spread(incidence, terms, np.empty((*lead, j, 4, 5, 3)), batch=batch)
+    want = regret._lead(incidence.T, terms, batch=batch)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if j == 2:
+        assert not np.signbit(got[got == 0.0]).any()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data(), st.booleans())
 def test_padded_situations_hessian_matches_finite_differences(data, classical):
     """Padded slots, padded situations and missing labels add nothing to the
     Hessian: it agrees with central differences of the gradient and is
     exactly symmetric.  A mixed design has a drawn 1 to 3 random
-    attributes."""
+    attributes; the panel is a binary-choice one or has up to 5 slots."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n_random = 2 if classical else data.draw(st.integers(1, 3))
     design = padded_design(data, rng, n_individuals=3, classical=classical,
-                           n_random=n_random)
+                           n_random=n_random, widest=data.draw(st.sampled_from([2, 5])))
     x = rng.normal(size=design.n_params) * 0.5
     draws = padded_draws(design, rng)
     _, _, hessian = individual_scores(design, draws, x, hessian=True)
