@@ -182,9 +182,11 @@ def _maximize(
     ``loglik``, and the point such a trial accepts gets its ``scores`` pass.
     A trial is accepted when its log-likelihood is at least ``bound``, ll +
     1e-4 * step * slope (or ll less the noise floor, once that gain is
-    within it), and its gradient is finite.  Trials run with numpy's
-    floating-point warnings off: one whose log-likelihood or gradient is not
-    finite is rejected, and the step halved.
+    within it), and its gradient is finite.  Trials, and the start's pass,
+    run with numpy's floating-point warnings off: a trial whose
+    log-likelihood or gradient is not finite is rejected, and the step
+    halved, and a start whose log-likelihood is not finite is refused with
+    :class:`InvalidOption`.
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
     longer than ``step_tol``, and, with no trial, at ``line_search`` when
@@ -206,7 +208,8 @@ def _maximize(
 
     x = np.asarray(x0, dtype=float).copy()
     n = x.size
-    ll, grad = value_grad(x)
+    with np.errstate(all="ignore"):  # an overflowing start is refused below
+        ll, grad = value_grad(x)
     if not np.isfinite(ll):
         raise InvalidOption("log-likelihood not finite at the starting values")
     h_inv = np.eye(n)

@@ -38,8 +38,8 @@ class FitOptions:
             raise InvalidOption(f"level {self.level!r} is outside (0, 100)")
         if self.maxiter < 0:
             raise InvalidOption(f"maxiter {self.maxiter!r} is negative")
-        if not self.gtol > 0.0:
-            raise InvalidOption(f"gtol {self.gtol!r} is not positive")
+        if not 0.0 < self.gtol < float("inf"):
+            raise InvalidOption(f"gtol {self.gtol!r} is not positive and finite")
         if self.covariance not in ("hessian", "robust", "cluster"):
             raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
         if self.nrep < 1:

@@ -9,15 +9,15 @@ individual's choice situations, and averages the product over draws.
 
 Every result is a function of its inputs alone.  A pass over the data is
 one :meth:`ModelDesign.walk`, the only loop over blocks: it builds the
-draw-invariant regret base of the fixed attributes and constants once per
-group of at most R equal-shape blocks, realizes each block's random
-coefficients from its draws and calls a block kernel once per block, the
-hot one :meth:`ModelDesign.individual_loglik_gradient`, and returns the
-results in block (dataset) order.  A block is a run of consecutive individuals, padded
-to their most situations and widest situation, whose padded floats times
-the R draws per person stay within ``_BLOCK_FLOATS``; each kernel,
-vectorized over its block's individuals and draws, adds the K random
-attributes' terms to the base.  The walk and its kernels write every
+draw-invariant regret base of the fixed attributes and constants, and their
+slot gradient, once per group of at most R equal-shape blocks, realizes
+each block's random coefficients from its draws and calls a block kernel
+once per block, the hot one :meth:`ModelDesign.individual_loglik_gradient`,
+and returns the results in block (dataset) order.  A block is a run of
+consecutive individuals, padded to their most situations and widest
+situation, whose padded floats times the R draws per person stay within
+``_BLOCK_FLOATS``; each kernel, vectorized over its block's individuals and
+draws, adds the K random attributes' terms to the base.  The walk and its kernels write every
 block-sized intermediate into views of the design's workspace, one buffer
 per role grown to the largest block, and a kernel returns arrays of its
 own, so a pass after the first allocates only its per-person results; a
@@ -42,7 +42,11 @@ takes one log per pair and draw, of a product of one factor in [1, 2] per
 attribute; a pair with a padded slot is masked once, on that sum.  A slot
 with no data row gets +inf in the walk's base, so its regret is +inf and
 its probability exactly 0.  A pass can return the exact Hessian from the
-same pair terms.  The tests check the kernels against a first-principles
+same pair terms.  Each sum of a product over the padded pair or slot and
+situation axes, or over the fixed attributes, is one two-operand einsum
+into a workspace view: it adds the terms in ``ndarray.sum``'s order and
+builds no product array, nor a broadcast of a draw-free operand along the
+draws.  The tests check the kernels against a first-principles
 reference (``tests/oracles.py``).
 """
 
@@ -170,10 +174,11 @@ class ParameterVector:
 # attribute) and the Hessian's slot derivatives (one per slot and parameter),
 # the largest of the arrays that its kernels keep in the design's workspace.
 # A pass allocates none of them, so the bound trades the workspace's memory
-# against the number of kernel calls, whose fixed cost of some 60 small numpy
-# operations (about 36 in a log-likelihood call: the slot-level [beta; |beta|]
-# copy and its product took the place of the pair-level |a|/2 multiply, add
-# and reduction over attributes) dominates small blocks.  At
+# against the number of kernel calls, whose fixed cost of some 55 small numpy
+# operations in a value+gradient call and about 36 in a log-likelihood call
+# (the slot-level [beta; |beta|] copy and its product took the place of the
+# pair-level |a|/2 multiply, add and reduction over attributes) dominates
+# small blocks.  At
 # 10 situations of 3 alternatives and R = 100 (15,000 floats a person) and at
 # 8 situations of 5 alternatives, 11 parameters and R = 20 (15,200) it gives
 # 8-person blocks: the benchmark's peak RSS rose at most 2.3% over the 2- and
@@ -373,10 +378,12 @@ class ModelDesign:
         at most R equal-shape blocks it builds, once, the regret base
         (J,S,n,1) of the constants and the fixed attributes (their pair
         terms with their |beta| d / 2, plus beta times their ``lin_fixed``
-        sums), +inf at the ``empty`` slots, and the fixed pair slopes
-        (Mf,P,S,n,1), their sign(beta) applied; ``part`` is the block's slice
-        of these and its random coefficients (K,n,R).  All of these are views
-        of the design's workspace."""
+        sums), +inf at the ``empty`` slots, the fixed pair slopes
+        (Mf,P,S,n,1), their sign(beta) applied, and the fixed attributes'
+        slot gradient dR/d beta (Mf,J,S,n,1), each slot's slopes plus its
+        ``lin_fixed`` sum; ``part`` is the block's slice of these and its
+        random coefficients (K,n,R).  All of these are views of the design's
+        workspace."""
         take = self._work.take
         beta = theta.fixed[:, None, None, None, None]
         sign = np.sign(beta)
@@ -388,20 +395,24 @@ class ModelDesign:
             fixed, slope = _pair_terms(beta, group.d_fixed, group.live, "fixed slope",
                                        take)
             slope *= sign
-            fixed += _product(half_beta, group.d_fixed, "a", take).sum(
-                axis=1, out=take("terms", fixed.shape))
-            base = _spread(group.incidence[0], fixed, take(
-                "base", (len(fixed), group.incidence.shape[-1], *fixed.shape[2:])), batch=1)
-            base += _product(beta, group.lin_fixed, "a", take).sum(
-                axis=1, out=take("terms", base.shape))
+            fixed += _contract("mpsnr,gmpsnr->gpsnr", half_beta, group.d_fixed,
+                               take("terms", fixed.shape), take)
+            incidence = group.incidence[0]
+            base = _spread(incidence, fixed, take(
+                "base", (len(fixed), incidence.shape[-1], *fixed.shape[2:])), batch=1)
+            base += _contract("mjsnr,gmjsnr->gjsnr", beta, group.lin_fixed,
+                              take("terms", base.shape), take)
             base += np.matmul(group.asc_onehot, theta.asc,
                               out=take("t", base.shape[:-1]))[..., None]
             np.copyto(base, np.inf, where=group.empty)
+            slot = _slot_gradient(incidence, slope, group.lin_fixed, take(
+                "fixed slot", (*slope.shape[:2], *base.shape[1:])), batch=2)
             for pos, block in enumerate(members):
                 z = draws[slice(*self.blocks[block])]
                 by_coef = z.transpose(1, 0, 2)  # (K, n, R)
                 coefs = self._coefficients(theta, by_coef, take("coefs", by_coef.shape))
-                results[block] = kernel(block, z, (base[pos], slope[pos], coefs), *args)
+                results[block] = kernel(block, z, (base[pos], slope[pos], slot[pos], coefs),
+                                        *args)
         return results
 
     def _regrets(self, bd: _BlockData, part, gradient):
@@ -413,7 +424,7 @@ class ModelDesign:
         attributes (Mf,P,S,n,1) and dh(a) / d beta without its factor
         sign(beta) of the random ones (Mr,P,S,n,R).  The regrets and the
         random slopes are views of the workspace."""
-        base, slope_fixed, coefs = part
+        base, slope_fixed, _, coefs = part
         take = self._work.take
         drawn, slope_random = _pair_terms(coefs[:, None, None], bd.d_random, bd.live,
                                           "slope" if gradient else None, take)
@@ -483,7 +494,7 @@ class ModelDesign:
         take = self._work.take
         # chain rule: d beta / d b, ``chain``, is 1, or beta if log-normal, and
         # d beta / d s is ``chain`` times the draw
-        coefs = part[2]
+        d_fixed, coefs = part[2:]
         chain = take("chain", coefs.shape)
         chain.fill(1.0)
         np.copyto(chain, coefs, where=self._lognormal[:, None, None])
@@ -508,13 +519,11 @@ class ModelDesign:
         f, k = self.n_fixed, self.n_random
         per_draw = take("per_draw", (self.n_params, n_ind, n_draws))
         # the fixed slopes are draw-invariant, so their pair and lin terms
-        # are one slot gradient dR/d beta, (Mf, J, S, n, 1), times ``resid``;
-        # these sums over the padded J and S stay numpy reductions, in J then
-        # S order, which padding leaves unchanged: a BLAS product groups them
+        # are the walk's one slot gradient dR/d beta, (Mf, J, S, n, 1), times
+        # ``resid``; these sums over the padded J and S add in J then S
+        # order, which padding leaves unchanged: a BLAS product groups them
         # by the padded length, so a person's row would depend on the block
-        d_fixed = _slot_gradient(bd.incidence, slope_fixed, bd.lin_fixed,
-                                 out=take("fixed slot", (f, *probs.shape[:-1], 1)))
-        _product(d_fixed, resid, "a", take).sum(axis=(1, 2), out=per_draw[:f])
+        _contract("mjsnr,jsnr->mnr", d_fixed, resid, per_draw[:f], take)
         sign = np.sign(coefs, out=take("sign", coefs.shape))
         g_rand = _pair_gradient(slope_random, res, sign, bd.lin_random, resid,
                                 per_draw[f:f + k], take)
@@ -649,6 +658,22 @@ def _product(x, y, role, take):
     return np.multiply(x, y, out=take(role, np.broadcast(x, y).shape))
 
 
+def _contract(subscripts, x, y, out, take):
+    """The sum of ``x`` * ``y``, broadcast, over the axes that the output of
+    ``subscripts`` drops, written to ``out``.  One einsum builds no product
+    array, and when the output's axes after the first hold more than one
+    element, it adds the terms in ``ndarray.sum``'s order, to the same bits.
+    When they hold one, the summed axes make the inner loop, which einsum
+    and the reduction each split into partial sums of their own, so the
+    product, in ``take("product", ...)``, and its sum are kept."""
+    if math.prod(out.shape[1:]) > 1:
+        return np.einsum(subscripts, x, y, out=out)
+    inputs, output = subscripts.split("->")
+    labels = max(inputs.split(","), key=len)
+    axes = tuple(pos for pos, label in enumerate(labels) if label not in output)
+    return _product(x, y, "product", take).sum(axis=axes, out=out)
+
+
 def _pair_terms(beta, d, live, slope_role, take):
     """Pair terms of the activations a = ``beta`` * (x[j] - x[i]) (..., M, P,
     S, n, R), from ``d`` = |x[j] - x[i]|, summed over the attributes:
@@ -724,18 +749,20 @@ def _pair_gradient(slope, res, sign, lin, resid, out, take):
     (M, n, R), written to ``out``: over pairs and situations, the pair
     ``slope`` times ``res``, the sum of its slots' ``resid``, times the
     coefficients' ``sign`` (M, n, R); plus, over slots and situations, each
-    slot's ``lin`` sum times its ``resid``."""
-    _product(slope, res, "a", take).sum(axis=(1, 2), out=out)
+    slot's ``lin`` sum (M, J, S, n, 1), a strided view, times its ``resid``.
+    Each sum is one :func:`_contract`, so neither product is built, and
+    ``lin`` is not broadcast along the draws."""
+    _contract("mpsnr,psnr->mnr", slope, res, out, take)
     out *= sign
-    out += _product(lin, resid, "a", take).sum(axis=(1, 2), out=take("t", out.shape))
+    out += _contract("mjsnr,jsnr->mnr", lin, resid, take("t", out.shape), take)
     return out
 
 
-def _slot_gradient(incidence, slope, lin, out):
+def _slot_gradient(incidence, slope, lin, out, batch=1):
     """dR/d beta per attribute, slot, situation, individual and draw,
-    (M, J, S, n, R), written to ``out``: each slot gets the signed
-    ``slope`` of its pairs, plus its ``lin`` sum."""
-    gradient = _spread(incidence, slope, out, batch=1)
+    (..., M, J, S, n, R), the slot axis ``batch``, written to ``out``: each
+    slot gets the signed ``slope`` of its pairs, plus its ``lin`` sum."""
+    gradient = _spread(incidence, slope, out, batch)
     gradient += lin
     return gradient
 
@@ -743,13 +770,15 @@ def _slot_gradient(incidence, slope, lin, out):
 def _pair_curvature(d, slope, res, take):
     """d2(sum_i res_i R_i)/d beta2 per attribute, individual and draw,
     (M, n, R): both slots of a pair bear h'' = d^2 (1 - tanh^2(|a|/2)) / 4,
-    which is (d/2)^2 less the square of the ``slope``, signed or not."""
+    which is (d/2)^2 less the square of the ``slope``, signed or not, in the
+    slope's shape, (M, P, S, n, 1) for a fixed one; its product with ``res``
+    and the sum over pairs and situations are one :func:`_contract`."""
     quarter = np.multiply(d, 0.5, out=take("t", d.shape))
     quarter *= quarter
-    curv = np.square(slope, out=take("a", np.broadcast_shapes(slope.shape, res.shape)))
+    curv = np.square(slope, out=take("a", slope.shape))
     np.subtract(quarter, curv, out=curv)
-    curv *= res
-    return curv.sum(axis=(1, 2))
+    return _contract("mpsnr,psnr->mnr", curv, res,
+                     np.empty((len(curv), *res.shape[2:])), take)
 
 
 def _log_mean_exp(values: np.ndarray):

@@ -188,8 +188,9 @@ def test_usage_error_is_exit_1(argv):
 
 @pytest.mark.parametrize("flags", [
     ["--level", "150"], ["--level", "0"], ["--maxiter", "-1"], ["--gtol", "0"],
-    ["--burn", "-1"], ["--from", "[0.1,"], ["--from", "{nope}"], ["--nrep", "0"],
-    ["--nrep", "0", "--rand", "b"], ["--from", "null"],
+    ["--gtol", "inf"], ["--gtol", "nan"], ["--burn", "-1"], ["--from", "[0.1,"],
+    ["--from", "{nope}"], ["--nrep", "0"], ["--nrep", "0", "--rand", "b"],
+    ["--from", "null"],
 ])
 def test_fit_bad_option_exit_1(tmp_path, capsys, flags):
     # the data file does not exist: the option is rejected before any work
@@ -245,6 +246,26 @@ def test_fit_bad_start_exit_1(panel_csv, capsys, start):
     assert code == 1
     assert "start" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("model, start", [
+    (["--fixed", "total_cost", "--rand", "total_time"], "[1e308, 0, 0]"),
+    (["--fixed", "total_cost", "total_time"], "[1e308, 0]"),
+])
+def test_fit_overflowing_start_is_one_error_line(panel_csv, tmp_path, model, start):
+    """A start whose pass overflows is refused with exit 1 and the one
+    typed error line, with RuntimeWarning an error: its pass runs with
+    numpy's floating-point warnings off, as a line-search trial does."""
+    out_json = tmp_path / "fit.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mixrrm.cli", "fit",
+         str(panel_csv), *model, "--noconstant", "--nrep", "5", "--from", start,
+         "--out", str(out_json)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: log-likelihood not finite at the starting values\n"
+    assert not out_json.exists()
 
 
 def test_bug_in_a_handler_propagates(monkeypatch):

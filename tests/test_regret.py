@@ -762,6 +762,57 @@ def test_spread_equals_the_incidence_product(j, batch):
         assert not np.signbit(got[got == 0.0]).any()
 
 
+@pytest.mark.parametrize("r", [1, 2, 20, 100])
+@pytest.mark.parametrize("n", [1, 3, 8])
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_contractions_equal_the_product_and_sum(n, r, data):
+    """Each sum over the padded pair or slot and situation axes, or over the
+    fixed attributes, is one einsum with no product array, and gives the
+    bits of the C-ordered product and its ``ndarray.sum``: pair slopes and
+    curvatures, drawn or not, times ``res``; slot sums, the strided
+    ``lin_random`` view of ``by_person`` and a contiguous one, times
+    ``resid``; and the walk's sums over the fixed attributes of a group.
+    Padded situations hold signed zeros.  With one (person, draw) column,
+    or, in the walk's sums, one (pair or slot, situation, person) column
+    per block, ``_contract`` keeps the product and the sum; everywhere else
+    the einsum itself must match, a tripwire for a change in numpy's loop
+    order."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    j, s = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 6))
+    m, g = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    p = j * (j - 1) // 2
+    padded = rng.random(s) < 0.3
+
+    def values(*shape, situation):
+        """Normal values, signed zeros in the padded situations."""
+        a = rng.normal(size=shape)
+        cut = (slice(None),) * situation + (padded,)
+        a[cut] = np.where(rng.random(a[cut].shape) < 0.5, 0.0, -0.0)
+        return a
+
+    by_person = values(n, j, s, 2 * m, situation=2)
+    lin_random = by_person[..., :m].transpose(3, 1, 2, 0)[..., None]
+    coef = rng.normal(size=(m, 1, 1, 1, 1))
+    res, resid = values(p, s, n, r, situation=1), values(j, s, n, r, situation=1)
+    cases = [  # subscripts, x, y and the summed axes of x * y
+        ("mpsnr,psnr->mnr", values(m, p, s, n, r, situation=2), res, (1, 2)),
+        ("mpsnr,psnr->mnr", values(m, p, s, n, 1, situation=2), res, (1, 2)),
+        ("mjsnr,jsnr->mnr", lin_random, resid, (1, 2)),
+        ("mjsnr,jsnr->mnr", values(m, j, s, n, 1, situation=2), resid, (1, 2)),
+    ]
+    if r == 1:  # the walk's draw-free sums over a group's fixed attributes
+        cases += [("mpsnr,gmpsnr->gpsnr", coef, values(g, m, p, s, n, 1, situation=3), 1),
+                  ("mjsnr,gmjsnr->gjsnr", coef, values(g, m, j, s, n, 1, situation=3), 1)]
+    for subscripts, x, y, axes in cases:
+        want = np.multiply(x, y, order="C").sum(axis=axes)
+        got = regret._contract(subscripts, x, y, np.empty(want.shape),
+                               regret._Workspace().take)
+        assert got.tobytes() == want.tobytes(), subscripts
+        if math.prod(want.shape[1:]) > 1:
+            assert np.einsum(subscripts, x, y).tobytes() == want.tobytes(), subscripts
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data(), st.booleans())
 def test_padded_situations_hessian_matches_finite_differences(data, classical):
