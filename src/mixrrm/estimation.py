@@ -190,9 +190,10 @@ def _maximize(
     Convergence means the sup-norm of the gradient is at or below ``gtol``;
     the loop also stops when backtracking cannot find an acceptable step
     longer than ``step_tol``, and, with no trial, at ``line_search`` when
-    the starting gradient is not finite.  Accepted steps never decrease the
-    objective beyond the floating-point rounding noise of the total
-    log-likelihood.
+    the starting gradient, or an iteration's slope g'd along its direction
+    d, is not finite (d and the slope are taken with numpy's warnings off).
+    Accepted steps never decrease the objective beyond the floating-point
+    rounding noise of the total log-likelihood.
     """
 
     passes = {"ll": 0, "vg": 0}
@@ -227,16 +228,20 @@ def _maximize(
         if not np.isfinite(grad).all():  # only the start's can be: no direction
             stop = "line_search"
             break
-        direction = h_inv @ grad  # ascent direction
-        slope = grad @ direction
-        if slope <= 0.0:
-            h_inv = np.eye(n)
-            first_update = True
-            direction = grad.copy()
-            slope = grad @ grad
-            if slope == 0.0:
-                stop = "zero_slope"
-                break
+        with np.errstate(all="ignore"):  # a slope that is not finite stops below
+            direction = h_inv @ grad  # ascent direction
+            slope = grad @ direction
+            if slope <= 0.0:
+                h_inv = np.eye(n)
+                first_update = True
+                direction = grad.copy()
+                slope = grad @ grad
+        if slope == 0.0:
+            stop = "zero_slope"
+            break
+        if not np.isfinite(slope):
+            stop = "line_search"
+            break
 
         step = 1.0
         d_norm = np.max(np.abs(direction))

@@ -79,14 +79,22 @@ def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,
     :meth:`ModelDesign.walk` whose kernel summarizes each block's draw info
     as soon as it is made, so no block's per-draw probabilities outlive it;
     ``rows`` is the block's data slots (:meth:`ModelDesign.available`), and
-    ``probs`` is ``None`` unless ``probs``."""
+    ``probs`` is ``None`` unless ``probs``.  The walk runs with numpy's
+    floating-point warnings off, and a summary that is not finite, as at a
+    fit whose estimates overflow the pass, is refused with
+    :class:`DomainError`."""
     nrep, burn = draw_settings(fit, nrep, burn)
     design = _bind_design(ds, fit, nrep)
     draws = design.draws(burn)
-    return design, draws, np.concatenate(design.walk(
-        lambda block, z, part: summarize(
-            design.available(block), *design.individual_draw_info(block, z, part, probs)),
-        fit.theta_hat, draws))
+    with np.errstate(all="ignore"):
+        summaries = np.concatenate(design.walk(
+            lambda block, z, part: summarize(
+                design.available(block),
+                *design.individual_draw_info(block, z, part, probs)),
+            fit.theta_hat, draws))
+    if not np.isfinite(summaries).all():
+        raise DomainError("the pass over the data is not finite at the fit's estimates")
+    return design, draws, summaries
 
 
 def predict_probabilities(

@@ -15,14 +15,16 @@ each block's random coefficients from its draws and calls a block kernel
 once per block, the hot one :meth:`ModelDesign.individual_loglik_gradient`,
 and returns the results in block (dataset) order.  A block is a run of
 consecutive individuals, padded to their most situations and widest
-situation, whose padded floats times the R draws per person stay within
+situation, whose pair arrays times the R draws per person stay within
 ``_BLOCK_FLOATS``; each kernel, vectorized over its block's individuals and
-draws, adds the K random attributes' terms to the base.  The walk and its kernels write every
-block-sized intermediate into views of the design's workspace, one buffer
-per role grown to the largest block, and a kernel returns arrays of its
-own, so a pass after the first allocates only its per-person results; a
-design's passes share that workspace, so one thread at a time walks a
-design.  A classical model is the case K = 0, R = 1.
+draws, adds the K random attributes' terms to the base.  A Hessian pass
+takes its slot derivatives, one per slot and parameter, in runs of the
+block's people that stay within the bound with them.  The walk and its
+kernels write every block-sized intermediate into views of the design's
+workspace, one buffer per role grown to the largest block, and a kernel
+returns arrays of its own, so a pass after the first allocates only its
+per-person results; a design's passes share that workspace, so one thread
+at a time walks a design.  A classical model is the case K = 0, R = 1.
 A pair of alternatives i < j is evaluated once: with a = beta_m * (x_j - x_i),
 i bears L(a) = ln(1 + exp(a)) and j L(-a), and L(a) = a/2 + h(a) with h(a) =
 |a|/2 + ln(1 + exp(-|a|)) = ln(2 cosh(a/2)) even.  So both slots take the
@@ -169,21 +171,20 @@ class ParameterVector:
         )
 
 
-# most padded floats of a block times its draws per person,
-# n * S * (P*M + J*n_params) * R: its pair arrays (one per slot pair and
-# attribute) and the Hessian's slot derivatives (one per slot and parameter),
-# the largest of the arrays that its kernels keep in the design's workspace.
-# A pass allocates none of them, so the bound trades the workspace's memory
-# against the number of kernel calls, whose fixed cost of some 55 small numpy
-# operations in a value+gradient call and about 36 in a log-likelihood call
-# (the slot-level [beta; |beta|] copy and its product took the place of the
-# pair-level |a|/2 multiply, add and reduction over attributes) dominates
-# small blocks.  At
-# 10 situations of 3 alternatives and R = 100 (15,000 floats a person) and at
-# 8 situations of 5 alternatives, 11 parameters and R = 20 (15,200) it gives
-# 8-person blocks: the benchmark's peak RSS rose at most 2.3% over the 2- and
-# 4-person blocks of the allocating kernels, and 9-person blocks put the
-# second 3.2% higher
+# most padded floats of a block times its draws per person, n * S * P*M * R:
+# its pair arrays (one per slot pair and attribute), the largest of the
+# arrays that its log-likelihood and value+gradient kernels keep in the
+# design's workspace.  A Hessian pass, one per phase of a fit against tens
+# of the others, takes its slot derivatives (one per slot and parameter)
+# in runs of the most people whose n * S * (P*M + J*n_params) * R floats
+# stay within the bound.  A pass allocates none of them, so the bound
+# trades the workspace's memory against the number of kernel calls, whose
+# fixed cost of some 55 small numpy operations in a value+gradient call and
+# about 36 in a log-likelihood call dominates small blocks.  At 10
+# situations of 3 alternatives and R = 100 (6,000 floats a person) it gives
+# 21-person blocks, and at 8 situations of 5 alternatives and R = 20
+# (6,400) 20-person ones, where a count with the slot derivatives gives
+# both 8: the benchmark's peak RSS rose 1.4 and 0.4 MB (3.3% and 0.9%)
 _BLOCK_FLOATS = 2**17
 
 
@@ -252,8 +253,7 @@ class ModelDesign:
         sizes = np.diff(starts, append=ds.n_rows)
         n_sit = np.diff(ds.individual_starts, append=starts.size)
         ind_width = np.maximum.reduceat(sizes, ds.individual_starts)
-        edges = _block_edges(n_sit, ind_width, len(self.model_attrs), self.n_params,
-                             self.nrep)
+        edges = _block_edges(n_sit, ind_width, len(self.model_attrs), self.nrep)
         self.blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
         # every row goes to its slot in one padded (cells, J, M) array: each
@@ -427,17 +427,17 @@ class ModelDesign:
         base, slope_fixed, _, coefs = part
         take = self._work.take
         drawn, slope_random = _pair_terms(coefs[:, None, None], bd.d_random, bd.live,
-                                          "slope" if gradient else None, take)
+                                          "a" if gradient else None, take)
         regrets = _spread(bd.incidence, drawn,
                           take("probs", (bd.incidence.shape[1], *drawn.shape[1:])))
         regrets += base
         # per individual: (J*S, 2*Mr) @ (2*Mr, R), [lin | half] times
-        # [beta; |beta|], written to (J, S, n, R)
+        # [beta; |beta|], written to (J, S, n, R) in the spent pair terms' role
         k, n_ind, n_draws = coefs.shape
         betas = take("abs", (n_ind, 2 * k, n_draws))
         betas[:, :k] = coefs.transpose(1, 0, 2)
         np.abs(betas[:, :k], out=betas[:, k:])
-        linear = take("t", regrets.shape)
+        linear = take("drawn", regrets.shape)
         np.matmul(bd.by_person, betas,
                   out=linear.reshape(-1, n_ind, n_draws).transpose(1, 0, 2))
         regrets += linear
@@ -545,24 +545,36 @@ class ModelDesign:
         # weighted by w_r, is the Gram matrix of dR_i sqrt(P_i w_r).  Its
         # intermediates take the roles of the gradient's, dead by now but for
         # the slopes, ``res``, the probabilities, the weights and ``per_draw``.
-        # dR/dtheta, (P, J, S, n, R)
-        slot = take("terms", (self.n_params, *probs.shape))
-        slot[:f] = d_fixed
+        # dR/dtheta, (n_params, J, S, k, R), is made for runs of k people: the
+        # most whose pair arrays and slot derivatives, S * (P*M + J*n_params)
+        # * R floats a person, stay within ``_BLOCK_FLOATS``.  The runs'
+        # Hessians add in people order.
         slope_random *= sign[:, None, None]
-        d_rand = _slot_gradient(bd.incidence, slope_random, bd.lin_random,
-                                out=slot[f:f + k])
-        d_rand *= chain[:, None, None]
-        np.multiply(d_rand, z[:, None, None], out=slot[f + k:f + 2 * k])
-        slot[f + 2 * k:] = np.moveaxis(bd.asc_onehot, -1, 0)[..., None]
-        mean = np.einsum("pj...,j...->p...", slot, probs,
-                         out=take("t", (len(slot), *probs.shape[1:])))
+        n_slot, n_sit = probs.shape[:2]
+        run = max(1, _BLOCK_FLOATS // _person_floats(
+            n_sit, n_slot, len(self.model_attrs), n_draws, self.n_params))
+        flat = lambda a: a.reshape(len(a), math.prod(a.shape[1:]))
+        hess = np.zeros((self.n_params, self.n_params))
+        for lo in range(0, n_ind, run):
+            cut = (..., slice(lo, lo + run), slice(None))
+            probs_run, weights_run = probs[cut], weights[lo:lo + run]
+            slot = take("terms", (self.n_params, *probs_run.shape))
+            slot[:f] = d_fixed[cut]
+            d_rand = _slot_gradient(bd.incidence, slope_random[cut], bd.lin_random[cut],
+                                    out=slot[f:f + k])
+            d_rand *= chain[cut][:, None, None]
+            np.multiply(d_rand, z[cut][:, None, None], out=slot[f + k:f + 2 * k])
+            onehot = bd.asc_onehot[:, :, lo:lo + run]
+            slot[f + 2 * k:] = np.moveaxis(onehot, -1, 0)[..., None]
+            mean = np.einsum("pj...,j...->p...", slot, probs_run,
+                             out=take("t", (len(slot), *probs_run.shape[1:])))
+            run_hess = flat(_product(mean, weights_run, "resid", take)) @ flat(mean).T
+            root = _product(probs_run, weights_run, "resid", take)
+            slot *= np.sqrt(root, out=root)
+            run_hess -= flat(slot) @ flat(slot).T
+            hess += run_hess
         spread = np.subtract(per_draw, grad.T[..., None],
                              out=take("chosen", per_draw.shape))
-        flat = lambda a: a.reshape(len(a), math.prod(a.shape[1:]))
-        hess = flat(_product(mean, weights, "a", take)) @ flat(mean).T
-        root = _product(probs, weights, "resid", take)
-        slot *= np.sqrt(root, out=root)
-        hess -= flat(slot) @ flat(slot).T
         hess += flat(spread * weights) @ flat(spread).T
 
         # the pair curvature is diagonal in beta; a log-normal beta also has
@@ -609,16 +621,15 @@ class _Workspace:
         return view
 
 
-def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
+def _block_edges(n_sit, widths, n_attrs, nrep) -> np.ndarray:
     """Block edges from each individual's situations and widest situation: a
     block takes the next individual while its padded floats (as
-    ``_BLOCK_FLOATS`` counts them: its pair arrays and the Hessian's slot
-    derivatives, the largest buffers of the workspace) times the ``nrep``
-    draws per person stay within ``_BLOCK_FLOATS`` and within twice its
-    individuals' own, so padding at most doubles a design's arrays and the
-    workspace is a few times the bound; a larger individual is a block
-    alone."""
-    floats = lambda s, j: s * (j * (j - 1) // 2 * n_attrs + j * n_params) * nrep
+    ``_BLOCK_FLOATS`` counts them: its pair arrays, the largest buffers of
+    the ordinary passes' workspace) times the ``nrep`` draws per person stay
+    within ``_BLOCK_FLOATS`` and within twice its individuals' own, so
+    padding at most doubles a design's arrays and the workspace is a few
+    times the bound; a larger individual is a block alone."""
+    floats = lambda s, j: _person_floats(s, j, n_attrs, nrep)
     edges, s_max, j_max, own = [0], 0, 0, 0
     for pos, (s, j) in enumerate(zip(n_sit.tolist(), widths.tolist())):
         s_max, j_max, own = max(s_max, s), max(j_max, j), own + floats(s, j)
@@ -627,6 +638,13 @@ def _block_edges(n_sit, widths, n_attrs, n_params, nrep) -> np.ndarray:
             edges.append(pos)
             s_max, j_max, own = s, j, floats(s, j)
     return np.array(edges + [len(n_sit)])
+
+
+def _person_floats(s, j, n_attrs, r, per_slot=0):
+    """Floats a person of ``s`` situations of ``j`` slots takes in the pair
+    arrays, one per slot pair and attribute, and in ``per_slot`` arrays per
+    slot, for each of ``r`` draws."""
+    return s * (j * (j - 1) // 2 * n_attrs + j * per_slot) * r
 
 
 def _lead(matrix, array, batch=0, out=None):
@@ -694,29 +712,31 @@ def _pair_terms(beta, d, live, slope_role, take):
     1/(1 + t) - 1/2.  ``live`` (..., P, S, n, 1) masks the sum: a dead pair
     has d = 0, so a = 0, its slope is 0 and its M ln 2 becomes exactly 0.
     Every array, the results too, is a workspace view ``take(role,
-    shape)``, the slopes in ``slope_role``; t takes the place of a.
+    shape)``: a, then t in its place, then the slopes in t's, all in
+    ``slope_role``, or in ``"a"`` without the slopes.
     """
-    a = _activations(np.copysign(beta, -1.0, out=take("abs", beta.shape)), d, take)
-    shape, pairs = a.shape, (*a.shape[:-5], *a.shape[-4:])
+    a = _activations(np.copysign(beta, -1.0, out=take("abs", beta.shape)), d, take,
+                     slope_role or "a")
+    pairs = (*a.shape[:-5], *a.shape[-4:])
     t = np.exp(a, out=a)
     t += 1.0
-    slope = None
-    if slope_role:
-        slope = np.reciprocal(t, out=take(slope_role, shape))
-        slope -= 0.5
-        slope *= d
     terms = take("drawn", pairs)
     # of one attribute, the product is t itself, which a reduction would copy
-    product = t.reshape(pairs) if shape[-5] == 1 else np.multiply.reduce(
+    product = t.reshape(pairs) if a.shape[-5] == 1 else np.multiply.reduce(
         t, axis=-5, out=terms)
     np.log(product, out=terms)
     terms *= live
+    slope = None
+    if slope_role:
+        slope = np.reciprocal(t, out=t)
+        slope -= 0.5
+        slope *= d
     return terms, slope
 
 
-def _activations(beta, d, take):
+def _activations(beta, d, take, role="a"):
     """``beta`` (M, 1, 1, n or 1, R) times ``d`` (..., M, P, S, n, 1), in
-    ``take("a", ...)``.  With R = 1 (fixed coefficients, or one draw), a
+    ``take(role, ...)``.  With R = 1 (fixed coefficients, or one draw), a
     broadcast multiply, whose inner loop spans the individuals.  With R
     draws that loop would cover only R, several times slower at R = 20 to
     100, so per attribute and run of at most 8 individuals the (P*S, k)
@@ -727,8 +747,8 @@ def _activations(beta, d, take):
     its own, slower loop."""
     *lead, m, p, s, n, r = np.broadcast_shapes(beta.shape, d.shape)
     if r == 1:
-        return _product(beta, d, "a", take)
-    a = take("a", (*lead, m, p, s, n, r))
+        return _product(beta, d, role, take)
+    a = take(role, (*lead, m, p, s, n, r))
     rows, cols = d.reshape(*lead, m, p * s, n), a.reshape(*lead, m, p * s, n * r)
     for lo in range(0, n, 8):
         k = min(8, n - lo)
@@ -772,10 +792,12 @@ def _pair_curvature(d, slope, res, take):
     (M, n, R): both slots of a pair bear h'' = d^2 (1 - tanh^2(|a|/2)) / 4,
     which is (d/2)^2 less the square of the ``slope``, signed or not, in the
     slope's shape, (M, P, S, n, 1) for a fixed one; its product with ``res``
-    and the sum over pairs and situations are one :func:`_contract`."""
+    and the sum over pairs and situations are one :func:`_contract`.  Its
+    intermediates take the roles of the Hessian's slot derivatives and
+    their mean, dead by then; the random slopes are in ``"a"``."""
     quarter = np.multiply(d, 0.5, out=take("t", d.shape))
     quarter *= quarter
-    curv = np.square(slope, out=take("a", slope.shape))
+    curv = np.square(slope, out=take("terms", slope.shape))
     np.subtract(quarter, curv, out=curv)
     return _contract("mpsnr,psnr->mnr", curv, res,
                      np.empty((len(curv), *res.shape[2:])), take)

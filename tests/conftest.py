@@ -76,6 +76,26 @@ def random_dataset(rng, n_individuals=3, n_situations=2, n_alternatives=3,
     )
 
 
+@pytest.fixture(scope="module")
+def poisoned_workspace():
+    """Every view ``_Workspace.take`` hands out starts as ``nan``, as if the
+    role had last held garbage: a kernel that reads a view after its role
+    was taken again, for another array or for the same one, reads ``nan``
+    and its results show it.  Module-scoped, so property tests can use it."""
+    from mixrrm import regret
+
+    take = regret._Workspace.take
+
+    def poisoned(self, role, shape):
+        view = take(self, role, shape)
+        view.fill(np.nan)
+        return view
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regret._Workspace, "take", poisoned)
+        yield
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -36,16 +36,16 @@ def test_kernel_resolves_on_model_design(attr):
     assert callable(getattr(ModelDesign, attr))
 
 
-@pytest.mark.parametrize("budget", [None, 8 * 36, 40 * 36])
+@pytest.mark.parametrize("budget", [None, 8 * 18, 16 * 18, 80 * 18])
 def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     """Traced around a small mixed fit, the trace counts every kernel call of
     every walk, in the preliminary classical fit and in the mixed one alike.
     Every walk, a line-search trial's too, makes exactly one kernel call per
     block of its design.  The panel: 10 people
-    of 3 situations of 3 alternatives and 2 attributes, so 3 * (3*2 + 3*3) *
-    5 = 225 padded floats each at the mixed fit's R = 5 draws and 3 * (3*2 +
-    3*2) = 36 in the classical one, and a block holds ``_BLOCK_FLOATS`` //
-    225 or // 36 people: one and 8, or 6 and all 10."""
+    of 3 situations of 3 alternatives and 2 attributes, so 3 * 3*2 * 5 = 90
+    padded floats each at the mixed fit's R = 5 draws and 3 * 3*2 = 18 in
+    the classical one, and a block holds ``_BLOCK_FLOATS`` // 90 or // 18
+    people: one and 8, 3 and all 10, or all 10 in both."""
     from mixrrm import estimation, regret
     from mixrrm.dataset import load_long_csv
     from oracles import simulate_panel, write_rows_csv
@@ -62,8 +62,8 @@ def test_trace_counts_whole_passes(tmp_path, monkeypatch, budget):
     # random-coefficient count -> blocks of the fit's designs, built alike
     blocks = {1: len(regret.ModelDesign(ds, spec, 5).blocks),
               0: len(regret.ModelDesign(ds, regret.ModelSpec(fixed_attrs=("tc", "tt"))).blocks)}
-    assert blocks == {None: {1: 1, 0: 1}, 8 * 36: {1: 10, 0: 2},
-                      40 * 36: {1: 2, 0: 1}}[budget]
+    assert blocks == {None: {1: 1, 0: 1}, 8 * 18: {1: 10, 0: 2},
+                      16 * 18: {1: 4, 0: 1}, 80 * 18: {1: 1, 0: 1}}[budget]
     walks = []  # [kind, random-coefficient count, kernel calls] per walk
     for kind, walker, kernel in [("ll", "_loglik", "individual_loglik"),
                                  ("vg", "individual_scores",

@@ -268,6 +268,30 @@ def test_fit_overflowing_start_is_one_error_line(panel_csv, tmp_path, model, sta
     assert not out_json.exists()
 
 
+def test_predict_and_betas_at_an_overflowing_fit_exit_1(panel_csv, tmp_path, capsys):
+    """A fit whose estimates overflow the pass, its fixed coefficient
+    edited to 1e308, is refused by ``predict`` and ``betas`` with exit 1
+    and the one typed error line, with RuntimeWarning an error, and neither
+    writes its output: their walk runs with numpy's floating-point warnings
+    off, and a summary that is not finite is refused."""
+    fit = fit_json(panel_csv, tmp_path, capsys)
+    payload = json.loads(fit.read_text())
+    payload["theta"][0] = 1e308
+    fit.write_text(json.dumps(payload))
+    pred, betas = tmp_path / "pred.csv", tmp_path / "betas.csv"
+    for argv, out in [(["predict", "--out", pred], pred),
+                      (["betas", "--saving", betas], betas)]:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mixrrm.cli",
+             argv[0], str(panel_csv), "--fit", str(fit), *map(str, argv[1:])],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("error: the pass over the data is not finite at the "
+                               "fit's estimates\n")
+        assert not out.exists()
+
+
 def test_bug_in_a_handler_propagates(monkeypatch):
     """Exit code 1 is for typed errors; anything else is a bug and keeps
     its traceback."""

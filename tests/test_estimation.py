@@ -43,6 +43,10 @@ from mixrrm.postestimation import draw_settings, individual_betas, predict_proba
 from mixrrm.regret import ModelDesign, ModelSpec, ParameterVector
 from oracles import _fd_hessian, irls_binary_logit, simulate_panel, write_rows_csv
 
+# every workspace view starts as nan (conftest.py), so a kernel that reads a
+# view after its role was taken again fails here
+pytestmark = pytest.mark.usefixtures("poisoned_workspace")
+
 
 def panel_dataset(tmp_path, rng, cluster=False, **kwargs):
     rows, attrs = simulate_panel(rng, **kwargs)
@@ -1069,11 +1073,37 @@ def test_fit_file_not_a_fit_object(tmp_path, content):
         load_fit_json(fit_file)
 
 
+def test_overflowing_slope_stops_the_fit_at_line_search(tmp_path, rng):
+    """With ``tt`` scaled by 1e200 the start's gradient is finite, but its
+    slope along the first direction, g'g, overflows: a classical fit, and a
+    mixed one with its preliminary fit, stop at ``line_search`` after 0
+    iterations, with RuntimeWarning an error."""
+    rows, attrs = simulate_panel(rng, n_individuals=30, n_situations=3,
+                                 n_alternatives=3, fixed={"tc": -0.3},
+                                 random={"tt": ("normal", -0.5, 0.2)})
+    for row in rows:
+        row["tt"] = repr(float(row["tt"]) * 1e200)
+    write_rows_csv(rows, tmp_path / "panel.csv")
+    ds = load_long_csv(tmp_path / "panel.csv", attr_cols=attrs)
+    fits = [lambda: fit_classical(ds, ModelSpec(fixed_attrs=("tc", "tt"))),
+            lambda: fit_mixed(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
+                              FitOptions(nrep=5))]
+    for fit in fits:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the preliminary fit's non-convergence
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonConvergence) as stopped:
+                fit()
+        result = stopped.value.result
+        assert (result.stop, result.iterations) == ("line_search", 0)
+        assert np.isfinite(result.gradient_norm) and result.gradient_norm > 1e199
+
+
 @pytest.mark.parametrize("covariance", ["robust", "cluster"])
 def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
     """A classical fit over three blocks (20, 20 and 1 people: each has 2
-    situations of 3 alternatives and 2 attributes, 2 * (3*2 + 3*2) = 24
-    padded floats) builds its robust and cluster sandwiches, and predicts,
+    situations of 3 alternatives and 2 attributes, 2 * 3*2 = 12 padded
+    floats) builds its robust and cluster sandwiches, and predicts,
     from rows in dataset order: both equal the ones from one-individual
     blocks at the fitted point."""
     from unittest import mock
@@ -1085,7 +1115,7 @@ def test_classical_blocks_keep_dataset_order(tmp_path, rng, covariance):
                        n_situations=2, n_alternatives=3,
                        fixed={"tt": -0.5, "tc": -0.3})
     spec = ModelSpec(fixed_attrs=("tt", "tc"))
-    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 24):
+    with mock.patch.object(regret, "_BLOCK_FLOATS", 20 * 12):
         fit = fit_classical(ds, spec, FitOptions(covariance=covariance))
         assert ModelDesign(ds, spec).blocks == [(0, 20), (20, 40), (40, 41)]
     with mock.patch.object(regret, "_BLOCK_FLOATS", 0):
@@ -1109,12 +1139,12 @@ def test_every_kernel_call_comes_from_the_walk(tmp_path, monkeypatch):
     pass hands it one that summarizes each block), and no other loop calls
     one: every walk, a line-search trial's too, makes exactly one kernel
     call per block, in designs of several blocks.  The panel: 12
-    people of 3 situations of 3 alternatives, 3 * (3*2 + 3*3) * 5 = 225
-    padded floats each at the mixed fit's R = 5 and 3 * (3*2 + 3*2) = 36 in
-    a classical design, so blocks of 1 and of 11 people."""
+    people of 3 situations of 3 alternatives, 3 * 3*2 * 5 = 90 padded
+    floats each at the mixed fit's R = 5 and 3 * 3*2 = 18 in a classical
+    design, so blocks of 2 and of 11 people."""
     from mixrrm import regret
 
-    monkeypatch.setattr(regret, "_BLOCK_FLOATS", 400)
+    monkeypatch.setattr(regret, "_BLOCK_FLOATS", 200)
     calls = []  # (kernel, called inside a walk) per call
     walks = []  # (blocks, blocks called) per walk
     walk = ModelDesign.walk
