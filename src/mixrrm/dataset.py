@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -279,12 +280,13 @@ def _plain_columns(text, id_col, group_col, alt_col, choice_col, attr_cols,
     numeric table that breaks no row rule, else None.
 
     A plain numeric table is plain text (:func:`_plain_text`) with no blank
-    row; every data row is as wide as the header; ``np.loadtxt`` reads every
-    cell (it reads a cell only as ``float`` does, to the same bit, and
-    refuses ``1_0`` or non-ASCII digits, which ``float`` reads); and every
-    key cell is an integer written without a point or an exponent, below
-    2**53 in magnitude, so its float is exact.  As a row is one line split
-    at every comma, no line may be longer than the csv module's field limit.
+    row, whose data rows are as wide as the header and whose cells one
+    ``np.loadtxt`` reads: a key cell as int64, which numpy reads only when it
+    is a sign and ASCII digits between blanks, as :func:`_to_int` reads it
+    (numpy 1.x reads ``2.5`` through a float and warns, which refuses it);
+    any other cell as ``float`` reads it, to the same bit (numpy refuses
+    ``1_0`` or non-ASCII digits, which ``float`` reads).  As a row is one
+    line split at every comma, no line may exceed the csv field limit.
     """
     if not _plain_text(text):
         return None
@@ -293,35 +295,33 @@ def _plain_columns(text, id_col, group_col, alt_col, choice_col, attr_cols,
     if n_rows < 1 or max(map(len, lines)) > csv.field_size_limit():
         return None
     header = [name.strip() for name in lines[0].split(",")]
-    width = len(header)
     try:
         keys, attr_cols, col_pos = _layout(header, id_col, group_col, alt_col,
                                            choice_col, attr_cols, cluster_col)
     except MissingColumn:
         return None
-    # the key columns' cells, if every row is as wide as the header (checked
-    # below); the cell list is dropped before np.loadtxt runs, to bound the
-    # peak memory
-    cells = ",".join(lines).split(",")
-    key_cells = ",".join([",".join(cells[width + pos::width])
-                          for pos in map(col_pos.get, keys)])
-    del cells
+    # fields named by position, as a header may repeat a name
+    key_pos = {col_pos[name] for name in keys}
+    dtype = [(f"f{pos}", np.int64 if pos in key_pos else float)
+             for pos in range(len(header))]
     try:
-        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2,
-                            dtype=float)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=1,
+                               dtype=dtype)
+    except (ValueError, DeprecationWarning):
         return None
-    if values.shape != (n_rows, width):  # loadtxt skips blank lines
+    if len(table) != n_rows:  # loadtxt skips blank lines
         return None
-    key_values = values[:, [col_pos[name] for name in keys]]
-    choice = values[:, col_pos[choice_col]]
-    attributes = values[:, [col_pos[name] for name in attr_cols]]
-    if (any(mark in key_cells for mark in ".eE")
-            or not np.all(np.abs(key_values) < 2.0**53)
-            or not np.all((choice == 0.0) | (choice == 1.0))
+    column = lambda name: table[f"f{col_pos[name]}"]
+    choice = column(choice_col)
+    attributes = np.empty((n_rows, len(attr_cols)))
+    for k, name in enumerate(attr_cols):
+        attributes[:, k] = column(name)
+    if (not np.all((choice == 0.0) | (choice == 1.0))
             or not np.all(np.isfinite(attributes))):
         return None
-    ind, sit, alt, *cluster = key_values.astype(np.int64).T
+    ind, sit, alt, *cluster = map(column, keys)
     if _repeats(ind, sit, alt).any():
         return None
     return dict(individual=ind, situation=sit, alternative=alt, chosen=choice == 1.0,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .dataset import ChoiceDataset
 from .errors import AttrNotLognormal, DomainError, EmptyInput, InvalidOption, SpecMismatch
 from .estimation import FitResult
 from .regret import ModelDesign, _log_mean_exp
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -162,7 +165,8 @@ def lognormal_summary(fit: FitResult, attr: str, sign: int = 1) -> LognormalSumm
     s only through s^2): median = exp(b), mean = exp(b + s^2/2),
     sd = mean * sqrt(exp(s^2) - 1).  ``sign`` of -1 flips median and mean
     for attributes that were negated before estimation; the sd keeps its
-    sign-free value.  Moments beyond the float range raise DomainError.
+    sign-free value.  Moments, or the SEs of a finite covariance, beyond the
+    float range raise DomainError.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -176,8 +180,7 @@ def lognormal_summary(fit: FitResult, attr: str, sign: int = 1) -> LognormalSumm
     f, kk = spec.n_fixed, spec.n_random
     idx_b = f + k
     idx_s = f + kk + k
-    b = fit.theta[idx_b]
-    s = fit.theta[idx_s]
+    b, s = float(fit.theta[idx_b]), float(fit.theta[idx_s])
     sub_cov = fit.covariance[np.ix_([idx_b, idx_s], [idx_b, idx_s])]
 
     s2 = s * s
@@ -195,24 +198,31 @@ def lognormal_summary(fit: FitResult, attr: str, sign: int = 1) -> LognormalSumm
 
     jac_median = np.array([median, 0.0])
     jac_mean = np.array([mean, mean * s])
-    if s != 0.0:
+    if spread != 0.0:
         d_sd_ds = sd * s + mean * s * growth / spread
     else:
-        d_sd_ds = mean  # limit of the expression as s -> 0
+        # its limit as s -> 0 up to a sign, which the SE drops as sd = 0;
+        # s^2 may underflow to 0 before s does
+        d_sd_ds = mean
     jac_sd = np.array([sd, d_sd_ds])
 
-    def delta_se(jac):
-        return float(math.sqrt(max(jac @ sub_cov @ jac, 0.0)))
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        ses = [math.sqrt(max(jac @ sub_cov @ jac, 0.0))
+               for jac in (jac_median, jac_mean, jac_sd)]
+    if np.isfinite(sub_cov).all() and not np.isfinite(ses).all():
+        raise DomainError(
+            f"log-normal coefficient {attr!r} has no finite standard errors: "
+            f"location {b:.6g}, scale {s:.6g}"
+        )
     return LognormalSummary(
         attr=attr,
         sign=sign,
         median=sign * median,
-        median_se=delta_se(jac_median),
+        median_se=ses[0],
         mean=sign * mean,
-        mean_se=delta_se(jac_mean),
+        mean_se=ses[1],
         sd=sd,
-        sd_se=delta_se(jac_sd),
+        sd_se=ses[2],
     )
 
 
@@ -252,11 +262,16 @@ def histogram_svg(values, title: str, path) -> None:
         raise DomainError("histogram values must be finite")
 
     n_bins = min(50, max(5, math.ceil(math.sqrt(data.size))))
+    # values past 2**1000 are binned in quarters, exactly, so that the
+    # range's width stays finite; a range too narrow for n_bins distinct
+    # edges, as of one value, is widened by at least half a unit each way
     lo, hi = float(data.min()), float(data.max())
-    if lo == hi:
-        lo -= 0.5
-        hi += 0.5
-    counts, edges = np.histogram(data, bins=n_bins, range=(lo, hi))
+    scale = 4.0 if max(-lo, hi) > 2.0**1000 else 1.0
+    lo, hi = lo / scale, hi / scale
+    if not np.all(np.diff(np.linspace(lo, hi, n_bins + 1)) > 0):
+        pad = max(0.5, n_bins * math.ulp(max(-lo, hi)))
+        lo, hi = lo - pad, hi + pad
+    counts, edges = np.histogram(data / scale, bins=n_bins, range=(lo, hi))
 
     width, height = 640, 420
     left, right, top, bottom = 70, 20, 40, 60
@@ -292,7 +307,8 @@ def histogram_svg(values, title: str, path) -> None:
         'stroke="black"/>'
     )
     for frac in (0.0, 0.5, 1.0):
-        x_val = lo + frac * (hi - lo)
+        # an edge widened past the float range is labelled at its end
+        x_val = min(max((lo + frac * (hi - lo)) * scale, -_FLOAT_MAX), _FLOAT_MAX)
         x_pos = left + frac * plot_w
         parts.append(
             f'<text x="{x_pos:.1f}" y="{top + plot_h + 18}" '

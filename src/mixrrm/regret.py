@@ -581,9 +581,11 @@ class ModelDesign:
         # d2 beta = beta [1, z; z, z^2] over (b, s), times its gradient g_beta
         weights = weights.ravel()
         fixed = np.arange(f)
-        curv = _pair_curvature(bd.d_fixed, slope_fixed, res, take)
+        curv = _pair_curvature(bd.d_fixed, slope_fixed, res,
+                               take("terms", slope_fixed.shape), take)
         hess[fixed, fixed] += flat(curv) @ weights
-        curv = _pair_curvature(bd.d_random, slope_random, res, take) * chain**2
+        curv = _pair_curvature(bd.d_random, slope_random, res, slope_random, take)
+        curv *= chain**2
         curv += np.where(self._lognormal[:, None, None], g_rand, 0.0)
         loc = np.arange(f, f + k)
         scale = loc + k
@@ -787,17 +789,17 @@ def _slot_gradient(incidence, slope, lin, out, batch=1):
     return gradient
 
 
-def _pair_curvature(d, slope, res, take):
+def _pair_curvature(d, slope, res, out, take):
     """d2(sum_i res_i R_i)/d beta2 per attribute, individual and draw,
     (M, n, R): both slots of a pair bear h'' = d^2 (1 - tanh^2(|a|/2)) / 4,
-    which is (d/2)^2 less the square of the ``slope``, signed or not, in the
-    slope's shape, (M, P, S, n, 1) for a fixed one; its product with ``res``
-    and the sum over pairs and situations are one :func:`_contract`.  Its
-    intermediates take the roles of the Hessian's slot derivatives and
-    their mean, dead by then; the random slopes are in ``"a"``."""
+    which is (d/2)^2 less the square of the ``slope``, signed or not, made
+    in ``out`` of the slope's shape, (M, P, S, n, 1) for a fixed one, which
+    may be the slope itself; its product with ``res`` and the sum over
+    pairs and situations are one :func:`_contract`.  (d/2)^2 takes the role
+    of the Hessian's slot derivatives' mean, dead by then."""
     quarter = np.multiply(d, 0.5, out=take("t", d.shape))
     quarter *= quarter
-    curv = np.square(slope, out=take("terms", slope.shape))
+    curv = np.square(slope, out=out)
     np.subtract(quarter, curv, out=curv)
     return _contract("mpsnr,psnr->mnr", curv, res,
                      np.empty((len(curv), *res.shape[2:])), take)

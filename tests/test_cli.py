@@ -2,9 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1101,3 +1103,104 @@ def test_generated_panels_keep_the_cli_invariants(panel, data):
         code, _, err = run_quietly("lognormal", "--fit", fit, "--attr",
                                    (rand or fixed)[-1], "--json")
         check(code, err)
+
+
+# --- aim 3 under huge inputs: theta or an attribute scaled by 10**k ------------
+
+# the notes a command prints on stderr besides ``error:`` and ``warning:`` lines
+NOTES = ("  fit written to ", "predictions written to ",
+         "individual coefficients written to ", "plot written to ")
+NOT_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+
+def json_leaves(value, key=None):
+    """(key, value) of every number, string, bool or null in parsed JSON."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from json_leaves(item, name)
+    elif isinstance(value, list):
+        for item in value:
+            yield from json_leaves(item, key)
+    else:
+        yield key, value
+
+
+@st.composite
+def scaled_commands(draw):
+    """A command (``fit``, ``predict``, ``betas`` or ``lognormal``), a model,
+    a small panel's CSV text and a parameter vector, with theta or one
+    attribute column multiplied by 10**k, |k| <= 308."""
+    command = draw(st.sampled_from(["fit", "predict", "betas", "lognormal"]))
+    fixed, rand, ln = draw(st.sampled_from([
+        (["a"], [], 0), (["a"], ["b"], 0), (["a"], ["b"], 1), ([], ["a", "b"], 1)]))
+    target = draw(st.sampled_from(["theta", "a", "b"]))
+    factor = 10.0 ** draw(st.integers(-308, 308)) * draw(st.sampled_from([1.0, -1.0]))
+    theta = [draw(st.sampled_from([-0.5, -0.1, 0.2, 0.8]))
+             for _ in range(len(fixed) + 2 * len(rand))]
+    if target == "theta":
+        theta = [value * factor for value in theta]
+    lines = ["id,cs,altern,choice,a,b"]
+    for person in range(1, draw(st.integers(2, 4)) + 1):
+        for situation in range(1, draw(st.integers(1, 2)) + 1):
+            labels = draw(st.sampled_from([(1, 2), (1, 2, 3)]))
+            chosen = draw(st.sampled_from(labels))
+            for label in labels:
+                x = {name: draw(st.sampled_from([-1.5, 0.0, 0.7, 2.0]))
+                     for name in ("a", "b")}
+                if target in x:
+                    x[target] *= factor
+                lines.append(f"{person},{situation},{label},{int(label == chosen)},"
+                             f"{x['a']!r},{x['b']!r}")
+    return command, (fixed, rand, ln), "\n".join(lines) + "\n", theta
+
+
+@settings(max_examples=40, deadline=None)
+@given(scaled_commands(), st.integers(1, 3), st.integers(0, 4))
+def test_scaled_inputs_end_in_an_exit_code_not_a_traceback(case, nrep, maxiter):
+    """With theta or an attribute scaled up to 10**308 and a RuntimeWarning
+    an error, a command exits 0, 1 or 2 without raising; every stderr line
+    is an ``error:`` or ``warning:`` line or the command's own note; and
+    what a command writes when it exits 0 holds no nan or inf."""
+    from mixrrm.estimation import FitResult, save_fit_json
+    from mixrrm.regret import ModelSpec
+
+    command, (fixed, rand, ln), text, theta = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, fit, out = tmp / "panel.csv", tmp / "fit.json", tmp / "out.csv"
+        data.write_text(text)
+        if command == "fit":
+            argv = ["fit", data, "--fixed", *fixed, "--rand", *rand, "--ln", ln,
+                    "--noconstant", "--nrep", nrep, "--maxiter", maxiter,
+                    "--from", json.dumps(theta), "--out", fit]
+            outputs = [fit]
+        else:
+            spec = ModelSpec(fixed_attrs=fixed, random_attrs=rand, ln_count=ln)
+            with warnings.catch_warnings():  # a z statistic past the float range
+                warnings.simplefilter("ignore", RuntimeWarning)
+                save_fit_json(FitResult(spec, (1, 2, 3), np.array(theta), -1.0, 4, 8,
+                                        0.01 * np.eye(len(theta)), "hessian", 95.0,
+                                        True, 3, 0.0, nrep, 0), fit)
+            argv, outputs = {
+                "predict": (["predict", data, "--fit", fit, "--out", out], [out]),
+                "betas": (["betas", data, "--fit", fit, "--saving", out, "--plot"],
+                          [out, *(tmp / f"{attr}_hist.svg" for attr in rand)]),
+                "lognormal": (["lognormal", "--fit", fit, "--attr", (rand or fixed)[-1],
+                               "--json"], []),
+            }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run_quietly(*argv)
+        assert code in (0, 1, 2)
+        for line in err.splitlines():
+            assert line.startswith(("error:", "warning:", *NOTES)), line
+        if code == 0:
+            written = [path.read_text() for path in outputs]
+            if command == "lognormal":
+                written.append(stdout)
+            for content in written:
+                assert not NOT_FINITE.search(content), content
+                if content.startswith("{"):  # a JSON null is a nan written
+                    leaves = list(json_leaves(json.loads(content)))
+                    assert all(value is not None for key, value in leaves
+                               if key != "base_alternative"), content

@@ -472,11 +472,13 @@ ODD_NUMBERS = [" 1.5 ", "\xa01.5", "\t1.5", "1e3", "+.5", "5.", "-0", "nan", "-I
                "inf", "1e400", "1_0", "\u0661", "1.5\r", "", " ", "1..5", "0x10", "1,5",
                '"1.5"']
 # key cells: plain integers, exact float forms the per-cell reader takes,
-# forms whose float is integral although the cell is not, and the edges of
-# 2**53 and of int64
-ODD_KEYS = ["2.0", "1e3", "+2", " 2 ", "-0", "1_0", "\u0661", "2.5", "nan", "inf",
-            "1.0000000000000000001", "1e-400", str(2**53 - 1), str(-(2**53 - 1)),
-            str(2**53), str(2**53 + 1), str(2**63), str(-(2**63))]
+# forms whose float is integral although the cell is not, cells that int()
+# reads and numpy's int64 parser refuses (1_0, non-ASCII digits, values
+# past int64), and the edges of 2**53 and of int64
+ODD_KEYS = ["2.0", "1e3", "+2", " 2 ", "\t2", "-0", "0002", "1_0", "\u0661", "\uff12",
+            "2.5", "nan", "inf", "1.0000000000000000001", "1e-400", str(2**53 - 1),
+            str(-(2**53 - 1)), str(2**53), str(2**53 + 1), str(2**63 - 1), str(2**63),
+            str(-(2**63)), str(-(2**63) - 1)]
 ODD_CHOICES = ["2", "1.0", "0e0", "-0", " 1", "nan", "", "0.5"]
 
 
@@ -531,6 +533,34 @@ def test_odd_cells_load_as_the_per_cell_reader_loads_them(tmp_path, col, cell):
                      .encode("utf-8"))
     assert_loads_as_per_cell_reader(path)
     assert_loads_as_per_cell_reader(path, cluster_col="id")
+
+
+def test_keys_past_2_53_take_the_numpy_parse(tmp_path):
+    """Integer keys between 2**53 and 2**63, which no float holds exactly,
+    are read as int64 by the numpy parse, as the per-cell reader reads
+    them."""
+    rows = basic_rows()
+    for row in rows:
+        row[0] += 2**62
+        row[1] += 2**53
+        row[2] = 2**63 - row[2]
+    path = write_csv(tmp_path / "d.csv", HEADER, rows)
+    assert assert_loads_as_per_cell_reader(path)
+    assert assert_loads_as_per_cell_reader(path, cluster_col="id")
+    assert load_long_csv(path).individual_ids.tolist() == [2**62 + 1, 2**62 + 2]
+
+
+def test_repeated_header_name_takes_the_numpy_parse(tmp_path):
+    """A header may repeat a name: both readers read the first column of
+    that name wherever the name is asked for, so the default attributes
+    list it twice, and the numpy parse still takes the file."""
+    rows = [row + [7.5] for row in basic_rows()]
+    path = write_csv(tmp_path / "d.csv", [*HEADER, "tt"], rows)
+    assert assert_loads_as_per_cell_reader(path)
+    assert assert_loads_as_per_cell_reader(path, attr_cols=["tt"])
+    ds = load_long_csv(path)
+    assert ds.attribute_names == ("tt", "tc", "tt")
+    assert np.array_equal(ds.attributes[:, 2], ds.attributes[:, 0])
 
 
 def width_error(row, want, got):

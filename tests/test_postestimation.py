@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_dataset, random_dataset, situation_slices
 from mixrrm.dataset import load_long_csv
 from mixrrm.draws import build_drawset, inverse_normal_cdf
-from mixrrm.errors import AttrNotLognormal, EmptyInput, SpecMismatch
+from mixrrm.errors import AttrNotLognormal, DomainError, EmptyInput, SpecMismatch
 from mixrrm.estimation import (
     FitOptions,
     FitResult,
@@ -356,6 +358,27 @@ def test_lognormal_delta_se_matches_numeric_jacobian(b, s):
     assert summary.sd_se == pytest.approx(oracle[2], rel=1e-6)
 
 
+@pytest.mark.parametrize("s", [5e-163, -5e-163])
+def test_lognormal_scale_whose_square_underflows_is_the_zero_scale(s):
+    """A scale whose square underflows to 0 gives the summary of scale 0,
+    with no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny = lognormal_summary(lognormal_fit(-0.5, s), "x1")
+    assert tiny == lognormal_summary(lognormal_fit(-0.5, 0.0), "x1")
+
+
+@pytest.mark.parametrize("b, s, message", [(0.0, 1e155, "no finite moments"),
+                                           (700.0, 1.0, "no finite standard errors")])
+def test_lognormal_past_the_float_range_is_a_domain_error(b, s, message):
+    """A scale whose square overflows, or moments whose delta-method SEs
+    overflow, raise DomainError, with no floating-point warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match=message):
+            lognormal_summary(lognormal_fit(b, s), "x1")
+
+
 def test_lognormal_rejects_normal_attribute(rng):
     ds = random_dataset(rng, n_attrs=2)
     spec = ModelSpec(fixed_attrs=("x0",), random_attrs=("x1",), ln_count=0)
@@ -411,8 +434,6 @@ def test_beta_file_roundtrip_exact(tmp_path, rng):
 
 
 def read_bin_counts(path):
-    import re
-
     text = path.read_text()
     return [int(m) for m in re.findall(r'data-count="(\d+)"', text)]
 
@@ -447,6 +468,23 @@ def test_histogram_counts_conserved(tmp_path, rng):
     values = rng.normal(size=777)
     histogram_svg(values, "conservation", path)
     assert sum(read_bin_counts(path)) == 777
+
+
+@pytest.mark.parametrize("values", [
+    [5e8, np.nextafter(5e8, 1e9)],              # narrower than 5 distinct edges
+    [-1.5e308, 0.0, 1.5e308, 1.7976931348623157e308],  # wider than the float range
+    [1.7976931348623157e308] * 3,               # one value at the float range's edge
+], ids=["narrow", "wide", "edge"])
+def test_histogram_of_extreme_ranges(tmp_path, values):
+    """Values whose range is too narrow for 5 distinct bin edges, or whose
+    width overflows, are binned with every value counted, finite axis
+    labels and no floating-point warning."""
+    path = tmp_path / "h.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        histogram_svg(values, "extreme", path)
+    assert sum(read_bin_counts(path)) == len(values)
+    assert not re.search(r"\b(nan|inf)\b", path.read_text())
 
 
 def test_histogram_rejects_empty_and_nonfinite(tmp_path):

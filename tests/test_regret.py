@@ -1193,6 +1193,25 @@ def test_classical_pass_memory_is_bounded_by_block_floats():
     assert peak <= 8 * 8 * regret._BLOCK_FLOATS
 
 
+def test_hessian_curvature_takes_no_buffer_past_the_slot_runs(rng):
+    """A Hessian pass squares the random pair slopes in place for their
+    curvature: on a block of the ``wide_asc`` benchmark's shape (20 people
+    of 8 situations of 5 alternatives, a fixed and three random attributes,
+    constants, R = 20) the workspace's ``"terms"`` buffer stays the size of
+    its 8-person slot-derivative runs, (n_params, J, S, 8, R), below the
+    (Mr, P, S, n, R) random curvature."""
+    ds = random_dataset(rng, n_individuals=20, n_situations=8, n_alternatives=5,
+                        n_attrs=4)
+    design = design_for(ds, nrep=20, fixed_attrs=("x0",),
+                        random_attrs=("x1", "x2", "x3"), ln_count=1, use_asc=True)
+    assert list(map(tuple, design.blocks)) == [(0, 20)]
+    x = rng.normal(size=design.n_params) * 0.3
+    individual_scores(design, design.draws(), x, hessian=True)
+    slot_run = design.n_params * 5 * 8 * 8 * 20
+    assert slot_run < 3 * 10 * 8 * 20 * 20
+    assert design._work._buffers["terms"].size == slot_run
+
+
 def test_design_build_peaks_within_twice_what_it_keeps():
     """Building a design of 1200 people who take turns between four shapes,
     8, 10, 8 and 6 situations of 3, 3, 4 and 5 alternatives, with a fixed
