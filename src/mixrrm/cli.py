@@ -24,7 +24,7 @@ import sys
 import warnings
 
 from .errors import Error, InvalidOption, NonConvergence, SpecMismatch
-from .options import FitOptions
+from .options import FitOptions, _finite_json, draw_settings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -219,10 +219,6 @@ def _check_output(name, path, inputs, replace):
             raise InvalidOption(f"{path} exists; pass --replace to overwrite")
 
 
-def _attr_cols(spec):
-    return [*spec.fixed_attrs, *spec.random_attrs]
-
-
 def _print_fit(fit):
     kind = "Mixed" if fit.spec.n_random else "Classical"
     print(f"{kind} random regret minimization fit")
@@ -293,7 +289,7 @@ def cmd_fit(args) -> int:
     )
     if args.out:
         _check_output("--out", args.out, {"data": args.data}, replace=True)
-    ds = _load_dataset(args, _attr_cols(spec), cluster_col=args.cluster)
+    ds = _load_dataset(args, spec.attrs, cluster_col=args.cluster)
 
     exit_code = 0
     try:
@@ -316,13 +312,13 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     from .dataset import copy_with_column
     from .estimation import load_fit_json
-    from .postestimation import draw_settings, predict_rows
+    from .postestimation import predict_rows
 
     _check_output("--out", args.out, {"data": args.data, "fit": args.fit},
                   replace=True)
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
-    ds = _load_dataset(args, _attr_cols(fit.spec))
+    ds = _load_dataset(args, fit.spec.attrs)
     probs = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
     # rows the loader skipped as blank have no probability and are copied
     # through unchanged
@@ -333,9 +329,7 @@ def cmd_predict(args) -> int:
 
 def cmd_betas(args) -> int:
     from .estimation import load_fit_json
-    from .postestimation import (
-        draw_settings, histogram_svg, individual_betas, write_beta_file,
-    )
+    from .postestimation import histogram_svg, individual_betas, write_beta_file
 
     inputs = {"data": args.data, "fit": args.fit}
     _check_output("--saving", args.saving, inputs, args.replace)
@@ -353,7 +347,7 @@ def cmd_betas(args) -> int:
     plots = [os.path.join(out_dir, f"{a}_hist.svg") for a in keep if args.plot]
     for path in plots:
         _check_output("plot", path, inputs, args.replace)
-    ds = _load_dataset(args, _attr_cols(fit.spec))
+    ds = _load_dataset(args, fit.spec.attrs)
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)
     cols = [table.attrs.index(a) for a in keep]
     table = type(table)(attrs=tuple(keep), ids=table.ids, values=table.values[:, cols])
@@ -369,16 +363,14 @@ def cmd_betas(args) -> int:
 def cmd_lognormal(args) -> int:
     from dataclasses import asdict
 
-    from .estimation import _nan_to_none, load_fit_json
+    from .estimation import load_fit_json
     from .postestimation import lognormal_summary
 
     fit = load_fit_json(args.fit)
     summary = lognormal_summary(fit, args.attr, sign=-1 if args.negate else 1)
     if args.as_json:
-        # a NaN standard error (no covariance) is written as null
-        fields = {key: _nan_to_none(value) if isinstance(value, float) else value
-                  for key, value in asdict(summary).items()}
-        print(json.dumps(fields, sort_keys=True, allow_nan=False))
+        print(json.dumps(_finite_json(asdict(summary)), sort_keys=True,
+                         allow_nan=False))
         return 0
     print(f"log-normal coefficient summary: {summary.attr} "
           f"(sign {'+' if summary.sign > 0 else '-'}1)")

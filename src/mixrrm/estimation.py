@@ -43,7 +43,7 @@ from .errors import (
     SingularHessian,
     SpecMismatch,
 )
-from .options import FitOptions, _has_type
+from .options import FitOptions, _finite_json, _has_type
 from .regret import ModelDesign, ModelSpec, ParameterVector
 
 
@@ -105,13 +105,12 @@ class FitResult:
     @property
     def z_stats(self) -> np.ndarray:
         se = self.std_errors
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             return np.where(se > 0.0, self.estimates / se, np.nan)
 
     @property
     def p_values(self) -> np.ndarray:
-        return np.array([math.erfc(abs(v) / math.sqrt(2.0)) if np.isfinite(v)
-                         else np.nan for v in self.z_stats])
+        return np.array([math.erfc(abs(z) / math.sqrt(2.0)) for z in self.z_stats])
 
     @property
     def ci_lower(self) -> np.ndarray:
@@ -441,7 +440,7 @@ def fit_mixed(
 
 def _starting_values(design: ModelDesign, opts: FitOptions) -> np.ndarray:
     spec = design.spec
-    prelim_spec = ModelSpec(fixed_attrs=design.model_attrs, use_asc=spec.use_asc,
+    prelim_spec = ModelSpec(fixed_attrs=spec.attrs, use_asc=spec.use_asc,
                             base_alternative=spec.base_alternative)
     prelim_opts = FitOptions(
         maxiter=opts.maxiter, gtol=opts.gtol, level=opts.level, covariance="hessian",
@@ -542,20 +541,19 @@ FIT_SCHEMA = 2
 
 def fit_result_to_json(fit: FitResult) -> dict:
     """JSON-ready dict; includes the model block needed to reload the fit.
-    NaN is written as null, so the output is strict JSON."""
-    return {
+    A float that is not finite is null, so the output is strict JSON."""
+    return _finite_json({
         "schema": FIT_SCHEMA,
         "estimates": [
-            {"name": name, "coef": float(coef),
-             **dict(zip(("se", "z", "p", "ci_low", "ci_high"), map(_nan_to_none, rest)))}
-            for name, coef, *rest in fit.coefficient_rows
+            dict(zip(("name", "coef", "se", "z", "p", "ci_low", "ci_high"), row))
+            for row in fit.coefficient_rows
         ],
         "loglik": fit.loglik,
         "nrep": fit.nrep,
         "burn": fit.burn,
         "converged": fit.converged,
         "covariance_kind": fit.covariance_kind,
-        "covariance": [[_nan_to_none(v) for v in row] for row in fit.covariance],
+        "covariance": fit.covariance.tolist(),
         "model": {
             "fixed_attrs": list(fit.spec.fixed_attrs),
             "random_attrs": list(fit.spec.random_attrs),
@@ -564,19 +562,14 @@ def fit_result_to_json(fit: FitResult) -> dict:
             "base_alternative": fit.spec.base_alternative,
             "alternative_labels": list(fit.alternative_labels),
         },
-        "theta": [float(v) for v in fit.theta],
+        "theta": fit.theta.tolist(),
         "level": fit.level,
         "n_individuals": fit.n_individuals,
         "n_situations": fit.n_situations,
         "n_parameters": fit.n_parameters,
         "iterations": fit.iterations,
         "gradient_norm": fit.gradient_norm,
-    }
-
-
-def _nan_to_none(value):
-    value = float(value)
-    return None if math.isnan(value) else value
+    })
 
 
 # the JSON type of every field the reader uses (``_has_type``), by path
@@ -587,7 +580,7 @@ _FIELD_TYPES = {
     "model.base_alternative": (int, None), "model.alternative_labels": [int],
     "theta": [float], "covariance": [[(float, None)]], "covariance_kind": str,
     "loglik": float, "level": float, "converged": bool, "iterations": int,
-    "gradient_norm": float, "n_individuals": int, "n_situations": int,
+    "gradient_norm": (float, None), "n_individuals": int, "n_situations": int,
     "nrep": int, "burn": int,
 }
 
@@ -631,22 +624,23 @@ def fit_result_from_json(payload: dict) -> FitResult:
     if len(cov) != n_params or any(len(row) != n_params for row in cov):
         raise InvalidFitFile(f"field 'covariance' is not {n_params} x {n_params} "
                              "as the model block implies")
+    if f["gradient_norm"] is None:  # a gradient that was not finite
+        f["gradient_norm"] = math.nan
     scalars = ("loglik", "n_individuals", "n_situations", "covariance_kind",
                "level", "converged", "iterations", "gradient_norm", "nrep", "burn")
     return FitResult(
         spec=spec,
         alternative_labels=labels,
         theta=np.array(theta, dtype=float),
-        covariance=np.array(
-            [[np.nan if v is None else v for v in row] for row in cov], dtype=float
-        ),
+        covariance=np.array(cov, dtype=float),  # null, as None, reads as NaN
         **{key: f[key] for key in scalars},
     )
 
 
 def save_fit_json(fit: FitResult, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(fit_result_to_json(fit), handle, indent=1, sort_keys=True)
+        json.dump(fit_result_to_json(fit), handle, indent=1, sort_keys=True,
+                  allow_nan=False)
         handle.write("\n")
 
 

@@ -1,7 +1,8 @@
-"""Fit options and the JSON type rule they share with the fit-file reader,
-in a module that loads no numeric library: the command line reads the fit
-defaults before it caps numeric worker threads."""
+"""Fit options, the draw settings they share with post-estimation, and the
+JSON rules of the fit file, in a module that loads no numeric library: the
+command line reads the fit defaults before it caps numeric worker threads."""
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidOption
@@ -17,6 +18,30 @@ def _has_type(value, kind) -> bool:
     if kind is None or isinstance(value, bool):
         return value is kind or kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _finite_json(value):
+    """``value`` for a strict JSON dump: every float in it, through dicts
+    and lists, as itself if finite and as None (null) if not."""
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(item) for item in value]
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
+def draw_settings(owner, nrep=None, burn=None) -> tuple[int, int]:
+    """The ``nrep`` and ``burn`` in effect, ``owner``'s (a fit's or options')
+    unless given; InvalidOption if ``nrep`` is below 1 or ``burn`` negative."""
+    nrep = owner.nrep if nrep is None else nrep
+    burn = owner.burn if burn is None else burn
+    if nrep < 1:
+        raise InvalidOption(f"nrep {nrep!r} is below 1")
+    if burn < 0:
+        raise InvalidOption(f"burn {burn!r} is negative")
+    return nrep, burn
 
 
 @dataclass
@@ -42,10 +67,7 @@ class FitOptions:
             raise InvalidOption(f"gtol {self.gtol!r} is not positive and finite")
         if self.covariance not in ("hessian", "robust", "cluster"):
             raise InvalidOption(f"unknown covariance kind {self.covariance!r}")
-        if self.nrep < 1:
-            raise InvalidOption(f"nrep {self.nrep!r} is below 1")
-        if self.burn < 0:
-            raise InvalidOption(f"burn {self.burn!r} is negative")
+        draw_settings(self)
         if self.start is not None:
             import numpy as np  # options are made after the thread cap
             try:

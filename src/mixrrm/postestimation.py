@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .errors import AttrNotLognormal, DomainError, EmptyInput, InvalidOption, SpecMismatch
+from .errors import AttrNotLognormal, DomainError, EmptyInput, SpecMismatch
 from .estimation import FitResult
+from .options import draw_settings
 from .regret import ModelDesign, _log_mean_exp
 
 _FLOAT_MAX = sys.float_info.max
@@ -60,19 +61,6 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
             "alternative labels differ between the fit and this dataset"
         )
     return design
-
-
-def draw_settings(fit: FitResult, nrep=None, burn=None) -> tuple[int, int]:
-    """``nrep``/``burn`` for post-estimation, the fit's own unless given;
-    either in effect out of range (``nrep`` below 1, ``burn`` negative) is
-    an InvalidOption."""
-    nrep = fit.nrep if nrep is None else nrep
-    burn = fit.burn if burn is None else burn
-    if burn < 0:
-        raise InvalidOption(f"burn {burn!r} is negative")
-    if nrep < 1:
-        raise InvalidOption(f"nrep {nrep!r} is below 1")
-    return nrep, burn
 
 
 def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,

@@ -87,7 +87,7 @@ class ModelSpec:
     def __post_init__(self):
         object.__setattr__(self, "fixed_attrs", tuple(self.fixed_attrs))
         object.__setattr__(self, "random_attrs", tuple(self.random_attrs))
-        attrs = (*self.fixed_attrs, *self.random_attrs)
+        attrs = self.attrs
         if not attrs:
             raise SpecMismatch("model has no attributes")
         twice = sorted({a for a in attrs if attrs.count(a) > 1})
@@ -97,6 +97,12 @@ class ModelSpec:
             raise SpecMismatch(
                 f"ln_count {self.ln_count} outside 0..{self.n_random}"
             )
+
+    @property
+    def attrs(self) -> tuple[str, ...]:
+        """The attributes in packing order, [fixed | random]: θ's order, the
+        design's attribute axis and the data columns a command loads."""
+        return (*self.fixed_attrs, *self.random_attrs)
 
     @property
     def n_fixed(self) -> int:
@@ -121,8 +127,7 @@ class ModelSpec:
     def param_names(self, alternative_labels) -> tuple[str, ...]:
         """Parameter names in packing order [fixed | location | scale | asc]."""
         return (
-            *self.fixed_attrs,
-            *self.random_attrs,
+            *self.attrs,
             *(f"sd.{a}" for a in self.random_attrs),
             *(f"asc.{l}" for l in self.asc_labels(alternative_labels)),
         )
@@ -130,7 +135,7 @@ class ModelSpec:
     def validate(self, ds: ChoiceDataset) -> None:
         """Refuse, with :class:`SpecMismatch`, an attribute or a base
         alternative that ``ds`` lacks."""
-        for attr in (*self.fixed_attrs, *self.random_attrs):
+        for attr in self.attrs:
             if attr not in ds.attribute_names:
                 raise SpecMismatch(f"attribute {attr!r} not in dataset")
         if self.use_asc and self.base_alternative is not None:
@@ -231,9 +236,8 @@ class ModelDesign:
         self.nrep = nrep if spec.n_random else 1
 
         # the attribute axis in packing order, [fixed | random]
-        self.model_attrs = (*spec.fixed_attrs, *spec.random_attrs)
         self.attr_indices = np.array(
-            [ds.attribute_index(a) for a in self.model_attrs], dtype=np.intp
+            [ds.attribute_index(a) for a in spec.attrs], dtype=np.intp
         )
         self._lognormal = np.array(
             [spec.is_lognormal(k) for k in range(spec.n_random)], dtype=bool
@@ -253,7 +257,7 @@ class ModelDesign:
         sizes = np.diff(starts, append=ds.n_rows)
         n_sit = np.diff(ds.individual_starts, append=starts.size)
         ind_width = np.maximum.reduceat(sizes, ds.individual_starts)
-        edges = _block_edges(n_sit, ind_width, len(self.model_attrs), self.nrep)
+        edges = _block_edges(n_sit, ind_width, len(self.attr_indices), self.nrep)
         self.blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
 
         # every row goes to its slot in one padded (cells, J, M) array: each
@@ -269,7 +273,7 @@ class ModelDesign:
         row_cell = sit_cell[row_sit]
         slot = np.arange(ds.n_rows) - starts[row_sit]
         shape = (ind_depth.sum(), sizes.max(initial=0))
-        x = np.zeros((*shape, len(self.model_attrs)))
+        x = np.zeros((*shape, len(self.attr_indices)))
         x[row_cell, slot] = ds.attributes[:, self.attr_indices]
         rows = np.zeros(shape, dtype=bool)
         rows[row_cell, slot] = True
@@ -552,7 +556,7 @@ class ModelDesign:
         slope_random *= sign[:, None, None]
         n_slot, n_sit = probs.shape[:2]
         run = max(1, _BLOCK_FLOATS // _person_floats(
-            n_sit, n_slot, len(self.model_attrs), n_draws, self.n_params))
+            n_sit, n_slot, len(self.attr_indices), n_draws, self.n_params))
         flat = lambda a: a.reshape(len(a), math.prod(a.shape[1:]))
         hess = np.zeros((self.n_params, self.n_params))
         for lo in range(0, n_ind, run):

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from mixrrm import cli
 from mixrrm.cli import build_parser, main
 from mixrrm.options import FitOptions
 from oracles import csv_copy_with_column, simulate_panel, write_rows_csv
+from test_reference_fits import load_bench_module
 
 
 @pytest.fixture
@@ -827,6 +829,74 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_z_is_null_in_a_strict_fit_json(tmp_path):
+    """A z statistic past the float range is written as null with p 0, and
+    saving it warns of no overflow."""
+    from mixrrm.estimation import FitResult, save_fit_json
+    from mixrrm.regret import ModelSpec
+
+    fit = FitResult(ModelSpec(fixed_attrs=("a",)), (1, 2), np.array([5e307]), -1.0,
+                    4, 8, 0.01 * np.eye(1), "hessian", 95.0, True, 3, 0.0, 1, 0)
+    save_fit_json(fit, tmp_path / "fit.json")
+    (row,) = strict_json((tmp_path / "fit.json").read_text())["estimates"]
+    assert (row["z"], row["p"]) == (None, 0.0)
+
+
+def bench_panel(workload, tmp_path, monkeypatch):
+    """Seed-1 panel 0 of a benchmark workload, written to ``panel.csv``, and
+    the workload."""
+    workloads = load_bench_module("workloads", monkeypatch)
+    spec, data = workloads.WORKLOADS[workload], tmp_path / "panel.csv"
+    workloads.write_workload(spec, 1, 0, data)
+    return spec, data
+
+
+def test_gradient_that_is_not_finite_is_null_in_the_fit_json(tmp_path, monkeypatch,
+                                                             capsys):
+    """With ``tt`` scaled by 1e307 the fit stops at a gradient that is not
+    finite and exits 2; its JSON is strict, with the gradient norm null, and
+    read back as NaN by every command that loads a fit."""
+    from mixrrm.estimation import load_fit_json
+
+    _, data = bench_panel("recovery", tmp_path, monkeypatch)
+    with open(data, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
+        row["tt"] = repr(float(row["tt"]) * 1e307)
+    write_rows_csv(rows, data)
+    fit = tmp_path / "fit.json"
+    code, _, _ = run(capsys, "fit", data, "--fixed", "tc", "--rand", "tt",
+                     "--noconstant", "--nrep", 20, "--out", fit)
+    assert code == 2
+    assert strict_json(fit.read_text())["gradient_norm"] is None
+    assert np.isnan(load_fit_json(fit).gradient_norm)
+    assert run(capsys, "predict", data, "--fit", fit, "--out", tmp_path / "p.csv")[0] == 0
+    assert run(capsys, "betas", data, "--fit", fit, "--saving", tmp_path / "b.csv")[0] == 0
+    assert run(capsys, "lognormal", "--fit", fit, "--attr", "tt") == (
+        1, "", "error: 'tt' is not a log-normal random attribute of this fit\n")
+
+
+def test_lognormal_json_writes_infinite_standard_errors_as_null(tmp_path, monkeypatch,
+                                                                capsys):
+    """With the covariance of comfort's location and scale infinite, the
+    log-normal summary of a benchmark fit exits 0 with one strict JSON line
+    whose standard errors are null."""
+    spec, data = bench_panel("wide_asc", tmp_path, monkeypatch)
+    fit = tmp_path / "fit.json"
+    assert run(capsys, *spec.fit_argv(data, fit))[0] == 0
+    payload = json.loads(fit.read_text())
+    names = [row["name"] for row in payload["estimates"]]
+    b, s = names.index("comfort"), names.index("sd.comfort")
+    payload["covariance"][b][s] = payload["covariance"][s][b] = float("inf")
+    fit.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "lognormal", "--fit", fit, "--attr", "comfort", "--json")
+    assert (code, err, out.count("\n")) == (0, "", 1)
+    summary = strict_json(out)
+    assert [summary[f"{m}_se"] for m in ("median", "mean", "sd")] == [None] * 3
+    assert all(math.isfinite(summary[m]) for m in ("median", "mean", "sd"))
+
+
 def test_lognormal_json_roundtrip(panel_csv, tmp_path, capsys):
     fit = lognormal_fit_json(panel_csv, tmp_path, capsys)
     code, out, _ = run(capsys, "lognormal", "--fit", fit,
@@ -1154,13 +1224,16 @@ def scaled_commands(draw):
     return command, (fixed, rand, ln), "\n".join(lines) + "\n", theta
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(scaled_commands(), st.integers(1, 3), st.integers(0, 4))
 def test_scaled_inputs_end_in_an_exit_code_not_a_traceback(case, nrep, maxiter):
     """With theta or an attribute scaled up to 10**308 and a RuntimeWarning
-    an error, a command exits 0, 1 or 2 without raising; every stderr line
-    is an ``error:`` or ``warning:`` line or the command's own note; and
-    what a command writes when it exits 0 holds no nan or inf."""
+    an error, a fit file is saved and a command exits 0, 1 or 2 without
+    raising; every stderr line is an ``error:`` or ``warning:`` line or the
+    command's own note; every JSON file or stdout line a command writes is
+    strict JSON; and what a command writes when it exits 0 holds no nan or
+    inf."""
     from mixrrm.estimation import FitResult, save_fit_json
     from mixrrm.regret import ModelSpec
 
@@ -1176,11 +1249,9 @@ def test_scaled_inputs_end_in_an_exit_code_not_a_traceback(case, nrep, maxiter):
             outputs = [fit]
         else:
             spec = ModelSpec(fixed_attrs=fixed, random_attrs=rand, ln_count=ln)
-            with warnings.catch_warnings():  # a z statistic past the float range
-                warnings.simplefilter("ignore", RuntimeWarning)
-                save_fit_json(FitResult(spec, (1, 2, 3), np.array(theta), -1.0, 4, 8,
-                                        0.01 * np.eye(len(theta)), "hessian", 95.0,
-                                        True, 3, 0.0, nrep, 0), fit)
+            save_fit_json(FitResult(spec, (1, 2, 3), np.array(theta), -1.0, 4, 8,
+                                    0.01 * np.eye(len(theta)), "hessian", 95.0,
+                                    True, 3, 0.0, nrep, 0), fit)
             argv, outputs = {
                 "predict": (["predict", data, "--fit", fit, "--out", out], [out]),
                 "betas": (["betas", data, "--fit", fit, "--saving", out, "--plot"],
@@ -1188,12 +1259,15 @@ def test_scaled_inputs_end_in_an_exit_code_not_a_traceback(case, nrep, maxiter):
                 "lognormal": (["lognormal", "--fit", fit, "--attr", (rand or fixed)[-1],
                                "--json"], []),
             }[command]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code, stdout, err = run_quietly(*argv)
+        code, stdout, err = run_quietly(*argv)
         assert code in (0, 1, 2)
         for line in err.splitlines():
             assert line.startswith(("error:", "warning:", *NOTES)), line
+        # whatever the exit code, what is written as JSON is strict JSON
+        for content in [*(path.read_text() for path in outputs
+                          if path.suffix == ".json" and path.exists()),
+                        *(line for line in stdout.splitlines() if line.startswith("{"))]:
+            strict_json(content)
         if code == 0:
             written = [path.read_text() for path in outputs]
             if command == "lognormal":

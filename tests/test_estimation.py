@@ -525,6 +525,24 @@ def test_fit_options_rejects_out_of_range(kwargs):
         FitOptions(**kwargs)
 
 
+@pytest.mark.parametrize("nrep, burn, message", [
+    (0, 15, "nrep 0 is below 1"), (-3, 0, "nrep -3 is below 1"),
+    (1, -1, "burn -1 is negative"), (0, -1, "nrep 0 is below 1"), (1, 0, None),
+])
+def test_fit_options_and_draw_settings_refuse_alike(nrep, burn, message):
+    """A fit's options and post-estimation's draw settings accept the same
+    nrep and burn, and refuse the others with the same message."""
+    fit = FitOptions()  # a fit's own nrep 50 and burn 15, overridden here
+    for settings in (lambda: FitOptions(nrep=nrep, burn=burn),
+                     lambda: draw_settings(fit, nrep, burn)):
+        if message is None:
+            settings()
+        else:
+            with pytest.raises(InvalidOption) as err:
+                settings()
+            assert str(err.value) == message
+
+
 def forbid_kernels(monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("the fit ran a kernel")

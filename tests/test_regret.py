@@ -86,6 +86,16 @@ def test_unpack_wrong_length():
 # --- ModelSpec validation ------------------------------------------------------
 
 
+@pytest.mark.parametrize("fixed, rand", [(("c", "a"), ("d", "b")), ((), ("b", "a")),
+                                         (("b",), ())])
+def test_spec_attrs_put_fixed_before_random_as_theta_does(fixed, rand):
+    """``attrs`` is the fixed attributes, then the random ones, each as
+    declared: the coefficient names that open ``param_names``."""
+    spec = ModelSpec(fixed_attrs=fixed, random_attrs=rand, use_asc=True)
+    assert spec.attrs == (*fixed, *rand)
+    assert spec.param_names((1, 2, 3))[:len(spec.attrs)] == spec.attrs
+
+
 def test_spec_rejects_overlap():
     ds = two_alt_dataset()
     with pytest.raises(SpecMismatch):
@@ -160,10 +170,11 @@ def test_realize_mixes_fixed_and_random_in_packing_order(rng):
     the oracle, which takes them as declared."""
     ds = random_dataset(rng, n_attrs=3)
     design = design_for(ds, fixed_attrs=("x1",), random_attrs=("x2", "x0"))
-    assert design.model_attrs == ("x1", "x2", "x0")
+    assert design.spec.attrs == ("x1", "x2", "x0")
+    declared = [ds.attribute_index(a) for a in ("x1", "x2", "x0")]
+    assert design.attr_indices.tolist() == declared
     x = np.array([0.5, 1.0, -0.7, 0.3, 0.6])
     draws = rng.normal(size=(ds.n_individuals, 2, 4))
-    declared = [ds.attribute_index(a) for a in ("x1", "x2", "x0")]
     individuals = [[(ds.attributes[rows][:, declared].tolist(),
                      int(np.argmax(ds.chosen[rows])))
                     for rows in situation_slices(ds, pos)]
@@ -602,7 +613,7 @@ def block_floats(design, start, stop):
     sits = np.append(ds.individual_starts, ds.n_situations)
     widths = np.maximum.reduceat(np.diff(np.append(ds.situation_starts, ds.n_rows)),
                                  ds.individual_starts)
-    floats = lambda s, j: s * (j * (j - 1) // 2) * len(design.model_attrs) * design.nrep
+    floats = lambda s, j: s * (j * (j - 1) // 2) * len(design.spec.attrs) * design.nrep
     n_sit, widths = np.diff(sits)[start:stop], widths[start:stop]
     return ((stop - start) * floats(n_sit.max(), widths.max()),
             sum(floats(s, j) for s, j in zip(n_sit, widths)))
