@@ -190,7 +190,7 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_dataset(args, attr_cols, cluster_col=None):
+def _load_dataset(args, attr_cols, cluster_col=None, text=None):
     from .dataset import load_long_csv
 
     return load_long_csv(
@@ -201,6 +201,7 @@ def _load_dataset(args, attr_cols, cluster_col=None):
         choice_col=args.choice,
         attr_cols=attr_cols,
         cluster_col=cluster_col,
+        text=text,
     )
 
 
@@ -310,7 +311,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .dataset import copy_with_column
+    from .dataset import copy_with_column, read_csv_text
     from .estimation import load_fit_json
     from .postestimation import predict_rows
 
@@ -318,11 +319,13 @@ def cmd_predict(args) -> int:
                   replace=True)
     fit = load_fit_json(args.fit)
     draw_settings(fit, args.nrep, args.burn)
-    ds = _load_dataset(args, fit.spec.attrs)
-    probs = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
+    # the one read of the data file: the loader and the copy share its text
+    text = read_csv_text(args.data)
+    ds = _load_dataset(args, fit.spec.attrs, text=text)
+    rows, probs = predict_rows(ds, fit, nrep=args.nrep, burn=args.burn)
     # rows the loader skipped as blank have no probability and are copied
     # through unchanged
-    copy_with_column(args.data, args.out, "pred_p", probs)
+    copy_with_column(text, args.out, "pred_p", rows, probs)
     print(f"predictions written to {args.out}", file=sys.stderr)
     return 0
 

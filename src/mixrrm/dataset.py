@@ -15,7 +15,6 @@ import io
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 import numpy as np
 
@@ -39,8 +38,8 @@ _INT64 = range(-2**63, 2**63)
 # the characters other than \r and \n at which str.splitlines ends a line;
 # the csv module keeps them inside a cell
 _LINE_MARKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-# lines per write of copy_with_column
-_COPY_LINES = 1024
+# characters of whole lines per write of copy_with_column
+_COPY_CHARS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +194,13 @@ def open_csv(path):
     return open(path, newline="", encoding="utf-8-sig")
 
 
+def read_csv_text(path) -> str:
+    """The whole text of the data file at ``path``, read through
+    :func:`open_csv`; a file that is not UTF-8 raises :class:`MalformedCsv`."""
+    with _reading_csv(path), open_csv(path) as handle:
+        return handle.read()
+
+
 def load_long_csv(
     path,
     id_col: str = "id",
@@ -203,6 +209,7 @@ def load_long_csv(
     choice_col: str = "choice",
     attr_cols: list[str] | None = None,
     cluster_col: str | None = None,
+    text: str | None = None,
 ) -> ChoiceDataset:
     """Load and validate a long-format choice CSV.
 
@@ -219,6 +226,9 @@ def load_long_csv(
     cluster_col : str, optional
         Integer column, constant within each individual, retained for
         cluster-robust standard errors.
+    text : str, optional
+        The file's text, if it has already been read (:func:`read_csv_text`);
+        ``path`` then only names the file in errors.
 
     Raises the validation error of the earliest row breaking a row rule,
     else of the first sorted situation breaking a situation rule, else of
@@ -232,8 +242,8 @@ def load_long_csv(
     cell (:func:`_cell_columns`), which raises every loading error.  Both
     give the same columns, bit for bit.
     """
-    with _reading_csv(path), open_csv(path) as handle:
-        text = handle.read()
+    if text is None:
+        text = read_csv_text(path)
     names = (id_col, group_col, alt_col, choice_col, attr_cols, cluster_col)
     columns = _plain_columns(text, *names)
     if columns is None:
@@ -386,52 +396,74 @@ def _cell_columns(path, text, id_col, group_col, alt_col, choice_col, attr_cols,
                 attribute_names=tuple(attr_cols), cluster=cluster)
 
 
-def copy_with_column(path, out_path, name: str, values) -> bool:
-    """Copy the data file at ``path`` to the CSV file ``out_path`` with one
-    more column: ``name`` ends the header, and ``repr(values[n])`` ends each
-    row whose number ``n`` (the header is row 1, as :func:`load_long_csv`
-    numbers rows) ``values`` holds; the other rows, such as the blank rows
-    the loader skips, are copied unchanged.  The copy is what ``csv.writer``
-    writes for the rows ``csv.reader`` reads: UTF-8 without a byte-order
-    mark, every row ended by ``\\r\\n``.
+def copy_with_column(text, out_path, name: str, rows, values) -> bool:
+    """Write the CSV ``text`` of a data file (:func:`read_csv_text`) to the
+    file ``out_path`` with one more column: ``name`` ends the header, and
+    ``repr(values[k])`` ends the row numbered ``rows[k]`` (the header is row
+    1, as :func:`load_long_csv` numbers rows, whose ``source_row`` is such a
+    ``rows``); the other rows, such as the blank rows the loader skips, are
+    copied unchanged.  The copy is what ``csv.writer`` writes for the rows
+    ``csv.reader`` reads: UTF-8 without a byte-order mark, every row ended
+    by ``\\r\\n``.
 
-    The file is streamed in chunks of lines, one write per chunk.  While
-    the text is plain (:func:`_plain_text`) a row is its line, so the line
-    is copied as it is; from the first chunk that is not, the csv module
-    reads and writes the rest, and re-quotes a quoted cell as ``csv.writer``
-    does.  Returns whether every line was copied as text.
+    Whether the text is plain (:func:`_plain_text`) is decided once.  In
+    plain text a row is its line, and the lines are written in chunks of
+    about ``_COPY_CHARS`` characters, one write per chunk; a chunk whose
+    every line is non-empty and has a value is joined in C, each line with
+    a comma and its value's ``repr``.  Other text is read and written by
+    the csv module, which re-quotes a quoted cell as ``csv.writer`` does.
+    Returns whether the text was plain.
     """
-    get = values.get
-    with _reading_csv(path), open_csv(path) as source, \
-            open(out_path, "w", newline="", encoding="utf-8") as out:
-        start = 1
-        while chunk := list(islice(source, _COPY_LINES)):
-            if not _plain_text("".join(chunk)):
-                break
-            rows = []
-            for row_no, line in enumerate(chunk, start):
-                line = line.rstrip("\r\n")
-                value = get(row_no)
-                if value is not None:
-                    line = f"{line},{value!r}" if line else repr(value)
-                rows.append(line)
-            if start == 1:
-                header = chunk[0].rstrip("\r\n")
-                rows[0] = f"{header},{name}" if header else name
-            rows.append("")
-            out.write("\r\n".join(rows))
-            start += len(chunk)
-        else:
-            return True
-        writer = csv.writer(out)
-        for row_no, row in enumerate(csv.reader(chain(chunk, source)), start):
-            value = get(row_no)
+    rows = np.asarray(rows, dtype=np.intp)
+    # one slot per row number, past the last line and the last of ``rows``
+    size = max(text.count("\n") + text.count("\r"), rows.max(initial=0)) + 2
+    has = np.zeros(size, dtype=bool)
+    has[rows] = has[1] = True  # the header, row 1, takes ``name``
+    by_row = np.zeros(size)
+    by_row[rows] = values
+    with open(out_path, "w", newline="", encoding="utf-8") as out:
+        if not _plain_text(text):
+            writer = csv.writer(out)
+            for row_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), 1):
+                if has[row_no]:
+                    row.append(name if row_no == 1 else repr(float(by_row[row_no])))
+                writer.writerow(row)
+            return False
+        row_no = 1
+        for lines in _line_chunks(text, _COPY_CHARS):
+            stop = row_no + len(lines)
+            ends = list(map(repr, by_row[row_no:stop].tolist()))
             if row_no == 1:
-                row.append(name)
-            elif value is not None:
-                row.append(repr(value))
-            writer.writerow(row)
-    return False
+                ends[0] = name
+            have = has[row_no:stop]
+            if have.all() and "" not in lines:
+                out.write("\r\n".join(map(",".join, zip(lines, ends))))
+            else:
+                out.write("\r\n".join(
+                    (f"{line},{end}" if line else end) if own else line
+                    for line, end, own in zip(lines, ends, have.tolist())))
+            out.write("\r\n")
+            row_no = stop
+    return True
+
+
+def _line_chunks(text, size):
+    """The lines of the plain ``text``, as ``str.splitlines`` splits it, in
+    lists of about ``size`` characters: a list ends at the last line end
+    within ``size`` characters of its start, and where there is none, the
+    window doubles until it holds one."""
+    start = 0
+    while start < len(text):
+        stop = start + size
+        while stop < len(text):
+            # a \r just before ``stop`` may begin a \r\n
+            end = max(text.rfind("\n", start, stop), text.rfind("\r", start, stop - 1))
+            if end >= 0:
+                stop = end + 1
+                break
+            stop += stop - start
+        yield text[start:stop].splitlines()
+        start = stop
 
 
 def reshape_wide_to_long(

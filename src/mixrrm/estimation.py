@@ -338,7 +338,13 @@ def covariance_hessian(hessian: np.ndarray) -> np.ndarray:
         raise SingularHessian(
             "Hessian at the optimum is singular or not negative definite"
         ) from None
-    return 0.5 * (cov + cov.T)
+    # a -H with subnormal entries passes Cholesky with an inverse past the
+    # float range
+    with np.errstate(all="ignore"):
+        cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise SingularHessian("Hessian at the optimum has no finite inverse")
+    return cov
 
 
 def covariance_cluster(

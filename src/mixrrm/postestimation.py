@@ -66,14 +66,14 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
 def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,
                     probs=True):
     """The fit's design on ``ds``, its draws, and the ``summarize(rows,
-    ln_seq, probs)`` of every block concatenated in dataset order, from one
-    :meth:`ModelDesign.walk` whose kernel summarizes each block's draw info
-    as soon as it is made, so no block's per-draw probabilities outlive it;
-    ``rows`` is the block's data slots (:meth:`ModelDesign.available`), and
-    ``probs`` is ``None`` unless ``probs``.  The walk runs with numpy's
-    floating-point warnings off, and a summary that is not finite, as at a
-    fit whose estimates overflow the pass, is refused with
-    :class:`DomainError`."""
+    info)`` of every block concatenated in dataset order, from one
+    :meth:`ModelDesign.walk` whose kernel summarizes each block's
+    :meth:`~ModelDesign.individual_draw_info` as soon as it is made: its
+    draw-averaged probabilities if ``probs``, else its sequence log-probs;
+    ``rows`` is the block's data slots (:meth:`ModelDesign.available`).
+    The walk runs with numpy's floating-point warnings off, and a summary
+    that is not finite, as at a fit whose estimates overflow the pass, is
+    refused with :class:`DomainError`."""
     nrep, burn = draw_settings(fit, nrep, burn)
     design = _bind_design(ds, fit, nrep)
     draws = design.draws(burn)
@@ -81,7 +81,7 @@ def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,
         summaries = np.concatenate(design.walk(
             lambda block, z, part: summarize(
                 design.available(block),
-                *design.individual_draw_info(block, z, part, probs)),
+                design.individual_draw_info(block, z, part, probs)),
             fit.theta_hat, draws))
     if not np.isfinite(summaries).all():
         raise DomainError("the pass over the data is not finite at the fit's estimates")
@@ -99,15 +99,15 @@ def predict_probabilities(
     probabilities over the Halton draws (defaults: the fit's own nrep/burn);
     classical fits, with no random coefficient, take one draw: the closed form.
     """
-    return _draw_info_walk(ds, fit, nrep, burn,
-                           lambda rows, _, probs: probs.mean(axis=1)[rows])[2]
+    return _draw_info_walk(ds, fit, nrep, burn, lambda rows, probs: probs[rows])[2]
 
 
-def predict_rows(ds, fit, nrep=None, burn=None) -> dict[int, float]:
-    """Simulated probability of every data row, keyed by the row number
-    :func:`~mixrrm.dataset.load_long_csv` recorded for it (header = 1)."""
-    probs = predict_probabilities(ds, fit, nrep, burn)
-    return dict(zip(ds.source_row.tolist(), probs.tolist(), strict=True))
+def predict_rows(ds, fit, nrep=None, burn=None) -> tuple[np.ndarray, np.ndarray]:
+    """The number of every data row in the file it was loaded from (header =
+    1), ``ds.source_row``, and its simulated probability
+    (:func:`predict_probabilities`): the rows and values that
+    :func:`~mixrrm.dataset.copy_with_column` takes."""
+    return ds.source_row, predict_probabilities(ds, fit, nrep, burn)
 
 
 def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
@@ -115,7 +115,7 @@ def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
     if fit.spec.n_random < 1:
         raise SpecMismatch("fit has no random coefficients")
     return _draw_info_walk(ds, fit, nrep, burn,
-                           lambda rows, ln_seq, _: _log_mean_exp(ln_seq)[1], probs=False)
+                           lambda rows, ln_seq: _log_mean_exp(ln_seq)[1], probs=False)
 
 
 def posterior_weights(

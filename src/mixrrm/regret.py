@@ -447,23 +447,26 @@ class ModelDesign:
         regrets += linear
         return regrets, slope_fixed, slope_random
 
-    def _probabilities(self, bd: _BlockData, regrets, probs=True):
+    def _probabilities(self, bd: _BlockData, regrets, probs=True, sequence=True):
         """Per-draw choice probabilities (J,S,n,R), ``None`` unless ``probs``,
         and sequence log-probs (n,R), the sums of the chosen log-probs over
-        the situations, made in the workspace: the probabilities in place of
-        ``regrets``, whose +inf at the ``empty`` slots gives them
-        probability exactly 0."""
+        the situations, ``None`` unless ``sequence``, made in the workspace:
+        the probabilities in place of ``regrets``, whose +inf at the
+        ``empty`` slots gives them probability exactly 0."""
         take = self._work.take
         neg = np.negative(regrets, out=regrets)
         flat = neg.reshape(-1, neg.shape[-1])
-        chosen = np.take(flat, bd.chosen, axis=0, mode="clip",
-                         out=take("chosen", (len(bd.chosen), flat.shape[1])))
+        if sequence:
+            chosen = np.take(flat, bd.chosen, axis=0, mode="clip",
+                             out=take("chosen", (len(bd.chosen), flat.shape[1])))
         peak = neg.max(axis=0, out=take("peak", neg.shape[1:]))
         np.subtract(neg, peak, out=neg)
         expn = np.exp(neg, out=neg)
         denom = expn.sum(axis=0, out=take("denom", peak.shape))
         if probs:
             expn /= denom
+        if not sequence:
+            return expn, None
         lse = np.add(peak, np.log(denom, out=denom), out=peak)
         chosen = chosen.reshape(lse.shape)
         chosen -= lse
@@ -471,18 +474,28 @@ class ModelDesign:
         return expn if probs else None, sequence
 
     def individual_draw_info(self, block: int, z, part, probs=True):
-        """Per-draw sequence log-probs (n, R) and probabilities (n, R, S, J),
-        the latter ``None`` unless ``probs``."""
+        """With ``probs``, the block's choice probabilities averaged over
+        the draws, (n, S, J) in its padded layout (:meth:`available` marks
+        the data slots), without the chosen gather, the log-sum-exp and the
+        sequence log-probs; without ``probs``, only its per-draw sequence
+        log-probs (n, R).  The average is the sum of the per-draw
+        probabilities along their contiguous draw axis, in the workspace,
+        divided by R: the pairwise sum that ``mean(axis=1)`` takes of their
+        (n, R, S, J) transpose, to the same bits."""
         bd = self._blocks[block]
-        per_draw, sequence = self._probabilities(
-            bd, self._regrets(bd, part, False)[0], probs)
-        if probs:
-            per_draw = per_draw.copy().transpose(2, 3, 1, 0)
-        return sequence.copy(), per_draw
+        regrets = self._regrets(bd, part, False)[0]
+        if not probs:
+            return self._probabilities(bd, regrets, probs=False)[1].copy()
+        per_draw = self._probabilities(bd, regrets, sequence=False)[0]
+        total = per_draw.sum(axis=-1, out=self._work.take("total", per_draw.shape[:-1]))
+        mean = np.empty(total.shape[::-1])
+        np.divide(total, per_draw.shape[-1], out=mean.T)
+        return mean
 
     def individual_loglik(self, block: int, z, part) -> np.ndarray:
         """Simulated log-likelihood terms (n,) of a block's individuals: the
-        log-mean-exp of :meth:`individual_draw_info`'s sequence log-probs."""
+        log-mean-exp of the sequence log-probs of :meth:`individual_draw_info`
+        without ``probs``."""
         bd = self._blocks[block]
         _, sequence = self._probabilities(bd, self._regrets(bd, part, False)[0],
                                           probs=False)

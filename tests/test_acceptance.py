@@ -154,10 +154,11 @@ def test_binary_choice_equals_binary_logit(tmp_path):
         design = ModelDesign(ds, ModelSpec(fixed_attrs=("p", "q", "r")))
         theta = ParameterVector(fixed=vals, rand_location=np.zeros(0),
                                 rand_scale=np.zeros(0), asc=np.zeros(0))
-        _, probs = per_person(design, design.walk(design.individual_draw_info,
-                                                  theta, design.draws()))[0]
+        # a classical design's one draw: its probabilities are their average
+        probs = per_person(design, design.walk(design.individual_draw_info,
+                                               theta, design.draws()))[0]
         logit = 1.0 / (1.0 + math.exp(-vals @ (x1 - x2)))
-        assert probs[0, 0, 0, 0] == pytest.approx(logit, abs=1e-12)
+        assert probs[0, 0, 0] == pytest.approx(logit, abs=1e-12)
 
     # coefficients on a simulated binary panel
     rows, attrs = simulate_panel(rng, n_individuals=200, n_situations=3,

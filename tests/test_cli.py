@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import csv
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixrrm import cli
@@ -442,10 +443,32 @@ def test_predict_writes_the_csv_module_copy(panel_csv, tmp_path, capsys, edit):
     fit = fit_json(data, tmp_path, capsys)
     code, _, err = run(capsys, "predict", data, "--fit", fit, "--out", tmp_path / "got.csv")
     assert code == 0, err
-    probs = predict_rows(load_long_csv(data, attr_cols=["total_cost", "total_time"]),
-                         load_fit_json(fit))
-    csv_copy_with_column(data, tmp_path / "want.csv", "pred_p", probs)
+    rows, probs = predict_rows(load_long_csv(data, attr_cols=["total_cost", "total_time"]),
+                               load_fit_json(fit))
+    csv_copy_with_column(data, tmp_path / "want.csv", "pred_p",
+                         dict(zip(rows.tolist(), probs.tolist(), strict=True)))
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("edit", [lambda text: text, quote_ids], ids=["plain", "quoted"])
+def test_predict_opens_its_data_file_once(panel_csv, tmp_path, capsys, monkeypatch, edit):
+    """predict reads its data file once: the loader and the copy share the
+    text, whether the copy joins lines or runs the csv module."""
+    data = tmp_path / "data.csv"
+    data.write_bytes(edit(panel_csv.read_bytes()))
+    fit = fit_json(data, tmp_path, capsys)
+    opened = []
+
+    def counted_open(file, *args, opener=builtins.open, **kwargs):
+        opened.append(Path(file))
+        return opener(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted_open)
+    code, _, err = run(capsys, "predict", data, "--fit", fit, "--out", tmp_path / "got.csv")
+    monkeypatch.undo()
+    assert code == 0, err
+    assert opened.count(data) == 1
+    assert opened.count(tmp_path / "got.csv") == 1
 
 
 @pytest.mark.parametrize("command", ["fit", "predict"])
@@ -1195,11 +1218,33 @@ def json_leaves(value, key=None):
         yield key, value
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_whose_hessian_has_no_finite_inverse_exit_1(tmp_path):
+    """A converged fit whose -H, of subnormal entries from attribute cells
+    near 1e-151, passes Cholesky but inverts past the float range exits 1
+    with one ``error:`` line, not 0 with a null standard error."""
+    data = tmp_path / "panel.csv"
+    data.write_text("id,cs,altern,choice,a,b\n"
+                    "1,1,1,1,-1.5,-1.4999999999999999e-151\n"
+                    "1,1,2,0,0.7,-1.4999999999999999e-151\n"
+                    "2,1,1,1,0.7,-1.4999999999999999e-151\n"
+                    "2,1,2,0,-1.5,0.0\n")
+    code, _, err = run_quietly(
+        "fit", data, "--fixed", "a", "--rand", "b", "--ln", "0", "--noconstant",
+        "--nrep", "1", "--maxiter", "3", "--from", "[-0.1, -0.5, -0.5]",
+        "--out", tmp_path / "fit.json")
+    assert code == 1
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "Hessian" in line, err
+
+
 @st.composite
 def scaled_commands(draw):
     """A command (``fit``, ``predict``, ``betas`` or ``lognormal``), a model,
     a small panel's CSV text and a parameter vector, with theta or one
-    attribute column multiplied by 10**k, |k| <= 308."""
+    attribute column multiplied by 10**k, |k| <= 308.  A draw that scales a
+    cell past the float range is rejected: ``predict`` copies every cell
+    through, an ``inf`` the panel holds too."""
     command = draw(st.sampled_from(["fit", "predict", "betas", "lognormal"]))
     fixed, rand, ln = draw(st.sampled_from([
         (["a"], [], 0), (["a"], ["b"], 0), (["a"], ["b"], 1), ([], ["a", "b"], 1)]))
@@ -1219,6 +1264,7 @@ def scaled_commands(draw):
                      for name in ("a", "b")}
                 if target in x:
                     x[target] *= factor
+                    assume(math.isfinite(x[target]))
                 lines.append(f"{person},{situation},{label},{int(label == chosen)},"
                              f"{x['a']!r},{x['b']!r}")
     return command, (fixed, rand, ln), "\n".join(lines) + "\n", theta

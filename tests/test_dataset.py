@@ -720,23 +720,24 @@ def copy_files(draw):
 @given(copy_files(), st.integers(1, 4))
 def test_copy_writes_what_the_csv_module_writes(tmp_path_factory, file, chunk):
     """``copy_with_column`` writes the bytes of the csv module's row by row
-    copy-through, in chunks of any size, and copies lines as text exactly
-    when the file is plain."""
+    copy-through of the file's text, in chunks of any number of characters,
+    and copies lines as text exactly when the file is plain."""
     data, plain, values = file
     tmp = tmp_path_factory.mktemp("copy")
     (tmp / "d.csv").write_bytes(data)
     csv_copy_with_column(tmp / "d.csv", tmp / "want.csv", "pred_p", values)
-    with mock.patch.object(dataset, "_COPY_LINES", chunk):
-        as_text = dataset.copy_with_column(tmp / "d.csv", tmp / "got.csv", "pred_p",
-                                           values)
+    with mock.patch.object(dataset, "_COPY_CHARS", chunk):
+        as_text = dataset.copy_with_column(dataset.read_csv_text(tmp / "d.csv"),
+                                           tmp / "got.csv", "pred_p", list(values),
+                                           list(values.values()))
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
     assert as_text == plain
 
 
 def test_copy_streams_the_file(tmp_path):
     """On a 1000-person panel the copy's traced peak stays below the size of
-    the data file: it holds about one chunk of lines, never a list of every
-    line or the whole output."""
+    the data file whose text it is given: it holds about one chunk of lines,
+    never a list of every line or the whole output."""
     n_rows = 1000 * 10 * 3
     x = np.random.default_rng(7).uniform(0.0, 4.0, (n_rows, 3)).tolist()
     lines = ["id,cs,altern,choice,tt,tc"] + [
@@ -745,9 +746,10 @@ def test_copy_streams_the_file(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("\n".join(lines) + "\n")
     values = {row_no: p for row_no, (*_, p) in enumerate(x, start=2)}
+    text, rows, probs = dataset.read_csv_text(path), list(values), list(values.values())
     tracemalloc.start()
     try:
-        assert dataset.copy_with_column(path, tmp_path / "got.csv", "pred_p", values)
+        assert dataset.copy_with_column(text, tmp_path / "got.csv", "pred_p", rows, probs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

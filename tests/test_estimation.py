@@ -89,6 +89,23 @@ def test_covariance_hessian_rejects_nonfinite(bad):
             covariance_hessian(np.array([[-2.0, 0.5], [0.5, bad]]))
 
 
+@pytest.mark.parametrize("entry", [-1e-310, -9e-309])
+def test_covariance_hessian_rejects_an_inverse_past_the_float_range(entry):
+    """A subnormal -H passes Cholesky, and its inverse is infinite (1e-310)
+    or its symmetrized sum overflows (9e-309): both are refused, without a
+    warning, and the sandwich covariances inherit the refusal through their
+    bread."""
+    hessian = np.array([[entry]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SingularHessian, match="no finite inverse"):
+            covariance_hessian(hessian)
+        with pytest.raises(SingularHessian, match="no finite inverse"):
+            covariance_robust(hessian, np.ones((3, 1)))
+        with pytest.raises(SingularHessian, match="no finite inverse"):
+            covariance_cluster(hessian, np.ones((3, 1)), [1, 2, 2])
+
+
 def test_cluster_singletons_equal_robust_bitwise(rng):
     scores = rng.normal(size=(7, 3))
     hessian = -np.eye(3) * 2.5

@@ -141,9 +141,10 @@ def test_predict_rows_cover_every_data_row_once(tmp_path_factory, seed, data):
     fit = fake_fit(ds, ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",)),
                    [-0.3, -0.5, 0.2], nrep=8)
 
-    probs = predict_rows(ds, fit)
+    rows, values = predict_rows(ds, fit)
     data_rows = {n: line for n, line in enumerate(lines, start=2) if line.strip(" ,")}
-    assert sorted(probs) == sorted(data_rows)
+    assert sorted(rows.tolist()) == sorted(data_rows)
+    probs = dict(zip(rows.tolist(), values.tolist(), strict=True))
     totals = {}
     for n, line in data_rows.items():
         key = tuple(line.split(",")[:2])

@@ -43,9 +43,21 @@ def fixed_point(values, asc=()):
 
 def probs_at(design, theta, pos=0):
     """(S, J) choice probabilities of one individual of a classical design,
-    single zero draw; a small design is one block."""
-    _, probs = design.walk(design.individual_draw_info, theta, design.draws())[0]
-    return probs[pos, 0]
+    whose one draw's are their average; a small design is one block."""
+    return design.walk(design.individual_draw_info, theta, design.draws())[0][pos]
+
+
+def per_draw_probs(design, theta, draws):
+    """Each block's per-draw choice probabilities (n, R, S, J), which the
+    draw-info kernel averages: ``_probabilities``' (J, S, n, R), copied out
+    of the workspace and transposed."""
+    def kernel(block, z, part):
+        bd = design._blocks[block]
+        probs, _ = design._probabilities(bd, design._regrets(bd, part, False)[0],
+                                         sequence=False)
+        return probs.copy().transpose(2, 3, 1, 0)
+
+    return design.walk(kernel, theta, draws)
 
 
 def plain_situations(design, pos):
@@ -350,9 +362,10 @@ def test_translation_invariance(seed, shift):
 def test_sequence_single_situation_equals_choice_probability():
     ds = two_alt_dataset()
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, probs = design.walk(
-        design.individual_draw_info, fixed_point([-1.0]), design.draws())[0]
-    assert math.exp(ln_seq[0, 0]) == pytest.approx(probs[0, 0, 0, 0], rel=1e-14)
+    theta, z = fixed_point([-1.0]), design.draws()
+    ln_seq = design.walk(design.individual_draw_info, theta, z, False)[0]
+    probs = design.walk(design.individual_draw_info, theta, z)[0]
+    assert math.exp(ln_seq[0, 0]) == pytest.approx(probs[0, 0, 0], rel=1e-14)
 
 
 def test_sequence_product_rule():
@@ -360,8 +373,8 @@ def test_sequence_product_rule():
     sits = {s: [(1, x, True), (2, x, False)] for s in (1, 2)}
     ds = make_dataset({1: sits}, ["a"])
     design = design_for(ds, fixed_attrs=("a",))
-    ln_seq, _ = design.walk(
-        design.individual_draw_info, fixed_point([3.0]), design.draws())[0]
+    ln_seq = design.walk(
+        design.individual_draw_info, fixed_point([3.0]), design.draws(), False)[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(0.25, rel=1e-14)
 
 
@@ -373,7 +386,7 @@ def test_sequence_ten_thirds_no_underflow():
     ds = make_dataset({1: sits}, ["p", "q"])
     design = design_for(ds, fixed_attrs=("p", "q"))
     theta, z = fixed_point([0.0, 0.0]), design.draws()
-    ln_seq, _ = design.walk(design.individual_draw_info, theta, z)[0]
+    ln_seq = design.walk(design.individual_draw_info, theta, z, False)[0]
     assert math.exp(ln_seq[0, 0]) == pytest.approx(3.0 ** -10, rel=1e-12)
     assert design.walk(design.individual_loglik, theta, z)[0][0] == pytest.approx(
         -10 * math.log(3.0), rel=1e-14
@@ -381,8 +394,11 @@ def test_sequence_ten_thirds_no_underflow():
 
 
 def test_draw_info_without_probabilities_keeps_the_sequence_log_probs(rng):
-    """``probs=False`` leaves out the per-draw probabilities and returns the
-    sequence log-probs bit-identical, in every block of a mixed design."""
+    """In every block of a mixed design, the draw-info kernel without
+    ``probs`` returns the sequence log-probs that ``_probabilities`` makes
+    with both of its outputs, as the value+gradient kernel calls it, and
+    with ``probs`` the ``mean(axis=1)`` of its per-draw probabilities
+    (n, R, S, J), bit for bit."""
     ds = random_dataset(rng, n_individuals=7, n_situations=3, n_attrs=2)
     with mock.patch.object(regret, "_BLOCK_FLOATS", 400):
         design = design_for(ds, 4, fixed_attrs=("x0",), random_attrs=("x1",),
@@ -390,11 +406,44 @@ def test_draw_info_without_probabilities_keeps_the_sequence_log_probs(rng):
     assert len(design.blocks) > 1
     theta = design.unpack(rng.normal(size=design.n_params))
     z = design.draws(3)
-    full = design.walk(design.individual_draw_info, theta, z)
-    bare = design.walk(design.individual_draw_info, theta, z, False)
-    for (ln_seq, probs), (bare_seq, none) in zip(full, bare, strict=True):
-        assert probs is not None and none is None
-        assert np.array_equal(ln_seq, bare_seq)
+
+    def both(block, z, part):
+        bd = design._blocks[block]
+        probs, sequence = design._probabilities(bd, design._regrets(bd, part, False)[0])
+        return probs.copy().transpose(2, 3, 1, 0), sequence.copy()
+
+    means = design.walk(design.individual_draw_info, theta, z)
+    sequences = design.walk(design.individual_draw_info, theta, z, False)
+    for (probs, sequence), mean, ln_seq in zip(design.walk(both, theta, z), means,
+                                               sequences, strict=True):
+        assert np.array_equal(ln_seq, sequence)
+        assert np.array_equal(mean, probs.mean(axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([(True, 1), (False, 1), (False, 2), (False, 20),
+                                   (False, 100)]), st.integers(2, 5))
+def test_draw_average_is_the_mean_of_the_per_draw_probabilities(data, design_kind, widest):
+    """The draw-info kernel's average, summed in the workspace along the
+    contiguous draw axis, is bit for bit the ``mean(axis=1)`` of the
+    per-draw probabilities that ``_probabilities`` makes, copied and
+    transposed to (n, R, S, J): on padded panels whose short situations
+    leave empty slots, binary choice among them, for classical designs
+    and mixed ones at R = 1, 2, 20 and 100, in blocks as large as a drawn
+    bound on padded floats allows."""
+    classical, nrep = design_kind
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
+        design = padded_design(data, rng, n_individuals=4, classical=classical,
+                               nrep=nrep, widest=widest)
+    assert design.nrep == nrep
+    draws = padded_draws(design, rng)
+    theta = design.unpack(rng.normal(size=design.n_params)
+                          * data.draw(st.sampled_from([0.5, 3.0])))
+    for mean, probs in zip(design.walk(design.individual_draw_info, theta, draws),
+                           per_draw_probs(design, theta, draws), strict=True):
+        assert mean.flags.owndata
+        assert np.array_equal(mean, probs.mean(axis=1))
 
 
 # --- regret gradient, through the log-likelihood gradient --------------------------
@@ -992,9 +1041,9 @@ def test_loglik_kernel_is_log_mean_exp_of_the_draw_info_sequence(data, n_random)
     draws = padded_draws(design, rng)
     theta = design.unpack(rng.normal(size=design.n_params))
     lls = design.walk(design.individual_loglik, theta, draws)
-    infos = design.walk(design.individual_draw_info, theta, draws, False)
-    for ll, (sequence, probs) in zip(lls, infos, strict=True):
-        assert probs is None
+    sequences = design.walk(design.individual_draw_info, theta, draws, False)
+    for ll, sequence in zip(lls, sequences, strict=True):
+        assert sequence.shape == (len(ll), design.nrep)
         assert np.array_equal(ll, regret._log_mean_exp(sequence)[0])
 
 
@@ -1034,6 +1083,7 @@ def test_walk_returns_each_block_result_in_block_order(data, classical):
     theta = design.unpack(rng.normal(size=design.n_params)
                           * data.draw(st.sampled_from([0.5, 3.0])))
     for kernel, args in [("individual_loglik", ()), ("individual_draw_info", ()),
+                         ("individual_draw_info", (False,)),
                          ("individual_loglik_gradient", (False,)),
                          ("individual_loglik_gradient", (True,))]:
         walked = design.walk(getattr(design, kernel), theta, draws, *args)
@@ -1363,12 +1413,15 @@ def test_extreme_activations_stay_finite(data, size):
         asc=rng.normal(size=design.n_asc),
     )
     z = rng.normal(size=(1, 2, 5)).repeat(design.ds.n_individuals, axis=0)
-    for (ll, grad), (ln_seq, probs) in zip(
+    for (ll, grad), ln_seq, probs, mean in zip(
             design.walk(design.individual_loglik_gradient, theta, z),
+            design.walk(design.individual_draw_info, theta, z, False),
+            per_draw_probs(design, theta, z),
             design.walk(design.individual_draw_info, theta, z), strict=True):
         assert np.all(np.isfinite(ll)) and np.all(np.isfinite(grad))
         assert np.all(np.isfinite(ln_seq)) and np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mean.sum(axis=2), 1.0, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1418,7 +1471,7 @@ def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size, n_r
     regrets = design.walk(
         lambda block, z, part: design._regrets(design._blocks[block], part, False)[0].copy(),
         theta, draws)
-    infos = design.walk(design.individual_draw_info, theta, draws)
+    per_draw = per_draw_probs(design, theta, draws)
     constant = dict(zip(design.asc_labels, theta.asc.tolist()))
     for block, (start, stop) in enumerate(design.blocks):
         for pos in range(start, stop):
@@ -1432,7 +1485,7 @@ def test_folded_rival_term_matches_oracle_at_extreme_activations(data, size, n_r
                 got = regrets[block][:width, s, pos - start]
                 np.testing.assert_allclose(got, np.repeat([want], 2, 0).T, rtol=0, atol=tol)
                 probs = naive_choice_probs(x_all, beta.tolist(), asc[s])
-                got = infos[block][1][pos - start, :, s, :width]
+                got = per_draw[block][pos - start, :, s, :width]
                 np.testing.assert_allclose(got, np.repeat([probs], 2, 0), rtol=0, atol=tol)
 
 
@@ -1442,10 +1495,10 @@ def test_empty_slots_get_infinite_regret_and_zero_probability(data, classical):
     """On an unbalanced panel, in blocks as large as a drawn bound on padded
     floats allows, the walk's base puts +inf at exactly a block's ``empty``
     slots (no data row, not a padded situation's slot 0), so ``_regrets`` is
-    +inf there and finite elsewhere; the draw-info kernel's per-draw
-    probabilities are exactly 0.0 at every slot with no data row but a
-    padded situation's slot 0, which is 1.0, and each situation's sum to 1
-    within 1e-12."""
+    +inf there and finite elsewhere; the per-draw probabilities, and the
+    draw-info kernel's averages of them, are exactly 0.0 at every slot with
+    no data row but a padded situation's slot 0, which is 1.0, and each
+    situation's sum to 1 within 1e-12."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     with mock.patch.object(regret, "_BLOCK_FLOATS", data.draw(st.integers(0, 3000))):
         design = padded_design(data, rng, n_individuals=6, classical=classical)
@@ -1455,14 +1508,16 @@ def test_empty_slots_get_infinite_regret_and_zero_probability(data, classical):
     regrets = design.walk(
         lambda block, z, part: design._regrets(design._blocks[block], part, False)[0].copy(),
         theta, draws)
-    infos = design.walk(design.individual_draw_info, theta, draws)
-    for block, (got, (_, probs)) in enumerate(zip(regrets, infos, strict=True)):
+    means = design.walk(design.individual_draw_info, theta, draws)
+    for block, (got, probs, mean) in enumerate(zip(
+            regrets, per_draw_probs(design, theta, draws), means, strict=True)):
         empty = np.broadcast_to(design._blocks[block].empty, got.shape)
         assert np.array_equal(np.isposinf(got), empty)
         assert np.all(np.isfinite(got[~empty]))
         rows = design.available(block)  # (n, S, J)
         padded = ~rows.any(axis=2, keepdims=True) & (np.arange(rows.shape[2]) == 0)
-        probs = probs.transpose(1, 0, 2, 3)  # (R, n, S, J)
+        # the average, then each draw's: (1 + R, n, S, J)
+        probs = np.concatenate([mean[None], probs.transpose(1, 0, 2, 3)])
         assert np.all(probs[:, ~rows & ~padded] == 0.0)
         assert np.all(probs[:, padded] == 1.0)
         np.testing.assert_allclose(probs.sum(axis=3), 1.0, rtol=0, atol=1e-12)
