@@ -349,6 +349,9 @@ def cmd_betas(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(args.saving))
     plots = [os.path.join(out_dir, f"{a}_hist.svg") for a in keep if args.plot]
     for path in plots:
+        if os.path.realpath(path) == os.path.realpath(args.saving):
+            raise InvalidOption(f"--saving {args.saving} and plot {path} "
+                                "name the same file")
         _check_output("plot", path, inputs, args.replace)
     ds = _load_dataset(args, fit.spec.attrs)
     table = individual_betas(ds, fit, nrep=args.nrep, burn=args.burn)

@@ -413,8 +413,12 @@ def simulated_loglik(
     draws: np.ndarray,
 ) -> float:
     """Evaluate the (simulated) log-likelihood at a given parameter point,
-    averaging over ``draws`` (N, K, R), e.g. ``ModelDesign.draws(...)``."""
-    return _loglik(ModelDesign(ds, spec, draws.shape[-1]), draws, theta.pack())
+    averaging over ``draws`` (N, K, R), e.g. ``ModelDesign.draws(...)``.
+    Like every pass, it runs with numpy's floating-point warnings off: a
+    point that overflows it gives a log-likelihood that is not finite."""
+    design = ModelDesign(ds, spec, draws.shape[-1])
+    with np.errstate(all="ignore"):
+        return _loglik(design, draws, theta.pack())
 
 
 # -- fitting -------------------------------------------------------------------

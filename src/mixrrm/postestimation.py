@@ -50,7 +50,20 @@ class LognormalSummary:
     sd_se: float
 
 
-def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
+def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,
+                    probs=True):
+    """The ``summarize(rows, info, coefs)`` of every block, concatenated in
+    dataset order, from one :meth:`ModelDesign.walk` of the fit's design on
+    ``ds``: ``rows`` is the block's data slots (:meth:`ModelDesign.available`),
+    ``info`` its :meth:`~ModelDesign.individual_draw_info`, draw-averaged
+    probabilities if ``probs``, else sequence log-probs, which a fit without
+    random coefficients is refused, and ``coefs`` the (K, n, R) coefficients
+    the walk realized for it.  The walk runs with numpy's floating-point
+    warnings off, and a summary that is not finite, as at a fit whose
+    estimates overflow the pass, is refused with :class:`DomainError`."""
+    if not probs and fit.spec.n_random < 1:
+        raise SpecMismatch("fit has no random coefficients")
+    nrep, burn = draw_settings(fit, nrep, burn)
     try:
         design = ModelDesign(ds, fit.spec, nrep)
     except SpecMismatch as err:
@@ -60,32 +73,15 @@ def _bind_design(ds: ChoiceDataset, fit: FitResult, nrep: int) -> ModelDesign:
         raise SpecMismatch(
             "alternative labels differ between the fit and this dataset"
         )
-    return design
-
-
-def _draw_info_walk(ds: ChoiceDataset, fit: FitResult, nrep, burn, summarize,
-                    probs=True):
-    """The fit's design on ``ds``, its draws, and the ``summarize(rows,
-    info)`` of every block concatenated in dataset order, from one
-    :meth:`ModelDesign.walk` whose kernel summarizes each block's
-    :meth:`~ModelDesign.individual_draw_info` as soon as it is made: its
-    draw-averaged probabilities if ``probs``, else its sequence log-probs;
-    ``rows`` is the block's data slots (:meth:`ModelDesign.available`).
-    The walk runs with numpy's floating-point warnings off, and a summary
-    that is not finite, as at a fit whose estimates overflow the pass, is
-    refused with :class:`DomainError`."""
-    nrep, burn = draw_settings(fit, nrep, burn)
-    design = _bind_design(ds, fit, nrep)
-    draws = design.draws(burn)
     with np.errstate(all="ignore"):
         summaries = np.concatenate(design.walk(
             lambda block, z, part: summarize(
                 design.available(block),
-                design.individual_draw_info(block, z, part, probs)),
-            fit.theta_hat, draws))
+                design.individual_draw_info(block, z, part, probs), part[3]),
+            fit.theta_hat, design.draws(burn)))
     if not np.isfinite(summaries).all():
         raise DomainError("the pass over the data is not finite at the fit's estimates")
-    return design, draws, summaries
+    return summaries
 
 
 def predict_probabilities(
@@ -99,7 +95,7 @@ def predict_probabilities(
     probabilities over the Halton draws (defaults: the fit's own nrep/burn);
     classical fits, with no random coefficient, take one draw: the closed form.
     """
-    return _draw_info_walk(ds, fit, nrep, burn, lambda rows, probs: probs[rows])[2]
+    return _draw_info_walk(ds, fit, nrep, burn, lambda rows, probs, coefs: probs[rows])
 
 
 def predict_rows(ds, fit, nrep=None, burn=None) -> tuple[np.ndarray, np.ndarray]:
@@ -110,21 +106,15 @@ def predict_rows(ds, fit, nrep=None, burn=None) -> tuple[np.ndarray, np.ndarray]
     return ds.source_row, predict_probabilities(ds, fit, nrep, burn)
 
 
-def _posterior(ds: ChoiceDataset, fit: FitResult, nrep, burn):
-    """Design, (N, K, R) draws and (N, R) posterior draw weights of a mixed fit."""
-    if fit.spec.n_random < 1:
-        raise SpecMismatch("fit has no random coefficients")
-    return _draw_info_walk(ds, fit, nrep, burn,
-                           lambda rows, ln_seq: _log_mean_exp(ln_seq)[1], probs=False)
-
-
 def posterior_weights(
     ds: ChoiceDataset, fit: FitResult,
     nrep: int | None = None, burn: int | None = None,
 ) -> np.ndarray:
     """The (N, R) draw weights behind :func:`individual_betas`, one row per
     individual in dataset order; each row sums to 1."""
-    return _posterior(ds, fit, nrep, burn)[2]
+    return _draw_info_walk(ds, fit, nrep, burn,
+                           lambda rows, ln_seq, coefs: _log_mean_exp(ln_seq)[1],
+                           probs=False)
 
 
 def individual_betas(
@@ -135,12 +125,15 @@ def individual_betas(
 
     Draw r is weighted by the probability of the individual's observed
     sequence of choices under that draw (:func:`posterior_weights`); weights
-    are computed in log space and normalized.  Log-normal coefficients are
+    are computed in log space and normalized, and each block's weights
+    average the coefficients its walk realized.  Log-normal coefficients are
     averaged on the coefficient scale, not the log scale.
     """
-    design, draws, weights = _posterior(ds, fit, nrep, burn)
-    coefs = design.random_coefficient_draws(fit.theta_hat, draws.transpose(1, 0, 2))
-    values = np.matmul(weights[:, None, :], coefs.transpose(1, 0, 2))[:, 0]
+    values = _draw_info_walk(
+        ds, fit, nrep, burn,
+        lambda rows, ln_seq, coefs: np.matmul(  # (n, 1, R) @ (n, R, K)
+            _log_mean_exp(ln_seq)[1][:, None, :], coefs.transpose(1, 2, 0))[:, 0],
+        probs=False)
     return IndividualBetaTable(
         attrs=fit.spec.random_attrs, ids=ds.individual_ids, values=values
     )

@@ -351,14 +351,10 @@ class ModelDesign:
 
     # -- coefficient realization ---------------------------------------------
 
-    def random_coefficient_draws(self, theta, z) -> np.ndarray:
-        """Realized random coefficients, coefficient scale, declared order,
-        from (K, ...) standard draws, axes reversed: (R, K) from (K, R).
-        Normal entries are b + s*z, log-normal entries exp(b + s*z)."""
-        return self._coefficients(theta, z, np.empty(z.shape)).T
-
     def _coefficients(self, theta, z, out) -> np.ndarray:
-        """:meth:`random_coefficient_draws` written to ``out``, axes kept."""
+        """Realized random coefficients, coefficient scale, declared order,
+        from (K, ...) standard draws, written to ``out`` of their shape.
+        Normal entries are b + s*z, log-normal entries exp(b + s*z)."""
         lead = (slice(None),) + (None,) * (z.ndim - 1)
         vals = np.multiply(theta.rand_scale[lead], z, out=out)
         vals += theta.rand_location[lead]

@@ -733,13 +733,19 @@ def test_betas_refuses_existing_file(panel_csv, tmp_path, capsys):
     ("unknown_attr", "--attrs 'nope' is not a random attribute"),
     ("repeated_attr", "--attrs names an attribute twice"),
     ("classical_fit", "fit has no random coefficients"),
+    ("saving_is_plot", "name the same file"),
+    ("saving_is_plot_replace", "name the same file"),
 ])
 def test_betas_checks_outputs_and_attrs_before_reading_data(
         panel_csv, tmp_path, capsys, case, message):
     # the data file does not exist: every refusal comes before it is read
     fit = fit_json(panel_csv, tmp_path, capsys, mixed=case != "classical_fit")
+    # a --saving that is one of the plots is refused, --replace or not
+    saving = "total_time_hist.svg" if case.startswith("saving_is_plot") else "b.csv"
     argv = ["betas", tmp_path / "absent.csv", "--fit", fit,
-            "--saving", tmp_path / "b.csv", "--plot"]
+            "--saving", tmp_path / saving, "--plot"]
+    if case == "saving_is_plot_replace":
+        argv.append("--replace")
     if case == "saving_exists":
         (tmp_path / "b.csv").write_text("keep me\n")
     if case == "plot_exists":
@@ -751,6 +757,35 @@ def test_betas_checks_outputs_and_attrs_before_reading_data(
     assert code == 1 and out == ""
     assert err.startswith("error: ") and message in err and "absent" not in err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    if case.startswith("saving_is_plot"):
+        assert err == (f"error: --saving {tmp_path / saving} and plot "
+                       f"{tmp_path / saving} name the same file\n")
+
+
+@pytest.mark.parametrize("command, out_flag", [("predict", "--out"),
+                                               ("betas", "--saving")])
+def test_fit_with_other_alternative_labels_is_refused(
+        panel_csv, tmp_path, capsys, command, out_flag):
+    """A fit with constants on alternatives 1-3 does not apply to the same
+    panel with alternative 3 relabelled 4: its constants name other
+    alternatives, though the parameter counts agree."""
+    fit = tmp_path / "fit.json"
+    code, _, _ = run(capsys, "fit", panel_csv, "--fixed", "total_cost",
+                     "--rand", "total_time", "--nrep", 5, "--out", fit)
+    assert code == 0
+    with open(panel_csv, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {row["altern"] for row in rows} == {"1", "2", "3"}
+    for row in rows:
+        row["altern"] = row["altern"].replace("3", "4")
+    relabelled = tmp_path / "relabelled.csv"
+    write_rows_csv(rows, relabelled)
+    out = tmp_path / "out.csv"
+    code, stdout, err = run(capsys, command, relabelled, "--fit", fit, out_flag, out)
+    assert code == 1 and stdout == ""
+    assert err == ("error: alternative labels differ between the fit and "
+                   "this dataset\n")
+    assert not out.exists()
 
 
 def test_betas_replace_overwrites_plot(panel_csv, tmp_path, capsys):

@@ -805,6 +805,24 @@ def test_mixed_sign_flip_mirror_identity(tmp_path, rng):
     )
 
 
+def test_simulated_loglik_of_an_overflowing_point_is_not_finite(tmp_path, rng):
+    """A point whose pass overflows, tc's coefficient at 1e308, gives a
+    log-likelihood that is not finite and no floating-point warning, as
+    every other pass does."""
+    ds = panel_dataset(tmp_path, rng, n_individuals=20, n_situations=3,
+                       n_alternatives=3, fixed={"tc": -0.3},
+                       random={"tt": ("normal", -0.5, 0.2)})
+    spec = ModelSpec(fixed_attrs=("tc",), random_attrs=("tt",))
+    theta = ParameterVector(
+        fixed=np.array([1e308]), rand_location=np.array([-0.5]),
+        rand_scale=np.array([0.2]), asc=np.zeros(0),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ll = simulated_loglik(ds, spec, theta, build_drawset(ds.n_individuals, 1, 10, 15))
+    assert not math.isfinite(ll)
+
+
 def test_mixed_scale_reported_as_magnitude(tmp_path, rng):
     ds = panel_dataset(tmp_path, rng, n_individuals=60, n_situations=3,
                        n_alternatives=3, fixed={"tc": -0.3},

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset, random_dataset, situation_slices
+from mixrrm import regret
 from mixrrm.dataset import load_long_csv
 from mixrrm.draws import build_drawset, inverse_normal_cdf
 from mixrrm.errors import AttrNotLognormal, DomainError, EmptyInput, SpecMismatch
@@ -238,8 +239,8 @@ def test_betas_weights_are_probability_vectors(rng):
     design = ModelDesign(ds, fit.spec)
     draws = build_drawset(ds.n_individuals, 1, 32, 15)
     for pos, w in enumerate(weights):
-        coef = design.random_coefficient_draws(fit.theta_hat, draws[pos])
-        assert table.values[pos, 0] == (w @ coef)[0]
+        coef = design._coefficients(fit.theta_hat, draws[pos], np.empty((1, 32)))
+        assert table.values[pos, 0] == (w @ coef.T)[0]
 
 
 def test_betas_stay_within_draw_hull(rng):
@@ -252,11 +253,31 @@ def test_betas_stay_within_draw_hull(rng):
     design = ModelDesign(ds, spec)
     draws = build_drawset(ds.n_individuals, 1, 16, 15)
     for pos in range(ds.n_individuals):
-        realized = design.random_coefficient_draws(
-            design.unpack(np.asarray(theta)), draws[pos]
+        realized = design._coefficients(
+            design.unpack(np.asarray(theta)), draws[pos], np.empty((1, 16))
         )
         assert realized.min() - 1e-12 <= table.values[pos, 0]
         assert table.values[pos, 0] <= realized.max() + 1e-12
+
+
+def test_betas_take_the_walks_coefficients_bit_for_bit(rng, monkeypatch):
+    """Over several blocks, of one normal and one log-normal coefficient,
+    the conditional means that each block takes from the coefficients its
+    walk realized are the whole-panel formula's, bit for bit: the draw set
+    realized once, then one matmul of the (N, 1, R) posterior weights by the
+    (N, R, K) coefficients."""
+    monkeypatch.setattr(regret, "_BLOCK_FLOATS", 400)
+    ds = random_dataset(rng, n_individuals=9, n_situations=3,
+                        n_alternatives=3, n_attrs=3)
+    spec = ModelSpec(fixed_attrs=("x0",), random_attrs=("x1", "x2"), ln_count=1)
+    fit = fake_fit(ds, spec, [0.3, -0.4, -1.0, 0.7, 0.5], nrep=12, burn=15)
+    design = ModelDesign(ds, spec, fit.nrep)
+    assert len(design.blocks) >= 3
+    draws = design.draws(fit.burn).transpose(1, 0, 2)  # (K, N, R)
+    coefs = design._coefficients(fit.theta_hat, draws, np.empty(draws.shape))
+    weights = posterior_weights(ds, fit)
+    expected = np.matmul(weights[:, None, :], coefs.transpose(1, 2, 0))[:, 0]
+    assert individual_betas(ds, fit).values.tobytes() == expected.tobytes()
 
 
 def test_betas_lognormal_positive_and_negate_flips(rng):

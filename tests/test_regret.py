@@ -138,8 +138,8 @@ def test_spec_rejects_unknown_base_alternative():
 
 def realize_one(design, theta, z):
     """Random coefficients (declared order) realized from one draw vector."""
-    return design.random_coefficient_draws(
-        theta, np.asarray(z, dtype=float).reshape(-1, 1))[0]
+    z = np.asarray(z, dtype=float)
+    return design._coefficients(theta, z, np.empty(z.shape))
 
 
 def test_realize_normal_zero_draw():
